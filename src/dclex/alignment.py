@@ -1,21 +1,26 @@
 """Word alignment: IBM Model 1 (optionally Model 2), Viterbi, symmetrization.
 
-Training is plain EM over a sparse lexical table t(f|e). The E-step runs in
-fixed-size chunks whose partial counts are merged in chunk order, so results
-are bit-identical for any worker count. A NULL source token (virtual index
--1) absorbs target words with no counterpart; Viterbi links decoded to NULL
-are dropped.
+Training is plain EM over a sparse lexical table t(f|e); Model 2 adds a
+positional table q(i|j,l,m). Both models run one kernel over interned
+sentence pairs: each co-occurring (e, f) gets an integer slot, and each pair
+stores its cells, one per target position and source candidate, as a flat
+array of slots. The E-step runs in fixed-size chunks whose partial counts are
+merged in chunk order, so results are bit-identical for any worker count. A
+NULL source token (virtual index -1) absorbs target words with no
+counterpart; Viterbi links decoded to NULL are dropped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from array import array
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
-from .parallel import process_chunks
+from .parallel import CHUNK_SIZE, process_chunks
 
 NULL_TOKEN = "<NULL>"
 PROB_FLOOR = 1e-12
@@ -31,29 +36,288 @@ class Alignment:
     """Link set for one sentence pair, as (src_index, tgt_index) pairs."""
 
     links: frozenset[tuple[int, int]]
-    direction: str = "symmetrized"  # forward | backward | symmetrized
 
 
-@dataclass
+class _Table:
+    """Probabilities over slots. Each slot belongs to one row; the table
+    starts uniform over each row's slots, and the M-step renormalizes rows."""
+
+    def __init__(self, row_of: array, n_rows: int) -> None:
+        self.row_of = row_of
+        self.n_rows = n_rows
+        uniform = {r: 1.0 / width for r, width in Counter(row_of).items()}
+        self.values = list(map(uniform.__getitem__, row_of))
+
+    def m_step(self, parts: Sequence[tuple[array, array, list[float], list[float]]]) -> None:
+        """Add up per-chunk (slot map, row map, counts, row totals) in chunk
+        order, then divide each count by its row total. The first chunk's
+        numbers are the global ones, so its lists are extended in place."""
+        (_, _, counts, totals), *rest = parts
+        counts.extend([0.0] * (len(self.values) - len(counts)))
+        totals.extend([0.0] * (self.n_rows - len(totals)))
+        for slots, rows, part_counts, part_totals in rest:
+            for g, c in zip(slots, part_counts):
+                counts[g] += c
+            for g, c in zip(rows, part_totals):
+                totals[g] += c
+        self.values = [c / totals[r] for c, r in zip(counts, self.row_of)]
+
+    def gather(self, slots: array, floor: float = 0.0) -> list[float]:
+        """The values at `slots`, none below `floor`."""
+        values = self.values
+        return [p if p > floor else floor for p in map(values.__getitem__, slots)]
+
+
+def _number(keys: Iterable, numbers: dict) -> list[int]:
+    """Number the keys not yet in `numbers` in order of first appearance,
+    after those already there; return the number of each key."""
+    add = numbers.setdefault
+    return [add(key, len(numbers)) for key in keys]
+
+
+class _Chunk(NamedTuple):
+    """Up to CHUNK_SIZE interned pairs. Slots and rows are numbered within
+    the chunk, so partial counts grow with the chunk, not with the corpus;
+    `t_slots`, `t_rows`, `q_slots` and `q_rows` map them to global numbers.
+    The first chunk's numbers are the global ones."""
+
+    cells: list[int]  # t slot of each cell, pair after pair, target-major
+    # Per pair: t rows of its source candidates, its first and end cell,
+    # and its first q cell and first q row (0, 0 under Model 1).
+    pairs: list[tuple[list[int], int, int, int, int]]
+    t_slots: array
+    t_rows: array
+    q_slots: array
+    q_rows: array
+
+
+class _Fit:
+    """EM state of one alignment direction over its interned training pairs.
+
+    The rows of t are source words (NULL first, when used); the rows of q
+    are (l, m, j) and its slots the candidates NULL, 0, ..., l - 1."""
+
+    def __init__(self, pairs: Sequence[TokenPair], use_null: bool, positional: bool) -> None:
+        self.use_null = use_null
+        e_ids: dict[str, int] = {NULL_TOKEN: 0} if use_null else {}
+        f_ids: dict[str, int] = {}
+        src_ids = _number((e for src, _ in pairs for e in src), e_ids)
+        tgt_ids = _number((f for _, tgt in pairs for f in tgt), f_ids)
+        nf = len(f_ids)
+        null = [0] if use_null else []
+        t_map: dict[int, int] = {}  # e * nf + f -> global t slot
+        blocks: dict[tuple[int, int], tuple[int, int]] = {}  # (l, m) -> first q slot, row
+        q_size = q_rows_size = 0
+        s_at = f_at = 0
+        self.chunks: list[_Chunk] = []
+        for lo in range(0, len(pairs), CHUNK_SIZE):
+            cells_of: dict[int, int] = {}  # e * nf + f -> chunk slot
+            cells: list[int] = []
+            rows_of: dict[int, int] = {}
+            local_blocks: dict[tuple[int, int], tuple[int, int]] = {}
+            q_slots, q_rows = array("i"), array("i")
+            chunk_pairs = []
+            for src, tgt in pairs[lo : lo + CHUNK_SIZE]:
+                l, m = len(src), len(tgt)
+                es = null + src_ids[s_at : s_at + l]
+                fs = tgt_ids[f_at : f_at + m]
+                s_at += l
+                f_at += m
+                scaled = [e * nf for e in es]
+                first_cell = len(cells)
+                cells += _number((k + f for f in fs for k in scaled), cells_of)
+                first_q = (0, 0)
+                if positional:
+                    n = len(es)
+                    if (l, m) not in local_blocks:
+                        if (l, m) not in blocks:
+                            blocks[(l, m)] = (q_size, q_rows_size)
+                            q_size += n * m
+                            q_rows_size += m
+                        g_slot, g_row = blocks[(l, m)]
+                        local_blocks[(l, m)] = (len(q_slots), len(q_rows))
+                        q_slots.extend(range(g_slot, g_slot + n * m))
+                        q_rows.extend(range(g_row, g_row + m))
+                    first_q = local_blocks[(l, m)]
+                chunk_pairs.append((_number(es, rows_of), first_cell, len(cells), *first_q))
+            if t_map:
+                t_slots = array("i", _number(cells_of, t_map))
+            else:  # the first chunk's numbers become the global ones
+                t_map = cells_of
+                t_slots = array("i", range(len(t_map)))
+            self.chunks.append(
+                _Chunk(cells, chunk_pairs, t_slots, array("i", rows_of), q_slots, q_rows)
+            )
+
+        self.e_words = list(e_ids)
+        self.f_words = list(f_ids)
+        self.t_cols = array("i", map(nf.__rmod__, t_map))
+        self.t = _Table(array("i", map(nf.__rfloordiv__, t_map)), len(e_ids))
+        self.shapes = list(blocks)
+        self.q = None
+        if positional:
+            row_of = array("i")
+            for (l, m), (_, g_row) in blocks.items():
+                for j in range(m):
+                    row_of.extend([g_row + j] * (l + len(null)))
+            self.q = _Table(row_of, q_rows_size)
+        self.history: list[float] = []
+
+    def train(self, iterations: int, threads: int) -> None:
+        for _ in range(iterations):
+            results = process_chunks(self._estep, self.chunks, threads, chunk_size=1)
+            ll = 0.0
+            for part_ll, _, _ in results:
+                ll += part_ll
+            self.history.append(ll)
+            chunks = list(zip(self.chunks, results))
+            self.t.m_step([(c.t_slots, c.t_rows, *t) for c, (_, t, _) in chunks])
+            if self.q is not None:
+                self.q.m_step([(c.q_slots, c.q_rows, *q) for c, (_, _, q) in chunks])
+
+    def _estep(self, batch: Sequence[_Chunk]) -> tuple[float, tuple, tuple]:
+        """Expected counts of one chunk. A cell's posterior is its score over
+        the target word's total z, added up left to right; Model 1 scores t,
+        Model 2 scores t * q."""
+        (chunk,) = batch
+        t = self.t.gather(chunk.t_slots)
+        t_counts = [0.0] * len(t)
+        t_totals = [0.0] * len(chunk.t_rows)
+        positional = self.q is not None
+        q = self.q.gather(chunk.q_slots) if positional else []
+        q_counts = [0.0] * len(q)
+        q_totals = [0.0] * len(chunk.q_rows)
+        cells = chunk.cells
+        ll = 0.0
+        for es, first, end, q_at, q_row in chunk.pairs:
+            n = len(es)
+            # Model 1's uniform alignment prior 1/n; Model 2's is inside q.
+            norm = 0.0 if positional else math.log(n)
+            for j, lo in enumerate(range(first, end, n)):
+                row = cells[lo : lo + n]
+                if positional:
+                    k = q_at + lo - first
+                    ps = [t[s] * w for s, w in zip(row, q[k : k + n])]
+                else:
+                    ps = [t[s] for s in row]
+                z = 0.0
+                for p in ps:
+                    z += p
+                ll += math.log(z) - norm
+                cs = [p / z for p in ps]
+                for s, e, c in zip(row, es, cs):
+                    t_counts[s] += c
+                    t_totals[e] += c
+                if positional:
+                    q_counts[k : k + n] = [a + c for a, c in zip(q_counts[k : k + n], cs)]
+                    total = q_totals[q_row + j]
+                    for c in cs:
+                        total += c
+                    q_totals[q_row + j] = total
+        return ll, (t_counts, t_totals), (q_counts, q_totals)
+
+    def decode(self, indices: Iterable[int]) -> list[Alignment]:
+        """Viterbi links of the training pairs at `indices`, in order."""
+        out = []
+        current = -1
+        for index in indices:
+            chunk_index, pair_index = divmod(index, CHUNK_SIZE)
+            if chunk_index != current:
+                current, chunk = chunk_index, self.chunks[chunk_index]
+                t = self.t.gather(chunk.t_slots, PROB_FLOOR)
+                q = self.q.gather(chunk.q_slots, PROB_FLOOR) if self.q is not None else None
+            es, first, end, q_at, _ = chunk.pairs[pair_index]
+            cells = chunk.cells[first:end]
+            if q is None:
+                scores = [t[s] for s in cells]
+            else:
+                scores = [t[s] * w for s, w in zip(cells, q[q_at : q_at + len(cells)])]
+            out.append(_viterbi(scores, len(es), self.use_null))
+        return out
+
+    def lexical_probs(self) -> dict[str, dict[str, float]]:
+        probs: dict[str, dict[str, float]] = {}
+        e_words, f_words = self.e_words, self.f_words
+        for e, f, p in zip(self.t.row_of, self.t_cols, self.t.values):
+            probs.setdefault(e_words[e], {})[f_words[f]] = p
+        return probs
+
+    def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
+        values = iter(self.q.values)
+        first = -1 if self.use_null else 0
+        return {
+            (l, m, j): {i: next(values) for i in range(first, l)}
+            for l, m in self.shapes
+            for j in range(m)
+        }
+
+
+def _viterbi(scores: Sequence[float], n: int, use_null: bool) -> Alignment:
+    """Viterbi decoding over target-major rows of `n` candidate scores: each
+    target position links to its best candidate, the first one on ties.
+    With NULL, candidate 0 is NULL and its links are dropped."""
+    shift = 1 if use_null else 0
+    links = set()
+    for j, lo in enumerate(range(0, len(scores), n)):
+        row = scores[lo : lo + n]
+        i = row.index(max(row)) - shift
+        if i >= 0:
+            links.add((i, j))
+    return Alignment(frozenset(links))
+
+
 class TranslationTable:
-    """Lexical translation probabilities t(f|e), sparse over co-occurring pairs."""
+    """Lexical translation probabilities t(f|e), sparse over co-occurring pairs.
 
-    probs: dict[str, dict[str, float]]
-    use_null: bool
-    log_likelihoods: tuple[float, ...] = field(default_factory=tuple)
+    A table returned by training keeps its interned EM state and builds the
+    string-keyed `probs` on first read."""
+
+    def __init__(
+        self,
+        probs: dict[str, dict[str, float]] | None,
+        use_null: bool,
+        log_likelihoods: Sequence[float] = (),
+        fit: _Fit | None = None,
+    ) -> None:
+        self._probs = probs
+        self.use_null = use_null
+        self.log_likelihoods = tuple(log_likelihoods)
+        self._fit = fit
+
+    @property
+    def probs(self) -> dict[str, dict[str, float]]:
+        if self._probs is None:
+            self._probs = self._fit.lexical_probs()
+        return self._probs
 
     def prob(self, e: str, f: str) -> float:
         """Stored probability, or the floor for unknown pairs."""
         p = self.probs.get(e, {}).get(f, 0.0)
         return p if p > PROB_FLOOR else PROB_FLOOR
 
+    def viterbi_training_pairs(self, indices: Iterable[int]) -> list[Alignment]:
+        """Viterbi alignments of the training pairs at `indices`, decoded
+        with the model that trained this table (Model 2 includes q)."""
+        return self._fit.decode(indices)
 
-@dataclass
+
 class Model2Tables:
-    """Model 2 parameters: lexical table plus positional distortion q(i|j,l,m)."""
+    """Model 2 parameters: lexical table plus positional distortion
+    q(i|j,l,m), which is built on first read."""
 
-    lexical: TranslationTable
-    distortion: dict[tuple[int, int, int], dict[int, float]]
+    def __init__(self, lexical: TranslationTable) -> None:
+        self.lexical = lexical
+        self._distortion: dict[tuple[int, int, int], dict[int, float]] | None = None
+
+    @property
+    def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
+        if self._distortion is None:
+            self._distortion = self.lexical._fit.distortion()
+        return self._distortion
+
+    def viterbi_training_pairs(self, indices: Iterable[int]) -> list[Alignment]:
+        """Viterbi alignments of the training pairs at `indices`."""
+        return self.lexical.viterbi_training_pairs(indices)
 
 
 def _validate_training_input(pairs: Sequence[TokenPair], iterations: int) -> None:
@@ -66,20 +330,13 @@ def _validate_training_input(pairs: Sequence[TokenPair], iterations: int) -> Non
             raise PipelineError(f"empty sentence in training pair {idx}")
 
 
-def _source_side(src: SentenceTokens, use_null: bool) -> list[str]:
-    return [NULL_TOKEN, *src] if use_null else list(src)
-
-
-def _uniform_init(pairs: Sequence[TokenPair], use_null: bool) -> dict[str, dict[str, float]]:
-    # Uniform over the target words each source word co-occurs with.
-    cooc: dict[str, dict[str, None]] = {}
-    for src, tgt in pairs:
-        for e in _source_side(src, use_null):
-            row = cooc.setdefault(e, {})
-            for f in tgt:
-                if f not in row:
-                    row[f] = None
-    return {e: {f: 1.0 / len(row) for f in row} for e, row in cooc.items()}
+def _train(
+    pairs: Sequence[TokenPair], iterations: int, use_null: bool, threads: int, positional: bool
+) -> TranslationTable:
+    _validate_training_input(pairs, iterations)
+    fit = _Fit(pairs, use_null, positional)
+    fit.train(iterations, threads)
+    return TranslationTable(None, use_null, fit.history, fit)
 
 
 def train_model1(
@@ -90,45 +347,7 @@ def train_model1(
 ) -> TranslationTable:
     """EM-train t(f|e). Every source row stays normalized to 1; the recorded
     per-iteration corpus log-likelihood is non-decreasing."""
-    _validate_training_input(pairs, iterations)
-    probs = _uniform_init(pairs, use_null)
-    history: list[float] = []
-
-    for _ in range(iterations):
-        def estep(chunk: Sequence[TokenPair]) -> tuple[dict, dict, float]:
-            counts: dict[str, dict[str, float]] = {}
-            totals: dict[str, float] = {}
-            ll = 0.0
-            for src, tgt in chunk:
-                es = _source_side(src, use_null)
-                rows = [probs[e] for e in es]
-                for f in tgt:
-                    z = 0.0
-                    for row in rows:
-                        z += row[f]
-                    ll += math.log(z) - math.log(len(es))
-                    for e, row in zip(es, rows):
-                        c = row[f] / z
-                        erow = counts.setdefault(e, {})
-                        erow[f] = erow.get(f, 0.0) + c
-                        totals[e] = totals.get(e, 0.0) + c
-            return counts, totals, ll
-
-        counts: dict[str, dict[str, float]] = {}
-        totals: dict[str, float] = {}
-        ll_total = 0.0
-        for part_counts, part_totals, part_ll in process_chunks(estep, pairs, threads):
-            for e, row in part_counts.items():
-                erow = counts.setdefault(e, {})
-                for f, c in row.items():
-                    erow[f] = erow.get(f, 0.0) + c
-            for e, c in part_totals.items():
-                totals[e] = totals.get(e, 0.0) + c
-            ll_total += part_ll
-        history.append(ll_total)
-        probs = {e: {f: c / totals[e] for f, c in row.items()} for e, row in counts.items()}
-
-    return TranslationTable(probs, use_null, tuple(history))
+    return _train(pairs, iterations, use_null, threads, positional=False)
 
 
 def train_model2(
@@ -142,83 +361,17 @@ def train_model2(
     Same contracts as Model 1: normalized rows, non-decreasing log-likelihood.
     Source position -1 stands for NULL.
     """
-    _validate_training_input(pairs, iterations)
-    probs = _uniform_init(pairs, use_null)
+    return Model2Tables(_train(pairs, iterations, use_null, threads, positional=True))
 
-    def positions(src_len: int) -> list[int]:
-        return [-1, *range(src_len)] if use_null else list(range(src_len))
 
-    # q rows keyed by (l, m, j); uniform start.
-    distortion: dict[tuple[int, int, int], dict[int, float]] = {}
-    for src, tgt in pairs:
-        l, m = len(src), len(tgt)
-        pos = positions(l)
-        for j in range(m):
-            key = (l, m, j)
-            if key not in distortion:
-                distortion[key] = {i: 1.0 / len(pos) for i in pos}
-
-    history: list[float] = []
-    for _ in range(iterations):
-        def estep(chunk: Sequence[TokenPair]) -> tuple[dict, dict, dict, dict, float]:
-            tcounts: dict[str, dict[str, float]] = {}
-            ttotals: dict[str, float] = {}
-            qcounts: dict[tuple[int, int, int], dict[int, float]] = {}
-            qtotals: dict[tuple[int, int, int], float] = {}
-            ll = 0.0
-            for src, tgt in chunk:
-                l, m = len(src), len(tgt)
-                pos = positions(l)
-                words = _source_side(src, use_null)
-                for j, f in enumerate(tgt):
-                    qrow = distortion[(l, m, j)]
-                    scores = [probs[e][f] * qrow[i] for e, i in zip(words, pos)]
-                    z = sum(scores)
-                    ll += math.log(z)
-                    key = (l, m, j)
-                    qc = qcounts.setdefault(key, {})
-                    for e, i, s in zip(words, pos, scores):
-                        c = s / z
-                        erow = tcounts.setdefault(e, {})
-                        erow[f] = erow.get(f, 0.0) + c
-                        ttotals[e] = ttotals.get(e, 0.0) + c
-                        qc[i] = qc.get(i, 0.0) + c
-                        qtotals[key] = qtotals.get(key, 0.0) + c
-            return tcounts, ttotals, qcounts, qtotals, ll
-
-        tcounts: dict[str, dict[str, float]] = {}
-        ttotals: dict[str, float] = {}
-        qcounts: dict[tuple[int, int, int], dict[int, float]] = {}
-        qtotals: dict[tuple[int, int, int], float] = {}
-        ll_total = 0.0
-        for pc, pt, pqc, pqt, pll in process_chunks(estep, pairs, threads):
-            for e, row in pc.items():
-                erow = tcounts.setdefault(e, {})
-                for f, c in row.items():
-                    erow[f] = erow.get(f, 0.0) + c
-            for e, c in pt.items():
-                ttotals[e] = ttotals.get(e, 0.0) + c
-            for key, row in pqc.items():
-                qrow = qcounts.setdefault(key, {})
-                for i, c in row.items():
-                    qrow[i] = qrow.get(i, 0.0) + c
-            for key, c in pqt.items():
-                qtotals[key] = qtotals.get(key, 0.0) + c
-            ll_total += pll
-        history.append(ll_total)
-        probs = {e: {f: c / ttotals[e] for f, c in row.items()} for e, row in tcounts.items()}
-        distortion = {
-            key: {i: c / qtotals[key] for i, c in row.items()} for key, row in qcounts.items()
-        }
-
-    return Model2Tables(TranslationTable(probs, use_null, tuple(history)), distortion)
+def _source_side(src: SentenceTokens, use_null: bool) -> list[str]:
+    return [NULL_TOKEN, *src] if use_null else list(src)
 
 
 def viterbi_align(
     pair: TokenPair,
     table: TranslationTable,
     use_null: bool | None = None,
-    direction: str = "forward",
 ) -> Alignment:
     """Link each target token to its most probable source token.
 
@@ -230,28 +383,14 @@ def viterbi_align(
         use_null = table.use_null
     if not src and not use_null:
         raise PipelineError("cannot align against an empty source sentence")
-    candidates: list[tuple[int, str]] = []
-    if use_null:
-        candidates.append((-1, NULL_TOKEN))
-    candidates.extend(enumerate(src))
-    links = set()
-    for j, f in enumerate(tgt):
-        best_i = candidates[0][0]
-        best_p = table.prob(candidates[0][1], f)
-        for i, e in candidates[1:]:
-            p = table.prob(e, f)
-            if p > best_p:
-                best_p, best_i = p, i
-        if best_i >= 0:
-            links.add((best_i, j))
-    return Alignment(frozenset(links), direction)
+    words = _source_side(src, use_null)
+    return _viterbi([table.prob(e, f) for f in tgt for e in words], len(words), use_null)
 
 
 def viterbi_align_model2(
     pair: TokenPair,
     tables: Model2Tables,
     use_null: bool | None = None,
-    direction: str = "forward",
 ) -> Alignment:
     """Model 2 decoding: argmax over t(f|e) * q(i|j,l,m); unseen length
     configurations fall back to uniform distortion."""
@@ -262,27 +401,20 @@ def viterbi_align_model2(
     if not src and not use_null:
         raise PipelineError("cannot align against an empty source sentence")
     l, m = len(src), len(tgt)
-    pos = [-1, *range(l)] if use_null else list(range(l))
-    words = [NULL_TOKEN, *src] if use_null else list(src)
-    uniform = 1.0 / len(pos)
-    links = set()
+    words = _source_side(src, use_null)
+    positions = range(-1 if use_null else 0, l)
+    uniform = 1.0 / len(words)
+    scores = []
     for j, f in enumerate(tgt):
         qrow = tables.distortion.get((l, m, j))
-        best_i: int | None = None
-        best_p = -1.0
-        for i, e in zip(pos, words):
+        for i, e in zip(positions, words):
             q = qrow.get(i, 0.0) if qrow is not None else uniform
-            p = table.prob(e, f) * max(q, PROB_FLOOR)
-            if p > best_p:
-                best_p, best_i = p, i
-        assert best_i is not None
-        if best_i >= 0:
-            links.add((best_i, j))
-    return Alignment(frozenset(links), direction)
+            scores.append(table.prob(e, f) * max(q, PROB_FLOOR))
+    return _viterbi(scores, len(words), use_null)
 
 
-def transpose(alignment: Alignment, direction: str = "backward") -> Alignment:
-    return Alignment(frozenset((j, i) for i, j in alignment.links), direction)
+def transpose(alignment: Alignment) -> Alignment:
+    return Alignment(frozenset((j, i) for i, j in alignment.links))
 
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -346,7 +478,7 @@ def write_alignments(alignments: Iterable[Alignment], path: str) -> None:
     atomic_write_text(path, "".join(format_alignment(a) + "\n" for a in alignments))
 
 
-def read_alignments(path: str, direction: str = "symmetrized") -> list[Alignment]:
+def read_alignments(path: str) -> list[Alignment]:
     alignments = []
     for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
         links = set()
@@ -356,7 +488,7 @@ def read_alignments(path: str, direction: str = "symmetrized") -> list[Alignment
                 links.add((int(i), int(j)))
             except ValueError as exc:
                 raise PipelineError(f"{path}: bad link {token!r} at line {lineno}") from exc
-        alignments.append(Alignment(frozenset(links), direction))
+        alignments.append(Alignment(frozenset(links)))
     return alignments
 
 

@@ -89,6 +89,7 @@ class PipelineConfig:
     evidence_k: int = 5
     evidence_min_prob: float = 0.01
     dump_pr_points: bool = False
+    dump_ttables: bool = False
 
 
 _REQUIRED_KEYS = ("src_corpus", "tgt_corpus", "src_inventory", "tgt_inventory")
@@ -326,39 +327,24 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
     fused_path = _require(cfg, "fused_src", "tag")
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
     work = cp.load_token_corpus(str(fused_path), str(tgt_path))
-    fwd_pairs = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
-    bwd_pairs = [(p.tgt_tokens, p.src_tokens) for p in work.pairs]
+    train = al.train_model2 if cfg.model == "model2" else al.train_model1
 
-    if cfg.model == "model2":
-        fwd_tables = al.train_model2(fwd_pairs, cfg.iterations, cfg.use_null, cfg.threads)
-        bwd_tables = al.train_model2(bwd_pairs, cfg.iterations, cfg.use_null, cfg.threads)
-        fwd = [al.viterbi_align_model2(p, fwd_tables) for p in fwd_pairs]
-        bwd = [al.viterbi_align_model2(p, bwd_tables) for p in bwd_pairs]
-        fwd_table, bwd_table = fwd_tables.lexical, bwd_tables.lexical
-    else:
-        fwd_table = al.train_model1(fwd_pairs, cfg.iterations, cfg.use_null, cfg.threads)
-        bwd_table = al.train_model1(bwd_pairs, cfg.iterations, cfg.use_null, cfg.threads)
+    def align(pairs: list, ttable: str) -> list[al.Alignment]:
+        # One direction at a time: its model is released before the next trains.
+        model = train(pairs, cfg.iterations, cfg.use_null, cfg.threads)
+        if cfg.dump_ttables:
+            al.write_translation_table(getattr(model, "lexical", model), _out(cfg, ttable))
+        out: list[al.Alignment] = []
+        for part in process_chunks(model.viterbi_training_pairs, range(len(pairs)), cfg.threads):
+            out.extend(part)
+        return out
 
-        def decode(table: al.TranslationTable, pairs: list) -> list[al.Alignment]:
-            def chunk(job_chunk):
-                return [al.viterbi_align(p, table) for p in job_chunk]
-
-            out: list[al.Alignment] = []
-            for part in process_chunks(chunk, pairs, cfg.threads):
-                out.extend(part)
-            return out
-
-        fwd = decode(fwd_table, fwd_pairs)
-        bwd = decode(bwd_table, bwd_pairs)
-
-    bwd_transposed = [al.transpose(a) for a in bwd]
-    symmetrized = [
-        al.symmetrize(f, b, cfg.heuristic) for f, b in zip(fwd, bwd_transposed)
-    ]
-    al.write_translation_table(fwd_table, _out(cfg, "ttable_fwd"))
-    al.write_translation_table(bwd_table, _out(cfg, "ttable_bwd"))
+    fwd = align([(p.src_tokens, p.tgt_tokens) for p in work.pairs], "ttable_fwd")
+    bwd = align([(p.tgt_tokens, p.src_tokens) for p in work.pairs], "ttable_bwd")
+    bwd = [al.transpose(a) for a in bwd]
+    symmetrized = [al.symmetrize(f, b, cfg.heuristic) for f, b in zip(fwd, bwd)]
     al.write_alignments(fwd, _out(cfg, "align_fwd"))
-    al.write_alignments(bwd_transposed, _out(cfg, "align_bwd"))
+    al.write_alignments(bwd, _out(cfg, "align_bwd"))
     al.write_alignments(symmetrized, _out(cfg, "align_sym"))
     return {"pairs": len(work.pairs)}
 
@@ -522,6 +508,15 @@ def run_stage(stage: str, cfg: PipelineConfig, extra: argparse.Namespace | None 
     return rows
 
 
+def skip_stage(stage: str, cfg: PipelineConfig, reason: str) -> None:
+    """Record in the manifest of a run under way that a stage was skipped, and why."""
+    manifest_path = Path(cfg.output_dir) / ARTIFACTS["manifest"]
+    manifest = RunManifest.load_or_create(manifest_path, cfg)
+    manifest.stages[stage] = {"skipped": reason}
+    manifest.write(manifest_path)
+    logger.info("stage %s skipped: %s", stage, reason)
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -551,12 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         if stage == "evidence":
             p.add_argument("--dc", help="restrict to one target connective")
             p.add_argument("--relation", help="restrict to one relation label")
-        if stage == "report":
-            p.add_argument(
-                "--table1",
-                action="store_true",
-                help="print the inventory frequency distribution (the default report)",
-            )
 
     p = sub.add_parser("run", help="run pipeline stages in order")
     p.add_argument("what", choices=["all"], help="which stage set to run")
@@ -596,8 +585,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         if args.command == "run":
-            for stage in ("ingest", "tag", "align", "extract", "build", "eval", "evidence", "report"):
-                run_stage(stage, cfg, args)
+            for stage in STAGES:
+                if stage == "eval" and not cfg.gold_lexicon:
+                    skip_stage(stage, cfg, "no gold_lexicon")
+                else:
+                    run_stage(stage, cfg, args)
         else:
             run_stage(args.command, cfg, args)
         return 0

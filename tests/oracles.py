@@ -50,6 +50,53 @@ def em_model1_reference(pairs, iterations, use_null):
     return t, lls
 
 
+def em_model2_reference(pairs, iterations, use_null):
+    """Textbook IBM Model 2 EM over flat tables: t keyed by (e, f), q keyed
+    by (i, j, l, m) with NULL at source position -1.
+
+    Returns (t, q, log_likelihoods).
+    """
+    sents = []
+    for src, tgt in pairs:
+        es = [NULL, *src] if use_null else list(src)
+        positions = [-1, *range(len(src))] if use_null else list(range(len(src)))
+        sents.append((list(zip(es, positions)), list(tgt), len(src)))
+
+    cooc = defaultdict(set)
+    for candidates, fs, _ in sents:
+        for e, _ in candidates:
+            cooc[e].update(fs)
+    t = {(e, f): 1.0 / len(fset) for e, fset in cooc.items() for f in fset}
+    q = {}
+    for candidates, fs, l in sents:
+        for j in range(len(fs)):
+            for _, i in candidates:
+                q[(i, j, l, len(fs))] = 1.0 / len(candidates)
+
+    lls = []
+    for _ in range(iterations):
+        count = defaultdict(float)
+        total = defaultdict(float)
+        qcount = defaultdict(float)
+        qtotal = defaultdict(float)
+        ll = 0.0
+        for candidates, fs, l in sents:
+            m = len(fs)
+            for j, f in enumerate(fs):
+                z = sum(t[(e, f)] * q[(i, j, l, m)] for e, i in candidates)
+                ll += math.log(z)
+                for e, i in candidates:
+                    delta = t[(e, f)] * q[(i, j, l, m)] / z
+                    count[(e, f)] += delta
+                    total[e] += delta
+                    qcount[(i, j, l, m)] += delta
+                    qtotal[(j, l, m)] += delta
+        lls.append(ll)
+        t = {(e, f): c / total[e] for (e, f), c in count.items()}
+        q = {(i, j, l, m): c / qtotal[(j, l, m)] for (i, j, l, m), c in qcount.items()}
+    return t, q, lls
+
+
 def viterbi_reference(src, tgt, t, use_null, floor=1e-12):
     """Argmax link per target token; NULL is virtual source index -1."""
     candidates = ([(-1, NULL)] if use_null else []) + list(enumerate(src))

@@ -130,8 +130,8 @@ def test_c4_symmetrization_sandwich_and_idempotence():
     for _ in range(500):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         cells = [(i, j) for i in range(n) for j in range(m)]
-        fwd = Alignment(frozenset(c for c in cells if rng.random() < 0.3), "forward")
-        bwd = Alignment(frozenset(c for c in cells if rng.random() < 0.3), "backward")
+        fwd = Alignment(frozenset(c for c in cells if rng.random() < 0.3))
+        bwd = Alignment(frozenset(c for c in cells if rng.random() < 0.3))
         inter = symmetrize(fwd, bwd, "intersection").links
         union = symmetrize(fwd, bwd, "union").links
         grown = symmetrize(fwd, bwd, "grow-diag-final").links

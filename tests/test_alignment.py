@@ -20,8 +20,9 @@ from dclex.alignment import (
     write_translation_table,
 )
 from dclex.errors import PipelineError
+from dclex.parallel import CHUNK_SIZE
 
-from oracles import em_model1_reference, viterbi_reference
+from oracles import em_model1_reference, em_model2_reference, viterbi_reference
 
 TWO_PAIR_FIXTURE = [
     (("the", "house"), ("la", "maison")),
@@ -67,6 +68,18 @@ class TestModel1Training:
             for got, want in zip(table.log_likelihoods, ref_lls):
                 assert got == pytest.approx(want, abs=1e-9)
 
+    def test_matches_reference_across_chunks(self):
+        rng = random.Random(31)
+        pairs = random_corpus(rng, CHUNK_SIZE + 300, ["a", "b", "c", "d"], ["u", "v", "w", "x"])
+        table = train_model1(pairs, iterations=3)
+        ref_probs, ref_lls = em_model1_reference(pairs, iterations=3, use_null=True)
+        assert {(e, f) for e, row in table.probs.items() for f in row} == set(ref_probs)
+        for e, row in table.probs.items():
+            for f, p in row.items():
+                assert p == pytest.approx(ref_probs[(e, f)], abs=1e-12)
+        for got, want in zip(table.log_likelihoods, ref_lls):
+            assert got == pytest.approx(want, abs=1e-9)
+
     def test_rows_normalized_on_random_corpora(self):
         rng = random.Random(101)
         for trial in range(8):
@@ -85,9 +98,10 @@ class TestModel1Training:
 
     def test_thread_count_is_invisible_in_output(self):
         rng = random.Random(8)
-        pairs = random_corpus(rng, 400, ["a", "b", "c", "d", "e"], ["u", "v", "w", "x"])
+        vocab_src, vocab_tgt = ["a", "b", "c", "d", "e"], ["u", "v", "w", "x"]
+        pairs = random_corpus(rng, 2 * CHUNK_SIZE + 400, vocab_src, vocab_tgt)
         one = train_model1(pairs, iterations=3, threads=1)
-        many = train_model1(pairs, iterations=3, threads=5)
+        many = train_model1(pairs, iterations=3, threads=4)
         assert one.probs == many.probs
         assert one.log_likelihoods == many.log_likelihoods
 
@@ -169,11 +183,55 @@ class TestModel2:
 
     def test_thread_count_is_invisible_in_output(self):
         rng = random.Random(4)
-        pairs = random_corpus(rng, 300, ["a", "b", "c"], ["u", "v"], max_len=3)
+        pairs = random_corpus(rng, 2 * CHUNK_SIZE + 300, ["a", "b", "c"], ["u", "v"], max_len=3)
         one = train_model2(pairs, iterations=2, threads=1)
         many = train_model2(pairs, iterations=2, threads=4)
         assert one.lexical.probs == many.lexical.probs
         assert one.distortion == many.distortion
+        assert one.lexical.log_likelihoods == many.lexical.log_likelihoods
+
+    def test_matches_flat_reference_implementation(self):
+        rng = random.Random(77)
+        corpora = [
+            TWO_PAIR_FIXTURE,
+            random_corpus(rng, 30, ["a", "b", "c"], ["u", "v", "w"], max_len=4),
+            random_corpus(rng, CHUNK_SIZE + 300, ["a", "b", "c"], ["u", "v", "w"], max_len=4),
+        ]
+        for pairs in corpora:
+            for use_null in (False, True):
+                tables = train_model2(pairs, iterations=5, use_null=use_null)
+                ref_t, ref_q, ref_lls = em_model2_reference(pairs, iterations=5, use_null=use_null)
+                probs = tables.lexical.probs
+                assert {(e, f) for e, row in probs.items() for f in row} == set(ref_t)
+                for e, row in probs.items():
+                    for f, p in row.items():
+                        assert p == pytest.approx(ref_t[(e, f)], abs=1e-12)
+                got_q = {
+                    (i, j, l, m): p
+                    for (l, m, j), row in tables.distortion.items()
+                    for i, p in row.items()
+                }
+                assert set(got_q) == set(ref_q)
+                for key, p in got_q.items():
+                    assert p == pytest.approx(ref_q[key], abs=1e-12)
+                assert len(tables.lexical.log_likelihoods) == 5
+                for got, want in zip(tables.lexical.log_likelihoods, ref_lls):
+                    assert got == pytest.approx(want, abs=1e-9)
+
+
+class TestTrainedPairDecoding:
+    def test_matches_per_pair_decoders_across_chunks(self):
+        rng = random.Random(12)
+        vocab_src, vocab_tgt = ["a", "b", "c", "d"], ["u", "v", "w"]
+        pairs = random_corpus(rng, CHUNK_SIZE + 200, vocab_src, vocab_tgt, max_len=4)
+        indices = range(CHUNK_SIZE - 100, len(pairs))  # crosses a chunk boundary
+        for use_null in (True, False):
+            table = train_model1(pairs, iterations=2, use_null=use_null)
+            want = [viterbi_align(pairs[k], table) for k in indices]
+            assert table.viterbi_training_pairs(indices) == want
+            tables = train_model2(pairs, iterations=2, use_null=use_null)
+            want = [viterbi_align_model2(pairs[k], tables) for k in indices]
+            assert tables.viterbi_training_pairs(indices) == want
 
 
 def links(*pairs):
@@ -182,21 +240,21 @@ def links(*pairs):
 
 class TestSymmetrize:
     def test_intersection_and_union(self):
-        fwd = Alignment(links((0, 0), (1, 1)), "forward")
-        bwd = Alignment(links((0, 0), (2, 1)), "backward")
+        fwd = Alignment(links((0, 0), (1, 1)))
+        bwd = Alignment(links((0, 0), (2, 1)))
         assert symmetrize(fwd, bwd, "intersection").links == links((0, 0))
         assert symmetrize(fwd, bwd, "union").links == links((0, 0), (1, 1), (2, 1))
 
     def test_grow_diag_adopts_adjacent_links(self):
-        fwd = Alignment(links((0, 0), (1, 1)), "forward")
-        bwd = Alignment(links((0, 0), (2, 1)), "backward")
+        fwd = Alignment(links((0, 0), (1, 1)))
+        bwd = Alignment(links((0, 0), (2, 1)))
         grown = symmetrize(fwd, bwd, "grow-diag-final")
         assert grown.links == links((0, 0), (1, 1), (2, 1))
 
     def test_final_pass_rescues_detached_links(self):
         # (5, 5) is far from the seed but covers otherwise-unaligned rows.
-        fwd = Alignment(links((0, 0), (5, 5)), "forward")
-        bwd = Alignment(links((0, 0)), "backward")
+        fwd = Alignment(links((0, 0), (5, 5)))
+        bwd = Alignment(links((0, 0)))
         grown = symmetrize(fwd, bwd, "grow-diag-final")
         assert (5, 5) in grown.links
 
@@ -205,8 +263,8 @@ class TestSymmetrize:
         for _ in range(100):
             n, m = rng.randint(1, 6), rng.randint(1, 6)
             all_cells = [(i, j) for i in range(n) for j in range(m)]
-            fwd = Alignment(frozenset(c for c in all_cells if rng.random() < 0.3), "forward")
-            bwd = Alignment(frozenset(c for c in all_cells if rng.random() < 0.3), "backward")
+            fwd = Alignment(frozenset(c for c in all_cells if rng.random() < 0.3))
+            bwd = Alignment(frozenset(c for c in all_cells if rng.random() < 0.3))
             inter = symmetrize(fwd, bwd, "intersection").links
             union = symmetrize(fwd, bwd, "union").links
             grown = symmetrize(fwd, bwd, "grow-diag-final").links
@@ -220,7 +278,7 @@ class TestSymmetrize:
             symmetrize(fwd, fwd, "mystery")
 
     def test_transpose_flips_orientation(self):
-        alignment = Alignment(links((0, 2), (3, 1)), "forward")
+        alignment = Alignment(links((0, 2), (3, 1)))
         assert transpose(alignment).links == links((2, 0), (1, 3))
 
 

@@ -132,6 +132,23 @@ class TestPipelineRuns:
         ):
             assert (out / ARTIFACTS[name]).is_file(), name
 
+    def test_translation_tables_only_on_request(self, mini_run, tmp_path):
+        root, config = mini_run
+        for name in ("ttable_fwd", "ttable_bwd"):
+            assert not (root / "out" / ARTIFACTS[name]).exists()
+        dumping = tmp_path / "dump.cfg"
+        dumping.write_text(
+            config.read_text(encoding="utf-8") + "dump_ttables = true\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "all", "--config", str(dumping), "--output", str(out)]) == 0
+        for name in ("ttable_fwd", "ttable_bwd"):
+            rows = (out / ARTIFACTS[name]).read_text(encoding="utf-8").splitlines()
+            assert rows and all(len(row.split("\t")) == 3 for row in rows)
+        for name in ("align_sym", "lexicon", "eval_report"):
+            first = (root / "out" / ARTIFACTS[name]).read_bytes()
+            assert (out / ARTIFACTS[name]).read_bytes() == first
+
     def test_planted_signal_reaches_lexicon(self, mini_run):
         root, _ = mini_run
         lexicon = (root / "out" / ARTIFACTS["lexicon"]).read_text(encoding="utf-8")
@@ -200,6 +217,24 @@ class TestPipelineRuns:
         assert code == 2
         err = capsys.readouterr().err
         assert "run the `build` stage first" in err
+
+    def test_run_all_without_gold_lexicon_skips_eval(self, tmp_path):
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        lines = config.read_text(encoding="utf-8").splitlines()
+        config.write_text(
+            "\n".join(line for line in lines if not line.startswith("gold_lexicon")) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+        assert manifest["stages"]["eval"] == {"skipped": "no gold_lexicon"}
+        assert {"evidence", "report"} <= set(manifest["stages"])
+        assert not (out / ARTIFACTS["eval_report"]).exists()
+        assert (out / ARTIFACTS["evidence"]).is_file()
+        assert (out / ARTIFACTS["table1"]).is_file()
 
     def test_extract_before_align_names_the_missing_stage(self, mini_run, tmp_path, capsys):
         root, config = mini_run

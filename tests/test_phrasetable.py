@@ -23,7 +23,7 @@ from oracles import consistent_phrase_pairs_reference
 
 
 def aln(*pairs):
-    return Alignment(frozenset(pairs), "symmetrized")
+    return Alignment(frozenset(pairs))
 
 
 class TestExtraction:
