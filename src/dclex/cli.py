@@ -259,6 +259,10 @@ def _require_config_path(cfg: PipelineConfig, key: str) -> str:
     return value
 
 
+def _load_target_inventory(cfg: PipelineConfig) -> list[inv.Connective]:
+    return inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"), "target")
+
+
 def _load_induced_relations(cfg: PipelineConfig) -> list[str]:
     if cfg.induced_relations:
         return inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
@@ -289,22 +293,15 @@ def _stage_ingest(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict
         raise PipelineError("corpus is empty after loading")
     cp.write_token_file((p.src_tokens for p in corpus.pairs), _out(cfg, "corpus_src"))
     cp.write_token_file((p.tgt_tokens for p in corpus.pairs), _out(cfg, "corpus_tgt"))
-    tgt_inventory = inv.load_connective_inventory(
-        _require_config_path(cfg, "tgt_inventory"), "target"
-    )
+    tgt_inventory = _load_target_inventory(cfg)
     freqs = cp.count_occurrences(corpus, "target", tgt_inventory, threads=cfg.threads)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
     return {"pairs": len(corpus.pairs), "target_forms": len(freqs.entries)}
 
 
-def _load_work_corpus(cfg: PipelineConfig, produced_by: str = "ingest") -> cp.Corpus:
-    src = _require(cfg, "corpus_src", produced_by)
-    tgt = _require(cfg, "corpus_tgt", produced_by)
-    return cp.load_token_corpus(str(src), str(tgt))
-
-
 def _stage_tag(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
-    corpus = _load_work_corpus(cfg)
+    src, tgt = _require(cfg, "corpus_src", "ingest"), _require(cfg, "corpus_tgt", "ingest")
+    corpus = cp.load_token_corpus(str(src), str(tgt))
     if cfg.annotations:
         annotations = tg.load_annotations(_require_config_path(cfg, "annotations"), corpus)
     else:
@@ -349,7 +346,8 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
     return {"pairs": len(work.pairs)}
 
 
-def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
+def _load_aligned_corpus(cfg: PipelineConfig) -> tuple[cp.Corpus, list[al.Alignment]]:
+    """The fused source and the target side, with their symmetrized alignments."""
     fused_path = _require(cfg, "fused_src", "tag")
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
     align_path = _require(cfg, "align_sym", "align")
@@ -359,19 +357,23 @@ def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dic
         raise PipelineError(
             f"alignment count {len(alignments)} does not match corpus size {len(work.pairs)}"
         )
+    return work, alignments
+
+
+def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
+    work, alignments = _load_aligned_corpus(cfg)
+    tgt_inventory = _load_target_inventory(cfg)
     pairs = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
-    table = pt.build_phrase_table(pairs, alignments, cfg.max_phrase_len, cfg.threads)
+    table = pt.build_phrase_table(pairs, alignments, tgt_inventory, cfg.max_phrase_len, cfg.threads)
     pt.write_phrase_table(table, _out(cfg, "phrase_table"))
-    tgt_inventory = inv.load_connective_inventory(
-        _require_config_path(cfg, "tgt_inventory"), "target"
-    )
     src_inventory = inv.load_connective_inventory(
         _require_config_path(cfg, "src_inventory"), "source"
     )
     relations = _load_induced_relations(cfg)
-    records = pt.filter_dc_entries(table, tgt_inventory, src_inventory, relations)
+    records = pt.filter_dc_entries(table, src_inventory, relations)
     pt.write_dc_records(records, _out(cfg, "dc_records"))
-    return {"phrase_entries": len(table), "dc_records": len(records)}
+    aligned = sum(e.count for e in table)
+    return {"occurrences": table.occurrences, "aligned": aligned, "dc_records": len(records)}
 
 
 def _stage_build(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
@@ -406,23 +408,9 @@ def _stage_eval(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[s
 
 def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
-    corpus = _load_work_corpus(cfg)
-    fused_path = _require(cfg, "fused_src", "tag")
-    align_path = _require(cfg, "align_sym", "align")
-    fused_tokens = read_text_strict(fused_path).splitlines()
-    if len(fused_tokens) != len(corpus.pairs):
-        raise PipelineError(
-            f"fused corpus size {len(fused_tokens)} does not match corpus size {len(corpus.pairs)}"
-        )
-    fused = [
-        tg.FusedSentence(pair.id, tuple(line.split()))
-        for pair, line in zip(corpus.pairs, fused_tokens)
-    ]
-    alignments = al.read_alignments(str(align_path))
-    if len(alignments) != len(corpus.pairs):
-        raise PipelineError(
-            f"alignment count {len(alignments)} does not match corpus size {len(corpus.pairs)}"
-        )
+    work, alignments = _load_aligned_corpus(cfg)
+    tgt_inventory = _load_target_inventory(cfg)
+    sites = lx.evidence_sites(work, alignments, tgt_inventory, cfg.max_phrase_len)
 
     only_dc = getattr(extra, "dc", None) if extra else None
     only_relation = getattr(extra, "relation", None) if extra else None
@@ -440,11 +428,8 @@ def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> di
         # Per-entry seed derived from the run seed and the entry's rank, so a
         # rerun with the same config reproduces the same samples.
         excerpts = lx.sample_evidence(
-            corpus,
-            alignments,
-            fused,
-            entry.fr_dc,
-            entry.relation,
+            work,
+            sites.get((entry.fr_dc, entry.relation), []),
             cfg.evidence_k,
             cfg.seed * 100003 + idx,
         )
@@ -457,9 +442,7 @@ def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> di
 
 def _stage_report(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
-    tgt_inventory = inv.load_connective_inventory(
-        _require_config_path(cfg, "tgt_inventory"), "target"
-    )
+    tgt_inventory = _load_target_inventory(cfg)
     zero = below = above = 0
     for connective in tgt_inventory:
         count = freqs.count(connective.text)

@@ -40,17 +40,8 @@ class SentencePair:
 
 
 @dataclass(frozen=True)
-class CorpusMetadata:
-    src_path: str
-    tgt_path: str
-    tokenizer: TokenizerOptions
-    pair_count: int
-
-
-@dataclass(frozen=True)
 class Corpus:
     pairs: tuple[SentencePair, ...]
-    metadata: CorpusMetadata
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -99,6 +90,17 @@ def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
     return tokens
 
 
+def _read_line_pairs(src_path: str, tgt_path: str) -> tuple[list[str], list[str]]:
+    src_lines = read_text_strict(src_path).splitlines()
+    tgt_lines = read_text_strict(tgt_path).splitlines()
+    if len(src_lines) != len(tgt_lines):
+        raise PipelineError(
+            f"line count mismatch {len(src_lines)} vs {len(tgt_lines)} "
+            f"({src_path} / {tgt_path})"
+        )
+    return src_lines, tgt_lines
+
+
 def load_parallel_corpus(
     src_path: str,
     tgt_path: str,
@@ -111,13 +113,7 @@ def load_parallel_corpus(
     renumbering, so ids always point back into the input files.
     """
     opts = options or TokenizerOptions()
-    src_lines = read_text_strict(src_path).splitlines()
-    tgt_lines = read_text_strict(tgt_path).splitlines()
-    if len(src_lines) != len(tgt_lines):
-        raise PipelineError(
-            f"line count mismatch {len(src_lines)} vs {len(tgt_lines)} "
-            f"({src_path} / {tgt_path})"
-        )
+    src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
     pairs: list[SentencePair] = []
     for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
         src_empty = not src_line.strip()
@@ -134,19 +130,12 @@ def load_parallel_corpus(
         )
         if limit is not None and limit > 0 and len(pairs) >= limit:
             break
-    meta = CorpusMetadata(str(src_path), str(tgt_path), opts, len(pairs))
-    return Corpus(tuple(pairs), meta)
+    return Corpus(tuple(pairs))
 
 
 def load_token_corpus(src_path: str, tgt_path: str) -> Corpus:
     """Reload corpus files that are already tokenized (space-separated)."""
-    src_lines = read_text_strict(src_path).splitlines()
-    tgt_lines = read_text_strict(tgt_path).splitlines()
-    if len(src_lines) != len(tgt_lines):
-        raise PipelineError(
-            f"line count mismatch {len(src_lines)} vs {len(tgt_lines)} "
-            f"({src_path} / {tgt_path})"
-        )
+    src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
     pairs = []
     for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
         src_tokens = tuple(src_line.split())
@@ -154,8 +143,7 @@ def load_token_corpus(src_path: str, tgt_path: str) -> Corpus:
         if not src_tokens or not tgt_tokens:
             raise PipelineError(f"empty sentence at line {lineno} in tokenized corpus")
         pairs.append(SentencePair(lineno, src_tokens, tgt_tokens))
-    meta = CorpusMetadata(str(src_path), str(tgt_path), TokenizerOptions(), len(pairs))
-    return Corpus(tuple(pairs), meta)
+    return Corpus(tuple(pairs))
 
 
 def write_token_file(sentences: Iterable[Sequence[str]], path: str) -> None:

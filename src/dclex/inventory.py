@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .corpus import FrequencyTable, Side, tokenize, TokenizerOptions
 from .errors import PipelineError
@@ -20,7 +19,6 @@ _TOKENIZE_LOWER = TokenizerOptions(lowercase=True)
 class Connective:
     surface: tuple[str, ...]
     language: Side
-    allowed_relations: frozenset[str] | None = None
 
     @property
     def text(self) -> str:

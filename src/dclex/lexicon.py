@@ -8,20 +8,18 @@ the relation transfers to whatever target phrase it aligned to.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .alignment import Alignment
-from .corpus import Corpus, FrequencyTable
+from .corpus import Corpus, FrequencyTable, build_match_table
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
-from .phrasetable import DCAlignmentRecord
-from .tagging import FusedSentence, split_fused_token
-
-logger = logging.getLogger(__name__)
+from .inventory import Connective
+from .phrasetable import DCAlignmentRecord, connective_occurrences
+from .tagging import split_fused_token
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,10 @@ def build_lexicon(
 ) -> RankedLexicon:
     """Aggregate alignment records into a ranked lexicon.
 
-    Connectives occurring fewer than `min_freq` times are dropped. Aligned
-    counts are capped against the corpus frequency (pathological extraction
-    can emit more boxes than occurrences): relations for one connective
-    drain a shared budget of `corpus_freq`, largest count first, so the
-    per-connective total never exceeds the frequency and every prob is <= 1.
+    Connectives occurring fewer than `min_freq` times are dropped. Extraction
+    counts each corpus occurrence at most once, so a connective whose aligned
+    counts exceed its frequency means the records and the frequencies come
+    from different runs; that is fatal.
     """
     if min_freq < 0:
         raise PipelineError(f"min_freq must be >= 0, got {min_freq}")
@@ -67,26 +64,16 @@ def build_lexicon(
     for fr_dc in sorted(by_dc):
         freq = freqs.count(fr_dc)
         total = sum(by_dc[fr_dc].values())
-        if freq == 0 and total > 0:
+        if total > freq:
             raise PipelineError(
-                f"{fr_dc!r} has alignment records but zero corpus frequency"
+                f"{fr_dc!r} has {total} aligned occurrences but corpus frequency {freq}: "
+                "alignment records and frequencies come from different runs"
             )
         if freq < min_freq:
             continue
-        budget = freq
-        ranked_rels = sorted(by_dc[fr_dc].items(), key=lambda kv: (-kv[1], kv[0]))
-        for relation, count in ranked_rels:
-            capped = min(count, budget)
-            if capped < count:
-                logger.warning(
-                    "capping aligned count for (%s, %s): %d -> %d (corpus freq %d)",
-                    fr_dc, relation, count, capped, freq,
-                )
-            budget -= capped
-            if capped >= 1:
-                entries.append(
-                    LexiconEntry(fr_dc, relation, Fraction(capped, freq), capped, freq)
-                )
+        for relation, count in by_dc[fr_dc].items():
+            if count >= 1:
+                entries.append(LexiconEntry(fr_dc, relation, Fraction(count, freq), count, freq))
     entries.sort(key=lambda e: (-e.prob, -e.aligned_count, e.fr_dc, e.relation))
     return RankedLexicon(tuple(entries))
 
@@ -142,62 +129,56 @@ def _highlight(tokens: Sequence[str], start: int, end: int) -> str:
     return " ".join(parts)
 
 
-def sample_evidence(
+# (pair index, fused source token, target start, target end), ends inclusive
+EvidenceSite = tuple[int, int, int, int]
+
+
+def evidence_sites(
     corpus: Corpus,
     alignments: Sequence[Alignment],
-    fused_corpus: Sequence[FusedSentence],
-    fr_dc: str,
-    relation: str,
-    k: int,
-    seed: int,
-) -> list[EvidenceExcerpt]:
-    """Sample up to `k` sentence pairs supporting a lexicon entry.
+    tgt_inventory: Sequence[Connective],
+    max_len: int = 7,
+) -> dict[tuple[str, str], list[EvidenceSite]]:
+    """Find the supporting pairs of every (fr_dc, relation) in one pass.
 
-    A pair qualifies when some occurrence of `fr_dc` on the target side has a
-    token linked to a fused source token carrying `relation`. Sampling is
-    uniform without replacement and fully determined by `seed`; fewer than
-    `k` qualifying pairs means all of them are returned.
+    `corpus` holds the fused source side. A pair supports (fr_dc, relation)
+    when an occurrence of fr_dc pairs with a fused source token carrying the
+    relation, as extraction counts it (`connective_occurrences`); the first
+    such occurrence in the pair is its site. Sites are in corpus order.
+    """
+    if len(corpus.pairs) != len(alignments):
+        raise PipelineError("corpus and alignments must be parallel")
+    forms = build_match_table(c.surface for c in tgt_inventory)
+    sites: dict[tuple[str, str], list[EvidenceSite]] = {}
+    for index, (pair, alignment) in enumerate(zip(corpus.pairs, alignments)):
+        src = pair.src_tokens
+        for start, form, i in connective_occurrences(src, pair.tgt_tokens, alignment, forms, max_len):
+            parsed = None if i is None else split_fused_token(src[i])
+            if parsed is None:
+                continue
+            found = sites.setdefault((" ".join(form), parsed[1]), [])
+            if not found or found[-1][0] != index:
+                found.append((index, i, start, start + len(form) - 1))
+    return sites
+
+
+def sample_evidence(
+    corpus: Corpus, sites: Sequence[EvidenceSite], k: int, seed: int
+) -> list[EvidenceExcerpt]:
+    """Sample up to `k` of one entry's sites and highlight both connectives.
+
+    Sampling is uniform without replacement and fully determined by `seed`;
+    fewer than `k` sites means all of them are returned.
     """
     if k < 1:
         raise PipelineError(f"sample size must be >= 1, got {k}")
-    if not (len(corpus.pairs) == len(alignments) == len(fused_corpus)):
-        raise PipelineError("corpus, alignments, and fused corpus must be parallel")
-    form = tuple(fr_dc.lower().split())
-    if not form:
-        raise PipelineError("empty target connective")
-
-    qualifying: list[EvidenceExcerpt] = []
-    for pair, alignment, fused in zip(corpus.pairs, alignments, fused_corpus):
-        tgt_lower = tuple(t.lower() for t in pair.tgt_tokens)
-        found = None
-        for start in range(len(tgt_lower) - len(form) + 1):
-            if tgt_lower[start : start + len(form)] != form:
-                continue
-            end = start + len(form) - 1
-            hits = sorted(
-                (j, i) for i, j in alignment.links if start <= j <= end
-            )
-            for _, i in hits:
-                parsed = split_fused_token(fused.tokens[i])
-                if parsed is not None and parsed[1] == relation:
-                    found = (start, end, i)
-                    break
-            if found:
-                break
-        if found:
-            start, end, i = found
-            qualifying.append(
-                EvidenceExcerpt(
-                    pair.id,
-                    _highlight(fused.tokens, i, i),
-                    _highlight(pair.tgt_tokens, start, end),
-                )
-            )
-
-    rng = random.Random(seed)
-    if len(qualifying) <= k:
-        return list(qualifying)
-    return rng.sample(qualifying, k)
+    chosen = list(sites) if len(sites) <= k else random.Random(seed).sample(sites, k)
+    excerpts = []
+    for index, i, start, end in chosen:
+        pair = corpus.pairs[index]
+        src, tgt = _highlight(pair.src_tokens, i, i), _highlight(pair.tgt_tokens, start, end)
+        excerpts.append(EvidenceExcerpt(pair.id, src, tgt))
+    return excerpts
 
 
 def format_evidence(

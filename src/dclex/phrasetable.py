@@ -1,19 +1,20 @@
-"""Consistent phrase-pair extraction and connective-pair filtering.
+"""Consistent phrase pairs and the connective rows counted from them.
 
 A phrase pair is any box (contiguous source span, contiguous target span)
 that contains at least one alignment link and no link crossing its boundary
-on either side; boxes may extend over unaligned boundary words. From the
-phrase table we keep the rows whose source side is exactly one fused
-connective token and whose target side is a known target connective.
+on either side; boxes may extend over unaligned boundary words. The phrase
+table holds only the connective rows: target connective occurrences, found
+as the corpus frequencies find them, paired with one fused source token.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .alignment import Alignment
+from .corpus import MatchTable, build_match_table, scan_matches
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
@@ -28,6 +29,18 @@ class PhraseTableEntry:
     src_phrase: Phrase
     tgt_phrase: Phrase
     count: int
+
+
+@dataclass(frozen=True)
+class PhraseTable:
+    """Connective rows sorted by (src_phrase, tgt_phrase), and the number of
+    target connective occurrences scanned to find them."""
+
+    entries: tuple[PhraseTableEntry, ...]
+    occurrences: int
+
+    def __iter__(self) -> Iterator[PhraseTableEntry]:
+        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -104,58 +117,92 @@ def extract_phrase_pairs(
     return out
 
 
+def connective_occurrences(
+    src_tokens: Sequence[str],
+    tgt_tokens: Sequence[str],
+    alignment: Alignment,
+    forms: MatchTable,
+    max_len: int = 7,
+) -> Iterator[tuple[int, Phrase, int | None]]:
+    """Yield (start, form, source) for each longest-match occurrence of a
+    target form, scanning the lowercased target as the corpus counts do.
+
+    `source` is the one source token whose one-token box is consistent with
+    exactly the occurrence span: every link into the span comes from it and
+    all of its links lie inside. It is None when no token qualifies or the
+    form is longer than `max_len`.
+    """
+    if max_len < 1:
+        raise PipelineError(f"max_len must be >= 1, got {max_len}")
+    n, m = len(src_tokens), len(tgt_tokens)
+    sources_of: dict[int, set[int]] = {}
+    targets_of: dict[int, list[int]] = {}
+    for i, j in alignment.links:
+        if not (0 <= i < n and 0 <= j < m):
+            raise PipelineError(f"alignment link {i}-{j} out of bounds for {n}x{m} pair")
+        sources_of.setdefault(j, set()).add(i)
+        targets_of.setdefault(i, []).append(j)
+    for start, form in scan_matches(tuple(t.lower() for t in tgt_tokens), forms):
+        end = start + len(form) - 1
+        linked = {i for j in range(start, end + 1) for i in sources_of.get(j, ())}
+        consistent = len(form) <= max_len and len(linked) == 1 and all(
+            start <= j <= end for i in linked for j in targets_of[i]
+        )
+        yield start, form, min(linked) if consistent else None
+
+
 def build_phrase_table(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     alignments: Sequence[Alignment],
+    tgt_inventory: Sequence[Connective],
     max_len: int = 7,
     threads: int = 1,
-) -> list[PhraseTableEntry]:
-    """Aggregate per-sentence extractions into counted entries, sorted by
-    (src_phrase, tgt_phrase)."""
+) -> PhraseTable:
+    """Count, over all target connective occurrences, the fused source token
+    each one pairs with (see `connective_occurrences`). Where no inventory
+    forms nest or overlap, these are the `extract_phrase_pairs` rows with one
+    fused source token and an inventory form on the target side."""
     if len(pairs) != len(alignments):
         raise PipelineError(
             f"corpus/alignment length mismatch: {len(pairs)} vs {len(alignments)}"
         )
+    forms = build_match_table(c.surface for c in tgt_inventory)
     jobs = list(zip(pairs, alignments))
 
-    def extract_chunk(chunk) -> Counter:
-        counts: Counter = Counter()
+    def count_chunk(chunk) -> tuple[Counter, int]:
+        rows: Counter = Counter()
+        occurrences = 0
         for (src, tgt), alignment in chunk:
-            for phrase_pair in extract_phrase_pairs(src, tgt, alignment, max_len):
-                counts[phrase_pair] += 1
-        return counts
+            for _, form, i in connective_occurrences(src, tgt, alignment, forms, max_len):
+                occurrences += 1
+                if i is not None and split_fused_token(src[i]) is not None:
+                    rows[((src[i],), form)] += 1
+        return rows, occurrences
 
     totals: Counter = Counter()
-    for part in process_chunks(extract_chunk, jobs, threads):
-        totals.update(part)
-    return [
-        PhraseTableEntry(src, tgt, totals[(src, tgt)])
-        for src, tgt in sorted(totals)
-    ]
+    occurrences = 0
+    for rows, count in process_chunks(count_chunk, jobs, threads):
+        totals.update(rows)
+        occurrences += count
+    rows = tuple(PhraseTableEntry(src, tgt, totals[(src, tgt)]) for src, tgt in sorted(totals))
+    return PhraseTable(rows, occurrences)
 
 
 def filter_dc_entries(
-    table: Sequence[PhraseTableEntry],
-    tgt_inventory: Sequence[Connective],
+    table: Iterable[PhraseTableEntry],
     src_inventory: Sequence[Connective],
     relations: Sequence[str],
 ) -> list[DCAlignmentRecord]:
-    """Keep entries pairing a single fused source connective with a target
-    connective; anything untagged or out of inventory is dropped.
+    """Turn connective rows into records, keeping fused source tokens whose
+    surface is in the source inventory.
 
     A source token that parses as `<known surface>-<label>` with an unknown
     label signals upstream corruption and is fatal.
     """
-    tgt_forms = {c.surface for c in tgt_inventory}
     src_forms = {c.surface for c in src_inventory}
     known_relations = set(relations)
     counts: dict[tuple[str, str, str], int] = {}
     for entry in table:
-        tgt_lower = tuple(t.lower() for t in entry.tgt_phrase)
-        if tgt_lower not in tgt_forms:
-            continue
-        if len(entry.src_phrase) != 1:
-            continue
         parsed = split_fused_token(entry.src_phrase[0])
         if parsed is None:
             continue  # plain token, e.g. an untagged connective occurrence
@@ -168,7 +215,7 @@ def filter_dc_entries(
                 f"malformed fused token {entry.src_phrase[0]!r}: "
                 f"unknown relation label {relation!r}"
             )
-        key = (" ".join(tgt_lower), " ".join(surface_lower), relation)
+        key = (" ".join(entry.tgt_phrase).lower(), " ".join(surface_lower), relation)
         counts[key] = counts.get(key, 0) + entry.count
     return [
         DCAlignmentRecord(fr_dc, en_dc, relation, counts[(fr_dc, en_dc, relation)])
@@ -181,7 +228,7 @@ def filter_dc_entries(
 # ---------------------------------------------------------------------------
 
 
-def write_phrase_table(table: Sequence[PhraseTableEntry], path: str) -> None:
+def write_phrase_table(table: Iterable[PhraseTableEntry], path: str) -> None:
     """Export `src ||| tgt ||| count` in table order."""
     lines = [
         f"{' '.join(e.src_phrase)} ||| {' '.join(e.tgt_phrase)} ||| {e.count}\n"

@@ -16,7 +16,7 @@ import pytest
 
 from dclex.alignment import Alignment, symmetrize, train_model1, viterbi_align
 from dclex.cli import ARTIFACTS, main
-from dclex.corpus import Corpus, CorpusMetadata, SentencePair, TokenizerOptions
+from dclex.corpus import Corpus, SentencePair
 from dclex.evaluation import (
     RelevanceItem,
     RelevanceList,
@@ -24,9 +24,10 @@ from dclex.evaluation import (
     interpolated_11pt,
     precision_recall_points,
 )
-from dclex.lexicon import sample_evidence
+from dclex.inventory import Connective
+from dclex.lexicon import evidence_sites, sample_evidence
 from dclex.phrasetable import extract_phrase_pairs
-from dclex.tagging import DCAnnotation, FusedSentence, fuse_tokens, split_fused_token
+from dclex.tagging import DCAnnotation, fuse_tokens, split_fused_token
 
 import planted
 from oracles import (
@@ -269,21 +270,16 @@ def test_c9_evidence_sampling_fixture():
     pairs = tuple(
         SentencePair(i, s, t) for i, (s, t) in enumerate(zip(src_sents, tgt_sents))
     )
-    corpus = Corpus(pairs, CorpusMetadata("<s>", "<t>", TokenizerOptions(), len(pairs)))
+    corpus = Corpus(pairs)
     alignments = [Alignment(frozenset(ls)) for ls in links]
-    fused = [FusedSentence(i, s) for i, s in enumerate(src_sents)]
+    inventory = [Connective(("même", "si"), "target")]
+    sites = evidence_sites(corpus, alignments, inventory)[("même si", "Concession")]
 
-    got = sample_evidence(
-        corpus, alignments, fused, "même si", "Concession", k=5, seed=3
-    )
+    got = sample_evidence(corpus, sites, k=5, seed=3)
     assert sorted(ex.pair_id for ex in got) == [0, 2, 4]
 
-    once = sample_evidence(
-        corpus, alignments, fused, "même si", "Concession", k=2, seed=3
-    )
-    again = sample_evidence(
-        corpus, alignments, fused, "même si", "Concession", k=2, seed=3
-    )
+    once = sample_evidence(corpus, sites, k=2, seed=3)
+    again = sample_evidence(corpus, sites, k=2, seed=3)
     assert once == again and len(once) == 2
 
     print("criterion 9: PASS — evidence returns all 3 qualifying pairs; seeded sample stable")

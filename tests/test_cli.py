@@ -171,6 +171,17 @@ class TestPipelineRuns:
         digests = list(manifest["inputs"].values())
         assert all(len(d) == 64 for d in digests)
 
+    def test_extract_counts_the_occurrences_behind_freqs(self, mini_run):
+        root, _ = mini_run
+        out = root / "out"
+        manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+        rows = manifest["stages"]["extract"]["rows"]
+        freqs = (out / ARTIFACTS["freqs"]).read_text(encoding="utf-8").splitlines()
+        assert rows["occurrences"] == sum(int(line.split("\t")[1]) for line in freqs)
+        assert 0 < rows["aligned"] <= rows["occurrences"]
+        records = (out / ARTIFACTS["dc_records"]).read_text(encoding="utf-8").splitlines()
+        assert rows["dc_records"] == len(records)
+
     def test_table1_distribution(self, mini_run, capsys):
         root, config = mini_run
         code = main(["report", "--config", str(config)])

@@ -66,7 +66,7 @@ class TestLoadParallelCorpus:
         assert [p.id for p in corpus.pairs] == [0, 1]
         assert corpus.pairs[0].src_tokens == ("a", "b")
         assert corpus.pairs[1].tgt_tokens == ("y", "z")
-        assert corpus.metadata.pair_count == len(corpus.pairs) == 2
+        assert len(corpus.pairs) == 2
 
     def test_line_count_mismatch_names_both_counts(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", "b"], ["x", "y", "z"])
@@ -118,9 +118,7 @@ def corpus_from_tokens(sentences):
     pairs = tuple(
         SentencePair(i, ("src",), tuple(tokens)) for i, tokens in enumerate(sentences)
     )
-    from dclex.corpus import CorpusMetadata
-
-    return Corpus(pairs, CorpusMetadata("<s>", "<t>", TokenizerOptions(), len(pairs)))
+    return Corpus(pairs)
 
 
 class TestCountOccurrences:

@@ -1,24 +1,24 @@
 """Lexicon construction, ranking, thresholding, and evidence sampling."""
 
-import logging
 import random
 from fractions import Fraction
 
 import pytest
 
 from dclex.alignment import Alignment
-from dclex.corpus import Corpus, CorpusMetadata, FrequencyTable, SentencePair, TokenizerOptions
+from dclex.corpus import Corpus, FrequencyTable, SentencePair
 from dclex.errors import PipelineError
+from dclex.inventory import Connective
 from dclex.lexicon import (
     LexiconEntry,
     build_lexicon,
+    evidence_sites,
     format_evidence,
     read_ranked_lexicon,
     sample_evidence,
     write_ranked_lexicon,
 )
 from dclex.phrasetable import DCAlignmentRecord
-from dclex.tagging import FusedSentence
 
 
 def rec(fr_dc, en_dc, relation, count):
@@ -47,29 +47,16 @@ class TestBuildLexicon:
 
     def test_records_without_frequency_are_fatal(self):
         records = [rec("fantôme", "ghost", "Expansion.Conjunction", 3)]
-        with pytest.raises(PipelineError, match="zero corpus frequency"):
+        with pytest.raises(PipelineError, match="corpus frequency 0"):
             build_lexicon(records, FrequencyTable({}), min_freq=0)
 
-    def test_overcount_capped_against_budget(self, caplog):
+    def test_overcount_is_fatal(self):
         records = [
             rec("si", "if", "Contingency.Condition", 70),
             rec("si", "whether", "Expansion.Alternative", 50),
         ]
-        with caplog.at_level(logging.WARNING):
-            lexicon = build_lexicon(records, FrequencyTable({"si": 100}), min_freq=1)
-        by_rel = {e.relation: e for e in lexicon.entries}
-        assert by_rel["Contingency.Condition"].aligned_count == 70
-        assert by_rel["Expansion.Alternative"].aligned_count == 30
-        assert sum(e.aligned_count for e in lexicon.entries) == 100
-        assert any("capping" in r.message for r in caplog.records)
-
-    def test_relation_capped_to_zero_is_dropped(self):
-        records = [
-            rec("si", "if", "Contingency.Condition", 5),
-            rec("si", "whether", "Expansion.Alternative", 2),
-        ]
-        lexicon = build_lexicon(records, FrequencyTable({"si": 5}), min_freq=1)
-        assert [e.relation for e in lexicon.entries] == ["Contingency.Condition"]
+        with pytest.raises(PipelineError, match="'si' has 120 aligned occurrences"):
+            build_lexicon(records, FrequencyTable({"si": 100}), min_freq=1)
 
     def test_probability_bounds_and_budget_on_random_inputs(self):
         rng = random.Random(71)
@@ -78,11 +65,11 @@ class TestBuildLexicon:
             freqs = {}
             for c in range(rng.randint(1, 5)):
                 dc = f"dc{c}"
-                freqs[dc] = rng.randint(1, 30)
+                freqs[dc] = budget = rng.randint(1, 30)
                 for r in range(rng.randint(1, 4)):
-                    records.append(
-                        rec(dc, f"en{r}", f"REL_{r}", rng.randint(0, 40))
-                    )
+                    count = rng.randint(0, budget)
+                    budget -= count
+                    records.append(rec(dc, f"en{r}", f"REL_{r}", count))
             lexicon = build_lexicon(records, FrequencyTable(freqs), min_freq=1)
             per_dc: dict[str, int] = {}
             for e in lexicon.entries:
@@ -195,36 +182,41 @@ def evidence_fixture():
     pairs = tuple(
         SentencePair(i, src, tgt) for i, (src, tgt) in enumerate(zip(src_sents, tgt_sents))
     )
-    meta = CorpusMetadata("<s>", "<t>", TokenizerOptions(), len(pairs))
-    corpus = Corpus(pairs, meta)
-    fused = [FusedSentence(i, src) for i, src in enumerate(src_sents)]
-    return corpus, alignments, fused
+    return Corpus(pairs), alignments
+
+
+INVENTORY = [Connective(("même", "si"), "target"), Connective(("tard",), "target")]
+
+
+def evidence(corpus, alignments, fr_dc, relation, k, seed):
+    sites = evidence_sites(corpus, alignments, INVENTORY).get((fr_dc, relation), [])
+    return sample_evidence(corpus, sites, k, seed)
 
 
 class TestEvidence:
     def test_all_qualifying_pairs_returned_when_k_large(self):
-        corpus, alignments, fused = evidence_fixture()
-        got = sample_evidence(
-            corpus, alignments, fused, "même si", "Comparison.Concession", k=5, seed=1
+        corpus, alignments = evidence_fixture()
+        got = evidence(
+            corpus, alignments, "même si", "Comparison.Concession", k=5, seed=1
         )
         assert sorted(ex.pair_id for ex in got) == [0, 2, 5]
 
     def test_sample_is_seed_deterministic(self):
-        corpus, alignments, fused = evidence_fixture()
-        first = sample_evidence(
-            corpus, alignments, fused, "même si", "Comparison.Concession", k=2, seed=9
+        corpus, alignments = evidence_fixture()
+        first = evidence(
+            corpus, alignments, "même si", "Comparison.Concession", k=2, seed=9
         )
-        second = sample_evidence(
-            corpus, alignments, fused, "même si", "Comparison.Concession", k=2, seed=9
+        second = evidence(
+            corpus, alignments, "même si", "Comparison.Concession", k=2, seed=9
         )
         assert first == second
         assert len(first) == 2
         assert {ex.pair_id for ex in first} <= {0, 2, 5}
 
     def test_highlights_both_sides(self):
-        corpus, alignments, fused = evidence_fixture()
-        got = sample_evidence(
-            corpus, alignments, fused, "même si", "Comparison.Concession", k=5, seed=1
+        corpus, alignments = evidence_fixture()
+        got = evidence(
+            corpus, alignments, "même si", "Comparison.Concession", k=5, seed=1
         )
         by_id = {ex.pair_id: ex for ex in got}
         assert by_id[0].tgt_text == "__même si__ tard"
@@ -232,23 +224,40 @@ class TestEvidence:
         assert by_id[5].tgt_text == "tout __même si__"
 
     def test_wrong_relation_does_not_qualify(self):
-        corpus, alignments, fused = evidence_fixture()
-        got = sample_evidence(
-            corpus, alignments, fused, "même si", "Contingency.Condition", k=5, seed=1
+        corpus, alignments = evidence_fixture()
+        got = evidence(
+            corpus, alignments, "même si", "Contingency.Condition", k=5, seed=1
         )
         assert [ex.pair_id for ex in got] == [1]
 
     def test_bad_arguments_are_fatal(self):
-        corpus, alignments, fused = evidence_fixture()
+        corpus, alignments = evidence_fixture()
         with pytest.raises(PipelineError, match="sample size"):
-            sample_evidence(corpus, alignments, fused, "même si", "R", k=0, seed=1)
+            evidence(corpus, alignments, "même si", "R", k=0, seed=1)
         with pytest.raises(PipelineError, match="parallel"):
-            sample_evidence(corpus, alignments[:-1], fused, "même si", "R", k=1, seed=1)
+            evidence_sites(corpus, alignments[:-1], INVENTORY)
+
+    def test_link_outside_the_connective_does_not_qualify(self):
+        # The fused token links into "même si" and also to "tard": its
+        # one-token box is not consistent with the connective span.
+        pairs = (SentencePair(0, ("even_though-Comparison.Concession", "late"), ("même", "si", "tard")),)
+        alignments = [Alignment(frozenset({(0, 0), (0, 2)}))]
+        assert evidence(
+            Corpus(pairs), alignments, "même si", "Comparison.Concession", k=5, seed=1
+        ) == []
+
+    def test_one_pass_serves_every_entry(self):
+        corpus, alignments = evidence_fixture()
+        sites = evidence_sites(corpus, alignments, INVENTORY)
+        assert {key: [site[0] for site in found] for key, found in sites.items()} == {
+            ("même si", "Comparison.Concession"): [0, 2, 5],
+            ("même si", "Contingency.Condition"): [1],
+        }
 
     def test_format_blocks(self):
-        corpus, alignments, fused = evidence_fixture()
-        got = sample_evidence(
-            corpus, alignments, fused, "même si", "Comparison.Concession", k=5, seed=1
+        corpus, alignments = evidence_fixture()
+        got = evidence(
+            corpus, alignments, "même si", "Comparison.Concession", k=5, seed=1
         )
         text = format_evidence("même si", "Comparison.Concession", got[:1])
         lines = text.splitlines()

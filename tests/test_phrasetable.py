@@ -6,8 +6,10 @@ from collections import Counter
 import pytest
 
 from dclex.alignment import Alignment
+from dclex.corpus import Corpus, SentencePair, count_occurrences
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
+from dclex.lexicon import build_lexicon
 from dclex.phrasetable import (
     DCAlignmentRecord,
     PhraseTableEntry,
@@ -18,6 +20,7 @@ from dclex.phrasetable import (
     write_dc_records,
     write_phrase_table,
 )
+from dclex.tagging import split_fused_token
 
 from oracles import consistent_phrase_pairs_reference
 
@@ -93,51 +96,161 @@ class TestExtraction:
             assert got == want, (src, tgt, sorted(link_set), max_len)
 
 
+def fused_rows_reference(pairs, alignments, forms, max_len):
+    """The full phrase table, then its rows pairing one fused source token
+    with an inventory form."""
+    rows = Counter()
+    for (src, tgt), alignment in zip(pairs, alignments):
+        for src_phrase, tgt_phrase in extract_phrase_pairs(src, tgt, alignment, max_len):
+            if (
+                len(src_phrase) == 1
+                and split_fused_token(src_phrase[0]) is not None
+                and tgt_phrase in forms
+            ):
+                rows[(src_phrase, tgt_phrase)] += 1
+    return rows
+
+
+def random_links(rng, n, m, rate):
+    return Alignment(
+        frozenset((i, j) for i in range(n) for j in range(m) if rng.random() < rate)
+    )
+
+
 class TestBuildPhraseTable:
+    FUSED = "even_though-Concession"
+    TGT_INV = [Connective(("même",), "target"), Connective(("même", "si"), "target")]
+
+    def test_nested_form_counts_the_longest_match_only(self):
+        # The fused token links only to "même", inside "même si": the one
+        # occurrence is "même si", and "même" never occurs on its own.
+        pairs = [((self.FUSED, "late"), ("même", "si", "tard"))]
+        alignments = [aln((0, 0), (1, 2))]
+        table = build_phrase_table(pairs, alignments, self.TGT_INV)
+        records = filter_dc_entries(table, [Connective(("even", "though"), "source")], ["Concession"])
+        assert records == [DCAlignmentRecord("même si", "even though", "Concession", 1)]
+        freqs = count_occurrences(
+            Corpus((SentencePair(0, *pairs[0]),)), "target", self.TGT_INV
+        )
+        lexicon = build_lexicon(records, freqs, min_freq=1)
+        assert [(e.fr_dc, e.aligned_count, e.corpus_freq) for e in lexicon.entries] == [
+            ("même si", 1, 1)
+        ]
+
+    def test_rows_pair_one_fused_token_with_an_inventory_form(self):
+        # Plain source tokens, forms longer than max_len and boxes with a
+        # second source token or an outside link give no row.
+        pairs = [
+            (("if", self.FUSED), ("même", "si")),  # two source tokens link in
+            (("plain",), ("même",)),  # untagged source token
+            ((self.FUSED, "x"), ("même", "si", "donc")),  # link leaves the span
+            ((self.FUSED,), ("même", "si")),
+        ]
+        alignments = [aln((0, 0), (1, 1)), aln((0, 0)), aln((0, 1), (0, 2)), aln((0, 1))]
+        table = build_phrase_table(pairs, alignments, self.TGT_INV)
+        assert list(table) == [PhraseTableEntry((self.FUSED,), ("même", "si"), 1)]
+        assert table.occurrences == 4
+        assert build_phrase_table(pairs, alignments, self.TGT_INV, max_len=1).entries == ()
+
     def test_counts_accumulate_across_repeats(self):
-        pair = (("a", "b"), ("x", "y"))
-        alignment = aln((0, 0), (1, 1))
-        table = build_phrase_table([pair] * 3, [alignment] * 3, max_len=2)
-        by_key = {(e.src_phrase, e.tgt_phrase): e.count for e in table}
-        assert by_key[(("a",), ("x",))] == 3
-        assert by_key[(("a", "b"), ("x", "y"))] == 3
+        pair = (("a-R", "b"), ("x", "y", "z"))
+        inventory = [Connective(("x",), "target"), Connective(("x", "y"), "target")]
+        alignment = aln((0, 0), (0, 1), (1, 2))
+        table = build_phrase_table([pair] * 3, [alignment] * 3, inventory)
+        assert list(table) == [PhraseTableEntry(("a-R",), ("x", "y"), 3)]
+        assert table.occurrences == 3
 
     def test_output_sorted_by_phrase(self):
-        pair = (("b", "a"), ("y", "x"))
-        table = build_phrase_table([pair], [aln((0, 0), (1, 1))], max_len=1)
+        pair = (("b-R", "a-R"), ("y", "x"))
+        inventory = [Connective(("x",), "target"), Connective(("y",), "target")]
+        table = build_phrase_table([pair], [aln((0, 0), (1, 1))], inventory)
         keys = [(e.src_phrase, e.tgt_phrase) for e in table]
-        assert keys == sorted(keys)
+        assert keys == sorted(keys) == [(("a-R",), ("x",)), (("b-R",), ("y",))]
+        assert table.occurrences == 2
 
     def test_length_mismatch_is_fatal(self):
         with pytest.raises(PipelineError, match="1 vs 2"):
-            build_phrase_table([(("a",), ("x",))], [aln(), aln()])
+            build_phrase_table([(("a",), ("x",))], [aln(), aln()], self.TGT_INV)
+
+    def test_out_of_bounds_link_is_fatal(self):
+        with pytest.raises(PipelineError, match="out of bounds"):
+            build_phrase_table([(("a",), ("même",))], [aln((0, 5))], self.TGT_INV)
+
+    def test_equals_filtered_full_table_without_nested_forms(self):
+        # Forms share no token and repeat none, so no two occurrences can
+        # overlap and every consistent box on a form is a longest match.
+        rng = random.Random(2017)
+        src_vocab = ["p", "q", "a-R1", "b-R2", "a-R2"]
+        for _ in range(200):
+            words = ["x", "y", "z", "w", "v"]
+            rng.shuffle(words)
+            cut = sorted(rng.sample(range(1, 5), 2))
+            forms = {tuple(words[:cut[0]]), tuple(words[cut[0] : cut[1]])}
+            inventory = [Connective(f, "target") for f in forms]
+            pairs, alignments = [], []
+            for _ in range(rng.randint(1, 3)):
+                n, m = rng.randint(1, 6), rng.randint(1, 8)
+                pairs.append(
+                    (
+                        tuple(rng.choice(src_vocab) for _ in range(n)),
+                        tuple(rng.choice(words + ["u"]) for _ in range(m)),
+                    )
+                )
+                alignments.append(random_links(rng, n, m, 0.25))
+            max_len = rng.randint(1, 7)
+            table = build_phrase_table(pairs, alignments, inventory, max_len)
+            got = {(e.src_phrase, e.tgt_phrase): e.count for e in table}
+            want = fused_rows_reference(pairs, alignments, forms, max_len)
+            assert got == dict(want), (pairs, alignments, forms, max_len)
+
+    def test_nested_forms_never_count_more_than_their_frequency(self):
+        rng = random.Random(4)
+        inventory = [
+            Connective(f, "target")
+            for f in [("x",), ("x", "y"), ("y",), ("y", "z"), ("x", "y", "z"), ("z", "z")]
+        ]
+        for _ in range(50):
+            pairs, alignments = [], []
+            for _ in range(rng.randint(1, 6)):
+                n, m = rng.randint(1, 5), rng.randint(1, 9)
+                pairs.append(
+                    (
+                        tuple(rng.choice(["p", "a-R1", "b-R2"]) for _ in range(n)),
+                        tuple(rng.choice("xyzu") for _ in range(m)),
+                    )
+                )
+                alignments.append(random_links(rng, n, m, 0.3))
+            table = build_phrase_table(pairs, alignments, inventory, rng.randint(1, 4))
+            corpus = Corpus(tuple(SentencePair(i, *p) for i, p in enumerate(pairs)))
+            freqs = count_occurrences(corpus, "target", inventory)
+            aligned = Counter()
+            for entry in table:
+                aligned[" ".join(entry.tgt_phrase)] += entry.count
+            for form, count in aligned.items():
+                assert count <= freqs.count(form), (form, pairs, alignments)
+            assert table.occurrences == sum(freqs.entries.values())
 
     def test_thread_count_is_invisible_in_output(self):
         rng = random.Random(6)
         pairs = []
         alignments = []
-        for _ in range(300):
+        for _ in range(2500):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
             pairs.append(
                 (
-                    tuple(rng.choice("ab") for _ in range(n)),
+                    tuple(rng.choice(["a-R", "b-S", "c"]) for _ in range(n)),
                     tuple(rng.choice("xy") for _ in range(m)),
                 )
             )
-            alignments.append(
-                Alignment(
-                    frozenset(
-                        (i, j) for i in range(n) for j in range(m) if rng.random() < 0.3
-                    )
-                )
-            )
-        one = build_phrase_table(pairs, alignments, threads=1)
-        many = build_phrase_table(pairs, alignments, threads=4)
+            alignments.append(random_links(rng, n, m, 0.3))
+        inventory = [Connective(("x",), "target"), Connective(("x", "y"), "target")]
+        one = build_phrase_table(pairs, alignments, inventory, threads=1)
+        many = build_phrase_table(pairs, alignments, inventory, threads=4)
+        assert one.entries
         assert one == many
 
 
 class TestFilterDCEntries:
-    TGT_INV = [Connective(("même", "si"), "target"), Connective(("si",), "target")]
     SRC_INV = [Connective(("even", "though"), "source"), Connective(("if",), "source")]
     RELATIONS = ("Comparison.Concession", "Contingency.Condition")
 
@@ -149,31 +262,29 @@ class TestFilterDCEntries:
             self.entry(["even_though-Comparison.Concession"], ["même", "si"], 4),
             self.entry(["even_though-Comparison.Concession"], ["Même", "Si"], 2),
         ]
-        records = filter_dc_entries(table, self.TGT_INV, self.SRC_INV, self.RELATIONS)
+        records = filter_dc_entries(table, self.SRC_INV, self.RELATIONS)
         assert records == [
             DCAlignmentRecord("même si", "even though", "Comparison.Concession", 6)
         ]
 
     def test_drops_untagged_and_unknown_sides(self):
         table = [
-            self.entry(["even", "though"], ["même", "si"]),  # two source tokens
             self.entry(["if"], ["même", "si"]),  # untagged source
-            self.entry(["if-Contingency.Condition"], ["donc"]),  # unknown target
             self.entry(["mystery-Contingency.Condition"], ["si"]),  # unknown surface
         ]
-        assert filter_dc_entries(table, self.TGT_INV, self.SRC_INV, self.RELATIONS) == []
+        assert filter_dc_entries(table, self.SRC_INV, self.RELATIONS) == []
 
     def test_unknown_relation_label_is_fatal(self):
         table = [self.entry(["if-Bogus.Label"], ["si"])]
         with pytest.raises(PipelineError, match="malformed fused token"):
-            filter_dc_entries(table, self.TGT_INV, self.SRC_INV, self.RELATIONS)
+            filter_dc_entries(table, self.SRC_INV, self.RELATIONS)
 
     def test_records_sorted(self):
         table = [
             self.entry(["if-Contingency.Condition"], ["si"], 1),
             self.entry(["even_though-Comparison.Concession"], ["même", "si"], 1),
         ]
-        records = filter_dc_entries(table, self.TGT_INV, self.SRC_INV, self.RELATIONS)
+        records = filter_dc_entries(table, self.SRC_INV, self.RELATIONS)
         keys = [(r.fr_dc, r.en_dc, r.relation) for r in records]
         assert keys == sorted(keys)
 

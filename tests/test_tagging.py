@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dclex.corpus import Corpus, CorpusMetadata, SentencePair, TokenizerOptions
+from dclex.corpus import Corpus, SentencePair
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
 from dclex.tagging import (
@@ -26,8 +26,7 @@ def make_corpus(*sentences):
     pairs = tuple(
         SentencePair(i, tuple(tokens), ("t",)) for i, tokens in enumerate(sentences)
     )
-    meta = CorpusMetadata("<s>", "<t>", TokenizerOptions(), len(pairs))
-    return Corpus(pairs, meta)
+    return Corpus(pairs)
 
 
 def by_sentence(annotations):
