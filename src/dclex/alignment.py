@@ -4,10 +4,11 @@ Training is plain EM over a sparse lexical table t(f|e); Model 2 adds a
 positional table q(i|j,l,m). Both models run one kernel over interned
 sentence pairs: each co-occurring (e, f) gets an integer slot, and each pair
 stores its cells, one per target position and source candidate, as a flat
-array of slots. The E-step runs in fixed-size chunks whose partial counts are
-merged in chunk order, so results are bit-identical for any worker count. A
-NULL source token (virtual index -1) absorbs target words with no
-counterpart; Viterbi links decoded to NULL are dropped.
+list of slots. The E-step runs in fixed-size chunks and returns each chunk's
+cell posteriors; one M-step adds them into the counts in corpus order, so
+results are bit-identical for any worker count. A NULL source token (virtual
+index -1) absorbs target words with no counterpart; Viterbi links decoded to
+NULL are dropped.
 """
 
 from __future__ import annotations
@@ -48,24 +49,13 @@ class _Table:
         uniform = {r: 1.0 / width for r, width in Counter(row_of).items()}
         self.values = list(map(uniform.__getitem__, row_of))
 
-    def m_step(self, parts: Sequence[tuple[array, array, list[float], list[float]]]) -> None:
-        """Add up per-chunk (slot map, row map, counts, row totals) in chunk
-        order, then divide each count by its row total. The first chunk's
-        numbers are the global ones, so its lists are extended in place."""
-        (_, _, counts, totals), *rest = parts
-        counts.extend([0.0] * (len(self.values) - len(counts)))
-        totals.extend([0.0] * (self.n_rows - len(totals)))
-        for slots, rows, part_counts, part_totals in rest:
-            for g, c in zip(slots, part_counts):
-                counts[g] += c
-            for g, c in zip(rows, part_totals):
-                totals[g] += c
+    def m_step(self, counts: list[float]) -> None:
+        """Divide each slot's count by its row's total, the counts of the
+        row's slots added up in slot order."""
+        totals = [0.0] * self.n_rows
+        for r, c in zip(self.row_of, counts):
+            totals[r] += c
         self.values = [c / totals[r] for c, r in zip(counts, self.row_of)]
-
-    def gather(self, slots: array, floor: float = 0.0) -> list[float]:
-        """The values at `slots`, none below `floor`."""
-        values = self.values
-        return [p if p > floor else floor for p in map(values.__getitem__, slots)]
 
 
 def _number(keys: Iterable, numbers: dict) -> list[int]:
@@ -76,26 +66,21 @@ def _number(keys: Iterable, numbers: dict) -> list[int]:
 
 
 class _Chunk(NamedTuple):
-    """Up to CHUNK_SIZE interned pairs. Slots and rows are numbered within
-    the chunk, so partial counts grow with the chunk, not with the corpus;
-    `t_slots`, `t_rows`, `q_slots` and `q_rows` map them to global numbers.
-    The first chunk's numbers are the global ones."""
+    """Up to CHUNK_SIZE interned pairs."""
 
     cells: list[int]  # t slot of each cell, pair after pair, target-major
-    # Per pair: t rows of its source candidates, its first and end cell,
-    # and its first q cell and first q row (0, 0 under Model 1).
-    pairs: list[tuple[list[int], int, int, int, int]]
-    t_slots: array
-    t_rows: array
-    q_slots: array
-    q_rows: array
+    # Per pair: its number of source candidates, its first and end cell, and
+    # its first q slot (0 under Model 1).
+    pairs: list[tuple[int, int, int, int]]
 
 
 class _Fit:
     """EM state of one alignment direction over its interned training pairs.
 
     The rows of t are source words (NULL first, when used); the rows of q
-    are (l, m, j) and its slots the candidates NULL, 0, ..., l - 1."""
+    are (l, m, j) and its slots the candidates NULL, 0, ..., l - 1. A pair's
+    cells and its q slots run in the same order, so cell k of a pair whose
+    first cell is `first` has q slot `q_at + k - first`."""
 
     def __init__(self, pairs: Sequence[TokenPair], use_null: bool, positional: bool) -> None:
         self.use_null = use_null
@@ -105,49 +90,30 @@ class _Fit:
         tgt_ids = _number((f for _, tgt in pairs for f in tgt), f_ids)
         nf = len(f_ids)
         null = [0] if use_null else []
-        t_map: dict[int, int] = {}  # e * nf + f -> global t slot
-        blocks: dict[tuple[int, int], tuple[int, int]] = {}  # (l, m) -> first q slot, row
-        q_size = q_rows_size = 0
+        t_map: dict[int, int] = {}  # e * nf + f -> t slot
+        blocks: dict[tuple[int, int], int] = {}  # (l, m) -> first q slot
+        q_size = 0
         s_at = f_at = 0
         self.chunks: list[_Chunk] = []
         for lo in range(0, len(pairs), CHUNK_SIZE):
-            cells_of: dict[int, int] = {}  # e * nf + f -> chunk slot
             cells: list[int] = []
-            rows_of: dict[int, int] = {}
-            local_blocks: dict[tuple[int, int], tuple[int, int]] = {}
-            q_slots, q_rows = array("i"), array("i")
             chunk_pairs = []
             for src, tgt in pairs[lo : lo + CHUNK_SIZE]:
                 l, m = len(src), len(tgt)
-                es = null + src_ids[s_at : s_at + l]
+                scaled = [e * nf for e in null + src_ids[s_at : s_at + l]]
                 fs = tgt_ids[f_at : f_at + m]
                 s_at += l
                 f_at += m
-                scaled = [e * nf for e in es]
                 first_cell = len(cells)
-                cells += _number((k + f for f in fs for k in scaled), cells_of)
-                first_q = (0, 0)
+                cells += _number((k + f for f in fs for k in scaled), t_map)
+                q_at = 0
                 if positional:
-                    n = len(es)
-                    if (l, m) not in local_blocks:
-                        if (l, m) not in blocks:
-                            blocks[(l, m)] = (q_size, q_rows_size)
-                            q_size += n * m
-                            q_rows_size += m
-                        g_slot, g_row = blocks[(l, m)]
-                        local_blocks[(l, m)] = (len(q_slots), len(q_rows))
-                        q_slots.extend(range(g_slot, g_slot + n * m))
-                        q_rows.extend(range(g_row, g_row + m))
-                    first_q = local_blocks[(l, m)]
-                chunk_pairs.append((_number(es, rows_of), first_cell, len(cells), *first_q))
-            if t_map:
-                t_slots = array("i", _number(cells_of, t_map))
-            else:  # the first chunk's numbers become the global ones
-                t_map = cells_of
-                t_slots = array("i", range(len(t_map)))
-            self.chunks.append(
-                _Chunk(cells, chunk_pairs, t_slots, array("i", rows_of), q_slots, q_rows)
-            )
+                    if (l, m) not in blocks:
+                        blocks[(l, m)] = q_size
+                        q_size += len(scaled) * m
+                    q_at = blocks[(l, m)]
+                chunk_pairs.append((len(scaled), first_cell, len(cells), q_at))
+            self.chunks.append(_Chunk(cells, chunk_pairs))
 
         self.e_words = list(e_ids)
         self.f_words = list(f_ids)
@@ -157,43 +123,52 @@ class _Fit:
         self.q = None
         if positional:
             row_of = array("i")
-            for (l, m), (_, g_row) in blocks.items():
-                for j in range(m):
-                    row_of.extend([g_row + j] * (l + len(null)))
-            self.q = _Table(row_of, q_rows_size)
+            q_rows = 0
+            for l, m in blocks:
+                for _ in range(m):
+                    row_of.extend([q_rows] * (l + len(null)))
+                    q_rows += 1
+            self.q = _Table(row_of, q_rows)
         self.history: list[float] = []
 
     def train(self, iterations: int, threads: int) -> None:
+        """EM iterations. The E-steps of the chunks may run in any order; their
+        posteriors are added into the counts in corpus order."""
         for _ in range(iterations):
             results = process_chunks(self._estep, self.chunks, threads, chunk_size=1)
             ll = 0.0
-            for part_ll, _, _ in results:
+            t_counts = [0.0] * len(self.t.values)
+            q_counts = [0.0] * len(self.q.values) if self.q is not None else None
+            for chunk, (part_ll, posteriors) in zip(self.chunks, results):
                 ll += part_ll
+                for s, c in zip(chunk.cells, posteriors):
+                    t_counts[s] += c
+                if q_counts is not None:
+                    for _, first, end, q_at in chunk.pairs:
+                        q_end = q_at + end - first
+                        q_counts[q_at:q_end] = [
+                            a + c for a, c in zip(q_counts[q_at:q_end], posteriors[first:end])
+                        ]
             self.history.append(ll)
-            chunks = list(zip(self.chunks, results))
-            self.t.m_step([(c.t_slots, c.t_rows, *t) for c, (_, t, _) in chunks])
-            if self.q is not None:
-                self.q.m_step([(c.q_slots, c.q_rows, *q) for c, (_, _, q) in chunks])
+            self.t.m_step(t_counts)
+            if q_counts is not None:
+                self.q.m_step(q_counts)
 
-    def _estep(self, batch: Sequence[_Chunk]) -> tuple[float, tuple, tuple]:
-        """Expected counts of one chunk. A cell's posterior is its score over
-        the target word's total z, added up left to right; Model 1 scores t,
-        Model 2 scores t * q."""
+    def _estep(self, batch: Sequence[_Chunk]) -> tuple[float, array]:
+        """Log-likelihood and cell posteriors of one chunk, in cell order. A
+        cell's posterior is its score over the target word's total z, added
+        up left to right; Model 1 scores t, Model 2 scores t * q."""
         (chunk,) = batch
-        t = self.t.gather(chunk.t_slots)
-        t_counts = [0.0] * len(t)
-        t_totals = [0.0] * len(chunk.t_rows)
+        t = self.t.values
         positional = self.q is not None
-        q = self.q.gather(chunk.q_slots) if positional else []
-        q_counts = [0.0] * len(q)
-        q_totals = [0.0] * len(chunk.q_rows)
+        q = self.q.values if positional else []
         cells = chunk.cells
+        posteriors = array("d")
         ll = 0.0
-        for es, first, end, q_at, q_row in chunk.pairs:
-            n = len(es)
+        for n, first, end, q_at in chunk.pairs:
             # Model 1's uniform alignment prior 1/n; Model 2's is inside q.
             norm = 0.0 if positional else math.log(n)
-            for j, lo in enumerate(range(first, end, n)):
+            for lo in range(first, end, n):
                 row = cells[lo : lo + n]
                 if positional:
                     k = q_at + lo - first
@@ -204,35 +179,24 @@ class _Fit:
                 for p in ps:
                     z += p
                 ll += math.log(z) - norm
-                cs = [p / z for p in ps]
-                for s, e, c in zip(row, es, cs):
-                    t_counts[s] += c
-                    t_totals[e] += c
-                if positional:
-                    q_counts[k : k + n] = [a + c for a, c in zip(q_counts[k : k + n], cs)]
-                    total = q_totals[q_row + j]
-                    for c in cs:
-                        total += c
-                    q_totals[q_row + j] = total
-        return ll, (t_counts, t_totals), (q_counts, q_totals)
+                posteriors.extend([p / z for p in ps])
+        return ll, posteriors
 
     def decode(self, indices: Iterable[int]) -> list[Alignment]:
         """Viterbi links of the training pairs at `indices`, in order."""
+        t = self.t.values
+        q = self.q.values if self.q is not None else None
         out = []
-        current = -1
         for index in indices:
             chunk_index, pair_index = divmod(index, CHUNK_SIZE)
-            if chunk_index != current:
-                current, chunk = chunk_index, self.chunks[chunk_index]
-                t = self.t.gather(chunk.t_slots, PROB_FLOOR)
-                q = self.q.gather(chunk.q_slots, PROB_FLOOR) if self.q is not None else None
-            es, first, end, q_at, _ = chunk.pairs[pair_index]
-            cells = chunk.cells[first:end]
-            if q is None:
-                scores = [t[s] for s in cells]
-            else:
-                scores = [t[s] * w for s, w in zip(cells, q[q_at : q_at + len(cells)])]
-            out.append(_viterbi(scores, len(es), self.use_null))
+            chunk = self.chunks[chunk_index]
+            n, first, end, q_at = chunk.pairs[pair_index]
+            ps = map(t.__getitem__, chunk.cells[first:end])
+            scores = [p if p > PROB_FLOOR else PROB_FLOOR for p in ps]
+            if q is not None:
+                ws = q[q_at : q_at + end - first]
+                scores = [p * (w if w > PROB_FLOOR else PROB_FLOOR) for p, w in zip(scores, ws)]
+            out.append(_viterbi(scores, n, self.use_null))
         return out
 
     def lexical_probs(self) -> dict[str, dict[str, float]]:
@@ -243,6 +207,8 @@ class _Fit:
         return probs
 
     def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
+        if self.q is None:
+            return {}
         values = iter(self.q.values)
         first = -1 if self.use_null else 0
         return {
@@ -267,10 +233,12 @@ def _viterbi(scores: Sequence[float], n: int, use_null: bool) -> Alignment:
 
 
 class TranslationTable:
-    """Lexical translation probabilities t(f|e), sparse over co-occurring pairs.
+    """Lexical translation probabilities t(f|e), sparse over co-occurring
+    pairs, and for a Model 2 table the positional distortion q(i|j,l,m)
+    (empty for Model 1).
 
     A table returned by training keeps its interned EM state and builds the
-    string-keyed `probs` on first read."""
+    string-keyed `probs` and `distortion` on first read."""
 
     def __init__(
         self,
@@ -283,12 +251,21 @@ class TranslationTable:
         self.use_null = use_null
         self.log_likelihoods = tuple(log_likelihoods)
         self._fit = fit
+        self._distortion: dict[tuple[int, int, int], dict[int, float]] | None = (
+            None if fit is not None else {}
+        )
 
     @property
     def probs(self) -> dict[str, dict[str, float]]:
         if self._probs is None:
             self._probs = self._fit.lexical_probs()
         return self._probs
+
+    @property
+    def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
+        if self._distortion is None:
+            self._distortion = self._fit.distortion()
+        return self._distortion
 
     def prob(self, e: str, f: str) -> float:
         """Stored probability, or the floor for unknown pairs."""
@@ -299,25 +276,6 @@ class TranslationTable:
         """Viterbi alignments of the training pairs at `indices`, decoded
         with the model that trained this table (Model 2 includes q)."""
         return self._fit.decode(indices)
-
-
-class Model2Tables:
-    """Model 2 parameters: lexical table plus positional distortion
-    q(i|j,l,m), which is built on first read."""
-
-    def __init__(self, lexical: TranslationTable) -> None:
-        self.lexical = lexical
-        self._distortion: dict[tuple[int, int, int], dict[int, float]] | None = None
-
-    @property
-    def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
-        if self._distortion is None:
-            self._distortion = self.lexical._fit.distortion()
-        return self._distortion
-
-    def viterbi_training_pairs(self, indices: Iterable[int]) -> list[Alignment]:
-        """Viterbi alignments of the training pairs at `indices`."""
-        return self.lexical.viterbi_training_pairs(indices)
 
 
 def _validate_training_input(pairs: Sequence[TokenPair], iterations: int) -> None:
@@ -355,13 +313,13 @@ def train_model2(
     iterations: int = 5,
     use_null: bool = True,
     threads: int = 1,
-) -> Model2Tables:
+) -> TranslationTable:
     """EM-train Model 2: t(f|e) plus distortion q(i|j,l,m) over source positions.
 
     Same contracts as Model 1: normalized rows, non-decreasing log-likelihood.
     Source position -1 stands for NULL.
     """
-    return Model2Tables(_train(pairs, iterations, use_null, threads, positional=True))
+    return _train(pairs, iterations, use_null, threads, positional=True)
 
 
 def _source_side(src: SentenceTokens, use_null: bool) -> list[str]:
@@ -389,13 +347,12 @@ def viterbi_align(
 
 def viterbi_align_model2(
     pair: TokenPair,
-    tables: Model2Tables,
+    table: TranslationTable,
     use_null: bool | None = None,
 ) -> Alignment:
     """Model 2 decoding: argmax over t(f|e) * q(i|j,l,m); unseen length
     configurations fall back to uniform distortion."""
     src, tgt = pair
-    table = tables.lexical
     if use_null is None:
         use_null = table.use_null
     if not src and not use_null:
@@ -406,7 +363,7 @@ def viterbi_align_model2(
     uniform = 1.0 / len(words)
     scores = []
     for j, f in enumerate(tgt):
-        qrow = tables.distortion.get((l, m, j))
+        qrow = table.distortion.get((l, m, j))
         for i, e in zip(positions, words):
             q = qrow.get(i, 0.0) if qrow is not None else uniform
             scores.append(table.prob(e, f) * max(q, PROB_FLOOR))

@@ -263,6 +263,10 @@ def _load_target_inventory(cfg: PipelineConfig) -> list[inv.Connective]:
     return inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"), "target")
 
 
+def _load_source_inventory(cfg: PipelineConfig) -> list[inv.Connective]:
+    return inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"), "source")
+
+
 def _load_induced_relations(cfg: PipelineConfig) -> list[str]:
     if cfg.induced_relations:
         return inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
@@ -309,9 +313,7 @@ def _stage_tag(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[st
             raise UsageError(
                 "the tag stage needs either 'annotations' or 'default_senses' configured"
             )
-        src_inventory = inv.load_connective_inventory(
-            _require_config_path(cfg, "src_inventory"), "source"
-        )
+        src_inventory = _load_source_inventory(cfg)
         senses = tg.load_default_senses(_require_config_path(cfg, "default_senses"))
         annotations = tg.heuristic_tag(corpus, src_inventory, senses, threads=cfg.threads)
     tg.write_annotations(annotations, _out(cfg, "annotations"))
@@ -330,7 +332,7 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
         # One direction at a time: its model is released before the next trains.
         model = train(pairs, cfg.iterations, cfg.use_null, cfg.threads)
         if cfg.dump_ttables:
-            al.write_translation_table(getattr(model, "lexical", model), _out(cfg, ttable))
+            al.write_translation_table(model, _out(cfg, ttable))
         out: list[al.Alignment] = []
         for part in process_chunks(model.viterbi_training_pairs, range(len(pairs)), cfg.threads):
             out.extend(part)
@@ -366,11 +368,7 @@ def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dic
     pairs = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
     table = pt.build_phrase_table(pairs, alignments, tgt_inventory, cfg.max_phrase_len, cfg.threads)
     pt.write_phrase_table(table, _out(cfg, "phrase_table"))
-    src_inventory = inv.load_connective_inventory(
-        _require_config_path(cfg, "src_inventory"), "source"
-    )
-    relations = _load_induced_relations(cfg)
-    records = pt.filter_dc_entries(table, src_inventory, relations)
+    records = pt.filter_dc_entries(table, _load_source_inventory(cfg), _load_induced_relations(cfg))
     pt.write_dc_records(records, _out(cfg, "dc_records"))
     aligned = sum(e.count for e in table)
     return {"occurrences": table.occurrences, "aligned": aligned, "dc_records": len(records)}
@@ -409,29 +407,36 @@ def _stage_eval(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[s
 def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
     work, alignments = _load_aligned_corpus(cfg)
-    tgt_inventory = _load_target_inventory(cfg)
-    sites = lx.evidence_sites(work, alignments, tgt_inventory, cfg.max_phrase_len)
+    sites = lx.evidence_sites(
+        work,
+        alignments,
+        _load_target_inventory(cfg),
+        _load_source_inventory(cfg),
+        _load_induced_relations(cfg),
+        cfg.max_phrase_len,
+    )
 
     only_dc = getattr(extra, "dc", None) if extra else None
     only_relation = getattr(extra, "relation", None) if extra else None
     min_prob = Fraction(str(cfg.evidence_min_prob))
     targets = [
-        entry
-        for entry in ranked.entries
+        (rank, entry)
+        for rank, entry in enumerate(ranked.entries)
         if entry.prob >= min_prob
         and (only_dc is None or entry.fr_dc == only_dc)
         and (only_relation is None or entry.relation == only_relation)
     ]
     blocks = []
     sampled = 0
-    for idx, entry in enumerate(targets):
-        # Per-entry seed derived from the run seed and the entry's rank, so a
-        # rerun with the same config reproduces the same samples.
+    for rank, entry in targets:
+        # Per-entry seed derived from the run seed and the entry's rank in the
+        # whole lexicon, so a rerun with the same config, filtered or not,
+        # reproduces the same samples.
         excerpts = lx.sample_evidence(
             work,
             sites.get((entry.fr_dc, entry.relation), []),
             cfg.evidence_k,
-            cfg.seed * 100003 + idx,
+            cfg.seed * 100003 + rank,
         )
         sampled += len(excerpts)
         if excerpts:
@@ -542,21 +547,15 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         raise UsageError(
             f"no config given: pass --config or set ${CONFIG_ENV_VAR}"
         )
-    cfg = validate_config(path)
     overrides: dict[str, object] = {}
-    if args.limit is not None:
-        if args.limit < 0:
-            raise UsageError(f"--limit must be >= 0, got {args.limit}")
-        overrides["limit"] = args.limit
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        overrides["threads"] = args.threads
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    for key in ("limit", "threads", "seed"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     if args.output:
         overrides["output_dir"] = args.output
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    cfg = dataclasses.replace(validate_config(path), **overrides)
+    _check_ranges(cfg)
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

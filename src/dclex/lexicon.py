@@ -18,8 +18,7 @@ from .corpus import Corpus, FrequencyTable, build_match_table
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
-from .phrasetable import DCAlignmentRecord, connective_occurrences
-from .tagging import split_fused_token
+from .phrasetable import DCAlignmentRecord, connective_occurrences, fused_connective
 
 
 @dataclass(frozen=True)
@@ -137,26 +136,31 @@ def evidence_sites(
     corpus: Corpus,
     alignments: Sequence[Alignment],
     tgt_inventory: Sequence[Connective],
+    src_inventory: Sequence[Connective],
+    relations: Sequence[str],
     max_len: int = 7,
 ) -> dict[tuple[str, str], list[EvidenceSite]]:
     """Find the supporting pairs of every (fr_dc, relation) in one pass.
 
     `corpus` holds the fused source side. A pair supports (fr_dc, relation)
     when an occurrence of fr_dc pairs with a fused source token carrying the
-    relation, as extraction counts it (`connective_occurrences`); the first
-    such occurrence in the pair is its site. Sites are in corpus order.
+    relation, as extraction counts it (`connective_occurrences`, then
+    `fused_connective`); the first such occurrence in the pair is its site.
+    Sites are in corpus order.
     """
     if len(corpus.pairs) != len(alignments):
         raise PipelineError("corpus and alignments must be parallel")
     forms = build_match_table(c.surface for c in tgt_inventory)
+    src_forms = {c.surface for c in src_inventory}
+    known_relations = set(relations)
     sites: dict[tuple[str, str], list[EvidenceSite]] = {}
     for index, (pair, alignment) in enumerate(zip(corpus.pairs, alignments)):
         src = pair.src_tokens
         for start, form, i in connective_occurrences(src, pair.tgt_tokens, alignment, forms, max_len):
-            parsed = None if i is None else split_fused_token(src[i])
-            if parsed is None:
+            dc = None if i is None else fused_connective(src[i], src_forms, known_relations)
+            if dc is None:
                 continue
-            found = sites.setdefault((" ".join(form), parsed[1]), [])
+            found = sites.setdefault((" ".join(form), dc[1]), [])
             if not found or found[-1][0] != index:
                 found.append((index, i, start, start + len(form) - 1))
     return sites

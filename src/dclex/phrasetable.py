@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .alignment import Alignment
 from .corpus import MatchTable, build_match_table, scan_matches
@@ -188,34 +188,44 @@ def build_phrase_table(
     return PhraseTable(rows, occurrences)
 
 
+def fused_connective(
+    token: str, src_forms: Container[Phrase], relations: Container[str]
+) -> tuple[str, str] | None:
+    """The (en_dc, relation) a fused source token stands for, or None for a
+    plain token or one whose surface is not in the source inventory.
+
+    A token that parses as `<known surface>-<label>` with an unknown label
+    signals upstream corruption and is fatal.
+    """
+    parsed = split_fused_token(token)
+    if parsed is None:
+        return None  # plain token, e.g. an untagged connective occurrence
+    surface = tuple(t.lower() for t in parsed[0])
+    relation = parsed[1]
+    if surface not in src_forms:
+        return None
+    if relation not in relations:
+        raise PipelineError(
+            f"malformed fused token {token!r}: unknown relation label {relation!r}"
+        )
+    return " ".join(surface), relation
+
+
 def filter_dc_entries(
     table: Iterable[PhraseTableEntry],
     src_inventory: Sequence[Connective],
     relations: Sequence[str],
 ) -> list[DCAlignmentRecord]:
-    """Turn connective rows into records, keeping fused source tokens whose
-    surface is in the source inventory.
-
-    A source token that parses as `<known surface>-<label>` with an unknown
-    label signals upstream corruption and is fatal.
-    """
+    """Turn connective rows into records, keeping the fused source tokens
+    that `fused_connective` accepts."""
     src_forms = {c.surface for c in src_inventory}
     known_relations = set(relations)
     counts: dict[tuple[str, str, str], int] = {}
     for entry in table:
-        parsed = split_fused_token(entry.src_phrase[0])
-        if parsed is None:
-            continue  # plain token, e.g. an untagged connective occurrence
-        surface, relation = parsed
-        surface_lower = tuple(t.lower() for t in surface)
-        if surface_lower not in src_forms:
+        dc = fused_connective(entry.src_phrase[0], src_forms, known_relations)
+        if dc is None:
             continue
-        if relation not in known_relations:
-            raise PipelineError(
-                f"malformed fused token {entry.src_phrase[0]!r}: "
-                f"unknown relation label {relation!r}"
-            )
-        key = (" ".join(entry.tgt_phrase).lower(), " ".join(surface_lower), relation)
+        key = (" ".join(entry.tgt_phrase).lower(), *dc)
         counts[key] = counts.get(key, 0) + entry.count
     return [
         DCAlignmentRecord(fr_dc, en_dc, relation, counts[(fr_dc, en_dc, relation)])

@@ -273,7 +273,10 @@ def test_c9_evidence_sampling_fixture():
     corpus = Corpus(pairs)
     alignments = [Alignment(frozenset(ls)) for ls in links]
     inventory = [Connective(("même", "si"), "target")]
-    sites = evidence_sites(corpus, alignments, inventory)[("même si", "Concession")]
+    src_inventory = [Connective(s, "source") for s in (("even", "though"), ("if",), ("although",))]
+    relations = ["Concession", "Condition"]
+    sites = evidence_sites(corpus, alignments, inventory, src_inventory, relations)
+    sites = sites[("même si", "Concession")]
 
     got = sample_evidence(corpus, sites, k=5, seed=3)
     assert sorted(ex.pair_id for ex in got) == [0, 2, 4]

@@ -162,10 +162,10 @@ class TestModel2:
         rng = random.Random(21)
         pairs = random_corpus(rng, 40, ["a", "b", "c"], ["u", "v", "w"], max_len=4)
         tables = train_model2(pairs, iterations=5)
-        assert_rows_normalized(tables.lexical.probs)
+        assert_rows_normalized(tables.probs)
         for row in tables.distortion.values():
             assert abs(sum(row.values()) - 1.0) <= 1e-9
-        lls = tables.lexical.log_likelihoods
+        lls = tables.log_likelihoods
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
     def test_distortion_prefers_observed_position(self):
@@ -186,9 +186,9 @@ class TestModel2:
         pairs = random_corpus(rng, 2 * CHUNK_SIZE + 300, ["a", "b", "c"], ["u", "v"], max_len=3)
         one = train_model2(pairs, iterations=2, threads=1)
         many = train_model2(pairs, iterations=2, threads=4)
-        assert one.lexical.probs == many.lexical.probs
+        assert one.probs == many.probs
         assert one.distortion == many.distortion
-        assert one.lexical.log_likelihoods == many.lexical.log_likelihoods
+        assert one.log_likelihoods == many.log_likelihoods
 
     def test_matches_flat_reference_implementation(self):
         rng = random.Random(77)
@@ -201,7 +201,7 @@ class TestModel2:
             for use_null in (False, True):
                 tables = train_model2(pairs, iterations=5, use_null=use_null)
                 ref_t, ref_q, ref_lls = em_model2_reference(pairs, iterations=5, use_null=use_null)
-                probs = tables.lexical.probs
+                probs = tables.probs
                 assert {(e, f) for e, row in probs.items() for f in row} == set(ref_t)
                 for e, row in probs.items():
                     for f, p in row.items():
@@ -214,8 +214,8 @@ class TestModel2:
                 assert set(got_q) == set(ref_q)
                 for key, p in got_q.items():
                     assert p == pytest.approx(ref_q[key], abs=1e-12)
-                assert len(tables.lexical.log_likelihoods) == 5
-                for got, want in zip(tables.lexical.log_likelihoods, ref_lls):
+                assert len(tables.log_likelihoods) == 5
+                for got, want in zip(tables.log_likelihoods, ref_lls):
                     assert got == pytest.approx(want, abs=1e-9)
 
 

@@ -201,6 +201,24 @@ class TestPipelineRuns:
         assert "__blik tak__" in text
         assert "REL_B" not in text
 
+    def test_filtered_evidence_draws_the_run_all_sample(self, tmp_path):
+        # blik tak/REL_A ranks second with 18 sites, more than evidence_k = 5,
+        # so its sample depends on the seed its rank gives it.
+        config = planted.generate(
+            tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5, iterations=3
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        ranked = (out / ARTIFACTS["lexicon"]).read_text(encoding="utf-8").splitlines()
+        assert ranked[1].split("\t")[:2] == ["blik tak", "REL_A"]
+        full = (out / ARTIFACTS["evidence"]).read_text(encoding="utf-8")
+        argv = ["evidence", "--config", str(config), "--dc", "blik tak", "--relation", "REL_A"]
+        assert main(argv) == 0
+        block = (out / ARTIFACTS["evidence"]).read_text(encoding="utf-8")
+        assert block.startswith("# blik tak\tREL_A\t")
+        assert block.count("\nFR: ") == 5
+        assert block in full
+
     def test_limit_override_truncates_ingest(self, mini_run, tmp_path):
         root, config = mini_run
         code = main(
@@ -301,7 +319,9 @@ class TestEntryPoint:
         config = planted.generate(
             tmp_path, pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
         )
-        assert main(["ingest", "--config", str(config), "--limit", "-1"]) == 2
+        for flag, value, key in (("--limit", "-1", "limit"), ("--threads", "0", "threads")):
+            assert main(["ingest", "--config", str(config), flag, value]) == 2
+            assert f"config key {key!r}" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,7 @@ from dclex.lexicon import (
     sample_evidence,
     write_ranked_lexicon,
 )
-from dclex.phrasetable import DCAlignmentRecord
+from dclex.phrasetable import DCAlignmentRecord, build_phrase_table, filter_dc_entries
 
 
 def rec(fr_dc, en_dc, relation, count):
@@ -186,11 +186,17 @@ def evidence_fixture():
 
 
 INVENTORY = [Connective(("même", "si"), "target"), Connective(("tard",), "target")]
+SRC_INVENTORY = [
+    Connective(("even", "though"), "source"),
+    Connective(("although",), "source"),
+    Connective(("if",), "source"),
+]
+RELATIONS = ["Comparison.Concession", "Contingency.Condition"]
 
 
 def evidence(corpus, alignments, fr_dc, relation, k, seed):
-    sites = evidence_sites(corpus, alignments, INVENTORY).get((fr_dc, relation), [])
-    return sample_evidence(corpus, sites, k, seed)
+    sites = evidence_sites(corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS)
+    return sample_evidence(corpus, sites.get((fr_dc, relation), []), k, seed)
 
 
 class TestEvidence:
@@ -235,7 +241,7 @@ class TestEvidence:
         with pytest.raises(PipelineError, match="sample size"):
             evidence(corpus, alignments, "même si", "R", k=0, seed=1)
         with pytest.raises(PipelineError, match="parallel"):
-            evidence_sites(corpus, alignments[:-1], INVENTORY)
+            evidence_sites(corpus, alignments[:-1], INVENTORY, SRC_INVENTORY, RELATIONS)
 
     def test_link_outside_the_connective_does_not_qualify(self):
         # The fused token links into "même si" and also to "tard": its
@@ -248,11 +254,35 @@ class TestEvidence:
 
     def test_one_pass_serves_every_entry(self):
         corpus, alignments = evidence_fixture()
-        sites = evidence_sites(corpus, alignments, INVENTORY)
+        sites = evidence_sites(corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS)
         assert {key: [site[0] for site in found] for key, found in sites.items()} == {
             ("même si", "Comparison.Concession"): [0, 2, 5],
             ("même si", "Contingency.Condition"): [1],
         }
+
+    def test_source_connective_outside_the_inventory_is_not_evidence(self):
+        # Pair 1's fused token "albeit" is not a source inventory form, so
+        # extraction does not count it, and evidence must not cite it.
+        pairs = (
+            SentencePair(0, ("although-Comparison.Concession",), ("bien", "que")),
+            SentencePair(1, ("albeit-Comparison.Concession",), ("bien", "que")),
+        )
+        alignments = [Alignment(frozenset({(0, 0), (0, 1)}))] * 2
+        tgt_inventory = [Connective(("bien", "que"), "target")]
+        table = build_phrase_table(
+            [(p.src_tokens, p.tgt_tokens) for p in pairs], alignments, tgt_inventory
+        )
+        records = filter_dc_entries(table, SRC_INVENTORY, RELATIONS)
+        assert [(r.fr_dc, r.en_dc, r.count) for r in records] == [("bien que", "although", 1)]
+        sites = evidence_sites(Corpus(pairs), alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
+        assert [site[0] for site in sites[("bien que", "Comparison.Concession")]] == [0]
+
+    def test_unknown_label_is_fatal(self):
+        pairs = (SentencePair(0, ("although-Nonsense",), ("bien", "que")),)
+        alignments = [Alignment(frozenset({(0, 0), (0, 1)}))]
+        tgt_inventory = [Connective(("bien", "que"), "target")]
+        with pytest.raises(PipelineError, match="unknown relation label"):
+            evidence_sites(Corpus(pairs), alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
 
     def test_format_blocks(self):
         corpus, alignments = evidence_fixture()
