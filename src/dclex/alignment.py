@@ -1,22 +1,28 @@
 """Word alignment: IBM Model 1 (optionally Model 2), Viterbi, symmetrization.
 
 Training is plain EM over a sparse lexical table t(f|e); Model 2 adds a
-positional table q(i|j,l,m). Both models run one kernel over interned
-sentence pairs: each co-occurring (e, f) gets an integer slot, and each pair
-stores its cells, one per target position and source candidate, as a flat
-list of slots. The E-step runs in fixed-size chunks and returns each chunk's
-cell posteriors; one M-step adds them into the counts in corpus order, so
-results are bit-identical for any worker count. A NULL source token (virtual
-index -1) absorbs target words with no counterpart; Viterbi links decoded to
-NULL are dropped.
+positional table q(i|j,l,m). Both models run one numpy kernel over interned
+sentence pairs. Each co-occurring (e, f) gets an integer slot, numbered in
+order of first appearance, and each pair contributes its cells, one per
+target position and source candidate, to one flat array of slots. The
+E-step runs in fixed-size chunks and returns each chunk's cell posteriors;
+the M-step adds them into the counts in corpus order. Every sum that feeds
+t, q or the log-likelihood is a running sum in a fixed order (`bincount`
+and `add.at` add their inputs one by one, from 0.0), never a pairwise or
+vectorized reduction, so results are bit-identical for any worker count and
+equal, float for float, to adding them up in a Python loop. A NULL source
+token (virtual index -1) absorbs target words with no counterpart; Viterbi
+links decoded to NULL are dropped.
+
+numpy is imported when training starts, not with this module, so loading
+the CLI does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PipelineError
@@ -32,184 +38,265 @@ TokenPair = tuple[SentenceTokens, SentenceTokens]
 HEURISTICS = ("intersection", "union", "grow-diag-final")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alignment:
     """Link set for one sentence pair, as (src_index, tgt_index) pairs."""
 
     links: frozenset[tuple[int, int]]
 
 
+def _spans(starts, lengths):
+    """The ranges [start, start + length), concatenated in order."""
+    import numpy as np
+
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+
+
+class _Slots:
+    """Integer slots for int64 keys, numbered in order of first appearance
+    over the chunks fed to `number`."""
+
+    def __init__(self) -> None:
+        import numpy as np
+
+        self.known = np.empty(0, np.int64)  # keys that have a slot, sorted
+        self.known_slots = np.empty(0, np.int32)
+        self.new_keys: list = []  # keys of the slots, in slot order, per chunk
+        self.count = 0
+
+    def number(self, keys):
+        """The slot of each key; keys not seen before get the next slots."""
+        import numpy as np
+
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        first = np.full(len(uniq), len(keys))
+        np.minimum.at(first, inverse, np.arange(len(keys)))
+        at = np.searchsorted(self.known, uniq)
+        seen = at < len(self.known)
+        seen[seen] = self.known[at[seen]] == uniq[seen]
+        slots = np.empty(len(uniq), np.int32)
+        slots[seen] = self.known_slots[at[seen]]
+        fresh = ~seen
+        # New keys take the next slots in the order of their first occurrence.
+        is_new = np.zeros(len(keys), bool)
+        is_new[first[fresh]] = True
+        slots[fresh] = self.count + np.cumsum(is_new)[first[fresh]] - 1
+        self.new_keys.append(keys[is_new])
+        self.count += len(self.new_keys[-1])
+        self.known = np.insert(self.known, at[fresh], uniq[fresh])
+        self.known_slots = np.insert(self.known_slots, at[fresh], slots[fresh])
+        return slots[inverse]
+
+    def keys(self):
+        import numpy as np
+
+        return np.concatenate(self.new_keys)
+
+
 class _Table:
     """Probabilities over slots. Each slot belongs to one row; the table
     starts uniform over each row's slots, and the M-step renormalizes rows."""
 
-    def __init__(self, row_of: array, n_rows: int) -> None:
+    def __init__(self, row_of, n_rows: int) -> None:
+        import numpy as np
+
         self.row_of = row_of
         self.n_rows = n_rows
-        uniform = {r: 1.0 / width for r, width in Counter(row_of).items()}
-        self.values = list(map(uniform.__getitem__, row_of))
+        self.values = 1.0 / np.bincount(row_of, minlength=n_rows)[row_of]
 
-    def m_step(self, counts: list[float]) -> None:
+    def m_step(self, counts) -> None:
         """Divide each slot's count by its row's total, the counts of the
         row's slots added up in slot order."""
-        totals = [0.0] * self.n_rows
-        for r, c in zip(self.row_of, counts):
-            totals[r] += c
-        self.values = [c / totals[r] for c, r in zip(counts, self.row_of)]
+        import numpy as np
+
+        totals = np.bincount(self.row_of, weights=counts, minlength=self.n_rows)
+        self.values = counts / totals[self.row_of]
 
 
-def _number(keys: Iterable, numbers: dict) -> list[int]:
-    """Number the keys not yet in `numbers` in order of first appearance,
-    after those already there; return the number of each key."""
-    add = numbers.setdefault
-    return [add(key, len(numbers)) for key in keys]
+def _intern(sentences: Iterable[SentenceTokens], first: tuple[str, ...] = ()):
+    """The distinct words of `first` and then `sentences`, in order of first
+    appearance, and the number of each token of `sentences`."""
+    import numpy as np
+
+    tokens = list(chain.from_iterable(sentences))
+    words = list(dict.fromkeys(chain(first, tokens)))
+    ids = dict(zip(words, range(len(words))))
+    return words, np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
 
 
 class _Chunk(NamedTuple):
-    """Up to CHUNK_SIZE interned pairs."""
+    """Up to CHUNK_SIZE consecutive pairs: their cells and their target rows."""
 
-    cells: list[int]  # t slot of each cell, pair after pair, target-major
-    # Per pair: its number of source candidates, its first and end cell, and
-    # its first q slot (0 under Model 1).
-    pairs: list[tuple[int, int, int, int]]
+    cells: slice
+    rows: slice
 
 
 class _Fit:
     """EM state of one alignment direction over its interned training pairs.
 
     The rows of t are source words (NULL first, when used); the rows of q
-    are (l, m, j) and its slots the candidates NULL, 0, ..., l - 1. A pair's
-    cells and its q slots run in the same order, so cell k of a pair whose
-    first cell is `first` has q slot `q_at + k - first`."""
+    are (l, m, j) and its slots the candidates NULL, 0, ..., l - 1. Cells run
+    pair after pair, target-major: a pair with n candidates (source words
+    plus NULL) and m target words has m rows of n cells. Per cell, `cells`
+    holds its t slot and `q_cells` its q slot (Model 2); `widths` holds each
+    row's number of cells. int32 keeps them small."""
 
     def __init__(self, pairs: Sequence[TokenPair], use_null: bool, positional: bool) -> None:
-        self.use_null = use_null
-        e_ids: dict[str, int] = {NULL_TOKEN: 0} if use_null else {}
-        f_ids: dict[str, int] = {}
-        src_ids = _number((e for src, _ in pairs for e in src), e_ids)
-        tgt_ids = _number((f for _, tgt in pairs for f in tgt), f_ids)
-        nf = len(f_ids)
-        null = [0] if use_null else []
-        t_map: dict[int, int] = {}  # e * nf + f -> t slot
-        blocks: dict[tuple[int, int], int] = {}  # (l, m) -> first q slot
-        q_size = 0
-        s_at = f_at = 0
-        self.chunks: list[_Chunk] = []
-        for lo in range(0, len(pairs), CHUNK_SIZE):
-            cells: list[int] = []
-            chunk_pairs = []
-            for src, tgt in pairs[lo : lo + CHUNK_SIZE]:
-                l, m = len(src), len(tgt)
-                scaled = [e * nf for e in null + src_ids[s_at : s_at + l]]
-                fs = tgt_ids[f_at : f_at + m]
-                s_at += l
-                f_at += m
-                first_cell = len(cells)
-                cells += _number((k + f for f in fs for k in scaled), t_map)
-                q_at = 0
-                if positional:
-                    if (l, m) not in blocks:
-                        blocks[(l, m)] = q_size
-                        q_size += len(scaled) * m
-                    q_at = blocks[(l, m)]
-                chunk_pairs.append((len(scaled), first_cell, len(cells), q_at))
-            self.chunks.append(_Chunk(cells, chunk_pairs))
+        import numpy as np
 
-        self.e_words = list(e_ids)
-        self.f_words = list(f_ids)
-        self.t_cols = array("i", map(nf.__rmod__, t_map))
-        self.t = _Table(array("i", map(nf.__rfloordiv__, t_map)), len(e_ids))
-        self.shapes = list(blocks)
+        self.use_null = use_null
+        null = 1 if use_null else 0
+        self.e_words, src_ids = _intern((src for src, _ in pairs), (NULL_TOKEN,) if use_null else ())
+        self.f_words, tgt_ids = _intern(tgt for _, tgt in pairs)
+        nf = len(self.f_words)
+
+        ls = np.array([len(src) for src, _ in pairs], np.int64)
+        ms = np.array([len(tgt) for _, tgt in pairs], np.int64)
+        ns = ls + null
+        sizes = ns * ms
+        self.n, self.m = ns.astype(np.int32), ms.astype(np.int32)
+        self.widths = np.repeat(self.n, ms)
+        # math.log(n) for n = 0, 1, ...: Model 1's log of its alignment prior 1/n.
+        self.log_n = np.array([-math.inf, *map(math.log, range(1, int(ns.max()) + 1))])
+        cell_at = np.append(0, np.cumsum(sizes))
+        row_at = np.append(0, np.cumsum(ms))
+        src_at = np.append(0, np.cumsum(ls))
+        self.first_cell = cell_at[:-1]
+        bounds = [*range(0, len(pairs), CHUNK_SIZE), len(pairs)]
+        self.chunks = [
+            _Chunk(slice(cell_at[lo], cell_at[hi]), slice(row_at[lo], row_at[hi]))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+        self.shapes: list[tuple[int, int]] = []
         self.q = None
         if positional:
-            row_of = array("i")
-            q_rows = 0
-            for l, m in blocks:
-                for _ in range(m):
-                    row_of.extend([q_rows] * (l + len(null)))
-                    q_rows += 1
-            self.q = _Table(row_of, q_rows)
+            # One block of q slots per (l, m), in order of first appearance; a
+            # pair's cells take the slots of its block in order.
+            blocks = _Slots()
+            span = int(ms.max()) + 1
+            block_of = blocks.number(ls * span + ms)
+            block_l, block_m = np.divmod(blocks.keys(), span)
+            self.shapes = list(zip(block_l.tolist(), block_m.tolist()))
+            block_sizes = (block_l + null) * block_m
+            q_at = (np.cumsum(block_sizes) - block_sizes)[block_of]
+            q_widths = np.repeat(block_l + null, block_m)
+            q_rows = len(q_widths)
+            self.q = _Table(np.repeat(np.arange(q_rows, dtype=np.int32), q_widths), q_rows)
+            self.q_cells = np.empty(cell_at[-1], np.int32)
+
+        # Chunk by chunk, so that no temporary grows with the corpus: the key
+        # e * nf + f of each cell, then its slot.
+        self.cells = np.empty(cell_at[-1], np.int32)
+        slots = _Slots()
+        for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
+            n = ns[lo:hi]
+            # Candidates of each pair: NULL (word 0) first when used, then its source words.
+            cand_at = np.cumsum(n) - n
+            cand = np.zeros(cand_at[-1] + n[-1], np.int64)
+            cand[_spans(cand_at + null, ls[lo:hi])] = src_ids[src_at[lo] : src_at[hi]]
+            widths = self.widths[chunk.rows]
+            keys = cand[_spans(np.repeat(cand_at, ms[lo:hi]), widths)] * nf
+            keys += np.repeat(tgt_ids[chunk.rows], widths)
+            self.cells[chunk.cells] = slots.number(keys)
+            if positional:
+                self.q_cells[chunk.cells] = _spans(q_at[lo:hi], sizes[lo:hi])
+        slot_keys = slots.keys()
+        del slots
+        self.t = _Table((slot_keys // nf).astype(np.int32), len(self.e_words))
+        self.t_cols = (slot_keys % nf).astype(np.int32)
         self.history: list[float] = []
 
     def train(self, iterations: int, threads: int) -> None:
         """EM iterations. The E-steps of the chunks may run in any order; their
         posteriors are added into the counts in corpus order."""
+        import numpy as np
+
         for _ in range(iterations):
             results = process_chunks(self._estep, self.chunks, threads, chunk_size=1)
             ll = 0.0
-            t_counts = [0.0] * len(self.t.values)
-            q_counts = [0.0] * len(self.q.values) if self.q is not None else None
+            t_counts = np.zeros(len(self.t.values))
+            q_counts = np.zeros(len(self.q.values)) if self.q is not None else None
             for chunk, (part_ll, posteriors) in zip(self.chunks, results):
                 ll += part_ll
-                for s, c in zip(chunk.cells, posteriors):
-                    t_counts[s] += c
+                np.add.at(t_counts, self.cells[chunk.cells], posteriors)
                 if q_counts is not None:
-                    for _, first, end, q_at in chunk.pairs:
-                        q_end = q_at + end - first
-                        q_counts[q_at:q_end] = [
-                            a + c for a, c in zip(q_counts[q_at:q_end], posteriors[first:end])
-                        ]
+                    np.add.at(q_counts, self.q_cells[chunk.cells], posteriors)
+            del results
             self.history.append(ll)
             self.t.m_step(t_counts)
             if q_counts is not None:
                 self.q.m_step(q_counts)
 
-    def _estep(self, batch: Sequence[_Chunk]) -> tuple[float, array]:
+    def _estep(self, batch: Sequence[_Chunk]):
         """Log-likelihood and cell posteriors of one chunk, in cell order. A
-        cell's posterior is its score over the target word's total z, added
-        up left to right; Model 1 scores t, Model 2 scores t * q."""
+        cell's posterior is its score over its row's total z; Model 1 scores
+        t, Model 2 scores t * q. z and the log-likelihood are running sums."""
+        import numpy as np
+
         (chunk,) = batch
-        t = self.t.values
-        positional = self.q is not None
-        q = self.q.values if positional else []
-        cells = chunk.cells
-        posteriors = array("d")
-        ll = 0.0
-        for n, first, end, q_at in chunk.pairs:
+        scores = self.t.values[self.cells[chunk.cells]]
+        if self.q is not None:
+            scores *= self.q.values[self.q_cells[chunk.cells]]
+        widths = self.widths[chunk.rows]
+        rows = np.repeat(np.arange(len(widths)), widths)
+        z = np.bincount(rows, weights=scores)
+        terms = np.fromiter(map(math.log, z.tolist()), np.float64, len(z))
+        if self.q is None:
             # Model 1's uniform alignment prior 1/n; Model 2's is inside q.
-            norm = 0.0 if positional else math.log(n)
-            for lo in range(first, end, n):
-                row = cells[lo : lo + n]
-                if positional:
-                    k = q_at + lo - first
-                    ps = [t[s] * w for s, w in zip(row, q[k : k + n])]
-                else:
-                    ps = [t[s] for s in row]
-                z = 0.0
-                for p in ps:
-                    z += p
-                ll += math.log(z) - norm
-                posteriors.extend([p / z for p in ps])
-        return ll, posteriors
+            terms -= self.log_n[widths]
+        ll = 0.0
+        for term in terms.tolist():
+            ll += term
+        return ll, scores / z[rows]
 
     def decode(self, indices: Iterable[int]) -> list[Alignment]:
-        """Viterbi links of the training pairs at `indices`, in order."""
-        t = self.t.values
-        q = self.q.values if self.q is not None else None
+        """Viterbi links of the training pairs at `indices`, in order: each
+        target position links to its best candidate, the first on ties, with
+        t and q floored at PROB_FLOOR. With NULL, candidate 0 is NULL and its
+        links are dropped."""
+        import numpy as np
+
+        pairs = np.fromiter(indices, np.int64)
+        if not len(pairs):
+            return []
+        ns, ms = self.n[pairs], self.m[pairs]
+        cells = _spans(self.first_cell[pairs], ns * ms)
+        scores = np.maximum(self.t.values[self.cells[cells]], PROB_FLOOR)
+        if self.q is not None:
+            scores *= np.maximum(self.q.values[self.q_cells[cells]], PROB_FLOOR)
+        widths = np.repeat(ns, ms)
+        starts = np.cumsum(widths) - widths
+        best = np.repeat(np.maximum.reduceat(scores, starts), widths)
+        candidate = np.arange(len(scores)) - np.repeat(starts, widths)
+        first_best = np.minimum.reduceat(np.where(scores == best, candidate, len(scores)), starts)
+        # Per row: its target position and its pair; rows decoded to NULL drop out.
+        targets = np.arange(len(widths)) - np.repeat(np.cumsum(ms) - ms, ms)
+        sources = first_best - (1 if self.use_null else 0)
+        linked = sources >= 0
+        per_pair = np.bincount(np.repeat(np.arange(len(pairs)), ms)[linked], minlength=len(pairs))
+        sources, targets = sources[linked].tolist(), targets[linked].tolist()
         out = []
-        for index in indices:
-            chunk_index, pair_index = divmod(index, CHUNK_SIZE)
-            chunk = self.chunks[chunk_index]
-            n, first, end, q_at = chunk.pairs[pair_index]
-            ps = map(t.__getitem__, chunk.cells[first:end])
-            scores = [p if p > PROB_FLOOR else PROB_FLOOR for p in ps]
-            if q is not None:
-                ws = q[q_at : q_at + end - first]
-                scores = [p * (w if w > PROB_FLOOR else PROB_FLOOR) for p, w in zip(scores, ws)]
-            out.append(_viterbi(scores, n, self.use_null))
+        at = 0
+        for k in per_pair.tolist():
+            # frozenset of a set sizes its table to fit; built link by link it
+            # would keep the slack of every resize.
+            out.append(Alignment(frozenset(set(zip(sources[at : at + k], targets[at : at + k])))))
+            at += k
         return out
 
     def lexical_probs(self) -> dict[str, dict[str, float]]:
         probs: dict[str, dict[str, float]] = {}
         e_words, f_words = self.e_words, self.f_words
-        for e, f, p in zip(self.t.row_of, self.t_cols, self.t.values):
+        for e, f, p in zip(self.t.row_of.tolist(), self.t_cols.tolist(), self.t.values.tolist()):
             probs.setdefault(e_words[e], {})[f_words[f]] = p
         return probs
 
     def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
         if self.q is None:
             return {}
-        values = iter(self.q.values)
+        values = iter(self.q.values.tolist())
         first = -1 if self.use_null else 0
         return {
             (l, m, j): {i: next(values) for i in range(first, l)}
@@ -371,7 +458,7 @@ def viterbi_align_model2(
 
 
 def transpose(alignment: Alignment) -> Alignment:
-    return Alignment(frozenset((j, i) for i, j in alignment.links))
+    return Alignment(frozenset({(j, i) for i, j in alignment.links}))
 
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))

@@ -340,7 +340,8 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
 
     fwd = align([(p.src_tokens, p.tgt_tokens) for p in work.pairs], "ttable_fwd")
     bwd = align([(p.tgt_tokens, p.src_tokens) for p in work.pairs], "ttable_bwd")
-    bwd = [al.transpose(a) for a in bwd]
+    for k, a in enumerate(bwd):  # in place: each untransposed set is freed at once
+        bwd[k] = al.transpose(a)
     symmetrized = [al.symmetrize(f, b, cfg.heuristic) for f, b in zip(fwd, bwd)]
     al.write_alignments(fwd, _out(cfg, "align_fwd"))
     al.write_alignments(bwd, _out(cfg, "align_bwd"))
@@ -367,8 +368,10 @@ def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dic
     tgt_inventory = _load_target_inventory(cfg)
     pairs = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
     table = pt.build_phrase_table(pairs, alignments, tgt_inventory, cfg.max_phrase_len, cfg.threads)
+    src_inventory, relations = _load_source_inventory(cfg), _load_induced_relations(cfg)
+    table = pt.accepted_rows(table, src_inventory, relations)
     pt.write_phrase_table(table, _out(cfg, "phrase_table"))
-    records = pt.filter_dc_entries(table, _load_source_inventory(cfg), _load_induced_relations(cfg))
+    records = pt.filter_dc_entries(table, src_inventory, relations)
     pt.write_dc_records(records, _out(cfg, "dc_records"))
     aligned = sum(e.count for e in table)
     return {"occurrences": table.occurrences, "aligned": aligned, "dc_records": len(records)}

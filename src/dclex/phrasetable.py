@@ -211,6 +211,19 @@ def fused_connective(
     return " ".join(surface), relation
 
 
+def accepted_rows(
+    table: PhraseTable, src_inventory: Sequence[Connective], relations: Sequence[str]
+) -> PhraseTable:
+    """`table` without the rows whose fused source token `fused_connective`
+    rejects (a surface outside the source inventory)."""
+    src_forms = {c.surface for c in src_inventory}
+    known_relations = set(relations)
+    entries = tuple(
+        e for e in table if fused_connective(e.src_phrase[0], src_forms, known_relations)
+    )
+    return PhraseTable(entries, table.occurrences)
+
+
 def filter_dc_entries(
     table: Iterable[PhraseTableEntry],
     src_inventory: Sequence[Connective],

@@ -1,5 +1,6 @@
 """EM training, Viterbi decoding, and alignment symmetrization."""
 
+import hashlib
 import random
 
 import pytest
@@ -232,6 +233,29 @@ class TestTrainedPairDecoding:
             tables = train_model2(pairs, iterations=2, use_null=use_null)
             want = [viterbi_align_model2(pairs[k], tables) for k in indices]
             assert tables.viterbi_training_pairs(indices) == want
+
+
+class TestPinnedFloats:
+    # SHA-256 of the repr of every trained float and every decoded link on a
+    # fixed corpus of two chunks. Any change in how EM adds up its sums, or a
+    # non-Python float handed out, changes the digest.
+    DIGEST = "c3630585d87a64e721310855dff30bcecc005e0cb244b8acbe482fad4899f306"
+
+    def test_em_floats_and_links_are_pinned(self):
+        rng = random.Random(2017)
+        vocab_src = [f"s{k}" for k in range(40)]
+        vocab_tgt = [f"t{k}" for k in range(30)]
+        pairs = random_corpus(rng, CHUNK_SIZE + 300, vocab_src, vocab_tgt, max_len=8)
+        parts = []
+        for train in (train_model1, train_model2):
+            table = train(pairs, iterations=4)
+            parts.append(sorted((e, sorted(row.items())) for e, row in table.probs.items()))
+            parts.append(sorted((key, sorted(row.items())) for key, row in table.distortion.items()))
+            parts.append(table.log_likelihoods)
+            decoded = table.viterbi_training_pairs(range(len(pairs)))
+            parts.append([sorted(a.links) for a in decoded])
+        digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+        assert digest == self.DIGEST
 
 
 def links(*pairs):

@@ -1,9 +1,14 @@
 """Config validation, stage orchestration, and the command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dclex
 from dclex.cli import (
     ARTIFACTS,
     CONFIG_ENV_VAR,
@@ -181,6 +186,34 @@ class TestPipelineRuns:
         assert 0 < rows["aligned"] <= rows["occurrences"]
         records = (out / ARTIFACTS["dc_records"]).read_text(encoding="utf-8").splitlines()
         assert rows["dc_records"] == len(records)
+        assert rows["aligned"] == sum(int(line.split("\t")[3]) for line in records)
+
+    def test_extract_counts_only_accepted_fused_tokens(self, tmp_path):
+        # "albeit" is not a source inventory form: its fused token makes no
+        # phrase-table row, and the occurrence it is linked to is not aligned.
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, text in (
+            ("fused_src", "although-Comparison.Concession\nalbeit-Comparison.Concession\n"),
+            ("corpus_tgt", "bien que\nbien que\n"),
+            ("align_sym", "0-0 0-1\n0-0 0-1\n"),
+        ):
+            (out / ARTIFACTS[name]).write_text(text, encoding="utf-8")
+        (tmp_path / "inv.en").write_text("although\n", encoding="utf-8")
+        (tmp_path / "inv.fr").write_text("bien que\n", encoding="utf-8")
+        body = (
+            f"src_corpus = {tmp_path / 'corpus.en'}\ntgt_corpus = {tmp_path / 'corpus.fr'}\n"
+            f"src_inventory = {tmp_path / 'inv.en'}\ntgt_inventory = {tmp_path / 'inv.fr'}\n"
+            f"output_dir = {out}\n"
+        )
+        assert main(["extract", "--config", write_config(tmp_path, body)]) == 0
+        manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+        rows = manifest["stages"]["extract"]["rows"]
+        assert rows == {"occurrences": 2, "aligned": 1, "dc_records": 1}
+        table = (out / ARTIFACTS["phrase_table"]).read_text(encoding="utf-8")
+        assert table == "although-Comparison.Concession ||| bien que ||| 1\n"
+        records = (out / ARTIFACTS["dc_records"]).read_text(encoding="utf-8")
+        assert records == "bien que\talthough\tComparison.Concession\t1\n"
 
     def test_table1_distribution(self, mini_run, capsys):
         root, config = mini_run
@@ -328,3 +361,18 @@ class TestEntryPoint:
             main(["--version"])
         assert exc.value.code == 0
         assert "dclex" in capsys.readouterr().out
+
+
+def test_loading_the_cli_does_not_import_numpy(tmp_path):
+    # numpy costs more to import than the whole CLI; only training needs it.
+    code = (
+        "import sys, dclex.cli; dclex.cli.validate_config(sys.argv[1]); "
+        "print('numpy' in sys.modules)"
+    )
+    paths = [str(Path(dclex.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, write_config(tmp_path, MINIMAL)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
