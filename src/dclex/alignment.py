@@ -1,4 +1,5 @@
-"""Word alignment: IBM Model 1 (optionally Model 2), Viterbi, symmetrization.
+"""Word alignment: IBM Model 1 (optionally Model 2), Viterbi, symmetrization,
+and the `i-j` link file format.
 
 Training is plain EM over a sparse lexical table t(f|e); Model 2 adds a
 positional table q(i|j,l,m). Both models run one numpy kernel over interned
@@ -14,19 +15,30 @@ equal, float for float, to adding them up in a Python loop. A NULL source
 token (virtual index -1) absorbs target words with no counterpart; Viterbi
 links decoded to NULL are dropped.
 
-numpy is imported when training starts, not with this module, so loading
-the CLI does not pay for it.
+The links of a corpus travel as one `Links`: per-pair offsets into int32
+source and target columns. Viterbi decoding, `transpose`, `symmetrize`,
+`write_alignments` and `read_alignments` all work on the columns, so no
+Python object is made per link. Only the scans that read the links of a
+pair with a connective occurrence (phrasetable) turn them into tuples. This
+module is the only one that knows the text format. The per-pair `Alignment`
+and decoders (`viterbi_align`, `viterbi_align_model2`) are the reference
+definitions that the columnar path is tested against.
+
+numpy is imported when training or link handling starts, not with this
+module, so loading the CLI does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PipelineError
-from .fileio import atomic_write_text, read_text_strict
+from .fileio import atomic_write_text
 from .parallel import CHUNK_SIZE, process_chunks
 
 NULL_TOKEN = "<NULL>"
@@ -43,6 +55,108 @@ class Alignment:
     """Link set for one sentence pair, as (src_index, tgt_index) pairs."""
 
     links: frozenset[tuple[int, int]]
+
+
+class Links:
+    """The word links of a corpus, pair after pair, in three arrays: pair k
+    has the links (src[a], tgt[a]) for a in offsets[k]:offsets[k + 1],
+    ascending by (src, tgt), each once. `offsets` is int64, `src` and `tgt`
+    are int32."""
+
+    __slots__ = ("offsets", "src", "tgt")
+
+    def __init__(self, offsets, src, tgt) -> None:
+        self.offsets, self.src, self.tgt = offsets, src, tgt
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def total(self) -> int:
+        """The number of links over all pairs."""
+        return int(self.offsets[-1])
+
+    def __getitem__(self, pairs: slice) -> Links:
+        """The links of a contiguous run of pairs, renumbered from 0."""
+        lo, hi, step = pairs.indices(len(self))
+        if step != 1:
+            raise ValueError("Links slices must be contiguous")
+        offsets = self.offsets[lo : max(lo, hi) + 1]
+        first, last = offsets[0], offsets[-1]
+        return Links(offsets - first, self.src[first:last], self.tgt[first:last])
+
+    def pair(self, k: int) -> list[tuple[int, int]]:
+        """The links of pair k as (src, tgt) tuples, ascending."""
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        return list(zip(self.src[lo:hi].tolist(), self.tgt[lo:hi].tolist()))
+
+    def pair_index(self):
+        """The pair of each link."""
+        import numpy as np
+
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def check_bounds(self, src_lengths: Sequence[int], tgt_lengths: Sequence[int]) -> None:
+        """Fail on the first link outside its pair's src x tgt grid."""
+        import numpy as np
+
+        counts = np.diff(self.offsets)
+        n = np.repeat(np.asarray(src_lengths, np.int64), counts)
+        m = np.repeat(np.asarray(tgt_lengths, np.int64), counts)
+        bad = np.flatnonzero((self.src < 0) | (self.src >= n) | (self.tgt < 0) | (self.tgt >= m))
+        if len(bad):
+            a = bad[0]
+            pair = np.searchsorted(self.offsets, a, side="right") - 1
+            raise PipelineError(
+                f"alignment link {self.src[a]}-{self.tgt[a]} out of bounds "
+                f"for {n[a]}x{m[a]} pair {pair}"
+            )
+
+    @classmethod
+    def of(cls, link_sets: Iterable[Iterable[tuple[int, int]]]) -> Links:
+        """Links from one collection of (src, tgt) links per pair."""
+        import numpy as np
+
+        sets = [list(links) for links in link_sets]
+        pair = np.repeat(np.arange(len(sets)), np.array([len(links) for links in sets], np.int64))
+        cells = np.array([cell for links in sets for cell in links], np.int64).reshape(-1, 2)
+        return _collect(pair, cells[:, 0], cells[:, 1], len(sets))
+
+    @classmethod
+    def concat(cls, parts: Iterable[Links]) -> Links:
+        """The pairs of `parts`, one run after the other."""
+        import numpy as np
+
+        offsets = [np.zeros(1, np.int64)]
+        src, tgt = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+        for part in parts:
+            offsets.append(part.offsets[1:] + offsets[-1][-1])
+            src.append(part.src)
+            tgt.append(part.tgt)
+        return cls(np.concatenate(offsets), np.concatenate(src), np.concatenate(tgt))
+
+
+def _collect(pair, src, tgt, n_pairs: int) -> Links:
+    """Links of `n_pairs` pairs from per-link pair, src and tgt columns in
+    any order; repeated links count once."""
+    import numpy as np
+
+    order = np.lexsort((tgt, src, pair))
+    pair, src, tgt = pair[order], src[order], tgt[order]
+    fresh = np.ones(len(pair), bool)
+    fresh[1:] = (pair[1:] != pair[:-1]) | (src[1:] != src[:-1]) | (tgt[1:] != tgt[:-1])
+    if not fresh.all():
+        pair, src, tgt = pair[fresh], src[fresh], tgt[fresh]
+    return _sorted_links(pair, src, tgt, n_pairs)
+
+
+def _sorted_links(pair, src, tgt, n_pairs: int) -> Links:
+    """Links of `n_pairs` pairs from columns already in Links order."""
+    import numpy as np
+
+    offsets = np.zeros(n_pairs + 1, np.int64)
+    np.cumsum(np.bincount(pair, minlength=n_pairs), out=offsets[1:])
+    return Links(offsets, src.astype(np.int32, copy=False), tgt.astype(np.int32, copy=False))
 
 
 def _spans(starts, lengths):
@@ -251,7 +365,7 @@ class _Fit:
             ll += term
         return ll, scores / z[rows]
 
-    def decode(self, indices: Iterable[int]) -> list[Alignment]:
+    def decode(self, indices: Iterable[int]) -> Links:
         """Viterbi links of the training pairs at `indices`, in order: each
         target position links to its best candidate, the first on ties, with
         t and q floored at PROB_FLOOR. With NULL, candidate 0 is NULL and its
@@ -260,7 +374,7 @@ class _Fit:
 
         pairs = np.fromiter(indices, np.int64)
         if not len(pairs):
-            return []
+            return _collect(pairs, pairs, pairs, 0)
         ns, ms = self.n[pairs], self.m[pairs]
         cells = _spans(self.first_cell[pairs], ns * ms)
         scores = np.maximum(self.t.values[self.cells[cells]], PROB_FLOOR)
@@ -271,20 +385,13 @@ class _Fit:
         best = np.repeat(np.maximum.reduceat(scores, starts), widths)
         candidate = np.arange(len(scores)) - np.repeat(starts, widths)
         first_best = np.minimum.reduceat(np.where(scores == best, candidate, len(scores)), starts)
-        # Per row: its target position and its pair; rows decoded to NULL drop out.
+        # Per row: its pair, its target position and its source; rows decoded
+        # to NULL drop out.
+        rows_of = np.repeat(np.arange(len(pairs)), ms)
         targets = np.arange(len(widths)) - np.repeat(np.cumsum(ms) - ms, ms)
         sources = first_best - (1 if self.use_null else 0)
         linked = sources >= 0
-        per_pair = np.bincount(np.repeat(np.arange(len(pairs)), ms)[linked], minlength=len(pairs))
-        sources, targets = sources[linked].tolist(), targets[linked].tolist()
-        out = []
-        at = 0
-        for k in per_pair.tolist():
-            # frozenset of a set sizes its table to fit; built link by link it
-            # would keep the slack of every resize.
-            out.append(Alignment(frozenset(set(zip(sources[at : at + k], targets[at : at + k])))))
-            at += k
-        return out
+        return _collect(rows_of[linked], sources[linked], targets[linked], len(pairs))
 
     def lexical_probs(self) -> dict[str, dict[str, float]]:
         probs: dict[str, dict[str, float]] = {}
@@ -359,7 +466,7 @@ class TranslationTable:
         p = self.probs.get(e, {}).get(f, 0.0)
         return p if p > PROB_FLOOR else PROB_FLOOR
 
-    def viterbi_training_pairs(self, indices: Iterable[int]) -> list[Alignment]:
+    def viterbi_training_pairs(self, indices: Iterable[int]) -> Links:
         """Viterbi alignments of the training pairs at `indices`, decoded
         with the model that trained this table (Model 2 includes q)."""
         return self._fit.decode(indices)
@@ -457,44 +564,120 @@ def viterbi_align_model2(
     return _viterbi(scores, len(words), use_null)
 
 
-def transpose(alignment: Alignment) -> Alignment:
-    return Alignment(frozenset({(j, i) for i, j in alignment.links}))
+def transpose(links: Links) -> Links:
+    """The links with source and target swapped."""
+    import numpy as np
+
+    order = np.lexsort((links.src, links.tgt, links.pair_index()))
+    return Links(links.offsets, links.tgt[order], links.src[order])
 
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def symmetrize(forward: Alignment, backward: Alignment, heuristic: str) -> Alignment:
-    """Combine forward and backward link sets.
+def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
+    """Combine the forward and backward links of each pair.
 
     `backward` must already be transposed into (src, tgt) orientation.
     grow-diag-final: start from the intersection; repeatedly add union links
     8-adjacent to the current set while either endpoint is unaligned; finish
     with one pass adding union links with an unaligned src or tgt endpoint.
     Scans go in ascending (src, tgt) order and take effect immediately.
+
+    Every link becomes a cell key base[k] + i * width[k] + j, one numbering
+    of the cells of all pairs that sorts as the links do, so intersection
+    and union are set operations on sorted keys. Only pairs with union links
+    outside the intersection run the grow-diag-final scan.
     """
+    import numpy as np
+
     if heuristic not in HEURISTICS:
         raise PipelineError(f"unknown symmetrization heuristic {heuristic!r}")
-    fwd, bwd = forward.links, backward.links
-    if heuristic == "intersection":
-        return Alignment(frozenset(fwd & bwd))
-    if heuristic == "union":
-        return Alignment(frozenset(fwd | bwd))
+    if len(forward) != len(backward):
+        raise PipelineError(
+            f"forward/backward alignment length mismatch: {len(forward)} vs {len(backward)}"
+        )
+    height, width = np.zeros(len(forward), np.int64), np.zeros(len(forward), np.int64)
+    for links in (forward, backward):
+        pair = links.pair_index()
+        np.maximum.at(height, pair, links.src + 1)
+        np.maximum.at(width, pair, links.tgt + 1)
+    base = np.cumsum(height * width) - height * width
 
-    union = sorted(fwd | bwd)
-    links = set(fwd & bwd)
+    def keys(links: Links):
+        pair = links.pair_index()
+        return base[pair] + links.src * width[pair] + links.tgt
+
+    # Each side holds a key at most once: a key seen twice is in both.
+    both = np.sort(np.concatenate((keys(forward), keys(backward))), kind="stable")
+    twice = both[1:] == both[:-1]
+    if heuristic == "union":
+        first = np.ones(len(both), bool)
+        first[1:] = ~twice
+        chosen = both[first]
+    else:
+        chosen = both[1:][twice]
+        if heuristic == "grow-diag-final":
+            once = np.ones(len(both), bool)
+            once[1:] &= ~twice
+            once[:-1] &= ~twice
+            chosen = _grow_diag_final(chosen, both[once], base, width)
+    # The last pair whose cells start at or below a key holds it: pairs that
+    # share a base with a later pair have no cells.
+    pair = np.searchsorted(base, chosen, side="right") - 1
+    src, tgt = np.divmod(chosen - base[pair], width[pair])
+    return _sorted_links(pair, src, tgt, len(forward))
+
+
+def _grow_diag_final(inter, candidates, base, width):
+    """The keys of `inter` and of the `candidates`, the union links outside
+    it, that the grow-diag-final scans of `symmetrize` adopt, pair by pair.
+    Both are sorted."""
+    import numpy as np
+
+    if not len(candidates):
+        return inter
+    cand_pair = np.searchsorted(base, candidates, side="right") - 1
+    seed_pair = np.searchsorted(base, inter, side="right") - 1
+    pairs, cand_at = np.unique(cand_pair, return_index=True)
+    cand_end = np.append(cand_at[1:], len(candidates))
+    seed_at = np.searchsorted(seed_pair, pairs, side="left")
+    seed_end = np.searchsorted(seed_pair, pairs, side="right")
+    cand_cells = (candidates - base[cand_pair]).tolist()
+    seed_cells = (inter - base[seed_pair]).tolist()
+    adopted = []
+    for b, w, c0, c1, s0, s1 in zip(
+        base[pairs].tolist(),
+        width[pairs].tolist(),
+        cand_at.tolist(),
+        cand_end.tolist(),
+        seed_at.tolist(),
+        seed_end.tolist(),
+    ):
+        links = {divmod(cell, w) for cell in seed_cells[s0:s1]}
+        grown = _grow_pair(links, [divmod(cell, w) for cell in cand_cells[c0:c1]])
+        adopted.extend(b + i * w + j for i, j in grown)
+    return np.sort(np.concatenate((inter, np.array(adopted, np.int64))), kind="stable")
+
+
+def _grow_pair(links: set[tuple[int, int]], candidates: list[tuple[int, int]]):
+    """grow-diag-final on one pair: `links` starts as the intersection and
+    `candidates` are the other union links, ascending. Returns the adopted
+    links; `links` ends up holding the result."""
     src_aligned = {i for i, _ in links}
     tgt_aligned = {j for _, j in links}
+    adopted = []
 
     def adopt(i: int, j: int) -> None:
         links.add((i, j))
         src_aligned.add(i)
         tgt_aligned.add(j)
+        adopted.append((i, j))
 
     changed = True
     while changed:
         changed = False
-        for i, j in union:
+        for i, j in candidates:
             if (i, j) in links:
                 continue
             if i in src_aligned and j in tgt_aligned:
@@ -502,38 +685,131 @@ def symmetrize(forward: Alignment, backward: Alignment, heuristic: str) -> Align
             if any((i + di, j + dj) in links for di, dj in _NEIGHBORS):
                 adopt(i, j)
                 changed = True
-    for i, j in union:
+    for i, j in candidates:
         if (i, j) not in links and (i not in src_aligned or j not in tgt_aligned):
             adopt(i, j)
-    return Alignment(frozenset(links))
+    return adopted
 
 
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
 
-
-def format_alignment(alignment: Alignment) -> str:
-    return " ".join(f"{i}-{j}" for i, j in sorted(alignment.links))
-
-
-def write_alignments(alignments: Iterable[Alignment], path: str) -> None:
-    """One line per sentence pair: space-separated `i-j` links, ascending."""
-    atomic_write_text(path, "".join(format_alignment(a) + "\n" for a in alignments))
+_DIGIT, _DASH, _SPACE, _NEWLINE = ord("0"), ord("-"), ord(" "), ord("\n")
+# Bytes that separate links on a line: bytes.split()'s whitespace but "\n".
+_BLANKS = tuple(b" \t\r\x0b\x0c")
+_MAX_DIGITS = 9  # any longer index is beyond int32, so out of bounds
+_BLOCK = 1 << 20
 
 
-def read_alignments(path: str) -> list[Alignment]:
-    alignments = []
-    for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
-        links = set()
-        for token in line.split():
-            try:
-                i, j = token.split("-")
-                links.add((int(i), int(j)))
-            except ValueError as exc:
-                raise PipelineError(f"{path}: bad link {token!r} at line {lineno}") from exc
-        alignments.append(Alignment(frozenset(links)))
-    return alignments
+def format_alignments(links: Links) -> str:
+    """One line per pair: its links as space-separated `i-j`, ascending."""
+    import numpy as np
+
+    counts = np.diff(links.offsets)
+    values = np.empty(2 * links.total, np.int32)
+    values[0::2], values[1::2] = links.src, links.tgt
+    digits = np.ones(len(values), np.int8)
+    power = 10
+    while power <= values.max(initial=0):
+        digits += values >= power
+        power *= 10
+    # Each number is followed by one byte: "-" after a source index, " "
+    # after a target index but the last of its pair, else "\n". A pair with
+    # no links is a bare "\n", a byte the numbers of later pairs skip.
+    empty = counts == 0
+    ends = np.cumsum(digits + 1, dtype=np.int64)
+    ends += np.repeat(np.repeat(np.cumsum(empty) - empty, counts), 2)
+    size = len(values) + int(digits.sum(dtype=np.int64)) + int(empty.sum())
+    out = np.full(size, _NEWLINE, np.uint8)
+    out[ends[0::2] - 1] = _DASH
+    spaced = np.ones(links.total, bool)
+    spaced[links.offsets[1:][~empty] - 1] = False
+    out[ends[1::2][spaced] - 1] = _SPACE
+    for place in range(int(digits.max(initial=0))):
+        has = digits > place
+        out[ends[has] - 2 - place] = _DIGIT + values[has] % 10
+        values //= 10
+    return out.tobytes().decode("ascii")
+
+
+def write_alignments(links: Links, path: str) -> None:
+    """Write `format_alignments(links)` to `path`."""
+    atomic_write_text(path, format_alignments(links))
+
+
+def read_alignments(path: str) -> Links:
+    """Read one pair per line, lines split on "\n" only. A line holds its
+    links as `i-j` tokens of ASCII digits, separated by blanks, in any order;
+    a repeated link counts once. A malformed token is fatal and names its
+    line. The file is parsed as bytes, vectorized, in blocks of whole lines
+    of about _BLOCK bytes, so that no temporary grows with the file."""
+    import numpy as np
+
+    data = Path(path).read_bytes()
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    text = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(text == _NEWLINE)
+    columns = [(np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.int32))]
+    lo = 0
+    while lo < len(text):
+        hi = int(newlines[np.searchsorted(newlines, min(lo + _BLOCK, len(text) - 1))]) + 1
+        columns.append(_parse_block(path, data, lo, hi, newlines))
+        lo = hi
+    line, src, tgt = (np.concatenate(column) for column in zip(*columns))
+    return _collect(line, src, tgt, len(newlines))
+
+
+def _parse_block(path: str, data: bytes, lo: int, hi: int, newlines):
+    """(line, src, tgt) of each link in data[lo:hi], whole lines."""
+    import numpy as np
+
+    text = np.frombuffer(data, np.uint8, hi - lo, lo)
+    digit = (text >= _DIGIT) & (text <= _DIGIT + 9)
+    dash = text == _DASH
+    blank = np.isin(text, _BLANKS) | (text == _NEWLINE)
+    # Digit runs [start, stop); the block ends in "\n", so a run always has
+    # a byte after it. The tokens are all `i-j` exactly when every byte is a
+    # digit, a dash or a blank, each dash has a digit on both sides, and
+    # each digit run touches exactly one dash.
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    dash_before = np.zeros(len(starts), bool)
+    dash_before[starts > 0] = dash[starts[starts > 0] - 1]
+    wrong = [
+        where[0]
+        for where in (
+            np.flatnonzero(~(digit | dash | blank)),
+            np.flatnonzero(dash & ~(np.roll(digit, 1) & np.roll(digit, -1))),
+            starts[dash_before == dash[stops]],
+        )
+        if len(where)
+    ]
+    if wrong:
+        _fail_at_token(path, data, newlines, lo + min(wrong))
+    lengths = stops - starts
+    if lengths.max(initial=0) > _MAX_DIGITS:
+        at = int(np.searchsorted(newlines, lo + starts[lengths > _MAX_DIGITS][0]))
+        raise PipelineError(f"{path}: alignment link out of bounds at line {at + 1}")
+    values = np.zeros(len(starts), np.int32)
+    for place in range(int(lengths.max(initial=0))):
+        has = lengths > place
+        values[has] = values[has] * 10 + (text[starts[has] + place] - _DIGIT)
+    return np.searchsorted(newlines, lo + starts[0::2]), values[0::2], values[1::2]
+
+
+def _fail_at_token(path: str, data: bytes, newlines, at: int) -> None:
+    """Raise for the first malformed token of the line holding byte `at`."""
+    import numpy as np
+
+    line = int(np.searchsorted(newlines, at))
+    start = int(newlines[line - 1]) + 1 if line else 0
+    for token in data[start : int(newlines[line])].split():
+        if not re.fullmatch(rb"[0-9]+-[0-9]+", token):
+            shown = token.decode("utf-8", "replace")
+            raise PipelineError(f"{path}: bad link {shown!r} at line {line + 1}")
+    raise AssertionError("no malformed token on the line")
 
 
 def write_translation_table(table: TranslationTable, path: str) -> None:

@@ -46,8 +46,6 @@ ARTIFACTS = {
     "fused_src": "fused.src",
     "ttable_fwd": "ttable.fwd.tsv",
     "ttable_bwd": "ttable.bwd.tsv",
-    "align_fwd": "alignments.fwd.txt",
-    "align_bwd": "alignments.bwd.txt",
     "align_sym": "alignments.sym.txt",
     "phrase_table": "phrase_table.txt",
     "dc_records": "dc_records.tsv",
@@ -328,46 +326,50 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
     work = cp.load_token_corpus(str(fused_path), str(tgt_path))
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
 
-    def align(pairs: list, ttable: str) -> list[al.Alignment]:
+    def align(pairs: list, ttable: str) -> al.Links:
         # One direction at a time: its model is released before the next trains.
         model = train(pairs, cfg.iterations, cfg.use_null, cfg.threads)
         if cfg.dump_ttables:
             al.write_translation_table(model, _out(cfg, ttable))
-        out: list[al.Alignment] = []
-        for part in process_chunks(model.viterbi_training_pairs, range(len(pairs)), cfg.threads):
-            out.extend(part)
-        return out
+        return al.Links.concat(
+            process_chunks(model.viterbi_training_pairs, range(len(pairs)), cfg.threads)
+        )
 
     fwd = align([(p.src_tokens, p.tgt_tokens) for p in work.pairs], "ttable_fwd")
-    bwd = align([(p.tgt_tokens, p.src_tokens) for p in work.pairs], "ttable_bwd")
-    for k, a in enumerate(bwd):  # in place: each untransposed set is freed at once
-        bwd[k] = al.transpose(a)
-    symmetrized = [al.symmetrize(f, b, cfg.heuristic) for f, b in zip(fwd, bwd)]
-    al.write_alignments(fwd, _out(cfg, "align_fwd"))
-    al.write_alignments(bwd, _out(cfg, "align_bwd"))
+    bwd = al.transpose(align([(p.tgt_tokens, p.src_tokens) for p in work.pairs], "ttable_bwd"))
+    symmetrized = al.symmetrize(fwd, bwd, cfg.heuristic)
     al.write_alignments(symmetrized, _out(cfg, "align_sym"))
-    return {"pairs": len(work.pairs)}
+    # Viterbi links each target position at most once, so the forward NULL
+    # rate is 1 - fwd_links / tgt_tokens, and the backward one uses src_tokens.
+    return {
+        "pairs": len(work.pairs),
+        "src_tokens": sum(len(p.src_tokens) for p in work.pairs),
+        "tgt_tokens": sum(len(p.tgt_tokens) for p in work.pairs),
+        "fwd_links": fwd.total,
+        "bwd_links": bwd.total,
+        "sym_links": symmetrized.total,
+    }
 
 
-def _load_aligned_corpus(cfg: PipelineConfig) -> tuple[cp.Corpus, list[al.Alignment]]:
-    """The fused source and the target side, with their symmetrized alignments."""
+def _load_aligned_corpus(cfg: PipelineConfig) -> tuple[cp.Corpus, al.Links]:
+    """The fused source and the target side, with their symmetrized links."""
     fused_path = _require(cfg, "fused_src", "tag")
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
     align_path = _require(cfg, "align_sym", "align")
     work = cp.load_token_corpus(str(fused_path), str(tgt_path))
-    alignments = al.read_alignments(str(align_path))
-    if len(alignments) != len(work.pairs):
+    links = al.read_alignments(str(align_path))
+    if len(links) != len(work.pairs):
         raise PipelineError(
-            f"alignment count {len(alignments)} does not match corpus size {len(work.pairs)}"
+            f"alignment count {len(links)} does not match corpus size {len(work.pairs)}"
         )
-    return work, alignments
+    return work, links
 
 
 def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
-    work, alignments = _load_aligned_corpus(cfg)
+    work, links = _load_aligned_corpus(cfg)
     tgt_inventory = _load_target_inventory(cfg)
     pairs = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
-    table = pt.build_phrase_table(pairs, alignments, tgt_inventory, cfg.max_phrase_len, cfg.threads)
+    table = pt.build_phrase_table(pairs, links, tgt_inventory, cfg.max_phrase_len, cfg.threads)
     src_inventory, relations = _load_source_inventory(cfg), _load_induced_relations(cfg)
     table = pt.accepted_rows(table, src_inventory, relations)
     pt.write_phrase_table(table, _out(cfg, "phrase_table"))
@@ -409,10 +411,10 @@ def _stage_eval(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[s
 
 def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
-    work, alignments = _load_aligned_corpus(cfg)
+    work, links = _load_aligned_corpus(cfg)
     sites = lx.evidence_sites(
         work,
-        alignments,
+        links,
         _load_target_inventory(cfg),
         _load_source_inventory(cfg),
         _load_induced_relations(cfg),

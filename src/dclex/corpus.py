@@ -90,9 +90,19 @@ def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
     return tokens
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a text file, split on "\n" only: `str.splitlines` would
+    also split on characters such as U+2028 or form feed, and shift every
+    later line out of step with the other side."""
+    lines = read_text_strict(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _read_line_pairs(src_path: str, tgt_path: str) -> tuple[list[str], list[str]]:
-    src_lines = read_text_strict(src_path).splitlines()
-    tgt_lines = read_text_strict(tgt_path).splitlines()
+    src_lines = _read_lines(src_path)
+    tgt_lines = _read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise PipelineError(
             f"line count mismatch {len(src_lines)} vs {len(tgt_lines)} "

@@ -13,12 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .alignment import Alignment
+from .alignment import Links
 from .corpus import Corpus, FrequencyTable, build_match_table
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
-from .phrasetable import DCAlignmentRecord, connective_occurrences, fused_connective
+from .phrasetable import (
+    DCAlignmentRecord,
+    check_links,
+    connective_occurrences,
+    fused_connective,
+)
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ EvidenceSite = tuple[int, int, int, int]
 
 def evidence_sites(
     corpus: Corpus,
-    alignments: Sequence[Alignment],
+    links: Links,
     tgt_inventory: Sequence[Connective],
     src_inventory: Sequence[Connective],
     relations: Sequence[str],
@@ -148,21 +153,21 @@ def evidence_sites(
     `fused_connective`); the first such occurrence in the pair is its site.
     Sites are in corpus order.
     """
-    if len(corpus.pairs) != len(alignments):
+    if len(corpus.pairs) != len(links):
         raise PipelineError("corpus and alignments must be parallel")
+    pairs = [(pair.src_tokens, pair.tgt_tokens) for pair in corpus.pairs]
+    check_links(pairs, links)
     forms = build_match_table(c.surface for c in tgt_inventory)
     src_forms = {c.surface for c in src_inventory}
     known_relations = set(relations)
     sites: dict[tuple[str, str], list[EvidenceSite]] = {}
-    for index, (pair, alignment) in enumerate(zip(corpus.pairs, alignments)):
-        src = pair.src_tokens
-        for start, form, i in connective_occurrences(src, pair.tgt_tokens, alignment, forms, max_len):
-            dc = None if i is None else fused_connective(src[i], src_forms, known_relations)
-            if dc is None:
-                continue
-            found = sites.setdefault((" ".join(form), dc[1]), [])
-            if not found or found[-1][0] != index:
-                found.append((index, i, start, start + len(form) - 1))
+    for index, start, form, i in connective_occurrences(pairs, links, forms, max_len):
+        dc = None if i is None else fused_connective(pairs[index][0][i], src_forms, known_relations)
+        if dc is None:
+            continue
+        found = sites.setdefault((" ".join(form), dc[1]), [])
+        if not found or found[-1][0] != index:
+            found.append((index, i, start, start + len(form) - 1))
     return sites
 
 

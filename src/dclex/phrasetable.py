@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Sequence
 
-from .alignment import Alignment
+from .alignment import Alignment, Links
 from .corpus import MatchTable, build_match_table, scan_matches
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
@@ -118,42 +118,52 @@ def extract_phrase_pairs(
 
 
 def connective_occurrences(
-    src_tokens: Sequence[str],
-    tgt_tokens: Sequence[str],
-    alignment: Alignment,
+    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+    links: Links,
     forms: MatchTable,
     max_len: int = 7,
-) -> Iterator[tuple[int, Phrase, int | None]]:
-    """Yield (start, form, source) for each longest-match occurrence of a
-    target form, scanning the lowercased target as the corpus counts do.
+) -> Iterator[tuple[int, int, Phrase, int | None]]:
+    """Yield (pair, start, form, source) for each longest-match occurrence of
+    a target form, pair by pair, scanning the lowercased target as the
+    corpus counts do.
 
     `source` is the one source token whose one-token box is consistent with
     exactly the occurrence span: every link into the span comes from it and
     all of its links lie inside. It is None when no token qualifies or the
-    form is longer than `max_len`.
+    form is longer than `max_len`. The links of a pair are read only when
+    its target has an occurrence; `check_links` must have passed.
     """
     if max_len < 1:
         raise PipelineError(f"max_len must be >= 1, got {max_len}")
-    n, m = len(src_tokens), len(tgt_tokens)
-    sources_of: dict[int, set[int]] = {}
-    targets_of: dict[int, list[int]] = {}
-    for i, j in alignment.links:
-        if not (0 <= i < n and 0 <= j < m):
-            raise PipelineError(f"alignment link {i}-{j} out of bounds for {n}x{m} pair")
-        sources_of.setdefault(j, set()).add(i)
-        targets_of.setdefault(i, []).append(j)
-    for start, form in scan_matches(tuple(t.lower() for t in tgt_tokens), forms):
-        end = start + len(form) - 1
-        linked = {i for j in range(start, end + 1) for i in sources_of.get(j, ())}
-        consistent = len(form) <= max_len and len(linked) == 1 and all(
-            start <= j <= end for i in linked for j in targets_of[i]
-        )
-        yield start, form, min(linked) if consistent else None
+    for k, (_, tgt_tokens) in enumerate(pairs):
+        matches = list(scan_matches(tuple(t.lower() for t in tgt_tokens), forms))
+        if not matches:
+            continue
+        sources_of: dict[int, set[int]] = {}
+        targets_of: dict[int, list[int]] = {}
+        for i, j in links.pair(k):
+            sources_of.setdefault(j, set()).add(i)
+            targets_of.setdefault(i, []).append(j)
+        for start, form in matches:
+            end = start + len(form) - 1
+            linked = {i for j in range(start, end + 1) for i in sources_of.get(j, ())}
+            consistent = len(form) <= max_len and len(linked) == 1 and all(
+                start <= j <= end for i in linked for j in targets_of[i]
+            )
+            yield k, start, form, min(linked) if consistent else None
+
+
+def check_links(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], links: Links) -> None:
+    """Fail unless `links` has one entry per pair and every link lies in its
+    pair, whether or not a scan would read it."""
+    if len(pairs) != len(links):
+        raise PipelineError(f"corpus/alignment length mismatch: {len(pairs)} vs {len(links)}")
+    links.check_bounds([len(src) for src, _ in pairs], [len(tgt) for _, tgt in pairs])
 
 
 def build_phrase_table(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
-    alignments: Sequence[Alignment],
+    links: Links,
     tgt_inventory: Sequence[Connective],
     max_len: int = 7,
     threads: int = 1,
@@ -162,26 +172,23 @@ def build_phrase_table(
     each one pairs with (see `connective_occurrences`). Where no inventory
     forms nest or overlap, these are the `extract_phrase_pairs` rows with one
     fused source token and an inventory form on the target side."""
-    if len(pairs) != len(alignments):
-        raise PipelineError(
-            f"corpus/alignment length mismatch: {len(pairs)} vs {len(alignments)}"
-        )
+    check_links(pairs, links)
     forms = build_match_table(c.surface for c in tgt_inventory)
-    jobs = list(zip(pairs, alignments))
 
-    def count_chunk(chunk) -> tuple[Counter, int]:
+    def count_chunk(chunk: range) -> tuple[Counter, int]:
         rows: Counter = Counter()
         occurrences = 0
-        for (src, tgt), alignment in chunk:
-            for _, form, i in connective_occurrences(src, tgt, alignment, forms, max_len):
-                occurrences += 1
-                if i is not None and split_fused_token(src[i]) is not None:
-                    rows[((src[i],), form)] += 1
+        lo, hi = chunk.start, chunk.stop
+        for k, _, form, i in connective_occurrences(pairs[lo:hi], links[lo:hi], forms, max_len):
+            occurrences += 1
+            src = pairs[lo + k][0]
+            if i is not None and split_fused_token(src[i]) is not None:
+                rows[((src[i],), form)] += 1
         return rows, occurrences
 
     totals: Counter = Counter()
     occurrences = 0
-    for rows, count in process_chunks(count_chunk, jobs, threads):
+    for rows, count in process_chunks(count_chunk, range(len(pairs)), threads):
         totals.update(rows)
         occurrences += count
     rows = tuple(PhraseTableEntry(src, tgt, totals[(src, tgt)]) for src, tgt in sorted(totals))

@@ -191,3 +191,48 @@ def longest_match_counts_reference(sentences, forms):
             else:
                 i += 1
     return counts
+
+
+_NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def symmetrize_reference(fwd, bwd, heuristic):
+    """Combine one pair's forward and backward link sets, set by set.
+
+    `bwd` must already be transposed into (src, tgt) orientation.
+    grow-diag-final: start from the intersection; repeatedly add union links
+    8-adjacent to the current set while either endpoint is unaligned; finish
+    with one pass adding union links with an unaligned src or tgt endpoint.
+    Scans go in ascending (src, tgt) order and take effect immediately.
+    """
+    fwd, bwd = frozenset(fwd), frozenset(bwd)
+    if heuristic == "intersection":
+        return fwd & bwd
+    if heuristic == "union":
+        return fwd | bwd
+
+    union = sorted(fwd | bwd)
+    links = set(fwd & bwd)
+    src_aligned = {i for i, _ in links}
+    tgt_aligned = {j for _, j in links}
+
+    def adopt(i: int, j: int) -> None:
+        links.add((i, j))
+        src_aligned.add(i)
+        tgt_aligned.add(j)
+
+    changed = True
+    while changed:
+        changed = False
+        for i, j in union:
+            if (i, j) in links:
+                continue
+            if i in src_aligned and j in tgt_aligned:
+                continue
+            if any((i + di, j + dj) in links for di, dj in _NEIGHBORS):
+                adopt(i, j)
+                changed = True
+    for i, j in union:
+        if (i, j) not in links and (i not in src_aligned or j not in tgt_aligned):
+            adopt(i, j)
+    return frozenset(links)

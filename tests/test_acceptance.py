@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from dclex.alignment import Alignment, symmetrize, train_model1, viterbi_align
+from dclex.alignment import Alignment, Links, symmetrize, train_model1, viterbi_align
 from dclex.cli import ARTIFACTS, main
 from dclex.corpus import Corpus, SentencePair
 from dclex.evaluation import (
@@ -128,17 +128,20 @@ def test_c4_symmetrization_sandwich_and_idempotence():
     started = time.perf_counter()
 
     rng = random.Random(20240004)
+    fwd_sets, bwd_sets = [], []
     for _ in range(500):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         cells = [(i, j) for i in range(n) for j in range(m)]
-        fwd = Alignment(frozenset(c for c in cells if rng.random() < 0.3))
-        bwd = Alignment(frozenset(c for c in cells if rng.random() < 0.3))
-        inter = symmetrize(fwd, bwd, "intersection").links
-        union = symmetrize(fwd, bwd, "union").links
-        grown = symmetrize(fwd, bwd, "grow-diag-final").links
-        assert inter <= grown <= union
-        idem = symmetrize(Alignment(fwd.links), Alignment(fwd.links), "grow-diag-final")
-        assert idem.links == fwd.links
+        fwd_sets.append(frozenset(c for c in cells if rng.random() < 0.3))
+        bwd_sets.append(frozenset(c for c in cells if rng.random() < 0.3))
+    fwd, bwd = Links.of(fwd_sets), Links.of(bwd_sets)
+    inter, union, grown = (
+        symmetrize(fwd, bwd, h) for h in ("intersection", "union", "grow-diag-final")
+    )
+    idem = symmetrize(fwd, fwd, "grow-diag-final")
+    for k, links in enumerate(fwd_sets):
+        assert set(inter.pair(k)) <= set(grown.pair(k)) <= set(union.pair(k))
+        assert set(idem.pair(k)) == links
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"criterion 4 took {elapsed:.1f}s"
@@ -271,7 +274,7 @@ def test_c9_evidence_sampling_fixture():
         SentencePair(i, s, t) for i, (s, t) in enumerate(zip(src_sents, tgt_sents))
     )
     corpus = Corpus(pairs)
-    alignments = [Alignment(frozenset(ls)) for ls in links]
+    alignments = Links.of(links)
     inventory = [Connective(("même", "si"), "target")]
     src_inventory = [Connective(s, "source") for s in (("even", "though"), ("if",), ("although",))]
     relations = ["Concession", "Condition"]

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from dclex import alignment
 from dclex.alignment import (
-    Alignment,
+    HEURISTICS,
     PROB_FLOOR,
+    Links,
     TranslationTable,
-    format_alignment,
+    format_alignments,
     read_alignments,
     symmetrize,
     train_model1,
@@ -23,7 +25,12 @@ from dclex.alignment import (
 from dclex.errors import PipelineError
 from dclex.parallel import CHUNK_SIZE
 
-from oracles import em_model1_reference, em_model2_reference, viterbi_reference
+from oracles import (
+    em_model1_reference,
+    em_model2_reference,
+    symmetrize_reference,
+    viterbi_reference,
+)
 
 TWO_PAIR_FIXTURE = [
     (("the", "house"), ("la", "maison")),
@@ -228,11 +235,11 @@ class TestTrainedPairDecoding:
         indices = range(CHUNK_SIZE - 100, len(pairs))  # crosses a chunk boundary
         for use_null in (True, False):
             table = train_model1(pairs, iterations=2, use_null=use_null)
-            want = [viterbi_align(pairs[k], table) for k in indices]
-            assert table.viterbi_training_pairs(indices) == want
+            want = [viterbi_align(pairs[k], table).links for k in indices]
+            assert link_sets(table.viterbi_training_pairs(indices)) == want
             tables = train_model2(pairs, iterations=2, use_null=use_null)
-            want = [viterbi_align_model2(pairs[k], tables) for k in indices]
-            assert tables.viterbi_training_pairs(indices) == want
+            want = [viterbi_align_model2(pairs[k], tables).links for k in indices]
+            assert link_sets(tables.viterbi_training_pairs(indices)) == want
 
 
 class TestPinnedFloats:
@@ -253,7 +260,7 @@ class TestPinnedFloats:
             parts.append(sorted((key, sorted(row.items())) for key, row in table.distortion.items()))
             parts.append(table.log_likelihoods)
             decoded = table.viterbi_training_pairs(range(len(pairs)))
-            parts.append([sorted(a.links) for a in decoded])
+            parts.append([decoded.pair(k) for k in range(len(decoded))])
         digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
         assert digest == self.DIGEST
 
@@ -262,70 +269,123 @@ def links(*pairs):
     return frozenset(pairs)
 
 
+def link_sets(decoded):
+    return [frozenset(decoded.pair(k)) for k in range(len(decoded))]
+
+
+def sym(fwd, bwd, heuristic):
+    """`symmetrize` on one pair's link sets."""
+    (grown,) = link_sets(symmetrize(Links.of([fwd]), Links.of([bwd]), heuristic))
+    return grown
+
+
 class TestSymmetrize:
     def test_intersection_and_union(self):
-        fwd = Alignment(links((0, 0), (1, 1)))
-        bwd = Alignment(links((0, 0), (2, 1)))
-        assert symmetrize(fwd, bwd, "intersection").links == links((0, 0))
-        assert symmetrize(fwd, bwd, "union").links == links((0, 0), (1, 1), (2, 1))
+        fwd = links((0, 0), (1, 1))
+        bwd = links((0, 0), (2, 1))
+        assert sym(fwd, bwd, "intersection") == links((0, 0))
+        assert sym(fwd, bwd, "union") == links((0, 0), (1, 1), (2, 1))
 
     def test_grow_diag_adopts_adjacent_links(self):
-        fwd = Alignment(links((0, 0), (1, 1)))
-        bwd = Alignment(links((0, 0), (2, 1)))
-        grown = symmetrize(fwd, bwd, "grow-diag-final")
-        assert grown.links == links((0, 0), (1, 1), (2, 1))
+        fwd = links((0, 0), (1, 1))
+        bwd = links((0, 0), (2, 1))
+        assert sym(fwd, bwd, "grow-diag-final") == links((0, 0), (1, 1), (2, 1))
 
     def test_final_pass_rescues_detached_links(self):
         # (5, 5) is far from the seed but covers otherwise-unaligned rows.
-        fwd = Alignment(links((0, 0), (5, 5)))
-        bwd = Alignment(links((0, 0)))
-        grown = symmetrize(fwd, bwd, "grow-diag-final")
-        assert (5, 5) in grown.links
+        assert (5, 5) in sym(links((0, 0), (5, 5)), links((0, 0)), "grow-diag-final")
 
     def test_sandwich_and_idempotence_on_random_links(self):
         rng = random.Random(909)
         for _ in range(100):
             n, m = rng.randint(1, 6), rng.randint(1, 6)
             all_cells = [(i, j) for i in range(n) for j in range(m)]
-            fwd = Alignment(frozenset(c for c in all_cells if rng.random() < 0.3))
-            bwd = Alignment(frozenset(c for c in all_cells if rng.random() < 0.3))
-            inter = symmetrize(fwd, bwd, "intersection").links
-            union = symmetrize(fwd, bwd, "union").links
-            grown = symmetrize(fwd, bwd, "grow-diag-final").links
+            fwd = frozenset(c for c in all_cells if rng.random() < 0.3)
+            bwd = frozenset(c for c in all_cells if rng.random() < 0.3)
+            inter = sym(fwd, bwd, "intersection")
+            union = sym(fwd, bwd, "union")
+            grown = sym(fwd, bwd, "grow-diag-final")
             assert inter <= grown <= union
-            same = symmetrize(Alignment(fwd.links), Alignment(fwd.links), "grow-diag-final")
-            assert same.links == fwd.links
+            assert sym(fwd, fwd, "grow-diag-final") == fwd
+
+    def test_equals_set_oracle_over_a_batch(self):
+        # One batch of more than a chunk of pairs: empty link sets, one-token
+        # sides and larger grids side by side in one numbering of cells.
+        rng = random.Random(31)
+        fwd_sets, bwd_sets = [], []
+        for _ in range(CHUNK_SIZE + 200):
+            n, m = rng.choice((1, rng.randint(1, 8))), rng.choice((1, rng.randint(1, 8)))
+            rate = rng.choice((0.0, 0.15, 0.35))
+            cells = [(i, j) for i in range(n) for j in range(m)]
+            fwd_sets.append(frozenset(c for c in cells if rng.random() < rate))
+            bwd_sets.append(frozenset(c for c in cells if rng.random() < rate))
+        assert any(not f and not b for f, b in zip(fwd_sets, bwd_sets))
+        fwd, bwd = Links.of(fwd_sets), Links.of(bwd_sets)
+        for heuristic in HEURISTICS:
+            want = [symmetrize_reference(f, b, heuristic) for f, b in zip(fwd_sets, bwd_sets)]
+            assert link_sets(symmetrize(fwd, bwd, heuristic)) == want, heuristic
 
     def test_unknown_heuristic_is_fatal(self):
-        fwd = Alignment(links((0, 0)))
+        fwd = Links.of([links((0, 0))])
         with pytest.raises(PipelineError, match="heuristic"):
             symmetrize(fwd, fwd, "mystery")
 
     def test_transpose_flips_orientation(self):
-        alignment = Alignment(links((0, 2), (3, 1)))
-        assert transpose(alignment).links == links((2, 0), (1, 3))
+        flipped = transpose(Links.of([links((0, 2), (3, 1)), links(), links((1, 0), (0, 1))]))
+        assert link_sets(flipped) == [links((2, 0), (1, 3)), links(), links((0, 1), (1, 0))]
+        assert flipped.pair(0) == [(1, 3), (2, 0)]
 
 
 class TestAlignmentIO:
     def test_format_is_sorted_pharaoh(self):
-        alignment = Alignment(links((2, 1), (0, 0), (2, 0)))
-        assert format_alignment(alignment) == "0-0 2-0 2-1"
+        alignment = Links.of([links((2, 1), (0, 0), (2, 0)), links(), links((10, 3))])
+        assert format_alignments(alignment) == "0-0 2-0 2-1\n\n10-3\n"
 
     def test_write_read_round_trip(self, tmp_path):
-        alignments = [
-            Alignment(links((0, 0), (1, 2))),
-            Alignment(frozenset()),
-            Alignment(links((3, 3))),
+        alignments = [links((0, 0), (1, 2)), frozenset(), links((3, 3))]
+        path = tmp_path / "aln.txt"
+        write_alignments(Links.of(alignments), str(path))
+        assert link_sets(read_alignments(str(path))) == alignments
+
+    def test_unordered_and_repeated_links_read_as_a_set(self, tmp_path):
+        path = tmp_path / "aln.txt"
+        path.write_bytes(b"2-1 0-0  2-1\t0-0\r\n\n3-0 1-12")
+        reloaded = read_alignments(str(path))
+        assert [reloaded.pair(k) for k in range(len(reloaded))] == [
+            [(0, 0), (2, 1)], [], [(1, 12), (3, 0)]
+        ]
+
+    def test_lines_split_on_newline_only(self, tmp_path):
+        path = tmp_path / "aln.txt"
+        path.write_bytes(b"0-0\x0c1-1\n2-2\n")
+        assert link_sets(read_alignments(str(path))) == [links((0, 0), (1, 1)), links((2, 2))]
+
+    def test_blocks_of_lines_read_as_one(self, tmp_path, monkeypatch):
+        rng = random.Random(5)
+        sets = [
+            frozenset((rng.randrange(12), rng.randrange(1200)) for _ in range(rng.randrange(5)))
+            for _ in range(300)
         ]
         path = tmp_path / "aln.txt"
-        write_alignments(alignments, str(path))
-        reloaded = read_alignments(str(path))
-        assert [a.links for a in reloaded] == [a.links for a in alignments]
+        write_alignments(Links.of(sets), str(path))
+        monkeypatch.setattr(alignment, "_BLOCK", 7)
+        assert link_sets(read_alignments(str(path))) == sets
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("1-1\n2-2 3-x\n")
+        with pytest.raises(PipelineError, match="bad link '3-x' at line 302"):
+            read_alignments(str(path))
 
     def test_bad_link_reports_line(self, tmp_path):
         path = tmp_path / "aln.txt"
         path.write_text("0-0\n1_2\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="line 2"):
+            read_alignments(str(path))
+
+    @pytest.mark.parametrize("token", ["3", "1-2-3", "-1-2", "1--2", "4-", "-", "1-x", "1-٢"])
+    def test_malformed_token_is_named(self, tmp_path, token):
+        path = tmp_path / "aln.txt"
+        path.write_text(f"0-0\n\n1-1 {token} 2-2\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"bad link {token!r} at line 3"):
             read_alignments(str(path))
 
     def test_translation_table_export_ordering(self, tmp_path):

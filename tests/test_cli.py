@@ -1,5 +1,6 @@
 """Config validation, stage orchestration, and the command-line entry point."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from dclex.cli import (
     validate_config,
 )
 from dclex.errors import UsageError
+from dclex.parallel import CHUNK_SIZE
 
 import planted
 
@@ -175,6 +177,39 @@ class TestPipelineRuns:
         assert any(key.endswith("corpus.en") for key in manifest["inputs"])
         digests = list(manifest["inputs"].values())
         assert all(len(d) == 64 for d in digests)
+
+    def test_align_rows_count_tokens_and_links(self, mini_run):
+        root, _ = mini_run
+        out = root / "out"
+        manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+        rows = manifest["stages"]["align"]["rows"]
+        src = (out / ARTIFACTS["fused_src"]).read_text(encoding="utf-8").split()
+        tgt = (out / ARTIFACTS["corpus_tgt"]).read_text(encoding="utf-8").split()
+        sym = (out / ARTIFACTS["align_sym"]).read_text(encoding="utf-8").split()
+        assert (rows["src_tokens"], rows["tgt_tokens"]) == (len(src), len(tgt))
+        assert 0 < rows["fwd_links"] <= rows["tgt_tokens"]
+        assert 0 < rows["bwd_links"] <= rows["src_tokens"]
+        assert rows["sym_links"] == len(sym)
+        for name in ("alignments.fwd.txt", "alignments.bwd.txt"):
+            assert not (out / name).exists()
+
+    # SHA-256 of artifacts of `run all` on a planted corpus of two chunks,
+    # unchanged since links were still Python sets from Viterbi to extract.
+    PINNED = {
+        "align_sym": "b016c91c037e7524f3a3dba0804e4a6b6ab0acf16e6a954f1a96d5a569ab8bb4",
+        "dc_records": "62fef494c2330e061c2e4235e52c6e69f766acd7f91bedcfd680f60275541a9e",
+        "lexicon": "96cbb3566e885d880655fb10105928de6177fadf9eb3d84753350e7e2b5e2de2",
+        "evidence": "d855bc4449138166ca8789725083f18bb970c98769864a66fcf4ebc27e0d5def",
+    }
+
+    def test_run_all_artifacts_are_pinned(self, tmp_path):
+        config = planted.generate(tmp_path, pairs=CHUNK_SIZE + 300, seed=3)
+        assert main(["run", "all", "--config", str(config)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / ARTIFACTS[name]).read_bytes()).hexdigest()
+            for name in self.PINNED
+        }
+        assert digests == self.PINNED
 
     def test_extract_counts_the_occurrences_behind_freqs(self, mini_run):
         root, _ = mini_run

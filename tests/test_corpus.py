@@ -73,6 +73,20 @@ class TestLoadParallelCorpus:
         with pytest.raises(PipelineError, match="2 vs 3"):
             load_parallel_corpus(src, tgt)
 
+    def test_lines_split_on_newline_only(self, tmp_path):
+        # U+2028, U+0085 and form feed end a line for str.splitlines, not
+        # in the corpus files; to the tokenizer they are whitespace.
+        src, tgt = write_corpus(
+            tmp_path,
+            ["although he came\u2028 home .", "but\x85 she left\x0c ."],
+            ["bien qu'il\u2028 soit venu .", "mais elle est partie ."],
+        )
+        corpus = load_parallel_corpus(src, tgt)
+        assert [p.id for p in corpus.pairs] == [0, 1]
+        assert corpus.pairs[0].src_tokens == ("although", "he", "came", "home", ".")
+        assert corpus.pairs[1].src_tokens == ("but", "she", "left", ".")
+        assert len(load_token_corpus(src, tgt).pairs) == 2
+
     def test_both_empty_skipped_preserving_ids(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", "", "b"], ["x", "", "y"])
         corpus = load_parallel_corpus(src, tgt)

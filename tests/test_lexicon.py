@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dclex.alignment import Alignment
+from dclex.alignment import Links
 from dclex.corpus import Corpus, FrequencyTable, SentencePair
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
@@ -171,14 +171,14 @@ def evidence_fixture():
         ("même", "si"),
         ("tout", "même", "si"),
     ]
-    alignments = [
-        Alignment(frozenset({(0, 0), (0, 1), (1, 2)})),
-        Alignment(frozenset({(0, 0), (0, 1)})),
-        Alignment(frozenset({(0, 1)})),
-        Alignment(frozenset({(0, 0)})),
-        Alignment(frozenset({(1, 0)})),  # links "y", not the connective span
-        Alignment(frozenset({(0, 2)})),
-    ]
+    alignments = Links.of([
+        {(0, 0), (0, 1), (1, 2)},
+        {(0, 0), (0, 1)},
+        {(0, 1)},
+        {(0, 0)},
+        {(1, 0)},  # links "y", not the connective span
+        {(0, 2)},
+    ])
     pairs = tuple(
         SentencePair(i, src, tgt) for i, (src, tgt) in enumerate(zip(src_sents, tgt_sents))
     )
@@ -247,7 +247,7 @@ class TestEvidence:
         # The fused token links into "même si" and also to "tard": its
         # one-token box is not consistent with the connective span.
         pairs = (SentencePair(0, ("even_though-Comparison.Concession", "late"), ("même", "si", "tard")),)
-        alignments = [Alignment(frozenset({(0, 0), (0, 2)}))]
+        alignments = Links.of([{(0, 0), (0, 2)}])
         assert evidence(
             Corpus(pairs), alignments, "même si", "Comparison.Concession", k=5, seed=1
         ) == []
@@ -267,7 +267,7 @@ class TestEvidence:
             SentencePair(0, ("although-Comparison.Concession",), ("bien", "que")),
             SentencePair(1, ("albeit-Comparison.Concession",), ("bien", "que")),
         )
-        alignments = [Alignment(frozenset({(0, 0), (0, 1)}))] * 2
+        alignments = Links.of([{(0, 0), (0, 1)}] * 2)
         tgt_inventory = [Connective(("bien", "que"), "target")]
         table = build_phrase_table(
             [(p.src_tokens, p.tgt_tokens) for p in pairs], alignments, tgt_inventory
@@ -277,9 +277,17 @@ class TestEvidence:
         sites = evidence_sites(Corpus(pairs), alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
         assert [site[0] for site in sites[("bien que", "Comparison.Concession")]] == [0]
 
+    def test_out_of_bounds_link_is_fatal_without_an_occurrence(self):
+        # Pair 3, "bon alors", holds no inventory form.
+        corpus, alignments = evidence_fixture()
+        links = [alignments.pair(k) for k in range(len(alignments))]
+        links[3] = [(0, 5)]
+        with pytest.raises(PipelineError, match="0-5 out of bounds for 2x2 pair 3"):
+            evidence_sites(corpus, Links.of(links), INVENTORY, SRC_INVENTORY, RELATIONS)
+
     def test_unknown_label_is_fatal(self):
         pairs = (SentencePair(0, ("although-Nonsense",), ("bien", "que")),)
-        alignments = [Alignment(frozenset({(0, 0), (0, 1)}))]
+        alignments = Links.of([{(0, 0), (0, 1)}])
         tgt_inventory = [Connective(("bien", "que"), "target")]
         with pytest.raises(PipelineError, match="unknown relation label"):
             evidence_sites(Corpus(pairs), alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)

@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
-from dclex.alignment import Alignment
+from dclex.alignment import Alignment, Links
 from dclex.corpus import Corpus, SentencePair, count_occurrences
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
+from dclex.parallel import CHUNK_SIZE
 from dclex.lexicon import build_lexicon
 from dclex.phrasetable import (
     DCAlignmentRecord,
@@ -27,6 +28,10 @@ from oracles import consistent_phrase_pairs_reference
 
 def aln(*pairs):
     return Alignment(frozenset(pairs))
+
+
+def columns(alignments):
+    return Links.of(a.links for a in alignments)
 
 
 class TestExtraction:
@@ -126,7 +131,7 @@ class TestBuildPhraseTable:
         # occurrence is "même si", and "même" never occurs on its own.
         pairs = [((self.FUSED, "late"), ("même", "si", "tard"))]
         alignments = [aln((0, 0), (1, 2))]
-        table = build_phrase_table(pairs, alignments, self.TGT_INV)
+        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV)
         records = filter_dc_entries(table, [Connective(("even", "though"), "source")], ["Concession"])
         assert records == [DCAlignmentRecord("même si", "even though", "Concession", 1)]
         freqs = count_occurrences(
@@ -147,34 +152,42 @@ class TestBuildPhraseTable:
             ((self.FUSED,), ("même", "si")),
         ]
         alignments = [aln((0, 0), (1, 1)), aln((0, 0)), aln((0, 1), (0, 2)), aln((0, 1))]
-        table = build_phrase_table(pairs, alignments, self.TGT_INV)
+        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV)
         assert list(table) == [PhraseTableEntry((self.FUSED,), ("même", "si"), 1)]
         assert table.occurrences == 4
-        assert build_phrase_table(pairs, alignments, self.TGT_INV, max_len=1).entries == ()
+        assert build_phrase_table(pairs, columns(alignments), self.TGT_INV, max_len=1).entries == ()
 
     def test_counts_accumulate_across_repeats(self):
         pair = (("a-R", "b"), ("x", "y", "z"))
         inventory = [Connective(("x",), "target"), Connective(("x", "y"), "target")]
         alignment = aln((0, 0), (0, 1), (1, 2))
-        table = build_phrase_table([pair] * 3, [alignment] * 3, inventory)
+        table = build_phrase_table([pair] * 3, columns([alignment] * 3), inventory)
         assert list(table) == [PhraseTableEntry(("a-R",), ("x", "y"), 3)]
         assert table.occurrences == 3
 
     def test_output_sorted_by_phrase(self):
         pair = (("b-R", "a-R"), ("y", "x"))
         inventory = [Connective(("x",), "target"), Connective(("y",), "target")]
-        table = build_phrase_table([pair], [aln((0, 0), (1, 1))], inventory)
+        table = build_phrase_table([pair], columns([aln((0, 0), (1, 1))]), inventory)
         keys = [(e.src_phrase, e.tgt_phrase) for e in table]
         assert keys == sorted(keys) == [(("a-R",), ("x",)), (("b-R",), ("y",))]
         assert table.occurrences == 2
 
     def test_length_mismatch_is_fatal(self):
         with pytest.raises(PipelineError, match="1 vs 2"):
-            build_phrase_table([(("a",), ("x",))], [aln(), aln()], self.TGT_INV)
+            build_phrase_table([(("a",), ("x",))], columns([aln(), aln()]), self.TGT_INV)
 
     def test_out_of_bounds_link_is_fatal(self):
         with pytest.raises(PipelineError, match="out of bounds"):
-            build_phrase_table([(("a",), ("même",))], [aln((0, 5))], self.TGT_INV)
+            build_phrase_table([(("a",), ("même",))], columns([aln((0, 5))]), self.TGT_INV)
+
+    def test_out_of_bounds_link_is_fatal_without_an_occurrence(self):
+        # The last pair has no inventory form, so the scan never reads its
+        # links; it sits in the second chunk and is named by corpus number.
+        pairs = [((self.FUSED,), ("même",))] * CHUNK_SIZE + [(("a", "b"), ("x",))]
+        alignments = [aln((0, 0))] * CHUNK_SIZE + [aln((1, 1))]
+        with pytest.raises(PipelineError, match=f"1-1 out of bounds for 2x1 pair {CHUNK_SIZE}$"):
+            build_phrase_table(pairs, columns(alignments), self.TGT_INV, threads=2)
 
     def test_equals_filtered_full_table_without_nested_forms(self):
         # Forms share no token and repeat none, so no two occurrences can
@@ -198,7 +211,7 @@ class TestBuildPhraseTable:
                 )
                 alignments.append(random_links(rng, n, m, 0.25))
             max_len = rng.randint(1, 7)
-            table = build_phrase_table(pairs, alignments, inventory, max_len)
+            table = build_phrase_table(pairs, columns(alignments), inventory, max_len)
             got = {(e.src_phrase, e.tgt_phrase): e.count for e in table}
             want = fused_rows_reference(pairs, alignments, forms, max_len)
             assert got == dict(want), (pairs, alignments, forms, max_len)
@@ -220,7 +233,7 @@ class TestBuildPhraseTable:
                     )
                 )
                 alignments.append(random_links(rng, n, m, 0.3))
-            table = build_phrase_table(pairs, alignments, inventory, rng.randint(1, 4))
+            table = build_phrase_table(pairs, columns(alignments), inventory, rng.randint(1, 4))
             corpus = Corpus(tuple(SentencePair(i, *p) for i, p in enumerate(pairs)))
             freqs = count_occurrences(corpus, "target", inventory)
             aligned = Counter()
@@ -244,8 +257,8 @@ class TestBuildPhraseTable:
             )
             alignments.append(random_links(rng, n, m, 0.3))
         inventory = [Connective(("x",), "target"), Connective(("x", "y"), "target")]
-        one = build_phrase_table(pairs, alignments, inventory, threads=1)
-        many = build_phrase_table(pairs, alignments, inventory, threads=4)
+        one = build_phrase_table(pairs, columns(alignments), inventory, threads=1)
+        many = build_phrase_table(pairs, columns(alignments), inventory, threads=4)
         assert one.entries
         assert one == many
 
