@@ -259,14 +259,18 @@ class _Fit:
     def __init__(self, pairs: Sequence[TokenPair], use_null: bool, positional: bool) -> None:
         import numpy as np
 
+        ls = np.array([len(src) for src, _ in pairs], np.int64)
+        ms = np.array([len(tgt) for _, tgt in pairs], np.int64)
+        empty = np.flatnonzero((ls == 0) | (ms == 0))
+        if len(empty):
+            raise PipelineError(f"empty sentence in training pair {empty[0]}")
+
         self.use_null = use_null
         null = 1 if use_null else 0
         self.e_words, src_ids = _intern((src for src, _ in pairs), (NULL_TOKEN,) if use_null else ())
         self.f_words, tgt_ids = _intern(tgt for _, tgt in pairs)
         nf = len(self.f_words)
 
-        ls = np.array([len(src) for src, _ in pairs], np.int64)
-        ms = np.array([len(tgt) for _, tgt in pairs], np.int64)
         ns = ls + null
         sizes = ns * ms
         self.n, self.m = ns.astype(np.int32), ms.astype(np.int32)
@@ -477,9 +481,6 @@ def _validate_training_input(pairs: Sequence[TokenPair], iterations: int) -> Non
         raise PipelineError(f"iterations must be >= 1, got {iterations}")
     if not pairs:
         raise PipelineError("empty corpus: nothing to train on")
-    for idx, (src, tgt) in enumerate(pairs):
-        if not src or not tgt:
-            raise PipelineError(f"empty sentence in training pair {idx}")
 
 
 def _train(

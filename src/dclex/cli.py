@@ -29,7 +29,7 @@ from . import lexicon as lx
 from . import phrasetable as pt
 from . import tagging as tg
 from .errors import PipelineError, UsageError
-from .fileio import atomic_write_text, read_text_strict, sha256_file
+from .fileio import atomic_write_text, iter_data_lines, read_text_strict, sha256_file
 from .parallel import process_chunks
 
 logger = logging.getLogger(__name__)
@@ -160,10 +160,7 @@ def validate_config(path: str) -> PipelineConfig:
     if not Path(path).is_file():
         raise UsageError(f"config file not found: {path}")
     values: dict[str, object] = {}
-    for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
-        payload = line.split("#", 1)[0].strip()
-        if not payload:
-            continue
+    for lineno, payload in iter_data_lines(read_text_strict(path)):
         if "=" not in payload:
             raise UsageError(f"{path}: expected `key = value` at line {lineno}")
         key, raw = (part.strip() for part in payload.split("=", 1))
@@ -296,7 +293,7 @@ def _stage_ingest(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict
     cp.write_token_file((p.src_tokens for p in corpus.pairs), _out(cfg, "corpus_src"))
     cp.write_token_file((p.tgt_tokens for p in corpus.pairs), _out(cfg, "corpus_tgt"))
     tgt_inventory = _load_target_inventory(cfg)
-    freqs = cp.count_occurrences(corpus, "target", tgt_inventory, threads=cfg.threads)
+    freqs = cp.count_occurrences(corpus, tgt_inventory, threads=cfg.threads)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
     return {"pairs": len(corpus.pairs), "target_forms": len(freqs.entries)}
 
@@ -351,27 +348,31 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
     }
 
 
-def _load_aligned_corpus(cfg: PipelineConfig) -> tuple[cp.Corpus, al.Links]:
-    """The fused source and the target side, with their symmetrized links."""
+def _load_scan_inputs(
+    cfg: PipelineConfig,
+) -> tuple[cp.Corpus, al.Links, list[inv.Connective], list[inv.Connective], list[str]]:
+    """What the connective-occurrence scan reads: the fused source and the
+    target side, their symmetrized links, both inventories and the relations."""
     fused_path = _require(cfg, "fused_src", "tag")
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
     align_path = _require(cfg, "align_sym", "align")
     work = cp.load_token_corpus(str(fused_path), str(tgt_path))
     links = al.read_alignments(str(align_path))
-    if len(links) != len(work.pairs):
-        raise PipelineError(
-            f"alignment count {len(links)} does not match corpus size {len(work.pairs)}"
-        )
-    return work, links
+    return (
+        work,
+        links,
+        _load_target_inventory(cfg),
+        _load_source_inventory(cfg),
+        _load_induced_relations(cfg),
+    )
 
 
 def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
-    work, links = _load_aligned_corpus(cfg)
-    tgt_inventory = _load_target_inventory(cfg)
+    work, links, tgt_inventory, src_inventory, relations = _load_scan_inputs(cfg)
     pairs = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
-    table = pt.build_phrase_table(pairs, links, tgt_inventory, cfg.max_phrase_len, cfg.threads)
-    src_inventory, relations = _load_source_inventory(cfg), _load_induced_relations(cfg)
-    table = pt.accepted_rows(table, src_inventory, relations)
+    table = pt.build_phrase_table(
+        pairs, links, tgt_inventory, src_inventory, relations, cfg.max_phrase_len, cfg.threads
+    )
     pt.write_phrase_table(table, _out(cfg, "phrase_table"))
     records = pt.filter_dc_entries(table, src_inventory, relations)
     pt.write_dc_records(records, _out(cfg, "dc_records"))
@@ -411,15 +412,8 @@ def _stage_eval(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[s
 
 def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
-    work, links = _load_aligned_corpus(cfg)
-    sites = lx.evidence_sites(
-        work,
-        links,
-        _load_target_inventory(cfg),
-        _load_source_inventory(cfg),
-        _load_induced_relations(cfg),
-        cfg.max_phrase_len,
-    )
+    work, *scan_inputs = _load_scan_inputs(cfg)
+    sites = lx.evidence_sites(work, *scan_inputs, cfg.max_phrase_len)
 
     only_dc = getattr(extra, "dc", None) if extra else None
     only_relation = getattr(extra, "relation", None) if extra else None

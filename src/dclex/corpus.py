@@ -5,7 +5,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
@@ -13,8 +13,6 @@ from .parallel import process_chunks
 
 if TYPE_CHECKING:
     from .inventory import Connective
-
-Side = Literal["source", "target"]
 
 
 @dataclass(frozen=True)
@@ -199,17 +197,14 @@ def scan_matches(
 
 def count_occurrences(
     corpus: Corpus,
-    side: Side,
     inventory: Sequence["Connective"],
     threads: int = 1,
 ) -> FrequencyTable:
-    """Count connective occurrences on one side of the corpus.
+    """Count connective occurrences on the target side of the corpus.
 
     Matching is contiguous, on token boundaries, lowercased, longest-match
     first, non-overlapping. Every inventory form gets an entry (0 if absent).
     """
-    if side not in ("source", "target"):
-        raise PipelineError(f"unknown corpus side {side!r}")
     if not inventory:
         raise PipelineError("empty connective inventory")
     forms = list(dict.fromkeys(c.surface for c in inventory))
@@ -218,8 +213,7 @@ def count_occurrences(
     def chunk_counts(pairs: Sequence[SentencePair]) -> Counter:
         counts: Counter = Counter()
         for pair in pairs:
-            tokens = pair.src_tokens if side == "source" else pair.tgt_tokens
-            lowered = tuple(t.lower() for t in tokens)
+            lowered = tuple(t.lower() for t in pair.tgt_tokens)
             for _, form in scan_matches(lowered, table):
                 counts[form] += 1
         return counts

@@ -1,4 +1,5 @@
-"""File helpers: strict UTF-8 reads, atomic writes, digests."""
+"""File helpers: strict UTF-8 reads, comment-aware line reading, atomic
+writes, digests."""
 
 from __future__ import annotations
 
@@ -6,18 +7,28 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 from .errors import PipelineError
 
 
 def read_text_strict(path: str | os.PathLike[str]) -> str:
-    """Read a UTF-8 file, reporting the line number of any bad byte."""
+    """Read a UTF-8 file without its byte-order mark, if any, reporting the
+    line number of any bad byte."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw[: exc.start].count(b"\n") + 1
         raise PipelineError(f"{path}: invalid UTF-8 at line {line}") from exc
+
+
+def iter_data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, payload) skipping blanks; '#' starts a comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        payload = line.split("#", 1)[0].strip()
+        if payload:
+            yield lineno, payload
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:

@@ -5,14 +5,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from importlib import resources
+from typing import Literal
 
-from .corpus import FrequencyTable, Side, tokenize, TokenizerOptions
+from .corpus import FrequencyTable, tokenize, TokenizerOptions
 from .errors import PipelineError
-from .fileio import read_text_strict
+from .fileio import iter_data_lines, read_text_strict
 
 logger = logging.getLogger(__name__)
 
 _TOKENIZE_LOWER = TokenizerOptions(lowercase=True)
+
+Side = Literal["source", "target"]
 
 
 @dataclass(frozen=True)
@@ -43,18 +46,10 @@ class RelationMap:
         return self.pairs.get(relation)
 
 
-def _iter_data_lines(text: str):
-    """Yield (lineno, payload) skipping blanks; '#' starts a comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        payload = line.split("#", 1)[0].strip()
-        if payload:
-            yield lineno, payload
-
-
 def load_connective_inventory(path: str, language: Side) -> list[Connective]:
     """Load one surface form per line; lowercased, deduplicated in order."""
     seen: dict[tuple[str, ...], None] = {}
-    for lineno, payload in _iter_data_lines(read_text_strict(path)):
+    for lineno, payload in iter_data_lines(read_text_strict(path)):
         surface = tuple(tokenize(payload, _TOKENIZE_LOWER))
         if not surface:
             raise PipelineError(f"{path}: no tokens in surface form at line {lineno}")
@@ -69,7 +64,7 @@ def load_connective_inventory(path: str, language: Side) -> list[Connective]:
 
 def _parse_relation_inventory(text: str, origin: str) -> list[str]:
     labels: list[str] = []
-    for lineno, payload in _iter_data_lines(text):
+    for lineno, payload in iter_data_lines(text):
         if any(ch.isspace() for ch in payload) or "-" in payload:
             raise PipelineError(
                 f"{origin}: relation label {payload!r} at line {lineno} "
@@ -90,7 +85,7 @@ def load_relation_inventory(path: str) -> list[str]:
 
 def _parse_gold_lexicon(text: str, origin: str, relations: list[str] | None) -> GoldLexicon:
     entries: set[tuple[str, str]] = set()
-    for lineno, payload in _iter_data_lines(text):
+    for lineno, payload in iter_data_lines(text):
         parts = payload.split("\t")
         if len(parts) != 2:
             raise PipelineError(f"{origin}: expected `surface<TAB>relation` at line {lineno}")
@@ -127,7 +122,7 @@ def _parse_relation_map(
     text: str, origin: str, induced: list[str] | None, gold: list[str] | None
 ) -> RelationMap:
     pairs: dict[str, str] = {}
-    for lineno, payload in _iter_data_lines(text):
+    for lineno, payload in iter_data_lines(text):
         parts = payload.split("\t")
         if len(parts) != 2:
             raise PipelineError(f"{origin}: expected `induced<TAB>gold` at line {lineno}")

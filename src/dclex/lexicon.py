@@ -14,16 +14,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .alignment import Links
-from .corpus import Corpus, FrequencyTable, build_match_table
+from .corpus import Corpus, FrequencyTable
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
-from .phrasetable import (
-    DCAlignmentRecord,
-    check_links,
-    connective_occurrences,
-    fused_connective,
-)
+from .phrasetable import DCAlignmentRecord, check_links, connective_occurrences
 
 
 @dataclass(frozen=True)
@@ -148,21 +143,16 @@ def evidence_sites(
     """Find the supporting pairs of every (fr_dc, relation) in one pass.
 
     `corpus` holds the fused source side. A pair supports (fr_dc, relation)
-    when an occurrence of fr_dc pairs with a fused source token carrying the
-    relation, as extraction counts it (`connective_occurrences`, then
-    `fused_connective`); the first such occurrence in the pair is its site.
-    Sites are in corpus order.
+    when `connective_occurrences` counts an occurrence of fr_dc for a fused
+    source token carrying the relation, exactly as extraction does; the
+    first such occurrence in the pair is its site. Sites are in corpus order.
     """
-    if len(corpus.pairs) != len(links):
-        raise PipelineError("corpus and alignments must be parallel")
     pairs = [(pair.src_tokens, pair.tgt_tokens) for pair in corpus.pairs]
     check_links(pairs, links)
-    forms = build_match_table(c.surface for c in tgt_inventory)
-    src_forms = {c.surface for c in src_inventory}
-    known_relations = set(relations)
     sites: dict[tuple[str, str], list[EvidenceSite]] = {}
-    for index, start, form, i in connective_occurrences(pairs, links, forms, max_len):
-        dc = None if i is None else fused_connective(pairs[index][0][i], src_forms, known_relations)
+    for index, start, form, i, dc in connective_occurrences(
+        pairs, links, tgt_inventory, src_inventory, relations, max_len
+    ):
         if dc is None:
             continue
         found = sites.setdefault((" ".join(form), dc[1]), [])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Sequence
 
 from .alignment import Alignment, Links
-from .corpus import MatchTable, build_match_table, scan_matches
+from .corpus import build_match_table, scan_matches
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
@@ -120,22 +120,30 @@ def extract_phrase_pairs(
 def connective_occurrences(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     links: Links,
-    forms: MatchTable,
+    tgt_inventory: Sequence[Connective],
+    src_inventory: Sequence[Connective],
+    relations: Sequence[str],
     max_len: int = 7,
-) -> Iterator[tuple[int, int, Phrase, int | None]]:
-    """Yield (pair, start, form, source) for each longest-match occurrence of
-    a target form, pair by pair, scanning the lowercased target as the
-    corpus counts do.
+) -> Iterator[tuple[int, int, Phrase, int | None, tuple[str, str] | None]]:
+    """Yield (pair, start, form, source, dc) for each longest-match occurrence
+    of a target form, pair by pair, scanning the lowercased target as the
+    corpus counts do. This is the one place that decides which fused source
+    token, if any, an occurrence counts for.
 
     `source` is the one source token whose one-token box is consistent with
     exactly the occurrence span: every link into the span comes from it and
     all of its links lie inside. It is None when no token qualifies or the
-    form is longer than `max_len`. The links of a pair are read only when
-    its target has an occurrence; `check_links` must have passed.
+    form is longer than `max_len`. `dc` is the (en_dc, relation) that
+    `fused_connective` reads off that token, or None. The links of a pair
+    are read only when its target has an occurrence; `check_links` must
+    have passed.
     """
     if max_len < 1:
         raise PipelineError(f"max_len must be >= 1, got {max_len}")
-    for k, (_, tgt_tokens) in enumerate(pairs):
+    forms = build_match_table(c.surface for c in tgt_inventory)
+    src_forms = {c.surface for c in src_inventory}
+    known_relations = set(relations)
+    for k, (src_tokens, tgt_tokens) in enumerate(pairs):
         matches = list(scan_matches(tuple(t.lower() for t in tgt_tokens), forms))
         if not matches:
             continue
@@ -150,14 +158,20 @@ def connective_occurrences(
             consistent = len(form) <= max_len and len(linked) == 1 and all(
                 start <= j <= end for i in linked for j in targets_of[i]
             )
-            yield k, start, form, min(linked) if consistent else None
+            source = min(linked) if consistent else None
+            dc = None if source is None else fused_connective(
+                src_tokens[source], src_forms, known_relations
+            )
+            yield k, start, form, source, dc
 
 
 def check_links(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], links: Links) -> None:
     """Fail unless `links` has one entry per pair and every link lies in its
     pair, whether or not a scan would read it."""
     if len(pairs) != len(links):
-        raise PipelineError(f"corpus/alignment length mismatch: {len(pairs)} vs {len(links)}")
+        raise PipelineError(
+            f"corpus and alignments must be parallel: {len(pairs)} vs {len(links)} pairs"
+        )
     links.check_bounds([len(src) for src, _ in pairs], [len(tgt) for _, tgt in pairs])
 
 
@@ -165,25 +179,28 @@ def build_phrase_table(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     links: Links,
     tgt_inventory: Sequence[Connective],
+    src_inventory: Sequence[Connective],
+    relations: Sequence[str],
     max_len: int = 7,
     threads: int = 1,
 ) -> PhraseTable:
     """Count, over all target connective occurrences, the fused source token
-    each one pairs with (see `connective_occurrences`). Where no inventory
+    each one counts for (see `connective_occurrences`). Where no inventory
     forms nest or overlap, these are the `extract_phrase_pairs` rows with one
-    fused source token and an inventory form on the target side."""
+    fused source token and an inventory form on the target side, less those
+    whose token `fused_connective` rejects."""
     check_links(pairs, links)
-    forms = build_match_table(c.surface for c in tgt_inventory)
 
     def count_chunk(chunk: range) -> tuple[Counter, int]:
         rows: Counter = Counter()
         occurrences = 0
         lo, hi = chunk.start, chunk.stop
-        for k, _, form, i in connective_occurrences(pairs[lo:hi], links[lo:hi], forms, max_len):
+        for k, _, form, i, dc in connective_occurrences(
+            pairs[lo:hi], links[lo:hi], tgt_inventory, src_inventory, relations, max_len
+        ):
             occurrences += 1
-            src = pairs[lo + k][0]
-            if i is not None and split_fused_token(src[i]) is not None:
-                rows[((src[i],), form)] += 1
+            if dc is not None:
+                rows[((pairs[lo + k][0][i],), form)] += 1
         return rows, occurrences
 
     totals: Counter = Counter()
@@ -216,19 +233,6 @@ def fused_connective(
             f"malformed fused token {token!r}: unknown relation label {relation!r}"
         )
     return " ".join(surface), relation
-
-
-def accepted_rows(
-    table: PhraseTable, src_inventory: Sequence[Connective], relations: Sequence[str]
-) -> PhraseTable:
-    """`table` without the rows whose fused source token `fused_connective`
-    rejects (a surface outside the source inventory)."""
-    src_forms = {c.surface for c in src_inventory}
-    known_relations = set(relations)
-    entries = tuple(
-        e for e in table if fused_connective(e.src_phrase[0], src_forms, known_relations)
-    )
-    return PhraseTable(entries, table.occurrences)
 
 
 def filter_dc_entries(

@@ -13,8 +13,8 @@ from typing import Mapping, Sequence
 
 from .corpus import Corpus, SentencePair, build_match_table, scan_matches, write_token_file
 from .errors import PipelineError
-from .fileio import atomic_write_text, read_text_strict
-from .inventory import Connective, _iter_data_lines
+from .fileio import atomic_write_text, iter_data_lines, read_text_strict
+from .inventory import Connective
 from .parallel import process_chunks
 
 SURFACE_JOINER = "_"
@@ -188,7 +188,7 @@ def write_annotations(annotations: Sequence[DCAnnotation], path: str) -> None:
 def load_default_senses(path: str) -> dict[str, str]:
     """Load `surface<TAB>relation` defaults for the heuristic tagger."""
     senses: dict[str, str] = {}
-    for lineno, payload in _iter_data_lines(read_text_strict(path)):
+    for lineno, payload in iter_data_lines(read_text_strict(path)):
         parts = payload.split("\t")
         if len(parts) != 2:
             raise PipelineError(f"{path}: expected `surface<TAB>relation` at line {lineno}")

@@ -139,29 +139,29 @@ class TestCountOccurrences:
     def test_longest_match_shadows_substrings(self):
         corpus = corpus_from_tokens([["même", "si", "même", "si"]])
         inv = target_inventory("même si", "si")
-        freqs = count_occurrences(corpus, "target", inv)
+        freqs = count_occurrences(corpus, inv)
         assert freqs.count("même si") == 2
         assert freqs.count("si") == 0
 
     def test_no_match_across_gaps(self):
         corpus = corpus_from_tokens([["si", "même"]])
-        freqs = count_occurrences(corpus, "target", target_inventory("même si"))
+        freqs = count_occurrences(corpus, target_inventory("même si"))
         assert freqs.count("même si") == 0
 
     def test_matching_is_case_insensitive(self):
         corpus = corpus_from_tokens([["Même", "SI"]])
-        freqs = count_occurrences(corpus, "target", target_inventory("même si"))
+        freqs = count_occurrences(corpus, target_inventory("même si"))
         assert freqs.count("même si") == 1
 
     def test_absent_form_counts_zero_and_is_listed(self):
         corpus = corpus_from_tokens([["a"]])
-        freqs = count_occurrences(corpus, "target", target_inventory("b"))
+        freqs = count_occurrences(corpus, target_inventory("b"))
         assert freqs.count("b") == 0
         assert "b" in freqs.entries
 
     def test_empty_inventory_is_fatal(self):
         with pytest.raises(PipelineError, match="empty"):
-            count_occurrences(corpus_from_tokens([["a"]]), "target", [])
+            count_occurrences(corpus_from_tokens([["a"]]), [])
 
     def test_matches_reference_scan_on_random_corpora(self):
         rng = random.Random(2024)
@@ -177,7 +177,7 @@ class TestCountOccurrences:
             ]
             corpus = corpus_from_tokens(sentences)
             inv = [Connective(f, "target") for f in forms]
-            got = count_occurrences(corpus, "target", inv)
+            got = count_occurrences(corpus, inv)
             want = longest_match_counts_reference(sentences, forms)
             assert got.entries == {" ".join(f): c for f, c in want.items()}
 
@@ -186,7 +186,7 @@ class TestCountOccurrences:
         sentences = [[rng.choice("ab") for _ in range(8)] for _ in range(30)]
         corpus = corpus_from_tokens(sentences)
         inv = target_inventory("a", "a b", "b")
-        freqs = count_occurrences(corpus, "target", inv)
+        freqs = count_occurrences(corpus, inv)
         assert sum(freqs.entries.values()) <= sum(len(s) for s in sentences)
 
     def test_thread_count_does_not_change_counts(self):
@@ -194,8 +194,8 @@ class TestCountOccurrences:
         sentences = [[rng.choice("abc") for _ in range(6)] for _ in range(200)]
         corpus = corpus_from_tokens(sentences)
         inv = target_inventory("a", "b c")
-        one = count_occurrences(corpus, "target", inv, threads=1)
-        many = count_occurrences(corpus, "target", inv, threads=4)
+        one = count_occurrences(corpus, inv, threads=1)
+        many = count_occurrences(corpus, inv, threads=4)
         assert one.entries == many.entries
 
 

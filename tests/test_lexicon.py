@@ -270,7 +270,11 @@ class TestEvidence:
         alignments = Links.of([{(0, 0), (0, 1)}] * 2)
         tgt_inventory = [Connective(("bien", "que"), "target")]
         table = build_phrase_table(
-            [(p.src_tokens, p.tgt_tokens) for p in pairs], alignments, tgt_inventory
+            [(p.src_tokens, p.tgt_tokens) for p in pairs],
+            alignments,
+            tgt_inventory,
+            SRC_INVENTORY,
+            RELATIONS,
         )
         records = filter_dc_entries(table, SRC_INVENTORY, RELATIONS)
         assert [(r.fr_dc, r.en_dc, r.count) for r in records] == [("bien que", "although", 1)]

@@ -10,7 +10,7 @@ from dclex.corpus import Corpus, SentencePair, count_occurrences
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
 from dclex.parallel import CHUNK_SIZE
-from dclex.lexicon import build_lexicon
+from dclex.lexicon import build_lexicon, evidence_sites
 from dclex.phrasetable import (
     DCAlignmentRecord,
     PhraseTableEntry,
@@ -116,10 +116,37 @@ def fused_rows_reference(pairs, alignments, forms, max_len):
     return rows
 
 
+# Accept every fused token the tests below write, so that their rows are the
+# reference's rows.
+SRC_INV = [Connective(s, "source") for s in [("even", "though"), ("a",), ("b",)]]
+RELATIONS = ["Concession", "R", "S", "R1", "R2"]
+
+
 def random_links(rng, n, m, rate):
     return Alignment(
         frozenset((i, j) for i in range(n) for j in range(m) if rng.random() < rate)
     )
+
+
+NESTED_FORMS = [
+    Connective(f, "target")
+    for f in [("x",), ("x", "y"), ("y",), ("y", "z"), ("x", "y", "z"), ("z", "z")]
+]
+
+
+def random_nested_corpus(rng, src_vocab):
+    """Up to six pairs whose targets are dense in the nested NESTED_FORMS."""
+    pairs, alignments = [], []
+    for _ in range(rng.randint(1, 6)):
+        n, m = rng.randint(1, 5), rng.randint(1, 9)
+        pairs.append(
+            (
+                tuple(rng.choice(src_vocab) for _ in range(n)),
+                tuple(rng.choice("xyzu") for _ in range(m)),
+            )
+        )
+        alignments.append(random_links(rng, n, m, 0.3))
+    return pairs, alignments
 
 
 class TestBuildPhraseTable:
@@ -131,12 +158,10 @@ class TestBuildPhraseTable:
         # occurrence is "même si", and "même" never occurs on its own.
         pairs = [((self.FUSED, "late"), ("même", "si", "tard"))]
         alignments = [aln((0, 0), (1, 2))]
-        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV)
+        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
         records = filter_dc_entries(table, [Connective(("even", "though"), "source")], ["Concession"])
         assert records == [DCAlignmentRecord("même si", "even though", "Concession", 1)]
-        freqs = count_occurrences(
-            Corpus((SentencePair(0, *pairs[0]),)), "target", self.TGT_INV
-        )
+        freqs = count_occurrences(Corpus((SentencePair(0, *pairs[0]),)), self.TGT_INV)
         lexicon = build_lexicon(records, freqs, min_freq=1)
         assert [(e.fr_dc, e.aligned_count, e.corpus_freq) for e in lexicon.entries] == [
             ("même si", 1, 1)
@@ -152,34 +177,56 @@ class TestBuildPhraseTable:
             ((self.FUSED,), ("même", "si")),
         ]
         alignments = [aln((0, 0), (1, 1)), aln((0, 0)), aln((0, 1), (0, 2)), aln((0, 1))]
-        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV)
+        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
         assert list(table) == [PhraseTableEntry((self.FUSED,), ("même", "si"), 1)]
         assert table.occurrences == 4
-        assert build_phrase_table(pairs, columns(alignments), self.TGT_INV, max_len=1).entries == ()
+        assert build_phrase_table(
+            pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS, max_len=1
+        ).entries == ()
 
     def test_counts_accumulate_across_repeats(self):
         pair = (("a-R", "b"), ("x", "y", "z"))
         inventory = [Connective(("x",), "target"), Connective(("x", "y"), "target")]
         alignment = aln((0, 0), (0, 1), (1, 2))
-        table = build_phrase_table([pair] * 3, columns([alignment] * 3), inventory)
+        table = build_phrase_table([pair] * 3, columns([alignment] * 3), inventory, SRC_INV, RELATIONS)
         assert list(table) == [PhraseTableEntry(("a-R",), ("x", "y"), 3)]
         assert table.occurrences == 3
 
     def test_output_sorted_by_phrase(self):
         pair = (("b-R", "a-R"), ("y", "x"))
         inventory = [Connective(("x",), "target"), Connective(("y",), "target")]
-        table = build_phrase_table([pair], columns([aln((0, 0), (1, 1))]), inventory)
+        table = build_phrase_table(
+            [pair], columns([aln((0, 0), (1, 1))]), inventory, SRC_INV, RELATIONS
+        )
         keys = [(e.src_phrase, e.tgt_phrase) for e in table]
         assert keys == sorted(keys) == [(("a-R",), ("x",)), (("b-R",), ("y",))]
         assert table.occurrences == 2
 
+    def test_fused_token_outside_the_source_inventory_gives_no_row(self):
+        # "albeit" parses as a fused token but is no source inventory form:
+        # its occurrence is scanned and counted, and gives no row.
+        pairs = [(("albeit-Concession",), ("même", "si")), ((self.FUSED,), ("même", "si"))]
+        alignments = [aln((0, 0), (0, 1))] * 2
+        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
+        assert list(table) == [PhraseTableEntry((self.FUSED,), ("même", "si"), 1)]
+        assert table.occurrences == 2
+
+    def test_unknown_relation_label_is_fatal(self):
+        pairs = [(("a-Bogus",), ("même",))]
+        with pytest.raises(PipelineError, match="unknown relation label 'Bogus'"):
+            build_phrase_table(pairs, columns([aln((0, 0))]), self.TGT_INV, SRC_INV, RELATIONS)
+
     def test_length_mismatch_is_fatal(self):
         with pytest.raises(PipelineError, match="1 vs 2"):
-            build_phrase_table([(("a",), ("x",))], columns([aln(), aln()]), self.TGT_INV)
+            build_phrase_table(
+                [(("a",), ("x",))], columns([aln(), aln()]), self.TGT_INV, SRC_INV, RELATIONS
+            )
 
     def test_out_of_bounds_link_is_fatal(self):
         with pytest.raises(PipelineError, match="out of bounds"):
-            build_phrase_table([(("a",), ("même",))], columns([aln((0, 5))]), self.TGT_INV)
+            build_phrase_table(
+                [(("a",), ("même",))], columns([aln((0, 5))]), self.TGT_INV, SRC_INV, RELATIONS
+            )
 
     def test_out_of_bounds_link_is_fatal_without_an_occurrence(self):
         # The last pair has no inventory form, so the scan never reads its
@@ -187,7 +234,9 @@ class TestBuildPhraseTable:
         pairs = [((self.FUSED,), ("même",))] * CHUNK_SIZE + [(("a", "b"), ("x",))]
         alignments = [aln((0, 0))] * CHUNK_SIZE + [aln((1, 1))]
         with pytest.raises(PipelineError, match=f"1-1 out of bounds for 2x1 pair {CHUNK_SIZE}$"):
-            build_phrase_table(pairs, columns(alignments), self.TGT_INV, threads=2)
+            build_phrase_table(
+                pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS, threads=2
+            )
 
     def test_equals_filtered_full_table_without_nested_forms(self):
         # Forms share no token and repeat none, so no two occurrences can
@@ -211,31 +260,23 @@ class TestBuildPhraseTable:
                 )
                 alignments.append(random_links(rng, n, m, 0.25))
             max_len = rng.randint(1, 7)
-            table = build_phrase_table(pairs, columns(alignments), inventory, max_len)
+            table = build_phrase_table(
+                pairs, columns(alignments), inventory, SRC_INV, RELATIONS, max_len
+            )
             got = {(e.src_phrase, e.tgt_phrase): e.count for e in table}
             want = fused_rows_reference(pairs, alignments, forms, max_len)
             assert got == dict(want), (pairs, alignments, forms, max_len)
 
     def test_nested_forms_never_count_more_than_their_frequency(self):
         rng = random.Random(4)
-        inventory = [
-            Connective(f, "target")
-            for f in [("x",), ("x", "y"), ("y",), ("y", "z"), ("x", "y", "z"), ("z", "z")]
-        ]
+        inventory = NESTED_FORMS
         for _ in range(50):
-            pairs, alignments = [], []
-            for _ in range(rng.randint(1, 6)):
-                n, m = rng.randint(1, 5), rng.randint(1, 9)
-                pairs.append(
-                    (
-                        tuple(rng.choice(["p", "a-R1", "b-R2"]) for _ in range(n)),
-                        tuple(rng.choice("xyzu") for _ in range(m)),
-                    )
-                )
-                alignments.append(random_links(rng, n, m, 0.3))
-            table = build_phrase_table(pairs, columns(alignments), inventory, rng.randint(1, 4))
+            pairs, alignments = random_nested_corpus(rng, ["p", "a-R1", "b-R2"])
+            table = build_phrase_table(
+                pairs, columns(alignments), inventory, SRC_INV, RELATIONS, rng.randint(1, 4)
+            )
             corpus = Corpus(tuple(SentencePair(i, *p) for i, p in enumerate(pairs)))
-            freqs = count_occurrences(corpus, "target", inventory)
+            freqs = count_occurrences(corpus, inventory)
             aligned = Counter()
             for entry in table:
                 aligned[" ".join(entry.tgt_phrase)] += entry.count
@@ -257,10 +298,38 @@ class TestBuildPhraseTable:
             )
             alignments.append(random_links(rng, n, m, 0.3))
         inventory = [Connective(("x",), "target"), Connective(("x", "y"), "target")]
-        one = build_phrase_table(pairs, columns(alignments), inventory, threads=1)
-        many = build_phrase_table(pairs, columns(alignments), inventory, threads=4)
+        one = build_phrase_table(pairs, columns(alignments), inventory, SRC_INV, RELATIONS, threads=1)
+        many = build_phrase_table(pairs, columns(alignments), inventory, SRC_INV, RELATIONS, threads=4)
         assert one.entries
         assert one == many
+
+
+def test_evidence_cites_exactly_the_pairs_extract_counts():
+    # For each (fr_dc, relation), evidence cites a pair exactly when
+    # extraction on that pair alone gives a row filed under that key. "c" is
+    # no source inventory form.
+    rng = random.Random(9)
+    cited = 0
+    for _ in range(80):
+        pairs, alignments = random_nested_corpus(rng, ["p", "a-R1", "b-R2", "a-R2", "c-R1"])
+        max_len = rng.randint(1, 4)
+        corpus = Corpus(tuple(SentencePair(k, *p) for k, p in enumerate(pairs)))
+        sites = evidence_sites(
+            corpus, columns(alignments), NESTED_FORMS, SRC_INV, RELATIONS, max_len
+        )
+        want: dict[tuple[str, str], list[int]] = {}
+        for k in range(len(pairs)):
+            table = build_phrase_table(
+                pairs[k : k + 1], columns(alignments[k : k + 1]), NESTED_FORMS,
+                SRC_INV, RELATIONS, max_len,
+            )
+            keys = {(r.fr_dc, r.relation) for r in filter_dc_entries(table, SRC_INV, RELATIONS)}
+            for key in sorted(keys):
+                want.setdefault(key, []).append(k)
+        got = {key: [site[0] for site in found] for key, found in sites.items()}
+        assert got == want, (pairs, alignments, max_len)
+        cited += sum(map(len, got.values()))
+    assert cited
 
 
 class TestFilterDCEntries:
