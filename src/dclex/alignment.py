@@ -15,14 +15,23 @@ equal, float for float, to adding them up in a Python loop. A NULL source
 token (virtual index -1) absorbs target words with no counterpart; Viterbi
 links decoded to NULL are dropped.
 
+The backward direction trains on the same pairs with the sides swapped, so
+its cells are the forward's transposed. Trained with `inverse=` the forward
+table, it takes each cell's forward slot through the per-pair transpose (a
+NULL cell is keyed by its target word instead) and numbers those keys in
+order of first appearance, the numbering interning the words would give; the
+forward state is released before the backward EM starts.
+
 The links of a corpus travel as one `Links`: per-pair offsets into int32
 source and target columns. Viterbi decoding, `transpose`, `symmetrize`,
 `write_alignments` and `read_alignments` all work on the columns, so no
-Python object is made per link. Only the scans that read the links of a
-pair with a connective occurrence (phrasetable) turn them into tuples. This
-module is the only one that knows the text format. The per-pair `Alignment`
-and decoders (`viterbi_align`, `viterbi_align_model2`) are the reference
-definitions that the columnar path is tested against.
+Python object is made per link. grow-diag-final scans the pairs in
+lock-step, candidate k of every pair at step k, over per-pair bool grids.
+Only the scans that read the links of a pair with a connective occurrence
+(phrasetable) turn them into tuples. This module is the only one that knows
+the text format. The per-pair `Alignment` and decoders (`viterbi_align`,
+`viterbi_align_model2`) and `tests/oracles.symmetrize_reference` are the
+reference definitions that the columnar path is tested against.
 
 numpy is imported when training or link handling starts, not with this
 module, so loading the CLI does not pay for it.
@@ -217,7 +226,8 @@ class _Table:
 
         self.row_of = row_of
         self.n_rows = n_rows
-        self.values = 1.0 / np.bincount(row_of, minlength=n_rows)[row_of]
+        self.values = np.bincount(row_of, minlength=n_rows).astype(np.float64)[row_of]
+        np.divide(1.0, self.values, out=self.values)
 
     def m_step(self, counts) -> None:
         """Divide each slot's count by its row's total, the counts of the
@@ -254,9 +264,19 @@ class _Fit:
     pair after pair, target-major: a pair with n candidates (source words
     plus NULL) and m target words has m rows of n cells. Per cell, `cells`
     holds its t slot and `q_cells` its q slot (Model 2); `widths` holds each
-    row's number of cells. int32 keeps them small."""
+    row's number of cells. int32 keeps them small.
 
-    def __init__(self, pairs: Sequence[TokenPair], use_null: bool, positional: bool) -> None:
+    With `inverse`, a fit of the same pairs with the sides swapped, the cells
+    are the inverse's transposed (`_transpose_cells`) instead of interned from
+    the words; they come out the same."""
+
+    def __init__(
+        self,
+        pairs: Sequence[TokenPair],
+        use_null: bool,
+        positional: bool,
+        inverse: _Fit | None = None,
+    ) -> None:
         import numpy as np
 
         ls = np.array([len(src) for src, _ in pairs], np.int64)
@@ -264,13 +284,18 @@ class _Fit:
         empty = np.flatnonzero((ls == 0) | (ms == 0))
         if len(empty):
             raise PipelineError(f"empty sentence in training pair {empty[0]}")
+        null = 1 if use_null else 0
+        if inverse is not None:
+            if inverse.use_null != use_null:
+                raise PipelineError(
+                    f"the inverse table was trained with use_null={inverse.use_null}, "
+                    f"not {use_null}"
+                )
+            swapped = len(inverse.m) == len(pairs)
+            if not swapped or (inverse.m != ls).any() or (inverse.n != ms + null).any():
+                raise PipelineError("the inverse table was not trained on these pairs swapped")
 
         self.use_null = use_null
-        null = 1 if use_null else 0
-        self.e_words, src_ids = _intern((src for src, _ in pairs), (NULL_TOKEN,) if use_null else ())
-        self.f_words, tgt_ids = _intern(tgt for _, tgt in pairs)
-        nf = len(self.f_words)
-
         ns = ls + null
         sizes = ns * ms
         self.n, self.m = ns.astype(np.int32), ms.astype(np.int32)
@@ -279,7 +304,6 @@ class _Fit:
         self.log_n = np.array([-math.inf, *map(math.log, range(1, int(ns.max()) + 1))])
         cell_at = np.append(0, np.cumsum(sizes))
         row_at = np.append(0, np.cumsum(ms))
-        src_at = np.append(0, np.cumsum(ls))
         self.first_cell = cell_at[:-1]
         bounds = [*range(0, len(pairs), CHUNK_SIZE), len(pairs)]
         self.chunks = [
@@ -303,13 +327,33 @@ class _Fit:
             q_rows = len(q_widths)
             self.q = _Table(np.repeat(np.arange(q_rows, dtype=np.int32), q_widths), q_rows)
             self.q_cells = np.empty(cell_at[-1], np.int32)
+            for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
+                self.q_cells[chunk.cells] = _spans(q_at[lo:hi], sizes[lo:hi])
 
-        # Chunk by chunk, so that no temporary grows with the corpus: the key
-        # e * nf + f of each cell, then its slot.
-        self.cells = np.empty(cell_at[-1], np.int32)
+        if inverse is None or inverse.null_is_word:
+            self._intern_cells(pairs, ls, ms, bounds)
+        else:
+            self._transpose_cells(inverse, bounds)
+        self.history: list[float] = []
+
+    def _intern_cells(self, pairs: Sequence[TokenPair], ls, ms, bounds: list[int]) -> None:
+        """Number the words of each side and the co-occurring (e, f) of the
+        cells. Chunk by chunk, so that no temporary grows with the corpus: the
+        key e * nf + f of each cell, then its slot."""
+        import numpy as np
+
+        null = 1 if self.use_null else 0
+        self.e_words, src_ids = _intern((src for src, _ in pairs), (NULL_TOKEN,) if null else ())
+        self.f_words, tgt_ids = _intern(tgt for _, tgt in pairs)
+        # A word spelled like NULL shares a row with it on one side only, so
+        # the inverse of this fit cannot take its cells from this one.
+        self.null_is_word = bool(null and ((src_ids == 0).any() or NULL_TOKEN in self.f_words))
+        nf = len(self.f_words)
+        src_at = np.append(0, np.cumsum(ls))
+        self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
         slots = _Slots()
         for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
-            n = ns[lo:hi]
+            n = ls[lo:hi] + null
             # Candidates of each pair: NULL (word 0) first when used, then its source words.
             cand_at = np.cumsum(n) - n
             cand = np.zeros(cand_at[-1] + n[-1], np.int64)
@@ -318,13 +362,76 @@ class _Fit:
             keys = cand[_spans(np.repeat(cand_at, ms[lo:hi]), widths)] * nf
             keys += np.repeat(tgt_ids[chunk.rows], widths)
             self.cells[chunk.cells] = slots.number(keys)
-            if positional:
-                self.q_cells[chunk.cells] = _spans(q_at[lo:hi], sizes[lo:hi])
         slot_keys = slots.keys()
         del slots
         self.t = _Table((slot_keys // nf).astype(np.int32), len(self.e_words))
         self.t_cols = (slot_keys % nf).astype(np.int32)
-        self.history: list[float] = []
+
+    def _transpose_cells(self, inverse: _Fit, bounds: list[int]) -> None:
+        """Take the cells from `inverse`, a fit of the same pairs with the
+        sides swapped. This direction's words are the inverse's with the sides
+        swapped, so a cell (pair, target i, source j) is the word pair of the
+        inverse's cell (pair, target j, source i), and it is keyed by that
+        cell's slot. A NULL cell is keyed by its target word: the inverse's
+        source word, after the inverse's slots. Keys are then numbered in
+        order of first appearance, chunk by chunk, which is the numbering
+        interning the words would give."""
+        import numpy as np
+
+        null = 1 if self.use_null else 0
+        self.e_words = [NULL_TOKEN, *inverse.f_words] if null else list(inverse.f_words)
+        self.f_words = inverse.e_words[null:]
+        self.null_is_word = False
+        # The inverse is dropped once this returns; what is not read here goes now.
+        inverse.t.values = inverse.q = inverse.q_cells = None
+        inv_slots = len(inverse.t_cols)
+        self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
+        # The slot of each key: a key seen in an earlier chunk keeps the slot
+        # it got; a new one holds `count` plus its first position in the
+        # chunk until the new keys are numbered in that order.
+        slot_of = np.full(inv_slots + len(inverse.e_words), np.iinfo(np.int64).max)
+        count = 0
+        # Row and column of each slot; there are fewer slots than keys.
+        row_of = np.zeros(len(slot_of), np.int32)
+        t_cols = np.empty(len(slot_of), np.int32)
+        for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
+            widths = self.widths[chunk.rows]
+            heads = np.cumsum(widths) - widths
+            # Per row: the inverse's cell of (target row 0, candidate i) and
+            # its stride, the inverse's row width.
+            ms = self.m[lo:hi]
+            row_pair = np.repeat(np.arange(lo, hi), ms)
+            i = np.arange(len(widths)) - np.repeat(np.cumsum(ms) - ms, ms)
+            origin = inverse.first_cell[row_pair] + i + null
+            stride = inverse.n[row_pair].astype(np.int64)
+            # Candidate c >= null of a row is the inverse's target row c - null;
+            # the NULL candidate reads row 0 for the word of its target.
+            at = np.arange(chunk.cells.stop - chunk.cells.start)
+            cell = at - np.repeat(heads, widths) - null
+            np.maximum(cell, 0, out=cell)
+            cell *= np.repeat(stride, widths)
+            cell += np.repeat(origin, widths)
+            keys = inverse.cells[cell].astype(np.int64)
+            del cell
+            if null:
+                keys[heads] = inv_slots + inverse.t.row_of[keys[heads]]
+            at += count
+            np.minimum.at(slot_of, keys, at)
+            new = keys[slot_of[keys] == at]
+            fresh = slice(count, count + len(new))
+            slot_of[new] = np.arange(fresh.start, fresh.stop)
+            count = fresh.stop
+            self.cells[chunk.cells] = slot_of[keys]
+            # A word key's row and column are the inverse's column and row;
+            # a NULL key's are row 0 and its word.
+            word = new < inv_slots
+            rows, cols = row_of[fresh], t_cols[fresh]
+            rows[word] = inverse.t_cols[new[word]] + null
+            cols[:] = new - inv_slots - null
+            cols[word] = inverse.t.row_of[new[word]] - null
+        del slot_of
+        self.t = _Table(row_of[:count], len(self.e_words))
+        self.t_cols = t_cols[:count]
 
     def train(self, iterations: int, threads: int) -> None:
         """EM iterations. The E-steps of the chunks may run in any order; their
@@ -436,7 +543,9 @@ class TranslationTable:
     (empty for Model 1).
 
     A table returned by training keeps its interned EM state and builds the
-    string-keyed `probs` and `distortion` on first read."""
+    string-keyed `probs` and `distortion` on first read. Training the inverse
+    direction with `inverse=` this table takes that state over: the table
+    then keeps only what it has built."""
 
     def __init__(
         self,
@@ -453,16 +562,27 @@ class TranslationTable:
             None if fit is not None else {}
         )
 
+    def _state(self) -> _Fit:
+        if self._fit is None:
+            raise PipelineError("the translation table holds no EM state")
+        return self._fit
+
+    def _hand_over(self) -> _Fit:
+        """This table's EM state, which it no longer holds."""
+        fit = self._state()
+        self._fit = None
+        return fit
+
     @property
     def probs(self) -> dict[str, dict[str, float]]:
         if self._probs is None:
-            self._probs = self._fit.lexical_probs()
+            self._probs = self._state().lexical_probs()
         return self._probs
 
     @property
     def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
         if self._distortion is None:
-            self._distortion = self._fit.distortion()
+            self._distortion = self._state().distortion()
         return self._distortion
 
     def prob(self, e: str, f: str) -> float:
@@ -473,7 +593,7 @@ class TranslationTable:
     def viterbi_training_pairs(self, indices: Iterable[int]) -> Links:
         """Viterbi alignments of the training pairs at `indices`, decoded
         with the model that trained this table (Model 2 includes q)."""
-        return self._fit.decode(indices)
+        return self._state().decode(indices)
 
 
 def _validate_training_input(pairs: Sequence[TokenPair], iterations: int) -> None:
@@ -484,10 +604,16 @@ def _validate_training_input(pairs: Sequence[TokenPair], iterations: int) -> Non
 
 
 def _train(
-    pairs: Sequence[TokenPair], iterations: int, use_null: bool, threads: int, positional: bool
+    pairs: Sequence[TokenPair],
+    iterations: int,
+    use_null: bool,
+    threads: int,
+    positional: bool,
+    inverse: TranslationTable | None,
 ) -> TranslationTable:
     _validate_training_input(pairs, iterations)
-    fit = _Fit(pairs, use_null, positional)
+    # The inverse's state is released once the cells are built, before EM.
+    fit = _Fit(pairs, use_null, positional, inverse._hand_over() if inverse is not None else None)
     fit.train(iterations, threads)
     return TranslationTable(None, use_null, fit.history, fit)
 
@@ -497,10 +623,16 @@ def train_model1(
     iterations: int = 5,
     use_null: bool = True,
     threads: int = 1,
+    inverse: TranslationTable | None = None,
 ) -> TranslationTable:
     """EM-train t(f|e). Every source row stays normalized to 1; the recorded
-    per-iteration corpus log-likelihood is non-decreasing."""
-    return _train(pairs, iterations, use_null, threads, positional=False)
+    per-iteration corpus log-likelihood is non-decreasing.
+
+    `inverse`, a table trained on `pairs` with the sides swapped (same
+    `use_null`), hands over its EM state, and its cells seed this table's
+    without interning the corpus again. The result is the same as without
+    it; `inverse` keeps only the `probs` and `distortion` it has built."""
+    return _train(pairs, iterations, use_null, threads, False, inverse)
 
 
 def train_model2(
@@ -508,13 +640,14 @@ def train_model2(
     iterations: int = 5,
     use_null: bool = True,
     threads: int = 1,
+    inverse: TranslationTable | None = None,
 ) -> TranslationTable:
     """EM-train Model 2: t(f|e) plus distortion q(i|j,l,m) over source positions.
 
     Same contracts as Model 1: normalized rows, non-decreasing log-likelihood.
-    Source position -1 stands for NULL.
+    Source position -1 stands for NULL. `inverse` works as in `train_model1`.
     """
-    return _train(pairs, iterations, use_null, threads, positional=True)
+    return _train(pairs, iterations, use_null, threads, True, inverse)
 
 
 def _source_side(src: SentenceTokens, use_null: bool) -> list[str]:
@@ -573,9 +706,6 @@ def transpose(links: Links) -> Links:
     return Links(links.offsets, links.tgt[order], links.src[order])
 
 
-_NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-
-
 def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
     """Combine the forward and backward links of each pair.
 
@@ -588,7 +718,7 @@ def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
     Every link becomes a cell key base[k] + i * width[k] + j, one numbering
     of the cells of all pairs that sorts as the links do, so intersection
     and union are set operations on sorted keys. Only pairs with union links
-    outside the intersection run the grow-diag-final scan.
+    outside the intersection take part in the grow-diag-final scans.
     """
     import numpy as np
 
@@ -598,11 +728,13 @@ def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
         raise PipelineError(
             f"forward/backward alignment length mismatch: {len(forward)} vs {len(backward)}"
         )
-    height, width = np.zeros(len(forward), np.int64), np.zeros(len(forward), np.int64)
+    # int32 like the links: `maximum.at` is many times slower when it casts.
+    height, width = np.zeros(len(forward), np.int32), np.zeros(len(forward), np.int32)
     for links in (forward, backward):
         pair = links.pair_index()
         np.maximum.at(height, pair, links.src + 1)
         np.maximum.at(width, pair, links.tgt + 1)
+    height, width = height.astype(np.int64), width.astype(np.int64)
     base = np.cumsum(height * width) - height * width
 
     def keys(links: Links):
@@ -622,7 +754,7 @@ def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
             once = np.ones(len(both), bool)
             once[1:] &= ~twice
             once[:-1] &= ~twice
-            chosen = _grow_diag_final(chosen, both[once], base, width)
+            chosen = _grow_diag_final(chosen, both[once], base, height, width)
     # The last pair whose cells start at or below a key holds it: pairs that
     # share a base with a later pair have no cells.
     pair = np.searchsorted(base, chosen, side="right") - 1
@@ -630,66 +762,72 @@ def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
     return _sorted_links(pair, src, tgt, len(forward))
 
 
-def _grow_diag_final(inter, candidates, base, width):
+def _grow_diag_final(inter, candidates, base, height, width):
     """The keys of `inter` and of the `candidates`, the union links outside
-    it, that the grow-diag-final scans of `symmetrize` adopt, pair by pair.
-    Both are sorted."""
+    it, that the grow-diag-final scans of `symmetrize` adopt. Both are sorted.
+
+    The scans run in lock-step over the pairs with candidates: step k tests
+    candidate k of every pair still scanning, against per-pair bool grids of
+    the links so far and of the aligned words. A pair thus sees its own
+    candidates in order and each adoption at once, as a loop over the pair
+    alone would."""
     import numpy as np
 
     if not len(candidates):
         return inter
     cand_pair = np.searchsorted(base, candidates, side="right") - 1
-    seed_pair = np.searchsorted(base, inter, side="right") - 1
-    pairs, cand_at = np.unique(cand_pair, return_index=True)
-    cand_end = np.append(cand_at[1:], len(candidates))
-    seed_at = np.searchsorted(seed_pair, pairs, side="left")
-    seed_end = np.searchsorted(seed_pair, pairs, side="right")
-    cand_cells = (candidates - base[cand_pair]).tolist()
-    seed_cells = (inter - base[seed_pair]).tolist()
-    adopted = []
-    for b, w, c0, c1, s0, s1 in zip(
-        base[pairs].tolist(),
-        width[pairs].tolist(),
-        cand_at.tolist(),
-        cand_end.tolist(),
-        seed_at.tolist(),
-        seed_end.tolist(),
-    ):
-        links = {divmod(cell, w) for cell in seed_cells[s0:s1]}
-        grown = _grow_pair(links, [divmod(cell, w) for cell in cand_cells[c0:c1]])
-        adopted.extend(b + i * w + j for i, j in grown)
-    return np.sort(np.concatenate((inter, np.array(adopted, np.int64))), kind="stable")
+    cand_at = np.flatnonzero(np.diff(cand_pair, prepend=-1))
+    pairs = cand_pair[cand_at]
+    counts = np.diff(cand_at, append=len(candidates))
+    # Per pair with candidates: a grid of its cells with a margin of one cell,
+    # so that every neighbour of a cell is in the grid, and a flag per source
+    # and target word.
+    h, w = height[pairs], width[pairs]
+    stride = w + 2
+    sizes = (h + 2) * stride
+    grid_at, src_at, tgt_at = (np.cumsum(a) - a for a in (sizes, h, w))
+    grid = np.zeros(int(sizes.sum()), bool)
+    src_aligned, tgt_aligned = np.zeros(int(h.sum()), bool), np.zeros(int(w.sum()), bool)
 
+    def place(keys, at):
+        """Grid cell, source flag and target flag of `keys` in pairs `at`."""
+        i, j = np.divmod(keys - base[pairs[at]], w[at])
+        return grid_at[at] + (i + 1) * stride[at] + j + 1, src_at[at] + i, tgt_at[at] + j
 
-def _grow_pair(links: set[tuple[int, int]], candidates: list[tuple[int, int]]):
-    """grow-diag-final on one pair: `links` starts as the intersection and
-    `candidates` are the other union links, ascending. Returns the adopted
-    links; `links` ends up holding the result."""
-    src_aligned = {i for i, _ in links}
-    tgt_aligned = {j for _, j in links}
-    adopted = []
+    # The seeds of these pairs: the intersection keys within their cells.
+    lo, hi = np.searchsorted(inter, base[pairs]), np.searchsorted(inter, base[pairs] + h * w)
+    seeds = place(inter[_spans(lo, hi - lo)], np.repeat(np.arange(len(pairs)), hi - lo))
+    for flags, index in zip((grid, src_aligned, tgt_aligned), seeds):
+        flags[index] = True
+    cell, src, tgt = place(candidates, np.repeat(np.arange(len(pairs)), counts))
 
-    def adopt(i: int, j: int) -> None:
-        links.add((i, j))
-        src_aligned.add(i)
-        tgt_aligned.add(j)
-        adopted.append((i, j))
+    def scan(scanning, grow: bool):
+        """One scan over the candidates of the pairs `scanning`; returns
+        those that adopted a link."""
+        order = scanning[np.argsort(-counts[scanning], kind="stable")]
+        fewer = -counts[order]  # ascending, so the pairs with > k candidates lead
+        adopted = np.zeros(len(pairs), bool)
+        for k in range(int(-fewer[0])):
+            active = order[: np.searchsorted(fewer, -k)]
+            at = cand_at[active] + k
+            c = cell[at]
+            take = ~grid[c] & ~(src_aligned[src[at]] & tgt_aligned[tgt[at]])
+            if grow:
+                r = stride[active]
+                near = grid[c - 1] | grid[c + 1]
+                for edge in (c - r, c + r):
+                    near |= grid[edge - 1] | grid[edge] | grid[edge + 1]
+                take &= near
+            at = at[take]
+            grid[cell[at]] = src_aligned[src[at]] = tgt_aligned[tgt[at]] = True
+            adopted[active[take]] = True
+        return np.flatnonzero(adopted)
 
-    changed = True
-    while changed:
-        changed = False
-        for i, j in candidates:
-            if (i, j) in links:
-                continue
-            if i in src_aligned and j in tgt_aligned:
-                continue
-            if any((i + di, j + dj) in links for di, dj in _NEIGHBORS):
-                adopt(i, j)
-                changed = True
-    for i, j in candidates:
-        if (i, j) not in links and (i not in src_aligned or j not in tgt_aligned):
-            adopt(i, j)
-    return adopted
+    scanning = np.arange(len(pairs))
+    while len(scanning):
+        scanning = scan(scanning, grow=True)
+    scan(np.arange(len(pairs)), grow=False)
+    return np.sort(np.concatenate((inter, candidates[grid[cell]])), kind="stable")
 
 
 # ---------------------------------------------------------------------------

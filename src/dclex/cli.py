@@ -214,7 +214,7 @@ class RunManifest:
             if key != "output_dir" and value and Path(value).is_file():
                 self.inputs[str(value)] = sha256_file(value)
 
-    def record_stage(self, name: str, rows: dict[str, int], seconds: float) -> None:
+    def record_stage(self, name: str, rows: dict[str, object], seconds: float) -> None:
         self.stages[name] = {"rows": rows, "seconds": round(seconds, 3)}
 
     def write(self, path: Path) -> None:
@@ -317,23 +317,39 @@ def _stage_tag(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[st
     return {"annotations": len(annotations), "sentences": len(fused)}
 
 
-def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
+def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, object]:
     fused_path = _require(cfg, "fused_src", "tag")
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
     work = cp.load_token_corpus(str(fused_path), str(tgt_path))
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
 
-    def align(pairs: list, ttable: str) -> al.Links:
-        # One direction at a time: its model is released before the next trains.
-        model = train(pairs, cfg.iterations, cfg.use_null, cfg.threads)
+    def decode(model: al.TranslationTable, ttable: str) -> al.Links:
         if cfg.dump_ttables:
             al.write_translation_table(model, _out(cfg, ttable))
         return al.Links.concat(
-            process_chunks(model.viterbi_training_pairs, range(len(pairs)), cfg.threads)
+            process_chunks(model.viterbi_training_pairs, range(len(work.pairs)), cfg.threads)
         )
 
-    fwd = align([(p.src_tokens, p.tgt_tokens) for p in work.pairs], "ttable_fwd")
-    bwd = al.transpose(align([(p.tgt_tokens, p.src_tokens) for p in work.pairs], "ttable_bwd"))
+    model = train(
+        [(p.src_tokens, p.tgt_tokens) for p in work.pairs],
+        cfg.iterations,
+        cfg.use_null,
+        cfg.threads,
+    )
+    fwd = decode(model, "ttable_fwd")
+    fwd_ll = model.log_likelihoods
+    # The backward model takes its cells from the decoded forward one, whose
+    # EM state it releases before training.
+    model = train(
+        [(p.tgt_tokens, p.src_tokens) for p in work.pairs],
+        cfg.iterations,
+        cfg.use_null,
+        cfg.threads,
+        inverse=model,
+    )
+    bwd = al.transpose(decode(model, "ttable_bwd"))
+    bwd_ll = model.log_likelihoods
+    del model
     symmetrized = al.symmetrize(fwd, bwd, cfg.heuristic)
     al.write_alignments(symmetrized, _out(cfg, "align_sym"))
     # Viterbi links each target position at most once, so the forward NULL
@@ -345,6 +361,8 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
         "fwd_links": fwd.total,
         "bwd_links": bwd.total,
         "sym_links": symmetrized.total,
+        "fwd_log_likelihood": list(fwd_ll),
+        "bwd_log_likelihood": list(bwd_ll),
     }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Iterator
 
@@ -34,11 +34,18 @@ def iter_data_lines(text: str) -> Iterator[tuple[int, str]]:
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     """Write `text` to `path` via a temp file + rename in the same directory.
 
-    Readers never observe a partially written file.
+    Readers never observe a partially written file. The file gets the mode
+    `open()` would give it: 0666 less the umask.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:  # a name another writer holds: draw again
+            continue
+        break
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -242,6 +242,93 @@ class TestTrainedPairDecoding:
             assert link_sets(tables.viterbi_training_pairs(indices)) == want
 
 
+def swap(pairs):
+    return [(tgt, src) for src, tgt in pairs]
+
+
+def repetitive_corpus(rng, n_pairs):
+    """Pairs with one-token sides and words repeated within a sentence."""
+    pairs = []
+    for _ in range(n_pairs):
+        sides = []
+        for prefix, vocab in (("s", 30), ("t", 25)):
+            words = [f"{prefix}{k}" for k in rng.sample(range(vocab), 3)]
+            length = rng.choice((1, rng.randint(1, 9)))
+            sides.append(tuple(rng.choice(words) for _ in range(length)))
+        pairs.append(tuple(sides))
+    return pairs
+
+
+def columns(decoded):
+    return decoded.offsets.tolist(), decoded.src.tolist(), decoded.tgt.tolist()
+
+
+class TestInverseDirection:
+    """The backward direction takes its cells from the forward one; it must
+    train exactly as it does from the swapped pairs alone."""
+
+    PAIRS = repetitive_corpus(random.Random(77), CHUNK_SIZE + 300)
+
+    @pytest.mark.parametrize("positional", [False, True], ids=["model1", "model2"])
+    @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
+    def test_cells_equal_the_interned_ones(self, use_null, positional):
+        forward = alignment._Fit(self.PAIRS, use_null, positional)
+        derived = alignment._Fit(swap(self.PAIRS), use_null, positional, forward)
+        interned = alignment._Fit(swap(self.PAIRS), use_null, positional)
+        assert (derived.e_words, derived.f_words) == (interned.e_words, interned.f_words)
+        assert derived.cells.tolist() == interned.cells.tolist()
+        assert derived.t.row_of.tolist() == interned.t.row_of.tolist()
+        assert derived.t_cols.tolist() == interned.t_cols.tolist()
+        assert derived.t.values.tolist() == interned.t.values.tolist()
+        if positional:
+            assert derived.q_cells.tolist() == interned.q_cells.tolist()
+
+    @pytest.mark.parametrize("train", [train_model1, train_model2])
+    @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
+    def test_training_is_unchanged(self, train, use_null):
+        forward = train(self.PAIRS, 2, use_null)
+        derived = train(swap(self.PAIRS), 3, use_null, inverse=forward)
+        interned = train(swap(self.PAIRS), 3, use_null)
+        assert derived.probs == interned.probs
+        assert derived.distortion == interned.distortion
+        assert derived.log_likelihoods == interned.log_likelihoods
+        everything = range(len(self.PAIRS))
+        assert columns(derived.viterbi_training_pairs(everything)) == columns(
+            interned.viterbi_training_pairs(everything)
+        )
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_word_spelled_like_null(self, side):
+        # NULL shares its row with such a word on one side only.
+        pairs = [list(pair) for pair in TWO_PAIR_FIXTURE]
+        pairs[1][side] = (alignment.NULL_TOKEN, *pairs[1][side])
+        forward = train_model2(pairs, 2)
+        derived = train_model2(swap(pairs), 2, inverse=forward)
+        interned = train_model2(swap(pairs), 2)
+        assert derived.probs == interned.probs
+        assert derived.log_likelihoods == interned.log_likelihoods
+
+    def test_state_is_handed_over(self):
+        forward = train_model1(self.PAIRS, 1)
+        forward_probs = forward.probs
+        train_model1(swap(self.PAIRS), 1, inverse=forward)
+        assert forward.probs is forward_probs
+        with pytest.raises(PipelineError, match="no EM state"):
+            forward.viterbi_training_pairs(range(2))
+        with pytest.raises(PipelineError, match="no EM state"):
+            train_model1(swap(self.PAIRS), 1, inverse=forward)
+        with pytest.raises(PipelineError, match="no EM state"):
+            train_model1(swap(self.PAIRS), 1, inverse=TranslationTable({"a": {"x": 1.0}}, True))
+
+    def test_pairs_that_are_not_the_swapped_ones_are_fatal(self):
+        pairs = [(("a", "b", "c"), ("x",)), (("a",), ("x", "y"))]
+        for other in (pairs, swap(pairs)[:1], swap(pairs) + [(("x",), ("a",))]):
+            with pytest.raises(PipelineError, match="not trained on these pairs swapped"):
+                train_model1(other, 1, inverse=train_model1(pairs, 1))
+        with pytest.raises(PipelineError, match="use_null=True"):
+            train_model2(swap(pairs), 1, use_null=False, inverse=train_model2(pairs, 1))
+
+
 class TestPinnedFloats:
     # SHA-256 of the repr of every trained float and every decoded link on a
     # fixed corpus of two chunks. Any change in how EM adds up its sums, or a
@@ -324,6 +411,48 @@ class TestSymmetrize:
         for heuristic in HEURISTICS:
             want = [symmetrize_reference(f, b, heuristic) for f, b in zip(fwd_sets, bwd_sets)]
             assert link_sets(symmetrize(fwd, bwd, heuristic)) == want, heuristic
+
+    def test_candidate_adjacent_only_on_a_later_pass(self):
+        # (0, 2) is scanned before (1, 2) joins the links, so only the second
+        # pass adopts it; left to the final pass, (0, 0) would take source
+        # word 0 first and (0, 2) would stay out.
+        fwd = links((0, 0), (0, 2), (1, 2), (2, 1))
+        bwd = links((2, 1))
+        assert sym(fwd, bwd, "grow-diag-final") == fwd
+        assert symmetrize_reference(fwd, bwd, "grow-diag-final") == fwd
+
+    def test_empty_intersection_keeps_the_scan_order(self):
+        # Only the final pass adopts; in ascending order (1, 1) comes last,
+        # when both its words are aligned. Scanned the other way round,
+        # (0, 0) would be the one left out.
+        fwd, bwd = links((0, 0), (1, 1)), links((0, 1), (1, 0))
+        assert sym(fwd, bwd, "grow-diag-final") == links((0, 0), (0, 1), (1, 0))
+
+    def test_adversarial_batches_equal_the_set_oracle(self):
+        rng = random.Random(8)
+
+        def grid(n, m, rate):
+            return frozenset((i, j) for i in range(n) for j in range(m) if rng.random() < rate)
+
+        # One pair with many candidates among many with one.
+        busy = (grid(12, 12, 0.5), grid(12, 12, 0.5))
+        single = [(links((0, 0)), links((0, 0), (1, 1 + k % 3))) for k in range(300)]
+        # Empty pairs, pairs without candidates and pairs without seeds.
+        sparse = [(links(), links()), (links((1, 1)), links((1, 1))), (links((0, 1)), links())]
+        # Dense small grids, where scans go on for several passes.
+        dense = [(grid(5, 5, 0.45), grid(5, 5, 0.45)) for _ in range(400)]
+        batches = [
+            [single[0], busy, *single[1:]],
+            [*sparse, *single[:50], busy, *sparse, busy],
+            [*dense, *sparse],
+            [*sparse, busy],
+            sparse,
+        ]
+        for batch in batches:
+            fwd, bwd = (Links.of(side) for side in zip(*batch))
+            for heuristic in HEURISTICS:
+                want = [symmetrize_reference(f, b, heuristic) for f, b in batch]
+                assert link_sets(symmetrize(fwd, bwd, heuristic)) == want, heuristic
 
     def test_unknown_heuristic_is_fatal(self):
         fwd = Links.of([links((0, 0))])

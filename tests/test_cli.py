@@ -17,6 +17,8 @@ from dclex.cli import (
     main,
     validate_config,
 )
+from dclex.alignment import train_model1
+from dclex.corpus import load_token_corpus
 from dclex.errors import UsageError
 from dclex.parallel import CHUNK_SIZE
 
@@ -192,6 +194,41 @@ class TestPipelineRuns:
         assert rows["sym_links"] == len(sym)
         for name in ("alignments.fwd.txt", "alignments.bwd.txt"):
             assert not (out / name).exists()
+
+    def test_align_rows_record_em_log_likelihoods(self, mini_run):
+        root, config = mini_run
+        out = root / "out"
+        manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+        rows = manifest["stages"]["align"]["rows"]
+        cfg = validate_config(str(config))
+        work = load_token_corpus(
+            str(out / ARTIFACTS["fused_src"]), str(out / ARTIFACTS["corpus_tgt"])
+        )
+        fwd = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
+        bwd = [(tgt, src) for src, tgt in fwd]
+        for key, pairs in (("fwd_log_likelihood", fwd), ("bwd_log_likelihood", bwd)):
+            lls = rows[key]
+            assert len(lls) == cfg.iterations
+            assert all(b >= a for a, b in zip(lls, lls[1:])), lls
+            assert lls == list(train_model1(pairs, cfg.iterations, cfg.use_null).log_likelihoods)
+
+    def test_manifest_is_the_same_for_any_thread_count(self, tmp_path):
+        config = planted.generate(tmp_path, pairs=CHUNK_SIZE + 300, seed=3)
+        manifests = []
+        for threads in (1, 3):
+            out = tmp_path / f"threads{threads}"
+            argv = ["run", "all", "--config", str(config), "--threads", str(threads)]
+            assert main([*argv, "--output", str(out)]) == 0
+            manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+            for stage in manifest["stages"].values():
+                del stage["seconds"]
+            # The two overridden keys are the only config difference.
+            assert (manifest["config"].pop("threads"), manifest["config"].pop("output_dir")) == (
+                threads,
+                str(out),
+            )
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
     # SHA-256 of artifacts of `run all` on a planted corpus of two chunks,
     # unchanged since links were still Python sets from Viterbi to extract.

@@ -1,11 +1,15 @@
-"""Strict UTF-8 text inputs, with and without a leading byte-order mark."""
+"""Strict UTF-8 text inputs, with and without a leading byte-order mark;
+atomic writes."""
+
+import os
+import stat
 
 import pytest
 
 from dclex.cli import validate_config
 from dclex.corpus import load_parallel_corpus
 from dclex.errors import PipelineError
-from dclex.fileio import read_text_strict
+from dclex.fileio import atomic_write_text, read_text_strict
 from dclex.inventory import load_connective_inventory, load_gold_lexicon
 
 BOM = "\ufeff"
@@ -51,3 +55,14 @@ def test_bad_byte_names_its_line(tmp_path, prefix):
     path.write_bytes(prefix.encode("utf-8") + b"k0\n\xff\n")
     with pytest.raises(PipelineError, match="invalid UTF-8 at line 2"):
         read_text_strict(path)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out" / "lexicon.tsv", "k0\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out" / "lexicon.tsv").stat().st_mode) == mode
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["lexicon.tsv"]
