@@ -42,12 +42,12 @@ ARTIFACTS = {
     "corpus_src": "corpus.src",
     "corpus_tgt": "corpus.tgt",
     "freqs": "freqs.tsv",
-    "annotations": "annotations.tsv",
     "fused_src": "fused.src",
     "ttable_fwd": "ttable.fwd.tsv",
     "ttable_bwd": "ttable.bwd.tsv",
     "align_sym": "alignments.sym.txt",
     "phrase_table": "phrase_table.txt",
+    "sites": "sites.tsv",
     "dc_records": "dc_records.tsv",
     "lexicon": "lexicon.tsv",
     "eval_report": "eval_report.txt",
@@ -311,7 +311,6 @@ def _stage_tag(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[st
         src_inventory = _load_source_inventory(cfg)
         senses = tg.load_default_senses(_require_config_path(cfg, "default_senses"))
         annotations = tg.heuristic_tag(corpus, src_inventory, senses, threads=cfg.threads)
-    tg.write_annotations(annotations, _out(cfg, "annotations"))
     fused = tg.fuse_corpus(corpus, annotations)
     tg.write_fused_corpus(fused, _out(cfg, "fused_src"))
     return {"annotations": len(annotations), "sentences": len(fused)}
@@ -366,31 +365,23 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
     }
 
 
-def _load_scan_inputs(
-    cfg: PipelineConfig,
-) -> tuple[cp.Corpus, al.Links, list[inv.Connective], list[inv.Connective], list[str]]:
-    """What the connective-occurrence scan reads: the fused source and the
-    target side, their symmetrized links, both inventories and the relations."""
+def _load_work_corpus(cfg: PipelineConfig) -> cp.Corpus:
+    """The fused source side and the target side, as the aligner saw them."""
     fused_path = _require(cfg, "fused_src", "tag")
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
-    align_path = _require(cfg, "align_sym", "align")
-    work = cp.load_token_corpus(str(fused_path), str(tgt_path))
-    links = al.read_alignments(str(align_path))
-    return (
-        work,
-        links,
-        _load_target_inventory(cfg),
-        _load_source_inventory(cfg),
-        _load_induced_relations(cfg),
-    )
+    return cp.load_token_corpus(str(fused_path), str(tgt_path))
 
 
 def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
-    work, links, tgt_inventory, src_inventory, relations = _load_scan_inputs(cfg)
+    work = _load_work_corpus(cfg)
+    links = al.read_alignments(str(_require(cfg, "align_sym", "align")))
+    tgt_inventory, src_inventory = _load_target_inventory(cfg), _load_source_inventory(cfg)
+    relations = _load_induced_relations(cfg)
     pairs = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
     table = pt.build_phrase_table(
         pairs, links, tgt_inventory, src_inventory, relations, cfg.max_phrase_len, cfg.threads
     )
+    pt.write_sites(table.sites, _out(cfg, "sites"))
     pt.write_phrase_table(table, _out(cfg, "phrase_table"))
     records = pt.filter_dc_entries(table, src_inventory, relations)
     pt.write_dc_records(records, _out(cfg, "dc_records"))
@@ -430,8 +421,19 @@ def _stage_eval(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[s
 
 def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
-    work, *scan_inputs = _load_scan_inputs(cfg)
-    sites = lx.evidence_sites(work, *scan_inputs, cfg.max_phrase_len)
+    sites_path = str(_require(cfg, "sites", "extract"))
+    rows = pt.read_sites(sites_path)
+    work = _load_work_corpus(cfg)
+    try:
+        sites = lx.group_sites(
+            work,
+            rows,
+            _load_target_inventory(cfg),
+            _load_source_inventory(cfg),
+            _load_induced_relations(cfg),
+        )
+    except PipelineError as exc:
+        raise PipelineError(f"{sites_path}: {exc}") from exc
 
     only_dc = getattr(extra, "dc", None) if extra else None
     only_relation = getattr(extra, "relation", None) if extra else None
@@ -576,6 +578,9 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No stage calls BLAS; one OpenBLAS thread spares numpy's import the
+    # start of a worker pool. A value set by the user is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )

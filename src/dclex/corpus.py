@@ -5,6 +5,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import PipelineError
@@ -77,6 +78,14 @@ def _split_chunk(chunk: str) -> list[str]:
     return out
 
 
+class _Pieces(dict):
+    """`_split_chunk` of each chunk looked up, computed on first lookup."""
+
+    def __missing__(self, chunk: str) -> list[str]:
+        found = self[chunk] = _split_chunk(chunk)
+        return found
+
+
 def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
     """Split on whitespace, detaching edge punctuation into its own tokens."""
     opts = options or TokenizerOptions()
@@ -122,6 +131,14 @@ def load_parallel_corpus(
     """
     opts = options or TokenizerOptions()
     src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
+    pieces = _Pieces()  # each distinct whitespace chunk, split once
+
+    def tokens(line: str) -> tuple[str, ...]:
+        # What `tokenize` gives, with each chunk looked up in `pieces`.
+        if opts.lowercase:
+            line = line.lower()
+        return tuple(chain.from_iterable(map(pieces.__getitem__, line.split())))
+
     pairs: list[SentencePair] = []
     for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
         src_empty = not src_line.strip()
@@ -133,9 +150,7 @@ def load_parallel_corpus(
         if src_empty or tgt_empty:
             side = src_path if src_empty else tgt_path
             raise PipelineError(f"{side}: empty line {lineno} has a non-empty counterpart")
-        pairs.append(
-            SentencePair(lineno, tuple(tokenize(src_line, opts)), tuple(tokenize(tgt_line, opts)))
-        )
+        pairs.append(SentencePair(lineno, tokens(src_line), tokens(tgt_line)))
         if limit is not None and limit > 0 and len(pairs) >= limit:
             break
     return Corpus(tuple(pairs))
@@ -213,7 +228,7 @@ def count_occurrences(
     def chunk_counts(pairs: Sequence[SentencePair]) -> Counter:
         counts: Counter = Counter()
         for pair in pairs:
-            lowered = tuple(t.lower() for t in pair.tgt_tokens)
+            lowered = tuple(map(str.lower, pair.tgt_tokens))
             for _, form in scan_matches(lowered, table):
                 counts[form] += 1
         return counts

@@ -11,14 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .alignment import Links
 from .corpus import Corpus, FrequencyTable
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
-from .phrasetable import DCAlignmentRecord, check_links, connective_occurrences
+from .phrasetable import DCAlignmentRecord, Site, build_phrase_table, fused_connective
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,6 @@ def _highlight(tokens: Sequence[str], start: int, end: int) -> str:
     return " ".join(parts)
 
 
-# (pair index, fused source token, target start, target end), ends inclusive
-EvidenceSite = tuple[int, int, int, int]
-
-
 def evidence_sites(
     corpus: Corpus,
     links: Links,
@@ -139,30 +135,69 @@ def evidence_sites(
     src_inventory: Sequence[Connective],
     relations: Sequence[str],
     max_len: int = 7,
-) -> dict[tuple[str, str], list[EvidenceSite]]:
+) -> dict[tuple[str, str], list[Site]]:
     """Find the supporting pairs of every (fr_dc, relation) in one pass.
 
     `corpus` holds the fused source side. A pair supports (fr_dc, relation)
     when `connective_occurrences` counts an occurrence of fr_dc for a fused
-    source token carrying the relation, exactly as extraction does; the
-    first such occurrence in the pair is its site. Sites are in corpus order.
+    source token carrying the relation, exactly as extraction does: these
+    are the sites of `build_phrase_table`, grouped by `group_sites`.
     """
     pairs = [(pair.src_tokens, pair.tgt_tokens) for pair in corpus.pairs]
-    check_links(pairs, links)
-    sites: dict[tuple[str, str], list[EvidenceSite]] = {}
-    for index, start, form, i, dc in connective_occurrences(
-        pairs, links, tgt_inventory, src_inventory, relations, max_len
-    ):
+    table = build_phrase_table(pairs, links, tgt_inventory, src_inventory, relations, max_len)
+    return group_sites(corpus, table.sites, tgt_inventory, src_inventory, relations)
+
+
+def group_sites(
+    corpus: Corpus,
+    sites: Iterable[Site],
+    tgt_inventory: Sequence[Connective],
+    src_inventory: Sequence[Connective],
+    relations: Sequence[str],
+) -> dict[tuple[str, str], list[Site]]:
+    """Group counted sites, given in corpus order, by the (fr_dc, relation)
+    their tokens spell; the first site of a key in a pair is its site.
+
+    A site out of corpus order, outside its pair, over a span that is no
+    target inventory form or on a source token that `fused_connective`
+    rejects cannot have been counted on this corpus, and is fatal; errors
+    name the site by its 1-based row.
+    """
+    forms = {c.surface for c in tgt_inventory}
+    src_forms = {c.surface for c in src_inventory}
+    known_relations = set(relations)
+    dcs: dict[str, tuple[str, str] | None] = {}
+    grouped: dict[tuple[str, str], list[Site]] = {}
+    last = (-1, -1)
+    for row, site in enumerate(sites, start=1):
+        index, i, start, end = site
+        if (index, start) <= last:
+            raise PipelineError(f"site {row}: not in corpus order")
+        last = (index, start)
+        if not 0 <= index < len(corpus.pairs):
+            raise PipelineError(f"site {row}: no pair {index} in a corpus of {len(corpus.pairs)}")
+        src, tgt = corpus.pairs[index].src_tokens, corpus.pairs[index].tgt_tokens
+        if not (0 <= i < len(src) and 0 <= start <= end < len(tgt)):
+            raise PipelineError(
+                f"site {row}: {i} / {start}-{end} out of bounds "
+                f"for {len(src)}x{len(tgt)} pair {index}"
+            )
+        form = tuple(map(str.lower, tgt[start : end + 1]))
+        if form not in forms:
+            raise PipelineError(f"site {row}: {' '.join(form)!r} is no target inventory form")
+        if src[i] not in dcs:
+            dcs[src[i]] = fused_connective(src[i], src_forms, known_relations)
+        dc = dcs[src[i]]
         if dc is None:
-            continue
-        found = sites.setdefault((" ".join(form), dc[1]), [])
+            raise PipelineError(f"site {row}: {src[i]!r} is no fused source connective")
+        found = grouped.setdefault((" ".join(form), dc[1]), [])
         if not found or found[-1][0] != index:
-            found.append((index, i, start, start + len(form) - 1))
-    return sites
+            found.append(site)
+    return grouped
 
 
 def sample_evidence(
-    corpus: Corpus, sites: Sequence[EvidenceSite], k: int, seed: int
+    corpus: Corpus, sites: Sequence[Site], k: int, seed: int
 ) -> list[EvidenceExcerpt]:
     """Sample up to `k` of one entry's sites and highlight both connectives.
 

@@ -5,6 +5,8 @@ that contains at least one alignment link and no link crossing its boundary
 on either side; boxes may extend over unaligned boundary words. The phrase
 table holds only the connective rows: target connective occurrences, found
 as the corpus frequencies find them, paired with one fused source token.
+Each counted occurrence is a site; `sites.tsv` lists them, and the phrase
+table and the connective records are their aggregates.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .tagging import split_fused_token
 
 Phrase = tuple[str, ...]
 
+# (pair index, fused source token, target start, target end), ends inclusive
+Site = tuple[int, int, int, int]
+
 
 @dataclass(frozen=True)
 class PhraseTableEntry:
@@ -33,11 +38,13 @@ class PhraseTableEntry:
 
 @dataclass(frozen=True)
 class PhraseTable:
-    """Connective rows sorted by (src_phrase, tgt_phrase), and the number of
-    target connective occurrences scanned to find them."""
+    """Connective rows sorted by (src_phrase, tgt_phrase), the number of
+    target connective occurrences scanned to find them, and the sites the
+    rows count, in corpus order."""
 
     entries: tuple[PhraseTableEntry, ...]
     occurrences: int
+    sites: tuple[Site, ...]
 
     def __iter__(self) -> Iterator[PhraseTableEntry]:
         return iter(self.entries)
@@ -126,7 +133,7 @@ def connective_occurrences(
     max_len: int = 7,
 ) -> Iterator[tuple[int, int, Phrase, int | None, tuple[str, str] | None]]:
     """Yield (pair, start, form, source, dc) for each longest-match occurrence
-    of a target form, pair by pair, scanning the lowercased target as the
+    of a target form, in corpus order, scanning the lowercased target as the
     corpus counts do. This is the one place that decides which fused source
     token, if any, an occurrence counts for.
 
@@ -134,35 +141,69 @@ def connective_occurrences(
     exactly the occurrence span: every link into the span comes from it and
     all of its links lie inside. It is None when no token qualifies or the
     form is longer than `max_len`. `dc` is the (en_dc, relation) that
-    `fused_connective` reads off that token, or None. The links of a pair
-    are read only when its target has an occurrence; `check_links` must
+    `fused_connective` reads off that token, or None. `check_links` must
     have passed.
     """
     if max_len < 1:
         raise PipelineError(f"max_len must be >= 1, got {max_len}")
     forms = build_match_table(c.surface for c in tgt_inventory)
+    found = [
+        (k, start, form)
+        for k, (_, tgt_tokens) in enumerate(pairs)
+        for start, form in scan_matches(tuple(map(str.lower, tgt_tokens)), forms)
+    ]
+    if not found:
+        return
     src_forms = {c.surface for c in src_inventory}
     known_relations = set(relations)
-    for k, (src_tokens, tgt_tokens) in enumerate(pairs):
-        matches = list(scan_matches(tuple(t.lower() for t in tgt_tokens), forms))
-        if not matches:
+    dcs: dict[str, tuple[str, str] | None] = {}
+    for (k, start, form), source in zip(found, _box_sources(links, found, max_len)):
+        if source < 0:
+            yield k, start, form, None, None
             continue
-        sources_of: dict[int, set[int]] = {}
-        targets_of: dict[int, list[int]] = {}
-        for i, j in links.pair(k):
-            sources_of.setdefault(j, set()).add(i)
-            targets_of.setdefault(i, []).append(j)
-        for start, form in matches:
-            end = start + len(form) - 1
-            linked = {i for j in range(start, end + 1) for i in sources_of.get(j, ())}
-            consistent = len(form) <= max_len and len(linked) == 1 and all(
-                start <= j <= end for i in linked for j in targets_of[i]
-            )
-            source = min(linked) if consistent else None
-            dc = None if source is None else fused_connective(
-                src_tokens[source], src_forms, known_relations
-            )
-            yield k, start, form, source, dc
+        token = pairs[k][0][source]
+        if token not in dcs:
+            dcs[token] = fused_connective(token, src_forms, known_relations)
+        yield k, start, form, source, dcs[token]
+
+
+def _box_sources(
+    links: Links, found: Sequence[tuple[int, int, Phrase]], max_len: int
+) -> list[int]:
+    """The source token of each (pair, start, form) occurrence, or -1, in
+    one pass over the link columns (see `connective_occurrences`).
+    Occurrences are in corpus order and do not overlap."""
+    import numpy as np
+
+    if not links.total:
+        return [-1] * len(found)
+    pair = np.array([k for k, _, _ in found], np.int64)
+    start = np.array([j for _, j, _ in found], np.int64)
+    length = np.array([len(form) for _, _, form in found], np.int64)
+    # Key (pair, target position) as one integer, in corpus order.
+    width = max(int(links.tgt.max()), int((start + length).max())) + 1
+    first = pair * width + start
+    link_pair = links.pair_index()
+    at = link_pair * width + links.tgt
+    # The occurrence each link's target falls in, or -1.
+    occ = np.searchsorted(first, at, side="right") - 1
+    occ[(occ < 0) | (at >= first[occ] + length[occ])] = -1
+    # The least and greatest source linked into each occurrence.
+    inside = occ >= 0
+    lo = np.full(len(found), np.iinfo(np.int32).max, np.int64)
+    hi = np.full(len(found), -1, np.int64)
+    np.minimum.at(lo, occ[inside], links.src[inside])
+    np.maximum.at(hi, occ[inside], links.src[inside])
+    # Links come sorted by (pair, src): each source token's links are one
+    # run, and the run is held by an occurrence when all of it falls there.
+    runs = np.flatnonzero(
+        np.r_[True, (link_pair[1:] != link_pair[:-1]) | (links.src[1:] != links.src[:-1])]
+    )
+    run_lo, run_hi = np.minimum.reduceat(occ, runs), np.maximum.reduceat(occ, runs)
+    held = np.zeros(len(found), bool)
+    held[run_lo[(run_lo == run_hi) & (run_lo >= 0)]] = True
+    ok = held & (lo == hi) & (length <= max_len)
+    return np.where(ok, hi, -1).tolist()
 
 
 def check_links(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], links: Links) -> None:
@@ -188,28 +229,33 @@ def build_phrase_table(
     each one counts for (see `connective_occurrences`). Where no inventory
     forms nest or overlap, these are the `extract_phrase_pairs` rows with one
     fused source token and an inventory form on the target side, less those
-    whose token `fused_connective` rejects."""
+    whose token `fused_connective` rejects. The sites are the occurrences
+    those rows count."""
     check_links(pairs, links)
 
-    def count_chunk(chunk: range) -> tuple[Counter, int]:
+    def count_chunk(chunk: range) -> tuple[Counter, list[Site], int]:
         rows: Counter = Counter()
+        sites: list[Site] = []
         occurrences = 0
         lo, hi = chunk.start, chunk.stop
-        for k, _, form, i, dc in connective_occurrences(
+        for k, start, form, i, dc in connective_occurrences(
             pairs[lo:hi], links[lo:hi], tgt_inventory, src_inventory, relations, max_len
         ):
             occurrences += 1
             if dc is not None:
                 rows[((pairs[lo + k][0][i],), form)] += 1
-        return rows, occurrences
+                sites.append((lo + k, i, start, start + len(form) - 1))
+        return rows, sites, occurrences
 
     totals: Counter = Counter()
+    sites: list[Site] = []
     occurrences = 0
-    for rows, count in process_chunks(count_chunk, range(len(pairs)), threads):
+    for rows, found, count in process_chunks(count_chunk, range(len(pairs)), threads):
         totals.update(rows)
+        sites.extend(found)
         occurrences += count
     rows = tuple(PhraseTableEntry(src, tgt, totals[(src, tgt)]) for src, tgt in sorted(totals))
-    return PhraseTable(rows, occurrences)
+    return PhraseTable(rows, occurrences, tuple(sites))
 
 
 def fused_connective(
@@ -269,6 +315,27 @@ def write_phrase_table(table: Iterable[PhraseTableEntry], path: str) -> None:
         for e in table
     ]
     atomic_write_text(path, "".join(lines))
+
+
+def write_sites(sites: Iterable[Site], path: str) -> None:
+    """Export `pair<TAB>source<TAB>target start<TAB>target end`, one counted
+    occurrence per line, in corpus order."""
+    atomic_write_text(path, "".join(f"{k}\t{i}\t{start}\t{end}\n" for k, i, start, end in sites))
+
+
+def read_sites(path: str) -> list[Site]:
+    """Reload `write_sites` output; every line must hold four integers."""
+    sites: list[Site] = []
+    for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
+        parts = line.split("\t")
+        try:
+            if len(parts) != 4:
+                raise ValueError
+            k, i, start, end = map(int, parts)
+        except ValueError as exc:
+            raise PipelineError(f"{path}: expected 4 integers at line {lineno}") from exc
+        sites.append((k, i, start, end))
+    return sites
 
 
 def write_dc_records(records: Sequence[DCAlignmentRecord], path: str) -> None:

@@ -220,7 +220,7 @@ def heuristic_tag(
     def tag_chunk(pairs: Sequence[SentencePair]) -> list[DCAnnotation]:
         out: list[DCAnnotation] = []
         for pair in pairs:
-            lowered = tuple(t.lower() for t in pair.src_tokens)
+            lowered = tuple(map(str.lower, pair.src_tokens))
             for start, form in scan_matches(lowered, table):
                 text = " ".join(form)
                 sense = default_sense.get(text)

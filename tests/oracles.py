@@ -236,3 +236,31 @@ def symmetrize_reference(fwd, bwd, heuristic):
         if (i, j) not in links and (i not in src_aligned or j not in tgt_aligned):
             adopt(i, j)
     return frozenset(links)
+
+
+def connective_sources_reference(pairs, link_sets, forms, max_len):
+    """Yield (pair, start, form, source) for each greedy longest-match
+    occurrence of `forms` in each lowercased target, pair by pair, with the
+    per-pair loop over link dicts: `source` is the one source token linked
+    into the span when all of its links lie inside, else None (also for a
+    form longer than `max_len`)."""
+    forms = sorted({tuple(form) for form in forms}, key=len, reverse=True)
+    for k, ((_, tgt), links) in enumerate(zip(pairs, link_sets)):
+        tokens = [t.lower() for t in tgt]
+        sources_of, targets_of = {}, {}
+        for i, j in links:
+            sources_of.setdefault(j, set()).add(i)
+            targets_of.setdefault(i, []).append(j)
+        start = 0
+        while start < len(tokens):
+            form = next((f for f in forms if tuple(tokens[start : start + len(f)]) == f), None)
+            if form is None:
+                start += 1
+                continue
+            end = start + len(form) - 1
+            linked = {i for j in range(start, end + 1) for i in sources_of.get(j, ())}
+            consistent = len(form) <= max_len and len(linked) == 1 and all(
+                start <= j <= end for i in linked for j in targets_of[i]
+            )
+            yield k, start, form, (min(linked) if consistent else None)
+            start = end + 1

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from dclex.alignment import train_model1
 from dclex.corpus import load_token_corpus
 from dclex.errors import UsageError
 from dclex.parallel import CHUNK_SIZE
+from dclex.tagging import split_fused_token
 
 import planted
 
@@ -128,10 +130,10 @@ class TestPipelineRuns:
             "corpus_src",
             "corpus_tgt",
             "freqs",
-            "annotations",
             "fused_src",
             "align_sym",
             "phrase_table",
+            "sites",
             "dc_records",
             "lexicon",
             "eval_report",
@@ -260,6 +262,22 @@ class TestPipelineRuns:
         assert rows["dc_records"] == len(records)
         assert rows["aligned"] == sum(int(line.split("\t")[3]) for line in records)
 
+    def test_sites_aggregate_to_dc_records(self, mini_run):
+        root, _ = mini_run
+        out = root / "out"
+        src = (out / ARTIFACTS["fused_src"]).read_text(encoding="utf-8").splitlines()
+        tgt = (out / ARTIFACTS["corpus_tgt"]).read_text(encoding="utf-8").splitlines()
+        counts = Counter()
+        for line in (out / ARTIFACTS["sites"]).read_text(encoding="utf-8").splitlines():
+            k, i, start, end = map(int, line.split("\t"))
+            surface, relation = split_fused_token(src[k].split()[i])
+            fr_dc = " ".join(tgt[k].split()[start : end + 1]).lower()
+            counts[f"{fr_dc}\t{' '.join(surface)}\t{relation}"] += 1
+        records = (out / ARTIFACTS["dc_records"]).read_text(encoding="utf-8").splitlines()
+        assert sorted(f"{key}\t{count}" for key, count in counts.items()) == records
+        manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+        assert sum(counts.values()) == manifest["stages"]["extract"]["rows"]["aligned"] > 0
+
     def test_extract_counts_only_accepted_fused_tokens(self, tmp_path):
         # "albeit" is not a source inventory form: its fused token makes no
         # phrase-table row, and the occurrence it is linked to is not aligned.
@@ -286,6 +304,7 @@ class TestPipelineRuns:
         assert table == "although-Comparison.Concession ||| bien que ||| 1\n"
         records = (out / ARTIFACTS["dc_records"]).read_text(encoding="utf-8")
         assert records == "bien que\talthough\tComparison.Concession\t1\n"
+        assert (out / ARTIFACTS["sites"]).read_text(encoding="utf-8") == "0\t0\t0\t1\n"
 
     def test_table1_distribution(self, mini_run, capsys):
         root, config = mini_run
@@ -323,6 +342,32 @@ class TestPipelineRuns:
         assert block.startswith("# blik tak\tREL_A\t")
         assert block.count("\nFR: ") == 5
         assert block in full
+
+    def test_evidence_alone_reads_sites_and_leaves_numpy_unloaded(self, tmp_path):
+        config = planted.generate(
+            tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5, iterations=3
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        evidence = tmp_path / "out" / ARTIFACTS["evidence"]
+        full = evidence.read_bytes()
+        evidence.unlink()
+        code = "import sys, dclex.cli; print(dclex.cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
+        done = run_python(code, "evidence", "--config", str(config))
+        assert done.stdout == "0 False\n"
+        assert evidence.read_bytes() == full
+
+    def test_evidence_rejects_sites_that_do_not_fit_the_corpus(self, tmp_path, capsys):
+        config = planted.generate(
+            tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5, iterations=3
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        sites = tmp_path / "out" / ARTIFACTS["sites"]
+        rows = [list(map(int, line.split("\t"))) for line in sites.read_text().splitlines()]
+        for shift in ((1, 0, 0, 0), (0, 0, 1, 1)):  # the pair id, the target span
+            shifted = ["\t".join(str(a + b) for a, b in zip(row, shift)) + "\n" for row in rows]
+            sites.write_text("".join(shifted), encoding="utf-8")
+            assert main(["evidence", "--config", str(config)]) == 1
+            assert f"error: {sites}: site " in capsys.readouterr().err
 
     def test_limit_override_truncates_ingest(self, mini_run, tmp_path):
         root, config = mini_run
@@ -435,16 +480,33 @@ class TestEntryPoint:
         assert "dclex" in capsys.readouterr().out
 
 
+def run_python(code, *args, **env):
+    """Run `code` in a fresh interpreter that imports this dclex, with `env`
+    over the environment (None removes a variable)."""
+    paths = [str(Path(dclex.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    merged = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={key: value for key, value in merged.items() if value is not None},
+        capture_output=True, text=True, check=True,
+    )
+
+
 def test_loading_the_cli_does_not_import_numpy(tmp_path):
     # numpy costs more to import than the whole CLI; only training needs it.
     code = (
         "import sys, dclex.cli; dclex.cli.validate_config(sys.argv[1]); "
         "print('numpy' in sys.modules)"
     )
-    paths = [str(Path(dclex.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run(
-        [sys.executable, "-c", code, write_config(tmp_path, MINIMAL)],
-        env=env, capture_output=True, text=True, check=True,
-    )
+    done = run_python(code, write_config(tmp_path, MINIMAL))
     assert done.stdout == "False\n"
+
+
+def test_main_defaults_openblas_to_one_thread(tmp_path):
+    code = (
+        "import os, sys, dclex.cli; dclex.cli.main(sys.argv[1:]); "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    args = ("ingest", "--config", str(tmp_path / "missing.cfg"))
+    assert run_python(code, *args, OPENBLAS_NUM_THREADS=None).stdout == "1\n"
+    assert run_python(code, *args, OPENBLAS_NUM_THREADS="2").stdout == "2\n"

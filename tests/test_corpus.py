@@ -127,6 +127,39 @@ class TestLoadParallelCorpus:
         assert [p.src_tokens for p in reloaded.pairs] == [p.src_tokens for p in corpus.pairs]
         assert [p.tgt_tokens for p in reloaded.pairs] == [p.tgt_tokens for p in corpus.pairs]
 
+    def test_tokens_equal_tokenize_on_random_lines(self, tmp_path):
+        # Loading splits each distinct chunk once; chunks repeat across lines
+        # and differ only in case or edge punctuation, so a stale or shared
+        # split would show.
+        rng = random.Random(31)
+        punct = [".", ",", "«", "»", "¿", "—", "…", "'", "-", "(", ")", '"', "!"]
+        words = ["Même", "même", "si", "QU'IL", "peut-être", "Σοφός", "İl", "x"]
+
+        def chunk():
+            core = rng.choice(words + [""])  # "" gives a punctuation-only chunk
+            if core and rng.random() < 0.3:
+                core = core[:1] + rng.choice(punct) + core[1:]
+            lead = "".join(rng.choice(punct) for _ in range(rng.choice([0, 0, 1, 2])))
+            trail = "".join(rng.choice(punct) for _ in range(rng.choice([0, 0, 1, 3])))
+            return lead + core + trail or "x"
+
+        def line():
+            return rng.choice([" ", "  ", "\t", "\u00a0"]).join(
+                chunk() for _ in range(rng.randint(1, 8))
+            )
+
+        lines = [line() for _ in range(300)]
+        src, tgt = write_corpus(tmp_path, lines, lines[::-1])
+        for lowercase in (True, False):
+            opts = TokenizerOptions(lowercase=lowercase)
+            corpus = load_parallel_corpus(src, tgt, opts)
+            assert [p.src_tokens for p in corpus.pairs] == [
+                tuple(tokenize(s, opts)) for s in lines
+            ]
+            assert [p.tgt_tokens for p in corpus.pairs] == [
+                tuple(tokenize(s, opts)) for s in lines[::-1]
+            ]
+
 
 def corpus_from_tokens(sentences):
     pairs = tuple(

@@ -14,6 +14,7 @@ from dclex.lexicon import (
     build_lexicon,
     evidence_sites,
     format_evidence,
+    group_sites,
     read_ranked_lexicon,
     sample_evidence,
     write_ranked_lexicon,
@@ -295,6 +296,37 @@ class TestEvidence:
         tgt_inventory = [Connective(("bien", "que"), "target")]
         with pytest.raises(PipelineError, match="unknown relation label"):
             evidence_sites(Corpus(pairs), alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
+
+    def test_grouping_takes_the_first_site_of_a_key_in_a_pair(self):
+        # Pair 0 holds "même si" twice for the same fused token's relation.
+        corpus = Corpus((
+            SentencePair(0, ("although-Comparison.Concession", "if-Comparison.Concession"),
+                         ("même", "si", "même", "si")),
+        ))
+        sites = [(0, 0, 0, 1), (0, 1, 2, 3)]
+        grouped = group_sites(corpus, sites, INVENTORY, SRC_INVENTORY, RELATIONS)
+        assert grouped == {("même si", "Comparison.Concession"): [(0, 0, 0, 1)]}
+
+    def test_sites_no_scan_counts_are_fatal(self):
+        corpus, alignments = evidence_fixture()
+        pairs = [(p.src_tokens, p.tgt_tokens) for p in corpus.pairs]
+        sites = build_phrase_table(pairs, alignments, INVENTORY, SRC_INVENTORY, RELATIONS).sites
+        assert group_sites(corpus, sites, INVENTORY, SRC_INVENTORY, RELATIONS) == evidence_sites(
+            corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS
+        )
+        for bad, message in [
+            (sites[::-1], "site 2: not in corpus order"),
+            (sites + (sites[-1],), "site 5: not in corpus order"),
+            ([(6, 0, 0, 1)], "site 1: no pair 6 in a corpus of 6"),
+            ([(-1, 0, 0, 1)], "site 1: no pair -1"),
+            ([(0, 2, 0, 1)], "site 1: 2 / 0-1 out of bounds for 2x3 pair 0"),
+            ([(0, 0, 0, 3)], "out of bounds for 2x3 pair 0"),
+            ([(0, 0, 1, 0)], "out of bounds for 2x3 pair 0"),
+            ([(0, 0, 1, 2)], "site 1: 'si tard' is no target inventory form"),
+            ([(0, 1, 0, 1)], "site 1: 'late' is no fused source connective"),
+        ]:
+            with pytest.raises(PipelineError, match=message):
+                group_sites(corpus, bad, INVENTORY, SRC_INVENTORY, RELATIONS)
 
     def test_format_blocks(self):
         corpus, alignments = evidence_fixture()

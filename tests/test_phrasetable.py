@@ -15,15 +15,19 @@ from dclex.phrasetable import (
     DCAlignmentRecord,
     PhraseTableEntry,
     build_phrase_table,
+    connective_occurrences,
     extract_phrase_pairs,
     filter_dc_entries,
+    fused_connective,
     read_dc_records,
+    read_sites,
     write_dc_records,
     write_phrase_table,
+    write_sites,
 )
 from dclex.tagging import split_fused_token
 
-from oracles import consistent_phrase_pairs_reference
+from oracles import connective_sources_reference, consistent_phrase_pairs_reference
 
 
 def aln(*pairs):
@@ -302,6 +306,87 @@ class TestBuildPhraseTable:
         many = build_phrase_table(pairs, columns(alignments), inventory, SRC_INV, RELATIONS, threads=4)
         assert one.entries
         assert one == many
+
+
+# Pairs that every decision batch holds, at the start and across the chunk
+# boundary: a source linked into two occurrences, a source linked into one
+# and outside it, two sources in one occurrence, a clean box, a form longer
+# than a short max_len, and empty sides.
+DECISION_CASES = [
+    (("a-R1",), ("x", "u", "y")), {(0, 0), (0, 2)},
+    (("a-R1", "p"), ("x", "u")), {(0, 0), (0, 1)},
+    (("a-R1", "b-R2"), ("x", "y")), {(0, 0), (1, 1)},
+    (("p", "b-R2"), ("u", "X", "Y")), {(1, 1), (1, 2)},
+    (("a-R2",), ("x", "y", "z")), {(0, 0), (0, 2)},
+    ((), ("x",)), set(),
+    (("a-R1",), ()), set(),
+]
+
+
+def decision_batch(rng):
+    """CHUNK_SIZE + 300 pairs over the nested NESTED_FORMS, in upper and
+    lower case, with link densities from none to most cells."""
+    pairs, link_sets = [], []
+    for _ in range(CHUNK_SIZE + 300):
+        n, m = rng.randint(0, 5), rng.randint(0, 9)
+        rate = rng.choice([0.0, 0.1, 0.3, 0.6])
+        pairs.append(
+            (
+                tuple(rng.choice(["p", "a-R1", "b-R2", "a-R2", "c-R1"]) for _ in range(n)),
+                tuple(rng.choice("xyzXYu") for _ in range(m)),
+            )
+        )
+        link_sets.append({(i, j) for i in range(n) for j in range(m) if rng.random() < rate})
+    for at in (0, CHUNK_SIZE - 3):
+        pairs[at : at + 7] = DECISION_CASES[0::2]
+        link_sets[at : at + 7] = DECISION_CASES[1::2]
+    return pairs, link_sets
+
+
+class TestConnectiveOccurrences:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decision_equals_the_per_pair_loop(self, seed):
+        pairs, link_sets = decision_batch(random.Random(seed))
+        links = columns(Alignment(frozenset(s)) for s in link_sets)
+        src_forms, relations = {c.surface for c in SRC_INV}, set(RELATIONS)
+        surfaces = [c.surface for c in NESTED_FORMS]
+        for max_len in (1, 2, 7):
+            want = list(connective_sources_reference(pairs, link_sets, surfaces, max_len))
+            dcs = [
+                None if i is None else fused_connective(pairs[k][0][i], src_forms, relations)
+                for k, _, _, i in want
+            ]
+            got = list(
+                connective_occurrences(pairs, links, NESTED_FORMS, SRC_INV, RELATIONS, max_len)
+            )
+            assert [occurrence[:4] for occurrence in got] == want
+            assert [occurrence[4] for occurrence in got] == dcs
+            # Both outcomes, and a found source that is no inventory form.
+            assert {i is None for *_, i in want} == {True, False}
+            assert any(dc is None and i is not None for (*_, i), dc in zip(want, dcs))
+            table = build_phrase_table(pairs, links, NESTED_FORMS, SRC_INV, RELATIONS, max_len)
+            assert table.occurrences == len(want)
+            assert list(table.sites) == [
+                (k, i, start, start + len(form) - 1)
+                for (k, start, form, i), dc in zip(want, dcs)
+                if dc is not None
+            ]
+
+    def test_no_links_anywhere(self):
+        pairs = [(("a-R1",), ("x", "y")), (("b-R2",), ("z", "z"))]
+        links = columns([aln(), aln()])
+        got = list(connective_occurrences(pairs, links, NESTED_FORMS, SRC_INV, RELATIONS))
+        assert got == [(0, 0, ("x", "y"), None, None), (1, 0, ("z", "z"), None, None)]
+
+    def test_sites_round_trip_and_bad_rows_are_fatal(self, tmp_path):
+        path = tmp_path / "sites.tsv"
+        write_sites([(0, 1, 2, 3), (5, 0, 0, 0)], str(path))
+        assert path.read_text(encoding="utf-8") == "0\t1\t2\t3\n5\t0\t0\t0\n"
+        assert read_sites(str(path)) == [(0, 1, 2, 3), (5, 0, 0, 0)]
+        for bad in ("0\t1\t2\n", "0\t1\t2\tx\n", "0\t1\t2\t3\t4\n", "\n"):
+            path.write_text("0\t0\t0\t0\n" + bad, encoding="utf-8")
+            with pytest.raises(PipelineError, match="4 integers at line 2"):
+                read_sites(str(path))
 
 
 def test_evidence_cites_exactly_the_pairs_extract_counts():
