@@ -5,15 +5,25 @@ Training is plain EM over a sparse lexical table t(f|e); Model 2 adds a
 positional table q(i|j,l,m). Both models run one numpy kernel over interned
 sentence pairs. Each co-occurring (e, f) gets an integer slot, numbered in
 order of first appearance, and each pair contributes its cells, one per
-target position and source candidate, to one flat array of slots. The
-E-step runs in fixed-size chunks and returns each chunk's cell posteriors;
-the M-step adds them into the counts in corpus order. Every sum that feeds
-t, q or the log-likelihood is a running sum in a fixed order (`bincount`
-and `add.at` add their inputs one by one, from 0.0), never a pairwise or
+target position and source candidate, to one flat array of slots.
+`_first_appearance` does the numbering chunk by chunk: one sort of each
+chunk's keys, packed with their positions, and a hash table of the slots of
+earlier chunks, so its cost grows with the cells, not with chunks x slots.
+
+The E-step runs in fixed-size chunks, each writing its cell posteriors into
+a buffer of its own; the M-step adds them into the counts in corpus order.
+The posterior, count and row-total buffers are allocated once per fit, the
+M-step divides in place, and the E-step works through its chunk in blocks
+of rows, so no EM temporary grows with the corpus or the chunk. Decoding a
+chunk's pairs scores their cells in the chunk's posterior buffer, and
+releases it. Every sum that feeds t, q or the log-likelihood is a
+running sum in a fixed order (`bincount` and `add.at` add their inputs one
+by one, from 0.0, and `cumsum` adds left to right), never a pairwise or
 vectorized reduction, so results are bit-identical for any worker count and
-equal, float for float, to adding them up in a Python loop. A NULL source
-token (virtual index -1) absorbs target words with no counterpart; Viterbi
-links decoded to NULL are dropped.
+chunk size and equal, float for float, to adding them up in a Python loop;
+only the log-likelihood depends on the chunking, as the sum of the chunks'
+sums. A NULL source token (virtual index -1) absorbs target words with no
+counterpart; Viterbi links decoded to NULL are dropped.
 
 The backward direction trains on the same pairs with the sides swapped, so
 its cells are the forward's transposed. Trained with `inverse=` the forward
@@ -52,6 +62,8 @@ from .parallel import CHUNK_SIZE, process_chunks
 
 NULL_TOKEN = "<NULL>"
 PROB_FLOOR = 1e-12
+# The E-step's rows go in blocks of about this many cells.
+_BLOCK_CELLS = 1 << 15
 
 SentenceTokens = Sequence[str]
 TokenPair = tuple[SentenceTokens, SentenceTokens]
@@ -168,53 +180,171 @@ def _sorted_links(pair, src, tgt, n_pairs: int) -> Links:
     return Links(offsets, src.astype(np.int32, copy=False), tgt.astype(np.int32, copy=False))
 
 
-def _spans(starts, lengths):
-    """The ranges [start, start + length), concatenated in order."""
+def _spans(starts, lengths, out=None):
+    """The ranges [start, start + length), concatenated in order, in `out`
+    if given (its length the total; int64 otherwise)."""
     import numpy as np
 
     ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+    if out is None:
+        out = np.empty(int(ends[-1]), np.int64)
+    # Steps of one, but at the head of each span the step from the last
+    # value before it to its start; then a running sum.
+    out.fill(1)
+    used = lengths > 0
+    heads, starts, lengths = (ends - lengths)[used], starts[used], lengths[used]
+    if len(heads):
+        out[heads[0]] = starts[0]
+        out[heads[1:]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    return np.cumsum(out, out=out)
 
 
-class _Slots:
-    """Integer slots for int64 keys, numbered in order of first appearance
-    over the chunks fed to `number`."""
+def _packing_shift(keys) -> int | None:
+    """The shift p that packs each key with its position into one int64,
+    key << p | position, so that one sort orders by key and then by
+    position; None when some key is too wide for that."""
+    p = max(1, (len(keys) - 1).bit_length())
+    if p > 62:
+        return None
+    lo, hi = int(keys.min()), int(keys.max())
+    return p if -(1 << (63 - p)) <= lo and hi < 1 << (63 - p) else None
 
-    def __init__(self) -> None:
-        import numpy as np
 
-        self.known = np.empty(0, np.int64)  # keys that have a slot, sorted
-        self.known_slots = np.empty(0, np.int32)
-        self.new_keys: list = []  # keys of the slots, in slot order, per chunk
-        self.count = 0
+# Fibonacci hashing: the top 32 bits of key * 2**64 / golden ratio, modulo
+# 2**64, scaled to the table size.
+_GOLDEN = 0x9E3779B97F4A7C15
 
-    def number(self, keys):
-        """The slot of each key; keys not seen before get the next slots."""
-        import numpy as np
 
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        first = np.full(len(uniq), len(keys))
-        np.minimum.at(first, inverse, np.arange(len(keys)))
-        at = np.searchsorted(self.known, uniq)
-        seen = at < len(self.known)
-        seen[seen] = self.known[at[seen]] == uniq[seen]
-        slots = np.empty(len(uniq), np.int32)
-        slots[seen] = self.known_slots[at[seen]]
-        fresh = ~seen
-        # New keys take the next slots in the order of their first occurrence.
-        is_new = np.zeros(len(keys), bool)
-        is_new[first[fresh]] = True
-        slots[fresh] = self.count + np.cumsum(is_new)[first[fresh]] - 1
-        self.new_keys.append(keys[is_new])
-        self.count += len(self.new_keys[-1])
-        self.known = np.insert(self.known, at[fresh], uniq[fresh])
-        self.known_slots = np.insert(self.known_slots, at[fresh], slots[fresh])
-        return slots[inverse]
+def _first_appearance(chunks: Iterable, out):
+    """Number the int64 keys of `chunks` in order of first appearance over
+    all of them: write the slot of each key to `out`, chunk after chunk, and
+    return the keys in slot order. The chunks are overwritten.
 
-    def keys(self):
-        import numpy as np
+    Each chunk is sorted once, its keys packed with their positions (stable
+    `argsort` when they do not fit), which gives its distinct keys and where
+    each first appears. Keys of earlier chunks are looked up in an
+    open-addressing hash table of slots with linear probing, so the work per
+    chunk does not grow with the slots numbered before it. A chunk's new
+    keys go into the table while it stays at most half full; otherwise the
+    next chunk rebuilds it, four cells per key, in order of home cell."""
+    import numpy as np
 
-        return np.concatenate(self.new_keys)
+    # The keys in slot order. Pages are touched only as slots are numbered,
+    # so the room for one slot per key costs no memory.
+    known = np.empty(len(out), np.int64)
+    slot_at = np.zeros(0, np.int32)  # the slot in each table cell, -1 if empty
+    count = filled = at = 0  # slots numbered, slots in the table, keys seen
+
+    def home(keys):
+        hashed = keys.view(np.uint64) * np.uint64(_GOLDEN)
+        hashed >>= np.uint64(32)
+        hashed *= np.uint64(len(slot_at))
+        hashed >>= np.uint64(32)
+        return hashed.view(np.int64)
+
+    def step(cell) -> None:
+        cell += 1
+        cell[cell == len(slot_at)] = 0
+
+    def probe(keys):
+        """The cell of each key and the slot in it: the cell that holds the
+        key's slot, or the empty cell (slot -1) where its probe sequence
+        ends."""
+        cell = home(keys)
+        slots = slot_at[cell]
+        todo = np.flatnonzero(slots >= 0)
+        todo = todo[known[slots[todo]] != keys[todo]]
+        while len(todo):
+            c = cell[todo]
+            step(c)
+            cell[todo] = c
+            s = slot_at[c]
+            slots[todo] = s
+            taken = s >= 0
+            todo = todo[taken]
+            todo = todo[known[s[taken]] != keys[todo]]
+        return cell, slots
+
+    def insert(slots, cell) -> None:
+        """Put `slots`, none of them held, into the first empty cell from
+        `cell` on. Slots that meet at a cell race for it; the losers move on."""
+        while len(slots):
+            busy = np.flatnonzero(slot_at[cell] >= 0)
+            while len(busy):
+                c = cell[busy]
+                step(c)
+                cell[busy] = c
+                busy = busy[slot_at[c] >= 0]
+            slot_at[cell] = slots
+            lost = np.flatnonzero(slot_at[cell] != slots)
+            slots, cell = slots[lost], cell[lost]
+
+    def rebuild() -> None:
+        """A table of all slots numbered so far. Taken in order of home cell,
+        each key's cell is max(home, previous cell + 1), as linear probing
+        would place them; those past the end wrap round."""
+        nonlocal slot_at
+        slot_at = None
+        slot_at = np.full(4 * count, -1, np.int32)
+        p = max(1, (count - 1).bit_length())
+        order = home(known[:count]) << p
+        order |= np.arange(count)
+        order.sort()
+        slots, cell = order & ((1 << p) - 1), order >> p
+        del order
+        steps = np.arange(count)
+        cell -= steps
+        np.maximum.accumulate(cell, out=cell)
+        cell += steps
+        end = np.searchsorted(cell, len(slot_at))
+        slot_at[cell[:end]] = slots[:end]
+        insert(slots[end:], np.zeros(count - end, np.int64))
+
+    for keys in chunks:
+        n = len(keys)
+        if not n:
+            continue
+        p = _packing_shift(keys)
+        if p is None:
+            pos = np.argsort(keys, kind="stable")
+            keys_sorted = keys[pos]
+        else:
+            keys_sorted = keys  # packed and sorted in place
+            keys_sorted <<= p
+            keys_sorted |= np.arange(n)
+            keys_sorted.sort()
+            pos = keys_sorted & ((1 << p) - 1)
+            keys_sorted >>= p
+        starts = np.empty(n, bool)
+        starts[0] = True
+        np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
+        distinct, first = keys_sorted[starts], pos[starts]
+        del keys_sorted
+
+        if count:
+            if filled < count:
+                rebuild()
+                filled = count
+            cell, slots = probe(distinct)
+        else:
+            slots = np.full(len(distinct), -1, np.int32)
+        fresh = np.flatnonzero(slots < 0)
+        # New keys take the next slots in the order of their first positions.
+        is_new = np.zeros(n, bool)
+        new = first[fresh]
+        is_new[new] = True
+        del first
+        slots[fresh] = count - 1 + np.cumsum(is_new, dtype=np.int32)[new]
+        del is_new
+        known[slots[fresh]] = distinct[fresh]
+        count += len(fresh)
+        if filled and 2 * count <= len(slot_at):
+            insert(slots[fresh], cell[fresh])
+            filled = count
+        out[at : at + n][pos] = np.repeat(slots, np.diff(starts, append=n))
+        at += n
+    return known[:count].copy()
 
 
 class _Table:
@@ -229,13 +359,16 @@ class _Table:
         self.values = np.bincount(row_of, minlength=n_rows).astype(np.float64)[row_of]
         np.divide(1.0, self.values, out=self.values)
 
-    def m_step(self, counts) -> None:
+    def m_step(self, counts, totals) -> None:
         """Divide each slot's count by its row's total, the counts of the
-        row's slots added up in slot order."""
+        row's slots added up in slot order, in place. `totals` is a buffer
+        of one float per row."""
         import numpy as np
 
-        totals = np.bincount(self.row_of, weights=counts, minlength=self.n_rows)
-        self.values = counts / totals[self.row_of]
+        totals.fill(0.0)
+        np.add.at(totals, self.row_of, counts)
+        np.take(totals, self.row_of, out=self.values, mode="clip")
+        np.divide(counts, self.values, out=self.values)
 
 
 def _intern(sentences: Iterable[SentenceTokens], first: tuple[str, ...] = ()):
@@ -316,10 +449,9 @@ class _Fit:
         if positional:
             # One block of q slots per (l, m), in order of first appearance; a
             # pair's cells take the slots of its block in order.
-            blocks = _Slots()
             span = int(ms.max()) + 1
-            block_of = blocks.number(ls * span + ms)
-            block_l, block_m = np.divmod(blocks.keys(), span)
+            block_of = np.empty(len(pairs), np.int32)
+            block_l, block_m = np.divmod(_first_appearance([ls * span + ms], block_of), span)
             self.shapes = list(zip(block_l.tolist(), block_m.tolist()))
             block_sizes = (block_l + null) * block_m
             q_at = (np.cumsum(block_sizes) - block_sizes)[block_of]
@@ -328,13 +460,14 @@ class _Fit:
             self.q = _Table(np.repeat(np.arange(q_rows, dtype=np.int32), q_widths), q_rows)
             self.q_cells = np.empty(cell_at[-1], np.int32)
             for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
-                self.q_cells[chunk.cells] = _spans(q_at[lo:hi], sizes[lo:hi])
+                _spans(q_at[lo:hi], sizes[lo:hi], self.q_cells[chunk.cells])
 
         if inverse is None or inverse.null_is_word:
             self._intern_cells(pairs, ls, ms, bounds)
         else:
             self._transpose_cells(inverse, bounds)
         self.history: list[float] = []
+        self.posteriors: dict = {}  # each chunk's buffer, by its first cell
 
     def _intern_cells(self, pairs: Sequence[TokenPair], ls, ms, bounds: list[int]) -> None:
         """Number the words of each side and the co-occurring (e, f) of the
@@ -350,22 +483,23 @@ class _Fit:
         self.null_is_word = bool(null and ((src_ids == 0).any() or NULL_TOKEN in self.f_words))
         nf = len(self.f_words)
         src_at = np.append(0, np.cumsum(ls))
+
+        def chunk_keys():
+            for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
+                n = ls[lo:hi] + null
+                # Candidates of each pair: NULL (word 0) first when used, then its source words.
+                cand_at = np.cumsum(n) - n
+                cand = np.zeros(cand_at[-1] + n[-1], np.int64)
+                cand[_spans(cand_at + null, ls[lo:hi])] = src_ids[src_at[lo] : src_at[hi]] * nf
+                widths = self.widths[chunk.rows]
+                keys = cand[_spans(np.repeat(cand_at, ms[lo:hi]), widths)]
+                keys += np.repeat(tgt_ids[chunk.rows], widths)
+                yield keys
+
         self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
-        slots = _Slots()
-        for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
-            n = ls[lo:hi] + null
-            # Candidates of each pair: NULL (word 0) first when used, then its source words.
-            cand_at = np.cumsum(n) - n
-            cand = np.zeros(cand_at[-1] + n[-1], np.int64)
-            cand[_spans(cand_at + null, ls[lo:hi])] = src_ids[src_at[lo] : src_at[hi]]
-            widths = self.widths[chunk.rows]
-            keys = cand[_spans(np.repeat(cand_at, ms[lo:hi]), widths)] * nf
-            keys += np.repeat(tgt_ids[chunk.rows], widths)
-            self.cells[chunk.cells] = slots.number(keys)
-        slot_keys = slots.keys()
-        del slots
-        self.t = _Table((slot_keys // nf).astype(np.int32), len(self.e_words))
-        self.t_cols = (slot_keys % nf).astype(np.int32)
+        rows, cols = np.divmod(_first_appearance(chunk_keys(), self.cells), nf)
+        self.t = _Table(rows.astype(np.int32), len(self.e_words))
+        self.t_cols = cols.astype(np.int32)
 
     def _transpose_cells(self, inverse: _Fit, bounds: list[int]) -> None:
         """Take the cells from `inverse`, a fit of the same pairs with the
@@ -384,6 +518,7 @@ class _Fit:
         self.null_is_word = False
         # The inverse is dropped once this returns; what is not read here goes now.
         inverse.t.values = inverse.q = inverse.q_cells = None
+        inverse.posteriors = {}
         inv_slots = len(inverse.t_cols)
         self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
         # The slot of each key: a key seen in an earlier chunk keeps the slot
@@ -404,18 +539,21 @@ class _Fit:
             i = np.arange(len(widths)) - np.repeat(np.cumsum(ms) - ms, ms)
             origin = inverse.first_cell[row_pair] + i + null
             stride = inverse.n[row_pair].astype(np.int64)
-            # Candidate c >= null of a row is the inverse's target row c - null;
-            # the NULL candidate reads row 0 for the word of its target.
-            at = np.arange(chunk.cells.stop - chunk.cells.start)
-            cell = at - np.repeat(heads, widths) - null
-            np.maximum(cell, 0, out=cell)
-            cell *= np.repeat(stride, widths)
-            cell += np.repeat(origin, widths)
-            keys = inverse.cells[cell].astype(np.int64)
+            # Candidate c >= null of a row is the inverse's target row c - null,
+            # so its cell is origin + (c - null) * stride; the NULL candidate
+            # reads row 0 for the word of its target. The cells of a row step
+            # by its stride (by 0 from NULL), so they are a running sum.
+            cell = np.repeat(stride, widths)
+            last = origin + (widths - 1 - null) * stride
+            cell[heads[0]] = origin[0]
+            cell[heads[1:]] = origin[1:] - last[:-1]
+            if null:
+                cell[heads + 1] = 0
+            keys = inverse.cells[np.cumsum(cell, out=cell)]
             del cell
             if null:
                 keys[heads] = inv_slots + inverse.t.row_of[keys[heads]]
-            at += count
+            at = np.arange(count, count + len(keys))
             np.minimum.at(slot_of, keys, at)
             new = keys[slot_of[keys] == at]
             fresh = slice(count, count + len(new))
@@ -434,68 +572,96 @@ class _Fit:
         self.t_cols = t_cols[:count]
 
     def train(self, iterations: int, threads: int) -> None:
-        """EM iterations. The E-steps of the chunks may run in any order; their
-        posteriors are added into the counts in corpus order."""
+        """EM iterations. The E-steps of the chunks may run in any order, each
+        into its own posterior buffer; the posteriors are added into the
+        counts in corpus order. The posterior, count and row-total buffers
+        are allocated once; chunk-sized posterior buffers reuse freed memory
+        as readily as the temporaries they replace."""
         import numpy as np
 
+        steps = [(chunk, np.empty(chunk.cells.stop - chunk.cells.start)) for chunk in self.chunks]
+        self.posteriors = {int(chunk.cells.start): posteriors for chunk, posteriors in steps}
+        tables = [(self.t, self.cells)] + ([(self.q, self.q_cells)] if self.q is not None else [])
+        buffers = [(np.empty(len(table.values)), np.empty(table.n_rows)) for table, _ in tables]
         for _ in range(iterations):
-            results = process_chunks(self._estep, self.chunks, threads, chunk_size=1)
             ll = 0.0
-            t_counts = np.zeros(len(self.t.values))
-            q_counts = np.zeros(len(self.q.values)) if self.q is not None else None
-            for chunk, (part_ll, posteriors) in zip(self.chunks, results):
-                ll += part_ll
-                np.add.at(t_counts, self.cells[chunk.cells], posteriors)
-                if q_counts is not None:
-                    np.add.at(q_counts, self.q_cells[chunk.cells], posteriors)
-            del results
+            for part in process_chunks(self._estep, steps, threads, chunk_size=1):
+                ll += part
             self.history.append(ll)
-            self.t.m_step(t_counts)
-            if q_counts is not None:
-                self.q.m_step(q_counts)
+            for (table, cells), (counts, totals) in zip(tables, buffers):
+                counts.fill(0.0)
+                for chunk, posteriors in steps:
+                    np.add.at(counts, cells[chunk.cells], posteriors)
+                table.m_step(counts, totals)
 
-    def _estep(self, batch: Sequence[_Chunk]):
-        """Log-likelihood and cell posteriors of one chunk, in cell order. A
-        cell's posterior is its score over its row's total z; Model 1 scores
-        t, Model 2 scores t * q. z and the log-likelihood are running sums."""
+    def _estep(self, batch) -> float:
+        """Write the cell posteriors of one chunk into its buffer and return
+        its log-likelihood. A cell's posterior is its score over its row's
+        total z; Model 1 scores t, Model 2 scores t * q. z and the
+        log-likelihood are running sums. The rows go in blocks of about
+        _BLOCK_CELLS cells, so that no temporary grows with the chunk."""
         import numpy as np
 
-        (chunk,) = batch
-        scores = self.t.values[self.cells[chunk.cells]]
-        if self.q is not None:
-            scores *= self.q.values[self.q_cells[chunk.cells]]
+        ((chunk, scores),) = batch
         widths = self.widths[chunk.rows]
-        rows = np.repeat(np.arange(len(widths)), widths)
-        z = np.bincount(rows, weights=scores)
+        heads = np.cumsum(widths, dtype=np.int64) - widths
+        cuts = np.searchsorted(heads, np.arange(0, heads[-1] + widths[-1], _BLOCK_CELLS))
+        cuts = [*cuts.tolist(), len(widths)]
+        z = np.empty(len(widths))
+        cells = self.cells[chunk.cells]
+        q_cells = self.q_cells[chunk.cells] if self.q is not None else None
+        for r0, r1 in zip(cuts, cuts[1:]):
+            if r0 == r1:
+                continue
+            block = slice(heads[r0], heads[r1 - 1] + widths[r1 - 1])
+            part = scores[block]
+            np.take(self.t.values, cells[block], out=part, mode="clip")
+            if q_cells is not None:
+                part *= np.take(self.q.values, q_cells[block], mode="clip")
+            rows = np.repeat(np.arange(r1 - r0), widths[r0:r1])
+            z[r0:r1] = np.bincount(rows, weights=part, minlength=r1 - r0)
+            part /= z[r0:r1][rows]
         terms = np.fromiter(map(math.log, z.tolist()), np.float64, len(z))
         if self.q is None:
             # Model 1's uniform alignment prior 1/n; Model 2's is inside q.
             terms -= self.log_n[widths]
-        ll = 0.0
-        for term in terms.tolist():
-            ll += term
-        return ll, scores / z[rows]
+        return float(np.cumsum(terms)[-1])
 
     def decode(self, indices: Iterable[int]) -> Links:
         """Viterbi links of the training pairs at `indices`, in order: each
         target position links to its best candidate, the first on ties, with
         t and q floored at PROB_FLOOR. With NULL, candidate 0 is NULL and its
-        links are dropped."""
+        links are dropped. A run of consecutive pairs that starts a chunk
+        takes over that chunk's posterior buffer, which training no longer
+        reads, for its scores; the buffer goes with it."""
         import numpy as np
 
         pairs = np.fromiter(indices, np.int64)
         if not len(pairs):
             return _collect(pairs, pairs, pairs, 0)
         ns, ms = self.n[pairs], self.m[pairs]
-        cells = _spans(self.first_cell[pairs], ns * ms)
-        scores = np.maximum(self.t.values[self.cells[cells]], PROB_FLOOR)
+        sizes = ns.astype(np.int64) * ms
+        scores = None
+        if (np.diff(pairs) == 1).all():
+            start = int(self.first_cell[pairs[0]])
+            cells = slice(start, start + int(sizes.sum()))
+            buffer = self.posteriors.pop(start, None)
+            if buffer is not None and len(buffer) >= cells.stop - start:
+                scores = buffer[: cells.stop - start]
+        else:
+            cells = _spans(self.first_cell[pairs], sizes)
+        scores = np.take(self.t.values, self.cells[cells], out=scores, mode="clip")
+        np.maximum(scores, PROB_FLOOR, out=scores)
         if self.q is not None:
-            scores *= np.maximum(self.q.values[self.q_cells[cells]], PROB_FLOOR)
+            q = np.take(self.q.values, self.q_cells[cells], mode="clip")
+            scores *= np.maximum(q, PROB_FLOOR, out=q)
+            del q
         widths = np.repeat(ns, ms)
         starts = np.cumsum(widths) - widths
-        best = np.repeat(np.maximum.reduceat(scores, starts), widths)
-        candidate = np.arange(len(scores)) - np.repeat(starts, widths)
-        first_best = np.minimum.reduceat(np.where(scores == best, candidate, len(scores)), starts)
+        # The first best candidate of a row is the first cell from the row's
+        # start on that holds the row's maximum.
+        best = np.flatnonzero(scores == np.repeat(np.maximum.reduceat(scores, starts), widths))
+        first_best = best[np.searchsorted(best, starts)] - starts
         # Per row: its pair, its target position and its source; rows decoded
         # to NULL drop out.
         rows_of = np.repeat(np.arange(len(pairs)), ms)
@@ -584,6 +750,13 @@ class TranslationTable:
         if self._distortion is None:
             self._distortion = self._state().distortion()
         return self._distortion
+
+    @property
+    def entries(self) -> int:
+        """The number of (e, f) entries of t, one per co-occurring pair."""
+        if self._fit is not None:
+            return len(self._fit.t_cols)
+        return sum(len(row) for row in self.probs.values())
 
     def prob(self, e: str, f: str) -> float:
         """Stored probability, or the floor for unknown pairs."""

@@ -336,7 +336,7 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
         cfg.threads,
     )
     fwd = decode(model, "ttable_fwd")
-    fwd_ll = model.log_likelihoods
+    fwd_ll, fwd_entries = model.log_likelihoods, model.entries
     # The backward model takes its cells from the decoded forward one, whose
     # EM state it releases before training.
     model = train(
@@ -347,7 +347,7 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
         inverse=model,
     )
     bwd = al.transpose(decode(model, "ttable_bwd"))
-    bwd_ll = model.log_likelihoods
+    bwd_ll, bwd_entries = model.log_likelihoods, model.entries
     del model
     symmetrized = al.symmetrize(fwd, bwd, cfg.heuristic)
     al.write_alignments(symmetrized, _out(cfg, "align_sym"))
@@ -362,6 +362,8 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
         "sym_links": symmetrized.total,
         "fwd_log_likelihood": list(fwd_ll),
         "bwd_log_likelihood": list(bwd_ll),
+        "fwd_t_entries": fwd_entries,
+        "bwd_t_entries": bwd_entries,
     }
 
 

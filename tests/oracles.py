@@ -196,6 +196,14 @@ def longest_match_counts_reference(sentences, forms):
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
+def first_appearance_reference(chunks):
+    """The slot of each key of `chunks`, chunk after chunk, slots numbered in
+    order of first appearance; and the keys in slot order."""
+    slot_of = {}
+    slots = [slot_of.setdefault(key, len(slot_of)) for chunk in chunks for key in chunk]
+    return slots, list(slot_of)
+
+
 def symmetrize_reference(fwd, bwd, heuristic):
     """Combine one pair's forward and backward link sets, set by set.
 

@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from dclex import alignment
@@ -28,6 +29,7 @@ from dclex.parallel import CHUNK_SIZE
 from oracles import (
     em_model1_reference,
     em_model2_reference,
+    first_appearance_reference,
     symmetrize_reference,
     viterbi_reference,
 )
@@ -233,17 +235,112 @@ class TestTrainedPairDecoding:
         vocab_src, vocab_tgt = ["a", "b", "c", "d"], ["u", "v", "w"]
         pairs = random_corpus(rng, CHUNK_SIZE + 200, vocab_src, vocab_tgt, max_len=4)
         indices = range(CHUNK_SIZE - 100, len(pairs))  # crosses a chunk boundary
+        scattered = [len(pairs) - 1, 5, 4, CHUNK_SIZE, 5, 0]  # not a run: no buffer reuse
         for use_null in (True, False):
             table = train_model1(pairs, iterations=2, use_null=use_null)
-            want = [viterbi_align(pairs[k], table).links for k in indices]
-            assert link_sets(table.viterbi_training_pairs(indices)) == want
             tables = train_model2(pairs, iterations=2, use_null=use_null)
-            want = [viterbi_align_model2(pairs[k], tables).links for k in indices]
-            assert link_sets(tables.viterbi_training_pairs(indices)) == want
+            for picked in (indices, scattered):
+                want = [viterbi_align(pairs[k], table).links for k in picked]
+                assert link_sets(table.viterbi_training_pairs(picked)) == want
+                want = [viterbi_align_model2(pairs[k], tables).links for k in picked]
+                assert link_sets(tables.viterbi_training_pairs(picked)) == want
 
 
 def swap(pairs):
     return [(tgt, src) for src, tgt in pairs]
+
+
+def keys_homed_at_the_end(count):
+    """int64 keys whose hashes are the largest there are, so that in a
+    table of fewer than 2**24 cells they all have the last cell as home."""
+    inverse = pow(alignment._GOLDEN, -1, 1 << 64)
+    keys = [((1 << 64) - 1 - k) * inverse % (1 << 64) for k in range(count)]
+    return np.array(keys, np.uint64).view(np.int64)
+
+
+class TestFirstAppearance:
+    """`_first_appearance` against a dict.setdefault loop over the keys."""
+
+    @staticmethod
+    def chunks():
+        rng = np.random.default_rng(2017)
+        pool = rng.integers(-(1 << 40), 1 << 40, 3000)
+        chunks = [rng.choice(pool, size) for size in rng.integers(1, 400, 60)]
+        chunks.insert(10, np.concatenate([chunks[k][:40] for k in range(10)]))  # all seen before
+        chunks.insert(20, np.full(7, pool[1]))
+        chunks.insert(30, pool[2:3].copy())
+        chunks.insert(31, np.zeros(0, np.int64))
+        # Too wide for any packing with positions: the sort falls back.
+        wide = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 300, endpoint=True)
+        wide[::7] = np.iinfo(np.int64).max
+        chunks.insert(40, np.concatenate((wide, chunks[5][:20])))
+        chunks.insert(50, wide[::-3].copy())
+        # Probe sequences that run past the table's last cell wrap round,
+        # in a table built from earlier chunks and in one grown chunk by chunk.
+        end = keys_homed_at_the_end(60)
+        chunks.insert(0, end[:30].copy())
+        chunks.insert(45, end[20:50].copy())
+        chunks.insert(55, end[::-1].copy())
+        return chunks
+
+    def test_slots_and_keys_equal_the_reference(self):
+        chunks = self.chunks()
+        shifts = [alignment._packing_shift(chunk) for chunk in chunks if len(chunk)]
+        assert None in shifts and any(shift is not None for shift in shifts)
+        want_slots, want_keys = first_appearance_reference([c.tolist() for c in chunks])
+        out = np.full(sum(map(len, chunks)), -1, np.int32)
+        keys = alignment._first_appearance([chunk.copy() for chunk in chunks], out)
+        assert out.tolist() == want_slots
+        assert keys.tolist() == want_keys
+
+    def test_one_chunk_and_none(self):
+        out = np.empty(4, np.int32)
+        keys = alignment._first_appearance([np.array([9, -3, 9, 5])], out)
+        assert (out.tolist(), keys.tolist()) == ([0, 1, 0, 2], [9, -3, 5])
+        assert alignment._first_appearance([], np.empty(0, np.int32)).tolist() == []
+
+    def test_spans(self):
+        starts = np.array([5, 0, 9, 2, 7])
+        lengths = np.array([3, 0, 2, 0, 1])
+        want = [5, 6, 7, 9, 10, 7]
+        assert alignment._spans(starts, lengths).tolist() == want
+        out = np.empty(6, np.int32)
+        assert alignment._spans(starts, lengths, out) is out
+        assert out.tolist() == want
+
+
+class TestChunking:
+    """Chunks bound the E-step's memory and nothing else: t, q, the order of
+    their slots and the decoded links are the same for any chunk size. The
+    log-likelihood is left out: each chunk's rows are added up on their own,
+    and the chunks' sums are added in chunk order, so where the chunks are
+    cut shows in its last bits."""
+
+    PAIRS = random_corpus(random.Random(5), 300, [f"s{k}" for k in range(25)],
+                          [f"t{k}" for k in range(20)], max_len=8)
+
+    @staticmethod
+    def state(table, n_pairs):
+        fit = table._fit
+        q = (fit.shapes, fit.q.values.tolist()) if fit.q is not None else None
+        decoded = [table.viterbi_training_pairs(picked) for picked in
+                   (range(n_pairs), range(n_pairs - 1, -1, -3))]
+        return (fit.e_words, fit.f_words, fit.t.row_of.tolist(), fit.t_cols.tolist(),
+                fit.t.values.tolist(), q, [columns(links) for links in decoded])
+
+    @pytest.mark.parametrize("train", [train_model1, train_model2])
+    @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
+    def test_training_does_not_depend_on_the_chunk_size(self, monkeypatch, train, use_null):
+        n = len(self.PAIRS)
+        states = []
+        for size in (7, 64, CHUNK_SIZE):
+            monkeypatch.setattr(alignment, "CHUNK_SIZE", size)
+            forward = train(self.PAIRS, 3, use_null)
+            assert len(forward._fit.chunks) == -(-n // size)
+            forward_state = self.state(forward, n)
+            backward = train(swap(self.PAIRS), 3, use_null, inverse=forward)
+            states.append((forward_state, self.state(backward, n)))
+        assert states[0] == states[1] == states[2]
 
 
 def repetitive_corpus(rng, n_pairs):

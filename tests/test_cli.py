@@ -18,7 +18,7 @@ from dclex.cli import (
     main,
     validate_config,
 )
-from dclex.alignment import train_model1
+from dclex.alignment import NULL_TOKEN, train_model1
 from dclex.corpus import load_token_corpus
 from dclex.errors import UsageError
 from dclex.parallel import CHUNK_SIZE
@@ -183,17 +183,24 @@ class TestPipelineRuns:
         assert all(len(d) == 64 for d in digests)
 
     def test_align_rows_count_tokens_and_links(self, mini_run):
-        root, _ = mini_run
+        root, config = mini_run
         out = root / "out"
         manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
         rows = manifest["stages"]["align"]["rows"]
-        src = (out / ARTIFACTS["fused_src"]).read_text(encoding="utf-8").split()
-        tgt = (out / ARTIFACTS["corpus_tgt"]).read_text(encoding="utf-8").split()
+        src_lines = (out / ARTIFACTS["fused_src"]).read_text(encoding="utf-8").splitlines()
+        tgt_lines = (out / ARTIFACTS["corpus_tgt"]).read_text(encoding="utf-8").splitlines()
+        src = [line.split() for line in src_lines]
+        tgt = [line.split() for line in tgt_lines]
         sym = (out / ARTIFACTS["align_sym"]).read_text(encoding="utf-8").split()
-        assert (rows["src_tokens"], rows["tgt_tokens"]) == (len(src), len(tgt))
+        assert (rows["src_tokens"], rows["tgt_tokens"]) == (sum(map(len, src)), sum(map(len, tgt)))
         assert 0 < rows["fwd_links"] <= rows["tgt_tokens"]
         assert 0 < rows["bwd_links"] <= rows["src_tokens"]
         assert rows["sym_links"] == len(sym)
+        # One t entry per co-occurring (e, f), the NULL word included.
+        null = [NULL_TOKEN] if validate_config(str(config)).use_null else []
+        for key, sides in (("fwd_t_entries", (src, tgt)), ("bwd_t_entries", (tgt, src))):
+            entries = {(e, f) for es, fs in zip(*sides) for e in null + es for f in fs}
+            assert rows[key] == len(entries)
         for name in ("alignments.fwd.txt", "alignments.bwd.txt"):
             assert not (out / name).exists()
 
@@ -231,6 +238,27 @@ class TestPipelineRuns:
             )
             manifests.append(manifest)
         assert manifests[0] == manifests[1]
+
+    def test_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Set and dict iteration order changes with PYTHONHASHSEED; none of it
+        # may reach an artifact, the numbering of the aligner's slots included.
+        config = planted.generate(tmp_path, pairs=CHUNK_SIZE + 300, seed=3)
+        outs = [tmp_path / f"hashseed{seed}" for seed in (1, 2)]
+        for seed, out in zip((1, 2), outs):
+            argv = ["run", "all", "--config", str(config), "--output", str(out)]
+            run_python("-m", "dclex", *argv, PYTHONHASHSEED=str(seed))
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        assert ARTIFACTS["manifest"] in names and ARTIFACTS["align_sym"] in names
+        for name in names:
+            first, second = ((out / name).read_bytes() for out in outs)
+            if name == ARTIFACTS["manifest"]:
+                first, second = (json.loads(text) for text in (first, second))
+                for manifest in (first, second):
+                    manifest["config"].pop("output_dir")
+                    for stage in manifest["stages"].values():
+                        del stage["seconds"]
+            assert first == second, name
 
     # SHA-256 of artifacts of `run all` on a planted corpus of two chunks,
     # unchanged since links were still Python sets from Viterbi to extract.
@@ -352,7 +380,7 @@ class TestPipelineRuns:
         full = evidence.read_bytes()
         evidence.unlink()
         code = "import sys, dclex.cli; print(dclex.cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
-        done = run_python(code, "evidence", "--config", str(config))
+        done = run_python("-c", code, "evidence", "--config", str(config))
         assert done.stdout == "0 False\n"
         assert evidence.read_bytes() == full
 
@@ -480,13 +508,14 @@ class TestEntryPoint:
         assert "dclex" in capsys.readouterr().out
 
 
-def run_python(code, *args, **env):
-    """Run `code` in a fresh interpreter that imports this dclex, with `env`
-    over the environment (None removes a variable)."""
+def run_python(*args, **env):
+    """Run a fresh interpreter with `args` (such as "-c", code, ...) that
+    imports this dclex, with `env` over the environment (None removes a
+    variable)."""
     paths = [str(Path(dclex.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     merged = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env}
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *args],
         env={key: value for key, value in merged.items() if value is not None},
         capture_output=True, text=True, check=True,
     )
@@ -498,7 +527,7 @@ def test_loading_the_cli_does_not_import_numpy(tmp_path):
         "import sys, dclex.cli; dclex.cli.validate_config(sys.argv[1]); "
         "print('numpy' in sys.modules)"
     )
-    done = run_python(code, write_config(tmp_path, MINIMAL))
+    done = run_python("-c", code, write_config(tmp_path, MINIMAL))
     assert done.stdout == "False\n"
 
 
@@ -508,5 +537,5 @@ def test_main_defaults_openblas_to_one_thread(tmp_path):
         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     )
     args = ("ingest", "--config", str(tmp_path / "missing.cfg"))
-    assert run_python(code, *args, OPENBLAS_NUM_THREADS=None).stdout == "1\n"
-    assert run_python(code, *args, OPENBLAS_NUM_THREADS="2").stdout == "2\n"
+    assert run_python("-c", code, *args, OPENBLAS_NUM_THREADS=None).stdout == "1\n"
+    assert run_python("-c", code, *args, OPENBLAS_NUM_THREADS="2").stdout == "2\n"
