@@ -14,15 +14,14 @@ The E-step runs in fixed-size chunks, each writing its cell posteriors into
 a buffer of its own; the M-step adds them into the counts in corpus order.
 The posterior, count and row-total buffers are allocated once per fit, the
 M-step divides in place, and the E-step works through its chunk in blocks
-of rows, so no EM temporary grows with the corpus or the chunk. Decoding a
-chunk's pairs scores their cells in the chunk's posterior buffer, and
-releases it. Every sum that feeds t, q or the log-likelihood is a
-running sum in a fixed order (`bincount` and `add.at` add their inputs one
-by one, from 0.0, and `cumsum` adds left to right), never a pairwise or
-vectorized reduction, so results are bit-identical for any worker count and
-chunk size and equal, float for float, to adding them up in a Python loop;
-only the log-likelihood depends on the chunking, as the sum of the chunks'
-sums. A NULL source token (virtual index -1) absorbs target words with no
+of rows, so no EM temporary grows with the corpus or the chunk. Every sum
+that feeds t, q or the log-likelihood is a running sum in a fixed order
+(`bincount` and `add.at` add their inputs one by one, from 0.0, and
+`cumsum` adds left to right), never a pairwise or vectorized reduction, so
+results are bit-identical for any worker count and chunk size and equal,
+float for float, to adding them up in a Python loop; only the
+log-likelihood depends on the chunking, as the sum of the chunks' sums. A
+NULL source token (virtual index -1) absorbs target words with no
 counterpart; Viterbi links decoded to NULL are dropped.
 
 The backward direction trains on the same pairs with the sides swapped, so
@@ -210,8 +209,8 @@ def _packing_shift(keys) -> int | None:
     return p if -(1 << (63 - p)) <= lo and hi < 1 << (63 - p) else None
 
 
-# Fibonacci hashing: the top 32 bits of key * 2**64 / golden ratio, modulo
-# 2**64, scaled to the table size.
+# Fibonacci hashing: a key's home cell is the top 32 bits of key * _GOLDEN
+# (2**64 over the golden ratio), modulo 2**64, scaled to the table size.
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -284,7 +283,7 @@ def _first_appearance(chunks: Iterable, out):
         each key's cell is max(home, previous cell + 1), as linear probing
         would place them; those past the end wrap round."""
         nonlocal slot_at
-        slot_at = None
+        slot_at = None  # the old table goes before the new one is made
         slot_at = np.full(4 * count, -1, np.int32)
         p = max(1, (count - 1).bit_length())
         order = home(known[:count]) << p
@@ -467,7 +466,6 @@ class _Fit:
         else:
             self._transpose_cells(inverse, bounds)
         self.history: list[float] = []
-        self.posteriors: dict = {}  # each chunk's buffer, by its first cell
 
     def _intern_cells(self, pairs: Sequence[TokenPair], ls, ms, bounds: list[int]) -> None:
         """Number the words of each side and the co-occurring (e, f) of the
@@ -518,7 +516,6 @@ class _Fit:
         self.null_is_word = False
         # The inverse is dropped once this returns; what is not read here goes now.
         inverse.t.values = inverse.q = inverse.q_cells = None
-        inverse.posteriors = {}
         inv_slots = len(inverse.t_cols)
         self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
         # The slot of each key: a key seen in an earlier chunk keeps the slot
@@ -576,11 +573,11 @@ class _Fit:
         into its own posterior buffer; the posteriors are added into the
         counts in corpus order. The posterior, count and row-total buffers
         are allocated once; chunk-sized posterior buffers reuse freed memory
-        as readily as the temporaries they replace."""
+        as readily as the temporaries they replace, and they go when
+        training ends."""
         import numpy as np
 
         steps = [(chunk, np.empty(chunk.cells.stop - chunk.cells.start)) for chunk in self.chunks]
-        self.posteriors = {int(chunk.cells.start): posteriors for chunk, posteriors in steps}
         tables = [(self.t, self.cells)] + ([(self.q, self.q_cells)] if self.q is not None else [])
         buffers = [(np.empty(len(table.values)), np.empty(table.n_rows)) for table, _ in tables]
         for _ in range(iterations):
@@ -631,9 +628,7 @@ class _Fit:
         """Viterbi links of the training pairs at `indices`, in order: each
         target position links to its best candidate, the first on ties, with
         t and q floored at PROB_FLOOR. With NULL, candidate 0 is NULL and its
-        links are dropped. A run of consecutive pairs that starts a chunk
-        takes over that chunk's posterior buffer, which training no longer
-        reads, for its scores; the buffer goes with it."""
+        links are dropped."""
         import numpy as np
 
         pairs = np.fromiter(indices, np.int64)
@@ -641,16 +636,12 @@ class _Fit:
             return _collect(pairs, pairs, pairs, 0)
         ns, ms = self.n[pairs], self.m[pairs]
         sizes = ns.astype(np.int64) * ms
-        scores = None
         if (np.diff(pairs) == 1).all():
-            start = int(self.first_cell[pairs[0]])
+            start = self.first_cell[pairs[0]]
             cells = slice(start, start + int(sizes.sum()))
-            buffer = self.posteriors.pop(start, None)
-            if buffer is not None and len(buffer) >= cells.stop - start:
-                scores = buffer[: cells.stop - start]
         else:
             cells = _spans(self.first_cell[pairs], sizes)
-        scores = np.take(self.t.values, self.cells[cells], out=scores, mode="clip")
+        scores = np.take(self.t.values, self.cells[cells], mode="clip")
         np.maximum(scores, PROB_FLOOR, out=scores)
         if self.q is not None:
             q = np.take(self.q.values, self.q_cells[cells], mode="clip")
@@ -910,12 +901,16 @@ def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
     height, width = height.astype(np.int64), width.astype(np.int64)
     base = np.cumsum(height * width) - height * width
 
-    def keys(links: Links):
+    # Each side holds a key at most once: a key seen twice is in both. The
+    # keys of both sides are made in one array and sorted in place.
+    both = np.empty(forward.total + backward.total, np.int64)
+    for links, keys in ((forward, both[: forward.total]), (backward, both[forward.total :])):
         pair = links.pair_index()
-        return base[pair] + links.src * width[pair] + links.tgt
-
-    # Each side holds a key at most once: a key seen twice is in both.
-    both = np.sort(np.concatenate((keys(forward), keys(backward))), kind="stable")
+        np.multiply(links.src, width[pair], out=keys)
+        keys += base[pair]
+        keys += links.tgt
+    del pair
+    both.sort(kind="stable")
     twice = both[1:] == both[:-1]
     if heuristic == "union":
         first = np.ones(len(both), bool)
@@ -928,6 +923,7 @@ def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
             once[1:] &= ~twice
             once[:-1] &= ~twice
             chosen = _grow_diag_final(chosen, both[once], base, height, width)
+    del both, twice
     # The last pair whose cells start at or below a key holds it: pairs that
     # share a base with a later pair have no cells.
     pair = np.searchsorted(base, chosen, side="right") - 1

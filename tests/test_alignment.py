@@ -235,7 +235,7 @@ class TestTrainedPairDecoding:
         vocab_src, vocab_tgt = ["a", "b", "c", "d"], ["u", "v", "w"]
         pairs = random_corpus(rng, CHUNK_SIZE + 200, vocab_src, vocab_tgt, max_len=4)
         indices = range(CHUNK_SIZE - 100, len(pairs))  # crosses a chunk boundary
-        scattered = [len(pairs) - 1, 5, 4, CHUNK_SIZE, 5, 0]  # not a run: no buffer reuse
+        scattered = [len(pairs) - 1, 5, 4, CHUNK_SIZE, 5, 0]  # not a run of pairs
         for use_null in (True, False):
             table = train_model1(pairs, iterations=2, use_null=use_null)
             tables = train_model2(pairs, iterations=2, use_null=use_null)
@@ -299,14 +299,15 @@ class TestFirstAppearance:
         assert (out.tolist(), keys.tolist()) == ([0, 1, 0, 2], [9, -3, 5])
         assert alignment._first_appearance([], np.empty(0, np.int32)).tolist() == []
 
-    def test_spans(self):
-        starts = np.array([5, 0, 9, 2, 7])
-        lengths = np.array([3, 0, 2, 0, 1])
-        want = [5, 6, 7, 9, 10, 7]
-        assert alignment._spans(starts, lengths).tolist() == want
-        out = np.empty(6, np.int32)
-        assert alignment._spans(starts, lengths, out) is out
-        assert out.tolist() == want
+
+def test_spans_skip_empty_ones_and_fill_out():
+    starts = np.array([5, 0, 9, 2, 7])
+    lengths = np.array([3, 0, 2, 0, 1])
+    want = [5, 6, 7, 9, 10, 7]
+    assert alignment._spans(starts, lengths).tolist() == want
+    out = np.empty(6, np.int32)
+    assert alignment._spans(starts, lengths, out) is out
+    assert out.tolist() == want
 
 
 class TestChunking:
