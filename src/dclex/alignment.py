@@ -546,7 +546,7 @@ class _Fit:
             cell[heads[1:]] = origin[1:] - last[:-1]
             if null:
                 cell[heads + 1] = 0
-            keys = inverse.cells[np.cumsum(cell, out=cell)]
+            keys = inverse.cells[np.cumsum(cell, out=cell)].astype(np.int64)
             del cell
             if null:
                 keys[heads] = inv_slots + inverse.t.row_of[keys[heads]]
