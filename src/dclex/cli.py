@@ -1,8 +1,11 @@
 """Command-line pipeline: ingest | tag | align | extract | build | eval |
 evidence | report, plus `run all`.
 
-Every stage reads its inputs from and writes its artifacts to the configured
-output directory, so stages can be rerun individually. A JSON manifest
+Every stage writes its artifacts to the configured output directory. A stage
+run alone reads its inputs from there, so stages can be rerun individually.
+Within one `run all`, a stage hands what it wrote in memory to the later
+stages that read it instead: ingest's tokenized corpus, tag's fused corpus,
+align's links and extract's sites are each made once. A JSON manifest
 records the config snapshot, input digests, per-stage row counts and timing.
 """
 
@@ -280,7 +283,31 @@ def _load_relation_map(cfg: PipelineConfig, induced: list[str], gold: list[str])
     return inv.default_relation_map(induced, gold)
 
 
-def _stage_ingest(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
+# What a stage of one `run all` hands to the later stages that read it, by
+# name (see `main`): "corpus", ingest's (source, target) token columns, read
+# by tag; "work", tag's (fused source, target), read by align, extract and
+# evidence; "links", align's symmetrized links, read by extract; "sites",
+# extract's sites, read by evidence. Pair k is line k of the token files.
+Handoff = dict[str, object]
+Columns = tuple[list[tuple[str, ...]], list[tuple[str, ...]]]
+
+
+def _columns(corpus: cp.Corpus) -> Columns:
+    return [p.src_tokens for p in corpus.pairs], [p.tgt_tokens for p in corpus.pairs]
+
+
+def _work_columns(cfg: PipelineConfig, handoff: Handoff) -> Columns:
+    """The fused source side and the target side, as the aligner saw them."""
+    if "work" in handoff:
+        return handoff["work"]
+    fused_path = _require(cfg, "fused_src", "tag")
+    tgt_path = _require(cfg, "corpus_tgt", "ingest")
+    return _columns(cp.load_token_corpus(str(fused_path), str(tgt_path)))
+
+
+def _stage_ingest(
+    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
+) -> dict[str, int]:
     opts = cp.TokenizerOptions(lowercase=cfg.lowercase, skip_empty=cfg.skip_empty)
     corpus = cp.load_parallel_corpus(
         _require_config_path(cfg, "src_corpus"),
@@ -290,19 +317,27 @@ def _stage_ingest(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict
     )
     if not corpus.pairs:
         raise PipelineError("corpus is empty after loading")
-    cp.write_token_file((p.src_tokens for p in corpus.pairs), _out(cfg, "corpus_src"))
-    cp.write_token_file((p.tgt_tokens for p in corpus.pairs), _out(cfg, "corpus_tgt"))
+    src, tgt = _columns(corpus)
+    cp.write_token_file(src, _out(cfg, "corpus_src"))
+    cp.write_token_file(tgt, _out(cfg, "corpus_tgt"))
     tgt_inventory = _load_target_inventory(cfg)
     freqs = cp.count_occurrences(corpus, tgt_inventory, threads=cfg.threads)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
+    handoff["corpus"] = src, tgt
     return {"pairs": len(corpus.pairs), "target_forms": len(freqs.entries)}
 
 
-def _stage_tag(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
-    src, tgt = _require(cfg, "corpus_src", "ingest"), _require(cfg, "corpus_tgt", "ingest")
-    corpus = cp.load_token_corpus(str(src), str(tgt))
+def _stage_tag(
+    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
+) -> dict[str, int]:
+    if "corpus" in handoff:
+        src, tgt = handoff.pop("corpus")
+    else:
+        src_path = _require(cfg, "corpus_src", "ingest")
+        tgt_path = _require(cfg, "corpus_tgt", "ingest")
+        src, tgt = _columns(cp.load_token_corpus(str(src_path), str(tgt_path)))
     if cfg.annotations:
-        annotations = tg.load_annotations(_require_config_path(cfg, "annotations"), corpus)
+        annotations = tg.load_annotations(_require_config_path(cfg, "annotations"), src)
     else:
         if not cfg.default_senses:
             raise UsageError(
@@ -310,53 +345,46 @@ def _stage_tag(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[st
             )
         src_inventory = _load_source_inventory(cfg)
         senses = tg.load_default_senses(_require_config_path(cfg, "default_senses"))
-        annotations = tg.heuristic_tag(corpus, src_inventory, senses, threads=cfg.threads)
-    fused = tg.fuse_corpus(corpus, annotations)
+        annotations = tg.heuristic_tag(src, src_inventory, senses, threads=cfg.threads)
+    fused = tg.fuse_corpus(src, annotations)
     tg.write_fused_corpus(fused, _out(cfg, "fused_src"))
+    handoff["work"] = fused, tgt
     return {"annotations": len(annotations), "sentences": len(fused)}
 
 
-def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, object]:
-    fused_path = _require(cfg, "fused_src", "tag")
-    tgt_path = _require(cfg, "corpus_tgt", "ingest")
-    work = cp.load_token_corpus(str(fused_path), str(tgt_path))
+def _stage_align(
+    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
+) -> dict[str, object]:
+    src, tgt = _work_columns(cfg, handoff)
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
 
     def decode(model: al.TranslationTable, ttable: str) -> al.Links:
         if cfg.dump_ttables:
             al.write_translation_table(model, _out(cfg, ttable))
         return al.Links.concat(
-            process_chunks(model.viterbi_training_pairs, range(len(work.pairs)), cfg.threads)
+            process_chunks(model.viterbi_training_pairs, range(len(src)), cfg.threads)
         )
 
-    model = train(
-        [(p.src_tokens, p.tgt_tokens) for p in work.pairs],
-        cfg.iterations,
-        cfg.use_null,
-        cfg.threads,
-    )
+    model = train(list(zip(src, tgt)), cfg.iterations, cfg.use_null, cfg.threads)
     fwd = decode(model, "ttable_fwd")
     fwd_ll, fwd_entries = model.log_likelihoods, model.entries
     # The backward model takes its cells from the decoded forward one, whose
     # EM state it releases before training.
     model = train(
-        [(p.tgt_tokens, p.src_tokens) for p in work.pairs],
-        cfg.iterations,
-        cfg.use_null,
-        cfg.threads,
-        inverse=model,
+        list(zip(tgt, src)), cfg.iterations, cfg.use_null, cfg.threads, inverse=model
     )
     bwd = al.transpose(decode(model, "ttable_bwd"))
     bwd_ll, bwd_entries = model.log_likelihoods, model.entries
     del model
     symmetrized = al.symmetrize(fwd, bwd, cfg.heuristic)
     al.write_alignments(symmetrized, _out(cfg, "align_sym"))
+    handoff["links"] = symmetrized
     # Viterbi links each target position at most once, so the forward NULL
     # rate is 1 - fwd_links / tgt_tokens, and the backward one uses src_tokens.
     return {
-        "pairs": len(work.pairs),
-        "src_tokens": sum(len(p.src_tokens) for p in work.pairs),
-        "tgt_tokens": sum(len(p.tgt_tokens) for p in work.pairs),
+        "pairs": len(src),
+        "src_tokens": sum(map(len, src)),
+        "tgt_tokens": sum(map(len, tgt)),
         "fwd_links": fwd.total,
         "bwd_links": bwd.total,
         "sym_links": symmetrized.total,
@@ -367,31 +395,37 @@ def _stage_align(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
     }
 
 
-def _load_work_corpus(cfg: PipelineConfig) -> cp.Corpus:
-    """The fused source side and the target side, as the aligner saw them."""
-    fused_path = _require(cfg, "fused_src", "tag")
-    tgt_path = _require(cfg, "corpus_tgt", "ingest")
-    return cp.load_token_corpus(str(fused_path), str(tgt_path))
-
-
-def _stage_extract(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
-    work = _load_work_corpus(cfg)
-    links = al.read_alignments(str(_require(cfg, "align_sym", "align")))
+def _stage_extract(
+    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
+) -> dict[str, int]:
+    src, tgt = _work_columns(cfg, handoff)
+    if "links" in handoff:
+        links = handoff.pop("links")
+    else:
+        links = al.read_alignments(str(_require(cfg, "align_sym", "align")))
     tgt_inventory, src_inventory = _load_target_inventory(cfg), _load_source_inventory(cfg)
     relations = _load_induced_relations(cfg)
-    pairs = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
     table = pt.build_phrase_table(
-        pairs, links, tgt_inventory, src_inventory, relations, cfg.max_phrase_len, cfg.threads
+        list(zip(src, tgt)),
+        links,
+        tgt_inventory,
+        src_inventory,
+        relations,
+        cfg.max_phrase_len,
+        cfg.threads,
     )
     pt.write_sites(table.sites, _out(cfg, "sites"))
     pt.write_phrase_table(table, _out(cfg, "phrase_table"))
     records = pt.filter_dc_entries(table, src_inventory, relations)
     pt.write_dc_records(records, _out(cfg, "dc_records"))
+    handoff["sites"] = table.sites
     aligned = sum(e.count for e in table)
     return {"occurrences": table.occurrences, "aligned": aligned, "dc_records": len(records)}
 
 
-def _stage_build(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
+def _stage_build(
+    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
+) -> dict[str, int]:
     records = pt.read_dc_records(str(_require(cfg, "dc_records", "extract")))
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
     ranked = lx.build_lexicon(records, freqs, cfg.min_freq)
@@ -399,7 +433,9 @@ def _stage_build(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[
     return {"entries": len(ranked.entries)}
 
 
-def _stage_eval(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
+def _stage_eval(
+    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
+) -> dict[str, int]:
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
     gold_relations = _load_gold_relations(cfg)
@@ -421,11 +457,22 @@ def _stage_eval(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[s
     }
 
 
-def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
+def _stage_evidence(
+    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
+) -> dict[str, int]:
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
     sites_path = str(_require(cfg, "sites", "extract"))
-    rows = pt.read_sites(sites_path)
-    work = _load_work_corpus(cfg)
+    if "sites" in handoff:
+        rows = handoff.pop("sites")
+    else:
+        rows = pt.read_sites(sites_path)
+    if "work" in handoff:
+        work = cp.Corpus(cp.PairColumns(*handoff.pop("work")))
+    else:
+        # Only the pairs the sites name are split into tokens.
+        fused_path = _require(cfg, "fused_src", "tag")
+        tgt_path = _require(cfg, "corpus_tgt", "ingest")
+        work = cp.open_token_corpus(str(fused_path), str(tgt_path))
     try:
         sites = lx.group_sites(
             work,
@@ -466,7 +513,9 @@ def _stage_evidence(cfg: PipelineConfig, extra: argparse.Namespace | None) -> di
     return {"entries": len(targets), "excerpts": sampled}
 
 
-def _stage_report(cfg: PipelineConfig, extra: argparse.Namespace | None) -> dict[str, int]:
+def _stage_report(
+    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
+) -> dict[str, int]:
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
     tgt_inventory = _load_target_inventory(cfg)
     zero = below = above = 0
@@ -499,8 +548,17 @@ _STAGE_FUNCS = {
 }
 
 
-def run_stage(stage: str, cfg: PipelineConfig, extra: argparse.Namespace | None = None) -> dict:
-    """Run one stage, then update the manifest under the output directory."""
+def run_stage(
+    stage: str,
+    cfg: PipelineConfig,
+    extra: argparse.Namespace | None = None,
+    handoff: Handoff | None = None,
+) -> dict:
+    """Run one stage, then update the manifest under the output directory.
+
+    `handoff` carries what earlier stages of the same run wrote, and takes
+    what this stage writes for later ones; without it, the stage reads all
+    its inputs from the output directory."""
     if stage not in _STAGE_FUNCS:
         raise UsageError(f"unknown stage {stage!r}")
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
@@ -508,7 +566,7 @@ def run_stage(stage: str, cfg: PipelineConfig, extra: argparse.Namespace | None 
     manifest = RunManifest.load_or_create(manifest_path, cfg)
     manifest.config = dataclasses.asdict(cfg)
     started = time.perf_counter()
-    rows = _STAGE_FUNCS[stage](cfg, extra)
+    rows = _STAGE_FUNCS[stage](cfg, extra, {} if handoff is None else handoff)
     elapsed = time.perf_counter() - started
     manifest.record_inputs(cfg)
     manifest.record_stage(stage, rows, elapsed)
@@ -591,11 +649,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         if args.command == "run":
+            # Local to this call: a later call, after the artifacts may have
+            # been edited, must read them from the output directory.
+            handoff: Handoff = {}
             for stage in STAGES:
                 if stage == "eval" and not cfg.gold_lexicon:
                     skip_stage(stage, cfg, "no gold_lexicon")
                 else:
-                    run_stage(stage, cfg, args)
+                    run_stage(stage, cfg, args, handoff)
         else:
             run_stage(args.command, cfg, args)
         return 0

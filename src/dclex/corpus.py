@@ -40,10 +40,32 @@ class SentencePair:
 
 @dataclass(frozen=True)
 class Corpus:
-    pairs: tuple[SentencePair, ...]
+    pairs: Sequence[SentencePair]
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+
+class PairColumns(Sequence[SentencePair]):
+    """Pairs 0..n-1 held as a source and a target column, pair k made when it
+    is read. The columns hold token tuples, or lines that `split` splits on
+    whitespace."""
+
+    __slots__ = ("src", "tgt", "split")
+
+    def __init__(self, src: Sequence, tgt: Sequence, split: bool = False) -> None:
+        self.src, self.tgt, self.split = src, tgt, split
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, k: int) -> SentencePair:  # type: ignore[override]
+        if not 0 <= k < len(self.src):
+            raise IndexError(k)
+        src, tgt = self.src[k], self.tgt[k]
+        if self.split:
+            src, tgt = tuple(src.split()), tuple(tgt.split())
+        return SentencePair(k, src, tgt)
 
 
 @dataclass(frozen=True)
@@ -62,7 +84,11 @@ def _is_punct(ch: str) -> bool:
 
 def _split_chunk(chunk: str) -> list[str]:
     # Detach leading/trailing punctuation as separate tokens; internal
-    # punctuation (apostrophes, hyphens, sense tags) stays attached.
+    # punctuation (apostrophes, hyphens, sense tags) stays attached. No
+    # alphanumeric character is punctuation, so a chunk with alphanumeric
+    # ends has none to detach.
+    if chunk[0].isalnum() and chunk[-1].isalnum():
+        return [chunk]
     leading: list[str] = []
     while chunk and _is_punct(chunk[0]):
         leading.append(chunk[0])
@@ -156,6 +182,10 @@ def load_parallel_corpus(
     return Corpus(tuple(pairs))
 
 
+def _empty_token_line(lineno: int) -> PipelineError:
+    return PipelineError(f"empty sentence at line {lineno} in tokenized corpus")
+
+
 def load_token_corpus(src_path: str, tgt_path: str) -> Corpus:
     """Reload corpus files that are already tokenized (space-separated)."""
     src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
@@ -164,9 +194,21 @@ def load_token_corpus(src_path: str, tgt_path: str) -> Corpus:
         src_tokens = tuple(src_line.split())
         tgt_tokens = tuple(tgt_line.split())
         if not src_tokens or not tgt_tokens:
-            raise PipelineError(f"empty sentence at line {lineno} in tokenized corpus")
+            raise _empty_token_line(lineno)
         pairs.append(SentencePair(lineno, src_tokens, tgt_tokens))
     return Corpus(tuple(pairs))
+
+
+def open_token_corpus(src_path: str, tgt_path: str) -> Corpus:
+    """`load_token_corpus` with the same checks, but each pair's lines are
+    split only when the pair is read."""
+    src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
+    # A line splits into no tokens exactly when it strips to "".
+    if not (all(map(str.strip, src_lines)) and all(map(str.strip, tgt_lines))):
+        for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
+            if not src_line.strip() or not tgt_line.strip():
+                raise _empty_token_line(lineno)
+    return Corpus(PairColumns(src_lines, tgt_lines, split=True))
 
 
 def write_token_file(sentences: Iterable[Sequence[str]], path: str) -> None:
@@ -197,17 +239,20 @@ def build_match_table(forms: Iterable[Sequence[str]]) -> MatchTable:
 def scan_matches(
     tokens: Sequence[str], table: MatchTable
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (start, form) for non-overlapping longest matches, left to right."""
-    i = 0
+    """Yield (start, form) for non-overlapping longest matches, left to right.
+
+    Only a position whose token begins some form can start a match, so only
+    those are tried, each unless an earlier match covers it."""
     n = len(tokens)
-    while i < n:
-        for form in table.get(tokens[i], ()):
+    free = 0  # the first position no match covers
+    for i in [i for i, token in enumerate(tokens) if token in table]:
+        if i < free:
+            continue
+        for form in table[tokens[i]]:
             if i + len(form) <= n and tuple(tokens[i : i + len(form)]) == form:
                 yield i, form
-                i += len(form)
+                free = i + len(form)
                 break
-        else:
-            i += 1
 
 
 def count_occurrences(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, SentencePair, build_match_table, scan_matches, write_token_file
+from .corpus import SentencePair, build_match_table, scan_matches, write_token_file
 from .errors import PipelineError
 from .fileio import atomic_write_text, iter_data_lines, read_text_strict
 from .inventory import Connective
@@ -19,6 +19,9 @@ from .parallel import process_chunks
 
 SURFACE_JOINER = "_"
 SENSE_SEPARATOR = "-"
+
+# The source side of a tokenized corpus; sentence k is line k of its file.
+Sentences = Sequence[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -69,23 +72,47 @@ def split_fused_token(token: str) -> tuple[tuple[str, ...], str] | None:
     return tuple(head.split(SURFACE_JOINER)), relation
 
 
-def _check_span(pair: SentencePair, ann: DCAnnotation) -> None:
-    if ann.sentence_id != pair.id:
+def _check_span(sentence_id: int, tokens: Sequence[str], ann: DCAnnotation) -> None:
+    if ann.sentence_id != sentence_id:
         raise PipelineError(
-            f"annotation for sentence {ann.sentence_id} applied to pair {pair.id}"
+            f"annotation for sentence {ann.sentence_id} applied to pair {sentence_id}"
         )
-    if ann.end >= len(pair.src_tokens):
+    if ann.end >= len(tokens):
         raise PipelineError(
-            f"sentence {pair.id}: span [{ann.start}, {ann.end}] out of bounds "
-            f"(length {len(pair.src_tokens)})"
+            f"sentence {sentence_id}: span [{ann.start}, {ann.end}] out of bounds "
+            f"(length {len(tokens)})"
         )
-    actual = tuple(t.lower() for t in pair.src_tokens[ann.start : ann.end + 1])
+    actual = tuple(t.lower() for t in tokens[ann.start : ann.end + 1])
     expected = tuple(t.lower() for t in ann.surface)
     if actual != expected:
         raise PipelineError(
-            f"sentence {pair.id}: tokens {actual!r} at [{ann.start}, {ann.end}] "
+            f"sentence {sentence_id}: tokens {actual!r} at [{ann.start}, {ann.end}] "
             f"do not match annotated surface {expected!r}"
         )
+
+
+def _fuse(
+    sentence_id: int, tokens: tuple[str, ...], annotations: Sequence[DCAnnotation]
+) -> tuple[str, ...]:
+    anns = sorted(annotations, key=lambda a: a.start)
+    prev_end = -1
+    for ann in anns:
+        _check_span(sentence_id, tokens, ann)
+        if ann.start <= prev_end:
+            raise PipelineError(f"sentence {sentence_id}: overlapping annotation at {ann.start}")
+        prev_end = ann.end
+    fused: list[str] = []
+    pos = 0
+    for ann in anns:
+        fused.extend(tokens[pos : ann.start])
+        if ann.discourse_usage:
+            assert ann.relation is not None
+            fused.append(fuse_token(tokens[ann.start : ann.end + 1], ann.relation))
+        else:
+            fused.extend(tokens[ann.start : ann.end + 1])
+        pos = ann.end + 1
+    fused.extend(tokens[pos:])
+    return tuple(fused)
 
 
 def fuse_tokens(pair: SentencePair, annotations: Sequence[DCAnnotation]) -> FusedSentence:
@@ -94,36 +121,24 @@ def fuse_tokens(pair: SentencePair, annotations: Sequence[DCAnnotation]) -> Fuse
     Non-discourse annotations and untagged tokens pass through unchanged.
     New token count = original - sum(span_len - 1) over fused spans.
     """
-    anns = sorted(annotations, key=lambda a: a.start)
-    prev_end = -1
-    for ann in anns:
-        _check_span(pair, ann)
-        if ann.start <= prev_end:
-            raise PipelineError(f"sentence {pair.id}: overlapping annotation at {ann.start}")
-        prev_end = ann.end
-    tokens: list[str] = []
-    pos = 0
-    for ann in anns:
-        tokens.extend(pair.src_tokens[pos : ann.start])
-        if ann.discourse_usage:
-            assert ann.relation is not None
-            tokens.append(fuse_token(pair.src_tokens[ann.start : ann.end + 1], ann.relation))
-        else:
-            tokens.extend(pair.src_tokens[ann.start : ann.end + 1])
-        pos = ann.end + 1
-    tokens.extend(pair.src_tokens[pos:])
-    return FusedSentence(pair.id, tuple(tokens))
+    return FusedSentence(pair.id, _fuse(pair.id, pair.src_tokens, annotations))
 
 
-def fuse_corpus(corpus: Corpus, annotations: Sequence[DCAnnotation]) -> list[FusedSentence]:
+def fuse_corpus(
+    sentences: Sentences, annotations: Sequence[DCAnnotation]
+) -> list[tuple[str, ...]]:
+    """The tokens `fuse_tokens` gives for each sentence; a sentence without
+    annotations is passed on as it is."""
     by_sentence: dict[int, list[DCAnnotation]] = {}
     for ann in annotations:
         by_sentence.setdefault(ann.sentence_id, []).append(ann)
-    known = {pair.id for pair in corpus.pairs}
     for sid in by_sentence:
-        if sid not in known:
+        if not 0 <= sid < len(sentences):
             raise PipelineError(f"annotation references unknown sentence id {sid}")
-    return [fuse_tokens(pair, by_sentence.get(pair.id, ())) for pair in corpus.pairs]
+    fused = list(sentences)
+    for sid in sorted(by_sentence):
+        fused[sid] = _fuse(sid, sentences[sid], by_sentence[sid])
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +151,8 @@ def fuse_corpus(corpus: Corpus, annotations: Sequence[DCAnnotation]) -> list[Fus
 # space-joined and refers to the tokenized corpus the annotator consumed.
 
 
-def load_annotations(path: str, corpus: Corpus) -> list[DCAnnotation]:
-    """Load and validate stand-off annotations against `corpus`."""
-    by_id = {pair.id: pair for pair in corpus.pairs}
+def load_annotations(path: str, sentences: Sentences) -> list[DCAnnotation]:
+    """Load and validate stand-off annotations against `sentences`."""
     annotations: list[DCAnnotation] = []
     for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
         if not line.strip():
@@ -155,11 +169,11 @@ def load_annotations(path: str, corpus: Corpus) -> list[DCAnnotation]:
         if parts[5] not in ("0", "1"):
             raise PipelineError(f"{path}: usage flag must be 0 or 1 at record {lineno}")
         usage = parts[5] == "1"
-        if sid not in by_id:
+        if not 0 <= sid < len(sentences):
             raise PipelineError(f"{path}: unknown sentence id {sid} at record {lineno}")
         try:
             ann = DCAnnotation(sid, start, end, surface, relation, usage)
-            _check_span(by_id[sid], ann)
+            _check_span(sid, sentences[sid], ann)
         except PipelineError as exc:
             raise PipelineError(f"{path}: record {lineno}: {exc}") from exc
         annotations.append(ann)
@@ -205,7 +219,7 @@ def load_default_senses(path: str) -> dict[str, str]:
 
 
 def heuristic_tag(
-    corpus: Corpus,
+    sentences: Sentences,
     inventory: Sequence[Connective],
     default_sense: Mapping[str, str],
     threads: int = 1,
@@ -217,25 +231,23 @@ def heuristic_tag(
     """
     table = build_match_table([c.surface for c in inventory])
 
-    def tag_chunk(pairs: Sequence[SentencePair]) -> list[DCAnnotation]:
+    def tag_chunk(chunk: range) -> list[DCAnnotation]:
         out: list[DCAnnotation] = []
-        for pair in pairs:
-            lowered = tuple(map(str.lower, pair.src_tokens))
+        for k in chunk:
+            lowered = tuple(map(str.lower, sentences[k]))
             for start, form in scan_matches(lowered, table):
                 text = " ".join(form)
                 sense = default_sense.get(text)
                 if sense is None:
                     raise PipelineError(f"no default sense for connective {text!r}")
-                out.append(
-                    DCAnnotation(pair.id, start, start + len(form) - 1, form, sense, True)
-                )
+                out.append(DCAnnotation(k, start, start + len(form) - 1, form, sense, True))
         return out
 
     annotations: list[DCAnnotation] = []
-    for part in process_chunks(tag_chunk, corpus.pairs, threads):
+    for part in process_chunks(tag_chunk, range(len(sentences)), threads):
         annotations.extend(part)
     return annotations
 
 
-def write_fused_corpus(sentences: Sequence[FusedSentence], path: str) -> None:
-    write_token_file((s.tokens for s in sentences), path)
+def write_fused_corpus(sentences: Sentences, path: str) -> None:
+    write_token_file(sentences, path)

@@ -193,6 +193,22 @@ def longest_match_counts_reference(sentences, forms):
     return counts
 
 
+def scan_matches_reference(tokens, table):
+    """`corpus.scan_matches` as a loop over every position: (start, form) of
+    each non-overlapping longest match, left to right. `table` maps a first
+    token to its forms, longest first."""
+    i = 0
+    n = len(tokens)
+    while i < n:
+        for form in table.get(tokens[i], ()):
+            if i + len(form) <= n and tuple(tokens[i : i + len(form)]) == form:
+                yield i, form
+                i += len(form)
+                break
+        else:
+            i += 1
+
+
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 

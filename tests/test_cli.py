@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ import dclex
 from dclex.cli import (
     ARTIFACTS,
     CONFIG_ENV_VAR,
+    STAGES,
     PipelineConfig,
     main,
     validate_config,
@@ -277,6 +279,61 @@ class TestPipelineRuns:
             for name in self.PINNED
         }
         assert digests == self.PINNED
+
+    @pytest.mark.parametrize("variant", ["cased", "annotated"])
+    def test_run_all_equals_each_stage_run_alone(self, tmp_path, variant):
+        # `run all` hands the corpus, the links and the sites from stage to
+        # stage in memory; each stage alone reads them from the output
+        # directory. An empty line pair leaves a gap in the input line
+        # numbers, which the token files and the annotations do not have.
+        config = planted.generate(
+            tmp_path, pairs=300, dc_count=60, thresh_count=20, min_freq=5, iterations=3
+        )
+        corpus = {}
+        for name in ("corpus.en", "corpus.fr"):
+            lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            lines.insert(7, "")
+            corpus[name] = lines
+        extra = ""
+        if variant == "cased":
+            # Case reaches the token files and is lowercased only to match.
+            for lines in corpus.values():
+                lines[::3] = [line.title() for line in lines[::3]]
+            extra = "lowercase = false\n"
+        else:
+            # Sentence k of the annotations is line k of the token files.
+            tokens = [line.split() for line in corpus["corpus.en"] if line]
+            rows = [
+                f"{k}\t{i}\t{i}\t{token}\t" + ("REL_A\t1" if token == "zonk" else "\t0")
+                for k, sentence in enumerate(tokens)
+                for i, token in enumerate(sentence)
+                if token in ("zonk", "frub")
+            ]
+            annotations = tmp_path / "annotations.tsv"
+            annotations.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            extra = f"annotations = {annotations}\n"
+        for name, lines in corpus.items():
+            (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config.write_text(config.read_text(encoding="utf-8") + extra, encoding="utf-8")
+
+        out = tmp_path / "out"
+        runs = []
+        for argvs in ([["run", "all"]], [[stage] for stage in STAGES]):
+            if out.exists():
+                shutil.rmtree(out)
+            for argv in argvs:
+                assert main([*argv, "--config", str(config)]) == 0, argv
+            runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        together, alone = runs
+        assert sorted(together) == sorted(alone)
+        manifests = [json.loads(run.pop(ARTIFACTS["manifest"])) for run in runs]
+        for manifest in manifests:
+            for stage in manifest["stages"].values():
+                del stage["seconds"]
+        assert manifests[0] == manifests[1]
+        assert together == alone
+        assert manifests[0]["stages"]["ingest"]["rows"]["pairs"] == 300
+        assert b"__zonk" in together[ARTIFACTS["evidence"]]
 
     def test_extract_counts_the_occurrences_behind_freqs(self, mini_run):
         root, _ = mini_run

@@ -1,6 +1,8 @@
 """Corpus loading, tokenization, and connective frequency counting."""
 
 import random
+import sys
+import unicodedata
 
 import pytest
 
@@ -9,10 +11,13 @@ from dclex.corpus import (
     FrequencyTable,
     SentencePair,
     TokenizerOptions,
+    build_match_table,
     count_occurrences,
     load_parallel_corpus,
     load_token_corpus,
+    open_token_corpus,
     read_frequency_table,
+    scan_matches,
     tokenize,
     write_frequency_table,
     write_token_file,
@@ -20,7 +25,7 @@ from dclex.corpus import (
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
 
-from oracles import longest_match_counts_reference
+from oracles import longest_match_counts_reference, scan_matches_reference
 
 
 def write_corpus(tmp_path, src_lines, tgt_lines):
@@ -57,6 +62,16 @@ class TestTokenize:
 
     def test_whitespace_only_is_empty(self):
         assert tokenize("   \t ") == []
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # What makes the tokenizer's shortcut exact: a chunk whose first and
+        # last characters are alphanumeric has no edge punctuation to detach.
+        clash = [
+            hex(code)
+            for code in range(sys.maxunicode + 1)
+            if chr(code).isalnum() and unicodedata.category(chr(code)).startswith("P")
+        ]
+        assert clash == []
 
 
 class TestLoadParallelCorpus:
@@ -127,6 +142,26 @@ class TestLoadParallelCorpus:
         assert [p.src_tokens for p in reloaded.pairs] == [p.src_tokens for p in corpus.pairs]
         assert [p.tgt_tokens for p in reloaded.pairs] == [p.tgt_tokens for p in corpus.pairs]
 
+    def test_open_token_corpus_reads_as_load_token_corpus(self, tmp_path):
+        src, tgt = write_corpus(tmp_path, ["a b\u2028 .", "c"], ["x", "y\tz"])
+        loaded, opened = load_token_corpus(src, tgt), open_token_corpus(src, tgt)
+        assert len(opened.pairs) == len(loaded.pairs) == 2
+        assert [opened.pairs[k] for k in (1, 0)] == [loaded.pairs[k] for k in (1, 0)]
+        assert list(opened.pairs) == list(loaded.pairs)
+        with pytest.raises(IndexError):
+            opened.pairs[2]
+
+    def test_open_token_corpus_keeps_the_checks(self, tmp_path):
+        for src_lines, tgt_lines, message in (
+            (["a", "b"], ["x", "y", "z"], "line count mismatch 2 vs 3"),
+            (["a", "b", " \x0c"], ["x", "y", "z"], "empty sentence at line 2"),
+            (["a", "b"], ["x", "\u00a0"], "empty sentence at line 1"),
+        ):
+            src, tgt = write_corpus(tmp_path, src_lines, tgt_lines)
+            for load in (load_token_corpus, open_token_corpus):
+                with pytest.raises(PipelineError, match=message):
+                    load(src, tgt)
+
     def test_tokens_equal_tokenize_on_random_lines(self, tmp_path):
         # Loading splits each distinct chunk once; chunks repeat across lines
         # and differ only in case or edge punctuation, so a stale or shared
@@ -166,6 +201,31 @@ def corpus_from_tokens(sentences):
         SentencePair(i, ("src",), tuple(tokens)) for i, tokens in enumerate(sentences)
     )
     return Corpus(pairs)
+
+
+class TestScanMatches:
+    def test_matches_the_scan_of_every_position(self):
+        # Forms nest (a prefix or a tail of a longer form is a form too) and
+        # overlap (one form's tail starts another); token lists often end
+        # inside a form, so a match may reach or miss the last token.
+        rng = random.Random(404)
+        vocab = ["a", "b", "c", "d", "e"]
+        final = 0
+        for _ in range(400):
+            forms = set()
+            for _ in range(rng.randint(1, 4)):
+                form = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
+                forms.add(form)
+                forms.add(form[: rng.randint(1, len(form))])  # nested
+                forms.add(form[rng.randint(0, len(form) - 1) :])  # nested tail
+                forms.add(form[-1:] + tuple(rng.choice(vocab) for _ in range(2)))  # overlap
+            table = build_match_table(forms)
+            tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+            tokens += rng.choice(sorted(forms))[: rng.randint(1, 4)]  # sentence-final
+            got = list(scan_matches(tuple(tokens), table))
+            assert got == list(scan_matches_reference(tuple(tokens), table))
+            final += any(start + len(form) == len(tokens) for start, form in got)
+        assert final > 100
 
 
 class TestCountOccurrences:
