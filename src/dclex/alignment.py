@@ -51,10 +51,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+from .corpus import Bitext, _spans
 from .errors import PipelineError
 from .fileio import atomic_write_text
 from .parallel import CHUNK_SIZE, process_chunks
@@ -177,25 +177,6 @@ def _sorted_links(pair, src, tgt, n_pairs: int) -> Links:
     offsets = np.zeros(n_pairs + 1, np.int64)
     np.cumsum(np.bincount(pair, minlength=n_pairs), out=offsets[1:])
     return Links(offsets, src.astype(np.int32, copy=False), tgt.astype(np.int32, copy=False))
-
-
-def _spans(starts, lengths, out=None):
-    """The ranges [start, start + length), concatenated in order, in `out`
-    if given (its length the total; int64 otherwise)."""
-    import numpy as np
-
-    ends = np.cumsum(lengths)
-    if out is None:
-        out = np.empty(int(ends[-1]), np.int64)
-    # Steps of one, but at the head of each span the step from the last
-    # value before it to its start; then a running sum.
-    out.fill(1)
-    used = lengths > 0
-    heads, starts, lengths = (ends - lengths)[used], starts[used], lengths[used]
-    if len(heads):
-        out[heads[0]] = starts[0]
-        out[heads[1:]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-    return np.cumsum(out, out=out)
 
 
 def _packing_shift(keys) -> int | None:
@@ -370,17 +351,6 @@ class _Table:
         np.divide(counts, self.values, out=self.values)
 
 
-def _intern(sentences: Iterable[SentenceTokens], first: tuple[str, ...] = ()):
-    """The distinct words of `first` and then `sentences`, in order of first
-    appearance, and the number of each token of `sentences`."""
-    import numpy as np
-
-    tokens = list(chain.from_iterable(sentences))
-    words = list(dict.fromkeys(chain(first, tokens)))
-    ids = dict(zip(words, range(len(words))))
-    return words, np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
-
-
 class _Chunk(NamedTuple):
     """Up to CHUNK_SIZE consecutive pairs: their cells and their target rows."""
 
@@ -411,8 +381,8 @@ class _Fit:
     ) -> None:
         import numpy as np
 
-        ls = np.array([len(src) for src, _ in pairs], np.int64)
-        ms = np.array([len(tgt) for _, tgt in pairs], np.int64)
+        pairs = Bitext.of(pairs)
+        ls, ms = pairs.src.lengths(), pairs.tgt.lengths()
         empty = np.flatnonzero((ls == 0) | (ms == 0))
         if len(empty):
             raise PipelineError(f"empty sentence in training pair {empty[0]}")
@@ -467,18 +437,29 @@ class _Fit:
             self._transpose_cells(inverse, bounds)
         self.history: list[float] = []
 
-    def _intern_cells(self, pairs: Sequence[TokenPair], ls, ms, bounds: list[int]) -> None:
-        """Number the words of each side and the co-occurring (e, f) of the
-        cells. Chunk by chunk, so that no temporary grows with the corpus: the
-        key e * nf + f of each cell, then its slot."""
+    def _intern_cells(self, pairs: Bitext, ls, ms, bounds: list[int]) -> None:
+        """Number the co-occurring (e, f) of the cells, taking the words as
+        the columns number them, NULL first when used. Chunk by chunk, so
+        that no temporary grows with the corpus: the key e * nf + f of each
+        cell, then its slot."""
         import numpy as np
 
         null = 1 if self.use_null else 0
-        self.e_words, src_ids = _intern((src for src, _ in pairs), (NULL_TOKEN,) if null else ())
-        self.f_words, tgt_ids = _intern(tgt for _, tgt in pairs)
+        src, tgt = pairs.src, pairs.tgt
+        self.e_words = [NULL_TOKEN, *src.vocab] if null else list(src.vocab)
+        self.f_words = tgt.vocab
+        src_ids, tgt_ids = src.ids.astype(np.int64), tgt.ids
+        if null:
+            src_ids += 1
+            # A source word spelled like NULL takes NULL's row.
+            if NULL_TOKEN in src.vocab:
+                src_ids[src_ids == src.vocab.index(NULL_TOKEN) + 1] = 0
         # A word spelled like NULL shares a row with it on one side only, so
         # the inverse of this fit cannot take its cells from this one.
-        self.null_is_word = bool(null and ((src_ids == 0).any() or NULL_TOKEN in self.f_words))
+        self.null_is_word = bool(null) and (
+            bool((src_ids == 0).any())
+            or (NULL_TOKEN in tgt.vocab and bool((tgt_ids == tgt.vocab.index(NULL_TOKEN)).any()))
+        )
         nf = len(self.f_words)
         src_at = np.append(0, np.cumsum(ls))
 

@@ -2,11 +2,14 @@
 evidence | report, plus `run all`.
 
 Every stage writes its artifacts to the configured output directory. A stage
-run alone reads its inputs from there, so stages can be rerun individually.
-Within one `run all`, a stage hands what it wrote in memory to the later
-stages that read it instead: ingest's tokenized corpus, tag's fused corpus,
-align's links and extract's sites are each made once. A JSON manifest
-records the config snapshot, input digests, per-stage row counts and timing.
+run alone reads its inputs from there, so stages can be rerun individually;
+it interns the token files it reads as ingest interned the corpus. Within
+one `run all`, a stage hands what it wrote in memory to the later stages
+that read it instead: ingest's interned corpus and target connective
+occurrences, tag's fused source side, align's links and extract's sites are
+each made once. A JSON manifest records the config snapshot, input digests,
+per-stage row counts and timing; one call reads it and hashes the inputs
+once.
 """
 
 from __future__ import annotations
@@ -284,25 +287,29 @@ def _load_relation_map(cfg: PipelineConfig, induced: list[str], gold: list[str])
 
 
 # What a stage of one `run all` hands to the later stages that read it, by
-# name (see `main`): "corpus", ingest's (source, target) token columns, read
-# by tag; "work", tag's (fused source, target), read by align, extract and
-# evidence; "links", align's symmetrized links, read by extract; "sites",
-# extract's sites, read by evidence. Pair k is line k of the token files.
+# name (see `main`): "corpus", ingest's (source, target) columns, read by
+# tag; "occurrences", ingest's target connective occurrences, read by
+# extract; "work", tag's (fused source, target) columns, read by align,
+# extract and evidence; "links", align's symmetrized links, read by extract;
+# "sites", extract's sites, read by evidence. Pair k is line k of the token
+# files.
 Handoff = dict[str, object]
-Columns = tuple[list[tuple[str, ...]], list[tuple[str, ...]]]
+Columns = tuple[cp.TokenColumns, cp.TokenColumns]
 
 
-def _columns(corpus: cp.Corpus) -> Columns:
-    return [p.src_tokens for p in corpus.pairs], [p.tgt_tokens for p in corpus.pairs]
+def _load_columns(cfg: PipelineConfig, src: str, produced_by: str) -> Columns:
+    """The token file `src` and the target token file, interned."""
+    src_path = _require(cfg, src, produced_by)
+    tgt_path = _require(cfg, "corpus_tgt", "ingest")
+    pairs = cp.load_token_corpus(str(src_path), str(tgt_path)).pairs
+    return pairs.src, pairs.tgt
 
 
 def _work_columns(cfg: PipelineConfig, handoff: Handoff) -> Columns:
     """The fused source side and the target side, as the aligner saw them."""
     if "work" in handoff:
         return handoff["work"]
-    fused_path = _require(cfg, "fused_src", "tag")
-    tgt_path = _require(cfg, "corpus_tgt", "ingest")
-    return _columns(cp.load_token_corpus(str(fused_path), str(tgt_path)))
+    return _load_columns(cfg, "fused_src", "tag")
 
 
 def _stage_ingest(
@@ -317,13 +324,14 @@ def _stage_ingest(
     )
     if not corpus.pairs:
         raise PipelineError("corpus is empty after loading")
-    src, tgt = _columns(corpus)
+    src, tgt = corpus.pairs.src, corpus.pairs.tgt
     cp.write_token_file(src, _out(cfg, "corpus_src"))
     cp.write_token_file(tgt, _out(cfg, "corpus_tgt"))
     tgt_inventory = _load_target_inventory(cfg)
     freqs = cp.count_occurrences(corpus, tgt_inventory, threads=cfg.threads)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
     handoff["corpus"] = src, tgt
+    handoff["occurrences"] = freqs.occurrences
     return {"pairs": len(corpus.pairs), "target_forms": len(freqs.entries)}
 
 
@@ -333,9 +341,7 @@ def _stage_tag(
     if "corpus" in handoff:
         src, tgt = handoff.pop("corpus")
     else:
-        src_path = _require(cfg, "corpus_src", "ingest")
-        tgt_path = _require(cfg, "corpus_tgt", "ingest")
-        src, tgt = _columns(cp.load_token_corpus(str(src_path), str(tgt_path)))
+        src, tgt = _load_columns(cfg, "corpus_src", "ingest")
     if cfg.annotations:
         annotations = tg.load_annotations(_require_config_path(cfg, "annotations"), src)
     else:
@@ -365,13 +371,13 @@ def _stage_align(
             process_chunks(model.viterbi_training_pairs, range(len(src)), cfg.threads)
         )
 
-    model = train(list(zip(src, tgt)), cfg.iterations, cfg.use_null, cfg.threads)
+    model = train(cp.Bitext(src, tgt), cfg.iterations, cfg.use_null, cfg.threads)
     fwd = decode(model, "ttable_fwd")
     fwd_ll, fwd_entries = model.log_likelihoods, model.entries
     # The backward model takes its cells from the decoded forward one, whose
     # EM state it releases before training.
     model = train(
-        list(zip(tgt, src)), cfg.iterations, cfg.use_null, cfg.threads, inverse=model
+        cp.Bitext(tgt, src), cfg.iterations, cfg.use_null, cfg.threads, inverse=model
     )
     bwd = al.transpose(decode(model, "ttable_bwd"))
     bwd_ll, bwd_entries = model.log_likelihoods, model.entries
@@ -383,8 +389,8 @@ def _stage_align(
     # rate is 1 - fwd_links / tgt_tokens, and the backward one uses src_tokens.
     return {
         "pairs": len(src),
-        "src_tokens": sum(map(len, src)),
-        "tgt_tokens": sum(map(len, tgt)),
+        "src_tokens": len(src.ids),
+        "tgt_tokens": len(tgt.ids),
         "fwd_links": fwd.total,
         "bwd_links": bwd.total,
         "sym_links": symmetrized.total,
@@ -405,14 +411,17 @@ def _stage_extract(
         links = al.read_alignments(str(_require(cfg, "align_sym", "align")))
     tgt_inventory, src_inventory = _load_target_inventory(cfg), _load_source_inventory(cfg)
     relations = _load_induced_relations(cfg)
+    # Ingest's occurrences are those of the same target side; alone, the
+    # stage scans it.
     table = pt.build_phrase_table(
-        list(zip(src, tgt)),
+        cp.Bitext(src, tgt),
         links,
         tgt_inventory,
         src_inventory,
         relations,
         cfg.max_phrase_len,
         cfg.threads,
+        handoff.pop("occurrences", None),
     )
     pt.write_sites(table.sites, _out(cfg, "sites"))
     pt.write_phrase_table(table, _out(cfg, "phrase_table"))
@@ -469,7 +478,8 @@ def _stage_evidence(
     if "work" in handoff:
         work = cp.Corpus(cp.PairColumns(*handoff.pop("work")))
     else:
-        # Only the pairs the sites name are split into tokens.
+        # Only the pairs the sites name are split into tokens; numpy is not
+        # loaded.
         fused_path = _require(cfg, "fused_src", "tag")
         tgt_path = _require(cfg, "corpus_tgt", "ingest")
         work = cp.open_token_corpus(str(fused_path), str(tgt_path))
@@ -548,39 +558,51 @@ _STAGE_FUNCS = {
 }
 
 
+def _manifest_path(cfg: PipelineConfig) -> Path:
+    return Path(cfg.output_dir) / ARTIFACTS["manifest"]
+
+
+def open_manifest(cfg: PipelineConfig) -> RunManifest:
+    """The manifest under the output directory, or a new one, holding this
+    config and the digests of its input files."""
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest.load_or_create(_manifest_path(cfg), cfg)
+    manifest.config = dataclasses.asdict(cfg)
+    manifest.record_inputs(cfg)
+    return manifest
+
+
 def run_stage(
     stage: str,
     cfg: PipelineConfig,
     extra: argparse.Namespace | None = None,
     handoff: Handoff | None = None,
+    manifest: RunManifest | None = None,
 ) -> dict:
-    """Run one stage, then update the manifest under the output directory.
+    """Run one stage, then record it in the manifest and write that under
+    the output directory.
 
     `handoff` carries what earlier stages of the same run wrote, and takes
     what this stage writes for later ones; without it, the stage reads all
-    its inputs from the output directory."""
+    its inputs from the output directory. `manifest` is the one of the run
+    under way; without it, the stage opens one (`open_manifest`)."""
     if stage not in _STAGE_FUNCS:
         raise UsageError(f"unknown stage {stage!r}")
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    manifest_path = Path(cfg.output_dir) / ARTIFACTS["manifest"]
-    manifest = RunManifest.load_or_create(manifest_path, cfg)
-    manifest.config = dataclasses.asdict(cfg)
+    if manifest is None:
+        manifest = open_manifest(cfg)
     started = time.perf_counter()
     rows = _STAGE_FUNCS[stage](cfg, extra, {} if handoff is None else handoff)
     elapsed = time.perf_counter() - started
-    manifest.record_inputs(cfg)
     manifest.record_stage(stage, rows, elapsed)
-    manifest.write(manifest_path)
+    manifest.write(_manifest_path(cfg))
     logger.info("stage %s done in %.2fs: %s", stage, elapsed, rows)
     return rows
 
 
-def skip_stage(stage: str, cfg: PipelineConfig, reason: str) -> None:
+def skip_stage(stage: str, cfg: PipelineConfig, reason: str, manifest: RunManifest) -> None:
     """Record in the manifest of a run under way that a stage was skipped, and why."""
-    manifest_path = Path(cfg.output_dir) / ARTIFACTS["manifest"]
-    manifest = RunManifest.load_or_create(manifest_path, cfg)
     manifest.stages[stage] = {"skipped": reason}
-    manifest.write(manifest_path)
+    manifest.write(_manifest_path(cfg))
     logger.info("stage %s skipped: %s", stage, reason)
 
 
@@ -652,11 +674,12 @@ def main(argv: list[str] | None = None) -> int:
             # Local to this call: a later call, after the artifacts may have
             # been edited, must read them from the output directory.
             handoff: Handoff = {}
+            manifest = open_manifest(cfg)
             for stage in STAGES:
                 if stage == "eval" and not cfg.gold_lexicon:
-                    skip_stage(stage, cfg, "no gold_lexicon")
+                    skip_stage(stage, cfg, "no gold_lexicon", manifest)
                 else:
-                    run_stage(stage, cfg, args, handoff)
+                    run_stage(stage, cfg, args, handoff, manifest)
         else:
             run_stage(args.command, cfg, args)
         return 0

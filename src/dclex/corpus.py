@@ -1,15 +1,33 @@
-"""Parallel corpus loading, tokenization, and connective frequency counting."""
+"""Parallel corpus loading, tokenization, interning, and connective
+occurrence scanning.
+
+Each side of a corpus is held interned, as `TokenColumns`: a vocabulary,
+each word once in order of first appearance, and the int32 word id of every
+token, sentence after sentence, cut by int64 offsets. Ingest tokenizes and
+interns a side in bulk (`load_parallel_corpus`): it lowercases the whole
+text once and splits each distinct whitespace chunk once. A token file read
+back (`load_token_corpus`) is interned by the same function, its chunks
+taken as they are.
+
+Connective occurrences are found on the ids (`FormScan`): numpy follows the
+positions whose word starts some form through a trie of the forms, and
+Python walks only the matches to apply the left-to-right non-overlap rule.
+
+numpy is imported when a corpus is loaded or scanned, not with this module,
+so loading the CLI does not pay for it.
+"""
 
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
-from dataclasses import dataclass
-from itertools import chain
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, count, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import PipelineError
-from .fileio import atomic_write_text, read_text_strict
+from .fileio import atomic_write_bytes, atomic_write_text, read_text_strict
 from .parallel import process_chunks
 
 if TYPE_CHECKING:
@@ -38,6 +56,249 @@ class SentencePair:
     tgt_tokens: tuple[str, ...]
 
 
+class TokenColumns(Sequence[tuple[str, ...]]):
+    """One side of a corpus, interned: sentence k is the words
+    `vocab[ids[a]]` for a in offsets[k]:offsets[k + 1]. `ids` is int32,
+    `offsets` int64, and `vocab` holds each word once. Read as a sequence,
+    it gives each sentence as a tuple of words."""
+
+    __slots__ = ("vocab", "ids", "offsets")
+
+    def __init__(self, vocab: list[str], ids, offsets) -> None:
+        self.vocab, self.ids, self.offsets = vocab, ids, offsets
+
+    @classmethod
+    def of(cls, sentences: Iterable[Sequence[str]]) -> TokenColumns:
+        """`sentences` itself if it is TokenColumns, else interned."""
+        return sentences if isinstance(sentences, TokenColumns) else cls.intern(sentences)
+
+    @classmethod
+    def intern(cls, sentences: Iterable[Sequence[str]]) -> TokenColumns:
+        """`sentences` interned, words numbered in order of first appearance."""
+        import numpy as np
+
+        sentences = list(sentences)
+        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        return _interned(list(chain.from_iterable(sentences)), lengths)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k: int) -> tuple[str, ...]:  # type: ignore[override]
+        n = len(self.offsets) - 1
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(k)
+        vocab = self.vocab
+        return tuple([vocab[w] for w in self.ids[self.offsets[k] : self.offsets[k + 1]].tolist()])
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return iter(self.take(range(len(self))))
+
+    def lengths(self):
+        """The number of tokens of each sentence."""
+        import numpy as np
+
+        return np.diff(self.offsets)
+
+    def take(self, ks: Sequence[int]) -> list[tuple[str, ...]]:
+        """Sentences `ks`, read in one pass."""
+        import numpy as np
+
+        ks = np.asarray(ks, np.int64)
+        starts = self.offsets[ks]
+        ends = np.cumsum(self.offsets[ks + 1] - starts)
+        if not len(ks) or not ends[-1]:
+            return [()] * len(ks)
+        ids = self.ids[_spans(starts, ends - np.append(0, ends[:-1]))].tolist()
+        words = list(map(self.vocab.__getitem__, ids))
+        bounds = [0, *ends.tolist()]
+        return [tuple(words[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    def to_bytes(self) -> bytes:
+        """The token-file text: each sentence's words joined by one space,
+        each sentence ended by a newline, in UTF-8."""
+        import numpy as np
+
+        if not len(self.ids):
+            return b"\n" * len(self)
+        widths = np.fromiter(map(len, map(str.encode, self.vocab)), np.int64, len(self.vocab))
+        # Each token is followed by one separator byte: a space, or a newline
+        # at the end of its sentence.
+        ends = np.cumsum(widths[self.ids] + 1)
+        text = " ".join(map(self.vocab.__getitem__, self.ids.tolist())).encode() + b"\n"
+        data = np.frombuffer(bytearray(text), np.uint8)
+        lengths = self.lengths()
+        full = lengths > 0
+        data[ends[self.offsets[1:][full] - 1] - 1] = ord("\n")
+        if not full.all():
+            # An empty sentence is a newline where its line begins.
+            first = self.offsets[:-1][~full]
+            data = np.insert(data, np.where(first > 0, ends[first - 1], 0), ord("\n"))
+        return data.tobytes()
+
+
+def _interned(tokens: list[str], lengths) -> TokenColumns:
+    """Number `tokens`, sentences of `lengths` tokens, in order of first
+    appearance."""
+    import numpy as np
+
+    index: defaultdict[str, int] = defaultdict(count().__next__)
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int32, len(tokens))
+    return TokenColumns(list(index), ids, np.append(0, np.cumsum(lengths)))
+
+
+def _chunk_counts(lines: Sequence[str]):
+    """The number of whitespace-separated chunks of each line."""
+    import numpy as np
+
+    return np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+
+
+_BLOCK_LINES = 1 << 14
+
+
+def _intern_lines(lines: Sequence[str], chunks_per_line, split: bool) -> TokenColumns:
+    """The whitespace-separated chunks of each line as its tokens, each
+    chunk split by `_split_chunk` when `split`; `chunks_per_line` is
+    `_chunk_counts(lines)`. Each distinct chunk is split once, and words
+    are numbered in order of first appearance."""
+    import numpy as np
+
+    # A block of lines at a time, so that only its chunk strings exist at once.
+    index: defaultdict[str, int] = defaultdict(count().__next__)
+    blocks = [
+        np.fromiter(map(index.__getitem__, "\n".join(block).split()), np.int32)
+        for block in (lines[at : at + _BLOCK_LINES] for at in range(0, len(lines), _BLOCK_LINES))
+    ]
+    ids = np.concatenate(blocks) if blocks else np.zeros(0, np.int32)
+    chunks = TokenColumns(list(index), ids, np.append(0, np.cumsum(chunks_per_line)))
+    if not split or all(map(str.isalnum, chunks.vocab)):
+        return chunks  # an alphanumeric chunk is one word
+    # Numbering the pieces of the distinct chunks in the order the chunks
+    # first appear numbers the words as they first appear in the text.
+    pieces = list(map(_split_chunk, chunks.vocab))
+    widths = np.fromiter(map(len, pieces), np.int64, len(pieces))
+    words = _interned(list(chain.from_iterable(pieces)), widths)
+    if (widths == 1).all():
+        return TokenColumns(words.vocab, words.ids[chunks.ids], chunks.offsets)
+    per_chunk = widths[chunks.ids]
+    ids = words.ids[_spans(words.offsets[chunks.ids], per_chunk)]
+    ends = np.append(0, np.cumsum(per_chunk))
+    return TokenColumns(words.vocab, ids, ends[chunks.offsets])
+
+
+def _spans(starts, lengths, out=None):
+    """The ranges [start, start + length), concatenated in order, in `out`
+    if given (its length the total; int64 otherwise)."""
+    import numpy as np
+
+    ends = np.cumsum(lengths)
+    if out is None:
+        out = np.empty(int(ends[-1]), np.int64)
+    # Steps of one, but at the head of each span the step from the last
+    # value before it to its start; then a running sum.
+    out.fill(1)
+    used = lengths > 0
+    heads, starts, lengths = (ends - lengths)[used], starts[used], lengths[used]
+    if len(heads):
+        out[heads[0]] = starts[0]
+        out[heads[1:]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    return np.cumsum(out, out=out)
+
+
+class PairColumns(Sequence[SentencePair]):
+    """Pairs 0..n-1 over a source and a target column of token sequences
+    (`TokenColumns`, or `_SplitLines`), pair k made when it is read. Its id
+    is `ids[k]`, or k without `ids`. The pairs `take` reads are kept, so a
+    later read of one of them is a lookup."""
+
+    __slots__ = ("src", "tgt", "ids", "_taken")
+
+    def __init__(
+        self,
+        src: Sequence[tuple[str, ...]],
+        tgt: Sequence[tuple[str, ...]],
+        ids: Sequence[int] | None = None,
+    ) -> None:
+        self.src, self.tgt, self.ids = src, tgt, ids
+        self._taken: dict[int, SentencePair] = {}
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, k: int) -> SentencePair:  # type: ignore[override]
+        pair = self._taken.get(k)
+        if pair is not None:
+            return pair
+        if not 0 <= k < len(self.src):
+            raise IndexError(k)
+        return SentencePair(k if self.ids is None else self.ids[k], self.src[k], self.tgt[k])
+
+    def take(self, ks: Sequence[int]) -> list[SentencePair]:
+        """Pairs `ks`, each side read in one pass, and kept."""
+        ids = ks if self.ids is None else [self.ids[k] for k in ks]
+        pairs = list(map(SentencePair, ids, self.src.take(ks), self.tgt.take(ks)))
+        self._taken.update(zip(ks, pairs))
+        return pairs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairColumns):
+            return NotImplemented
+        return len(self) == len(other) and all(map(SentencePair.__eq__, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _SplitLines(Sequence[tuple[str, ...]]):
+    """Lines of a token file, line k split on whitespace when it is read."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self, lines: Sequence[str]) -> None:
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, k: int) -> tuple[str, ...]:  # type: ignore[override]
+        return tuple(self.lines[k].split())
+
+    def take(self, ks: Sequence[int]) -> list[tuple[str, ...]]:
+        return [tuple(self.lines[k].split()) for k in ks]
+
+
+class Bitext(Sequence[tuple[tuple[str, ...], tuple[str, ...]]]):
+    """Sentence pairs as two `TokenColumns` of one length: pair k is
+    (src[k], tgt[k])."""
+
+    __slots__ = ("src", "tgt")
+
+    def __init__(self, src: TokenColumns, tgt: TokenColumns) -> None:
+        self.src, self.tgt = src, tgt
+
+    @classmethod
+    def of(cls, pairs: Sequence) -> Bitext:
+        """`pairs` itself if it is a Bitext, else its (source, target) token
+        sequences interned."""
+        if isinstance(pairs, Bitext):
+            return pairs
+        return cls(
+            TokenColumns.intern(src for src, _ in pairs),
+            TokenColumns.intern(tgt for _, tgt in pairs),
+        )
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, k: int):  # type: ignore[override]
+        return self.src[k], self.tgt[k]
+
+    def __iter__(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+        return zip(self.src, self.tgt)
+
+
 @dataclass(frozen=True)
 class Corpus:
     pairs: Sequence[SentencePair]
@@ -45,37 +306,11 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.pairs)
 
-
-class PairColumns(Sequence[SentencePair]):
-    """Pairs 0..n-1 held as a source and a target column, pair k made when it
-    is read. The columns hold token tuples, or lines that `split` splits on
-    whitespace."""
-
-    __slots__ = ("src", "tgt", "split")
-
-    def __init__(self, src: Sequence, tgt: Sequence, split: bool = False) -> None:
-        self.src, self.tgt, self.split = src, tgt, split
-
-    def __len__(self) -> int:
-        return len(self.src)
-
-    def __getitem__(self, k: int) -> SentencePair:  # type: ignore[override]
-        if not 0 <= k < len(self.src):
-            raise IndexError(k)
-        src, tgt = self.src[k], self.tgt[k]
-        if self.split:
-            src, tgt = tuple(src.split()), tuple(tgt.split())
-        return SentencePair(k, src, tgt)
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Occurrence counts per connective surface form (space-joined text)."""
-
-    entries: dict[str, int]
-
-    def count(self, form: str) -> int:
-        return self.entries.get(form, 0)
+    def take(self, ks: Sequence[int]) -> list[SentencePair]:
+        """Pairs `ks`, read in one pass where the pairs are columns."""
+        if isinstance(self.pairs, PairColumns):
+            return self.pairs.take(ks)
+        return [self.pairs[k] for k in ks]
 
 
 def _is_punct(ch: str) -> bool:
@@ -104,14 +339,6 @@ def _split_chunk(chunk: str) -> list[str]:
     return out
 
 
-class _Pieces(dict):
-    """`_split_chunk` of each chunk looked up, computed on first lookup."""
-
-    def __missing__(self, chunk: str) -> list[str]:
-        found = self[chunk] = _split_chunk(chunk)
-        return found
-
-
 def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
     """Split on whitespace, detaching edge punctuation into its own tokens."""
     opts = options or TokenizerOptions()
@@ -123,19 +350,24 @@ def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
     return tokens
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str, lowercase: bool = False) -> list[str]:
     """The lines of a text file, split on "\n" only: `str.splitlines` would
     also split on characters such as U+2028 or form feed, and shift every
-    later line out of step with the other side."""
-    lines = read_text_strict(path).split("\n")
+    later line out of step with the other side. Lowercasing the whole text
+    lowercases each line as it would alone: no line break is case-ignorable,
+    so a final sigma is decided within its line."""
+    text = read_text_strict(path)
+    lines = (text.lower() if lowercase else text).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
 
 
-def _read_line_pairs(src_path: str, tgt_path: str) -> tuple[list[str], list[str]]:
-    src_lines = _read_lines(src_path)
-    tgt_lines = _read_lines(tgt_path)
+def _read_line_pairs(
+    src_path: str, tgt_path: str, lowercase: bool = False
+) -> tuple[list[str], list[str]]:
+    src_lines = _read_lines(src_path, lowercase)
+    tgt_lines = _read_lines(tgt_path, lowercase)
     if len(src_lines) != len(tgt_lines):
         raise PipelineError(
             f"line count mismatch {len(src_lines)} vs {len(tgt_lines)} "
@@ -150,36 +382,43 @@ def load_parallel_corpus(
     options: TokenizerOptions | None = None,
     limit: int | None = None,
 ) -> Corpus:
-    """Load two line-aligned UTF-8 files into a tokenized corpus.
+    """Load two line-aligned UTF-8 files into a tokenized corpus, each side
+    interned as `TokenColumns` (the pairs are `PairColumns`).
 
     Pair ids are line numbers; skipped empty pairs leave gaps rather than
     renumbering, so ids always point back into the input files.
     """
+    import numpy as np
+
     opts = options or TokenizerOptions()
-    src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
-    pieces = _Pieces()  # each distinct whitespace chunk, split once
-
-    def tokens(line: str) -> tuple[str, ...]:
-        # What `tokenize` gives, with each chunk looked up in `pieces`.
-        if opts.lowercase:
-            line = line.lower()
-        return tuple(chain.from_iterable(map(pieces.__getitem__, line.split())))
-
-    pairs: list[SentencePair] = []
-    for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
-        src_empty = not src_line.strip()
-        tgt_empty = not tgt_line.strip()
-        if src_empty and tgt_empty:
-            if opts.skip_empty:
-                continue
+    src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path, opts.lowercase)
+    src_chunks, tgt_chunks = _chunk_counts(src_lines), _chunk_counts(tgt_lines)
+    kept = (src_chunks > 0) & (tgt_chunks > 0)
+    # Lines past the pair that reaches the limit are not read.
+    n = len(src_lines)
+    if limit is not None and limit > 0:
+        full = np.flatnonzero(kept)
+        if len(full) >= limit:
+            n = int(full[limit - 1]) + 1
+    bad = (src_chunks[:n] > 0) != (tgt_chunks[:n] > 0)
+    if not opts.skip_empty:
+        bad |= ~kept[:n]
+    if bad.any():
+        lineno = int(np.argmax(bad))
+        if not (src_chunks[lineno] or tgt_chunks[lineno]):
             raise PipelineError(f"empty line pair at line {lineno}")
-        if src_empty or tgt_empty:
-            side = src_path if src_empty else tgt_path
-            raise PipelineError(f"{side}: empty line {lineno} has a non-empty counterpart")
-        pairs.append(SentencePair(lineno, tokens(src_line), tokens(tgt_line)))
-        if limit is not None and limit > 0 and len(pairs) >= limit:
-            break
-    return Corpus(tuple(pairs))
+        side = tgt_path if tgt_chunks[lineno] == 0 else src_path
+        raise PipelineError(f"{side}: empty line {lineno} has a non-empty counterpart")
+    lines = np.flatnonzero(kept[:n])
+
+    def side(text: list[str], chunks) -> TokenColumns:
+        columns = _intern_lines(text[:n], chunks[:n], split=True)
+        # A skipped line holds no tokens: dropping its offset drops it.
+        offsets = np.append(columns.offsets[lines], columns.offsets[-1])
+        return TokenColumns(columns.vocab, columns.ids, offsets)
+
+    src, tgt = side(src_lines, src_chunks), side(tgt_lines, tgt_chunks)
+    return Corpus(PairColumns(src, tgt, lines.tolist()))
 
 
 def _empty_token_line(lineno: int) -> PipelineError:
@@ -187,72 +426,208 @@ def _empty_token_line(lineno: int) -> PipelineError:
 
 
 def load_token_corpus(src_path: str, tgt_path: str) -> Corpus:
-    """Reload corpus files that are already tokenized (space-separated)."""
+    """Reload corpus files that are already tokenized (space-separated),
+    each side interned as `load_parallel_corpus` interns it."""
+    import numpy as np
+
     src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
-    pairs = []
-    for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
-        src_tokens = tuple(src_line.split())
-        tgt_tokens = tuple(tgt_line.split())
-        if not src_tokens or not tgt_tokens:
-            raise _empty_token_line(lineno)
-        pairs.append(SentencePair(lineno, src_tokens, tgt_tokens))
-    return Corpus(tuple(pairs))
+    src_chunks, tgt_chunks = _chunk_counts(src_lines), _chunk_counts(tgt_lines)
+    empty = (src_chunks == 0) | (tgt_chunks == 0)
+    if empty.any():
+        raise _empty_token_line(int(np.argmax(empty)))
+    src = _intern_lines(src_lines, src_chunks, split=False)
+    tgt = _intern_lines(tgt_lines, tgt_chunks, split=False)
+    return Corpus(PairColumns(src, tgt))
 
 
 def open_token_corpus(src_path: str, tgt_path: str) -> Corpus:
     """`load_token_corpus` with the same checks, but each pair's lines are
-    split only when the pair is read."""
+    split only when the pair is read, and nothing is interned."""
     src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
     # A line splits into no tokens exactly when it strips to "".
     if not (all(map(str.strip, src_lines)) and all(map(str.strip, tgt_lines))):
         for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
             if not src_line.strip() or not tgt_line.strip():
                 raise _empty_token_line(lineno)
-    return Corpus(PairColumns(src_lines, tgt_lines, split=True))
+    return Corpus(PairColumns(_SplitLines(src_lines), _SplitLines(tgt_lines)))
 
 
 def write_token_file(sentences: Iterable[Sequence[str]], path: str) -> None:
-    atomic_write_text(path, "".join(" ".join(tokens) + "\n" for tokens in sentences))
+    """Write each sentence as a line of space-joined tokens."""
+    atomic_write_bytes(path, TokenColumns.of(sentences).to_bytes())
 
 
 # ---------------------------------------------------------------------------
 # Longest-match connective scanning
 # ---------------------------------------------------------------------------
 
-MatchTable = dict[str, tuple[tuple[str, ...], ...]]
+Form = tuple[str, ...]
 
 
-def build_match_table(forms: Iterable[Sequence[str]]) -> MatchTable:
-    """Index surface forms by first token, longest first."""
-    by_first: dict[str, list[tuple[str, ...]]] = {}
-    for form in forms:
-        form = tuple(form)
-        if not form:
+class Occurrences:
+    """Connective occurrences in corpus order: occurrence a is the form
+    `forms[form[a]]` at token `start[a]` of sentence `pair[a]`. The arrays
+    are int64; occurrences do not overlap."""
+
+    __slots__ = ("forms", "pair", "start", "form")
+
+    def __init__(self, forms: tuple[Form, ...], pair, start, form) -> None:
+        self.forms, self.pair, self.start, self.form = forms, pair, start, form
+
+    @classmethod
+    def concat(cls, forms: tuple[Form, ...], parts: Sequence[Occurrences]) -> Occurrences:
+        import numpy as np
+
+        def joined(name: str):
+            arrays = [getattr(part, name) for part in parts]
+            return np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+
+        return cls(forms, joined("pair"), joined("start"), joined("form"))
+
+    def __len__(self) -> int:
+        return len(self.pair)
+
+    def __iter__(self) -> Iterator[tuple[int, int, Form]]:
+        """(pair, start, form) of each occurrence."""
+        forms = self.forms
+        for k, start, f in zip(self.pair.tolist(), self.start.tolist(), self.form.tolist()):
+            yield k, start, forms[f]
+
+    def lengths(self):
+        """The number of tokens of each occurrence."""
+        import numpy as np
+
+        return np.fromiter(map(len, self.forms), np.int64, len(self.forms))[self.form]
+
+    def counts(self) -> list[int]:
+        """The number of occurrences of each form."""
+        import numpy as np
+
+        return np.bincount(self.form, minlength=len(self.forms)).tolist()
+
+
+class FormScan:
+    """Non-overlapping longest matches of `forms`, left to right, over
+    sentences interned with `vocab`. A word matches a form token when it
+    lowercases to it.
+
+    The forms make a trie over their tokens, numbered from 1. A prefix p of
+    one length and the next word's token number t key the prefix one longer
+    as p * (tokens + 1) + t; the keys of each length are one sorted array.
+    Every position whose word starts some form is followed, one length at a
+    time, while its window stays inside its sentence and spells a prefix;
+    its match is the longest whole form on the way."""
+
+    def __init__(self, forms: Iterable[Sequence[str]], vocab: Sequence[str]) -> None:
+        import numpy as np
+
+        self.forms: tuple[Form, ...] = tuple(dict.fromkeys(map(tuple, forms)))
+        if not all(self.forms):
             raise PipelineError("empty connective surface form")
-        by_first.setdefault(form[0], []).append(form)
-    return {
-        first: tuple(sorted(set(cands), key=lambda f: (-len(f), f)))
-        for first, cands in by_first.items()
-    }
+        number: dict[str, int] = {}
+        for token in chain.from_iterable(self.forms):
+            number.setdefault(token, len(number) + 1)
+        self._base = base = len(number) + 1
+        # The prefixes of each length, numbered.
+        levels: list[dict[Form, int]] = [{}]
+        for form in self.forms:
+            for n in range(1, len(form) + 1):
+                if len(levels) < n:
+                    levels.append({})
+                levels[n - 1].setdefault(form[:n], len(levels[n - 1]))
+        # Per length: the form each prefix spells, or -1.
+        self._form_of = [np.full(len(level), -1, np.int64) for level in levels]
+        for f, form in enumerate(self.forms):
+            self._form_of[len(form) - 1][levels[len(form) - 1][form]] = f
+        self._keys: list = [None]
+        self._next: list = [None]
+        for n in range(1, len(levels)):
+            prefixes = list(levels[n])
+            keys = np.array(
+                [levels[n - 1][p[:-1]] * base + number[p[-1]] for p in prefixes], np.int64
+            )
+            order = np.argsort(keys)
+            self._keys.append(keys[order])
+            self._next.append(np.array([levels[n][p] for p in prefixes], np.int64)[order])
+        # Per word: its token number (0 for none) and the one-token prefix it
+        # spells (-1 for none).
+        self._number = np.fromiter(
+            map(number.get, map(str.lower, vocab), repeat(0)), np.int64, len(vocab)
+        )
+        first = np.full(base, -1, np.int64)
+        for (token,), p in levels[0].items():
+            first[number[token]] = p
+        self._first = first[self._number]
+        self._lengths = np.fromiter(map(len, self.forms), np.int64, len(self.forms))
 
+    def __call__(self, sentences: TokenColumns, pairs: range) -> Occurrences:
+        """The occurrences in sentences `pairs` (a step-1 range)."""
+        import numpy as np
 
-def scan_matches(
-    tokens: Sequence[str], table: MatchTable
-) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (start, form) for non-overlapping longest matches, left to right.
-
-    Only a position whose token begins some form can start a match, so only
-    those are tried, each unless an earlier match covers it."""
-    n = len(tokens)
-    free = 0  # the first position no match covers
-    for i in [i for i, token in enumerate(tokens) if token in table]:
-        if i < free:
-            continue
-        for form in table[tokens[i]]:
-            if i + len(form) <= n and tuple(tokens[i : i + len(form)]) == form:
-                yield i, form
-                free = i + len(form)
+        offsets = sentences.offsets[pairs.start : pairs.stop + 1]
+        lo = int(offsets[0])
+        ids = sentences.ids[lo : offsets[-1]]
+        state = self._first[ids]
+        pos = np.flatnonzero(state >= 0)
+        state = state[pos]
+        pair = np.searchsorted(offsets, pos + lo, side="right") - 1
+        room = offsets[pair + 1] - lo - pos  # tokens left in the sentence
+        form = self._form_of[0][state]
+        alive = np.flatnonzero(room > 1)
+        for n in range(1, len(self._keys)):
+            if not len(alive):
                 break
+            keys = self._keys[n]
+            key = state[alive] * self._base + self._number[ids[pos[alive] + n]]
+            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            hit = keys[at] == key
+            alive = alive[hit]
+            state[alive] = self._next[n][at[hit]]
+            spelled = self._form_of[n][state[alive]]
+            whole = spelled >= 0
+            form[alive[whole]] = spelled[whole]
+            alive = alive[room[alive] > n + 1]
+        found = np.flatnonzero(form >= 0)
+        pos, pair, form = pos[found], pair[found], form[found]
+        kept = _leftmost(pos, pos + self._lengths[form])
+        pos, pair, form = pos[kept], pair[kept], form[kept]
+        return Occurrences(self.forms, pair + pairs.start, pos + lo - offsets[pair], form)
+
+
+def _leftmost(starts, ends):
+    """Which of the matches [starts, ends), ascending by start, a scan from
+    the left keeps: each that no kept match before it covers. A match past
+    the ends of all before it is kept, so only the others are walked."""
+    import numpy as np
+
+    kept = np.ones(len(starts), bool)
+    if len(starts) < 2:
+        return kept
+    reach = np.maximum.accumulate(ends)
+    kept[1:] = starts[1:] >= reach[:-1]
+    if kept.all():
+        return kept
+    # The greatest end of the clear matches up to each, and of the others kept.
+    cleared = np.maximum.accumulate(np.where(kept, ends, 0)).tolist()
+    starts_list, ends_list = starts.tolist(), ends.tolist()
+    free = 0
+    for a in np.flatnonzero(~kept).tolist():
+        if starts_list[a] >= max(free, cleared[a - 1]):
+            kept[a] = True
+            free = ends_list[a]
+    return kept
+
+
+@dataclass(frozen=True)
+class FrequencyTable:
+    """Occurrence counts per connective surface form (space-joined text).
+    Counted from a corpus, it also holds the occurrences it counts."""
+
+    entries: dict[str, int]
+    occurrences: Occurrences | None = field(default=None, compare=False, repr=False)
+
+    def count(self, form: str) -> int:
+        return self.entries.get(form, 0)
 
 
 def count_occurrences(
@@ -267,21 +642,17 @@ def count_occurrences(
     """
     if not inventory:
         raise PipelineError("empty connective inventory")
-    forms = list(dict.fromkeys(c.surface for c in inventory))
-    table = build_match_table(forms)
-
-    def chunk_counts(pairs: Sequence[SentencePair]) -> Counter:
-        counts: Counter = Counter()
-        for pair in pairs:
-            lowered = tuple(map(str.lower, pair.tgt_tokens))
-            for _, form in scan_matches(lowered, table):
-                counts[form] += 1
-        return counts
-
-    totals: Counter = Counter()
-    for part in process_chunks(chunk_counts, corpus.pairs, threads):
-        totals.update(part)
-    return FrequencyTable({" ".join(form): totals[form] for form in forms})
+    pairs = corpus.pairs
+    if isinstance(pairs, PairColumns):
+        tgt = TokenColumns.of(pairs.tgt)
+    else:
+        tgt = TokenColumns.intern(pair.tgt_tokens for pair in pairs)
+    scan = FormScan((c.surface for c in inventory), tgt.vocab)
+    found = Occurrences.concat(
+        scan.forms, process_chunks(partial(scan, tgt), range(len(tgt)), threads)
+    )
+    counts = found.counts()
+    return FrequencyTable({" ".join(form): n for form, n in zip(scan.forms, counts)}, found)
 
 
 def write_frequency_table(table: FrequencyTable, path: str) -> None:

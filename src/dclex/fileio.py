@@ -32,7 +32,12 @@ def iter_data_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
-    """Write `text` to `path` via a temp file + rename in the same directory.
+    """`atomic_write_bytes` of `text` in UTF-8."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
+    """Write `data` to `path` via a temp file + rename in the same directory.
 
     Readers never observe a partially written file. The file gets the mode
     `open()` would give it: 0666 less the umask.
@@ -47,8 +52,8 @@ def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
             continue
         break
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:

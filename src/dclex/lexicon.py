@@ -168,15 +168,19 @@ def group_sites(
     known_relations = set(relations)
     dcs: dict[str, tuple[str, str] | None] = {}
     grouped: dict[tuple[str, str], list[Site]] = {}
+    sites = list(sites)
+    n = len(corpus.pairs)
+    pairs = iter(corpus.take([index for index, *_ in sites if 0 <= index < n]))
     last = (-1, -1)
     for row, site in enumerate(sites, start=1):
         index, i, start, end = site
         if (index, start) <= last:
             raise PipelineError(f"site {row}: not in corpus order")
         last = (index, start)
-        if not 0 <= index < len(corpus.pairs):
-            raise PipelineError(f"site {row}: no pair {index} in a corpus of {len(corpus.pairs)}")
-        src, tgt = corpus.pairs[index].src_tokens, corpus.pairs[index].tgt_tokens
+        if not 0 <= index < n:
+            raise PipelineError(f"site {row}: no pair {index} in a corpus of {n}")
+        pair = next(pairs)
+        src, tgt = pair.src_tokens, pair.tgt_tokens
         if not (0 <= i < len(src) and 0 <= start <= end < len(tgt)):
             raise PipelineError(
                 f"site {row}: {i} / {start}-{end} out of bounds "

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Container, Iterable, Iterator, Sequence
 
 from .alignment import Alignment, Links
-from .corpus import build_match_table, scan_matches
+from .corpus import Bitext, FormScan, Occurrences
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
@@ -131,11 +132,14 @@ def connective_occurrences(
     src_inventory: Sequence[Connective],
     relations: Sequence[str],
     max_len: int = 7,
+    occurrences: Occurrences | None = None,
+    threads: int = 1,
 ) -> Iterator[tuple[int, int, Phrase, int | None, tuple[str, str] | None]]:
     """Yield (pair, start, form, source, dc) for each longest-match occurrence
-    of a target form, in corpus order, scanning the lowercased target as the
-    corpus counts do. This is the one place that decides which fused source
-    token, if any, an occurrence counts for.
+    of a target form, in corpus order, found as the corpus counts find them:
+    `occurrences` when given (`count_occurrences` of `tgt_inventory` on the
+    target side of `pairs`), else scanned here. This is the one place that
+    decides which fused source token, if any, an occurrence counts for.
 
     `source` is the one source token whose one-token box is consistent with
     exactly the occurrence span: every link into the span comes from it and
@@ -146,40 +150,41 @@ def connective_occurrences(
     """
     if max_len < 1:
         raise PipelineError(f"max_len must be >= 1, got {max_len}")
-    forms = build_match_table(c.surface for c in tgt_inventory)
-    found = [
-        (k, start, form)
-        for k, (_, tgt_tokens) in enumerate(pairs)
-        for start, form in scan_matches(tuple(map(str.lower, tgt_tokens)), forms)
-    ]
-    if not found:
+    pairs = Bitext.of(pairs)
+    found = occurrences
+    if found is None:
+        tgt = pairs.tgt
+        scan = FormScan((c.surface for c in tgt_inventory), tgt.vocab)
+        found = Occurrences.concat(
+            scan.forms, process_chunks(partial(scan, tgt), range(len(tgt)), threads)
+        )
+    if not len(found):
         return
+    src = pairs.src
+    sources = _box_sources(links, found, max_len)
+    boxed = sources >= 0
+    words = sources.copy()
+    words[boxed] = src.ids[src.offsets[found.pair[boxed]] + sources[boxed]]
     src_forms = {c.surface for c in src_inventory}
     known_relations = set(relations)
-    dcs: dict[str, tuple[str, str] | None] = {}
-    for (k, start, form), source in zip(found, _box_sources(links, found, max_len)):
+    dcs: dict[int, tuple[str, str] | None] = {}
+    for (k, start, form), source, word in zip(found, sources.tolist(), words.tolist()):
         if source < 0:
             yield k, start, form, None, None
             continue
-        token = pairs[k][0][source]
-        if token not in dcs:
-            dcs[token] = fused_connective(token, src_forms, known_relations)
-        yield k, start, form, source, dcs[token]
+        if word not in dcs:
+            dcs[word] = fused_connective(src.vocab[word], src_forms, known_relations)
+        yield k, start, form, source, dcs[word]
 
 
-def _box_sources(
-    links: Links, found: Sequence[tuple[int, int, Phrase]], max_len: int
-) -> list[int]:
-    """The source token of each (pair, start, form) occurrence, or -1, in
-    one pass over the link columns (see `connective_occurrences`).
-    Occurrences are in corpus order and do not overlap."""
+def _box_sources(links: Links, found: Occurrences, max_len: int):
+    """The source token of each occurrence, or -1, in one pass over the
+    link columns (see `connective_occurrences`)."""
     import numpy as np
 
     if not links.total:
-        return [-1] * len(found)
-    pair = np.array([k for k, _, _ in found], np.int64)
-    start = np.array([j for _, j, _ in found], np.int64)
-    length = np.array([len(form) for _, _, form in found], np.int64)
+        return np.full(len(found), -1, np.int64)
+    pair, start, length = found.pair, found.start, found.lengths()
     # Key (pair, target position) as one integer, in corpus order.
     width = max(int(links.tgt.max()), int((start + length).max())) + 1
     first = pair * width + start
@@ -203,7 +208,7 @@ def _box_sources(
     held = np.zeros(len(found), bool)
     held[run_lo[(run_lo == run_hi) & (run_lo >= 0)]] = True
     ok = held & (lo == hi) & (length <= max_len)
-    return np.where(ok, hi, -1).tolist()
+    return np.where(ok, hi, -1)
 
 
 def check_links(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], links: Links) -> None:
@@ -213,7 +218,8 @@ def check_links(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], links: Lin
         raise PipelineError(
             f"corpus and alignments must be parallel: {len(pairs)} vs {len(links)} pairs"
         )
-    links.check_bounds([len(src) for src, _ in pairs], [len(tgt) for _, tgt in pairs])
+    pairs = Bitext.of(pairs)
+    links.check_bounds(pairs.src.lengths(), pairs.tgt.lengths())
 
 
 def build_phrase_table(
@@ -224,38 +230,37 @@ def build_phrase_table(
     relations: Sequence[str],
     max_len: int = 7,
     threads: int = 1,
+    occurrences: Occurrences | None = None,
 ) -> PhraseTable:
     """Count, over all target connective occurrences, the fused source token
-    each one counts for (see `connective_occurrences`). Where no inventory
-    forms nest or overlap, these are the `extract_phrase_pairs` rows with one
-    fused source token and an inventory form on the target side, less those
-    whose token `fused_connective` rejects. The sites are the occurrences
-    those rows count."""
+    each one counts for (see `connective_occurrences`, which `occurrences`
+    and `threads` are passed to). Where no inventory forms nest or overlap,
+    these are the `extract_phrase_pairs` rows with one fused source token
+    and an inventory form on the target side, less those whose token
+    `fused_connective` rejects. The sites are the occurrences those rows
+    count."""
+    import numpy as np
+
+    pairs = Bitext.of(pairs)
     check_links(pairs, links)
-
-    def count_chunk(chunk: range) -> tuple[Counter, list[Site], int]:
-        rows: Counter = Counter()
-        sites: list[Site] = []
-        occurrences = 0
-        lo, hi = chunk.start, chunk.stop
-        for k, start, form, i, dc in connective_occurrences(
-            pairs[lo:hi], links[lo:hi], tgt_inventory, src_inventory, relations, max_len
-        ):
-            occurrences += 1
-            if dc is not None:
-                rows[((pairs[lo + k][0][i],), form)] += 1
-                sites.append((lo + k, i, start, start + len(form) - 1))
-        return rows, sites, occurrences
-
-    totals: Counter = Counter()
     sites: list[Site] = []
-    occurrences = 0
-    for rows, found, count in process_chunks(count_chunk, range(len(pairs)), threads):
-        totals.update(rows)
-        sites.extend(found)
-        occurrences += count
-    rows = tuple(PhraseTableEntry(src, tgt, totals[(src, tgt)]) for src, tgt in sorted(totals))
-    return PhraseTable(rows, occurrences, tuple(sites))
+    forms: list[Phrase] = []
+    count = 0
+    for k, start, form, i, dc in connective_occurrences(
+        pairs, links, tgt_inventory, src_inventory, relations, max_len, occurrences, threads
+    ):
+        count += 1
+        if dc is not None:
+            sites.append((k, i, start, start + len(form) - 1))
+            forms.append(form)
+    rows: Counter = Counter()
+    if sites:
+        src = pairs.src
+        at = np.array(sites, np.int64)
+        words = src.ids[src.offsets[at[:, 0]] + at[:, 1]].tolist()
+        rows.update(zip([(src.vocab[w],) for w in words], forms))
+    entries = tuple(PhraseTableEntry(src, tgt, rows[(src, tgt)]) for src, tgt in sorted(rows))
+    return PhraseTable(entries, count, tuple(sites))
 
 
 def fused_connective(

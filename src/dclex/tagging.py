@@ -9,9 +9,10 @@ reversible: split at the last '-', map underscores back to spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
-from .corpus import SentencePair, build_match_table, scan_matches, write_token_file
+from .corpus import FormScan, Occurrences, SentencePair, TokenColumns, _spans, write_token_file
 from .errors import PipelineError
 from .fileio import atomic_write_text, iter_data_lines, read_text_strict
 from .inventory import Connective
@@ -48,7 +49,7 @@ class DCAnnotation:
                 "annotation must carry a relation exactly when discourse_usage is true"
             )
         if self.relation is not None:
-            if any(ch.isspace() for ch in self.relation) or SENSE_SEPARATOR in self.relation:
+            if any(map(str.isspace, self.relation)) or SENSE_SEPARATOR in self.relation:
                 raise PipelineError(
                     f"relation label {self.relation!r} must not contain whitespace or '-'"
                 )
@@ -124,21 +125,93 @@ def fuse_tokens(pair: SentencePair, annotations: Sequence[DCAnnotation]) -> Fuse
     return FusedSentence(pair.id, _fuse(pair.id, pair.src_tokens, annotations))
 
 
-def fuse_corpus(
-    sentences: Sentences, annotations: Sequence[DCAnnotation]
-) -> list[tuple[str, ...]]:
+def fuse_corpus(sentences: Sentences, annotations: Sequence[DCAnnotation]) -> Sentences:
     """The tokens `fuse_tokens` gives for each sentence; a sentence without
-    annotations is passed on as it is."""
+    annotations is passed on as it is. `TokenColumns` give `TokenColumns`
+    (see `_fuse_columns`); other sentences give a list."""
     by_sentence: dict[int, list[DCAnnotation]] = {}
     for ann in annotations:
         by_sentence.setdefault(ann.sentence_id, []).append(ann)
+    n = len(sentences)
     for sid in by_sentence:
-        if not 0 <= sid < len(sentences):
+        if not 0 <= sid < n:
             raise PipelineError(f"annotation references unknown sentence id {sid}")
+    if isinstance(sentences, TokenColumns):
+        return _fuse_columns(sentences, annotations, by_sentence)
     fused = list(sentences)
     for sid in sorted(by_sentence):
         fused[sid] = _fuse(sid, sentences[sid], by_sentence[sid])
     return fused
+
+
+def _fuse_columns(
+    columns: TokenColumns,
+    annotations: Sequence[DCAnnotation],
+    by_sentence: Mapping[int, Sequence[DCAnnotation]],
+) -> TokenColumns:
+    """`fuse_corpus` on the ids: each discourse-usage span becomes the id of
+    its fused token, added to the vocabulary when new, and the rest of the
+    span is dropped; no sentence is rebuilt. A sentence whose annotations
+    `_fuse` would reject is handed to it, to fail as it fails."""
+    import numpy as np
+
+    if not annotations:
+        return columns
+    sid, start, end = np.array(
+        [(a.sentence_id, a.start, a.end) for a in annotations], np.int64
+    ).T
+    order = np.lexsort((start, sid))  # stable: as `_fuse` sorts each sentence
+    sid, start, end = sid[order], start[order], end[order]
+    anns = [annotations[a] for a in order.tolist()]
+    inside = end < columns.lengths()[sid]
+    bad = ~inside
+    bad[1:] |= (sid[1:] == sid[:-1]) & (start[1:] <= end[:-1])
+    at = columns.offsets[sid] + start
+    width = end - start + 1
+    words = columns.ids[_spans(at[inside], width[inside])].tolist() if inside.any() else []
+    vocab = columns.vocab
+    # The lowercased words of each span and surface, and each fused token.
+    lowered: dict[tuple, tuple[str, ...]] = {}
+    fused: dict[tuple[tuple[int, ...], str], str] = {}
+    tokens: list[str | None] = [None] * len(anns)
+    lo = 0
+    for a in np.flatnonzero(inside).tolist():
+        ann = anns[a]
+        span = tuple(words[lo : lo + len(ann.surface)])
+        lo += len(span)
+        if span not in lowered:
+            lowered[span] = tuple(vocab[w].lower() for w in span)
+        if ann.surface not in lowered:
+            lowered[ann.surface] = tuple(t.lower() for t in ann.surface)
+        if lowered[span] != lowered[ann.surface]:
+            bad[a] = True
+        elif ann.discourse_usage:
+            assert ann.relation is not None
+            key = (span, ann.relation)
+            if key not in fused:
+                fused[key] = fuse_token([vocab[w] for w in span], ann.relation)
+            tokens[a] = fused[key]
+    if bad.any():
+        first = int(sid[np.argmax(bad)])
+        _fuse(first, columns[first], by_sentence[first])
+        raise AssertionError(f"sentence {first} fused without error")
+    kept = np.flatnonzero([token is not None for token in tokens])
+    if not len(kept):
+        return columns
+    index = dict(zip(vocab, range(len(vocab))))
+    vocab = list(vocab)
+    for token in dict.fromkeys(tokens[a] for a in kept.tolist()):
+        if token not in index:
+            index[token] = len(vocab)
+            vocab.append(token)
+    ids = columns.ids.copy()
+    ids[at[kept]] = [index[tokens[a]] for a in kept.tolist()]
+    dropped = width[kept] - 1
+    keep = np.ones(len(ids), bool)
+    if dropped.any():
+        keep[_spans(at[kept] + 1, dropped)] = False
+    lengths = columns.lengths() - np.bincount(sid[kept], dropped, len(columns)).astype(np.int64)
+    return TokenColumns(vocab, ids[keep], np.append(0, np.cumsum(lengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +302,18 @@ def heuristic_tag(
     A crude stand-in for a real discourse tagger: every match is treated as
     discourse usage and labeled with the surface's default relation.
     """
-    table = build_match_table([c.surface for c in inventory])
-
-    def tag_chunk(chunk: range) -> list[DCAnnotation]:
-        out: list[DCAnnotation] = []
-        for k in chunk:
-            lowered = tuple(map(str.lower, sentences[k]))
-            for start, form in scan_matches(lowered, table):
-                text = " ".join(form)
-                sense = default_sense.get(text)
-                if sense is None:
-                    raise PipelineError(f"no default sense for connective {text!r}")
-                out.append(DCAnnotation(k, start, start + len(form) - 1, form, sense, True))
-        return out
-
+    columns = TokenColumns.of(sentences)
+    scan = FormScan((c.surface for c in inventory), columns.vocab)
+    found = Occurrences.concat(
+        scan.forms, process_chunks(partial(scan, columns), range(len(columns)), threads)
+    )
+    senses = [default_sense.get(" ".join(form)) for form in scan.forms]
     annotations: list[DCAnnotation] = []
-    for part in process_chunks(tag_chunk, range(len(sentences)), threads):
-        annotations.extend(part)
+    for k, start, f in zip(found.pair.tolist(), found.start.tolist(), found.form.tolist()):
+        form, sense = scan.forms[f], senses[f]
+        if sense is None:
+            raise PipelineError(f"no default sense for connective {' '.join(form)!r}")
+        annotations.append(DCAnnotation(k, start, start + len(form) - 1, form, sense, True))
     return annotations
 
 

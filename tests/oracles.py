@@ -194,9 +194,10 @@ def longest_match_counts_reference(sentences, forms):
 
 
 def scan_matches_reference(tokens, table):
-    """`corpus.scan_matches` as a loop over every position: (start, form) of
-    each non-overlapping longest match, left to right. `table` maps a first
-    token to its forms, longest first."""
+    """The scan `corpus.FormScan` makes on ids, as a loop over every
+    position of one token list: (start, form) of each non-overlapping
+    longest match, left to right. `table` maps a first token to its forms,
+    longest first."""
     i = 0
     n = len(tokens)
     while i < n:

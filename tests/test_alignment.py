@@ -405,6 +405,13 @@ class TestInverseDirection:
         interned = train_model2(swap(pairs), 2)
         assert derived.probs == interned.probs
         assert derived.log_likelihoods == interned.log_likelihoods
+        # On the source side, the word is the NULL row, as in the reference.
+        table = train_model1(pairs, 3)
+        ref_probs, _ = em_model1_reference(pairs, iterations=3, use_null=True)
+        assert sum(map(len, table.probs.values())) == len(ref_probs)
+        for e, row in table.probs.items():
+            for f, prob in row.items():
+                assert prob == pytest.approx(ref_probs[(e, f)], abs=1e-12)
 
     def test_state_is_handed_over(self):
         forward = train_model1(self.PAIRS, 1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dclex
+from dclex import cli
 from dclex.cli import (
     ARTIFACTS,
     CONFIG_ENV_VAR,
@@ -334,6 +335,35 @@ class TestPipelineRuns:
         assert together == alone
         assert manifests[0]["stages"]["ingest"]["rows"]["pairs"] == 300
         assert b"__zonk" in together[ARTIFACTS["evidence"]]
+
+    def test_run_all_hashes_each_input_once(self, tmp_path, monkeypatch):
+        # One call reads the manifest and hashes the inputs once; each stage
+        # run alone is its own call. Both write the same manifest.
+        config = planted.generate(tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5)
+        calls: Counter = Counter()
+        digest = cli.sha256_file
+
+        def counted(path):
+            calls[str(path)] += 1
+            return digest(path)
+
+        monkeypatch.setattr(cli, "sha256_file", counted)
+        manifests = []
+        for argvs, times in (([["run", "all"]], 1), ([[stage] for stage in STAGES], len(STAGES))):
+            out = tmp_path / "out"
+            if out.exists():
+                shutil.rmtree(out)
+            calls.clear()
+            for argv in argvs:
+                assert main([*argv, "--config", str(config)]) == 0, argv
+            manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+            assert len(manifest["inputs"]) == 9
+            assert calls == {path: times for path in manifest["inputs"]}
+            for stage in manifest["stages"].values():
+                stage.pop("seconds", None)
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["stages"]["eval"]["rows"]["total_relevant"] == 1
 
     def test_extract_counts_the_occurrences_behind_freqs(self, mini_run):
         root, _ = mini_run

@@ -1,6 +1,7 @@
 """Corpus loading, tokenization, and connective frequency counting."""
 
 import random
+import re
 import sys
 import unicodedata
 
@@ -8,16 +9,16 @@ import pytest
 
 from dclex.corpus import (
     Corpus,
+    FormScan,
     FrequencyTable,
     SentencePair,
+    TokenColumns,
     TokenizerOptions,
-    build_match_table,
     count_occurrences,
     load_parallel_corpus,
     load_token_corpus,
     open_token_corpus,
     read_frequency_table,
-    scan_matches,
     tokenize,
     write_frequency_table,
     write_token_file,
@@ -162,6 +163,69 @@ class TestLoadParallelCorpus:
                 with pytest.raises(PipelineError, match=message):
                     load(src, tgt)
 
+    def test_tokens_equal_tokenize_line_by_line(self, tmp_path):
+        # Loading lowercases the whole text at once and splits each distinct
+        # chunk once; line by line, that must give what `tokenize` gives.
+        lines = [
+            "«Même si», dit-il… (oui).",  # edge punctuation, stacked
+            "... -- !? «»",  # chunks of punctuation only
+            "ΟΔΟΣ ΣΟΦΟΣ. ΑΣ",  # final sigma at a word end and at the line end
+            "Βήτα ΣΑΣ",  # begins with a cased letter just after that line end
+            "un\u2028Deux trois\x85quatre",  # breaks inside a line for splitlines
+            "Fin ,de ligne",
+        ]
+        src, tgt = tmp_path / "c.src", tmp_path / "c.tgt"
+        # A byte-order mark, and "\r\n" line ends: "\r" is whitespace.
+        src.write_bytes(("\ufeff" + "".join(f"{line}\r\n" for line in lines)).encode())
+        tgt.write_text("".join(f"{line}\n" for line in reversed(lines)), encoding="utf-8")
+        for lowercase in (True, False):
+            opts = TokenizerOptions(lowercase=lowercase)
+            corpus = load_parallel_corpus(str(src), str(tgt), opts)
+            assert [p.src_tokens for p in corpus.pairs] == [tuple(tokenize(s, opts)) for s in lines]
+            assert [p.tgt_tokens for p in corpus.pairs] == [
+                tuple(tokenize(s, opts)) for s in reversed(lines)
+            ]
+            words = [t for s in lines for t in tokenize(s, opts)]
+            assert corpus.pairs.src.vocab == list(dict.fromkeys(words))
+        assert corpus.pairs[2].src_tokens == ("ΟΔΟΣ", "ΣΟΦΟΣ", ".", "ΑΣ")
+        lowered = load_parallel_corpus(str(src), str(tgt)).pairs[2].src_tokens
+        assert lowered == ("οδος", "σοφος", ".", "ας")
+
+    def test_lines_are_read_in_blocks(self, tmp_path, monkeypatch):
+        # Chunks are interned a block of lines at a time; numbering goes on
+        # across blocks, and a block may end on a skipped empty line pair.
+        monkeypatch.setattr("dclex.corpus._BLOCK_LINES", 3)
+        lines = ["b a,", "", "a (c", "d", "", "", "b", "«e»"]
+        src, tgt = write_corpus(tmp_path, lines, [line.upper() for line in lines])
+        loaded = load_parallel_corpus(src, tgt)
+        kept = [k for k, line in enumerate(lines) if line]
+        assert [p.id for p in loaded.pairs] == kept
+        assert [p.src_tokens for p in loaded.pairs] == [tuple(tokenize(lines[k])) for k in kept]
+        assert loaded.pairs.src.vocab == ["b", "a", ",", "(", "c", "d", "«", "e", "»"]
+        write_token_file(loaded.pairs.src, str(tmp_path / "o.src"))
+        write_token_file(loaded.pairs.tgt, str(tmp_path / "o.tgt"))
+        reloaded = load_token_corpus(str(tmp_path / "o.src"), str(tmp_path / "o.tgt"))
+        assert [(p.src_tokens, p.tgt_tokens) for p in reloaded.pairs] == [
+            (p.src_tokens, p.tgt_tokens) for p in loaded.pairs
+        ]
+
+    def test_limit_counts_kept_pairs_and_reads_no_further(self, tmp_path):
+        # Line 1 is skipped, so a limit of 2 ends at line 2: the one-sided
+        # empty line 3 after it is not read, nor are its words interned.
+        src, tgt = write_corpus(tmp_path, ["a", "", "b", "", "c"], ["x", "", "y", "z", "w"])
+        corpus = load_parallel_corpus(src, tgt, limit=2)
+        assert [p.id for p in corpus.pairs] == [0, 2]
+        assert [p.src_tokens for p in corpus.pairs] == [("a",), ("b",)]
+        assert (corpus.pairs.src.vocab, corpus.pairs.tgt.vocab) == (["a", "b"], ["x", "y"])
+        message = f"{re.escape(src)}: empty line 3 has a non-empty counterpart"
+        for limit in (3, None, 0):
+            with pytest.raises(PipelineError, match=message):
+                load_parallel_corpus(src, tgt, limit=limit)
+        with pytest.raises(PipelineError, match="empty line pair at line 1$"):
+            load_parallel_corpus(src, tgt, TokenizerOptions(skip_empty=False), limit=2)
+        with pytest.raises(PipelineError, match=f"{re.escape(tgt)}: empty line 1 has"):
+            load_parallel_corpus(*write_corpus(tmp_path, ["a", "b"], ["x", " \t"]))
+
     def test_tokens_equal_tokenize_on_random_lines(self, tmp_path):
         # Loading splits each distinct chunk once; chunks repeat across lines
         # and differ only in case or edge punctuation, so a stale or shared
@@ -203,14 +267,25 @@ def corpus_from_tokens(sentences):
     return Corpus(pairs)
 
 
-class TestScanMatches:
+def match_table(forms):
+    """Forms by first token, longest first: the table the reference scan reads."""
+    table = {}
+    for form in sorted(set(forms), key=lambda f: (-len(f), f)):
+        table.setdefault(form[0], []).append(form)
+    return table
+
+
+class TestFormScan:
     def test_matches_the_scan_of_every_position(self):
         # Forms nest (a prefix or a tail of a longer form is a form too) and
-        # overlap (one form's tail starts another); token lists often end
-        # inside a form, so a match may reach or miss the last token.
+        # overlap (one form's tail starts another); sentences often end
+        # inside a form, and the next one may start with the rest of it, so
+        # a window may reach or miss the last token, or straddle two pairs.
+        # Some form tokens are in no sentence, and words come in mixed case,
+        # as a corpus read with `lowercase = false` holds them.
         rng = random.Random(404)
         vocab = ["a", "b", "c", "d", "e"]
-        final = 0
+        final = straddled = absent = 0
         for _ in range(400):
             forms = set()
             for _ in range(rng.randint(1, 4)):
@@ -219,13 +294,68 @@ class TestScanMatches:
                 forms.add(form[: rng.randint(1, len(form))])  # nested
                 forms.add(form[rng.randint(0, len(form) - 1) :])  # nested tail
                 forms.add(form[-1:] + tuple(rng.choice(vocab) for _ in range(2)))  # overlap
-            table = build_match_table(forms)
-            tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
-            tokens += rng.choice(sorted(forms))[: rng.randint(1, 4)]  # sentence-final
-            got = list(scan_matches(tuple(tokens), table))
-            assert got == list(scan_matches_reference(tuple(tokens), table))
-            final += any(start + len(form) == len(tokens) for start, form in got)
-        assert final > 100
+            if rng.random() < 0.3:
+                forms.add((rng.choice(vocab), "zz"))  # "zz" is in no sentence
+            sentences = []
+            for _ in range(rng.randint(1, 6)):
+                tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+                form = rng.choice(sorted(forms))
+                cut = rng.randint(1, len(form))
+                tokens += form[:cut]  # sentence-final
+                if sentences and rng.random() < 0.5:
+                    sentences[-1] += list(form[:cut])
+                    tokens = list(form[cut:]) + tokens  # the rest opens the next
+                sentences.append(tokens)
+            cased = [[t.upper() if rng.random() < 0.3 else t for t in s] for s in sentences]
+            columns = TokenColumns.intern(cased)
+            scan = FormScan(sorted(forms), columns.vocab)
+            table = match_table(forms)
+            want = [
+                (k, start, form)
+                for k, tokens in enumerate(sentences)
+                for start, form in scan_matches_reference(tuple(tokens), table)
+            ]
+            assert list(scan(columns, range(len(columns)))) == want
+            # A run of pairs gives the matches of those pairs, by corpus number.
+            lo = rng.randint(0, len(columns))
+            hi = rng.randint(lo, len(columns))
+            assert list(scan(columns, range(lo, hi))) == [m for m in want if lo <= m[0] < hi]
+            final += any(start + len(form) == len(sentences[k]) for k, start, form in want)
+            straddled += any(
+                tuple(a[-1:] + b[:1]) in {f[i : i + 2] for f in forms for i in range(len(f) - 1)}
+                for a, b in zip(sentences, sentences[1:])
+                if a and b
+            )
+            absent += any("zz" in form for form in forms)
+        assert min(final, straddled, absent) > 100
+
+    def test_no_forms_and_no_tokens(self):
+        columns = TokenColumns.intern([["a"], []])
+        assert list(FormScan([], columns.vocab)(columns, range(2))) == []
+        assert list(FormScan([("a",)], columns.vocab)(columns, range(1, 2))) == []
+        with pytest.raises(PipelineError, match="empty connective surface form"):
+            FormScan([()], columns.vocab)
+
+
+class TestTokenColumns:
+    SENTENCES = [("b", "a"), (), ("a", "c", "b"), ("d",)]
+
+    def test_intern_numbers_words_by_first_appearance(self):
+        columns = TokenColumns.intern(self.SENTENCES)
+        assert columns.vocab == ["b", "a", "c", "d"]
+        assert columns.ids.tolist() == [0, 1, 1, 2, 0, 3]
+        assert columns.offsets.tolist() == [0, 2, 2, 5, 6]
+        assert list(columns) == self.SENTENCES
+        assert [columns[k] for k in (3, -4, 1)] == [("d",), ("b", "a"), ()]
+        with pytest.raises(IndexError):
+            columns[4]
+
+    def test_token_file_bytes(self, tmp_path):
+        for sentences in (self.SENTENCES, [(), ()], [("é", "x")], [], [(), ("ß",), ()]):
+            path = tmp_path / "tokens"
+            write_token_file(sentences, str(path))
+            want = "".join(" ".join(tokens) + "\n" for tokens in sentences)
+            assert path.read_bytes() == want.encode()
 
 
 class TestCountOccurrences:

@@ -1,10 +1,11 @@
 """Discourse annotation handling and relation-tag token fusion."""
 
 import random
+import re
 
 import pytest
 
-from dclex.corpus import SentencePair
+from dclex.corpus import SentencePair, TokenColumns
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
 from dclex.tagging import (
@@ -276,6 +277,44 @@ class TestHeuristicTagging:
         fused = fuse_corpus(corpus, heuristic_tag(corpus, inv, senses))
         assert fused == [("although-Comparison.Concession", "x"), ("plain",)]
         assert fused[1] is corpus[1]
+
+    def test_fuse_corpus_on_columns_equals_fusing_each_sentence(self):
+        # Columns are fused on the ids; every other sequence sentence by
+        # sentence. Words come in mixed case, spans are one to three tokens,
+        # some annotations are not discourse usage, and "a_b-R" is already a
+        # word when a span fuses to it.
+        rng = random.Random(5)
+        for _ in range(300):
+            sentences = [
+                tuple(rng.choice(["a", "B", "b", "a_b-R"]) for _ in range(rng.randint(1, 7)))
+                for _ in range(rng.randint(1, 5))
+            ]
+            anns = []
+            for k, tokens in enumerate(sentences):
+                free = 0
+                while free < len(tokens) and rng.random() < 0.7:
+                    start = rng.randint(free, len(tokens) - 1)
+                    end = rng.randint(start, min(len(tokens), start + 3) - 1)
+                    surface = tuple(t.lower() for t in tokens[start : end + 1])
+                    usage = rng.random() < 0.8
+                    anns.append(DCAnnotation(k, start, end, surface, "R" if usage else None, usage))
+                    free = end + 1
+            rng.shuffle(anns)
+            fused = fuse_corpus(TokenColumns.intern(sentences), anns)
+            assert list(fused) == fuse_corpus(sentences, anns)
+            assert len(set(fused.vocab)) == len(fused.vocab)
+
+    def test_fuse_corpus_on_columns_fails_as_each_sentence_does(self):
+        sentences = make_corpus(("a", "b", "c"), ("even", "though"))
+        for anns in (
+            [DCAnnotation(1, 1, 2, ("though", "x"), "R", True)],  # past the end
+            [DCAnnotation(0, 0, 1, ("a", "b"), "R", True), DCAnnotation(0, 1, 1, ("b",), None, False)],
+            [DCAnnotation(1, 0, 1, ("even", "so"), "R", True)],  # other tokens
+        ):
+            with pytest.raises(PipelineError) as want:
+                fuse_corpus(sentences, anns)
+            with pytest.raises(PipelineError, match=f"^{re.escape(str(want.value))}$"):
+                fuse_corpus(TokenColumns.intern(sentences), anns)
 
     def test_fuse_corpus_rejects_unknown_sentence_ids(self):
         corpus = make_corpus(("si",))

@@ -1,23 +1,35 @@
-"""Every name the benchmark tracer wraps exists in the package.
+"""The benchmark tracer's hooks still fit the package.
 
 `benchmarks/tracer.py` replaces the module attributes in its TARGETS with
-timing wrappers; a missing one breaks traced benchmark runs. TARGETS is read
-from the checkout, not copied, so a benchmark change that drops a target
-needs no edit here.
+timing wrappers; a missing one breaks traced benchmark runs, and a hook
+that no longer fits the signature or the result of its function leaves a
+note. TARGETS is read from the checkout, not copied, so a benchmark change
+that drops a target needs no edit here.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from dclex import cli
+
+import planted
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def test_every_tracer_target_exists(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))  # tracer imports corpusgen
     spec = importlib.util.spec_from_file_location("tracer", BENCHMARKS / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_exists(tracer):
     assert tracer.TARGETS
     missing = [
         f"dclex.{module}.{attribute}"
@@ -25,3 +37,23 @@ def test_every_tracer_target_exists(monkeypatch):
         if not hasattr(importlib.import_module(f"dclex.{module}"), attribute)
     ]
     assert missing == []
+
+
+def test_hooks_record_a_run_all_without_notes(tracer, tmp_path):
+    config = planted.generate(tmp_path, pairs=120, dc_count=20, thresh_count=6, min_freq=5)
+    modules = {name: importlib.import_module(f"dclex.{name}") for name, *_ in tracer.TARGETS}
+    saved = [(modules[name], attribute) for name, attribute, *_ in tracer.TARGETS]
+    saved = [(module, attribute, getattr(module, attribute)) for module, attribute in saved]
+    recorder = tracer.Recorder()
+    try:
+        recorder.install()
+        assert cli.main(["run", "all", "--config", str(config)]) == 0
+    finally:
+        for module, attribute, original in saved:
+            setattr(module, attribute, original)
+    assert recorder.notes == []
+    recorded = {name for _, name, *_ in recorder.spans}
+    for name in ("corpus.count", "tagging.tag", "tagging.fuse", "alignment.train", "phrasetable.build"):
+        assert name in recorded, name
+    assert recorder.counts["corpus.matches"] > 0
+    assert recorder.counts["alignment.estep_cells"] > 0
