@@ -10,16 +10,17 @@ target position and source candidate, to one flat array of slots.
 chunk's keys, packed with their positions, and a hash table of the slots of
 earlier chunks, so its cost grows with the cells, not with chunks x slots.
 
-The E-step runs in fixed-size chunks, each writing its cell posteriors into
-a buffer of its own; the M-step adds them into the counts in corpus order.
-The posterior, count and row-total buffers are allocated once per fit, the
-M-step divides in place, and the E-step works through its chunk in blocks
-of rows, so no EM temporary grows with the corpus or the chunk. Every sum
-that feeds t, q or the log-likelihood is a running sum in a fixed order
-(`bincount` and `add.at` add their inputs one by one, from 0.0, and
-`cumsum` adds left to right), never a pairwise or vectorized reduction, so
-results are bit-identical for any worker count and chunk size and equal,
-float for float, to adding them up in a Python loop; only the
+The E-step runs over fixed-size chunks, one after another: each writes its
+cell posteriors into one buffer, the size of the widest chunk, and adds
+them into the counts before the next chunk runs, so the counts take the
+posteriors in corpus order. The posterior, count and row-total buffers are
+allocated once per fit, the M-step divides in place, and the E-step works
+through its chunk in blocks of rows, so no EM temporary grows with the
+corpus or the chunk. Every sum that feeds t, q or the log-likelihood is a
+running sum in a fixed order (`bincount` and `add.at` add their inputs one
+by one, from 0.0, and `cumsum` adds left to right), never a pairwise or
+vectorized reduction, so results are bit-identical for any chunk size and
+equal, float for float, to adding them up in a Python loop; only the
 log-likelihood depends on the chunking, as the sum of the chunks' sums. A
 NULL source token (virtual index -1) absorbs target words with no
 counterpart; Viterbi links decoded to NULL are dropped.
@@ -52,12 +53,12 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Bitext, _spans
+from .corpus import CHUNK_SIZE, Bitext, _spans, process_chunks
 from .errors import PipelineError
 from .fileio import atomic_write_text
-from .parallel import CHUNK_SIZE, process_chunks
 
 NULL_TOKEN = "<NULL>"
 PROB_FLOOR = 1e-12
@@ -549,38 +550,39 @@ class _Fit:
         self.t = _Table(row_of[:count], len(self.e_words))
         self.t_cols = t_cols[:count]
 
-    def train(self, iterations: int, threads: int) -> None:
-        """EM iterations. The E-steps of the chunks may run in any order, each
-        into its own posterior buffer; the posteriors are added into the
-        counts in corpus order. The posterior, count and row-total buffers
-        are allocated once; chunk-sized posterior buffers reuse freed memory
-        as readily as the temporaries they replace, and they go when
-        training ends."""
+    def train(self, iterations: int) -> None:
+        """EM iterations. Each chunk's E-step adds its posteriors into the
+        counts before the next chunk runs, so the counts take them in corpus
+        order and one posterior buffer, the size of the widest chunk, serves
+        every chunk. The posterior, count and row-total buffers are allocated
+        once and go when training ends."""
         import numpy as np
 
-        steps = [(chunk, np.empty(chunk.cells.stop - chunk.cells.start)) for chunk in self.chunks]
+        posteriors = np.empty(max(chunk.cells.stop - chunk.cells.start for chunk in self.chunks))
         tables = [(self.t, self.cells)] + ([(self.q, self.q_cells)] if self.q is not None else [])
         buffers = [(np.empty(len(table.values)), np.empty(table.n_rows)) for table, _ in tables]
+        estep = partial(self._estep, posteriors, tables, buffers)
         for _ in range(iterations):
+            for counts, _ in buffers:
+                counts.fill(0.0)
             ll = 0.0
-            for part in process_chunks(self._estep, steps, threads, chunk_size=1):
+            for part in process_chunks(estep, self.chunks, chunk_size=1):
                 ll += part
             self.history.append(ll)
-            for (table, cells), (counts, totals) in zip(tables, buffers):
-                counts.fill(0.0)
-                for chunk, posteriors in steps:
-                    np.add.at(counts, cells[chunk.cells], posteriors)
+            for (table, _), (counts, totals) in zip(tables, buffers):
                 table.m_step(counts, totals)
 
-    def _estep(self, batch) -> float:
-        """Write the cell posteriors of one chunk into its buffer and return
-        its log-likelihood. A cell's posterior is its score over its row's
-        total z; Model 1 scores t, Model 2 scores t * q. z and the
+    def _estep(self, posteriors, tables, buffers, batch) -> float:
+        """Write the cell posteriors of one chunk into the front of
+        `posteriors`, add them into each table's counts and return the
+        chunk's log-likelihood. A cell's posterior is its score over its
+        row's total z; Model 1 scores t, Model 2 scores t * q. z and the
         log-likelihood are running sums. The rows go in blocks of about
         _BLOCK_CELLS cells, so that no temporary grows with the chunk."""
         import numpy as np
 
-        ((chunk, scores),) = batch
+        (chunk,) = batch
+        scores = posteriors[: chunk.cells.stop - chunk.cells.start]
         widths = self.widths[chunk.rows]
         heads = np.cumsum(widths, dtype=np.int64) - widths
         cuts = np.searchsorted(heads, np.arange(0, heads[-1] + widths[-1], _BLOCK_CELLS))
@@ -599,6 +601,8 @@ class _Fit:
             rows = np.repeat(np.arange(r1 - r0), widths[r0:r1])
             z[r0:r1] = np.bincount(rows, weights=part, minlength=r1 - r0)
             part /= z[r0:r1][rows]
+        for (_, table_cells), (counts, _) in zip(tables, buffers):
+            np.add.at(counts, table_cells[chunk.cells], scores)
         terms = np.fromiter(map(math.log, z.tolist()), np.float64, len(z))
         if self.q is None:
             # Model 1's uniform alignment prior 1/n; Model 2's is inside q.
@@ -752,14 +756,13 @@ def _train(
     pairs: Sequence[TokenPair],
     iterations: int,
     use_null: bool,
-    threads: int,
     positional: bool,
     inverse: TranslationTable | None,
 ) -> TranslationTable:
     _validate_training_input(pairs, iterations)
     # The inverse's state is released once the cells are built, before EM.
     fit = _Fit(pairs, use_null, positional, inverse._hand_over() if inverse is not None else None)
-    fit.train(iterations, threads)
+    fit.train(iterations)
     return TranslationTable(None, use_null, fit.history, fit)
 
 
@@ -767,7 +770,6 @@ def train_model1(
     pairs: Sequence[TokenPair],
     iterations: int = 5,
     use_null: bool = True,
-    threads: int = 1,
     inverse: TranslationTable | None = None,
 ) -> TranslationTable:
     """EM-train t(f|e). Every source row stays normalized to 1; the recorded
@@ -777,14 +779,13 @@ def train_model1(
     `use_null`), hands over its EM state, and its cells seed this table's
     without interning the corpus again. The result is the same as without
     it; `inverse` keeps only the `probs` and `distortion` it has built."""
-    return _train(pairs, iterations, use_null, threads, False, inverse)
+    return _train(pairs, iterations, use_null, False, inverse)
 
 
 def train_model2(
     pairs: Sequence[TokenPair],
     iterations: int = 5,
     use_null: bool = True,
-    threads: int = 1,
     inverse: TranslationTable | None = None,
 ) -> TranslationTable:
     """EM-train Model 2: t(f|e) plus distortion q(i|j,l,m) over source positions.
@@ -792,7 +793,7 @@ def train_model2(
     Same contracts as Model 1: normalized rows, non-decreasing log-likelihood.
     Source position -1 stands for NULL. `inverse` works as in `train_model1`.
     """
-    return _train(pairs, iterations, use_null, threads, True, inverse)
+    return _train(pairs, iterations, use_null, True, inverse)
 
 
 def _source_side(src: SentenceTokens, use_null: bool) -> list[str]:

@@ -34,9 +34,9 @@ from . import inventory as inv
 from . import lexicon as lx
 from . import phrasetable as pt
 from . import tagging as tg
+from .corpus import process_chunks
 from .errors import PipelineError, UsageError
 from .fileio import atomic_write_text, iter_data_lines, read_text_strict, sha256_file
-from .parallel import process_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +87,6 @@ class PipelineConfig:
     lowercase: bool = True
     skip_empty: bool = True
     seed: int = 0
-    threads: int = 1
     limit: int = 0
     model: str = "model1"
     evidence_k: int = 5
@@ -137,8 +136,6 @@ def _check_ranges(cfg: PipelineConfig) -> None:
         raise UsageError(f"config key 'max_phrase_len' must be >= 1, got {cfg.max_phrase_len}")
     if cfg.min_freq < 0:
         raise UsageError(f"config key 'min_freq' must be >= 0, got {cfg.min_freq}")
-    if cfg.threads < 1:
-        raise UsageError(f"config key 'threads' must be >= 1, got {cfg.threads}")
     if cfg.limit < 0:
         raise UsageError(f"config key 'limit' must be >= 0, got {cfg.limit}")
     if cfg.evidence_k < 1:
@@ -161,6 +158,7 @@ def validate_config(path: str) -> PipelineConfig:
 
     Unknown keys are rejected with a closest-match suggestion; missing
     required keys and out-of-range values are fatal before any work runs.
+    A `threads` key, which no stage reads any more, is logged and dropped.
     """
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     if not Path(path).is_file():
@@ -170,6 +168,10 @@ def validate_config(path: str) -> PipelineConfig:
         if "=" not in payload:
             raise UsageError(f"{path}: expected `key = value` at line {lineno}")
         key, raw = (part.strip() for part in payload.split("=", 1))
+        if key == "threads":
+            # Stages run serially; configs written for older versions carry it.
+            logger.info("%s: config key 'threads' is ignored (line %d)", path, lineno)
+            continue
         if key not in fields:
             close = difflib.get_close_matches(key, fields, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
@@ -328,7 +330,7 @@ def _stage_ingest(
     cp.write_token_file(src, _out(cfg, "corpus_src"))
     cp.write_token_file(tgt, _out(cfg, "corpus_tgt"))
     tgt_inventory = _load_target_inventory(cfg)
-    freqs = cp.count_occurrences(corpus, tgt_inventory, threads=cfg.threads)
+    freqs = cp.count_occurrences(corpus, tgt_inventory)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
     handoff["corpus"] = src, tgt
     handoff["occurrences"] = freqs.occurrences
@@ -351,7 +353,7 @@ def _stage_tag(
             )
         src_inventory = _load_source_inventory(cfg)
         senses = tg.load_default_senses(_require_config_path(cfg, "default_senses"))
-        annotations = tg.heuristic_tag(src, src_inventory, senses, threads=cfg.threads)
+        annotations = tg.heuristic_tag(src, src_inventory, senses)
     fused = tg.fuse_corpus(src, annotations)
     tg.write_fused_corpus(fused, _out(cfg, "fused_src"))
     handoff["work"] = fused, tgt
@@ -367,18 +369,14 @@ def _stage_align(
     def decode(model: al.TranslationTable, ttable: str) -> al.Links:
         if cfg.dump_ttables:
             al.write_translation_table(model, _out(cfg, ttable))
-        return al.Links.concat(
-            process_chunks(model.viterbi_training_pairs, range(len(src)), cfg.threads)
-        )
+        return al.Links.concat(process_chunks(model.viterbi_training_pairs, range(len(src))))
 
-    model = train(cp.Bitext(src, tgt), cfg.iterations, cfg.use_null, cfg.threads)
+    model = train(cp.Bitext(src, tgt), cfg.iterations, cfg.use_null)
     fwd = decode(model, "ttable_fwd")
     fwd_ll, fwd_entries = model.log_likelihoods, model.entries
     # The backward model takes its cells from the decoded forward one, whose
     # EM state it releases before training.
-    model = train(
-        cp.Bitext(tgt, src), cfg.iterations, cfg.use_null, cfg.threads, inverse=model
-    )
+    model = train(cp.Bitext(tgt, src), cfg.iterations, cfg.use_null, inverse=model)
     bwd = al.transpose(decode(model, "ttable_bwd"))
     bwd_ll, bwd_entries = model.log_likelihoods, model.entries
     del model
@@ -420,7 +418,6 @@ def _stage_extract(
         src_inventory,
         relations,
         cfg.max_phrase_len,
-        cfg.threads,
         handoff.pop("occurrences", None),
     )
     pt.write_sites(table.sites, _out(cfg, "sites"))
@@ -625,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"pipeline config file (falls back to ${CONFIG_ENV_VAR})",
         )
         p.add_argument("--limit", type=int, help="use only the first N sentence pairs")
-        p.add_argument("--threads", type=int, help="worker threads (output is identical for any value)")
         p.add_argument("--seed", type=int, help="random seed override")
         p.add_argument("--output", help="output directory override")
 
@@ -649,7 +645,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             f"no config given: pass --config or set ${CONFIG_ENV_VAR}"
         )
     overrides: dict[str, object] = {}
-    for key in ("limit", "threads", "seed"):
+    for key in ("limit", "seed"):
         if getattr(args, key) is not None:
             overrides[key] = getattr(args, key)
     if args.output:

@@ -13,6 +13,10 @@ Connective occurrences are found on the ids (`FormScan`): numpy follows the
 positions whose word starts some form through a trie of the forms, and
 Python walks only the matches to apply the left-to-right non-overlap rule.
 
+Work over a whole corpus runs in fixed-size chunks of sentence pairs
+(`process_chunks`), one after another, so that no temporary grows with the
+corpus; results are combined in chunk order.
+
 numpy is imported when a corpus is loaded or scanned, not with this module,
 so loading the CLI does not pay for it.
 """
@@ -24,14 +28,25 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PipelineError
 from .fileio import atomic_write_bytes, atomic_write_text, read_text_strict
-from .parallel import process_chunks
 
 if TYPE_CHECKING:
     from .inventory import Connective
+
+CHUNK_SIZE = 1024
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def process_chunks(
+    func: Callable[[Sequence[T]], R], items: Sequence[T], chunk_size: int = CHUNK_SIZE
+) -> list[R]:
+    """Apply `func` to consecutive chunks of `items`; results in chunk order."""
+    return [func(items[lo : lo + chunk_size]) for lo in range(0, len(items), chunk_size)]
 
 
 @dataclass(frozen=True)
@@ -633,7 +648,6 @@ class FrequencyTable:
 def count_occurrences(
     corpus: Corpus,
     inventory: Sequence["Connective"],
-    threads: int = 1,
 ) -> FrequencyTable:
     """Count connective occurrences on the target side of the corpus.
 
@@ -648,9 +662,7 @@ def count_occurrences(
     else:
         tgt = TokenColumns.intern(pair.tgt_tokens for pair in pairs)
     scan = FormScan((c.surface for c in inventory), tgt.vocab)
-    found = Occurrences.concat(
-        scan.forms, process_chunks(partial(scan, tgt), range(len(tgt)), threads)
-    )
+    found = Occurrences.concat(scan.forms, process_chunks(partial(scan, tgt), range(len(tgt))))
     counts = found.counts()
     return FrequencyTable({" ".join(form): n for form, n in zip(scan.forms, counts)}, found)
 

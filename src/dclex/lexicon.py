@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .alignment import Links
 from .corpus import Corpus, FrequencyTable
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
-from .phrasetable import DCAlignmentRecord, Site, build_phrase_table, fused_connective
+from .phrasetable import DCAlignmentRecord, Site, fused_connective
 
 
 @dataclass(frozen=True)
@@ -126,26 +125,6 @@ def _highlight(tokens: Sequence[str], start: int, end: int) -> str:
     parts.append("__" + " ".join(tokens[start : end + 1]) + "__")
     parts.extend(tokens[end + 1 :])
     return " ".join(parts)
-
-
-def evidence_sites(
-    corpus: Corpus,
-    links: Links,
-    tgt_inventory: Sequence[Connective],
-    src_inventory: Sequence[Connective],
-    relations: Sequence[str],
-    max_len: int = 7,
-) -> dict[tuple[str, str], list[Site]]:
-    """Find the supporting pairs of every (fr_dc, relation) in one pass.
-
-    `corpus` holds the fused source side. A pair supports (fr_dc, relation)
-    when `connective_occurrences` counts an occurrence of fr_dc for a fused
-    source token carrying the relation, exactly as extraction does: these
-    are the sites of `build_phrase_table`, grouped by `group_sites`.
-    """
-    pairs = [(pair.src_tokens, pair.tgt_tokens) for pair in corpus.pairs]
-    table = build_phrase_table(pairs, links, tgt_inventory, src_inventory, relations, max_len)
-    return group_sites(corpus, table.sites, tgt_inventory, src_inventory, relations)
 
 
 def group_sites(

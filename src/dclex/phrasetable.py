@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Container, Iterable, Iterator, Sequence
 
-from .alignment import Alignment, Links
-from .corpus import Bitext, FormScan, Occurrences
+from .alignment import Links
+from .corpus import Bitext, FormScan, Occurrences, process_chunks
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
-from .parallel import process_chunks
 from .tagging import split_fused_token
 
 Phrase = tuple[str, ...]
@@ -61,70 +60,6 @@ class DCAlignmentRecord:
     count: int
 
 
-def extract_phrase_pairs(
-    src_tokens: Sequence[str],
-    tgt_tokens: Sequence[str],
-    alignment: Alignment,
-    max_len: int = 7,
-) -> list[tuple[Phrase, Phrase]]:
-    """Enumerate all consistent phrase pairs up to `max_len` tokens per side.
-
-    For each source span the aligned target words are projected to a minimal
-    target span; if no link leaks out of the box it is emitted along with
-    every extension over unaligned target boundary words. Source-side
-    extensions arise from enumerating all source spans. Each box is emitted
-    once; identical token phrases from distinct boxes are kept.
-    """
-    if max_len < 1:
-        raise PipelineError(f"max_len must be >= 1, got {max_len}")
-    n, m = len(src_tokens), len(tgt_tokens)
-    links = sorted(alignment.links)
-    for i, j in links:
-        if not (0 <= i < n and 0 <= j < m):
-            raise PipelineError(f"alignment link {i}-{j} out of bounds for {n}x{m} pair")
-    if not links:
-        return []
-
-    tgt_of_src: list[list[int]] = [[] for _ in range(n)]
-    src_of_tgt: list[list[int]] = [[] for _ in range(m)]
-    for i, j in links:
-        tgt_of_src[i].append(j)
-        src_of_tgt[j].append(i)
-    tgt_aligned = [bool(src_of_tgt[j]) for j in range(m)]
-
-    out: list[tuple[Phrase, Phrase]] = []
-    for i1 in range(n):
-        jlo, jhi = m, -1
-        for i2 in range(i1, min(i1 + max_len, n)):
-            for j in tgt_of_src[i2]:
-                jlo = min(jlo, j)
-                jhi = max(jhi, j)
-            if jhi < 0:
-                continue  # no link yet; a wider span may pick one up
-            if jhi - jlo + 1 > max_len:
-                break  # projection only widens with i2
-            consistent = True
-            for j in range(jlo, jhi + 1):
-                if any(i < i1 or i > i2 for i in src_of_tgt[j]):
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            src_phrase = tuple(src_tokens[i1 : i2 + 1])
-            js = jlo
-            while True:
-                je = jhi
-                while je < m and je - js + 1 <= max_len:
-                    out.append((src_phrase, tuple(tgt_tokens[js : je + 1])))
-                    je += 1
-                    if je >= m or tgt_aligned[je]:
-                        break
-                js -= 1
-                if js < 0 or tgt_aligned[js] or jhi - js + 1 > max_len:
-                    break
-    return out
-
-
 def connective_occurrences(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     links: Links,
@@ -133,7 +68,6 @@ def connective_occurrences(
     relations: Sequence[str],
     max_len: int = 7,
     occurrences: Occurrences | None = None,
-    threads: int = 1,
 ) -> Iterator[tuple[int, int, Phrase, int | None, tuple[str, str] | None]]:
     """Yield (pair, start, form, source, dc) for each longest-match occurrence
     of a target form, in corpus order, found as the corpus counts find them:
@@ -155,9 +89,7 @@ def connective_occurrences(
     if found is None:
         tgt = pairs.tgt
         scan = FormScan((c.surface for c in tgt_inventory), tgt.vocab)
-        found = Occurrences.concat(
-            scan.forms, process_chunks(partial(scan, tgt), range(len(tgt)), threads)
-        )
+        found = Occurrences.concat(scan.forms, process_chunks(partial(scan, tgt), range(len(tgt))))
     if not len(found):
         return
     src = pairs.src
@@ -229,16 +161,14 @@ def build_phrase_table(
     src_inventory: Sequence[Connective],
     relations: Sequence[str],
     max_len: int = 7,
-    threads: int = 1,
     occurrences: Occurrences | None = None,
 ) -> PhraseTable:
     """Count, over all target connective occurrences, the fused source token
     each one counts for (see `connective_occurrences`, which `occurrences`
-    and `threads` are passed to). Where no inventory forms nest or overlap,
-    these are the `extract_phrase_pairs` rows with one fused source token
-    and an inventory form on the target side, less those whose token
-    `fused_connective` rejects. The sites are the occurrences those rows
-    count."""
+    is passed to). Where no inventory forms nest or overlap, these are the
+    consistent phrase pairs with one fused source token and an inventory
+    form on the target side, less those whose token `fused_connective`
+    rejects. The sites are the occurrences those rows count."""
     import numpy as np
 
     pairs = Bitext.of(pairs)
@@ -247,7 +177,7 @@ def build_phrase_table(
     forms: list[Phrase] = []
     count = 0
     for k, start, form, i, dc in connective_occurrences(
-        pairs, links, tgt_inventory, src_inventory, relations, max_len, occurrences, threads
+        pairs, links, tgt_inventory, src_inventory, relations, max_len, occurrences
     ):
         count += 1
         if dc is not None:

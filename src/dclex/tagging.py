@@ -12,11 +12,18 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence
 
-from .corpus import FormScan, Occurrences, SentencePair, TokenColumns, _spans, write_token_file
+from .corpus import (
+    FormScan,
+    Occurrences,
+    SentencePair,
+    TokenColumns,
+    _spans,
+    process_chunks,
+    write_token_file,
+)
 from .errors import PipelineError
 from .fileio import atomic_write_text, iter_data_lines, read_text_strict
 from .inventory import Connective
-from .parallel import process_chunks
 
 SURFACE_JOINER = "_"
 SENSE_SEPARATOR = "-"
@@ -295,7 +302,6 @@ def heuristic_tag(
     sentences: Sentences,
     inventory: Sequence[Connective],
     default_sense: Mapping[str, str],
-    threads: int = 1,
 ) -> list[DCAnnotation]:
     """Tag source-side connectives by longest-match scan with default senses.
 
@@ -305,7 +311,7 @@ def heuristic_tag(
     columns = TokenColumns.of(sentences)
     scan = FormScan((c.surface for c in inventory), columns.vocab)
     found = Occurrences.concat(
-        scan.forms, process_chunks(partial(scan, columns), range(len(columns)), threads)
+        scan.forms, process_chunks(partial(scan, columns), range(len(columns)))
     )
     senses = [default_sense.get(" ".join(form)) for form in scan.forms]
     annotations: list[DCAnnotation] = []

@@ -289,3 +289,19 @@ def connective_sources_reference(pairs, link_sets, forms, max_len):
             )
             yield k, start, form, (min(linked) if consistent else None)
             start = end + 1
+
+
+def connective_boxes_reference(pair, links, forms, max_len):
+    """`connective_sources_reference` of one pair, each source taken instead
+    from exhaustive consistent-box enumeration: the source token of the one
+    consistent box with one source token over exactly the occurrence span."""
+    n, m = len(pair[0]), len(pair[1])
+    boxes = {
+        (tgt[0], tgt[-1]): src[0]
+        for src, tgt in consistent_phrase_pairs_reference(range(n), range(m), links, max_len)
+        if len(src) == 1
+    }
+    return [
+        (k, start, form, boxes.get((start, start + len(form) - 1)))
+        for k, start, form, _ in connective_sources_reference([pair], [links], forms, max_len)
+    ]

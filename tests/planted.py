@@ -38,7 +38,10 @@ def generate(
     threads: int = 1,
     out_name: str = "out",
 ) -> Path:
-    """Write corpus + config under `root`; returns the config file path."""
+    """Write corpus + config under `root`; returns the config file path.
+
+    `threads` is written as a config line, which the pipeline logs and
+    ignores, as configs written for older versions carry it."""
     rng = random.Random(seed)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)

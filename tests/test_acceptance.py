@@ -9,14 +9,14 @@ everything here must hold exactly, at this scale, on every run.
 
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from dclex.alignment import Alignment, Links, symmetrize, train_model1, viterbi_align
+from dclex import alignment
+from dclex.alignment import Links, symmetrize, train_model1
 from dclex.cli import ARTIFACTS, main
-from dclex.corpus import Corpus, SentencePair
+from dclex.corpus import Corpus, SentencePair, process_chunks
 from dclex.evaluation import (
     RelevanceItem,
     RelevanceList,
@@ -25,14 +25,15 @@ from dclex.evaluation import (
     precision_recall_points,
 )
 from dclex.inventory import Connective
-from dclex.lexicon import evidence_sites, sample_evidence
-from dclex.phrasetable import extract_phrase_pairs
+from dclex.lexicon import group_sites, sample_evidence
+from dclex.phrasetable import build_phrase_table, connective_occurrences
 from dclex.tagging import DCAnnotation, fuse_tokens, split_fused_token
 
 import planted
 from oracles import (
     average_precision_reference,
-    consistent_phrase_pairs_reference,
+    connective_boxes_reference,
+    connective_sources_reference,
     curve11_reference,
 )
 
@@ -46,7 +47,7 @@ def relevance(flags, n):
 
 @pytest.fixture(scope="module")
 def planted_run(tmp_path_factory):
-    """The 2,000-pair planted corpus with one full pipeline run (threads=1)."""
+    """The 2,000-pair planted corpus with one full pipeline run."""
     root = tmp_path_factory.mktemp("planted")
     config = planted.generate(root)
     started = time.perf_counter()
@@ -105,8 +106,13 @@ def test_c2_em_training_contracts():
 def test_c3_phrase_extraction_equals_brute_force():
     started = time.perf_counter()
 
+    # The source token each target connective occurrence counts for is the
+    # one source token of a consistent box over exactly its span.
     rng = random.Random(20240003)
     vocab = ["p", "q", "r", "s"]
+    forms = [("p",), ("q", "r"), ("q", "r", "s"), ("s", "s")]
+    inventory = [Connective(form, "target") for form in forms]
+    occurrences = 0
     for _ in range(500):
         n, m = rng.randint(1, 8), rng.randint(1, 8)
         src = tuple(rng.choice(vocab) for _ in range(n))
@@ -115,13 +121,21 @@ def test_c3_phrase_extraction_equals_brute_force():
             (i, j) for i in range(n) for j in range(m) if rng.random() < 0.15
         )
         max_len = rng.randint(1, 8)
-        got = Counter(extract_phrase_pairs(src, tgt, Alignment(links), max_len))
-        want = Counter(consistent_phrase_pairs_reference(src, tgt, links, max_len))
+        got = [
+            found[:4]
+            for found in connective_occurrences(
+                [(src, tgt)], Links.of([links]), inventory, [], [], max_len
+            )
+        ]
+        want = connective_boxes_reference((src, tgt), links, forms, max_len)
         assert got == want, (src, tgt, sorted(links), max_len)
+        assert got == list(connective_sources_reference([(src, tgt)], [links], forms, max_len))
+        occurrences += len(got)
+    assert occurrences
 
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"criterion 3 took {elapsed:.1f}s"
-    print("criterion 3: PASS — extraction equals consistent-box enumeration (500 pairs)")
+    print("criterion 3: PASS — connective sources equal consistent-box enumeration (500 pairs)")
 
 
 def test_c4_symmetrization_sandwich_and_idempotence():
@@ -187,18 +201,24 @@ def test_c6_frequency_threshold_boundary(planted_run, tmp_path_factory):
     print("criterion 6: PASS — 49 occurrences excluded, 50 included (min_freq 50)")
 
 
-def test_c7_thread_count_determinism(planted_run):
+def test_c7_chunk_size_determinism(planted_run, monkeypatch):
     root, config, _ = planted_run
 
-    assert main(
-        ["run", "all", "--config", str(config), "--threads", "8", "--output", str(root / "out8")]
-    ) == 0
-    for name in ("lexicon", "eval_report", "table1"):
-        one = (root / "out" / ARTIFACTS[name]).read_bytes()
-        eight = (root / "out8" / ARTIFACTS[name]).read_bytes()
-        assert one == eight, f"{ARTIFACTS[name]} differs between thread counts"
+    # Every chunked loop, the EM chunks included, in chunks of 7 pairs.
+    monkeypatch.setattr(process_chunks, "__defaults__", (7,))
+    monkeypatch.setattr(alignment, "CHUNK_SIZE", 7)
+    again = root / "out-chunked"
+    assert main(["run", "all", "--config", str(config), "--output", str(again)]) == 0
+    names = sorted(path.name for path in (root / "out").iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        # The manifest holds timings and the EM log-likelihood, a sum of
+        # per-chunk sums.
+        if name != ARTIFACTS["manifest"]:
+            one, other = ((out / name).read_bytes() for out in (root / "out", again))
+            assert one == other, f"{name} differs between chunk sizes"
 
-    print("criterion 7: PASS — 1-thread and 8-thread runs byte-identical")
+    print("criterion 7: PASS — runs with 1,024- and 7-pair chunks byte-identical")
 
 
 def test_c8_fusion_round_trip():
@@ -278,7 +298,10 @@ def test_c9_evidence_sampling_fixture():
     inventory = [Connective(("même", "si"), "target")]
     src_inventory = [Connective(s, "source") for s in (("even", "though"), ("if",), ("although",))]
     relations = ["Concession", "Condition"]
-    sites = evidence_sites(corpus, alignments, inventory, src_inventory, relations)
+    table = build_phrase_table(
+        list(zip(src_sents, tgt_sents)), alignments, inventory, src_inventory, relations
+    )
+    sites = group_sites(corpus, table.sites, inventory, src_inventory, relations)
     sites = sites[("même si", "Concession")]
 
     got = sample_evidence(corpus, sites, k=5, seed=3)

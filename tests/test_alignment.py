@@ -23,8 +23,8 @@ from dclex.alignment import (
     write_alignments,
     write_translation_table,
 )
+from dclex.corpus import CHUNK_SIZE
 from dclex.errors import PipelineError
-from dclex.parallel import CHUNK_SIZE
 
 from oracles import (
     em_model1_reference,
@@ -106,15 +106,6 @@ class TestModel1Training:
             assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:])), lls
             assert all(ll <= 1e-9 for ll in lls)  # log-probabilities
 
-    def test_thread_count_is_invisible_in_output(self):
-        rng = random.Random(8)
-        vocab_src, vocab_tgt = ["a", "b", "c", "d", "e"], ["u", "v", "w", "x"]
-        pairs = random_corpus(rng, 2 * CHUNK_SIZE + 400, vocab_src, vocab_tgt)
-        one = train_model1(pairs, iterations=3, threads=1)
-        many = train_model1(pairs, iterations=3, threads=4)
-        assert one.probs == many.probs
-        assert one.log_likelihoods == many.log_likelihoods
-
     def test_bad_inputs_are_fatal(self):
         with pytest.raises(PipelineError, match="iterations"):
             train_model1(TWO_PAIR_FIXTURE, iterations=0)
@@ -190,15 +181,6 @@ class TestModel2:
         # 3-token source never seen in training: uniform distortion, lexical wins.
         alignment = viterbi_align_model2((("pad", "the", "house"), ("la",)), tables)
         assert alignment.links == frozenset({(1, 0)})
-
-    def test_thread_count_is_invisible_in_output(self):
-        rng = random.Random(4)
-        pairs = random_corpus(rng, 2 * CHUNK_SIZE + 300, ["a", "b", "c"], ["u", "v"], max_len=3)
-        one = train_model2(pairs, iterations=2, threads=1)
-        many = train_model2(pairs, iterations=2, threads=4)
-        assert one.probs == many.probs
-        assert one.distortion == many.distortion
-        assert one.log_likelihoods == many.log_likelihoods
 
     def test_matches_flat_reference_implementation(self):
         rng = random.Random(77)

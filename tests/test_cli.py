@@ -22,9 +22,8 @@ from dclex.cli import (
     validate_config,
 )
 from dclex.alignment import NULL_TOKEN, train_model1
-from dclex.corpus import load_token_corpus
+from dclex.corpus import CHUNK_SIZE, load_token_corpus
 from dclex.errors import UsageError
-from dclex.parallel import CHUNK_SIZE
 from dclex.tagging import split_fused_token
 
 import planted
@@ -52,7 +51,6 @@ class TestValidateConfig:
         assert cfg.heuristic == "grow-diag-final"
         assert cfg.model == "model1"
         assert cfg.use_null is True
-        assert cfg.threads == 1
         assert cfg.output_dir == "out"
 
     def test_values_parsed_with_comments(self, tmp_path):
@@ -99,7 +97,6 @@ class TestValidateConfig:
         for line, message in [
             ("iterations = 0", "iterations"),
             ("min_freq = -1", "min_freq"),
-            ("threads = 0", "threads"),
             ("heuristic = magic", "heuristic"),
             ("model = model9", "model"),
             ("evidence_min_prob = 1.5", "evidence_min_prob"),
@@ -224,21 +221,30 @@ class TestPipelineRuns:
             assert all(b >= a for a, b in zip(lls, lls[1:])), lls
             assert lls == list(train_model1(pairs, cfg.iterations, cfg.use_null).log_likelihoods)
 
-    def test_manifest_is_the_same_for_any_thread_count(self, tmp_path):
-        config = planted.generate(tmp_path, pairs=CHUNK_SIZE + 300, seed=3)
+    def test_retired_threads_key_is_ignored(self, tmp_path, caplog):
+        # Configs written for older versions carry `threads`; it is logged,
+        # dropped, and recorded nowhere.
+        config = planted.generate(
+            tmp_path, pairs=300, dc_count=60, thresh_count=20, min_freq=5, iterations=3
+        )
+        lines = config.read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if not line.startswith("threads")]
+        assert len(kept) == len(lines) - 1
         manifests = []
-        for threads in (1, 3):
-            out = tmp_path / f"threads{threads}"
-            argv = ["run", "all", "--config", str(config), "--threads", str(threads)]
-            assert main([*argv, "--output", str(out)]) == 0
+        for name, body in (("threads3", [*kept, "threads = 3"]), ("plain", kept)):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text("\n".join(body) + "\n", encoding="utf-8")
+            out = tmp_path / name
+            with caplog.at_level("INFO", logger="dclex.cli"):
+                caplog.clear()
+                assert main(["run", "all", "--config", str(path), "--output", str(out)]) == 0
+            ignored = [r for r in caplog.records if "'threads' is ignored" in r.getMessage()]
+            assert len(ignored) == (name == "threads3")
             manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
             for stage in manifest["stages"].values():
                 del stage["seconds"]
-            # The two overridden keys are the only config difference.
-            assert (manifest["config"].pop("threads"), manifest["config"].pop("output_dir")) == (
-                threads,
-                str(out),
-            )
+            assert manifest["config"].pop("output_dir") == str(out)
+            assert "threads" not in manifest["config"]
             manifests.append(manifest)
         assert manifests[0] == manifests[1]
 
@@ -584,9 +590,13 @@ class TestEntryPoint:
         config = planted.generate(
             tmp_path, pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
         )
-        for flag, value, key in (("--limit", "-1", "limit"), ("--threads", "0", "threads")):
-            assert main(["ingest", "--config", str(config), flag, value]) == 2
-            assert f"config key {key!r}" in capsys.readouterr().err
+        assert main(["ingest", "--config", str(config), "--limit", "-1"]) == 2
+        assert "config key 'limit'" in capsys.readouterr().err
+        # `--threads` is gone: argparse rejects it before any config is read.
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--config", str(config), "--threads", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -610,12 +620,13 @@ def run_python(*args, **env):
 
 def test_loading_the_cli_does_not_import_numpy(tmp_path):
     # numpy costs more to import than the whole CLI; only training needs it.
+    # No stage runs a worker pool, so nothing loads concurrent.futures.
     code = (
         "import sys, dclex.cli; dclex.cli.validate_config(sys.argv[1]); "
-        "print('numpy' in sys.modules)"
+        "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     done = run_python("-c", code, write_config(tmp_path, MINIMAL))
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 def test_main_defaults_openblas_to_one_thread(tmp_path):

@@ -412,14 +412,6 @@ class TestCountOccurrences:
         freqs = count_occurrences(corpus, inv)
         assert sum(freqs.entries.values()) <= sum(len(s) for s in sentences)
 
-    def test_thread_count_does_not_change_counts(self):
-        rng = random.Random(9)
-        sentences = [[rng.choice("abc") for _ in range(6)] for _ in range(200)]
-        corpus = corpus_from_tokens(sentences)
-        inv = target_inventory("a", "b c")
-        one = count_occurrences(corpus, inv, threads=1)
-        many = count_occurrences(corpus, inv, threads=4)
-        assert one.entries == many.entries
 
 
 class TestFrequencyTableIO:

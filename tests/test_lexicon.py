@@ -12,7 +12,6 @@ from dclex.inventory import Connective
 from dclex.lexicon import (
     LexiconEntry,
     build_lexicon,
-    evidence_sites,
     format_evidence,
     group_sites,
     read_ranked_lexicon,
@@ -195,8 +194,15 @@ SRC_INVENTORY = [
 RELATIONS = ["Comparison.Concession", "Contingency.Condition"]
 
 
+def grouped_sites(corpus, alignments, tgt_inventory=INVENTORY):
+    """The counted sites of `corpus`, grouped by (fr_dc, relation)."""
+    pairs = [(pair.src_tokens, pair.tgt_tokens) for pair in corpus.pairs]
+    table = build_phrase_table(pairs, alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
+    return group_sites(corpus, table.sites, tgt_inventory, SRC_INVENTORY, RELATIONS)
+
+
 def evidence(corpus, alignments, fr_dc, relation, k, seed):
-    sites = evidence_sites(corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS)
+    sites = grouped_sites(corpus, alignments)
     return sample_evidence(corpus, sites.get((fr_dc, relation), []), k, seed)
 
 
@@ -242,7 +248,7 @@ class TestEvidence:
         with pytest.raises(PipelineError, match="sample size"):
             evidence(corpus, alignments, "même si", "R", k=0, seed=1)
         with pytest.raises(PipelineError, match="parallel"):
-            evidence_sites(corpus, alignments[:-1], INVENTORY, SRC_INVENTORY, RELATIONS)
+            grouped_sites(corpus, alignments[:-1])
 
     def test_link_outside_the_connective_does_not_qualify(self):
         # The fused token links into "même si" and also to "tard": its
@@ -255,7 +261,7 @@ class TestEvidence:
 
     def test_one_pass_serves_every_entry(self):
         corpus, alignments = evidence_fixture()
-        sites = evidence_sites(corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS)
+        sites = grouped_sites(corpus, alignments)
         assert {key: [site[0] for site in found] for key, found in sites.items()} == {
             ("même si", "Comparison.Concession"): [0, 2, 5],
             ("même si", "Contingency.Condition"): [1],
@@ -279,7 +285,7 @@ class TestEvidence:
         )
         records = filter_dc_entries(table, SRC_INVENTORY, RELATIONS)
         assert [(r.fr_dc, r.en_dc, r.count) for r in records] == [("bien que", "although", 1)]
-        sites = evidence_sites(Corpus(pairs), alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
+        sites = grouped_sites(Corpus(pairs), alignments, tgt_inventory)
         assert [site[0] for site in sites[("bien que", "Comparison.Concession")]] == [0]
 
     def test_out_of_bounds_link_is_fatal_without_an_occurrence(self):
@@ -288,14 +294,14 @@ class TestEvidence:
         links = [alignments.pair(k) for k in range(len(alignments))]
         links[3] = [(0, 5)]
         with pytest.raises(PipelineError, match="0-5 out of bounds for 2x2 pair 3"):
-            evidence_sites(corpus, Links.of(links), INVENTORY, SRC_INVENTORY, RELATIONS)
+            grouped_sites(corpus, Links.of(links))
 
     def test_unknown_label_is_fatal(self):
         pairs = (SentencePair(0, ("although-Nonsense",), ("bien", "que")),)
         alignments = Links.of([{(0, 0), (0, 1)}])
         tgt_inventory = [Connective(("bien", "que"), "target")]
         with pytest.raises(PipelineError, match="unknown relation label"):
-            evidence_sites(Corpus(pairs), alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
+            grouped_sites(Corpus(pairs), alignments, tgt_inventory)
 
     def test_grouping_takes_the_first_site_of_a_key_in_a_pair(self):
         # Pair 0 holds "même si" twice for the same fused token's relation.
@@ -311,9 +317,6 @@ class TestEvidence:
         corpus, alignments = evidence_fixture()
         pairs = [(p.src_tokens, p.tgt_tokens) for p in corpus.pairs]
         sites = build_phrase_table(pairs, alignments, INVENTORY, SRC_INVENTORY, RELATIONS).sites
-        assert group_sites(corpus, sites, INVENTORY, SRC_INVENTORY, RELATIONS) == evidence_sites(
-            corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS
-        )
         for bad, message in [
             (sites[::-1], "site 2: not in corpus order"),
             (sites + (sites[-1],), "site 5: not in corpus order"),

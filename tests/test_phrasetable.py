@@ -6,17 +6,16 @@ from collections import Counter
 import pytest
 
 from dclex.alignment import Alignment, Links
-from dclex.corpus import Corpus, SentencePair, count_occurrences
+from dclex.corpus import CHUNK_SIZE, Corpus, SentencePair, count_occurrences
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
-from dclex.parallel import CHUNK_SIZE
-from dclex.lexicon import build_lexicon, evidence_sites
+from dclex.lexicon import build_lexicon, group_sites
 from dclex.phrasetable import (
     DCAlignmentRecord,
     PhraseTableEntry,
     build_phrase_table,
+    check_links,
     connective_occurrences,
-    extract_phrase_pairs,
     filter_dc_entries,
     fused_connective,
     read_dc_records,
@@ -27,7 +26,11 @@ from dclex.phrasetable import (
 )
 from dclex.tagging import split_fused_token
 
-from oracles import connective_sources_reference, consistent_phrase_pairs_reference
+from oracles import (
+    connective_boxes_reference,
+    connective_sources_reference,
+    consistent_phrase_pairs_reference,
+)
 
 
 def aln(*pairs):
@@ -39,78 +42,87 @@ def columns(alignments):
 
 
 class TestExtraction:
-    # 0:even_though-X 1:late 2:, 3:fine  /  0:même 1:si 2:tard 3:, 4:bon
-    SRC = ("even_though-Comparison.Concession", "late", ",", "fine")
+    """Worked examples of the one-token box decision of
+    `connective_occurrences`, against exhaustive box enumeration."""
+
+    # 0:even_though-Concession 1:late 2:, 3:fine  /  0:même 1:si 2:tard 3:, 4:bon
+    SRC = ("even_though-Concession", "late", ",", "fine")
     TGT = ("même", "si", "tard", ",", "bon")
-    LINKS = aln((0, 0), (0, 1), (1, 2), (3, 4))
+    LINKS = {(0, 0), (0, 1), (1, 2), (3, 4)}
+    FORMS = [("même",), ("même", "si"), ("tard",), ("bon",)]
+
+    def decide(self, src, tgt, links, forms=FORMS, max_len=7):
+        """(start, form, source) of each occurrence in the pair, checked
+        against both references."""
+        inventory = [Connective(f, "target") for f in forms]
+        got = [
+            occurrence[:4]
+            for occurrence in connective_occurrences(
+                [(src, tgt)], columns([aln(*links)]), inventory, SRC_INV, RELATIONS, max_len
+            )
+        ]
+        assert got == list(connective_sources_reference([(src, tgt)], [links], forms, max_len))
+        assert got == connective_boxes_reference((src, tgt), links, forms, max_len)
+        return [(start, form, i) for _, start, form, i in got]
 
     def test_connective_box_is_extracted(self):
-        got = extract_phrase_pairs(self.SRC, self.TGT, self.LINKS)
-        assert (("even_though-Comparison.Concession",), ("même", "si")) in got
+        table = build_phrase_table(
+            [(self.SRC, self.TGT)], columns([aln(*self.LINKS)]),
+            [Connective(f, "target") for f in self.FORMS], SRC_INV, RELATIONS,
+        )
+        assert list(table) == [PhraseTableEntry((self.SRC[0],), ("même", "si"), 1)]
+        assert table.occurrences == 3
 
     def test_matches_brute_force_on_worked_example(self):
-        got = Counter(extract_phrase_pairs(self.SRC, self.TGT, self.LINKS, max_len=3))
-        want = Counter(
-            consistent_phrase_pairs_reference(self.SRC, self.TGT, self.LINKS.links, 3)
-        )
-        assert got == want
+        assert self.decide(self.SRC, self.TGT, self.LINKS) == [
+            (0, ("même", "si"), 0), (2, ("tard",), 1), (4, ("bon",), 3)
+        ]
 
     def test_no_links_yields_nothing(self):
-        assert extract_phrase_pairs(("a",), ("x",), aln()) == []
+        assert [i for *_, i in self.decide(self.SRC, self.TGT, set())] == [None] * 3
 
     def test_max_len_one_keeps_single_token_boxes_only(self):
-        got = extract_phrase_pairs(self.SRC, self.TGT, self.LINKS, max_len=1)
-        assert got
-        assert all(len(s) == 1 and len(t) == 1 for s, t in got)
+        assert self.decide(self.SRC, self.TGT, self.LINKS, max_len=1) == [
+            (0, ("même", "si"), None), (2, ("tard",), 1), (4, ("bon",), 3)
+        ]
 
     def test_unaligned_boundary_words_extend_boxes(self):
-        src = ("a", "b")
-        tgt = ("x", "y")  # y unaligned
-        got = extract_phrase_pairs(src, tgt, aln((0, 0), (1, 0)), max_len=2)
-        assert (("a", "b"), ("x",)) in got
-        assert (("a", "b"), ("x", "y")) in got
+        # y is unaligned; the box over the whole form holds it.
+        assert self.decide(("a",), ("x", "y"), {(0, 0)}, [("x", "y")]) == [(0, ("x", "y"), 0)]
 
     def test_crossing_link_blocks_box(self):
-        # tgt 0 links to src 0 and src 2: span (0,0)x(0,0) is inconsistent.
-        got = extract_phrase_pairs(
-            ("a", "b", "c"), ("x",), aln((0, 0), (2, 0)), max_len=1
-        )
-        assert got == []
+        # x links to a and c: no one-token box holds the span.
+        got = self.decide(("a", "b", "c"), ("x",), {(0, 0), (2, 0)}, [("x",)])
+        assert got == [(0, ("x",), None)]
 
     def test_out_of_bounds_link_is_fatal(self):
-        with pytest.raises(PipelineError, match="out of bounds"):
-            extract_phrase_pairs(("a",), ("x",), aln((0, 5)))
+        with pytest.raises(PipelineError, match="0-5 out of bounds for 1x1 pair 0"):
+            check_links([(("a",), ("x",))], columns([aln((0, 5))]))
 
     def test_bad_max_len_is_fatal(self):
-        with pytest.raises(PipelineError, match="max_len"):
-            extract_phrase_pairs(("a",), ("x",), aln((0, 0)), max_len=0)
+        with pytest.raises(PipelineError, match="max_len must be >= 1, got 0"):
+            self.decide(("a",), ("x",), {(0, 0)}, [("x",)], max_len=0)
 
     def test_matches_brute_force_on_random_pairs(self):
         rng = random.Random(4242)
         vocab = ["p", "q", "r"]
+        forms = [("p",), ("q", "r"), ("p", "q", "r"), ("r", "r")]
         for _ in range(120):
             n, m = rng.randint(1, 7), rng.randint(1, 7)
             src = tuple(rng.choice(vocab) for _ in range(n))
             tgt = tuple(rng.choice(vocab) for _ in range(m))
-            link_set = frozenset(
-                (i, j) for i in range(n) for j in range(m) if rng.random() < 0.2
-            )
-            max_len = rng.randint(1, 7)
-            got = Counter(
-                extract_phrase_pairs(src, tgt, Alignment(link_set), max_len)
-            )
-            want = Counter(
-                consistent_phrase_pairs_reference(src, tgt, link_set, max_len)
-            )
-            assert got == want, (src, tgt, sorted(link_set), max_len)
+            link_set = {(i, j) for i in range(n) for j in range(m) if rng.random() < 0.2}
+            self.decide(src, tgt, link_set, forms, rng.randint(1, 7))
 
 
 def fused_rows_reference(pairs, alignments, forms, max_len):
-    """The full phrase table, then its rows pairing one fused source token
-    with an inventory form."""
+    """Every consistent phrase pair, then those pairing one fused source
+    token with an inventory form."""
     rows = Counter()
     for (src, tgt), alignment in zip(pairs, alignments):
-        for src_phrase, tgt_phrase in extract_phrase_pairs(src, tgt, alignment, max_len):
+        for src_phrase, tgt_phrase in consistent_phrase_pairs_reference(
+            src, tgt, alignment.links, max_len
+        ):
             if (
                 len(src_phrase) == 1
                 and split_fused_token(src_phrase[0]) is not None
@@ -238,9 +250,7 @@ class TestBuildPhraseTable:
         pairs = [((self.FUSED,), ("même",))] * CHUNK_SIZE + [(("a", "b"), ("x",))]
         alignments = [aln((0, 0))] * CHUNK_SIZE + [aln((1, 1))]
         with pytest.raises(PipelineError, match=f"1-1 out of bounds for 2x1 pair {CHUNK_SIZE}$"):
-            build_phrase_table(
-                pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS, threads=2
-            )
+            build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
 
     def test_equals_filtered_full_table_without_nested_forms(self):
         # Forms share no token and repeat none, so no two occurrences can
@@ -288,24 +298,6 @@ class TestBuildPhraseTable:
                 assert count <= freqs.count(form), (form, pairs, alignments)
             assert table.occurrences == sum(freqs.entries.values())
 
-    def test_thread_count_is_invisible_in_output(self):
-        rng = random.Random(6)
-        pairs = []
-        alignments = []
-        for _ in range(2500):
-            n, m = rng.randint(1, 5), rng.randint(1, 5)
-            pairs.append(
-                (
-                    tuple(rng.choice(["a-R", "b-S", "c"]) for _ in range(n)),
-                    tuple(rng.choice("xy") for _ in range(m)),
-                )
-            )
-            alignments.append(random_links(rng, n, m, 0.3))
-        inventory = [Connective(("x",), "target"), Connective(("x", "y"), "target")]
-        one = build_phrase_table(pairs, columns(alignments), inventory, SRC_INV, RELATIONS, threads=1)
-        many = build_phrase_table(pairs, columns(alignments), inventory, SRC_INV, RELATIONS, threads=4)
-        assert one.entries
-        assert one == many
 
 
 # Pairs that every decision batch holds, at the start and across the chunk
@@ -399,9 +391,10 @@ def test_evidence_cites_exactly_the_pairs_extract_counts():
         pairs, alignments = random_nested_corpus(rng, ["p", "a-R1", "b-R2", "a-R2", "c-R1"])
         max_len = rng.randint(1, 4)
         corpus = Corpus(tuple(SentencePair(k, *p) for k, p in enumerate(pairs)))
-        sites = evidence_sites(
-            corpus, columns(alignments), NESTED_FORMS, SRC_INV, RELATIONS, max_len
+        table = build_phrase_table(
+            pairs, columns(alignments), NESTED_FORMS, SRC_INV, RELATIONS, max_len
         )
+        sites = group_sites(corpus, table.sites, NESTED_FORMS, SRC_INV, RELATIONS)
         want: dict[tuple[str, str], list[int]] = {}
         for k in range(len(pairs)):
             table = build_phrase_table(
