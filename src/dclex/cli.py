@@ -57,7 +57,6 @@ ARTIFACTS = {
     "dc_records": "dc_records.tsv",
     "lexicon": "lexicon.tsv",
     "eval_report": "eval_report.txt",
-    "pr_points": "pr_points.tsv",
     "evidence": "evidence.txt",
     "table1": "table1.tsv",
     "manifest": "manifest.json",
@@ -91,7 +90,6 @@ class PipelineConfig:
     model: str = "model1"
     evidence_k: int = 5
     evidence_min_prob: float = 0.01
-    dump_pr_points: bool = False
     dump_ttables: bool = False
 
 
@@ -263,11 +261,11 @@ def _require_config_path(cfg: PipelineConfig, key: str) -> str:
 
 
 def _load_target_inventory(cfg: PipelineConfig) -> list[inv.Connective]:
-    return inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"), "target")
+    return inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
 
 
 def _load_source_inventory(cfg: PipelineConfig) -> list[inv.Connective]:
-    return inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"), "source")
+    return inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
 
 
 def _load_induced_relations(cfg: PipelineConfig) -> list[str]:
@@ -289,29 +287,27 @@ def _load_relation_map(cfg: PipelineConfig, induced: list[str], gold: list[str])
 
 
 # What a stage of one `run all` hands to the later stages that read it, by
-# name (see `main`): "corpus", ingest's (source, target) columns, read by
-# tag; "occurrences", ingest's target connective occurrences, read by
-# extract; "work", tag's (fused source, target) columns, read by align,
-# extract and evidence; "links", align's symmetrized links, read by extract;
-# "sites", extract's sites, read by evidence. Pair k is line k of the token
-# files.
+# name (see `main`): "corpus", ingest's `Bitext`, read by tag;
+# "occurrences", ingest's target connective occurrences, read by extract;
+# "work", tag's `Bitext` of the fused source and the target side, read by
+# align, extract and evidence; "links", align's symmetrized links, read by
+# extract; "sites", extract's sites, read by evidence. Pair k is line k of
+# the token files.
 Handoff = dict[str, object]
-Columns = tuple[cp.TokenColumns, cp.TokenColumns]
 
 
-def _load_columns(cfg: PipelineConfig, src: str, produced_by: str) -> Columns:
+def _load_pairs(cfg: PipelineConfig, src: str, produced_by: str) -> cp.Bitext:
     """The token file `src` and the target token file, interned."""
     src_path = _require(cfg, src, produced_by)
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
-    pairs = cp.load_token_corpus(str(src_path), str(tgt_path)).pairs
-    return pairs.src, pairs.tgt
+    return cp.load_token_corpus(str(src_path), str(tgt_path)).pairs
 
 
-def _work_columns(cfg: PipelineConfig, handoff: Handoff) -> Columns:
+def _work_pairs(cfg: PipelineConfig, handoff: Handoff) -> cp.Bitext:
     """The fused source side and the target side, as the aligner saw them."""
     if "work" in handoff:
         return handoff["work"]
-    return _load_columns(cfg, "fused_src", "tag")
+    return _load_pairs(cfg, "fused_src", "tag")
 
 
 def _stage_ingest(
@@ -326,13 +322,12 @@ def _stage_ingest(
     )
     if not corpus.pairs:
         raise PipelineError("corpus is empty after loading")
-    src, tgt = corpus.pairs.src, corpus.pairs.tgt
-    cp.write_token_file(src, _out(cfg, "corpus_src"))
-    cp.write_token_file(tgt, _out(cfg, "corpus_tgt"))
+    cp.write_token_file(corpus.pairs.src, _out(cfg, "corpus_src"))
+    cp.write_token_file(corpus.pairs.tgt, _out(cfg, "corpus_tgt"))
     tgt_inventory = _load_target_inventory(cfg)
     freqs = cp.count_occurrences(corpus, tgt_inventory)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
-    handoff["corpus"] = src, tgt
+    handoff["corpus"] = corpus.pairs
     handoff["occurrences"] = freqs.occurrences
     return {"pairs": len(corpus.pairs), "target_forms": len(freqs.entries)}
 
@@ -341,9 +336,10 @@ def _stage_tag(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
     if "corpus" in handoff:
-        src, tgt = handoff.pop("corpus")
+        pairs = handoff.pop("corpus")
     else:
-        src, tgt = _load_columns(cfg, "corpus_src", "ingest")
+        pairs = _load_pairs(cfg, "corpus_src", "ingest")
+    src = pairs.src
     if cfg.annotations:
         annotations = tg.load_annotations(_require_config_path(cfg, "annotations"), src)
     else:
@@ -356,14 +352,15 @@ def _stage_tag(
         annotations = tg.heuristic_tag(src, src_inventory, senses)
     fused = tg.fuse_corpus(src, annotations)
     tg.write_fused_corpus(fused, _out(cfg, "fused_src"))
-    handoff["work"] = fused, tgt
+    handoff["work"] = cp.Bitext(fused, pairs.tgt)
     return {"annotations": len(annotations), "sentences": len(fused)}
 
 
 def _stage_align(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, object]:
-    src, tgt = _work_columns(cfg, handoff)
+    pairs = _work_pairs(cfg, handoff)
+    src, tgt = pairs.src, pairs.tgt
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
 
     def decode(model: al.TranslationTable, ttable: str) -> al.Links:
@@ -371,7 +368,7 @@ def _stage_align(
             al.write_translation_table(model, _out(cfg, ttable))
         return al.Links.concat(process_chunks(model.viterbi_training_pairs, range(len(src))))
 
-    model = train(cp.Bitext(src, tgt), cfg.iterations, cfg.use_null)
+    model = train(pairs, cfg.iterations, cfg.use_null)
     fwd = decode(model, "ttable_fwd")
     fwd_ll, fwd_entries = model.log_likelihoods, model.entries
     # The backward model takes its cells from the decoded forward one, whose
@@ -402,7 +399,7 @@ def _stage_align(
 def _stage_extract(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
-    src, tgt = _work_columns(cfg, handoff)
+    pairs = _work_pairs(cfg, handoff)
     if "links" in handoff:
         links = handoff.pop("links")
     else:
@@ -412,7 +409,7 @@ def _stage_extract(
     # Ingest's occurrences are those of the same target side; alone, the
     # stage scans it.
     table = pt.build_phrase_table(
-        cp.Bitext(src, tgt),
+        pairs,
         links,
         tgt_inventory,
         src_inventory,
@@ -455,8 +452,6 @@ def _stage_eval(
     relation_map = _load_relation_map(cfg, induced, gold_relations)
     report = ev.evaluate(ranked, gold, relation_map)
     ev.write_eval_report(report, _out(cfg, "eval_report"))
-    if cfg.dump_pr_points:
-        ev.write_pr_points(report, _out(cfg, "pr_points"))
     return {
         "relevant_retrieved": report.counts.relevant_retrieved,
         "total_relevant": report.counts.total_relevant,
@@ -473,7 +468,7 @@ def _stage_evidence(
     else:
         rows = pt.read_sites(sites_path)
     if "work" in handoff:
-        work = cp.Corpus(cp.PairColumns(*handoff.pop("work")))
+        work = cp.Corpus(handoff.pop("work"))
     else:
         # Only the pairs the sites name are split into tokens; numpy is not
         # loaded.

@@ -1,13 +1,16 @@
 """Parallel corpus loading, tokenization, interning, and connective
 occurrence scanning.
 
-Each side of a corpus is held interned, as `TokenColumns`: a vocabulary,
-each word once in order of first appearance, and the int32 word id of every
-token, sentence after sentence, cut by int64 offsets. Ingest tokenizes and
-interns a side in bulk (`load_parallel_corpus`): it lowercases the whole
-text once and splits each distinct whitespace chunk once. A token file read
-back (`load_token_corpus`) is interned by the same function, its chunks
-taken as they are.
+A corpus is a `Bitext`: a source and a target side of one length, pair k
+being sentence k of each. A side is held interned, as `TokenColumns`: a
+vocabulary, each word once in order of first appearance, and the int32 word
+id of every token, sentence after sentence, cut by int64 offsets. Ingest
+tokenizes and interns a side in bulk (`load_parallel_corpus`): it
+lowercases the whole text once and splits each distinct whitespace chunk
+once. A token file read back (`load_token_corpus`) is interned by the same
+function, its chunks taken as they are; one opened without interning
+(`open_token_corpus`) splits a line only when its pair is read. Token
+sequences from elsewhere are interned by `Bitext.of` and `TokenColumns.of`.
 
 Connective occurrences are found on the ids (`FormScan`): numpy follows the
 positions whose word starts some form through a trie of the forms, and
@@ -59,16 +62,6 @@ class TokenizerOptions:
 
     lowercase: bool = True
     skip_empty: bool = True
-
-
-@dataclass(frozen=True)
-class SentencePair:
-    """One aligned sentence pair; `id` is the line number (0-based) in the
-    files the corpus was loaded from."""
-
-    id: int
-    src_tokens: tuple[str, ...]
-    tgt_tokens: tuple[str, ...]
 
 
 class TokenColumns(Sequence[tuple[str, ...]]):
@@ -223,49 +216,6 @@ def _spans(starts, lengths, out=None):
     return np.cumsum(out, out=out)
 
 
-class PairColumns(Sequence[SentencePair]):
-    """Pairs 0..n-1 over a source and a target column of token sequences
-    (`TokenColumns`, or `_SplitLines`), pair k made when it is read. Its id
-    is `ids[k]`, or k without `ids`. The pairs `take` reads are kept, so a
-    later read of one of them is a lookup."""
-
-    __slots__ = ("src", "tgt", "ids", "_taken")
-
-    def __init__(
-        self,
-        src: Sequence[tuple[str, ...]],
-        tgt: Sequence[tuple[str, ...]],
-        ids: Sequence[int] | None = None,
-    ) -> None:
-        self.src, self.tgt, self.ids = src, tgt, ids
-        self._taken: dict[int, SentencePair] = {}
-
-    def __len__(self) -> int:
-        return len(self.src)
-
-    def __getitem__(self, k: int) -> SentencePair:  # type: ignore[override]
-        pair = self._taken.get(k)
-        if pair is not None:
-            return pair
-        if not 0 <= k < len(self.src):
-            raise IndexError(k)
-        return SentencePair(k if self.ids is None else self.ids[k], self.src[k], self.tgt[k])
-
-    def take(self, ks: Sequence[int]) -> list[SentencePair]:
-        """Pairs `ks`, each side read in one pass, and kept."""
-        ids = ks if self.ids is None else [self.ids[k] for k in ks]
-        pairs = list(map(SentencePair, ids, self.src.take(ks), self.tgt.take(ks)))
-        self._taken.update(zip(ks, pairs))
-        return pairs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairColumns):
-            return NotImplemented
-        return len(self) == len(other) and all(map(SentencePair.__eq__, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-
 class _SplitLines(Sequence[tuple[str, ...]]):
     """Lines of a token file, line k split on whitespace when it is read."""
 
@@ -285,12 +235,13 @@ class _SplitLines(Sequence[tuple[str, ...]]):
 
 
 class Bitext(Sequence[tuple[tuple[str, ...], tuple[str, ...]]]):
-    """Sentence pairs as two `TokenColumns` of one length: pair k is
-    (src[k], tgt[k])."""
+    """Sentence pairs as a source and a target side of one length: pair k
+    is (src[k], tgt[k]). Each side is `TokenColumns`, or `_SplitLines` for
+    a corpus opened without interning (`open_token_corpus`)."""
 
     __slots__ = ("src", "tgt")
 
-    def __init__(self, src: TokenColumns, tgt: TokenColumns) -> None:
+    def __init__(self, src: TokenColumns | _SplitLines, tgt: TokenColumns | _SplitLines) -> None:
         self.src, self.tgt = src, tgt
 
     @classmethod
@@ -313,19 +264,16 @@ class Bitext(Sequence[tuple[tuple[str, ...], tuple[str, ...]]]):
     def __iter__(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
         return zip(self.src, self.tgt)
 
+    def take(self, ks: Sequence[int]) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Pairs `ks`, each side read in one pass."""
+        return list(zip(self.src.take(ks), self.tgt.take(ks)))
+
 
 @dataclass(frozen=True)
 class Corpus:
-    pairs: Sequence[SentencePair]
+    """A loaded corpus: pair k is line k of each side's token file."""
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def take(self, ks: Sequence[int]) -> list[SentencePair]:
-        """Pairs `ks`, read in one pass where the pairs are columns."""
-        if isinstance(self.pairs, PairColumns):
-            return self.pairs.take(ks)
-        return [self.pairs[k] for k in ks]
+    pairs: Bitext
 
 
 def _is_punct(ch: str) -> bool:
@@ -398,10 +346,11 @@ def load_parallel_corpus(
     limit: int | None = None,
 ) -> Corpus:
     """Load two line-aligned UTF-8 files into a tokenized corpus, each side
-    interned as `TokenColumns` (the pairs are `PairColumns`).
+    interned as `TokenColumns`.
 
-    Pair ids are line numbers; skipped empty pairs leave gaps rather than
-    renumbering, so ids always point back into the input files.
+    Pairs are numbered from 0 in the order they are kept: with skipped empty
+    pairs, pair k is line k of the token files written from it, not of the
+    input files.
     """
     import numpy as np
 
@@ -433,7 +382,7 @@ def load_parallel_corpus(
         return TokenColumns(columns.vocab, columns.ids, offsets)
 
     src, tgt = side(src_lines, src_chunks), side(tgt_lines, tgt_chunks)
-    return Corpus(PairColumns(src, tgt, lines.tolist()))
+    return Corpus(Bitext(src, tgt))
 
 
 def _empty_token_line(lineno: int) -> PipelineError:
@@ -452,7 +401,7 @@ def load_token_corpus(src_path: str, tgt_path: str) -> Corpus:
         raise _empty_token_line(int(np.argmax(empty)))
     src = _intern_lines(src_lines, src_chunks, split=False)
     tgt = _intern_lines(tgt_lines, tgt_chunks, split=False)
-    return Corpus(PairColumns(src, tgt))
+    return Corpus(Bitext(src, tgt))
 
 
 def open_token_corpus(src_path: str, tgt_path: str) -> Corpus:
@@ -464,7 +413,7 @@ def open_token_corpus(src_path: str, tgt_path: str) -> Corpus:
         for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
             if not src_line.strip() or not tgt_line.strip():
                 raise _empty_token_line(lineno)
-    return Corpus(PairColumns(_SplitLines(src_lines), _SplitLines(tgt_lines)))
+    return Corpus(Bitext(_SplitLines(src_lines), _SplitLines(tgt_lines)))
 
 
 def write_token_file(sentences: Iterable[Sequence[str]], path: str) -> None:
@@ -656,11 +605,7 @@ def count_occurrences(
     """
     if not inventory:
         raise PipelineError("empty connective inventory")
-    pairs = corpus.pairs
-    if isinstance(pairs, PairColumns):
-        tgt = TokenColumns.of(pairs.tgt)
-    else:
-        tgt = TokenColumns.intern(pair.tgt_tokens for pair in pairs)
+    tgt = TokenColumns.of(corpus.pairs.tgt)
     scan = FormScan((c.surface for c in inventory), tgt.vocab)
     found = Occurrences.concat(scan.forms, process_chunks(partial(scan, tgt), range(len(tgt))))
     counts = found.counts()

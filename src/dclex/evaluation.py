@@ -45,7 +45,6 @@ class EvalCounts:
 
 @dataclass(frozen=True)
 class EvalReport:
-    pr_points: tuple[tuple[Fraction, Fraction], ...]  # (recall, precision) per rank
     curve11: tuple[Fraction, ...]
     avep: Fraction
     recall_final: Fraction
@@ -132,7 +131,7 @@ def average_precision(relevance: RelevanceList) -> Fraction:
 def evaluate(
     ranked: RankedLexicon, gold: GoldLexicon, relation_map: RelationMap
 ) -> EvalReport:
-    """Full evaluation: PR points, 11-point curve, AveP, recall, counts.
+    """Full evaluation: 11-point curve, AveP, recall, counts.
 
     Recall is reported at pair level (gold pairs retrieved / N) and the
     counts allow connective-level recall (distinct gold connectives with at
@@ -147,7 +146,7 @@ def evaluate(
     gold_dcs = {surface for surface, _ in gold.entries}
     retrieved_dcs = {item.fr_dc for item in relevance.items if item.is_relevant}
     counts = EvalCounts(hits, relevance.total_relevant, len(retrieved_dcs), len(gold_dcs))
-    return EvalReport(tuple(points), curve, avep, recall_final, counts)
+    return EvalReport(curve, avep, recall_final, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +186,3 @@ def render_eval_report(report: EvalReport) -> str:
 def write_eval_report(report: EvalReport, path: str) -> None:
     atomic_write_text(path, render_eval_report(report))
 
-
-def write_pr_points(report: EvalReport, path: str) -> None:
-    """Optional dump: `rank<TAB>recall<TAB>precision` per retrieved rank."""
-    lines = [
-        f"{rank}\t{_dec(recall)}\t{_dec(precision)}\n"
-        for rank, (recall, precision) in enumerate(report.pr_points, start=1)
-    ]
-    atomic_write_text(path, "".join(lines))

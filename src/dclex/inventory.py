@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from importlib import resources
-from typing import Literal
 
 from .corpus import FrequencyTable, tokenize, TokenizerOptions
 from .errors import PipelineError
@@ -15,13 +14,10 @@ logger = logging.getLogger(__name__)
 
 _TOKENIZE_LOWER = TokenizerOptions(lowercase=True)
 
-Side = Literal["source", "target"]
-
 
 @dataclass(frozen=True)
 class Connective:
     surface: tuple[str, ...]
-    language: Side
 
     @property
     def text(self) -> str:
@@ -46,7 +42,7 @@ class RelationMap:
         return self.pairs.get(relation)
 
 
-def load_connective_inventory(path: str, language: Side) -> list[Connective]:
+def load_connective_inventory(path: str) -> list[Connective]:
     """Load one surface form per line; lowercased, deduplicated in order."""
     seen: dict[tuple[str, ...], None] = {}
     for lineno, payload in iter_data_lines(read_text_strict(path)):
@@ -59,7 +55,7 @@ def load_connective_inventory(path: str, language: Side) -> list[Connective]:
         seen[surface] = None
     if not seen:
         raise PipelineError(f"{path}: empty connective inventory")
-    return [Connective(surface, language) for surface in seen]
+    return [Connective(surface) for surface in seen]
 
 
 def _parse_relation_inventory(text: str, origin: str) -> list[str]:

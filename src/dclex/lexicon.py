@@ -113,7 +113,8 @@ def read_ranked_lexicon(path: str) -> RankedLexicon:
 
 @dataclass(frozen=True)
 class EvidenceExcerpt:
-    """One sentence pair with both connectives highlighted as __span__."""
+    """Pair `pair_id` (line `pair_id` of the token files, 0-based) with both
+    connectives highlighted as __span__."""
 
     pair_id: int
     src_text: str
@@ -149,7 +150,7 @@ def group_sites(
     grouped: dict[tuple[str, str], list[Site]] = {}
     sites = list(sites)
     n = len(corpus.pairs)
-    pairs = iter(corpus.take([index for index, *_ in sites if 0 <= index < n]))
+    pairs = iter(corpus.pairs.take([index for index, *_ in sites if 0 <= index < n]))
     last = (-1, -1)
     for row, site in enumerate(sites, start=1):
         index, i, start, end = site
@@ -158,8 +159,7 @@ def group_sites(
         last = (index, start)
         if not 0 <= index < n:
             raise PipelineError(f"site {row}: no pair {index} in a corpus of {n}")
-        pair = next(pairs)
-        src, tgt = pair.src_tokens, pair.tgt_tokens
+        src, tgt = next(pairs)
         if not (0 <= i < len(src) and 0 <= start <= end < len(tgt)):
             raise PipelineError(
                 f"site {row}: {i} / {start}-{end} out of bounds "
@@ -192,9 +192,8 @@ def sample_evidence(
     chosen = list(sites) if len(sites) <= k else random.Random(seed).sample(sites, k)
     excerpts = []
     for index, i, start, end in chosen:
-        pair = corpus.pairs[index]
-        src, tgt = _highlight(pair.src_tokens, i, i), _highlight(pair.tgt_tokens, start, end)
-        excerpts.append(EvidenceExcerpt(pair.id, src, tgt))
+        src, tgt = corpus.pairs[index]
+        excerpts.append(EvidenceExcerpt(index, _highlight(src, i, i), _highlight(tgt, start, end)))
     return excerpts
 
 

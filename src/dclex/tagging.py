@@ -4,6 +4,11 @@ A tagged connective occurrence is collapsed into a single token
 ``surface_with_underscores-RelationLabel`` (e.g. ``even_though-Comparison.Concession``)
 so that the word aligner sees one relation-bearing unit. Fusion is
 reversible: split at the last '-', map underscores back to spaces.
+
+The source side is fused on its ids (`fuse_corpus`): it goes in and comes
+out as `TokenColumns`, the source side of the corpus's `Bitext`, and only
+the tagged sentences change. Annotations name sentence k of that side, line
+k of `corpus.src`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Mapping, Sequence
 from .corpus import (
     FormScan,
     Occurrences,
-    SentencePair,
     TokenColumns,
     _spans,
     process_chunks,
@@ -62,12 +66,6 @@ class DCAnnotation:
                 )
 
 
-@dataclass(frozen=True)
-class FusedSentence:
-    sentence_id: int
-    tokens: tuple[str, ...]
-
-
 def fuse_token(span_tokens: Sequence[str], relation: str) -> str:
     return SURFACE_JOINER.join(span_tokens) + SENSE_SEPARATOR + relation
 
@@ -80,94 +78,47 @@ def split_fused_token(token: str) -> tuple[tuple[str, ...], str] | None:
     return tuple(head.split(SURFACE_JOINER)), relation
 
 
-def _check_span(sentence_id: int, tokens: Sequence[str], ann: DCAnnotation) -> None:
-    if ann.sentence_id != sentence_id:
-        raise PipelineError(
-            f"annotation for sentence {ann.sentence_id} applied to pair {sentence_id}"
-        )
+def _check_span(tokens: Sequence[str], ann: DCAnnotation) -> None:
+    """Check that `ann`'s span lies in `tokens`, its sentence, and spells its
+    surface, case aside."""
     if ann.end >= len(tokens):
         raise PipelineError(
-            f"sentence {sentence_id}: span [{ann.start}, {ann.end}] out of bounds "
+            f"sentence {ann.sentence_id}: span [{ann.start}, {ann.end}] out of bounds "
             f"(length {len(tokens)})"
         )
     actual = tuple(t.lower() for t in tokens[ann.start : ann.end + 1])
     expected = tuple(t.lower() for t in ann.surface)
     if actual != expected:
         raise PipelineError(
-            f"sentence {sentence_id}: tokens {actual!r} at [{ann.start}, {ann.end}] "
+            f"sentence {ann.sentence_id}: tokens {actual!r} at [{ann.start}, {ann.end}] "
             f"do not match annotated surface {expected!r}"
         )
 
 
-def _fuse(
-    sentence_id: int, tokens: tuple[str, ...], annotations: Sequence[DCAnnotation]
-) -> tuple[str, ...]:
-    anns = sorted(annotations, key=lambda a: a.start)
-    prev_end = -1
-    for ann in anns:
-        _check_span(sentence_id, tokens, ann)
-        if ann.start <= prev_end:
-            raise PipelineError(f"sentence {sentence_id}: overlapping annotation at {ann.start}")
-        prev_end = ann.end
-    fused: list[str] = []
-    pos = 0
-    for ann in anns:
-        fused.extend(tokens[pos : ann.start])
-        if ann.discourse_usage:
-            assert ann.relation is not None
-            fused.append(fuse_token(tokens[ann.start : ann.end + 1], ann.relation))
-        else:
-            fused.extend(tokens[ann.start : ann.end + 1])
-        pos = ann.end + 1
-    fused.extend(tokens[pos:])
-    return tuple(fused)
+def fuse_corpus(sentences: Sentences, annotations: Sequence[DCAnnotation]) -> TokenColumns:
+    """Replace each discourse-usage span with a single fused token, on the
+    ids: the fused token is added to the vocabulary when new, and the rest
+    of the span is dropped. Non-discourse annotations and untagged tokens
+    pass through unchanged, and no sentence is rebuilt. `sentences` are
+    interned first unless they are `TokenColumns` already.
 
-
-def fuse_tokens(pair: SentencePair, annotations: Sequence[DCAnnotation]) -> FusedSentence:
-    """Replace each discourse-usage span with a single fused token.
-
-    Non-discourse annotations and untagged tokens pass through unchanged.
-    New token count = original - sum(span_len - 1) over fused spans.
+    A sentence's annotations are checked in order of start: the first whose
+    span `_check_span` rejects, or that overlaps the one before it, fails,
+    and the first sentence holding such an annotation is the one reported.
     """
-    return FusedSentence(pair.id, _fuse(pair.id, pair.src_tokens, annotations))
-
-
-def fuse_corpus(sentences: Sentences, annotations: Sequence[DCAnnotation]) -> Sentences:
-    """The tokens `fuse_tokens` gives for each sentence; a sentence without
-    annotations is passed on as it is. `TokenColumns` give `TokenColumns`
-    (see `_fuse_columns`); other sentences give a list."""
-    by_sentence: dict[int, list[DCAnnotation]] = {}
-    for ann in annotations:
-        by_sentence.setdefault(ann.sentence_id, []).append(ann)
-    n = len(sentences)
-    for sid in by_sentence:
-        if not 0 <= sid < n:
-            raise PipelineError(f"annotation references unknown sentence id {sid}")
-    if isinstance(sentences, TokenColumns):
-        return _fuse_columns(sentences, annotations, by_sentence)
-    fused = list(sentences)
-    for sid in sorted(by_sentence):
-        fused[sid] = _fuse(sid, sentences[sid], by_sentence[sid])
-    return fused
-
-
-def _fuse_columns(
-    columns: TokenColumns,
-    annotations: Sequence[DCAnnotation],
-    by_sentence: Mapping[int, Sequence[DCAnnotation]],
-) -> TokenColumns:
-    """`fuse_corpus` on the ids: each discourse-usage span becomes the id of
-    its fused token, added to the vocabulary when new, and the rest of the
-    span is dropped; no sentence is rebuilt. A sentence whose annotations
-    `_fuse` would reject is handed to it, to fail as it fails."""
     import numpy as np
 
+    columns = TokenColumns.of(sentences)
+    n = len(columns)
+    for ann in annotations:
+        if not 0 <= ann.sentence_id < n:
+            raise PipelineError(f"annotation references unknown sentence id {ann.sentence_id}")
     if not annotations:
         return columns
     sid, start, end = np.array(
         [(a.sentence_id, a.start, a.end) for a in annotations], np.int64
     ).T
-    order = np.lexsort((start, sid))  # stable: as `_fuse` sorts each sentence
+    order = np.lexsort((start, sid))  # stable: annotations of one start stay in input order
     sid, start, end = sid[order], start[order], end[order]
     anns = [annotations[a] for a in order.tolist()]
     inside = end < columns.lengths()[sid]
@@ -199,9 +150,9 @@ def _fuse_columns(
                 fused[key] = fuse_token([vocab[w] for w in span], ann.relation)
             tokens[a] = fused[key]
     if bad.any():
-        first = int(sid[np.argmax(bad)])
-        _fuse(first, columns[first], by_sentence[first])
-        raise AssertionError(f"sentence {first} fused without error")
+        a = int(np.argmax(bad))
+        _check_span(columns[int(sid[a])], anns[a])
+        raise PipelineError(f"sentence {sid[a]}: overlapping annotation at {start[a]}")
     kept = np.flatnonzero([token is not None for token in tokens])
     if not len(kept):
         return columns
@@ -253,7 +204,7 @@ def load_annotations(path: str, sentences: Sentences) -> list[DCAnnotation]:
             raise PipelineError(f"{path}: unknown sentence id {sid} at record {lineno}")
         try:
             ann = DCAnnotation(sid, start, end, surface, relation, usage)
-            _check_span(sid, sentences[sid], ann)
+            _check_span(sentences[sid], ann)
         except PipelineError as exc:
             raise PipelineError(f"{path}: record {lineno}: {exc}") from exc
         annotations.append(ann)

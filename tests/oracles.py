@@ -193,6 +193,24 @@ def longest_match_counts_reference(sentences, forms):
     return counts
 
 
+def fuse_reference(tokens, annotations):
+    """One sentence rebuilt token by token, each discourse-usage span
+    replaced by its words joined with "_", then "-" and the relation; the
+    annotations are valid and do not overlap."""
+    fused = []
+    pos = 0
+    for ann in sorted(annotations, key=lambda a: a.start):
+        fused.extend(tokens[pos : ann.start])
+        span = tokens[ann.start : ann.end + 1]
+        if ann.discourse_usage:
+            fused.append("_".join(span) + "-" + ann.relation)
+        else:
+            fused.extend(span)
+        pos = ann.end + 1
+    fused.extend(tokens[pos:])
+    return tuple(fused)
+
+
 def scan_matches_reference(tokens, table):
     """The scan `corpus.FormScan` makes on ids, as a loop over every
     position of one token list: (start, form) of each non-overlapping

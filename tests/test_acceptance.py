@@ -16,7 +16,7 @@ import pytest
 from dclex import alignment
 from dclex.alignment import Links, symmetrize, train_model1
 from dclex.cli import ARTIFACTS, main
-from dclex.corpus import Corpus, SentencePair, process_chunks
+from dclex.corpus import Bitext, Corpus, process_chunks
 from dclex.evaluation import (
     RelevanceItem,
     RelevanceList,
@@ -27,7 +27,7 @@ from dclex.evaluation import (
 from dclex.inventory import Connective
 from dclex.lexicon import group_sites, sample_evidence
 from dclex.phrasetable import build_phrase_table, connective_occurrences
-from dclex.tagging import DCAnnotation, fuse_tokens, split_fused_token
+from dclex.tagging import DCAnnotation, fuse_corpus, split_fused_token
 
 import planted
 from oracles import (
@@ -111,7 +111,7 @@ def test_c3_phrase_extraction_equals_brute_force():
     rng = random.Random(20240003)
     vocab = ["p", "q", "r", "s"]
     forms = [("p",), ("q", "r"), ("q", "r", "s"), ("s", "s")]
-    inventory = [Connective(form, "target") for form in forms]
+    inventory = [Connective(form) for form in forms]
     occurrences = 0
     for _ in range(500):
         n, m = rng.randint(1, 8), rng.randint(1, 8)
@@ -241,15 +241,15 @@ def test_c8_fusion_round_trip():
                 spans.append((start, end, rng.choice(relations)))
             cursor = end + 1
         anns = [
-            DCAnnotation(7, s, e, tokens[s : e + 1], rel, True) for s, e, rel in spans
+            DCAnnotation(0, s, e, tokens[s : e + 1], rel, True) for s, e, rel in spans
         ]
-        fused = fuse_tokens(SentencePair(7, tokens, ("t",)), anns)
+        fused = fuse_corpus([tokens], anns)[0]
 
         # Unfuse: each fused token must split back into the original span and
         # relation; splicing the splits back together must recover the input.
         rebuilt = []
         ann_index = 0
-        for position, token in enumerate(fused.tokens):
+        for position, token in enumerate(fused):
             expected = anns[ann_index] if ann_index < len(anns) else None
             if expected is not None and position == expected.start - sum(
                 e - s for s, e, _ in spans[:ann_index]
@@ -290,13 +290,10 @@ def test_c9_evidence_sampling_fixture():
         {(0, 0)},
         {(0, 0), (1, 2)},
     ]
-    pairs = tuple(
-        SentencePair(i, s, t) for i, (s, t) in enumerate(zip(src_sents, tgt_sents))
-    )
-    corpus = Corpus(pairs)
+    corpus = Corpus(Bitext.of(list(zip(src_sents, tgt_sents))))
     alignments = Links.of(links)
-    inventory = [Connective(("même", "si"), "target")]
-    src_inventory = [Connective(s, "source") for s in (("even", "though"), ("if",), ("although",))]
+    inventory = [Connective(("même", "si"))]
+    src_inventory = [Connective(s) for s in (("even", "though"), ("if",), ("although",))]
     relations = ["Concession", "Condition"]
     table = build_phrase_table(
         list(zip(src_sents, tgt_sents)), alignments, inventory, src_inventory, relations

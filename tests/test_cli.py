@@ -1,8 +1,10 @@
 """Config validation, stage orchestration, and the command-line entry point."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,9 +26,12 @@ from dclex.cli import (
 from dclex.alignment import NULL_TOKEN, train_model1
 from dclex.corpus import CHUNK_SIZE, load_token_corpus
 from dclex.errors import UsageError
+from dclex.fileio import iter_data_lines
 from dclex.tagging import split_fused_token
 
 import planted
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, body):
@@ -108,6 +113,17 @@ class TestValidateConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
             validate_config(str(tmp_path / "nope.cfg"))
+
+    def test_readme_example_names_every_key_at_its_default(self, tmp_path):
+        # The README's example config validates, names every key, and shows
+        # each knob (a key whose default is a value, not None) at its default.
+        block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)[1]
+        cfg = validate_config(write_config(tmp_path, block))
+        named = {payload.split("=", 1)[0].strip() for _, payload in iter_data_lines(block)}
+        fields = dataclasses.fields(PipelineConfig)
+        assert named == {f.name for f in fields}
+        knobs = [f for f in fields if f.default not in (None, dataclasses.MISSING)]
+        assert {f.name: getattr(cfg, f.name) for f in knobs} == {f.name: f.default for f in knobs}
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +229,7 @@ class TestPipelineRuns:
         work = load_token_corpus(
             str(out / ARTIFACTS["fused_src"]), str(out / ARTIFACTS["corpus_tgt"])
         )
-        fwd = [(p.src_tokens, p.tgt_tokens) for p in work.pairs]
+        fwd = list(work.pairs)
         bwd = [(tgt, src) for src, tgt in fwd]
         for key, pairs in (("fwd_log_likelihood", fwd), ("bwd_log_likelihood", bwd)):
             lls = rows[key]

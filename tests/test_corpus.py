@@ -8,10 +8,10 @@ import unicodedata
 import pytest
 
 from dclex.corpus import (
+    Bitext,
     Corpus,
     FormScan,
     FrequencyTable,
-    SentencePair,
     TokenColumns,
     TokenizerOptions,
     count_occurrences,
@@ -38,7 +38,7 @@ def write_corpus(tmp_path, src_lines, tgt_lines):
 
 
 def target_inventory(*texts):
-    return [Connective(tuple(t.split()), "target") for t in texts]
+    return [Connective(tuple(t.split())) for t in texts]
 
 
 class TestTokenize:
@@ -79,9 +79,8 @@ class TestLoadParallelCorpus:
     def test_pairs_and_line_number_ids(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a b", "c"], ["x", "y z"])
         corpus = load_parallel_corpus(src, tgt)
-        assert [p.id for p in corpus.pairs] == [0, 1]
-        assert corpus.pairs[0].src_tokens == ("a", "b")
-        assert corpus.pairs[1].tgt_tokens == ("y", "z")
+        assert list(corpus.pairs) == [(("a", "b"), ("x",)), (("c",), ("y", "z"))]
+        assert corpus.pairs[1] == (("c",), ("y", "z"))
         assert len(corpus.pairs) == 2
 
     def test_line_count_mismatch_names_both_counts(self, tmp_path):
@@ -98,15 +97,16 @@ class TestLoadParallelCorpus:
             ["bien qu'il\u2028 soit venu .", "mais elle est partie ."],
         )
         corpus = load_parallel_corpus(src, tgt)
-        assert [p.id for p in corpus.pairs] == [0, 1]
-        assert corpus.pairs[0].src_tokens == ("although", "he", "came", "home", ".")
-        assert corpus.pairs[1].src_tokens == ("but", "she", "left", ".")
+        assert len(corpus.pairs) == 2
+        assert corpus.pairs.src[0] == ("although", "he", "came", "home", ".")
+        assert corpus.pairs.src[1] == ("but", "she", "left", ".")
         assert len(load_token_corpus(src, tgt).pairs) == 2
 
-    def test_both_empty_skipped_preserving_ids(self, tmp_path):
+    def test_both_empty_skipped(self, tmp_path):
+        # Pairs are numbered as kept: pair k is line k of the token files.
         src, tgt = write_corpus(tmp_path, ["a", "", "b"], ["x", "", "y"])
         corpus = load_parallel_corpus(src, tgt)
-        assert [p.id for p in corpus.pairs] == [0, 2]
+        assert list(corpus.pairs) == [(("a",), ("x",)), (("b",), ("y",))]
 
     def test_empty_pair_fatal_when_skipping_disabled(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", ""], ["x", ""])
@@ -130,18 +130,17 @@ class TestLoadParallelCorpus:
     def test_limit_truncates(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", "b", "c"], ["x", "y", "z"])
         corpus = load_parallel_corpus(src, tgt, limit=2)
-        assert len(corpus) == 2
+        assert len(corpus.pairs) == 2
 
     def test_token_corpus_round_trip(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a b .", "c"], ["x", "y z"])
         corpus = load_parallel_corpus(src, tgt)
         out_src = tmp_path / "o.src"
         out_tgt = tmp_path / "o.tgt"
-        write_token_file((p.src_tokens for p in corpus.pairs), str(out_src))
-        write_token_file((p.tgt_tokens for p in corpus.pairs), str(out_tgt))
+        write_token_file((src for src, _ in corpus.pairs), str(out_src))
+        write_token_file((tgt for _, tgt in corpus.pairs), str(out_tgt))
         reloaded = load_token_corpus(str(out_src), str(out_tgt))
-        assert [p.src_tokens for p in reloaded.pairs] == [p.src_tokens for p in corpus.pairs]
-        assert [p.tgt_tokens for p in reloaded.pairs] == [p.tgt_tokens for p in corpus.pairs]
+        assert list(reloaded.pairs) == list(corpus.pairs)
 
     def test_open_token_corpus_reads_as_load_token_corpus(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a b\u2028 .", "c"], ["x", "y\tz"])
@@ -149,6 +148,7 @@ class TestLoadParallelCorpus:
         assert len(opened.pairs) == len(loaded.pairs) == 2
         assert [opened.pairs[k] for k in (1, 0)] == [loaded.pairs[k] for k in (1, 0)]
         assert list(opened.pairs) == list(loaded.pairs)
+        assert opened.pairs.take([1, 0, 1]) == loaded.pairs.take([1, 0, 1])
         with pytest.raises(IndexError):
             opened.pairs[2]
 
@@ -181,14 +181,12 @@ class TestLoadParallelCorpus:
         for lowercase in (True, False):
             opts = TokenizerOptions(lowercase=lowercase)
             corpus = load_parallel_corpus(str(src), str(tgt), opts)
-            assert [p.src_tokens for p in corpus.pairs] == [tuple(tokenize(s, opts)) for s in lines]
-            assert [p.tgt_tokens for p in corpus.pairs] == [
-                tuple(tokenize(s, opts)) for s in reversed(lines)
-            ]
+            assert list(corpus.pairs.src) == [tuple(tokenize(s, opts)) for s in lines]
+            assert list(corpus.pairs.tgt) == [tuple(tokenize(s, opts)) for s in reversed(lines)]
             words = [t for s in lines for t in tokenize(s, opts)]
             assert corpus.pairs.src.vocab == list(dict.fromkeys(words))
-        assert corpus.pairs[2].src_tokens == ("ΟΔΟΣ", "ΣΟΦΟΣ", ".", "ΑΣ")
-        lowered = load_parallel_corpus(str(src), str(tgt)).pairs[2].src_tokens
+        assert corpus.pairs.src[2] == ("ΟΔΟΣ", "ΣΟΦΟΣ", ".", "ΑΣ")
+        lowered = load_parallel_corpus(str(src), str(tgt)).pairs.src[2]
         assert lowered == ("οδος", "σοφος", ".", "ας")
 
     def test_lines_are_read_in_blocks(self, tmp_path, monkeypatch):
@@ -199,23 +197,19 @@ class TestLoadParallelCorpus:
         src, tgt = write_corpus(tmp_path, lines, [line.upper() for line in lines])
         loaded = load_parallel_corpus(src, tgt)
         kept = [k for k, line in enumerate(lines) if line]
-        assert [p.id for p in loaded.pairs] == kept
-        assert [p.src_tokens for p in loaded.pairs] == [tuple(tokenize(lines[k])) for k in kept]
+        assert list(loaded.pairs.src) == [tuple(tokenize(lines[k])) for k in kept]
         assert loaded.pairs.src.vocab == ["b", "a", ",", "(", "c", "d", "«", "e", "»"]
         write_token_file(loaded.pairs.src, str(tmp_path / "o.src"))
         write_token_file(loaded.pairs.tgt, str(tmp_path / "o.tgt"))
         reloaded = load_token_corpus(str(tmp_path / "o.src"), str(tmp_path / "o.tgt"))
-        assert [(p.src_tokens, p.tgt_tokens) for p in reloaded.pairs] == [
-            (p.src_tokens, p.tgt_tokens) for p in loaded.pairs
-        ]
+        assert list(reloaded.pairs) == list(loaded.pairs)
 
     def test_limit_counts_kept_pairs_and_reads_no_further(self, tmp_path):
         # Line 1 is skipped, so a limit of 2 ends at line 2: the one-sided
         # empty line 3 after it is not read, nor are its words interned.
         src, tgt = write_corpus(tmp_path, ["a", "", "b", "", "c"], ["x", "", "y", "z", "w"])
         corpus = load_parallel_corpus(src, tgt, limit=2)
-        assert [p.id for p in corpus.pairs] == [0, 2]
-        assert [p.src_tokens for p in corpus.pairs] == [("a",), ("b",)]
+        assert list(corpus.pairs.src) == [("a",), ("b",)]
         assert (corpus.pairs.src.vocab, corpus.pairs.tgt.vocab) == (["a", "b"], ["x", "y"])
         message = f"{re.escape(src)}: empty line 3 has a non-empty counterpart"
         for limit in (3, None, 0):
@@ -252,19 +246,12 @@ class TestLoadParallelCorpus:
         for lowercase in (True, False):
             opts = TokenizerOptions(lowercase=lowercase)
             corpus = load_parallel_corpus(src, tgt, opts)
-            assert [p.src_tokens for p in corpus.pairs] == [
-                tuple(tokenize(s, opts)) for s in lines
-            ]
-            assert [p.tgt_tokens for p in corpus.pairs] == [
-                tuple(tokenize(s, opts)) for s in lines[::-1]
-            ]
+            assert list(corpus.pairs.src) == [tuple(tokenize(s, opts)) for s in lines]
+            assert list(corpus.pairs.tgt) == [tuple(tokenize(s, opts)) for s in lines[::-1]]
 
 
 def corpus_from_tokens(sentences):
-    pairs = tuple(
-        SentencePair(i, ("src",), tuple(tokens)) for i, tokens in enumerate(sentences)
-    )
-    return Corpus(pairs)
+    return Corpus(Bitext.of([(("src",), tuple(tokens)) for tokens in sentences]))
 
 
 def match_table(forms):
@@ -399,7 +386,7 @@ class TestCountOccurrences:
                 for _ in range(rng.randint(1, 20))
             ]
             corpus = corpus_from_tokens(sentences)
-            inv = [Connective(f, "target") for f in forms]
+            inv = [Connective(f) for f in forms]
             got = count_occurrences(corpus, inv)
             want = longest_match_counts_reference(sentences, forms)
             assert got.entries == {" ".join(f): c for f, c in want.items()}

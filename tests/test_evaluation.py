@@ -16,7 +16,6 @@ from dclex.evaluation import (
     make_relevance_list,
     precision_recall_points,
     render_eval_report,
-    write_pr_points,
 )
 from dclex.inventory import GoldLexicon, RelationMap
 from dclex.lexicon import LexiconEntry, RankedLexicon
@@ -177,8 +176,3 @@ class TestRendering:
         assert "pair_recall\t1.000000" in lines
         assert "dc_recall\t1.000000" in lines
         assert lines[-1] == "dc_total\t1"
-
-    def test_pr_points_dump(self, tmp_path):
-        path = tmp_path / "pr.tsv"
-        write_pr_points(self.make_report(), str(path))
-        assert path.read_text(encoding="utf-8") == "1\t1.000000\t1.000000\n"

@@ -18,7 +18,7 @@ BOM = "\ufeff"
 def load_inventory(tmp_path, prefix):
     path = tmp_path / "inventory.fr"
     path.write_text(prefix + "k0\nmême si\n", encoding="utf-8")
-    return load_connective_inventory(str(path), "target")
+    return load_connective_inventory(str(path))
 
 
 def load_gold(tmp_path, prefix):
@@ -31,7 +31,7 @@ def load_corpus(tmp_path, prefix):
     src, tgt = tmp_path / "corpus.en", tmp_path / "corpus.fr"
     src.write_text(prefix + "Even though late\n", encoding="utf-8")
     tgt.write_text(prefix + "Même si tard\n", encoding="utf-8")
-    return load_parallel_corpus(str(src), str(tgt))
+    return list(load_parallel_corpus(str(src), str(tgt)).pairs)
 
 
 def load_config(tmp_path, prefix):

@@ -24,31 +24,30 @@ class TestConnectiveInventory:
     def test_loads_tokenized_lowercased_surfaces(self, tmp_path):
         path = tmp_path / "inv.txt"
         path.write_text("Même si\npourtant\n# comment\n\nd'ailleurs\n", encoding="utf-8")
-        inv = load_connective_inventory(str(path), "source")
+        inv = load_connective_inventory(str(path))
         assert [c.surface for c in inv] == [("même", "si"), ("pourtant",), ("d'ailleurs",)]
-        assert all(c.language == "source" for c in inv)
 
     def test_duplicates_collapse_with_warning(self, tmp_path, caplog):
         path = tmp_path / "inv.txt"
         path.write_text("si\nSi\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            inv = load_connective_inventory(str(path), "source")
+            inv = load_connective_inventory(str(path))
         assert len(inv) == 1
         assert any("duplicate" in rec.message for rec in caplog.records)
 
     def test_large_synthetic_inventory_size(self, tmp_path):
         path = tmp_path / "inv.txt"
         path.write_text("\n".join(f"conn{i}" for i in range(371)) + "\n", encoding="utf-8")
-        assert len(load_connective_inventory(str(path), "source")) == 371
+        assert len(load_connective_inventory(str(path))) == 371
 
     def test_empty_inventory_is_fatal(self, tmp_path):
         path = tmp_path / "inv.txt"
         path.write_text("# only a comment\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="empty connective"):
-            load_connective_inventory(str(path), "source")
+            load_connective_inventory(str(path))
 
     def test_text_property_joins_surface(self):
-        assert Connective(("même", "si"), "source").text == "même si"
+        assert Connective(("même", "si")).text == "même si"
 
 
 class TestRelationInventory:

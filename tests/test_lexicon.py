@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dclex.alignment import Links
-from dclex.corpus import Corpus, FrequencyTable, SentencePair
+from dclex.corpus import Bitext, Corpus, FrequencyTable
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
 from dclex.lexicon import (
@@ -179,25 +179,26 @@ def evidence_fixture():
         {(1, 0)},  # links "y", not the connective span
         {(0, 2)},
     ])
-    pairs = tuple(
-        SentencePair(i, src, tgt) for i, (src, tgt) in enumerate(zip(src_sents, tgt_sents))
-    )
-    return Corpus(pairs), alignments
+    return corpus_of(list(zip(src_sents, tgt_sents))), alignments
 
 
-INVENTORY = [Connective(("même", "si"), "target"), Connective(("tard",), "target")]
+def corpus_of(pairs):
+    """A corpus of (source, target) token sequences; pair k is pairs[k]."""
+    return Corpus(Bitext.of(pairs))
+
+
+INVENTORY = [Connective(("même", "si")), Connective(("tard",))]
 SRC_INVENTORY = [
-    Connective(("even", "though"), "source"),
-    Connective(("although",), "source"),
-    Connective(("if",), "source"),
+    Connective(("even", "though")),
+    Connective(("although",)),
+    Connective(("if",)),
 ]
 RELATIONS = ["Comparison.Concession", "Contingency.Condition"]
 
 
 def grouped_sites(corpus, alignments, tgt_inventory=INVENTORY):
     """The counted sites of `corpus`, grouped by (fr_dc, relation)."""
-    pairs = [(pair.src_tokens, pair.tgt_tokens) for pair in corpus.pairs]
-    table = build_phrase_table(pairs, alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
+    table = build_phrase_table(corpus.pairs, alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
     return group_sites(corpus, table.sites, tgt_inventory, SRC_INVENTORY, RELATIONS)
 
 
@@ -253,10 +254,10 @@ class TestEvidence:
     def test_link_outside_the_connective_does_not_qualify(self):
         # The fused token links into "même si" and also to "tard": its
         # one-token box is not consistent with the connective span.
-        pairs = (SentencePair(0, ("even_though-Comparison.Concession", "late"), ("même", "si", "tard")),)
+        pairs = [(("even_though-Comparison.Concession", "late"), ("même", "si", "tard"))]
         alignments = Links.of([{(0, 0), (0, 2)}])
         assert evidence(
-            Corpus(pairs), alignments, "même si", "Comparison.Concession", k=5, seed=1
+            corpus_of(pairs), alignments, "même si", "Comparison.Concession", k=5, seed=1
         ) == []
 
     def test_one_pass_serves_every_entry(self):
@@ -270,14 +271,14 @@ class TestEvidence:
     def test_source_connective_outside_the_inventory_is_not_evidence(self):
         # Pair 1's fused token "albeit" is not a source inventory form, so
         # extraction does not count it, and evidence must not cite it.
-        pairs = (
-            SentencePair(0, ("although-Comparison.Concession",), ("bien", "que")),
-            SentencePair(1, ("albeit-Comparison.Concession",), ("bien", "que")),
-        )
+        pairs = [
+            (("although-Comparison.Concession",), ("bien", "que")),
+            (("albeit-Comparison.Concession",), ("bien", "que")),
+        ]
         alignments = Links.of([{(0, 0), (0, 1)}] * 2)
-        tgt_inventory = [Connective(("bien", "que"), "target")]
+        tgt_inventory = [Connective(("bien", "que"))]
         table = build_phrase_table(
-            [(p.src_tokens, p.tgt_tokens) for p in pairs],
+            pairs,
             alignments,
             tgt_inventory,
             SRC_INVENTORY,
@@ -285,7 +286,7 @@ class TestEvidence:
         )
         records = filter_dc_entries(table, SRC_INVENTORY, RELATIONS)
         assert [(r.fr_dc, r.en_dc, r.count) for r in records] == [("bien que", "although", 1)]
-        sites = grouped_sites(Corpus(pairs), alignments, tgt_inventory)
+        sites = grouped_sites(corpus_of(pairs), alignments, tgt_inventory)
         assert [site[0] for site in sites[("bien que", "Comparison.Concession")]] == [0]
 
     def test_out_of_bounds_link_is_fatal_without_an_occurrence(self):
@@ -297,26 +298,25 @@ class TestEvidence:
             grouped_sites(corpus, Links.of(links))
 
     def test_unknown_label_is_fatal(self):
-        pairs = (SentencePair(0, ("although-Nonsense",), ("bien", "que")),)
+        pairs = [(("although-Nonsense",), ("bien", "que"))]
         alignments = Links.of([{(0, 0), (0, 1)}])
-        tgt_inventory = [Connective(("bien", "que"), "target")]
+        tgt_inventory = [Connective(("bien", "que"))]
         with pytest.raises(PipelineError, match="unknown relation label"):
-            grouped_sites(Corpus(pairs), alignments, tgt_inventory)
+            grouped_sites(corpus_of(pairs), alignments, tgt_inventory)
 
     def test_grouping_takes_the_first_site_of_a_key_in_a_pair(self):
         # Pair 0 holds "même si" twice for the same fused token's relation.
-        corpus = Corpus((
-            SentencePair(0, ("although-Comparison.Concession", "if-Comparison.Concession"),
-                         ("même", "si", "même", "si")),
-        ))
+        corpus = corpus_of([
+            (("although-Comparison.Concession", "if-Comparison.Concession"),
+             ("même", "si", "même", "si")),
+        ])
         sites = [(0, 0, 0, 1), (0, 1, 2, 3)]
         grouped = group_sites(corpus, sites, INVENTORY, SRC_INVENTORY, RELATIONS)
         assert grouped == {("même si", "Comparison.Concession"): [(0, 0, 0, 1)]}
 
     def test_sites_no_scan_counts_are_fatal(self):
         corpus, alignments = evidence_fixture()
-        pairs = [(p.src_tokens, p.tgt_tokens) for p in corpus.pairs]
-        sites = build_phrase_table(pairs, alignments, INVENTORY, SRC_INVENTORY, RELATIONS).sites
+        sites = build_phrase_table(corpus.pairs, alignments, INVENTORY, SRC_INVENTORY, RELATIONS).sites
         for bad, message in [
             (sites[::-1], "site 2: not in corpus order"),
             (sites + (sites[-1],), "site 5: not in corpus order"),

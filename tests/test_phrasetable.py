@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from dclex.alignment import Alignment, Links
-from dclex.corpus import CHUNK_SIZE, Corpus, SentencePair, count_occurrences
+from dclex.corpus import CHUNK_SIZE, Bitext, Corpus, count_occurrences
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
 from dclex.lexicon import build_lexicon, group_sites
@@ -54,7 +54,7 @@ class TestExtraction:
     def decide(self, src, tgt, links, forms=FORMS, max_len=7):
         """(start, form, source) of each occurrence in the pair, checked
         against both references."""
-        inventory = [Connective(f, "target") for f in forms]
+        inventory = [Connective(f) for f in forms]
         got = [
             occurrence[:4]
             for occurrence in connective_occurrences(
@@ -68,7 +68,7 @@ class TestExtraction:
     def test_connective_box_is_extracted(self):
         table = build_phrase_table(
             [(self.SRC, self.TGT)], columns([aln(*self.LINKS)]),
-            [Connective(f, "target") for f in self.FORMS], SRC_INV, RELATIONS,
+            [Connective(f) for f in self.FORMS], SRC_INV, RELATIONS,
         )
         assert list(table) == [PhraseTableEntry((self.SRC[0],), ("même", "si"), 1)]
         assert table.occurrences == 3
@@ -134,7 +134,7 @@ def fused_rows_reference(pairs, alignments, forms, max_len):
 
 # Accept every fused token the tests below write, so that their rows are the
 # reference's rows.
-SRC_INV = [Connective(s, "source") for s in [("even", "though"), ("a",), ("b",)]]
+SRC_INV = [Connective(s) for s in [("even", "though"), ("a",), ("b",)]]
 RELATIONS = ["Concession", "R", "S", "R1", "R2"]
 
 
@@ -145,7 +145,7 @@ def random_links(rng, n, m, rate):
 
 
 NESTED_FORMS = [
-    Connective(f, "target")
+    Connective(f)
     for f in [("x",), ("x", "y"), ("y",), ("y", "z"), ("x", "y", "z"), ("z", "z")]
 ]
 
@@ -167,7 +167,7 @@ def random_nested_corpus(rng, src_vocab):
 
 class TestBuildPhraseTable:
     FUSED = "even_though-Concession"
-    TGT_INV = [Connective(("même",), "target"), Connective(("même", "si"), "target")]
+    TGT_INV = [Connective(("même",)), Connective(("même", "si"))]
 
     def test_nested_form_counts_the_longest_match_only(self):
         # The fused token links only to "même", inside "même si": the one
@@ -175,9 +175,9 @@ class TestBuildPhraseTable:
         pairs = [((self.FUSED, "late"), ("même", "si", "tard"))]
         alignments = [aln((0, 0), (1, 2))]
         table = build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
-        records = filter_dc_entries(table, [Connective(("even", "though"), "source")], ["Concession"])
+        records = filter_dc_entries(table, [Connective(("even", "though"))], ["Concession"])
         assert records == [DCAlignmentRecord("même si", "even though", "Concession", 1)]
-        freqs = count_occurrences(Corpus((SentencePair(0, *pairs[0]),)), self.TGT_INV)
+        freqs = count_occurrences(Corpus(Bitext.of(pairs)), self.TGT_INV)
         lexicon = build_lexicon(records, freqs, min_freq=1)
         assert [(e.fr_dc, e.aligned_count, e.corpus_freq) for e in lexicon.entries] == [
             ("même si", 1, 1)
@@ -202,7 +202,7 @@ class TestBuildPhraseTable:
 
     def test_counts_accumulate_across_repeats(self):
         pair = (("a-R", "b"), ("x", "y", "z"))
-        inventory = [Connective(("x",), "target"), Connective(("x", "y"), "target")]
+        inventory = [Connective(("x",)), Connective(("x", "y"))]
         alignment = aln((0, 0), (0, 1), (1, 2))
         table = build_phrase_table([pair] * 3, columns([alignment] * 3), inventory, SRC_INV, RELATIONS)
         assert list(table) == [PhraseTableEntry(("a-R",), ("x", "y"), 3)]
@@ -210,7 +210,7 @@ class TestBuildPhraseTable:
 
     def test_output_sorted_by_phrase(self):
         pair = (("b-R", "a-R"), ("y", "x"))
-        inventory = [Connective(("x",), "target"), Connective(("y",), "target")]
+        inventory = [Connective(("x",)), Connective(("y",))]
         table = build_phrase_table(
             [pair], columns([aln((0, 0), (1, 1))]), inventory, SRC_INV, RELATIONS
         )
@@ -262,7 +262,7 @@ class TestBuildPhraseTable:
             rng.shuffle(words)
             cut = sorted(rng.sample(range(1, 5), 2))
             forms = {tuple(words[:cut[0]]), tuple(words[cut[0] : cut[1]])}
-            inventory = [Connective(f, "target") for f in forms]
+            inventory = [Connective(f) for f in forms]
             pairs, alignments = [], []
             for _ in range(rng.randint(1, 3)):
                 n, m = rng.randint(1, 6), rng.randint(1, 8)
@@ -289,7 +289,7 @@ class TestBuildPhraseTable:
             table = build_phrase_table(
                 pairs, columns(alignments), inventory, SRC_INV, RELATIONS, rng.randint(1, 4)
             )
-            corpus = Corpus(tuple(SentencePair(i, *p) for i, p in enumerate(pairs)))
+            corpus = Corpus(Bitext.of(pairs))
             freqs = count_occurrences(corpus, inventory)
             aligned = Counter()
             for entry in table:
@@ -390,7 +390,7 @@ def test_evidence_cites_exactly_the_pairs_extract_counts():
     for _ in range(80):
         pairs, alignments = random_nested_corpus(rng, ["p", "a-R1", "b-R2", "a-R2", "c-R1"])
         max_len = rng.randint(1, 4)
-        corpus = Corpus(tuple(SentencePair(k, *p) for k, p in enumerate(pairs)))
+        corpus = Corpus(Bitext.of(pairs))
         table = build_phrase_table(
             pairs, columns(alignments), NESTED_FORMS, SRC_INV, RELATIONS, max_len
         )
@@ -411,7 +411,7 @@ def test_evidence_cites_exactly_the_pairs_extract_counts():
 
 
 class TestFilterDCEntries:
-    SRC_INV = [Connective(("even", "though"), "source"), Connective(("if",), "source")]
+    SRC_INV = [Connective(("even", "though")), Connective(("if",))]
     RELATIONS = ("Comparison.Concession", "Contingency.Condition")
 
     def entry(self, src, tgt, count=1):

@@ -5,14 +5,13 @@ import re
 
 import pytest
 
-from dclex.corpus import SentencePair, TokenColumns
+from dclex.corpus import TokenColumns
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
 from dclex.tagging import (
     DCAnnotation,
     fuse_corpus,
     fuse_token,
-    fuse_tokens,
     heuristic_tag,
     load_annotations,
     load_default_senses,
@@ -20,7 +19,7 @@ from dclex.tagging import (
     write_annotations,
 )
 
-from oracles import longest_match_counts_reference
+from oracles import fuse_reference, longest_match_counts_reference
 
 
 def make_corpus(*sentences):
@@ -101,54 +100,55 @@ class TestAnnotationValidation:
             DCAnnotation(0, 0, 0, ("si",), "Bad-Label", True)
 
 
+def fuse_one(tokens, annotations):
+    """The one sentence of `fuse_corpus` on a one-sentence corpus."""
+    return fuse_corpus(make_corpus(tokens), annotations)[0]
+
+
 class TestFuseTokens:
     def test_worked_example(self):
-        pair = SentencePair(0, ("although", "it", "rained"), ("t",))
         anns = [DCAnnotation(0, 0, 0, ("although",), "Comparison.Concession", True)]
-        assert fuse_tokens(pair, anns).tokens == (
+        assert fuse_one(("although", "it", "rained"), anns) == (
             "although-Comparison.Concession",
             "it",
             "rained",
         )
 
     def test_multiword_span_collapses_token_count(self):
-        pair = SentencePair(0, ("fine", ",", "even", "though", "late"), ("t",))
+        tokens = ("fine", ",", "even", "though", "late")
         anns = [DCAnnotation(0, 2, 3, ("even", "though"), "Comparison.Concession", True)]
-        fused = fuse_tokens(pair, anns)
-        assert fused.tokens == ("fine", ",", "even_though-Comparison.Concession", "late")
-        assert len(fused.tokens) == len(pair.src_tokens) - 1
+        fused = fuse_one(tokens, anns)
+        assert fused == ("fine", ",", "even_though-Comparison.Concession", "late")
+        assert len(fused) == len(tokens) - 1
 
     def test_non_discourse_annotation_passes_through(self):
-        pair = SentencePair(0, ("so", "what"), ("t",))
         anns = [DCAnnotation(0, 0, 0, ("so",), None, False)]
-        assert fuse_tokens(pair, anns).tokens == ("so", "what")
+        assert fuse_one(("so", "what"), anns) == ("so", "what")
 
     def test_overlapping_spans_are_fatal(self):
-        pair = SentencePair(0, ("even", "though", "so"), ("t",))
         anns = [
             DCAnnotation(0, 0, 1, ("even", "though"), "A.B", True),
             DCAnnotation(0, 1, 1, ("though",), "C.D", True),
         ]
         with pytest.raises(PipelineError, match="overlap"):
-            fuse_tokens(pair, anns)
+            fuse_one(("even", "though", "so"), anns)
 
     def test_annotation_for_other_sentence_is_fatal(self):
-        pair = SentencePair(0, ("si",), ("t",))
+        # An annotation is checked against its own sentence, not another.
+        corpus = make_corpus(("si",), ("x",), ("y",), ("z",))
         anns = [DCAnnotation(3, 0, 0, ("si",), "X", True)]
         with pytest.raises(PipelineError, match="sentence 3"):
-            fuse_tokens(pair, anns)
+            fuse_corpus(corpus, anns)
 
     def test_span_out_of_bounds_is_fatal(self):
-        pair = SentencePair(0, ("si",), ("t",))
         anns = [DCAnnotation(0, 0, 1, ("si", "non"), "X", True)]
         with pytest.raises(PipelineError, match="out of bounds"):
-            fuse_tokens(pair, anns)
+            fuse_one(("si",), anns)
 
     def test_surface_mismatch_is_fatal(self):
-        pair = SentencePair(0, ("si",), ("t",))
         anns = [DCAnnotation(0, 0, 0, ("non",), "X", True)]
         with pytest.raises(PipelineError, match="surface"):
-            fuse_tokens(pair, anns)
+            fuse_one(("si",), anns)
 
     def test_token_count_law_on_random_sentences(self):
         rng = random.Random(31)
@@ -167,9 +167,8 @@ class TestFuseTokens:
                 DCAnnotation(0, s, e, tokens[s : e + 1], "REL_X", True)
                 for s, e in spans
             ]
-            fused = fuse_tokens(SentencePair(0, tokens, ("t",)), anns)
             collapsed = sum(e - s for s, e in spans)
-            assert len(fused.tokens) == n - collapsed
+            assert len(fuse_one(tokens, anns)) == n - collapsed
 
 
 class TestAnnotationIO:
@@ -224,7 +223,7 @@ class TestAnnotationIO:
 
 class TestHeuristicTagging:
     def make_inventory(self, *texts):
-        return [Connective(tuple(t.split()), "source") for t in texts]
+        return [Connective(tuple(t.split())) for t in texts]
 
     def test_tags_every_match_with_default_sense(self):
         corpus = make_corpus(("although", "it", "rained"), ("dry", "although", "wet"))
@@ -261,7 +260,7 @@ class TestHeuristicTagging:
             [rng.choice(vocab) for _ in range(rng.randint(1, 10))] for _ in range(40)
         ]
         corpus = make_corpus(*map(tuple, sentences))
-        inv = [Connective(f, "source") for f in forms]
+        inv = [Connective(f) for f in forms]
         senses = {"if": "Contingency.Condition", "or else": "Expansion.Alternative"}
         tagged = heuristic_tag(corpus, inv, senses)
         want = longest_match_counts_reference(sentences, forms)
@@ -274,15 +273,17 @@ class TestHeuristicTagging:
         corpus = make_corpus(("although", "x"), ("plain",))
         inv = self.make_inventory("although")
         senses = {"although": "Comparison.Concession"}
-        fused = fuse_corpus(corpus, heuristic_tag(corpus, inv, senses))
-        assert fused == [("although-Comparison.Concession", "x"), ("plain",)]
-        assert fused[1] is corpus[1]
+        columns = TokenColumns.intern(corpus)
+        fused = fuse_corpus(columns, heuristic_tag(corpus, inv, senses))
+        assert list(fused) == [("although-Comparison.Concession", "x"), ("plain",)]
+        # The untagged sentence keeps its word ids.
+        assert fused.ids[-1] == columns.ids[-1]
 
     def test_fuse_corpus_on_columns_equals_fusing_each_sentence(self):
-        # Columns are fused on the ids; every other sequence sentence by
-        # sentence. Words come in mixed case, spans are one to three tokens,
-        # some annotations are not discourse usage, and "a_b-R" is already a
-        # word when a span fuses to it.
+        # Columns are fused on the ids; the reference rebuilds each sentence.
+        # Words come in mixed case, spans are one to three tokens, some
+        # annotations are not discourse usage, and "a_b-R" is already a word
+        # when a span fuses to it.
         rng = random.Random(5)
         for _ in range(300):
             sentences = [
@@ -301,20 +302,36 @@ class TestHeuristicTagging:
                     free = end + 1
             rng.shuffle(anns)
             fused = fuse_corpus(TokenColumns.intern(sentences), anns)
-            assert list(fused) == fuse_corpus(sentences, anns)
+            assert list(fused) == [
+                fuse_reference(tokens, [a for a in anns if a.sentence_id == k])
+                for k, tokens in enumerate(sentences)
+            ]
             assert len(set(fused.vocab)) == len(fused.vocab)
 
     def test_fuse_corpus_on_columns_fails_as_each_sentence_does(self):
+        # The exact messages, for a list and for its columns alike.
         sentences = make_corpus(("a", "b", "c"), ("even", "though"))
-        for anns in (
-            [DCAnnotation(1, 1, 2, ("though", "x"), "R", True)],  # past the end
-            [DCAnnotation(0, 0, 1, ("a", "b"), "R", True), DCAnnotation(0, 1, 1, ("b",), None, False)],
-            [DCAnnotation(1, 0, 1, ("even", "so"), "R", True)],  # other tokens
+        for anns, want in (
+            (
+                [DCAnnotation(1, 1, 2, ("though", "x"), "R", True)],  # past the end
+                "sentence 1: span [1, 2] out of bounds (length 2)",
+            ),
+            (
+                [
+                    DCAnnotation(0, 0, 1, ("a", "b"), "R", True),
+                    DCAnnotation(0, 1, 1, ("b",), None, False),
+                ],
+                "sentence 0: overlapping annotation at 1",
+            ),
+            (
+                [DCAnnotation(1, 0, 1, ("even", "so"), "R", True)],  # other tokens
+                "sentence 1: tokens ('even', 'though') at [0, 1] do not match "
+                "annotated surface ('even', 'so')",
+            ),
         ):
-            with pytest.raises(PipelineError) as want:
-                fuse_corpus(sentences, anns)
-            with pytest.raises(PipelineError, match=f"^{re.escape(str(want.value))}$"):
-                fuse_corpus(TokenColumns.intern(sentences), anns)
+            for corpus in (sentences, TokenColumns.intern(sentences)):
+                with pytest.raises(PipelineError, match=f"^{re.escape(want)}$"):
+                    fuse_corpus(corpus, anns)
 
     def test_fuse_corpus_rejects_unknown_sentence_ids(self):
         corpus = make_corpus(("si",))
