@@ -39,8 +39,8 @@ Python object is made per link. grow-diag-final scans the pairs in
 lock-step, candidate k of every pair at step k, over per-pair bool grids.
 Only the scans that read the links of a pair with a connective occurrence
 (phrasetable) turn them into tuples. This module is the only one that knows
-the text format. The per-pair `Alignment` and decoders (`viterbi_align`,
-`viterbi_align_model2`) and `tests/oracles.symmetrize_reference` are the
+the text format. `viterbi_align_model2`, a per-pair Model 2 decoder, and
+`tests/oracles.viterbi_reference` and `symmetrize_reference` are the
 reference definitions that the columnar path is tested against.
 
 numpy is imported when training or link handling starts, not with this
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from functools import partial
 from typing import Iterable, NamedTuple, Sequence
@@ -69,13 +68,6 @@ SentenceTokens = Sequence[str]
 TokenPair = tuple[SentenceTokens, SentenceTokens]
 
 HEURISTICS = ("intersection", "union", "grow-diag-final")
-
-
-@dataclass(frozen=True, slots=True)
-class Alignment:
-    """Link set for one sentence pair, as (src_index, tgt_index) pairs."""
-
-    links: frozenset[tuple[int, int]]
 
 
 class Links:
@@ -96,15 +88,6 @@ class Links:
     def total(self) -> int:
         """The number of links over all pairs."""
         return int(self.offsets[-1])
-
-    def __getitem__(self, pairs: slice) -> Links:
-        """The links of a contiguous run of pairs, renumbered from 0."""
-        lo, hi, step = pairs.indices(len(self))
-        if step != 1:
-            raise ValueError("Links slices must be contiguous")
-        offsets = self.offsets[lo : max(lo, hi) + 1]
-        first, last = offsets[0], offsets[-1]
-        return Links(offsets - first, self.src[first:last], self.tgt[first:last])
 
     def pair(self, k: int) -> list[tuple[int, int]]:
         """The links of pair k as (src, tgt) tuples, ascending."""
@@ -665,44 +648,25 @@ class _Fit:
         }
 
 
-def _viterbi(scores: Sequence[float], n: int, use_null: bool) -> Alignment:
-    """Viterbi decoding over target-major rows of `n` candidate scores: each
-    target position links to its best candidate, the first one on ties.
-    With NULL, candidate 0 is NULL and its links are dropped."""
-    shift = 1 if use_null else 0
-    links = set()
-    for j, lo in enumerate(range(0, len(scores), n)):
-        row = scores[lo : lo + n]
-        i = row.index(max(row)) - shift
-        if i >= 0:
-            links.add((i, j))
-    return Alignment(frozenset(links))
-
-
 class TranslationTable:
     """Lexical translation probabilities t(f|e), sparse over co-occurring
     pairs, and for a Model 2 table the positional distortion q(i|j,l,m)
-    (empty for Model 1).
+    (empty for Model 1), as trained by `train_model1` or `train_model2`.
 
-    A table returned by training keeps its interned EM state and builds the
+    `use_null`, `log_likelihoods` (one per EM iteration) and `entries` (the
+    number of (e, f) entries of t, one per co-occurring pair) are set when
+    training ends. The table keeps its interned EM state and builds the
     string-keyed `probs` and `distortion` on first read. Training the inverse
     direction with `inverse=` this table takes that state over: the table
     then keeps only what it has built."""
 
-    def __init__(
-        self,
-        probs: dict[str, dict[str, float]] | None,
-        use_null: bool,
-        log_likelihoods: Sequence[float] = (),
-        fit: _Fit | None = None,
-    ) -> None:
-        self._probs = probs
-        self.use_null = use_null
-        self.log_likelihoods = tuple(log_likelihoods)
-        self._fit = fit
-        self._distortion: dict[tuple[int, int, int], dict[int, float]] | None = (
-            None if fit is not None else {}
-        )
+    def __init__(self, fit: _Fit) -> None:
+        self.use_null = fit.use_null
+        self.log_likelihoods = tuple(fit.history)
+        self.entries = len(fit.t_cols)
+        self._fit: _Fit | None = fit
+        self._probs: dict[str, dict[str, float]] | None = None
+        self._distortion: dict[tuple[int, int, int], dict[int, float]] | None = None
 
     def _state(self) -> _Fit:
         if self._fit is None:
@@ -726,13 +690,6 @@ class TranslationTable:
         if self._distortion is None:
             self._distortion = self._state().distortion()
         return self._distortion
-
-    @property
-    def entries(self) -> int:
-        """The number of (e, f) entries of t, one per co-occurring pair."""
-        if self._fit is not None:
-            return len(self._fit.t_cols)
-        return sum(len(row) for row in self.probs.values())
 
     def prob(self, e: str, f: str) -> float:
         """Stored probability, or the floor for unknown pairs."""
@@ -763,7 +720,7 @@ def _train(
     # The inverse's state is released once the cells are built, before EM.
     fit = _Fit(pairs, use_null, positional, inverse._hand_over() if inverse is not None else None)
     fit.train(iterations)
-    return TranslationTable(None, use_null, fit.history, fit)
+    return TranslationTable(fit)
 
 
 def train_model1(
@@ -796,52 +753,37 @@ def train_model2(
     return _train(pairs, iterations, use_null, True, inverse)
 
 
-def _source_side(src: SentenceTokens, use_null: bool) -> list[str]:
-    return [NULL_TOKEN, *src] if use_null else list(src)
-
-
-def viterbi_align(
-    pair: TokenPair,
-    table: TranslationTable,
-    use_null: bool | None = None,
-) -> Alignment:
-    """Link each target token to its most probable source token.
-
-    Ties break to the lowest source index; NULL occupies virtual index -1,
-    so a target word whose best candidate is NULL ends up unaligned.
-    """
-    src, tgt = pair
-    if use_null is None:
-        use_null = table.use_null
-    if not src and not use_null:
-        raise PipelineError("cannot align against an empty source sentence")
-    words = _source_side(src, use_null)
-    return _viterbi([table.prob(e, f) for f in tgt for e in words], len(words), use_null)
-
-
 def viterbi_align_model2(
     pair: TokenPair,
     table: TranslationTable,
     use_null: bool | None = None,
-) -> Alignment:
-    """Model 2 decoding: argmax over t(f|e) * q(i|j,l,m); unseen length
-    configurations fall back to uniform distortion."""
+) -> frozenset[tuple[int, int]]:
+    """The (src, tgt) links of one pair under Model 2: each target token
+    links to the source token with the greatest t(f|e) * q(i|j,l,m), the
+    lowest index on ties. NULL is source index -1, so a target token whose
+    best candidate is NULL stays unlinked. A length configuration unseen in
+    training falls back to uniform distortion."""
     src, tgt = pair
     if use_null is None:
         use_null = table.use_null
     if not src and not use_null:
         raise PipelineError("cannot align against an empty source sentence")
     l, m = len(src), len(tgt)
-    words = _source_side(src, use_null)
-    positions = range(-1 if use_null else 0, l)
-    uniform = 1.0 / len(words)
-    scores = []
+    candidates = list(enumerate(src))
+    if use_null:
+        candidates.insert(0, (-1, NULL_TOKEN))
+    uniform = 1.0 / len(candidates)
+    links = set()
     for j, f in enumerate(tgt):
         qrow = table.distortion.get((l, m, j))
-        for i, e in zip(positions, words):
+        scores = []
+        for i, e in candidates:
             q = qrow.get(i, 0.0) if qrow is not None else uniform
             scores.append(table.prob(e, f) * max(q, PROB_FLOOR))
-    return _viterbi(scores, len(words), use_null)
+        i = candidates[scores.index(max(scores))][0]
+        if i >= 0:
+            links.add((i, j))
+    return frozenset(links)
 
 
 def transpose(links: Links) -> Links:

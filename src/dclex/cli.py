@@ -7,9 +7,10 @@ it interns the token files it reads as ingest interned the corpus. Within
 one `run all`, a stage hands what it wrote in memory to the later stages
 that read it instead: ingest's interned corpus and target connective
 occurrences, tag's fused source side, align's links and extract's sites are
-each made once. A JSON manifest records the config snapshot, input digests,
-per-stage row counts and timing; one call reads it and hashes the inputs
-once.
+each made once. Evidence reads its pairs from the token files either way,
+and splits only the lines its sites name. A JSON manifest records the
+config snapshot, input digests, per-stage row counts and timing; one call
+reads it and hashes the inputs once.
 """
 
 from __future__ import annotations
@@ -290,9 +291,9 @@ def _load_relation_map(cfg: PipelineConfig, induced: list[str], gold: list[str])
 # name (see `main`): "corpus", ingest's `Bitext`, read by tag;
 # "occurrences", ingest's target connective occurrences, read by extract;
 # "work", tag's `Bitext` of the fused source and the target side, read by
-# align, extract and evidence; "links", align's symmetrized links, read by
-# extract; "sites", extract's sites, read by evidence. Pair k is line k of
-# the token files.
+# align and extract; "links", align's symmetrized links, read by extract;
+# "sites", extract's sites, read by evidence. Pair k is line k of the token
+# files.
 Handoff = dict[str, object]
 
 
@@ -300,13 +301,14 @@ def _load_pairs(cfg: PipelineConfig, src: str, produced_by: str) -> cp.Bitext:
     """The token file `src` and the target token file, interned."""
     src_path = _require(cfg, src, produced_by)
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
-    return cp.load_token_corpus(str(src_path), str(tgt_path)).pairs
+    return cp.load_token_corpus(str(src_path), str(tgt_path))
 
 
-def _work_pairs(cfg: PipelineConfig, handoff: Handoff) -> cp.Bitext:
-    """The fused source side and the target side, as the aligner saw them."""
+def _work_pairs(cfg: PipelineConfig, handoff: Handoff, last: bool = False) -> cp.Bitext:
+    """The fused source side and the target side, as the aligner saw them;
+    `last` when no later stage reads them from the handoff."""
     if "work" in handoff:
-        return handoff["work"]
+        return handoff.pop("work") if last else handoff["work"]
     return _load_pairs(cfg, "fused_src", "tag")
 
 
@@ -320,16 +322,16 @@ def _stage_ingest(
         opts,
         limit=cfg.limit or None,
     )
-    if not corpus.pairs:
+    if not corpus:
         raise PipelineError("corpus is empty after loading")
-    cp.write_token_file(corpus.pairs.src, _out(cfg, "corpus_src"))
-    cp.write_token_file(corpus.pairs.tgt, _out(cfg, "corpus_tgt"))
+    cp.write_token_file(corpus.src, _out(cfg, "corpus_src"))
+    cp.write_token_file(corpus.tgt, _out(cfg, "corpus_tgt"))
     tgt_inventory = _load_target_inventory(cfg)
     freqs = cp.count_occurrences(corpus, tgt_inventory)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
-    handoff["corpus"] = corpus.pairs
+    handoff["corpus"] = corpus
     handoff["occurrences"] = freqs.occurrences
-    return {"pairs": len(corpus.pairs), "target_forms": len(freqs.entries)}
+    return {"pairs": len(corpus), "target_forms": len(freqs.entries)}
 
 
 def _stage_tag(
@@ -399,7 +401,7 @@ def _stage_align(
 def _stage_extract(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
-    pairs = _work_pairs(cfg, handoff)
+    pairs = _work_pairs(cfg, handoff, last=True)
     if "links" in handoff:
         links = handoff.pop("links")
     else:
@@ -467,14 +469,10 @@ def _stage_evidence(
         rows = handoff.pop("sites")
     else:
         rows = pt.read_sites(sites_path)
-    if "work" in handoff:
-        work = cp.Corpus(handoff.pop("work"))
-    else:
-        # Only the pairs the sites name are split into tokens; numpy is not
-        # loaded.
-        fused_path = _require(cfg, "fused_src", "tag")
-        tgt_path = _require(cfg, "corpus_tgt", "ingest")
-        work = cp.open_token_corpus(str(fused_path), str(tgt_path))
+    # Only the pairs the sites name are split into tokens; numpy is not loaded.
+    fused_path = _require(cfg, "fused_src", "tag")
+    tgt_path = _require(cfg, "corpus_tgt", "ingest")
+    work = cp.open_token_corpus(str(fused_path), str(tgt_path))
     try:
         sites = lx.group_sites(
             work,
@@ -498,12 +496,13 @@ def _stage_evidence(
     ]
     blocks = []
     sampled = 0
+    quoted = cp.Corpus(work)  # as `sample_evidence` takes the pairs
     for rank, entry in targets:
         # Per-entry seed derived from the run seed and the entry's rank in the
         # whole lexicon, so a rerun with the same config, filtered or not,
         # reproduces the same samples.
         excerpts = lx.sample_evidence(
-            work,
+            quoted,
             sites.get((entry.fr_dc, entry.relation), []),
             cfg.evidence_k,
             cfg.seed * 100003 + rank,

@@ -271,7 +271,9 @@ class Bitext(Sequence[tuple[tuple[str, ...], tuple[str, ...]]]):
 
 @dataclass(frozen=True)
 class Corpus:
-    """A loaded corpus: pair k is line k of each side's token file."""
+    """The pairs that `lexicon.sample_evidence` quotes. The benchmark's
+    tracer counts them through `corpus.pairs`; every other function takes
+    the `Bitext` itself."""
 
     pairs: Bitext
 
@@ -344,7 +346,7 @@ def load_parallel_corpus(
     tgt_path: str,
     options: TokenizerOptions | None = None,
     limit: int | None = None,
-) -> Corpus:
+) -> Bitext:
     """Load two line-aligned UTF-8 files into a tokenized corpus, each side
     interned as `TokenColumns`.
 
@@ -382,14 +384,14 @@ def load_parallel_corpus(
         return TokenColumns(columns.vocab, columns.ids, offsets)
 
     src, tgt = side(src_lines, src_chunks), side(tgt_lines, tgt_chunks)
-    return Corpus(Bitext(src, tgt))
+    return Bitext(src, tgt)
 
 
 def _empty_token_line(lineno: int) -> PipelineError:
     return PipelineError(f"empty sentence at line {lineno} in tokenized corpus")
 
 
-def load_token_corpus(src_path: str, tgt_path: str) -> Corpus:
+def load_token_corpus(src_path: str, tgt_path: str) -> Bitext:
     """Reload corpus files that are already tokenized (space-separated),
     each side interned as `load_parallel_corpus` interns it."""
     import numpy as np
@@ -401,10 +403,10 @@ def load_token_corpus(src_path: str, tgt_path: str) -> Corpus:
         raise _empty_token_line(int(np.argmax(empty)))
     src = _intern_lines(src_lines, src_chunks, split=False)
     tgt = _intern_lines(tgt_lines, tgt_chunks, split=False)
-    return Corpus(Bitext(src, tgt))
+    return Bitext(src, tgt)
 
 
-def open_token_corpus(src_path: str, tgt_path: str) -> Corpus:
+def open_token_corpus(src_path: str, tgt_path: str) -> Bitext:
     """`load_token_corpus` with the same checks, but each pair's lines are
     split only when the pair is read, and nothing is interned."""
     src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
@@ -413,7 +415,7 @@ def open_token_corpus(src_path: str, tgt_path: str) -> Corpus:
         for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
             if not src_line.strip() or not tgt_line.strip():
                 raise _empty_token_line(lineno)
-    return Corpus(Bitext(_SplitLines(src_lines), _SplitLines(tgt_lines)))
+    return Bitext(_SplitLines(src_lines), _SplitLines(tgt_lines))
 
 
 def write_token_file(sentences: Iterable[Sequence[str]], path: str) -> None:
@@ -595,7 +597,7 @@ class FrequencyTable:
 
 
 def count_occurrences(
-    corpus: Corpus,
+    corpus: Bitext,
     inventory: Sequence["Connective"],
 ) -> FrequencyTable:
     """Count connective occurrences on the target side of the corpus.
@@ -605,7 +607,7 @@ def count_occurrences(
     """
     if not inventory:
         raise PipelineError("empty connective inventory")
-    tgt = TokenColumns.of(corpus.pairs.tgt)
+    tgt = TokenColumns.of(corpus.tgt)
     scan = FormScan((c.surface for c in inventory), tgt.vocab)
     found = Occurrences.concat(scan.forms, process_chunks(partial(scan, tgt), range(len(tgt))))
     counts = found.counts()

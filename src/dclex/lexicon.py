@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, FrequencyTable
+from .corpus import Bitext, Corpus, FrequencyTable
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .inventory import Connective
@@ -129,7 +129,7 @@ def _highlight(tokens: Sequence[str], start: int, end: int) -> str:
 
 
 def group_sites(
-    corpus: Corpus,
+    corpus: Bitext,
     sites: Iterable[Site],
     tgt_inventory: Sequence[Connective],
     src_inventory: Sequence[Connective],
@@ -149,8 +149,8 @@ def group_sites(
     dcs: dict[str, tuple[str, str] | None] = {}
     grouped: dict[tuple[str, str], list[Site]] = {}
     sites = list(sites)
-    n = len(corpus.pairs)
-    pairs = iter(corpus.pairs.take([index for index, *_ in sites if 0 <= index < n]))
+    n = len(corpus)
+    pairs = iter(corpus.take([index for index, *_ in sites if 0 <= index < n]))
     last = (-1, -1)
     for row, site in enumerate(sites, start=1):
         index, i, start, end = site

@@ -23,6 +23,7 @@ from .corpus import (
     TokenColumns,
     _spans,
     process_chunks,
+    tokenize,
     write_token_file,
 )
 from .errors import PipelineError
@@ -231,13 +232,15 @@ def write_annotations(annotations: Sequence[DCAnnotation], path: str) -> None:
 
 
 def load_default_senses(path: str) -> dict[str, str]:
-    """Load `surface<TAB>relation` defaults for the heuristic tagger."""
+    """Load `surface<TAB>relation` defaults for the heuristic tagger. A
+    surface is keyed by its lowercased tokens, space-joined, as the
+    connective inventory keys its forms."""
     senses: dict[str, str] = {}
     for lineno, payload in iter_data_lines(read_text_strict(path)):
         parts = payload.split("\t")
         if len(parts) != 2:
             raise PipelineError(f"{path}: expected `surface<TAB>relation` at line {lineno}")
-        surface = " ".join(parts[0].lower().split())
+        surface = " ".join(tokenize(parts[0]))  # lowercased by default
         relation = parts[1].strip()
         if not surface or not relation:
             raise PipelineError(f"{path}: empty field at line {lineno}")

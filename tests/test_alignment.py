@@ -11,14 +11,12 @@ from dclex.alignment import (
     HEURISTICS,
     PROB_FLOOR,
     Links,
-    TranslationTable,
     format_alignments,
     read_alignments,
     symmetrize,
     train_model1,
     train_model2,
     transpose,
-    viterbi_align,
     viterbi_align_model2,
     write_alignments,
     write_translation_table,
@@ -120,22 +118,30 @@ class TestModel1Training:
         assert table.prob("never-seen", "la") == PROB_FLOOR
 
 
+def flat_t(table):
+    """t(f|e) of `table` keyed by (e, f), as the oracles take it."""
+    return {(e, f): p for e, row in table.probs.items() for f, p in row.items()}
+
+
 class TestViterbi:
+    """Viterbi decoding of the training pairs (`_Fit.decode`)."""
+
     def test_fixture_aligns_diagonally(self):
         table = train_model1(TWO_PAIR_FIXTURE, iterations=10, use_null=False)
-        alignment = viterbi_align(TWO_PAIR_FIXTURE[0], table)
-        assert alignment.links == frozenset({(0, 0), (1, 1)})
+        assert link_sets(table._fit.decode([0])) == [links((0, 0), (1, 1))]
 
     def test_ties_break_to_lowest_source_index(self):
-        table = TranslationTable({"a": {"x": 0.5}, "b": {"x": 0.5}}, use_null=False)
-        alignment = viterbi_align((("a", "b"), ("x",)), table)
-        assert alignment.links == frozenset({(0, 0)})
+        # Both source tokens are one word, so their scores tie.
+        for train in (train_model1, train_model2):
+            table = train([(("a", "a"), ("x",))], iterations=2, use_null=False)
+            assert link_sets(table._fit.decode([0])) == [links((0, 0))]
 
     def test_null_absorbs_when_tied_or_better(self):
-        # Equal scores everywhere: NULL (index -1) wins the tie, link dropped.
-        table = TranslationTable({}, use_null=True)
-        alignment = viterbi_align((("a",), ("x",)), table)
-        assert alignment.links == frozenset()
+        # t(x|NULL) = t(x|a) = 1: NULL (index -1) wins the tie, link dropped.
+        for train in (train_model1, train_model2):
+            table = train([(("a",), ("x",))], iterations=2, use_null=True)
+            assert flat_t(table) == {(alignment.NULL_TOKEN, "x"): 1.0, ("a", "x"): 1.0}
+            assert link_sets(table._fit.decode([0])) == [links()]
 
     def test_matches_reference_decoder_on_random_tables(self):
         rng = random.Random(303)
@@ -144,18 +150,17 @@ class TestViterbi:
         for _ in range(40):
             pairs = random_corpus(rng, 10, vocab_src, vocab_tgt, max_len=5)
             table = train_model1(pairs, iterations=2, use_null=True)
-            flat = {
-                (e, f): p for e, row in table.probs.items() for f, p in row.items()
-            }
-            for pair in pairs[:4]:
-                got = viterbi_align(pair, table)
-                want = viterbi_reference(pair[0], pair[1], flat, use_null=True)
-                assert got.links == frozenset(want)
+            flat = flat_t(table)
+            want = [frozenset(viterbi_reference(src, tgt, flat, True)) for src, tgt in pairs[:4]]
+            assert link_sets(table._fit.decode(range(4))) == want
 
     def test_empty_source_requires_null(self):
-        table = TranslationTable({}, use_null=False)
-        with pytest.raises(PipelineError):
-            viterbi_align(((), ("x",)), table, use_null=False)
+        # Only the per-pair reference takes pairs that training did not see.
+        table = train_model2(TWO_PAIR_FIXTURE, iterations=1, use_null=False)
+        with pytest.raises(PipelineError, match="empty source"):
+            viterbi_align_model2(((), ("la",)), table)
+        table = train_model2(TWO_PAIR_FIXTURE, iterations=1, use_null=True)
+        assert viterbi_align_model2(((), ("la",)), table) == frozenset()
 
 
 class TestModel2:
@@ -173,14 +178,12 @@ class TestModel2:
         # Target word always translates the second source token.
         pairs = [(("a", "b"), ("v",)), (("c", "b"), ("v",)), (("d", "b"), ("v",))]
         tables = train_model2(pairs, iterations=8, use_null=False)
-        alignment = viterbi_align_model2((("z", "b"), ("v",)), tables)
-        assert alignment.links == frozenset({(1, 0)})
+        assert viterbi_align_model2((("z", "b"), ("v",)), tables) == links((1, 0))
 
     def test_unseen_length_configuration_falls_back_to_lexical(self):
         tables = train_model2(TWO_PAIR_FIXTURE, iterations=8, use_null=False)
         # 3-token source never seen in training: uniform distortion, lexical wins.
-        alignment = viterbi_align_model2((("pad", "the", "house"), ("la",)), tables)
-        assert alignment.links == frozenset({(1, 0)})
+        assert viterbi_align_model2((("pad", "the", "house"), ("la",)), tables) == links((1, 0))
 
     def test_matches_flat_reference_implementation(self):
         rng = random.Random(77)
@@ -212,6 +215,9 @@ class TestModel2:
 
 
 class TestTrainedPairDecoding:
+    """`_Fit.decode` against the oracle for Model 1 and against
+    `viterbi_align_model2` for Model 2."""
+
     def test_matches_per_pair_decoders_across_chunks(self):
         rng = random.Random(12)
         vocab_src, vocab_tgt = ["a", "b", "c", "d"], ["u", "v", "w"]
@@ -221,11 +227,12 @@ class TestTrainedPairDecoding:
         for use_null in (True, False):
             table = train_model1(pairs, iterations=2, use_null=use_null)
             tables = train_model2(pairs, iterations=2, use_null=use_null)
+            flat = flat_t(table)
             for picked in (indices, scattered):
-                want = [viterbi_align(pairs[k], table).links for k in picked]
-                assert link_sets(table.viterbi_training_pairs(picked)) == want
-                want = [viterbi_align_model2(pairs[k], tables).links for k in picked]
-                assert link_sets(tables.viterbi_training_pairs(picked)) == want
+                want = [frozenset(viterbi_reference(*pairs[k], flat, use_null)) for k in picked]
+                assert link_sets(table._fit.decode(picked)) == want
+                want = [viterbi_align_model2(pairs[k], tables) for k in picked]
+                assert link_sets(tables._fit.decode(picked)) == want
 
 
 def swap(pairs):
@@ -404,8 +411,6 @@ class TestInverseDirection:
             forward.viterbi_training_pairs(range(2))
         with pytest.raises(PipelineError, match="no EM state"):
             train_model1(swap(self.PAIRS), 1, inverse=forward)
-        with pytest.raises(PipelineError, match="no EM state"):
-            train_model1(swap(self.PAIRS), 1, inverse=TranslationTable({"a": {"x": 1.0}}, True))
 
     def test_pairs_that_are_not_the_swapped_ones_are_fatal(self):
         pairs = [(("a", "b", "c"), ("x",)), (("a",), ("x", "y"))]
@@ -605,7 +610,12 @@ class TestAlignmentIO:
             read_alignments(str(path))
 
     def test_translation_table_export_ordering(self, tmp_path):
-        table = TranslationTable({"b": {"v": 0.25, "u": 0.75}, "a": {"x": 1.0}}, True)
+        # Trained, t holds rows in order of first appearance: b before a, and
+        # v before u in b's row; t(u|b) = 3/4, t(v|b) = 1/4, t(x|a) = 1.
+        pairs = [(("b",), ("v", "u", "u", "u")), (("a",), ("x",))]
+        table = train_model1(pairs, iterations=1, use_null=False)
+        assert table.probs == {"b": {"v": 0.25, "u": 0.75}, "a": {"x": 1.0}}
+        assert [list(row) for row in table.probs.values()] == [["v", "u"], ["x"]]
         path = tmp_path / "ttable.tsv"
         write_translation_table(table, str(path))
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -229,7 +229,7 @@ class TestPipelineRuns:
         work = load_token_corpus(
             str(out / ARTIFACTS["fused_src"]), str(out / ARTIFACTS["corpus_tgt"])
         )
-        fwd = list(work.pairs)
+        fwd = list(work)
         bwd = [(tgt, src) for src, tgt in fwd]
         for key, pairs in (("fwd_log_likelihood", fwd), ("bwd_log_likelihood", bwd)):
             lls = rows[key]
@@ -493,13 +493,25 @@ class TestPipelineRuns:
         assert done.stdout == "0 False\n"
         assert evidence.read_bytes() == full
 
+    def test_build_eval_and_report_alone_leave_numpy_unloaded(self, tmp_path):
+        # Only the stages up to extract need numpy; these read text artifacts.
+        config = planted.generate(
+            tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5, iterations=3
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        code = "import sys, dclex.cli; print(dclex.cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
+        for stage in ("build", "eval", "report"):
+            done = run_python("-c", code, stage, "--config", str(config))
+            assert done.stdout.splitlines()[-1] == "0 False", stage
+
     def test_evidence_rejects_sites_that_do_not_fit_the_corpus(self, tmp_path, capsys):
         config = planted.generate(
             tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5, iterations=3
         )
         assert main(["run", "all", "--config", str(config)]) == 0
         sites = tmp_path / "out" / ARTIFACTS["sites"]
-        rows = [list(map(int, line.split("\t"))) for line in sites.read_text().splitlines()]
+        lines = sites.read_text(encoding="utf-8").splitlines()
+        rows = [list(map(int, line.split("\t"))) for line in lines]
         for shift in ((1, 0, 0, 0), (0, 0, 1, 1)):  # the pair id, the target span
             shifted = ["\t".join(str(a + b) for a, b in zip(row, shift)) + "\n" for row in rows]
             sites.write_text("".join(shifted), encoding="utf-8")
@@ -630,7 +642,7 @@ def run_python(*args, **env):
     return subprocess.run(
         [sys.executable, *args],
         env={key: value for key, value in merged.items() if value is not None},
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, encoding="utf-8", check=True,
     )
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from dclex.corpus import (
     Bitext,
-    Corpus,
     FormScan,
     FrequencyTable,
     TokenColumns,
@@ -79,9 +78,9 @@ class TestLoadParallelCorpus:
     def test_pairs_and_line_number_ids(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a b", "c"], ["x", "y z"])
         corpus = load_parallel_corpus(src, tgt)
-        assert list(corpus.pairs) == [(("a", "b"), ("x",)), (("c",), ("y", "z"))]
-        assert corpus.pairs[1] == (("c",), ("y", "z"))
-        assert len(corpus.pairs) == 2
+        assert list(corpus) == [(("a", "b"), ("x",)), (("c",), ("y", "z"))]
+        assert corpus[1] == (("c",), ("y", "z"))
+        assert len(corpus) == 2
 
     def test_line_count_mismatch_names_both_counts(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", "b"], ["x", "y", "z"])
@@ -97,16 +96,16 @@ class TestLoadParallelCorpus:
             ["bien qu'il\u2028 soit venu .", "mais elle est partie ."],
         )
         corpus = load_parallel_corpus(src, tgt)
-        assert len(corpus.pairs) == 2
-        assert corpus.pairs.src[0] == ("although", "he", "came", "home", ".")
-        assert corpus.pairs.src[1] == ("but", "she", "left", ".")
-        assert len(load_token_corpus(src, tgt).pairs) == 2
+        assert len(corpus) == 2
+        assert corpus.src[0] == ("although", "he", "came", "home", ".")
+        assert corpus.src[1] == ("but", "she", "left", ".")
+        assert len(load_token_corpus(src, tgt)) == 2
 
     def test_both_empty_skipped(self, tmp_path):
         # Pairs are numbered as kept: pair k is line k of the token files.
         src, tgt = write_corpus(tmp_path, ["a", "", "b"], ["x", "", "y"])
         corpus = load_parallel_corpus(src, tgt)
-        assert list(corpus.pairs) == [(("a",), ("x",)), (("b",), ("y",))]
+        assert list(corpus) == [(("a",), ("x",)), (("b",), ("y",))]
 
     def test_empty_pair_fatal_when_skipping_disabled(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", ""], ["x", ""])
@@ -130,27 +129,27 @@ class TestLoadParallelCorpus:
     def test_limit_truncates(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", "b", "c"], ["x", "y", "z"])
         corpus = load_parallel_corpus(src, tgt, limit=2)
-        assert len(corpus.pairs) == 2
+        assert len(corpus) == 2
 
     def test_token_corpus_round_trip(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a b .", "c"], ["x", "y z"])
         corpus = load_parallel_corpus(src, tgt)
         out_src = tmp_path / "o.src"
         out_tgt = tmp_path / "o.tgt"
-        write_token_file((src for src, _ in corpus.pairs), str(out_src))
-        write_token_file((tgt for _, tgt in corpus.pairs), str(out_tgt))
+        write_token_file((src for src, _ in corpus), str(out_src))
+        write_token_file((tgt for _, tgt in corpus), str(out_tgt))
         reloaded = load_token_corpus(str(out_src), str(out_tgt))
-        assert list(reloaded.pairs) == list(corpus.pairs)
+        assert list(reloaded) == list(corpus)
 
     def test_open_token_corpus_reads_as_load_token_corpus(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a b\u2028 .", "c"], ["x", "y\tz"])
         loaded, opened = load_token_corpus(src, tgt), open_token_corpus(src, tgt)
-        assert len(opened.pairs) == len(loaded.pairs) == 2
-        assert [opened.pairs[k] for k in (1, 0)] == [loaded.pairs[k] for k in (1, 0)]
-        assert list(opened.pairs) == list(loaded.pairs)
-        assert opened.pairs.take([1, 0, 1]) == loaded.pairs.take([1, 0, 1])
+        assert len(opened) == len(loaded) == 2
+        assert [opened[k] for k in (1, 0)] == [loaded[k] for k in (1, 0)]
+        assert list(opened) == list(loaded)
+        assert opened.take([1, 0, 1]) == loaded.take([1, 0, 1])
         with pytest.raises(IndexError):
-            opened.pairs[2]
+            opened[2]
 
     def test_open_token_corpus_keeps_the_checks(self, tmp_path):
         for src_lines, tgt_lines, message in (
@@ -181,12 +180,12 @@ class TestLoadParallelCorpus:
         for lowercase in (True, False):
             opts = TokenizerOptions(lowercase=lowercase)
             corpus = load_parallel_corpus(str(src), str(tgt), opts)
-            assert list(corpus.pairs.src) == [tuple(tokenize(s, opts)) for s in lines]
-            assert list(corpus.pairs.tgt) == [tuple(tokenize(s, opts)) for s in reversed(lines)]
+            assert list(corpus.src) == [tuple(tokenize(s, opts)) for s in lines]
+            assert list(corpus.tgt) == [tuple(tokenize(s, opts)) for s in reversed(lines)]
             words = [t for s in lines for t in tokenize(s, opts)]
-            assert corpus.pairs.src.vocab == list(dict.fromkeys(words))
-        assert corpus.pairs.src[2] == ("ΟΔΟΣ", "ΣΟΦΟΣ", ".", "ΑΣ")
-        lowered = load_parallel_corpus(str(src), str(tgt)).pairs.src[2]
+            assert corpus.src.vocab == list(dict.fromkeys(words))
+        assert corpus.src[2] == ("ΟΔΟΣ", "ΣΟΦΟΣ", ".", "ΑΣ")
+        lowered = load_parallel_corpus(str(src), str(tgt)).src[2]
         assert lowered == ("οδος", "σοφος", ".", "ας")
 
     def test_lines_are_read_in_blocks(self, tmp_path, monkeypatch):
@@ -197,20 +196,20 @@ class TestLoadParallelCorpus:
         src, tgt = write_corpus(tmp_path, lines, [line.upper() for line in lines])
         loaded = load_parallel_corpus(src, tgt)
         kept = [k for k, line in enumerate(lines) if line]
-        assert list(loaded.pairs.src) == [tuple(tokenize(lines[k])) for k in kept]
-        assert loaded.pairs.src.vocab == ["b", "a", ",", "(", "c", "d", "«", "e", "»"]
-        write_token_file(loaded.pairs.src, str(tmp_path / "o.src"))
-        write_token_file(loaded.pairs.tgt, str(tmp_path / "o.tgt"))
+        assert list(loaded.src) == [tuple(tokenize(lines[k])) for k in kept]
+        assert loaded.src.vocab == ["b", "a", ",", "(", "c", "d", "«", "e", "»"]
+        write_token_file(loaded.src, str(tmp_path / "o.src"))
+        write_token_file(loaded.tgt, str(tmp_path / "o.tgt"))
         reloaded = load_token_corpus(str(tmp_path / "o.src"), str(tmp_path / "o.tgt"))
-        assert list(reloaded.pairs) == list(loaded.pairs)
+        assert list(reloaded) == list(loaded)
 
     def test_limit_counts_kept_pairs_and_reads_no_further(self, tmp_path):
         # Line 1 is skipped, so a limit of 2 ends at line 2: the one-sided
         # empty line 3 after it is not read, nor are its words interned.
         src, tgt = write_corpus(tmp_path, ["a", "", "b", "", "c"], ["x", "", "y", "z", "w"])
         corpus = load_parallel_corpus(src, tgt, limit=2)
-        assert list(corpus.pairs.src) == [("a",), ("b",)]
-        assert (corpus.pairs.src.vocab, corpus.pairs.tgt.vocab) == (["a", "b"], ["x", "y"])
+        assert list(corpus.src) == [("a",), ("b",)]
+        assert (corpus.src.vocab, corpus.tgt.vocab) == (["a", "b"], ["x", "y"])
         message = f"{re.escape(src)}: empty line 3 has a non-empty counterpart"
         for limit in (3, None, 0):
             with pytest.raises(PipelineError, match=message):
@@ -246,12 +245,12 @@ class TestLoadParallelCorpus:
         for lowercase in (True, False):
             opts = TokenizerOptions(lowercase=lowercase)
             corpus = load_parallel_corpus(src, tgt, opts)
-            assert list(corpus.pairs.src) == [tuple(tokenize(s, opts)) for s in lines]
-            assert list(corpus.pairs.tgt) == [tuple(tokenize(s, opts)) for s in lines[::-1]]
+            assert list(corpus.src) == [tuple(tokenize(s, opts)) for s in lines]
+            assert list(corpus.tgt) == [tuple(tokenize(s, opts)) for s in lines[::-1]]
 
 
 def corpus_from_tokens(sentences):
-    return Corpus(Bitext.of([(("src",), tuple(tokens)) for tokens in sentences]))
+    return Bitext.of([(("src",), tuple(tokens)) for tokens in sentences])
 
 
 def match_table(forms):

@@ -31,7 +31,7 @@ def load_corpus(tmp_path, prefix):
     src, tgt = tmp_path / "corpus.en", tmp_path / "corpus.fr"
     src.write_text(prefix + "Even though late\n", encoding="utf-8")
     tgt.write_text(prefix + "Même si tard\n", encoding="utf-8")
-    return list(load_parallel_corpus(str(src), str(tgt)).pairs)
+    return list(load_parallel_corpus(str(src), str(tgt)))
 
 
 def load_config(tmp_path, prefix):

@@ -184,7 +184,7 @@ def evidence_fixture():
 
 def corpus_of(pairs):
     """A corpus of (source, target) token sequences; pair k is pairs[k]."""
-    return Corpus(Bitext.of(pairs))
+    return Bitext.of(pairs)
 
 
 INVENTORY = [Connective(("même", "si")), Connective(("tard",))]
@@ -198,13 +198,13 @@ RELATIONS = ["Comparison.Concession", "Contingency.Condition"]
 
 def grouped_sites(corpus, alignments, tgt_inventory=INVENTORY):
     """The counted sites of `corpus`, grouped by (fr_dc, relation)."""
-    table = build_phrase_table(corpus.pairs, alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
+    table = build_phrase_table(corpus, alignments, tgt_inventory, SRC_INVENTORY, RELATIONS)
     return group_sites(corpus, table.sites, tgt_inventory, SRC_INVENTORY, RELATIONS)
 
 
 def evidence(corpus, alignments, fr_dc, relation, k, seed):
     sites = grouped_sites(corpus, alignments)
-    return sample_evidence(corpus, sites.get((fr_dc, relation), []), k, seed)
+    return sample_evidence(Corpus(corpus), sites.get((fr_dc, relation), []), k, seed)
 
 
 class TestEvidence:
@@ -248,8 +248,9 @@ class TestEvidence:
         corpus, alignments = evidence_fixture()
         with pytest.raises(PipelineError, match="sample size"):
             evidence(corpus, alignments, "même si", "R", k=0, seed=1)
+        shorter = Links.of(alignments.pair(k) for k in range(len(alignments) - 1))
         with pytest.raises(PipelineError, match="parallel"):
-            grouped_sites(corpus, alignments[:-1])
+            grouped_sites(corpus, shorter)
 
     def test_link_outside_the_connective_does_not_qualify(self):
         # The fused token links into "même si" and also to "tard": its
@@ -316,7 +317,7 @@ class TestEvidence:
 
     def test_sites_no_scan_counts_are_fatal(self):
         corpus, alignments = evidence_fixture()
-        sites = build_phrase_table(corpus.pairs, alignments, INVENTORY, SRC_INVENTORY, RELATIONS).sites
+        sites = build_phrase_table(corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS).sites
         for bad, message in [
             (sites[::-1], "site 2: not in corpus order"),
             (sites + (sites[-1],), "site 5: not in corpus order"),

@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from dclex.alignment import Alignment, Links
-from dclex.corpus import CHUNK_SIZE, Bitext, Corpus, count_occurrences
+from dclex.alignment import Links
+from dclex.corpus import CHUNK_SIZE, Bitext, count_occurrences
 from dclex.errors import PipelineError
 from dclex.inventory import Connective
 from dclex.lexicon import build_lexicon, group_sites
@@ -34,11 +34,7 @@ from oracles import (
 
 
 def aln(*pairs):
-    return Alignment(frozenset(pairs))
-
-
-def columns(alignments):
-    return Links.of(a.links for a in alignments)
+    return frozenset(pairs)
 
 
 class TestExtraction:
@@ -58,7 +54,7 @@ class TestExtraction:
         got = [
             occurrence[:4]
             for occurrence in connective_occurrences(
-                [(src, tgt)], columns([aln(*links)]), inventory, SRC_INV, RELATIONS, max_len
+                [(src, tgt)], Links.of([aln(*links)]), inventory, SRC_INV, RELATIONS, max_len
             )
         ]
         assert got == list(connective_sources_reference([(src, tgt)], [links], forms, max_len))
@@ -67,7 +63,7 @@ class TestExtraction:
 
     def test_connective_box_is_extracted(self):
         table = build_phrase_table(
-            [(self.SRC, self.TGT)], columns([aln(*self.LINKS)]),
+            [(self.SRC, self.TGT)], Links.of([aln(*self.LINKS)]),
             [Connective(f) for f in self.FORMS], SRC_INV, RELATIONS,
         )
         assert list(table) == [PhraseTableEntry((self.SRC[0],), ("même", "si"), 1)]
@@ -97,7 +93,7 @@ class TestExtraction:
 
     def test_out_of_bounds_link_is_fatal(self):
         with pytest.raises(PipelineError, match="0-5 out of bounds for 1x1 pair 0"):
-            check_links([(("a",), ("x",))], columns([aln((0, 5))]))
+            check_links([(("a",), ("x",))], Links.of([aln((0, 5))]))
 
     def test_bad_max_len_is_fatal(self):
         with pytest.raises(PipelineError, match="max_len must be >= 1, got 0"):
@@ -121,7 +117,7 @@ def fused_rows_reference(pairs, alignments, forms, max_len):
     rows = Counter()
     for (src, tgt), alignment in zip(pairs, alignments):
         for src_phrase, tgt_phrase in consistent_phrase_pairs_reference(
-            src, tgt, alignment.links, max_len
+            src, tgt, alignment, max_len
         ):
             if (
                 len(src_phrase) == 1
@@ -139,9 +135,7 @@ RELATIONS = ["Concession", "R", "S", "R1", "R2"]
 
 
 def random_links(rng, n, m, rate):
-    return Alignment(
-        frozenset((i, j) for i in range(n) for j in range(m) if rng.random() < rate)
-    )
+    return frozenset((i, j) for i in range(n) for j in range(m) if rng.random() < rate)
 
 
 NESTED_FORMS = [
@@ -174,10 +168,10 @@ class TestBuildPhraseTable:
         # occurrence is "même si", and "même" never occurs on its own.
         pairs = [((self.FUSED, "late"), ("même", "si", "tard"))]
         alignments = [aln((0, 0), (1, 2))]
-        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
+        table = build_phrase_table(pairs, Links.of(alignments), self.TGT_INV, SRC_INV, RELATIONS)
         records = filter_dc_entries(table, [Connective(("even", "though"))], ["Concession"])
         assert records == [DCAlignmentRecord("même si", "even though", "Concession", 1)]
-        freqs = count_occurrences(Corpus(Bitext.of(pairs)), self.TGT_INV)
+        freqs = count_occurrences(Bitext.of(pairs), self.TGT_INV)
         lexicon = build_lexicon(records, freqs, min_freq=1)
         assert [(e.fr_dc, e.aligned_count, e.corpus_freq) for e in lexicon.entries] == [
             ("même si", 1, 1)
@@ -193,18 +187,20 @@ class TestBuildPhraseTable:
             ((self.FUSED,), ("même", "si")),
         ]
         alignments = [aln((0, 0), (1, 1)), aln((0, 0)), aln((0, 1), (0, 2)), aln((0, 1))]
-        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
+        table = build_phrase_table(pairs, Links.of(alignments), self.TGT_INV, SRC_INV, RELATIONS)
         assert list(table) == [PhraseTableEntry((self.FUSED,), ("même", "si"), 1)]
         assert table.occurrences == 4
         assert build_phrase_table(
-            pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS, max_len=1
+            pairs, Links.of(alignments), self.TGT_INV, SRC_INV, RELATIONS, max_len=1
         ).entries == ()
 
     def test_counts_accumulate_across_repeats(self):
         pair = (("a-R", "b"), ("x", "y", "z"))
         inventory = [Connective(("x",)), Connective(("x", "y"))]
         alignment = aln((0, 0), (0, 1), (1, 2))
-        table = build_phrase_table([pair] * 3, columns([alignment] * 3), inventory, SRC_INV, RELATIONS)
+        table = build_phrase_table(
+            [pair] * 3, Links.of([alignment] * 3), inventory, SRC_INV, RELATIONS
+        )
         assert list(table) == [PhraseTableEntry(("a-R",), ("x", "y"), 3)]
         assert table.occurrences == 3
 
@@ -212,7 +208,7 @@ class TestBuildPhraseTable:
         pair = (("b-R", "a-R"), ("y", "x"))
         inventory = [Connective(("x",)), Connective(("y",))]
         table = build_phrase_table(
-            [pair], columns([aln((0, 0), (1, 1))]), inventory, SRC_INV, RELATIONS
+            [pair], Links.of([aln((0, 0), (1, 1))]), inventory, SRC_INV, RELATIONS
         )
         keys = [(e.src_phrase, e.tgt_phrase) for e in table]
         assert keys == sorted(keys) == [(("a-R",), ("x",)), (("b-R",), ("y",))]
@@ -223,25 +219,25 @@ class TestBuildPhraseTable:
         # its occurrence is scanned and counted, and gives no row.
         pairs = [(("albeit-Concession",), ("même", "si")), ((self.FUSED,), ("même", "si"))]
         alignments = [aln((0, 0), (0, 1))] * 2
-        table = build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
+        table = build_phrase_table(pairs, Links.of(alignments), self.TGT_INV, SRC_INV, RELATIONS)
         assert list(table) == [PhraseTableEntry((self.FUSED,), ("même", "si"), 1)]
         assert table.occurrences == 2
 
     def test_unknown_relation_label_is_fatal(self):
         pairs = [(("a-Bogus",), ("même",))]
         with pytest.raises(PipelineError, match="unknown relation label 'Bogus'"):
-            build_phrase_table(pairs, columns([aln((0, 0))]), self.TGT_INV, SRC_INV, RELATIONS)
+            build_phrase_table(pairs, Links.of([aln((0, 0))]), self.TGT_INV, SRC_INV, RELATIONS)
 
     def test_length_mismatch_is_fatal(self):
         with pytest.raises(PipelineError, match="1 vs 2"):
             build_phrase_table(
-                [(("a",), ("x",))], columns([aln(), aln()]), self.TGT_INV, SRC_INV, RELATIONS
+                [(("a",), ("x",))], Links.of([aln(), aln()]), self.TGT_INV, SRC_INV, RELATIONS
             )
 
     def test_out_of_bounds_link_is_fatal(self):
         with pytest.raises(PipelineError, match="out of bounds"):
             build_phrase_table(
-                [(("a",), ("même",))], columns([aln((0, 5))]), self.TGT_INV, SRC_INV, RELATIONS
+                [(("a",), ("même",))], Links.of([aln((0, 5))]), self.TGT_INV, SRC_INV, RELATIONS
             )
 
     def test_out_of_bounds_link_is_fatal_without_an_occurrence(self):
@@ -250,7 +246,7 @@ class TestBuildPhraseTable:
         pairs = [((self.FUSED,), ("même",))] * CHUNK_SIZE + [(("a", "b"), ("x",))]
         alignments = [aln((0, 0))] * CHUNK_SIZE + [aln((1, 1))]
         with pytest.raises(PipelineError, match=f"1-1 out of bounds for 2x1 pair {CHUNK_SIZE}$"):
-            build_phrase_table(pairs, columns(alignments), self.TGT_INV, SRC_INV, RELATIONS)
+            build_phrase_table(pairs, Links.of(alignments), self.TGT_INV, SRC_INV, RELATIONS)
 
     def test_equals_filtered_full_table_without_nested_forms(self):
         # Forms share no token and repeat none, so no two occurrences can
@@ -275,7 +271,7 @@ class TestBuildPhraseTable:
                 alignments.append(random_links(rng, n, m, 0.25))
             max_len = rng.randint(1, 7)
             table = build_phrase_table(
-                pairs, columns(alignments), inventory, SRC_INV, RELATIONS, max_len
+                pairs, Links.of(alignments), inventory, SRC_INV, RELATIONS, max_len
             )
             got = {(e.src_phrase, e.tgt_phrase): e.count for e in table}
             want = fused_rows_reference(pairs, alignments, forms, max_len)
@@ -287,10 +283,9 @@ class TestBuildPhraseTable:
         for _ in range(50):
             pairs, alignments = random_nested_corpus(rng, ["p", "a-R1", "b-R2"])
             table = build_phrase_table(
-                pairs, columns(alignments), inventory, SRC_INV, RELATIONS, rng.randint(1, 4)
+                pairs, Links.of(alignments), inventory, SRC_INV, RELATIONS, rng.randint(1, 4)
             )
-            corpus = Corpus(Bitext.of(pairs))
-            freqs = count_occurrences(corpus, inventory)
+            freqs = count_occurrences(Bitext.of(pairs), inventory)
             aligned = Counter()
             for entry in table:
                 aligned[" ".join(entry.tgt_phrase)] += entry.count
@@ -339,7 +334,7 @@ class TestConnectiveOccurrences:
     @pytest.mark.parametrize("seed", range(3))
     def test_decision_equals_the_per_pair_loop(self, seed):
         pairs, link_sets = decision_batch(random.Random(seed))
-        links = columns(Alignment(frozenset(s)) for s in link_sets)
+        links = Links.of(link_sets)
         src_forms, relations = {c.surface for c in SRC_INV}, set(RELATIONS)
         surfaces = [c.surface for c in NESTED_FORMS]
         for max_len in (1, 2, 7):
@@ -366,7 +361,7 @@ class TestConnectiveOccurrences:
 
     def test_no_links_anywhere(self):
         pairs = [(("a-R1",), ("x", "y")), (("b-R2",), ("z", "z"))]
-        links = columns([aln(), aln()])
+        links = Links.of([aln(), aln()])
         got = list(connective_occurrences(pairs, links, NESTED_FORMS, SRC_INV, RELATIONS))
         assert got == [(0, 0, ("x", "y"), None, None), (1, 0, ("z", "z"), None, None)]
 
@@ -390,15 +385,15 @@ def test_evidence_cites_exactly_the_pairs_extract_counts():
     for _ in range(80):
         pairs, alignments = random_nested_corpus(rng, ["p", "a-R1", "b-R2", "a-R2", "c-R1"])
         max_len = rng.randint(1, 4)
-        corpus = Corpus(Bitext.of(pairs))
+        corpus = Bitext.of(pairs)
         table = build_phrase_table(
-            pairs, columns(alignments), NESTED_FORMS, SRC_INV, RELATIONS, max_len
+            pairs, Links.of(alignments), NESTED_FORMS, SRC_INV, RELATIONS, max_len
         )
         sites = group_sites(corpus, table.sites, NESTED_FORMS, SRC_INV, RELATIONS)
         want: dict[tuple[str, str], list[int]] = {}
         for k in range(len(pairs)):
             table = build_phrase_table(
-                pairs[k : k + 1], columns(alignments[k : k + 1]), NESTED_FORMS,
+                pairs[k : k + 1], Links.of(alignments[k : k + 1]), NESTED_FORMS,
                 SRC_INV, RELATIONS, max_len,
             )
             keys = {(r.fr_dc, r.relation) for r in filter_dc_entries(table, SRC_INV, RELATIONS)}

@@ -7,7 +7,7 @@ import pytest
 
 from dclex.corpus import TokenColumns
 from dclex.errors import PipelineError
-from dclex.inventory import Connective
+from dclex.inventory import Connective, load_connective_inventory
 from dclex.tagging import (
     DCAnnotation,
     fuse_corpus,
@@ -346,6 +346,19 @@ class TestDefaultSenses:
         path.write_text("Although\tComparison.Concession\n", encoding="utf-8")
         senses = load_default_senses(str(path))
         assert senses == {"although": "Comparison.Concession"}
+
+    def test_surfaces_are_keyed_as_the_inventory_keys_its_forms(self, tmp_path):
+        # "e.g." is the form "e.g ." in the inventory; its sense must be
+        # found under that key, or tagging stops at the first match.
+        inventory_path, senses_path = tmp_path / "inv.en", tmp_path / "senses.tsv"
+        inventory_path.write_text("e.g.\nEven  Though\n", encoding="utf-8")
+        senses_path.write_text("E.g.\tRelA\neven though\tRelB\n", encoding="utf-8")
+        inventory = load_connective_inventory(str(inventory_path))
+        senses = load_default_senses(str(senses_path))
+        assert senses == {"e.g .": "RelA", "even though": "RelB"}
+        corpus = make_corpus(("see", "e.g", ".", "even", "though"))
+        tagged = heuristic_tag(corpus, inventory, senses)
+        assert [(a.start, a.end, a.relation) for a in tagged] == [(1, 2, "RelA"), (3, 4, "RelB")]
 
     def test_conflicting_senses_are_fatal(self, tmp_path):
         path = tmp_path / "senses.tsv"
