@@ -37,9 +37,9 @@ source and target columns. Viterbi decoding, `transpose`, `symmetrize`,
 `write_alignments` and `read_alignments` all work on the columns, so no
 Python object is made per link. grow-diag-final scans the pairs in
 lock-step, candidate k of every pair at step k, over per-pair bool grids.
-Only the scans that read the links of a pair with a connective occurrence
-(phrasetable) turn them into tuples. This module is the only one that knows
-the text format. `viterbi_align_model2`, a per-pair Model 2 decoder, and
+The phrasetable scan reads the columns too (`_box_sources`); only tests
+turn a pair's links into tuples (`Links.pair`). This module is the only one
+that knows the text format. `viterbi_align_model2`, a per-pair Model 2 decoder, and
 `tests/oracles.viterbi_reference` and `symmetrize_reference` are the
 reference definitions that the columnar path is tested against.
 

@@ -53,7 +53,6 @@ ARTIFACTS = {
     "ttable_fwd": "ttable.fwd.tsv",
     "ttable_bwd": "ttable.bwd.tsv",
     "align_sym": "alignments.sym.txt",
-    "phrase_table": "phrase_table.txt",
     "sites": "sites.tsv",
     "dc_records": "dc_records.tsv",
     "lexicon": "lexicon.tsv",
@@ -261,11 +260,11 @@ def _require_config_path(cfg: PipelineConfig, key: str) -> str:
     return value
 
 
-def _load_target_inventory(cfg: PipelineConfig) -> list[inv.Connective]:
+def _load_target_inventory(cfg: PipelineConfig) -> list[cp.Form]:
     return inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
 
 
-def _load_source_inventory(cfg: PipelineConfig) -> list[inv.Connective]:
+def _load_source_inventory(cfg: PipelineConfig) -> list[cp.Form]:
     return inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
 
 
@@ -281,7 +280,9 @@ def _load_gold_relations(cfg: PipelineConfig) -> list[str]:
     return inv.default_gold_relations()
 
 
-def _load_relation_map(cfg: PipelineConfig, induced: list[str], gold: list[str]) -> inv.RelationMap:
+def _load_relation_map(
+    cfg: PipelineConfig, induced: list[str], gold: list[str]
+) -> dict[str, str]:
     if cfg.relation_map:
         return inv.load_relation_map(_require_config_path(cfg, "relation_map"), induced, gold)
     return inv.default_relation_map(induced, gold)
@@ -315,11 +316,11 @@ def _work_pairs(cfg: PipelineConfig, handoff: Handoff, last: bool = False) -> cp
 def _stage_ingest(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
-    opts = cp.TokenizerOptions(lowercase=cfg.lowercase, skip_empty=cfg.skip_empty)
     corpus = cp.load_parallel_corpus(
         _require_config_path(cfg, "src_corpus"),
         _require_config_path(cfg, "tgt_corpus"),
-        opts,
+        lowercase=cfg.lowercase,
+        skip_empty=cfg.skip_empty,
         limit=cfg.limit or None,
     )
     if not corpus:
@@ -420,7 +421,6 @@ def _stage_extract(
         handoff.pop("occurrences", None),
     )
     pt.write_sites(table.sites, _out(cfg, "sites"))
-    pt.write_phrase_table(table, _out(cfg, "phrase_table"))
     records = pt.filter_dc_entries(table, src_inventory, relations)
     pt.write_dc_records(records, _out(cfg, "dc_records"))
     handoff["sites"] = table.sites
@@ -438,6 +438,11 @@ def _stage_build(
     return {"entries": len(ranked.entries)}
 
 
+class _NoGoldPair(PipelineError):
+    """No gold pair's connective reaches `min_freq`: `run all` skips eval,
+    and eval run alone fails."""
+
+
 def _stage_eval(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
@@ -446,8 +451,8 @@ def _stage_eval(
     gold_relations = _load_gold_relations(cfg)
     gold = inv.load_gold_lexicon(_require_config_path(cfg, "gold_lexicon"), gold_relations)
     gold = inv.restrict_gold(gold, freqs, cfg.min_freq)
-    if not gold.entries:
-        raise PipelineError(
+    if not gold:
+        raise _NoGoldPair(
             f"gold lexicon is empty after applying the frequency threshold {cfg.min_freq}"
         )
     induced = _load_induced_relations(cfg)
@@ -455,8 +460,8 @@ def _stage_eval(
     report = ev.evaluate(ranked, gold, relation_map)
     ev.write_eval_report(report, _out(cfg, "eval_report"))
     return {
-        "relevant_retrieved": report.counts.relevant_retrieved,
-        "total_relevant": report.counts.total_relevant,
+        "relevant_retrieved": report.relevant_retrieved,
+        "total_relevant": report.total_relevant,
     }
 
 
@@ -520,8 +525,8 @@ def _stage_report(
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
     tgt_inventory = _load_target_inventory(cfg)
     zero = below = above = 0
-    for connective in tgt_inventory:
-        count = freqs.count(connective.text)
+    for form in tgt_inventory:
+        count = freqs.count(" ".join(form))
         if count == 0:
             zero += 1
         elif count < cfg.min_freq:
@@ -668,8 +673,12 @@ def main(argv: list[str] | None = None) -> int:
             for stage in STAGES:
                 if stage == "eval" and not cfg.gold_lexicon:
                     skip_stage(stage, cfg, "no gold_lexicon", manifest)
-                else:
+                    continue
+                try:
                     run_stage(stage, cfg, args, handoff, manifest)
+                except _NoGoldPair:
+                    # Evaluation has nothing to score; later stages do not read it.
+                    skip_stage(stage, cfg, f"no gold pair at min_freq {cfg.min_freq}", manifest)
         else:
             run_stage(args.command, cfg, args)
         return 0

@@ -31,13 +31,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PipelineError
 from .fileio import atomic_write_bytes, atomic_write_text, read_text_strict
-
-if TYPE_CHECKING:
-    from .inventory import Connective
 
 CHUNK_SIZE = 1024
 
@@ -50,18 +47,6 @@ def process_chunks(
 ) -> list[R]:
     """Apply `func` to consecutive chunks of `items`; results in chunk order."""
     return [func(items[lo : lo + chunk_size]) for lo in range(0, len(items), chunk_size)]
-
-
-@dataclass(frozen=True)
-class TokenizerOptions:
-    """Tokenizer and loader settings.
-
-    skip_empty: drop line pairs where both sides are empty; when false any
-    empty line is an error. A line empty on one side only is always an error.
-    """
-
-    lowercase: bool = True
-    skip_empty: bool = True
 
 
 class TokenColumns(Sequence[tuple[str, ...]]):
@@ -304,10 +289,9 @@ def _split_chunk(chunk: str) -> list[str]:
     return out
 
 
-def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
+def tokenize(text: str, lowercase: bool = True) -> list[str]:
     """Split on whitespace, detaching edge punctuation into its own tokens."""
-    opts = options or TokenizerOptions()
-    if opts.lowercase:
+    if lowercase:
         text = text.lower()
     tokens: list[str] = []
     for chunk in text.split():
@@ -344,20 +328,23 @@ def _read_line_pairs(
 def load_parallel_corpus(
     src_path: str,
     tgt_path: str,
-    options: TokenizerOptions | None = None,
+    *,
+    lowercase: bool = True,
+    skip_empty: bool = True,
     limit: int | None = None,
 ) -> Bitext:
     """Load two line-aligned UTF-8 files into a tokenized corpus, each side
     interned as `TokenColumns`.
 
-    Pairs are numbered from 0 in the order they are kept: with skipped empty
-    pairs, pair k is line k of the token files written from it, not of the
-    input files.
+    `skip_empty` drops line pairs where both sides are empty; without it any
+    empty line is an error. A line empty on one side only is always an
+    error. Pairs are numbered from 0 in the order they are kept: with
+    skipped empty pairs, pair k is line k of the token files written from
+    it, not of the input files.
     """
     import numpy as np
 
-    opts = options or TokenizerOptions()
-    src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path, opts.lowercase)
+    src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path, lowercase)
     src_chunks, tgt_chunks = _chunk_counts(src_lines), _chunk_counts(tgt_lines)
     kept = (src_chunks > 0) & (tgt_chunks > 0)
     # Lines past the pair that reaches the limit are not read.
@@ -367,7 +354,7 @@ def load_parallel_corpus(
         if len(full) >= limit:
             n = int(full[limit - 1]) + 1
     bad = (src_chunks[:n] > 0) != (tgt_chunks[:n] > 0)
-    if not opts.skip_empty:
+    if not skip_empty:
         bad |= ~kept[:n]
     if bad.any():
         lineno = int(np.argmax(bad))
@@ -598,7 +585,7 @@ class FrequencyTable:
 
 def count_occurrences(
     corpus: Bitext,
-    inventory: Sequence["Connective"],
+    inventory: Sequence[Form],
 ) -> FrequencyTable:
     """Count connective occurrences on the target side of the corpus.
 
@@ -608,7 +595,7 @@ def count_occurrences(
     if not inventory:
         raise PipelineError("empty connective inventory")
     tgt = TokenColumns.of(corpus.tgt)
-    scan = FormScan((c.surface for c in inventory), tgt.vocab)
+    scan = FormScan(inventory, tgt.vocab)
     found = Occurrences.concat(scan.forms, process_chunks(partial(scan, tgt), range(len(tgt))))
     counts = found.counts()
     return FrequencyTable({" ".join(form): n for form, n in zip(scan.forms, counts)}, found)

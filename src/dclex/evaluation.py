@@ -10,84 +10,28 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import PipelineError
 from .fileio import atomic_write_text
-from .inventory import GoldLexicon, RelationMap
 from .lexicon import RankedLexicon
 
 RECALL_LEVELS = tuple(Fraction(i, 10) for i in range(11))
 
 
 @dataclass(frozen=True)
-class RelevanceItem:
-    fr_dc: str
-    gold_relation: str
-    is_relevant: bool
+class EvalReport:
+    """The 11-point curve, AveP and pair recall, and the counts behind them:
+    gold pairs retrieved and in all, and gold connectives with a pair
+    retrieved and in all."""
 
-
-@dataclass(frozen=True)
-class RelevanceList:
-    """Ranked retrieval outcomes; `total_relevant` is the gold set size N."""
-
-    items: tuple[RelevanceItem, ...]
-    total_relevant: int
-
-
-@dataclass(frozen=True)
-class EvalCounts:
+    curve11: tuple[Fraction, ...]
+    avep: Fraction
+    recall_final: Fraction
     relevant_retrieved: int
     total_relevant: int
     dc_retrieved: int
     dc_total: int
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    curve11: tuple[Fraction, ...]
-    avep: Fraction
-    recall_final: Fraction
-    counts: EvalCounts
-
-
-def make_relevance_list(
-    ranked: RankedLexicon, gold: GoldLexicon, relation_map: RelationMap
-) -> RelevanceList:
-    """Project the ranked lexicon into gold space and judge each entry.
-
-    Entries whose relation has no mapping are skipped. Only the first
-    retrieval of a gold pair counts as relevant; `gold` is assumed to be
-    already restricted to connectives above the frequency threshold.
-    """
-    items: list[RelevanceItem] = []
-    seen: set[tuple[str, str]] = set()
-    for entry in ranked.entries:
-        gold_relation = relation_map.project(entry.relation)
-        if gold_relation is None:
-            continue
-        key = (entry.fr_dc, gold_relation)
-        relevant = key in gold.entries and key not in seen
-        if relevant:
-            seen.add(key)
-        items.append(RelevanceItem(entry.fr_dc, gold_relation, relevant))
-    return RelevanceList(tuple(items), len(gold.entries))
-
-
-def precision_recall_points(
-    relevance: RelevanceList,
-) -> list[tuple[Fraction, Fraction]]:
-    """(recall, precision) after each rank, as exact fractions."""
-    n = relevance.total_relevant
-    if n <= 0:
-        raise PipelineError("empty gold set: precision/recall undefined")
-    points = []
-    hits = 0
-    for rank, item in enumerate(relevance.items, start=1):
-        if item.is_relevant:
-            hits += 1
-        points.append((Fraction(hits, n), Fraction(hits, rank)))
-    return points
 
 
 def interpolated_11pt(
@@ -113,40 +57,48 @@ def interpolated_11pt(
     return tuple(curve)
 
 
-def average_precision(relevance: RelevanceList) -> Fraction:
-    """Mean over gold pairs of precision at their first retrieval rank;
-    never-retrieved gold pairs contribute zero."""
-    n = relevance.total_relevant
-    if n <= 0:
-        raise PipelineError("empty gold set: average precision undefined")
-    total = Fraction(0)
-    hits = 0
-    for rank, item in enumerate(relevance.items, start=1):
-        if item.is_relevant:
-            hits += 1
-            total += Fraction(hits, rank)
-    return total / n
-
-
 def evaluate(
-    ranked: RankedLexicon, gold: GoldLexicon, relation_map: RelationMap
+    ranked: RankedLexicon,
+    gold: frozenset[tuple[str, str]],
+    relation_map: Mapping[str, str],
 ) -> EvalReport:
-    """Full evaluation: 11-point curve, AveP, recall, counts.
+    """Judge each ranked entry once, in gold space, and report the 11-point
+    curve, AveP, pair recall and the counts.
 
-    Recall is reported at pair level (gold pairs retrieved / N) and the
-    counts allow connective-level recall (distinct gold connectives with at
-    least one retrieved pair).
+    An entry whose relation has no mapping is skipped and takes no rank.
+    Only the first retrieval of a gold pair is relevant; `gold` is assumed
+    to be already restricted to connectives above the frequency threshold.
+    AveP is the mean over gold pairs of precision at their first retrieval
+    rank, never-retrieved pairs counting zero. Connective-level recall
+    counts distinct gold connectives with at least one pair retrieved.
     """
-    relevance = make_relevance_list(ranked, gold, relation_map)
-    points = precision_recall_points(relevance)
-    curve = interpolated_11pt(points)
-    avep = average_precision(relevance)
-    hits = sum(1 for item in relevance.items if item.is_relevant)
-    recall_final = Fraction(hits, relevance.total_relevant)
-    gold_dcs = {surface for surface, _ in gold.entries}
-    retrieved_dcs = {item.fr_dc for item in relevance.items if item.is_relevant}
-    counts = EvalCounts(hits, relevance.total_relevant, len(retrieved_dcs), len(gold_dcs))
-    return EvalReport(curve, avep, recall_final, counts)
+    n = len(gold)
+    if not n:
+        raise PipelineError("empty gold set: precision/recall undefined")
+    found: set[tuple[str, str]] = set()
+    points: list[tuple[Fraction, Fraction]] = []  # (recall, precision) after each rank
+    precision_sum = Fraction(0)
+    rank = 0
+    for entry in ranked.entries:
+        gold_relation = relation_map.get(entry.relation)
+        if gold_relation is None:
+            continue
+        rank += 1
+        key = (entry.fr_dc, gold_relation)
+        if key in gold and key not in found:
+            found.add(key)
+            precision_sum += Fraction(len(found), rank)
+        points.append((Fraction(len(found), n), Fraction(len(found), rank)))
+    hits = len(found)
+    return EvalReport(
+        interpolated_11pt(points),
+        precision_sum / n,
+        Fraction(hits, n),
+        hits,
+        n,
+        len({surface for surface, _ in found}),
+        len({surface for surface, _ in gold}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +121,17 @@ def render_eval_report(report: EvalReport) -> str:
     lines.append("# recall")
     lines.append(f"pair_recall\t{_dec(report.recall_final)}")
     dc_recall = (
-        Fraction(report.counts.dc_retrieved, report.counts.dc_total)
-        if report.counts.dc_total
+        Fraction(report.dc_retrieved, report.dc_total)
+        if report.dc_total
         else Fraction(0)
     )
     lines.append(f"dc_recall\t{_dec(dc_recall)}")
     lines.append("")
     lines.append("# counts")
-    lines.append(f"relevant_retrieved\t{report.counts.relevant_retrieved}")
-    lines.append(f"total_relevant\t{report.counts.total_relevant}")
-    lines.append(f"dc_retrieved\t{report.counts.dc_retrieved}")
-    lines.append(f"dc_total\t{report.counts.dc_total}")
+    lines.append(f"relevant_retrieved\t{report.relevant_retrieved}")
+    lines.append(f"total_relevant\t{report.total_relevant}")
+    lines.append(f"dc_retrieved\t{report.dc_retrieved}")
+    lines.append(f"dc_total\t{report.dc_total}")
     return "\n".join(lines) + "\n"
 
 

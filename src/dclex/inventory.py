@@ -1,52 +1,26 @@
-"""Connective inventories, relation inventories, gold lexicon, relation map."""
+"""Connective inventories, relation inventories, gold lexicon, relation map.
+
+A connective inventory is a list of forms, each the lowercased tokens of one
+surface; a gold lexicon is a set of (connective text, relation) pairs; a
+relation map takes induced relation labels to gold labels.
+"""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from importlib import resources
 
-from .corpus import FrequencyTable, tokenize, TokenizerOptions
+from .corpus import Form, FrequencyTable, tokenize
 from .errors import PipelineError
 from .fileio import iter_data_lines, read_text_strict
 
 logger = logging.getLogger(__name__)
 
-_TOKENIZE_LOWER = TokenizerOptions(lowercase=True)
-
-
-@dataclass(frozen=True)
-class Connective:
-    surface: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.surface)
-
-
-@dataclass(frozen=True)
-class GoldLexicon:
-    """Reference (connective text, relation) pairs for evaluation."""
-
-    entries: frozenset[tuple[str, str]]
-
-
-@dataclass(frozen=True)
-class RelationMap:
-    """Functional mapping from induced relation labels to gold labels."""
-
-    pairs: dict[str, str]
-
-    def project(self, relation: str) -> str | None:
-        """Gold label for an induced label, or None when unmapped."""
-        return self.pairs.get(relation)
-
-
-def load_connective_inventory(path: str) -> list[Connective]:
+def load_connective_inventory(path: str) -> list[Form]:
     """Load one surface form per line; lowercased, deduplicated in order."""
-    seen: dict[tuple[str, ...], None] = {}
+    seen: dict[Form, None] = {}
     for lineno, payload in iter_data_lines(read_text_strict(path)):
-        surface = tuple(tokenize(payload, _TOKENIZE_LOWER))
+        surface = tuple(tokenize(payload))
         if not surface:
             raise PipelineError(f"{path}: no tokens in surface form at line {lineno}")
         if surface in seen:
@@ -55,7 +29,7 @@ def load_connective_inventory(path: str) -> list[Connective]:
         seen[surface] = None
     if not seen:
         raise PipelineError(f"{path}: empty connective inventory")
-    return [Connective(surface) for surface in seen]
+    return list(seen)
 
 
 def _parse_relation_inventory(text: str, origin: str) -> list[str]:
@@ -79,13 +53,15 @@ def load_relation_inventory(path: str) -> list[str]:
     return _parse_relation_inventory(read_text_strict(path), str(path))
 
 
-def _parse_gold_lexicon(text: str, origin: str, relations: list[str] | None) -> GoldLexicon:
+def _parse_gold_lexicon(
+    text: str, origin: str, relations: list[str] | None
+) -> frozenset[tuple[str, str]]:
     entries: set[tuple[str, str]] = set()
     for lineno, payload in iter_data_lines(text):
         parts = payload.split("\t")
         if len(parts) != 2:
             raise PipelineError(f"{origin}: expected `surface<TAB>relation` at line {lineno}")
-        surface = " ".join(tokenize(parts[0], _TOKENIZE_LOWER))
+        surface = " ".join(tokenize(parts[0]))
         relation = parts[1].strip()
         if not surface or not relation:
             raise PipelineError(f"{origin}: empty field at line {lineno}")
@@ -96,27 +72,28 @@ def _parse_gold_lexicon(text: str, origin: str, relations: list[str] | None) -> 
         entries.add((surface, relation))
     if not entries:
         raise PipelineError(f"{origin}: empty gold lexicon")
-    return GoldLexicon(frozenset(entries))
+    return frozenset(entries)
 
 
-def load_gold_lexicon(path: str, relations: list[str] | None = None) -> GoldLexicon:
+def load_gold_lexicon(
+    path: str, relations: list[str] | None = None
+) -> frozenset[tuple[str, str]]:
     """Load `surface<TAB>relation` pairs, validating labels when given."""
     return _parse_gold_lexicon(read_text_strict(path), str(path), relations)
 
 
-def restrict_gold(gold: GoldLexicon, freqs: FrequencyTable, min_freq: int) -> GoldLexicon:
-    """Keep gold entries whose connective occurs at least `min_freq` times."""
-    kept = frozenset(
-        (surface, relation)
-        for surface, relation in gold.entries
-        if freqs.count(surface) >= min_freq
+def restrict_gold(
+    gold: frozenset[tuple[str, str]], freqs: FrequencyTable, min_freq: int
+) -> frozenset[tuple[str, str]]:
+    """Keep gold pairs whose connective occurs at least `min_freq` times."""
+    return frozenset(
+        (surface, relation) for surface, relation in gold if freqs.count(surface) >= min_freq
     )
-    return GoldLexicon(kept)
 
 
 def _parse_relation_map(
     text: str, origin: str, induced: list[str] | None, gold: list[str] | None
-) -> RelationMap:
+) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, payload in iter_data_lines(text):
         parts = payload.split("\t")
@@ -136,12 +113,13 @@ def _parse_relation_map(
         pairs[src] = dst
     if not pairs:
         raise PipelineError(f"{origin}: empty relation map")
-    return RelationMap(pairs)
+    return pairs
 
 
 def load_relation_map(
     path: str, induced: list[str] | None = None, gold: list[str] | None = None
-) -> RelationMap:
+) -> dict[str, str]:
+    """Load `induced<TAB>gold` label pairs, validating labels when given."""
     return _parse_relation_map(read_text_strict(path), str(path), induced, gold)
 
 
@@ -163,6 +141,6 @@ def default_gold_relations() -> list[str]:
 
 def default_relation_map(
     induced: list[str] | None = None, gold: list[str] | None = None
-) -> RelationMap:
+) -> dict[str, str]:
     """The shipped map covers the two relations shared by both label sets."""
     return _parse_relation_map(_data_text("relation_map.tsv"), "<default relation map>", induced, gold)

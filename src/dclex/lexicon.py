@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .corpus import Bitext, Corpus, FrequencyTable
+from .corpus import Bitext, Corpus, Form, FrequencyTable
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
-from .inventory import Connective
 from .phrasetable import DCAlignmentRecord, Site, fused_connective
 
 
@@ -131,8 +130,8 @@ def _highlight(tokens: Sequence[str], start: int, end: int) -> str:
 def group_sites(
     corpus: Bitext,
     sites: Iterable[Site],
-    tgt_inventory: Sequence[Connective],
-    src_inventory: Sequence[Connective],
+    tgt_inventory: Sequence[Form],
+    src_inventory: Sequence[Form],
     relations: Sequence[str],
 ) -> dict[tuple[str, str], list[Site]]:
     """Group counted sites, given in corpus order, by the (fr_dc, relation)
@@ -143,8 +142,8 @@ def group_sites(
     rejects cannot have been counted on this corpus, and is fatal; errors
     name the site by its 1-based row.
     """
-    forms = {c.surface for c in tgt_inventory}
-    src_forms = {c.surface for c in src_inventory}
+    forms = set(tgt_inventory)
+    src_forms = set(src_inventory)
     known_relations = set(relations)
     dcs: dict[str, tuple[str, str] | None] = {}
     grouped: dict[tuple[str, str], list[Site]] = {}

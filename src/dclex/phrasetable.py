@@ -17,13 +17,10 @@ from functools import partial
 from typing import Container, Iterable, Iterator, Sequence
 
 from .alignment import Links
-from .corpus import Bitext, FormScan, Occurrences, process_chunks
+from .corpus import Bitext, Form, FormScan, Occurrences, process_chunks
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
-from .inventory import Connective
 from .tagging import split_fused_token
-
-Phrase = tuple[str, ...]
 
 # (pair index, fused source token, target start, target end), ends inclusive
 Site = tuple[int, int, int, int]
@@ -31,8 +28,8 @@ Site = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class PhraseTableEntry:
-    src_phrase: Phrase
-    tgt_phrase: Phrase
+    src_phrase: Form
+    tgt_phrase: Form
     count: int
 
 
@@ -63,12 +60,12 @@ class DCAlignmentRecord:
 def connective_occurrences(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     links: Links,
-    tgt_inventory: Sequence[Connective],
-    src_inventory: Sequence[Connective],
+    tgt_inventory: Sequence[Form],
+    src_inventory: Sequence[Form],
     relations: Sequence[str],
     max_len: int = 7,
     occurrences: Occurrences | None = None,
-) -> Iterator[tuple[int, int, Phrase, int | None, tuple[str, str] | None]]:
+) -> Iterator[tuple[int, int, Form, int | None, tuple[str, str] | None]]:
     """Yield (pair, start, form, source, dc) for each longest-match occurrence
     of a target form, in corpus order, found as the corpus counts find them:
     `occurrences` when given (`count_occurrences` of `tgt_inventory` on the
@@ -88,7 +85,7 @@ def connective_occurrences(
     found = occurrences
     if found is None:
         tgt = pairs.tgt
-        scan = FormScan((c.surface for c in tgt_inventory), tgt.vocab)
+        scan = FormScan(tgt_inventory, tgt.vocab)
         found = Occurrences.concat(scan.forms, process_chunks(partial(scan, tgt), range(len(tgt))))
     if not len(found):
         return
@@ -97,7 +94,7 @@ def connective_occurrences(
     boxed = sources >= 0
     words = sources.copy()
     words[boxed] = src.ids[src.offsets[found.pair[boxed]] + sources[boxed]]
-    src_forms = {c.surface for c in src_inventory}
+    src_forms = set(src_inventory)
     known_relations = set(relations)
     dcs: dict[int, tuple[str, str] | None] = {}
     for (k, start, form), source, word in zip(found, sources.tolist(), words.tolist()):
@@ -157,8 +154,8 @@ def check_links(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], links: Lin
 def build_phrase_table(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     links: Links,
-    tgt_inventory: Sequence[Connective],
-    src_inventory: Sequence[Connective],
+    tgt_inventory: Sequence[Form],
+    src_inventory: Sequence[Form],
     relations: Sequence[str],
     max_len: int = 7,
     occurrences: Occurrences | None = None,
@@ -174,7 +171,7 @@ def build_phrase_table(
     pairs = Bitext.of(pairs)
     check_links(pairs, links)
     sites: list[Site] = []
-    forms: list[Phrase] = []
+    forms: list[Form] = []
     count = 0
     for k, start, form, i, dc in connective_occurrences(
         pairs, links, tgt_inventory, src_inventory, relations, max_len, occurrences
@@ -194,7 +191,7 @@ def build_phrase_table(
 
 
 def fused_connective(
-    token: str, src_forms: Container[Phrase], relations: Container[str]
+    token: str, src_forms: Container[Form], relations: Container[str]
 ) -> tuple[str, str] | None:
     """The (en_dc, relation) a fused source token stands for, or None for a
     plain token or one whose surface is not in the source inventory.
@@ -218,12 +215,12 @@ def fused_connective(
 
 def filter_dc_entries(
     table: Iterable[PhraseTableEntry],
-    src_inventory: Sequence[Connective],
+    src_inventory: Sequence[Form],
     relations: Sequence[str],
 ) -> list[DCAlignmentRecord]:
     """Turn connective rows into records, keeping the fused source tokens
     that `fused_connective` accepts."""
-    src_forms = {c.surface for c in src_inventory}
+    src_forms = set(src_inventory)
     known_relations = set(relations)
     counts: dict[tuple[str, str, str], int] = {}
     for entry in table:

@@ -18,6 +18,7 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from .corpus import (
+    Form,
     FormScan,
     Occurrences,
     TokenColumns,
@@ -28,7 +29,6 @@ from .corpus import (
 )
 from .errors import PipelineError
 from .fileio import atomic_write_text, iter_data_lines, read_text_strict
-from .inventory import Connective
 
 SURFACE_JOINER = "_"
 SENSE_SEPARATOR = "-"
@@ -254,7 +254,7 @@ def load_default_senses(path: str) -> dict[str, str]:
 
 def heuristic_tag(
     sentences: Sentences,
-    inventory: Sequence[Connective],
+    inventory: Sequence[Form],
     default_sense: Mapping[str, str],
 ) -> list[DCAnnotation]:
     """Tag source-side connectives by longest-match scan with default senses.
@@ -263,7 +263,7 @@ def heuristic_tag(
     discourse usage and labeled with the surface's default relation.
     """
     columns = TokenColumns.of(sentences)
-    scan = FormScan((c.surface for c in inventory), columns.vocab)
+    scan = FormScan(inventory, columns.vocab)
     found = Occurrences.concat(
         scan.forms, process_chunks(partial(scan, columns), range(len(columns)))
     )

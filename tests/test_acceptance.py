@@ -17,15 +17,8 @@ from dclex import alignment
 from dclex.alignment import Links, symmetrize, train_model1
 from dclex.cli import ARTIFACTS, main
 from dclex.corpus import Bitext, Corpus, process_chunks
-from dclex.evaluation import (
-    RelevanceItem,
-    RelevanceList,
-    average_precision,
-    interpolated_11pt,
-    precision_recall_points,
-)
-from dclex.inventory import Connective
-from dclex.lexicon import group_sites, sample_evidence
+from dclex.evaluation import evaluate
+from dclex.lexicon import LexiconEntry, RankedLexicon, group_sites, sample_evidence
 from dclex.phrasetable import build_phrase_table, connective_occurrences
 from dclex.tagging import DCAnnotation, fuse_corpus, split_fused_token
 
@@ -38,11 +31,16 @@ from oracles import (
 )
 
 
-def relevance(flags, n):
-    items = tuple(
-        RelevanceItem(f"dc{i}", "REL", bool(flag)) for i, flag in enumerate(flags)
+def judged(flags, n):
+    """`evaluate`'s arguments for a ranking judged as `flags` against n gold
+    pairs: rank r retrieves the gold pair of dc{r} when flags[r], and the
+    gold pairs no rank retrieves are those of missed{j}."""
+    ranked = RankedLexicon(
+        tuple(LexiconEntry(f"dc{i}", "REL", Fraction(1), 1, 1) for i in range(len(flags)))
     )
-    return RelevanceList(items, n)
+    hits = [f"dc{i}" for i, flag in enumerate(flags) if flag]
+    missed = [f"missed{j}" for j in range(n - len(hits))]
+    return ranked, frozenset((dc, "GOLD") for dc in hits + missed), {"REL": "GOLD"}
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +58,10 @@ def planted_run(tmp_path_factory):
 def test_c1_metric_oracle_equivalence():
     started = time.perf_counter()
 
-    fixture = relevance([1, 0, 1], n=2)
-    assert average_precision(fixture) == Fraction(5, 6)
-    curve = interpolated_11pt(precision_recall_points(fixture))
-    assert curve[:6] == (Fraction(1),) * 6
-    assert curve[6:] == (Fraction(2, 3),) * 5
+    fixture = evaluate(*judged([1, 0, 1], n=2))
+    assert fixture.avep == Fraction(5, 6)
+    assert fixture.curve11[:6] == (Fraction(1),) * 6
+    assert fixture.curve11[6:] == (Fraction(2, 3),) * 5
 
     rng = random.Random(20240001)
     for _ in range(200):
@@ -73,10 +70,9 @@ def test_c1_metric_oracle_equivalence():
         hits = rng.randint(0, min(n, length))
         flags = [True] * hits + [False] * (length - hits)
         rng.shuffle(flags)
-        rel = relevance(flags, n)
-        assert average_precision(rel) == average_precision_reference(flags, n)
-        got = interpolated_11pt(precision_recall_points(rel))
-        assert got == curve11_reference(flags, n)
+        report = evaluate(*judged(flags, n))
+        assert report.avep == average_precision_reference(flags, n)
+        assert report.curve11 == curve11_reference(flags, n)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s"
@@ -111,7 +107,6 @@ def test_c3_phrase_extraction_equals_brute_force():
     rng = random.Random(20240003)
     vocab = ["p", "q", "r", "s"]
     forms = [("p",), ("q", "r"), ("q", "r", "s"), ("s", "s")]
-    inventory = [Connective(form) for form in forms]
     occurrences = 0
     for _ in range(500):
         n, m = rng.randint(1, 8), rng.randint(1, 8)
@@ -124,7 +119,7 @@ def test_c3_phrase_extraction_equals_brute_force():
         got = [
             found[:4]
             for found in connective_occurrences(
-                [(src, tgt)], Links.of([links]), inventory, [], [], max_len
+                [(src, tgt)], Links.of([links]), forms, [], [], max_len
             )
         ]
         want = connective_boxes_reference((src, tgt), links, forms, max_len)
@@ -292,8 +287,8 @@ def test_c9_evidence_sampling_fixture():
     ]
     corpus = Bitext.of(list(zip(src_sents, tgt_sents)))
     alignments = Links.of(links)
-    inventory = [Connective(("même", "si"))]
-    src_inventory = [Connective(s) for s in (("even", "though"), ("if",), ("although",))]
+    inventory = [("même", "si")]
+    src_inventory = [("even", "though"), ("if",), ("although",)]
     relations = ["Concession", "Condition"]
     table = build_phrase_table(
         list(zip(src_sents, tgt_sents)), alignments, inventory, src_inventory, relations

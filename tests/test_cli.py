@@ -114,6 +114,17 @@ class TestValidateConfig:
         with pytest.raises(UsageError, match="not found"):
             validate_config(str(tmp_path / "nope.cfg"))
 
+    def test_readme_artifact_table_names_every_artifact(self):
+        text = README.read_text(encoding="utf-8")
+        table = re.search(r"### Artifacts\n.*?(\| file .*?)\n\n", text, re.S)[1]
+        named = set()
+        for row in table.splitlines()[2:]:
+            for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                named.update(
+                    name.replace("{fwd,bwd}", side) for side in ("fwd", "bwd")
+                )
+        assert named == set(ARTIFACTS.values())
+
     def test_readme_example_names_every_key_at_its_default(self, tmp_path):
         # The README's example config validates, names every key, and shows
         # each knob (a key whose default is a value, not None) at its default.
@@ -148,7 +159,6 @@ class TestPipelineRuns:
             "freqs",
             "fused_src",
             "align_sym",
-            "phrase_table",
             "sites",
             "dc_records",
             "lexicon",
@@ -158,6 +168,7 @@ class TestPipelineRuns:
             "manifest",
         ):
             assert (out / ARTIFACTS[name]).is_file(), name
+        assert not (out / "phrase_table.txt").exists()
 
     def test_translation_tables_only_on_request(self, mini_run, tmp_path):
         root, config = mini_run
@@ -417,7 +428,7 @@ class TestPipelineRuns:
 
     def test_extract_counts_only_accepted_fused_tokens(self, tmp_path):
         # "albeit" is not a source inventory form: its fused token makes no
-        # phrase-table row, and the occurrence it is linked to is not aligned.
+        # record, and the occurrence it is linked to is not aligned.
         out = tmp_path / "out"
         out.mkdir()
         for name, text in (
@@ -437,8 +448,6 @@ class TestPipelineRuns:
         manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
         rows = manifest["stages"]["extract"]["rows"]
         assert rows == {"occurrences": 2, "aligned": 1, "dc_records": 1}
-        table = (out / ARTIFACTS["phrase_table"]).read_text(encoding="utf-8")
-        assert table == "although-Comparison.Concession ||| bien que ||| 1\n"
         records = (out / ARTIFACTS["dc_records"]).read_text(encoding="utf-8")
         assert records == "bien que\talthough\tComparison.Concession\t1\n"
         assert (out / ARTIFACTS["sites"]).read_text(encoding="utf-8") == "0\t0\t0\t1\n"
@@ -563,6 +572,23 @@ class TestPipelineRuns:
         assert not (out / ARTIFACTS["eval_report"]).exists()
         assert (out / ARTIFACTS["evidence"]).is_file()
         assert (out / ARTIFACTS["table1"]).is_file()
+
+    def test_run_all_without_a_gold_pair_at_min_freq_skips_eval(self, tmp_path, capsys):
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=1000, iterations=2
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+        assert manifest["stages"]["eval"] == {"skipped": "no gold pair at min_freq 1000"}
+        assert {"evidence", "report"} <= set(manifest["stages"])
+        assert not (out / ARTIFACTS["eval_report"]).exists()
+        assert (out / ARTIFACTS["evidence"]).is_file()
+        assert (out / ARTIFACTS["table1"]).is_file()
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "gold lexicon is empty after applying the frequency threshold 1000" in err
 
     def test_extract_before_align_names_the_missing_stage(self, mini_run, tmp_path, capsys):
         root, config = mini_run

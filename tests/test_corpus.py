@@ -12,7 +12,6 @@ from dclex.corpus import (
     FormScan,
     FrequencyTable,
     TokenColumns,
-    TokenizerOptions,
     count_occurrences,
     load_parallel_corpus,
     load_token_corpus,
@@ -23,7 +22,6 @@ from dclex.corpus import (
     write_token_file,
 )
 from dclex.errors import PipelineError
-from dclex.inventory import Connective
 
 from oracles import longest_match_counts_reference, scan_matches_reference
 
@@ -37,7 +35,7 @@ def write_corpus(tmp_path, src_lines, tgt_lines):
 
 
 def target_inventory(*texts):
-    return [Connective(tuple(t.split())) for t in texts]
+    return [tuple(t.split()) for t in texts]
 
 
 class TestTokenize:
@@ -45,8 +43,7 @@ class TestTokenize:
         assert tokenize("Même si, oui.") == ["même", "si", ",", "oui", "."]
 
     def test_case_preserved_when_disabled(self):
-        opts = TokenizerOptions(lowercase=False)
-        assert tokenize("Même Si", opts) == ["Même", "Si"]
+        assert tokenize("Même Si", lowercase=False) == ["Même", "Si"]
 
     def test_internal_punctuation_stays_attached(self):
         assert tokenize("qu'il arrive peut-être") == ["qu'il", "arrive", "peut-être"]
@@ -109,9 +106,8 @@ class TestLoadParallelCorpus:
 
     def test_empty_pair_fatal_when_skipping_disabled(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", ""], ["x", ""])
-        opts = TokenizerOptions(skip_empty=False)
         with pytest.raises(PipelineError, match="empty line pair"):
-            load_parallel_corpus(src, tgt, opts)
+            load_parallel_corpus(src, tgt, skip_empty=False)
 
     def test_one_sided_empty_line_is_fatal(self, tmp_path):
         src, tgt = write_corpus(tmp_path, ["a", ""], ["x", "y"])
@@ -178,11 +174,10 @@ class TestLoadParallelCorpus:
         src.write_bytes(("\ufeff" + "".join(f"{line}\r\n" for line in lines)).encode())
         tgt.write_text("".join(f"{line}\n" for line in reversed(lines)), encoding="utf-8")
         for lowercase in (True, False):
-            opts = TokenizerOptions(lowercase=lowercase)
-            corpus = load_parallel_corpus(str(src), str(tgt), opts)
-            assert list(corpus.src) == [tuple(tokenize(s, opts)) for s in lines]
-            assert list(corpus.tgt) == [tuple(tokenize(s, opts)) for s in reversed(lines)]
-            words = [t for s in lines for t in tokenize(s, opts)]
+            corpus = load_parallel_corpus(str(src), str(tgt), lowercase=lowercase)
+            assert list(corpus.src) == [tuple(tokenize(s, lowercase)) for s in lines]
+            assert list(corpus.tgt) == [tuple(tokenize(s, lowercase)) for s in reversed(lines)]
+            words = [t for s in lines for t in tokenize(s, lowercase)]
             assert corpus.src.vocab == list(dict.fromkeys(words))
         assert corpus.src[2] == ("ΟΔΟΣ", "ΣΟΦΟΣ", ".", "ΑΣ")
         lowered = load_parallel_corpus(str(src), str(tgt)).src[2]
@@ -215,7 +210,7 @@ class TestLoadParallelCorpus:
             with pytest.raises(PipelineError, match=message):
                 load_parallel_corpus(src, tgt, limit=limit)
         with pytest.raises(PipelineError, match="empty line pair at line 1$"):
-            load_parallel_corpus(src, tgt, TokenizerOptions(skip_empty=False), limit=2)
+            load_parallel_corpus(src, tgt, skip_empty=False, limit=2)
         with pytest.raises(PipelineError, match=f"{re.escape(tgt)}: empty line 1 has"):
             load_parallel_corpus(*write_corpus(tmp_path, ["a", "b"], ["x", " \t"]))
 
@@ -243,10 +238,9 @@ class TestLoadParallelCorpus:
         lines = [line() for _ in range(300)]
         src, tgt = write_corpus(tmp_path, lines, lines[::-1])
         for lowercase in (True, False):
-            opts = TokenizerOptions(lowercase=lowercase)
-            corpus = load_parallel_corpus(src, tgt, opts)
-            assert list(corpus.src) == [tuple(tokenize(s, opts)) for s in lines]
-            assert list(corpus.tgt) == [tuple(tokenize(s, opts)) for s in lines[::-1]]
+            corpus = load_parallel_corpus(src, tgt, lowercase=lowercase)
+            assert list(corpus.src) == [tuple(tokenize(s, lowercase)) for s in lines]
+            assert list(corpus.tgt) == [tuple(tokenize(s, lowercase)) for s in lines[::-1]]
 
 
 def corpus_from_tokens(sentences):
@@ -385,8 +379,7 @@ class TestCountOccurrences:
                 for _ in range(rng.randint(1, 20))
             ]
             corpus = corpus_from_tokens(sentences)
-            inv = [Connective(f) for f in forms]
-            got = count_occurrences(corpus, inv)
+            got = count_occurrences(corpus, list(forms))
             want = longest_match_counts_reference(sentences, forms)
             assert got.entries == {" ".join(f): c for f, c in want.items()}
 

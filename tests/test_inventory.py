@@ -7,8 +7,6 @@ import pytest
 from dclex.corpus import FrequencyTable
 from dclex.errors import PipelineError
 from dclex.inventory import (
-    Connective,
-    GoldLexicon,
     default_gold_relations,
     default_induced_relations,
     default_relation_map,
@@ -25,7 +23,7 @@ class TestConnectiveInventory:
         path = tmp_path / "inv.txt"
         path.write_text("Même si\npourtant\n# comment\n\nd'ailleurs\n", encoding="utf-8")
         inv = load_connective_inventory(str(path))
-        assert [c.surface for c in inv] == [("même", "si"), ("pourtant",), ("d'ailleurs",)]
+        assert inv == [("même", "si"), ("pourtant",), ("d'ailleurs",)]
 
     def test_duplicates_collapse_with_warning(self, tmp_path, caplog):
         path = tmp_path / "inv.txt"
@@ -45,9 +43,6 @@ class TestConnectiveInventory:
         path.write_text("# only a comment\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="empty connective"):
             load_connective_inventory(str(path))
-
-    def test_text_property_joins_surface(self):
-        assert Connective(("même", "si")).text == "même si"
 
 
 class TestRelationInventory:
@@ -85,10 +80,7 @@ class TestGoldLexicon:
         path = tmp_path / "gold.tsv"
         path.write_text("Même si\tConcession\nmême si\tCondition\n", encoding="utf-8")
         gold = load_gold_lexicon(str(path), relations=("Concession", "Condition"))
-        assert gold.entries == frozenset(
-            {("même si", "Concession"), ("même si", "Condition")}
-        )
-        assert {surface for surface, _ in gold.entries} == {"même si"}
+        assert gold == frozenset({("même si", "Concession"), ("même si", "Condition")})
 
     def test_unknown_relation_reports_line(self, tmp_path):
         path = tmp_path / "gold.tsv"
@@ -100,30 +92,26 @@ class TestGoldLexicon:
         path = tmp_path / "gold.tsv"
         path.write_text("si\tConcession\nsi\tConcession\n", encoding="utf-8")
         gold = load_gold_lexicon(str(path), relations=("Concession",))
-        assert len(gold.entries) == 1
+        assert len(gold) == 1
 
     def test_restriction_keeps_at_threshold_drops_below(self):
-        gold = GoldLexicon(
-            frozenset({("au contraire", "Contrast"), ("même si", "Concession")})
-        )
+        gold = frozenset({("au contraire", "Contrast"), ("même si", "Concession")})
         freqs = FrequencyTable({"au contraire": 49, "même si": 50})
         kept = restrict_gold(gold, freqs, min_freq=50)
-        assert kept.entries == frozenset({("même si", "Concession")})
+        assert kept == frozenset({("même si", "Concession")})
 
     def test_restriction_is_monotone_subset(self):
-        pairs = frozenset({(f"c{i}", "R") for i in range(10)})
+        gold = frozenset({(f"c{i}", "R") for i in range(10)})
         freqs = FrequencyTable({f"c{i}": i * 10 for i in range(10)})
-        gold = GoldLexicon(pairs)
-        prev = gold.entries
+        prev = gold
         for threshold in (0, 10, 45, 50, 200):
-            kept = restrict_gold(gold, freqs, min_freq=threshold).entries
-            assert kept <= prev <= gold.entries
+            kept = restrict_gold(gold, freqs, min_freq=threshold)
+            assert kept <= prev <= gold
             prev = kept
 
     def test_unseen_connective_counts_as_zero(self):
-        gold = GoldLexicon(frozenset({("fantôme", "Contrast")}))
-        kept = restrict_gold(gold, FrequencyTable({}), min_freq=1)
-        assert kept.entries == frozenset()
+        gold = frozenset({("fantôme", "Contrast")})
+        assert restrict_gold(gold, FrequencyTable({}), min_freq=1) == frozenset()
 
 
 class TestRelationMap:
@@ -135,8 +123,7 @@ class TestRelationMap:
             induced=("Contingency.Condition",),
             gold=("Condition",),
         )
-        assert rel_map.project("Contingency.Condition") == "Condition"
-        assert rel_map.project("Temporal.Synchrony") is None
+        assert rel_map == {"Contingency.Condition": "Condition"}
 
     def test_conflicting_rows_are_fatal(self, tmp_path):
         path = tmp_path / "map.tsv"
@@ -169,7 +156,7 @@ class TestPackagedDefaults:
         rel_map = default_relation_map()
         induced = set(default_induced_relations())
         gold = set(default_gold_relations())
-        assert rel_map.pairs  # non-empty
-        for src, dst in rel_map.pairs.items():
+        assert rel_map  # non-empty
+        for src, dst in rel_map.items():
             assert src in induced and dst in gold
-        assert rel_map.project("Comparison.Concession") == "Concession"
+        assert rel_map["Comparison.Concession"] == "Concession"

@@ -8,7 +8,6 @@ import pytest
 from dclex.alignment import Links
 from dclex.corpus import Bitext, Corpus, FrequencyTable
 from dclex.errors import PipelineError
-from dclex.inventory import Connective
 from dclex.lexicon import (
     LexiconEntry,
     build_lexicon,
@@ -187,11 +186,11 @@ def corpus_of(pairs):
     return Bitext.of(pairs)
 
 
-INVENTORY = [Connective(("même", "si")), Connective(("tard",))]
+INVENTORY = [("même", "si"), ("tard",)]
 SRC_INVENTORY = [
-    Connective(("even", "though")),
-    Connective(("although",)),
-    Connective(("if",)),
+    ("even", "though"),
+    ("although",),
+    ("if",),
 ]
 RELATIONS = ["Comparison.Concession", "Contingency.Condition"]
 
@@ -277,7 +276,7 @@ class TestEvidence:
             (("albeit-Comparison.Concession",), ("bien", "que")),
         ]
         alignments = Links.of([{(0, 0), (0, 1)}] * 2)
-        tgt_inventory = [Connective(("bien", "que"))]
+        tgt_inventory = [("bien", "que")]
         table = build_phrase_table(
             pairs,
             alignments,
@@ -301,7 +300,7 @@ class TestEvidence:
     def test_unknown_label_is_fatal(self):
         pairs = [(("although-Nonsense",), ("bien", "que"))]
         alignments = Links.of([{(0, 0), (0, 1)}])
-        tgt_inventory = [Connective(("bien", "que"))]
+        tgt_inventory = [("bien", "que")]
         with pytest.raises(PipelineError, match="unknown relation label"):
             grouped_sites(corpus_of(pairs), alignments, tgt_inventory)
 

@@ -8,7 +8,6 @@ import pytest
 from dclex.alignment import Links
 from dclex.corpus import CHUNK_SIZE, Bitext, count_occurrences
 from dclex.errors import PipelineError
-from dclex.inventory import Connective
 from dclex.lexicon import build_lexicon, group_sites
 from dclex.phrasetable import (
     DCAlignmentRecord,
@@ -50,11 +49,10 @@ class TestExtraction:
     def decide(self, src, tgt, links, forms=FORMS, max_len=7):
         """(start, form, source) of each occurrence in the pair, checked
         against both references."""
-        inventory = [Connective(f) for f in forms]
         got = [
             occurrence[:4]
             for occurrence in connective_occurrences(
-                [(src, tgt)], Links.of([aln(*links)]), inventory, SRC_INV, RELATIONS, max_len
+                [(src, tgt)], Links.of([aln(*links)]), forms, SRC_INV, RELATIONS, max_len
             )
         ]
         assert got == list(connective_sources_reference([(src, tgt)], [links], forms, max_len))
@@ -64,7 +62,7 @@ class TestExtraction:
     def test_connective_box_is_extracted(self):
         table = build_phrase_table(
             [(self.SRC, self.TGT)], Links.of([aln(*self.LINKS)]),
-            [Connective(f) for f in self.FORMS], SRC_INV, RELATIONS,
+            self.FORMS, SRC_INV, RELATIONS,
         )
         assert list(table) == [PhraseTableEntry((self.SRC[0],), ("même", "si"), 1)]
         assert table.occurrences == 3
@@ -130,7 +128,7 @@ def fused_rows_reference(pairs, alignments, forms, max_len):
 
 # Accept every fused token the tests below write, so that their rows are the
 # reference's rows.
-SRC_INV = [Connective(s) for s in [("even", "though"), ("a",), ("b",)]]
+SRC_INV = [("even", "though"), ("a",), ("b",)]
 RELATIONS = ["Concession", "R", "S", "R1", "R2"]
 
 
@@ -138,10 +136,7 @@ def random_links(rng, n, m, rate):
     return frozenset((i, j) for i in range(n) for j in range(m) if rng.random() < rate)
 
 
-NESTED_FORMS = [
-    Connective(f)
-    for f in [("x",), ("x", "y"), ("y",), ("y", "z"), ("x", "y", "z"), ("z", "z")]
-]
+NESTED_FORMS = [("x",), ("x", "y"), ("y",), ("y", "z"), ("x", "y", "z"), ("z", "z")]
 
 
 def random_nested_corpus(rng, src_vocab):
@@ -161,7 +156,7 @@ def random_nested_corpus(rng, src_vocab):
 
 class TestBuildPhraseTable:
     FUSED = "even_though-Concession"
-    TGT_INV = [Connective(("même",)), Connective(("même", "si"))]
+    TGT_INV = [("même",), ("même", "si")]
 
     def test_nested_form_counts_the_longest_match_only(self):
         # The fused token links only to "même", inside "même si": the one
@@ -169,7 +164,7 @@ class TestBuildPhraseTable:
         pairs = [((self.FUSED, "late"), ("même", "si", "tard"))]
         alignments = [aln((0, 0), (1, 2))]
         table = build_phrase_table(pairs, Links.of(alignments), self.TGT_INV, SRC_INV, RELATIONS)
-        records = filter_dc_entries(table, [Connective(("even", "though"))], ["Concession"])
+        records = filter_dc_entries(table, [("even", "though")], ["Concession"])
         assert records == [DCAlignmentRecord("même si", "even though", "Concession", 1)]
         freqs = count_occurrences(Bitext.of(pairs), self.TGT_INV)
         lexicon = build_lexicon(records, freqs, min_freq=1)
@@ -196,7 +191,7 @@ class TestBuildPhraseTable:
 
     def test_counts_accumulate_across_repeats(self):
         pair = (("a-R", "b"), ("x", "y", "z"))
-        inventory = [Connective(("x",)), Connective(("x", "y"))]
+        inventory = [("x",), ("x", "y")]
         alignment = aln((0, 0), (0, 1), (1, 2))
         table = build_phrase_table(
             [pair] * 3, Links.of([alignment] * 3), inventory, SRC_INV, RELATIONS
@@ -206,7 +201,7 @@ class TestBuildPhraseTable:
 
     def test_output_sorted_by_phrase(self):
         pair = (("b-R", "a-R"), ("y", "x"))
-        inventory = [Connective(("x",)), Connective(("y",))]
+        inventory = [("x",), ("y",)]
         table = build_phrase_table(
             [pair], Links.of([aln((0, 0), (1, 1))]), inventory, SRC_INV, RELATIONS
         )
@@ -258,7 +253,7 @@ class TestBuildPhraseTable:
             rng.shuffle(words)
             cut = sorted(rng.sample(range(1, 5), 2))
             forms = {tuple(words[:cut[0]]), tuple(words[cut[0] : cut[1]])}
-            inventory = [Connective(f) for f in forms]
+            inventory = list(forms)
             pairs, alignments = [], []
             for _ in range(rng.randint(1, 3)):
                 n, m = rng.randint(1, 6), rng.randint(1, 8)
@@ -335,10 +330,9 @@ class TestConnectiveOccurrences:
     def test_decision_equals_the_per_pair_loop(self, seed):
         pairs, link_sets = decision_batch(random.Random(seed))
         links = Links.of(link_sets)
-        src_forms, relations = {c.surface for c in SRC_INV}, set(RELATIONS)
-        surfaces = [c.surface for c in NESTED_FORMS]
+        src_forms, relations = set(SRC_INV), set(RELATIONS)
         for max_len in (1, 2, 7):
-            want = list(connective_sources_reference(pairs, link_sets, surfaces, max_len))
+            want = list(connective_sources_reference(pairs, link_sets, NESTED_FORMS, max_len))
             dcs = [
                 None if i is None else fused_connective(pairs[k][0][i], src_forms, relations)
                 for k, _, _, i in want
@@ -406,7 +400,7 @@ def test_evidence_cites_exactly_the_pairs_extract_counts():
 
 
 class TestFilterDCEntries:
-    SRC_INV = [Connective(("even", "though")), Connective(("if",))]
+    SRC_INV = [("even", "though"), ("if",)]
     RELATIONS = ("Comparison.Concession", "Contingency.Condition")
 
     def entry(self, src, tgt, count=1):

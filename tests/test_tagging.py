@@ -7,7 +7,7 @@ import pytest
 
 from dclex.corpus import TokenColumns
 from dclex.errors import PipelineError
-from dclex.inventory import Connective, load_connective_inventory
+from dclex.inventory import load_connective_inventory
 from dclex.tagging import (
     DCAnnotation,
     fuse_corpus,
@@ -223,7 +223,7 @@ class TestAnnotationIO:
 
 class TestHeuristicTagging:
     def make_inventory(self, *texts):
-        return [Connective(tuple(t.split())) for t in texts]
+        return [tuple(t.split()) for t in texts]
 
     def test_tags_every_match_with_default_sense(self):
         corpus = make_corpus(("although", "it", "rained"), ("dry", "although", "wet"))
@@ -260,9 +260,8 @@ class TestHeuristicTagging:
             [rng.choice(vocab) for _ in range(rng.randint(1, 10))] for _ in range(40)
         ]
         corpus = make_corpus(*map(tuple, sentences))
-        inv = [Connective(f) for f in forms]
         senses = {"if": "Contingency.Condition", "or else": "Expansion.Alternative"}
-        tagged = heuristic_tag(corpus, inv, senses)
+        tagged = heuristic_tag(corpus, list(forms), senses)
         want = longest_match_counts_reference(sentences, forms)
         got: dict[tuple[str, ...], int] = {}
         for ann in tagged:
