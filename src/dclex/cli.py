@@ -344,7 +344,7 @@ def _stage_tag(
         pairs = _load_pairs(cfg, "corpus_src", "ingest")
     src = pairs.src
     if cfg.annotations:
-        annotations = tg.load_annotations(_require_config_path(cfg, "annotations"), src)
+        tags = tg.load_annotations(_require_config_path(cfg, "annotations"), src)
     else:
         if not cfg.default_senses:
             raise UsageError(
@@ -352,11 +352,11 @@ def _stage_tag(
             )
         src_inventory = _load_source_inventory(cfg)
         senses = tg.load_default_senses(_require_config_path(cfg, "default_senses"))
-        annotations = tg.heuristic_tag(src, src_inventory, senses)
-    fused = tg.fuse_corpus(src, annotations)
+        tags = tg.heuristic_tag(src, src_inventory, senses)
+    fused = tg.fuse_corpus(src, tags)
     tg.write_fused_corpus(fused, _out(cfg, "fused_src"))
     handoff["work"] = cp.Bitext(fused, pairs.tgt)
-    return {"annotations": len(annotations), "sentences": len(fused)}
+    return {"annotations": len(tags), "sentences": len(fused)}
 
 
 def _stage_align(
@@ -595,11 +595,14 @@ def run_stage(
     return rows
 
 
-def skip_stage(stage: str, cfg: PipelineConfig, reason: str, manifest: RunManifest) -> None:
-    """Record in the manifest of a run under way that a stage was skipped, and why."""
-    manifest.stages[stage] = {"skipped": reason}
+def skip_eval(cfg: PipelineConfig, reason: str, manifest: RunManifest) -> None:
+    """Record in the manifest of a run under way that eval was skipped, and
+    why, and remove the report of an earlier run, which would read as this
+    run's."""
+    _out(cfg, "eval_report").unlink(missing_ok=True)
+    manifest.stages["eval"] = {"skipped": reason}
     manifest.write(_manifest_path(cfg))
-    logger.info("stage %s skipped: %s", stage, reason)
+    logger.info("stage eval skipped: %s", reason)
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +675,13 @@ def main(argv: list[str] | None = None) -> int:
             manifest = open_manifest(cfg)
             for stage in STAGES:
                 if stage == "eval" and not cfg.gold_lexicon:
-                    skip_stage(stage, cfg, "no gold_lexicon", manifest)
+                    skip_eval(cfg, "no gold_lexicon", manifest)
                     continue
                 try:
                     run_stage(stage, cfg, args, handoff, manifest)
                 except _NoGoldPair:
                     # Evaluation has nothing to score; later stages do not read it.
-                    skip_stage(stage, cfg, f"no gold pair at min_freq {cfg.min_freq}", manifest)
+                    skip_eval(cfg, f"no gold pair at min_freq {cfg.min_freq}", manifest)
         else:
             run_stage(args.command, cfg, args)
         return 0

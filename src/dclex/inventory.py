@@ -13,6 +13,7 @@ from importlib import resources
 from .corpus import Form, FrequencyTable, tokenize
 from .errors import PipelineError
 from .fileio import iter_data_lines, read_text_strict
+from .tagging import check_label
 
 logger = logging.getLogger(__name__)
 
@@ -35,11 +36,7 @@ def load_connective_inventory(path: str) -> list[Form]:
 def _parse_relation_inventory(text: str, origin: str) -> list[str]:
     labels: list[str] = []
     for lineno, payload in iter_data_lines(text):
-        if any(ch.isspace() for ch in payload) or "-" in payload:
-            raise PipelineError(
-                f"{origin}: relation label {payload!r} at line {lineno} "
-                "must not contain whitespace or '-'"
-            )
+        check_label(payload, f"{origin}: line {lineno}: ")
         if payload in labels:
             logger.warning("%s: duplicate relation label %r at line %d", origin, payload, lineno)
             continue

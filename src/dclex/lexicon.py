@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 from .corpus import Bitext, Corpus, Form, FrequencyTable
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
-from .phrasetable import DCAlignmentRecord, Site, fused_connective
+from .phrasetable import DCAlignmentRecord, Site
+from .tagging import fused_connective
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .alignment import Links
 from .corpus import Bitext, Form, FormScan, Occurrences, process_chunks
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
-from .tagging import split_fused_token
+from .tagging import fused_connective
 
 # (pair index, fused source token, target start, target end), ends inclusive
 Site = tuple[int, int, int, int]
@@ -188,29 +188,6 @@ def build_phrase_table(
         rows.update(zip([(src.vocab[w],) for w in words], forms))
     entries = tuple(PhraseTableEntry(src, tgt, rows[(src, tgt)]) for src, tgt in sorted(rows))
     return PhraseTable(entries, count, tuple(sites))
-
-
-def fused_connective(
-    token: str, src_forms: Container[Form], relations: Container[str]
-) -> tuple[str, str] | None:
-    """The (en_dc, relation) a fused source token stands for, or None for a
-    plain token or one whose surface is not in the source inventory.
-
-    A token that parses as `<known surface>-<label>` with an unknown label
-    signals upstream corruption and is fatal.
-    """
-    parsed = split_fused_token(token)
-    if parsed is None:
-        return None  # plain token, e.g. an untagged connective occurrence
-    surface = tuple(t.lower() for t in parsed[0])
-    relation = parsed[1]
-    if surface not in src_forms:
-        return None
-    if relation not in relations:
-        raise PipelineError(
-            f"malformed fused token {token!r}: unknown relation label {relation!r}"
-        )
-    return " ".join(surface), relation
 
 
 def filter_dc_entries(

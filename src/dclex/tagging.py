@@ -1,21 +1,25 @@
-"""Discourse-connective annotations and token fusion.
+"""Connective tags and token fusion.
 
 A tagged connective occurrence is collapsed into a single token
 ``surface_with_underscores-RelationLabel`` (e.g. ``even_though-Comparison.Concession``)
 so that the word aligner sees one relation-bearing unit. Fusion is
-reversible: split at the last '-', map underscores back to spaces.
+reversible: split at the last '-', map underscores back to spaces. This
+module alone knows that format: `fuse_token` makes a fused token,
+`split_fused_token` and `fused_connective` read one, and `check_label` is
+the rule a relation label must follow to be carried by one.
 
-The source side is fused on its ids (`fuse_corpus`): it goes in and comes
-out as `TokenColumns`, the source side of the corpus's `Bitext`, and only
-the tagged sentences change. Annotations name sentence k of that side, line
-k of `corpus.src`.
+The tags of a corpus are `Tags`, spans as columns, which only
+`heuristic_tag` (a longest-match scan) and `load_annotations` (a stand-off
+file) make; each checks its spans as it makes them. The source side is
+fused on its ids (`fuse_corpus`): it goes in and comes out as
+`TokenColumns`, the source side of the corpus's `Bitext`, and only the
+tagged sentences change. Sentence k of the tags is line k of `corpus.src`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .corpus import (
     Form,
@@ -37,34 +41,32 @@ SENSE_SEPARATOR = "-"
 Sentences = Sequence[tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class DCAnnotation:
-    """A connective occurrence on the source side; `start`..`end` inclusive."""
+class Tags:
+    """Connective spans on the source side: span a covers tokens `start[a]`
+    to `end[a]`, inclusive, of sentence `sentence[a]`, and `relation[a]` is
+    its relation label, or None for a non-discourse reading. The columns
+    are int64; the spans are in (sentence, start) order, lie in their
+    sentences and do not overlap, as `fuse_corpus` relies on."""
 
-    sentence_id: int
-    start: int
-    end: int
-    surface: tuple[str, ...]
-    relation: str | None
-    discourse_usage: bool
+    __slots__ = ("sentence", "start", "end", "relation")
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise PipelineError(f"bad annotation span [{self.start}, {self.end}]")
-        if len(self.surface) != self.end - self.start + 1:
-            raise PipelineError(
-                f"annotation surface {self.surface!r} does not cover span "
-                f"[{self.start}, {self.end}]"
-            )
-        if self.discourse_usage != (self.relation is not None):
-            raise PipelineError(
-                "annotation must carry a relation exactly when discourse_usage is true"
-            )
-        if self.relation is not None:
-            if any(map(str.isspace, self.relation)) or SENSE_SEPARATOR in self.relation:
-                raise PipelineError(
-                    f"relation label {self.relation!r} must not contain whitespace or '-'"
-                )
+    def __init__(self, sentence, start, end, relation: Sequence[str | None]) -> None:
+        import numpy as np
+
+        self.sentence, self.start, self.end = (
+            np.asarray(column, np.int64) for column in (sentence, start, end)
+        )
+        self.relation = list(relation)
+
+    def __len__(self) -> int:
+        return len(self.relation)
+
+
+def check_label(label: str, where: str = "") -> None:
+    """Reject a relation label that a fused token cannot carry: one with
+    whitespace or a '-'. `where` begins the error message."""
+    if any(map(str.isspace, label)) or SENSE_SEPARATOR in label:
+        raise PipelineError(f"{where}relation label {label!r} must not contain whitespace or '-'")
 
 
 def fuse_token(span_tokens: Sequence[str], relation: str) -> str:
@@ -79,97 +81,68 @@ def split_fused_token(token: str) -> tuple[tuple[str, ...], str] | None:
     return tuple(head.split(SURFACE_JOINER)), relation
 
 
-def _check_span(tokens: Sequence[str], ann: DCAnnotation) -> None:
-    """Check that `ann`'s span lies in `tokens`, its sentence, and spells its
-    surface, case aside."""
-    if ann.end >= len(tokens):
-        raise PipelineError(
-            f"sentence {ann.sentence_id}: span [{ann.start}, {ann.end}] out of bounds "
-            f"(length {len(tokens)})"
-        )
-    actual = tuple(t.lower() for t in tokens[ann.start : ann.end + 1])
-    expected = tuple(t.lower() for t in ann.surface)
-    if actual != expected:
-        raise PipelineError(
-            f"sentence {ann.sentence_id}: tokens {actual!r} at [{ann.start}, {ann.end}] "
-            f"do not match annotated surface {expected!r}"
-        )
+def fused_connective(
+    token: str, src_forms: Container[Form], relations: Container[str]
+) -> tuple[str, str] | None:
+    """The (en_dc, relation) a fused source token stands for, or None for a
+    plain token or one whose surface is not in the source inventory.
 
-
-def fuse_corpus(sentences: Sentences, annotations: Sequence[DCAnnotation]) -> TokenColumns:
-    """Replace each discourse-usage span with a single fused token, on the
-    ids: the fused token is added to the vocabulary when new, and the rest
-    of the span is dropped. Non-discourse annotations and untagged tokens
-    pass through unchanged, and no sentence is rebuilt. `sentences` are
-    interned first unless they are `TokenColumns` already.
-
-    A sentence's annotations are checked in order of start: the first whose
-    span `_check_span` rejects, or that overlaps the one before it, fails,
-    and the first sentence holding such an annotation is the one reported.
+    A token that parses as `<known surface>-<label>` with an unknown label
+    signals upstream corruption and is fatal.
     """
+    parsed = split_fused_token(token)
+    if parsed is None:
+        return None  # plain token, e.g. an untagged connective occurrence
+    surface = tuple(t.lower() for t in parsed[0])
+    relation = parsed[1]
+    if surface not in src_forms:
+        return None
+    if relation not in relations:
+        raise PipelineError(
+            f"malformed fused token {token!r}: unknown relation label {relation!r}"
+        )
+    return " ".join(surface), relation
+
+
+def fuse_corpus(sentences: Sentences, tags: Tags) -> TokenColumns:
+    """Replace each span that carries a relation with a single fused token,
+    on the ids: the fused token is added to the vocabulary when new, and the
+    rest of the span is dropped. Non-discourse spans and untagged tokens
+    pass through unchanged, and no sentence is rebuilt. `sentences` are
+    interned first unless they are `TokenColumns` already."""
     import numpy as np
 
     columns = TokenColumns.of(sentences)
-    n = len(columns)
-    for ann in annotations:
-        if not 0 <= ann.sentence_id < n:
-            raise PipelineError(f"annotation references unknown sentence id {ann.sentence_id}")
-    if not annotations:
+    tagged = np.flatnonzero([relation is not None for relation in tags.relation])
+    if not len(tagged):
         return columns
-    sid, start, end = np.array(
-        [(a.sentence_id, a.start, a.end) for a in annotations], np.int64
-    ).T
-    order = np.lexsort((start, sid))  # stable: annotations of one start stay in input order
-    sid, start, end = sid[order], start[order], end[order]
-    anns = [annotations[a] for a in order.tolist()]
-    inside = end < columns.lengths()[sid]
-    bad = ~inside
-    bad[1:] |= (sid[1:] == sid[:-1]) & (start[1:] <= end[:-1])
-    at = columns.offsets[sid] + start
-    width = end - start + 1
-    words = columns.ids[_spans(at[inside], width[inside])].tolist() if inside.any() else []
-    vocab = columns.vocab
-    # The lowercased words of each span and surface, and each fused token.
-    lowered: dict[tuple, tuple[str, ...]] = {}
-    fused: dict[tuple[tuple[int, ...], str], str] = {}
-    tokens: list[str | None] = [None] * len(anns)
+    sid = tags.sentence[tagged]
+    at = columns.offsets[sid] + tags.start[tagged]
+    width = tags.end[tagged] - tags.start[tagged] + 1
+    words = columns.ids[_spans(at, width)].tolist()
+    index = dict(zip(columns.vocab, range(len(columns.vocab))))
+    vocab = list(columns.vocab)
+    # The id of each span's fused token, keyed by its words and relation.
+    fused: dict[tuple[tuple[int, ...], str], int] = {}
+    ids_at: list[int] = []
     lo = 0
-    for a in np.flatnonzero(inside).tolist():
-        ann = anns[a]
-        span = tuple(words[lo : lo + len(ann.surface)])
-        lo += len(span)
-        if span not in lowered:
-            lowered[span] = tuple(vocab[w].lower() for w in span)
-        if ann.surface not in lowered:
-            lowered[ann.surface] = tuple(t.lower() for t in ann.surface)
-        if lowered[span] != lowered[ann.surface]:
-            bad[a] = True
-        elif ann.discourse_usage:
-            assert ann.relation is not None
-            key = (span, ann.relation)
-            if key not in fused:
-                fused[key] = fuse_token([vocab[w] for w in span], ann.relation)
-            tokens[a] = fused[key]
-    if bad.any():
-        a = int(np.argmax(bad))
-        _check_span(columns[int(sid[a])], anns[a])
-        raise PipelineError(f"sentence {sid[a]}: overlapping annotation at {start[a]}")
-    kept = np.flatnonzero([token is not None for token in tokens])
-    if not len(kept):
-        return columns
-    index = dict(zip(vocab, range(len(vocab))))
-    vocab = list(vocab)
-    for token in dict.fromkeys(tokens[a] for a in kept.tolist()):
-        if token not in index:
-            index[token] = len(vocab)
-            vocab.append(token)
+    for a, n in zip(tagged.tolist(), width.tolist()):
+        key = (tuple(words[lo : lo + n]), tags.relation[a])
+        lo += n
+        if key not in fused:
+            token = fuse_token([vocab[w] for w in key[0]], key[1])
+            if token not in index:
+                index[token] = len(vocab)
+                vocab.append(token)
+            fused[key] = index[token]
+        ids_at.append(fused[key])
     ids = columns.ids.copy()
-    ids[at[kept]] = [index[tokens[a]] for a in kept.tolist()]
-    dropped = width[kept] - 1
+    ids[at] = ids_at
+    dropped = width - 1
     keep = np.ones(len(ids), bool)
     if dropped.any():
-        keep[_spans(at[kept] + 1, dropped)] = False
-    lengths = columns.lengths() - np.bincount(sid[kept], dropped, len(columns)).astype(np.int64)
+        keep[_spans(at + 1, dropped)] = False
+    lengths = columns.lengths() - np.bincount(sid, dropped, len(columns)).astype(np.int64)
     return TokenColumns(vocab, ids[keep], np.append(0, np.cumsum(lengths)))
 
 
@@ -183,9 +156,47 @@ def fuse_corpus(sentences: Sentences, annotations: Sequence[DCAnnotation]) -> To
 # space-joined and refers to the tokenized corpus the annotator consumed.
 
 
-def load_annotations(path: str, sentences: Sentences) -> list[DCAnnotation]:
-    """Load and validate stand-off annotations against `sentences`."""
-    annotations: list[DCAnnotation] = []
+def _check_record(
+    tokens: Sequence[str],
+    sid: int,
+    start: int,
+    end: int,
+    surface: tuple[str, ...],
+    relation: str | None,
+    usage: bool,
+) -> None:
+    """Check one record against `tokens`, sentence `sid`: its span lies in
+    the sentence and spells `surface`, case aside, and it carries a
+    relation, a well-formed one, exactly when `usage` is set."""
+    if start < 0 or end < start:
+        raise PipelineError(f"bad annotation span [{start}, {end}]")
+    if len(surface) != end - start + 1:
+        raise PipelineError(
+            f"annotation surface {surface!r} does not cover span [{start}, {end}]"
+        )
+    if usage != (relation is not None):
+        raise PipelineError(
+            "annotation must carry a relation exactly when discourse_usage is true"
+        )
+    if relation is not None:
+        check_label(relation)
+    if end >= len(tokens):
+        raise PipelineError(
+            f"sentence {sid}: span [{start}, {end}] out of bounds (length {len(tokens)})"
+        )
+    actual = tuple(t.lower() for t in tokens[start : end + 1])
+    expected = tuple(t.lower() for t in surface)
+    if actual != expected:
+        raise PipelineError(
+            f"sentence {sid}: tokens {actual!r} at [{start}, {end}] "
+            f"do not match annotated surface {expected!r}"
+        )
+
+
+def load_annotations(path: str, sentences: Sentences) -> Tags:
+    """Load stand-off annotations and check each against its sentence of
+    `sentences`."""
+    rows: list[tuple[int, int, int, str | None]] = []
     for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -196,38 +207,37 @@ def load_annotations(path: str, sentences: Sentences) -> list[DCAnnotation]:
             sid, start, end = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise PipelineError(f"{path}: non-numeric field at record {lineno}") from exc
-        surface = tuple(parts[3].split())
         relation = parts[4] or None
         if parts[5] not in ("0", "1"):
             raise PipelineError(f"{path}: usage flag must be 0 or 1 at record {lineno}")
-        usage = parts[5] == "1"
         if not 0 <= sid < len(sentences):
             raise PipelineError(f"{path}: unknown sentence id {sid} at record {lineno}")
+        surface = tuple(parts[3].split())
         try:
-            ann = DCAnnotation(sid, start, end, surface, relation, usage)
-            _check_span(sentences[sid], ann)
+            _check_record(sentences[sid], sid, start, end, surface, relation, parts[5] == "1")
         except PipelineError as exc:
             raise PipelineError(f"{path}: record {lineno}: {exc}") from exc
-        annotations.append(ann)
-    annotations.sort(key=lambda a: (a.sentence_id, a.start))
-    prev: DCAnnotation | None = None
-    for ann in annotations:
-        if prev is not None and ann.sentence_id == prev.sentence_id and ann.start <= prev.end:
+        rows.append((sid, start, end, relation))
+    rows.sort(key=lambda row: row[:2])
+    for prev, row in zip(rows, rows[1:]):
+        if row[0] == prev[0] and row[1] <= prev[2]:
             raise PipelineError(
-                f"{path}: overlapping spans in sentence {ann.sentence_id} "
-                f"([{prev.start}, {prev.end}] and [{ann.start}, {ann.end}])"
+                f"{path}: overlapping spans in sentence {row[0]} "
+                f"([{prev[1]}, {prev[2]}] and [{row[1]}, {row[2]}])"
             )
-        prev = ann
-    return annotations
+    return Tags(*zip(*rows)) if rows else Tags([], [], [], [])
 
 
-def write_annotations(annotations: Sequence[DCAnnotation], path: str) -> None:
+def write_annotations(tags: Tags, sentences: Sentences, path: str) -> None:
+    """Write `tags` as a stand-off file, each surface read off its sentence
+    of `sentences`."""
     lines = []
-    for ann in annotations:
-        lines.append(
-            f"{ann.sentence_id}\t{ann.start}\t{ann.end}\t{' '.join(ann.surface)}\t"
-            f"{ann.relation or ''}\t{int(ann.discourse_usage)}\n"
-        )
+    for k, start, end, relation in zip(
+        tags.sentence.tolist(), tags.start.tolist(), tags.end.tolist(), tags.relation
+    ):
+        surface = " ".join(sentences[k][start : end + 1])
+        usage = int(relation is not None)
+        lines.append(f"{k}\t{start}\t{end}\t{surface}\t{relation or ''}\t{usage}\n")
     atomic_write_text(path, "".join(lines))
 
 
@@ -244,6 +254,7 @@ def load_default_senses(path: str) -> dict[str, str]:
         relation = parts[1].strip()
         if not surface or not relation:
             raise PipelineError(f"{path}: empty field at line {lineno}")
+        check_label(relation, f"{path}: line {lineno}: ")
         if surface in senses and senses[surface] != relation:
             raise PipelineError(f"{path}: conflicting senses for {surface!r} at line {lineno}")
         senses[surface] = relation
@@ -256,7 +267,7 @@ def heuristic_tag(
     sentences: Sentences,
     inventory: Sequence[Form],
     default_sense: Mapping[str, str],
-) -> list[DCAnnotation]:
+) -> Tags:
     """Tag source-side connectives by longest-match scan with default senses.
 
     A crude stand-in for a real discourse tagger: every match is treated as
@@ -268,13 +279,11 @@ def heuristic_tag(
         scan.forms, process_chunks(partial(scan, columns), range(len(columns)))
     )
     senses = [default_sense.get(" ".join(form)) for form in scan.forms]
-    annotations: list[DCAnnotation] = []
-    for k, start, f in zip(found.pair.tolist(), found.start.tolist(), found.form.tolist()):
-        form, sense = scan.forms[f], senses[f]
-        if sense is None:
-            raise PipelineError(f"no default sense for connective {' '.join(form)!r}")
-        annotations.append(DCAnnotation(k, start, start + len(form) - 1, form, sense, True))
-    return annotations
+    relation = [senses[f] for f in found.form.tolist()]
+    if None in relation:
+        form = scan.forms[found.form[relation.index(None)]]
+        raise PipelineError(f"no default sense for connective {' '.join(form)!r}")
+    return Tags(found.pair, found.start, found.start + found.lengths() - 1, relation)
 
 
 def write_fused_corpus(sentences: Sentences, path: str) -> None:

@@ -193,20 +193,20 @@ def longest_match_counts_reference(sentences, forms):
     return counts
 
 
-def fuse_reference(tokens, annotations):
-    """One sentence rebuilt token by token, each discourse-usage span
-    replaced by its words joined with "_", then "-" and the relation; the
-    annotations are valid and do not overlap."""
+def fuse_reference(tokens, spans):
+    """One sentence rebuilt token by token, each (start, end, relation) span
+    that carries a relation replaced by its words joined with "_", then "-"
+    and the relation; the spans lie in the sentence and do not overlap."""
     fused = []
     pos = 0
-    for ann in sorted(annotations, key=lambda a: a.start):
-        fused.extend(tokens[pos : ann.start])
-        span = tokens[ann.start : ann.end + 1]
-        if ann.discourse_usage:
-            fused.append("_".join(span) + "-" + ann.relation)
+    for start, end, relation in sorted(spans):
+        fused.extend(tokens[pos:start])
+        span = tokens[start : end + 1]
+        if relation is not None:
+            fused.append("_".join(span) + "-" + relation)
         else:
             fused.extend(span)
-        pos = ann.end + 1
+        pos = end + 1
     fused.extend(tokens[pos:])
     return tuple(fused)
 

@@ -20,7 +20,7 @@ from dclex.corpus import Bitext, Corpus, process_chunks
 from dclex.evaluation import evaluate
 from dclex.lexicon import LexiconEntry, RankedLexicon, group_sites, sample_evidence
 from dclex.phrasetable import build_phrase_table, connective_occurrences
-from dclex.tagging import DCAnnotation, fuse_corpus, split_fused_token
+from dclex.tagging import Tags, fuse_corpus, split_fused_token
 
 import planted
 from oracles import (
@@ -235,28 +235,27 @@ def test_c8_fusion_round_trip():
             if rng.random() < 0.5:
                 spans.append((start, end, rng.choice(relations)))
             cursor = end + 1
-        anns = [
-            DCAnnotation(0, s, e, tokens[s : e + 1], rel, True) for s, e, rel in spans
-        ]
-        fused = fuse_corpus([tokens], anns)[0]
+        tags = Tags([0] * len(spans), *zip(*spans)) if spans else Tags([], [], [], [])
+        fused = fuse_corpus([tokens], tags)[0]
 
         # Unfuse: each fused token must split back into the original span and
         # relation; splicing the splits back together must recover the input.
         rebuilt = []
         ann_index = 0
         for position, token in enumerate(fused):
-            expected = anns[ann_index] if ann_index < len(anns) else None
-            if expected is not None and position == expected.start - sum(
+            expected = spans[ann_index] if ann_index < len(spans) else None
+            if expected is not None and position == expected[0] - sum(
                 e - s for s, e, _ in spans[:ann_index]
             ):
+                s, e, relation = expected
                 surface, rel = split_fused_token(token)
-                assert surface == expected.surface
-                assert rel == expected.relation
+                assert surface == tokens[s : e + 1]
+                assert rel == relation
                 rebuilt.extend(surface)
                 ann_index += 1
             else:
                 rebuilt.append(token)
-        assert ann_index == len(anns)
+        assert ann_index == len(spans)
         assert tuple(rebuilt) == tokens
 
     print("criterion 8: PASS — 1,000 fuse/unfuse round-trips exact")

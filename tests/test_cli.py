@@ -590,6 +590,28 @@ class TestPipelineRuns:
         err = capsys.readouterr().err
         assert "gold lexicon is empty after applying the frequency threshold 1000" in err
 
+    def test_run_all_skipping_eval_removes_an_earlier_report(self, tmp_path):
+        # An earlier run's report beside this run's lexicon would read as
+        # this run's evaluation.
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        text = config.read_text(encoding="utf-8")
+        report = tmp_path / "out" / ARTIFACTS["eval_report"]
+        for edited, skipped in (
+            (text.replace("min_freq = 2\n", "min_freq = 1000\n"), "no gold pair at min_freq 1000"),
+            ("".join(line for line in text.splitlines(True) if not line.startswith("gold_lexicon")),
+             "no gold_lexicon"),
+        ):
+            config.write_text(text, encoding="utf-8")
+            assert main(["run", "all", "--config", str(config)]) == 0
+            assert report.is_file()
+            config.write_text(edited, encoding="utf-8")
+            assert main(["run", "all", "--config", str(config)]) == 0
+            manifest = json.loads((tmp_path / "out" / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+            assert manifest["stages"]["eval"] == {"skipped": skipped}
+            assert not report.exists()
+
     def test_extract_before_align_names_the_missing_stage(self, mini_run, tmp_path, capsys):
         root, config = mini_run
         out = tmp_path / "half"

@@ -16,14 +16,13 @@ from dclex.phrasetable import (
     check_links,
     connective_occurrences,
     filter_dc_entries,
-    fused_connective,
     read_dc_records,
     read_sites,
     write_dc_records,
     write_phrase_table,
     write_sites,
 )
-from dclex.tagging import split_fused_token
+from dclex.tagging import fused_connective, split_fused_token
 
 from oracles import (
     connective_boxes_reference,

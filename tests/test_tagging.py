@@ -5,11 +5,11 @@ import re
 
 import pytest
 
-from dclex.corpus import TokenColumns
+from dclex.corpus import TokenColumns, load_parallel_corpus
 from dclex.errors import PipelineError
 from dclex.inventory import load_connective_inventory
 from dclex.tagging import (
-    DCAnnotation,
+    Tags,
     fuse_corpus,
     fuse_token,
     heuristic_tag,
@@ -17,8 +17,10 @@ from dclex.tagging import (
     load_default_senses,
     split_fused_token,
     write_annotations,
+    write_fused_corpus,
 )
 
+import planted
 from oracles import fuse_reference, longest_match_counts_reference
 
 
@@ -27,11 +29,22 @@ def make_corpus(*sentences):
     return [tuple(tokens) for tokens in sentences]
 
 
-def by_sentence(annotations):
-    grouped: dict[int, list[DCAnnotation]] = {}
-    for ann in annotations:
-        grouped.setdefault(ann.sentence_id, []).append(ann)
-    return grouped
+def tags_of(*rows):
+    """The `Tags` of (sentence, start, end, relation) rows, which are in
+    (sentence, start) order and do not overlap."""
+    return Tags(*zip(*rows)) if rows else Tags([], [], [], [])
+
+
+def rows_of(tags):
+    """The (sentence, start, end, relation) row of each span of `tags`."""
+    return list(zip(tags.sentence.tolist(), tags.start.tolist(), tags.end.tolist(), tags.relation))
+
+
+def load_records(tmp_path, corpus, *records):
+    """`load_annotations` of a file holding `records`, one a line."""
+    path = tmp_path / "anns.tsv"
+    path.write_text("".join(f"{record}\n" for record in records), encoding="utf-8")
+    return load_annotations(str(path), corpus)
 
 
 class TestFusedTokenCodec:
@@ -74,41 +87,54 @@ class TestFusedTokenCodec:
 
 
 class TestAnnotationValidation:
-    def test_valid_annotation(self):
-        ann = DCAnnotation(0, 1, 2, ("even", "though"), "Comparison.Concession", True)
-        assert ann.end - ann.start + 1 == 2
+    """Each record of an annotation file is checked as it is loaded."""
 
-    def test_relation_required_iff_discourse_usage(self):
-        with pytest.raises(PipelineError):
-            DCAnnotation(0, 0, 0, ("si",), None, True)
-        with pytest.raises(PipelineError):
-            DCAnnotation(0, 0, 0, ("si",), "Concession", False)
-        DCAnnotation(0, 0, 0, ("si",), None, False)  # non-discourse reading
+    def test_valid_annotation(self, tmp_path):
+        corpus = make_corpus(("fine", "even", "though"))
+        tags = load_records(tmp_path, corpus, "0\t1\t2\teven though\tComparison.Concession\t1")
+        assert rows_of(tags) == [(0, 1, 2, "Comparison.Concession")]
+        assert tags.start.dtype == tags.end.dtype == tags.sentence.dtype == "int64"
 
-    def test_inverted_span_rejected(self):
-        with pytest.raises(PipelineError):
-            DCAnnotation(0, 2, 1, ("si",), "X", True)
+    def test_relation_required_iff_discourse_usage(self, tmp_path):
+        corpus = make_corpus(("si",))
+        for record in ("0\t0\t0\tsi\t\t1", "0\t0\t0\tsi\tConcession\t0"):
+            with pytest.raises(PipelineError, match="exactly when discourse_usage"):
+                load_records(tmp_path, corpus, record)
+        # A non-discourse reading.
+        assert rows_of(load_records(tmp_path, corpus, "0\t0\t0\tsi\t\t0")) == [(0, 0, 0, None)]
 
-    def test_surface_must_cover_span(self):
-        with pytest.raises(PipelineError):
-            DCAnnotation(0, 0, 1, ("si",), "X", True)
+    def test_inverted_span_rejected(self, tmp_path):
+        corpus = make_corpus(("si", "non", "oui"))
+        with pytest.raises(PipelineError, match=re.escape("bad annotation span [2, 1]")):
+            load_records(tmp_path, corpus, "0\t2\t1\tsi\tX\t1")
 
-    def test_relation_label_charset(self):
-        with pytest.raises(PipelineError):
-            DCAnnotation(0, 0, 0, ("si",), "Bad Label", True)
-        with pytest.raises(PipelineError):
-            DCAnnotation(0, 0, 0, ("si",), "Bad-Label", True)
+    def test_surface_must_cover_span(self, tmp_path):
+        corpus = make_corpus(("si", "non"))
+        with pytest.raises(PipelineError, match="does not cover span"):
+            load_records(tmp_path, corpus, "0\t0\t1\tsi\tX\t1")
+
+    def test_relation_label_charset(self, tmp_path):
+        corpus = make_corpus(("si",))
+        for label in ("Bad Label", "Bad-Label"):
+            with pytest.raises(PipelineError, match="must not contain whitespace or '-'"):
+                load_records(tmp_path, corpus, f"0\t0\t0\tsi\t{label}\t1")
 
 
-def fuse_one(tokens, annotations):
-    """The one sentence of `fuse_corpus` on a one-sentence corpus."""
-    return fuse_corpus(make_corpus(tokens), annotations)[0]
+def fuse_one(tokens, *spans):
+    """The one sentence of `fuse_corpus` on a one-sentence corpus, tagged
+    with (start, end, relation) spans."""
+    return fuse_corpus(make_corpus(tokens), tags_of(*((0, *span) for span in spans)))[0]
+
+
+def fuse_file(tmp_path, corpus, *records):
+    """`fuse_corpus` of `corpus` with the tags of an annotation file, as
+    the tag stage fuses them."""
+    return fuse_corpus(corpus, load_records(tmp_path, corpus, *records))
 
 
 class TestFuseTokens:
     def test_worked_example(self):
-        anns = [DCAnnotation(0, 0, 0, ("although",), "Comparison.Concession", True)]
-        assert fuse_one(("although", "it", "rained"), anns) == (
+        assert fuse_one(("although", "it", "rained"), (0, 0, "Comparison.Concession")) == (
             "although-Comparison.Concession",
             "it",
             "rained",
@@ -116,39 +142,33 @@ class TestFuseTokens:
 
     def test_multiword_span_collapses_token_count(self):
         tokens = ("fine", ",", "even", "though", "late")
-        anns = [DCAnnotation(0, 2, 3, ("even", "though"), "Comparison.Concession", True)]
-        fused = fuse_one(tokens, anns)
+        fused = fuse_one(tokens, (2, 3, "Comparison.Concession"))
         assert fused == ("fine", ",", "even_though-Comparison.Concession", "late")
         assert len(fused) == len(tokens) - 1
 
     def test_non_discourse_annotation_passes_through(self):
-        anns = [DCAnnotation(0, 0, 0, ("so",), None, False)]
-        assert fuse_one(("so", "what"), anns) == ("so", "what")
+        assert fuse_one(("so", "what"), (0, 0, None)) == ("so", "what")
 
-    def test_overlapping_spans_are_fatal(self):
-        anns = [
-            DCAnnotation(0, 0, 1, ("even", "though"), "A.B", True),
-            DCAnnotation(0, 1, 1, ("though",), "C.D", True),
-        ]
+    # A file whose spans fusion could not carry fails as it is loaded.
+
+    def test_overlapping_spans_are_fatal(self, tmp_path):
+        corpus = make_corpus(("even", "though", "so"))
         with pytest.raises(PipelineError, match="overlap"):
-            fuse_one(("even", "though", "so"), anns)
+            fuse_file(tmp_path, corpus, "0\t0\t1\teven though\tA.B\t1", "0\t1\t1\tthough\tC.D\t1")
 
-    def test_annotation_for_other_sentence_is_fatal(self):
+    def test_annotation_for_other_sentence_is_fatal(self, tmp_path):
         # An annotation is checked against its own sentence, not another.
         corpus = make_corpus(("si",), ("x",), ("y",), ("z",))
-        anns = [DCAnnotation(3, 0, 0, ("si",), "X", True)]
         with pytest.raises(PipelineError, match="sentence 3"):
-            fuse_corpus(corpus, anns)
+            fuse_file(tmp_path, corpus, "3\t0\t0\tsi\tX\t1")
 
-    def test_span_out_of_bounds_is_fatal(self):
-        anns = [DCAnnotation(0, 0, 1, ("si", "non"), "X", True)]
+    def test_span_out_of_bounds_is_fatal(self, tmp_path):
         with pytest.raises(PipelineError, match="out of bounds"):
-            fuse_one(("si",), anns)
+            fuse_file(tmp_path, make_corpus(("si",)), "0\t0\t1\tsi non\tX\t1")
 
-    def test_surface_mismatch_is_fatal(self):
-        anns = [DCAnnotation(0, 0, 0, ("non",), "X", True)]
+    def test_surface_mismatch_is_fatal(self, tmp_path):
         with pytest.raises(PipelineError, match="surface"):
-            fuse_one(("si",), anns)
+            fuse_file(tmp_path, make_corpus(("si",)), "0\t0\t0\tnon\tX\t1")
 
     def test_token_count_law_on_random_sentences(self):
         rng = random.Random(31)
@@ -161,26 +181,22 @@ class TestFuseTokens:
                 start = rng.randint(cursor, n - 1)
                 end = min(n - 1, start + rng.randint(0, 2))
                 if rng.random() < 0.6:
-                    spans.append((start, end))
+                    spans.append((start, end, "REL_X"))
                 cursor = end + 1
-            anns = [
-                DCAnnotation(0, s, e, tokens[s : e + 1], "REL_X", True)
-                for s, e in spans
-            ]
-            collapsed = sum(e - s for s, e in spans)
-            assert len(fuse_one(tokens, anns)) == n - collapsed
+            collapsed = sum(e - s for s, e, _ in spans)
+            assert len(fuse_one(tokens, *spans)) == n - collapsed
 
 
 class TestAnnotationIO:
     def test_write_load_round_trip(self, tmp_path):
-        corpus = make_corpus(("even", "though", "x"), ("so",))
-        anns = [
-            DCAnnotation(0, 0, 1, ("even", "though"), "Comparison.Concession", True),
-            DCAnnotation(1, 0, 0, ("so",), None, False),
-        ]
+        corpus = make_corpus(("Even", "though", "x"), ("so",))
+        tags = tags_of((0, 0, 1, "Comparison.Concession"), (1, 0, 0, None))
         path = tmp_path / "anns.tsv"
-        write_annotations(anns, str(path))
-        assert load_annotations(str(path), corpus) == anns
+        write_annotations(tags, corpus, str(path))
+        assert path.read_text(encoding="utf-8") == (
+            "0\t0\t1\tEven though\tComparison.Concession\t1\n1\t0\t0\tso\t\t0\n"
+        )
+        assert rows_of(load_annotations(str(path), corpus)) == rows_of(tags)
 
     def test_unknown_sentence_id_is_fatal(self, tmp_path):
         corpus = make_corpus(("si",))
@@ -220,6 +236,29 @@ class TestAnnotationIO:
         with pytest.raises(PipelineError, match="overlap"):
             load_annotations(str(path), corpus)
 
+    def test_load_on_columns_fails_as_on_a_list(self, tmp_path):
+        # The exact messages, for a list and for its columns alike.
+        path = tmp_path / "anns.tsv"
+        sentences = make_corpus(("a", "b", "c"), ("even", "though"))
+        for records, want in (
+            (
+                ["1\t1\t2\tthough x\tR\t1"],  # past the end
+                "record 1: sentence 1: span [1, 2] out of bounds (length 2)",
+            ),
+            (
+                ["0\t0\t1\ta b\tR\t1", "0\t1\t1\tb\t\t0"],
+                "overlapping spans in sentence 0 ([0, 1] and [1, 1])",
+            ),
+            (
+                ["1\t0\t1\teven so\tR\t1"],  # other tokens
+                "record 1: sentence 1: tokens ('even', 'though') at [0, 1] do not match "
+                "annotated surface ('even', 'so')",
+            ),
+        ):
+            for corpus in (sentences, TokenColumns.intern(sentences)):
+                with pytest.raises(PipelineError, match=f"^{re.escape(f'{path}: {want}')}$"):
+                    load_records(tmp_path, corpus, *records)
+
 
 class TestHeuristicTagging:
     def make_inventory(self, *texts):
@@ -229,28 +268,28 @@ class TestHeuristicTagging:
         corpus = make_corpus(("although", "it", "rained"), ("dry", "although", "wet"))
         inv = self.make_inventory("although")
         senses = {"although": "Comparison.Concession"}
-        tagged = by_sentence(heuristic_tag(corpus, inv, senses))
-        assert [len(v) for v in tagged.values()] == [1, 1]
-        ann = tagged[0][0]
-        assert (ann.start, ann.end, ann.relation) == (0, 0, "Comparison.Concession")
-        assert tagged[1][0].start == 1
+        tags = heuristic_tag(corpus, inv, senses)
+        assert len(tags) == 2
+        assert rows_of(tags) == [
+            (0, 0, 0, "Comparison.Concession"),
+            (1, 1, 1, "Comparison.Concession"),
+        ]
 
     def test_longest_match_wins(self):
         corpus = make_corpus(("even", "though", "though"))
         inv = self.make_inventory("even though", "though")
         senses = {"even though": "Comparison.Concession", "though": "Comparison.Contrast"}
-        tagged = heuristic_tag(corpus, inv, senses)
-        spans = [(a.start, a.end, a.relation) for a in tagged]
-        assert spans == [
-            (0, 1, "Comparison.Concession"),
-            (2, 2, "Comparison.Contrast"),
+        assert rows_of(heuristic_tag(corpus, inv, senses)) == [
+            (0, 0, 1, "Comparison.Concession"),
+            (0, 2, 2, "Comparison.Contrast"),
         ]
 
     def test_missing_default_sense_is_fatal(self):
-        corpus = make_corpus(("so",))
-        inv = self.make_inventory("so")
-        with pytest.raises(PipelineError, match="default sense"):
-            heuristic_tag(corpus, inv, {})
+        # The first match in corpus order without a sense is named.
+        corpus = make_corpus(("x", "thus"), ("so", "thus"))
+        inv = self.make_inventory("so", "thus", "if")
+        with pytest.raises(PipelineError, match="^no default sense for connective 'thus'$"):
+            heuristic_tag(corpus, inv, {"if": "R"})
 
     def test_annotation_count_matches_scan_reference(self):
         rng = random.Random(77)
@@ -264,8 +303,9 @@ class TestHeuristicTagging:
         tagged = heuristic_tag(corpus, list(forms), senses)
         want = longest_match_counts_reference(sentences, forms)
         got: dict[tuple[str, ...], int] = {}
-        for ann in tagged:
-            got[ann.surface] = got.get(ann.surface, 0) + 1
+        for k, start, end, _ in rows_of(tagged):
+            surface = corpus[k][start : end + 1]
+            got[surface] = got.get(surface, 0) + 1
         assert got == {f: c for f, c in want.items() if c}
 
     def test_fuse_corpus_preserves_ids_and_untagged_sentences(self):
@@ -281,62 +321,57 @@ class TestHeuristicTagging:
     def test_fuse_corpus_on_columns_equals_fusing_each_sentence(self):
         # Columns are fused on the ids; the reference rebuilds each sentence.
         # Words come in mixed case, spans are one to three tokens, some
-        # annotations are not discourse usage, and "a_b-R" is already a word
-        # when a span fuses to it.
+        # spans are not discourse usage, and "a_b-R" is already a word when
+        # a span fuses to it.
         rng = random.Random(5)
         for _ in range(300):
             sentences = [
                 tuple(rng.choice(["a", "B", "b", "a_b-R"]) for _ in range(rng.randint(1, 7)))
                 for _ in range(rng.randint(1, 5))
             ]
-            anns = []
+            rows = []
             for k, tokens in enumerate(sentences):
                 free = 0
                 while free < len(tokens) and rng.random() < 0.7:
                     start = rng.randint(free, len(tokens) - 1)
                     end = rng.randint(start, min(len(tokens), start + 3) - 1)
-                    surface = tuple(t.lower() for t in tokens[start : end + 1])
-                    usage = rng.random() < 0.8
-                    anns.append(DCAnnotation(k, start, end, surface, "R" if usage else None, usage))
+                    rows.append((k, start, end, "R" if rng.random() < 0.8 else None))
                     free = end + 1
-            rng.shuffle(anns)
-            fused = fuse_corpus(TokenColumns.intern(sentences), anns)
+            fused = fuse_corpus(TokenColumns.intern(sentences), tags_of(*rows))
             assert list(fused) == [
-                fuse_reference(tokens, [a for a in anns if a.sentence_id == k])
+                fuse_reference(tokens, [row[1:] for row in rows if row[0] == k])
                 for k, tokens in enumerate(sentences)
             ]
             assert len(set(fused.vocab)) == len(fused.vocab)
 
-    def test_fuse_corpus_on_columns_fails_as_each_sentence_does(self):
-        # The exact messages, for a list and for its columns alike.
-        sentences = make_corpus(("a", "b", "c"), ("even", "though"))
-        for anns, want in (
-            (
-                [DCAnnotation(1, 1, 2, ("though", "x"), "R", True)],  # past the end
-                "sentence 1: span [1, 2] out of bounds (length 2)",
-            ),
-            (
-                [
-                    DCAnnotation(0, 0, 1, ("a", "b"), "R", True),
-                    DCAnnotation(0, 1, 1, ("b",), None, False),
-                ],
-                "sentence 0: overlapping annotation at 1",
-            ),
-            (
-                [DCAnnotation(1, 0, 1, ("even", "so"), "R", True)],  # other tokens
-                "sentence 1: tokens ('even', 'though') at [0, 1] do not match "
-                "annotated surface ('even', 'so')",
-            ),
-        ):
-            for corpus in (sentences, TokenColumns.intern(sentences)):
-                with pytest.raises(PipelineError, match=f"^{re.escape(want)}$"):
-                    fuse_corpus(corpus, anns)
-
-    def test_fuse_corpus_rejects_unknown_sentence_ids(self):
-        corpus = make_corpus(("si",))
-        anns = [DCAnnotation(9, 0, 0, ("si",), "X", True)]
-        with pytest.raises(PipelineError, match="unknown sentence id 9"):
-            fuse_corpus(corpus, anns)
+    def test_an_annotation_file_of_its_spans_tags_and_fuses_alike(self, tmp_path):
+        # Both producers of `Tags` on a planted corpus: the heuristic scan,
+        # and a file listing the spans and relations that scan finds, in
+        # reverse order.
+        planted.generate(tmp_path, pairs=300, dc_count=60, thresh_count=20)
+        src = load_parallel_corpus(str(tmp_path / "corpus.en"), str(tmp_path / "corpus.fr")).src
+        senses = {"zonk": "REL_A", "frub": "REL_B"}
+        records = [
+            f"{k}\t{i}\t{i}\t{token}\t{senses[token]}\t1"
+            for k, sentence in enumerate(src)
+            for i, token in enumerate(sentence)
+            if token in senses
+        ]
+        scanned = heuristic_tag(
+            src,
+            load_connective_inventory(str(tmp_path / "inventory.en")),
+            load_default_senses(str(tmp_path / "senses.tsv")),
+        )
+        loaded = load_records(tmp_path, src, *reversed(records))
+        assert len(scanned) == len(records) > 0
+        for name in ("sentence", "start", "end"):
+            assert getattr(loaded, name).tolist() == getattr(scanned, name).tolist(), name
+        assert loaded.relation == scanned.relation
+        fused = []
+        for name, tags in (("scanned.src", scanned), ("loaded.src", loaded)):
+            write_fused_corpus(fuse_corpus(src, tags), str(tmp_path / name))
+            fused.append((tmp_path / name).read_bytes())
+        assert fused[0] == fused[1]
 
 
 class TestDefaultSenses:
@@ -357,10 +392,20 @@ class TestDefaultSenses:
         assert senses == {"e.g .": "RelA", "even though": "RelB"}
         corpus = make_corpus(("see", "e.g", ".", "even", "though"))
         tagged = heuristic_tag(corpus, inventory, senses)
-        assert [(a.start, a.end, a.relation) for a in tagged] == [(1, 2, "RelA"), (3, 4, "RelB")]
+        assert rows_of(tagged) == [(0, 1, 2, "RelA"), (0, 3, 4, "RelB")]
 
     def test_conflicting_senses_are_fatal(self, tmp_path):
         path = tmp_path / "senses.tsv"
         path.write_text("si\tA.B\nsi\tC.D\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="conflicting"):
             load_default_senses(str(path))
+
+    def test_every_label_is_checked_whatever_the_corpus(self, tmp_path):
+        # A label no fused token can carry stops the load, and not only a
+        # tag run whose corpus holds its connective.
+        path = tmp_path / "senses.tsv"
+        for label in ("Bad-Label", "Bad Label"):
+            path.write_text(f"so\tRelA\nsi\t{label}\n", encoding="utf-8")
+            want = f"{path}: line 2: relation label {label!r} must not contain whitespace or '-'"
+            with pytest.raises(PipelineError, match=f"^{re.escape(want)}$"):
+                load_default_senses(str(path))

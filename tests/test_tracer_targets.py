@@ -39,8 +39,23 @@ def test_every_tracer_target_exists(tracer):
     assert missing == []
 
 
-def test_hooks_record_a_run_all_without_notes(tracer, tmp_path):
+@pytest.mark.parametrize("tagger", ["default_senses", "annotations"])
+def test_hooks_record_a_run_all_without_notes(tracer, tmp_path, tagger):
     config = planted.generate(tmp_path, pairs=120, dc_count=20, thresh_count=6, min_freq=5)
+    if tagger == "annotations":
+        # The spans the default senses would tag; the file takes precedence.
+        sentences = (tmp_path / "corpus.en").read_text(encoding="utf-8").splitlines()
+        senses = {"zonk": "REL_A", "frub": "REL_B"}
+        records = [
+            f"{k}\t{i}\t{i}\t{token}\t{senses[token]}\t1\n"
+            for k, line in enumerate(sentences)
+            for i, token in enumerate(line.split())
+            if token in senses
+        ]
+        annotations = tmp_path / "annotations.tsv"
+        annotations.write_text("".join(records), encoding="utf-8")
+        with config.open("a", encoding="utf-8") as f:
+            f.write(f"annotations = {annotations}\n")
     modules = {name: importlib.import_module(f"dclex.{name}") for name, *_ in tracer.TARGETS}
     saved = [(modules[name], attribute) for name, attribute, *_ in tracer.TARGETS]
     saved = [(module, attribute, getattr(module, attribute)) for module, attribute in saved]
