@@ -44,7 +44,8 @@ that knows the text format. `viterbi_align_model2`, a per-pair Model 2 decoder, 
 reference definitions that the columnar path is tested against.
 
 numpy is imported when training or link handling starts, not with this
-module, so loading the CLI does not pay for it.
+module; the CLI imports this module only when align or extract runs, so
+loading the CLI pays for neither.
 """
 
 from __future__ import annotations

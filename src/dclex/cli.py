@@ -11,30 +11,28 @@ each made once. Evidence reads its pairs from the token files either way,
 and splits only the lines its sites name. A JSON manifest records the
 config snapshot, input digests, per-stage row counts and timing; one call
 reads it and hashes the inputs once.
+
+Each stage imports the modules it runs when it starts, so loading this
+module and validating a config load only `corpus`, `fileio` and `errors`
+of the package, and a stage's timing includes loading its modules. Calls
+go through the module (`al.symmetrize`), so a wrapper set on a module
+attribute sees them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import difflib
 import json
 import logging
 import os
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from . import alignment as al
 from . import corpus as cp
-from . import evaluation as ev
-from . import inventory as inv
-from . import lexicon as lx
-from . import phrasetable as pt
-from . import tagging as tg
 from .corpus import process_chunks
 from .errors import PipelineError, UsageError
 from .fileio import atomic_write_text, iter_data_lines, read_text_strict, sha256_file
@@ -93,6 +91,10 @@ class PipelineConfig:
     dump_ttables: bool = False
 
 
+# `alignment.HEURISTICS`, spelled out as `model`'s values are, so that
+# validating a config does not load the aligner; a test keeps the two equal.
+_HEURISTICS = ("intersection", "union", "grow-diag-final")
+
 _REQUIRED_KEYS = ("src_corpus", "tgt_corpus", "src_inventory", "tgt_inventory")
 _PATH_KEYS = _REQUIRED_KEYS + (
     "output_dir",
@@ -142,9 +144,9 @@ def _check_ranges(cfg: PipelineConfig) -> None:
         raise UsageError(
             f"config key 'evidence_min_prob' must be in [0, 1], got {cfg.evidence_min_prob}"
         )
-    if cfg.heuristic not in al.HEURISTICS:
+    if cfg.heuristic not in _HEURISTICS:
         raise UsageError(
-            f"config key 'heuristic' must be one of {', '.join(al.HEURISTICS)}; "
+            f"config key 'heuristic' must be one of {', '.join(_HEURISTICS)}; "
             f"got {cfg.heuristic!r}"
         )
     if cfg.model not in ("model1", "model2"):
@@ -171,6 +173,8 @@ def validate_config(path: str) -> PipelineConfig:
             logger.info("%s: config key 'threads' is ignored (line %d)", path, lineno)
             continue
         if key not in fields:
+            import difflib
+
             close = difflib.get_close_matches(key, fields, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise UsageError(f"{path}: unknown config key {key!r} at line {lineno}{hint}")
@@ -261,20 +265,28 @@ def _require_config_path(cfg: PipelineConfig, key: str) -> str:
 
 
 def _load_target_inventory(cfg: PipelineConfig) -> list[cp.Form]:
+    from . import inventory as inv
+
     return inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
 
 
 def _load_source_inventory(cfg: PipelineConfig) -> list[cp.Form]:
+    from . import inventory as inv
+
     return inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
 
 
 def _load_induced_relations(cfg: PipelineConfig) -> list[str]:
+    from . import inventory as inv
+
     if cfg.induced_relations:
         return inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
     return inv.default_induced_relations()
 
 
 def _load_gold_relations(cfg: PipelineConfig) -> list[str]:
+    from . import inventory as inv
+
     if cfg.gold_relations:
         return inv.load_relation_inventory(_require_config_path(cfg, "gold_relations"))
     return inv.default_gold_relations()
@@ -283,6 +295,8 @@ def _load_gold_relations(cfg: PipelineConfig) -> list[str]:
 def _load_relation_map(
     cfg: PipelineConfig, induced: list[str], gold: list[str]
 ) -> dict[str, str]:
+    from . import inventory as inv
+
     if cfg.relation_map:
         return inv.load_relation_map(_require_config_path(cfg, "relation_map"), induced, gold)
     return inv.default_relation_map(induced, gold)
@@ -338,6 +352,8 @@ def _stage_ingest(
 def _stage_tag(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
+    from . import tagging as tg
+
     if "corpus" in handoff:
         pairs = handoff.pop("corpus")
     else:
@@ -362,6 +378,8 @@ def _stage_tag(
 def _stage_align(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, object]:
+    from . import alignment as al
+
     pairs = _work_pairs(cfg, handoff)
     src, tgt = pairs.src, pairs.tgt
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
@@ -402,6 +420,9 @@ def _stage_align(
 def _stage_extract(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
+    from . import alignment as al
+    from . import phrasetable as pt
+
     pairs = _work_pairs(cfg, handoff, last=True)
     if "links" in handoff:
         links = handoff.pop("links")
@@ -431,6 +452,9 @@ def _stage_extract(
 def _stage_build(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
+    from . import lexicon as lx
+    from . import phrasetable as pt
+
     records = pt.read_dc_records(str(_require(cfg, "dc_records", "extract")))
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
     ranked = lx.build_lexicon(records, freqs, cfg.min_freq)
@@ -446,6 +470,10 @@ class _NoGoldPair(PipelineError):
 def _stage_eval(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
+    from . import evaluation as ev
+    from . import inventory as inv
+    from . import lexicon as lx
+
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
     gold_relations = _load_gold_relations(cfg)
@@ -468,6 +496,11 @@ def _stage_eval(
 def _stage_evidence(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
+    from fractions import Fraction
+
+    from . import lexicon as lx
+    from . import phrasetable as pt
+
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
     sites_path = str(_require(cfg, "sites", "extract"))
     if "sites" in handoff:

@@ -3,9 +3,7 @@ writes, digests."""
 
 from __future__ import annotations
 
-import hashlib
 import os
-import secrets
 from pathlib import Path
 from typing import Iterator
 
@@ -45,7 +43,7 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
-        tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}.tmp")
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except FileExistsError:  # a name another writer holds: draw again
@@ -64,6 +62,8 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
 
 
 def sha256_file(path: str | os.PathLike[str]) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

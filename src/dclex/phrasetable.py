@@ -14,13 +14,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .alignment import Links
 from .corpus import Bitext, Form, FormScan, Occurrences, process_chunks
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .tagging import fused_connective
+
+if TYPE_CHECKING:  # annotations only: building a lexicon need not load the aligner
+    from .alignment import Links
 
 # (pair index, fused source token, target start, target end), ends inclusive
 Site = tuple[int, int, int, int]

@@ -23,7 +23,7 @@ from dclex.cli import (
     main,
     validate_config,
 )
-from dclex.alignment import NULL_TOKEN, train_model1
+from dclex.alignment import HEURISTICS, NULL_TOKEN, train_model1
 from dclex.corpus import CHUNK_SIZE, load_token_corpus
 from dclex.errors import UsageError
 from dclex.fileio import iter_data_lines
@@ -109,6 +109,17 @@ class TestValidateConfig:
             path = write_config(tmp_path, MINIMAL + line + "\n")
             with pytest.raises(UsageError, match=message):
                 validate_config(path)
+
+    def test_heuristics_are_those_symmetrize_takes(self, tmp_path):
+        # The config spells out the aligner's heuristic names so that
+        # validating it does not load the aligner; the two lists must agree.
+        for name in HEURISTICS:
+            path = write_config(tmp_path, MINIMAL + f"heuristic = {name}\n")
+            assert validate_config(path).heuristic == name
+        path = write_config(tmp_path, MINIMAL + "heuristic = magic\n")
+        with pytest.raises(UsageError) as exc:
+            validate_config(path)
+        assert f"one of {', '.join(HEURISTICS)};" in str(exc.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
@@ -504,14 +515,26 @@ class TestPipelineRuns:
 
     def test_build_eval_and_report_alone_leave_numpy_unloaded(self, tmp_path):
         # Only the stages up to extract need numpy; these read text artifacts.
+        # Only align and extract load the aligner, and report loads none of
+        # the modules that make or score the lexicon.
         config = planted.generate(
             tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5, iterations=3
         )
         assert main(["run", "all", "--config", str(config)]) == 0
-        code = "import sys, dclex.cli; print(dclex.cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
-        for stage in ("build", "eval", "report"):
+        code = (
+            "import sys, dclex.cli; print(dclex.cli.main(sys.argv[1:]), "
+            "sorted({'numpy', 'dclex.alignment', 'dclex.phrasetable', 'dclex.lexicon', "
+            "'dclex.evaluation'} & set(sys.modules)))"
+        )
+        loaded = {
+            "build": "['dclex.lexicon', 'dclex.phrasetable']",
+            "eval": "['dclex.evaluation', 'dclex.lexicon', 'dclex.phrasetable']",
+            "evidence": "['dclex.lexicon', 'dclex.phrasetable']",
+            "report": "[]",
+        }
+        for stage, modules in loaded.items():
             done = run_python("-c", code, stage, "--config", str(config))
-            assert done.stdout.splitlines()[-1] == "0 False", stage
+            assert done.stdout.splitlines()[-1] == f"0 {modules}", stage
 
     def test_evidence_rejects_sites_that_do_not_fit_the_corpus(self, tmp_path, capsys):
         config = planted.generate(
@@ -696,13 +719,27 @@ def run_python(*args, **env):
 
 def test_loading_the_cli_does_not_import_numpy(tmp_path):
     # numpy costs more to import than the whole CLI; only training needs it.
-    # No stage runs a worker pool, so nothing loads concurrent.futures.
+    # No stage runs a worker pool, so nothing loads concurrent.futures. A
+    # stage's modules load when it runs, and the rare paths' imports
+    # (difflib for an unknown key, hashlib for input digests) when they run.
+    unloaded = [
+        "numpy",
+        "concurrent.futures",
+        "dclex.alignment",
+        "dclex.phrasetable",
+        "dclex.lexicon",
+        "dclex.evaluation",
+        "dclex.tagging",
+        "dclex.inventory",
+        "difflib",
+        "hashlib",
+    ]
     code = (
         "import sys, dclex.cli; dclex.cli.validate_config(sys.argv[1]); "
-        "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)"
+        "print([name for name in sys.argv[2:] if name in sys.modules])"
     )
-    done = run_python("-c", code, write_config(tmp_path, MINIMAL))
-    assert done.stdout == "False False\n"
+    done = run_python("-c", code, write_config(tmp_path, MINIMAL), *unloaded)
+    assert done.stdout == "[]\n"
 
 
 def test_main_defaults_openblas_to_one_thread(tmp_path):
