@@ -13,17 +13,20 @@ earlier chunks, so its cost grows with the cells, not with chunks x slots.
 The E-step runs over fixed-size chunks, one after another: each writes its
 cell posteriors into one buffer, the size of the widest chunk, and adds
 them into the counts before the next chunk runs, so the counts take the
-posteriors in corpus order. The posterior, count and row-total buffers are
-allocated once per fit, the M-step divides in place, and the E-step works
-through its chunk in blocks of rows, so no EM temporary grows with the
-corpus or the chunk. Every sum that feeds t, q or the log-likelihood is a
-running sum in a fixed order (`bincount` and `add.at` add their inputs one
-by one, from 0.0, and `cumsum` adds left to right), never a pairwise or
-vectorized reduction, so results are bit-identical for any chunk size and
-equal, float for float, to adding them up in a Python loop; only the
-log-likelihood depends on the chunking, as the sum of the chunks' sums. A
-NULL source token (virtual index -1) absorbs target words with no
-counterpart; Viterbi links decoded to NULL are dropped.
+posteriors in corpus order. The posterior and count buffers are allocated
+once per fit, the M-step divides in place, and the E-step works through
+its chunk in blocks of rows, so no EM temporary grows with the corpus or
+the chunk. Every sum that feeds t, q or the log-likelihood is a running sum
+in a fixed order (`bincount` and `add.at` add their inputs one by one, from
+0.0, and `cumsum` adds left to right), never a pairwise or vectorized
+reduction, so t and q are bit-identical for any chunk size and equal, float
+for float, to adding them up in a Python loop. The log-likelihood takes
+each row's log with `np.log`, whose last bit may differ by host (numpy
+picks its vectorized log, AVX-512 or not, by CPU), and is the sum of the
+chunks' sums, so its last bits depend on the host and the chunking; t, q
+and the links depend on neither. A NULL source token (virtual index -1)
+absorbs target words with no counterpart; Viterbi links decoded to NULL are
+dropped.
 
 The backward direction trains on the same pairs with the sides swapped, so
 its cells are the forward's transposed. Trained with `inverse=` the forward
@@ -95,11 +98,9 @@ class Links:
         lo, hi = self.offsets[k], self.offsets[k + 1]
         return list(zip(self.src[lo:hi].tolist(), self.tgt[lo:hi].tolist()))
 
-    def pair_index(self):
+    def pair_index(self, dtype: str = "int64"):
         """The pair of each link."""
-        import numpy as np
-
-        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        return _pair_index(self.offsets, dtype)
 
     def check_bounds(self, src_lengths: Sequence[int], tgt_lengths: Sequence[int]) -> None:
         """Fail on the first link outside its pair's src x tgt grid."""
@@ -153,6 +154,13 @@ def _collect(pair, src, tgt, n_pairs: int) -> Links:
     if not fresh.all():
         pair, src, tgt = pair[fresh], src[fresh], tgt[fresh]
     return _sorted_links(pair, src, tgt, n_pairs)
+
+
+def _pair_index(offsets, dtype: str = "int64"):
+    """The pair of each link, from per-pair `offsets`."""
+    import numpy as np
+
+    return np.repeat(np.arange(len(offsets) - 1, dtype=dtype), np.diff(offsets))
 
 
 def _sorted_links(pair, src, tgt, n_pairs: int) -> Links:
@@ -278,7 +286,8 @@ def _first_appearance(chunks: Iterable, out):
             keys_sorted <<= p
             keys_sorted |= np.arange(n)
             keys_sorted.sort()
-            pos = keys_sorted & ((1 << p) - 1)
+            pos = np.empty(n, np.int32)
+            np.bitwise_and(keys_sorted, (1 << p) - 1, out=pos, casting="unsafe")
             keys_sorted >>= p
         starts = np.empty(n, bool)
         starts[0] = True
@@ -292,9 +301,10 @@ def _first_appearance(chunks: Iterable, out):
                 rebuild()
                 filled = count
             cell, slots = probe(distinct)
-        else:
-            slots = np.full(len(distinct), -1, np.int32)
-        fresh = np.flatnonzero(slots < 0)
+            fresh = np.flatnonzero(slots < 0)
+        else:  # every key is new
+            slots = np.empty(len(distinct), np.int32)
+            fresh = slice(None)
         # New keys take the next slots in the order of their first positions.
         is_new = np.zeros(n, bool)
         new = first[fresh]
@@ -303,13 +313,13 @@ def _first_appearance(chunks: Iterable, out):
         slots[fresh] = count - 1 + np.cumsum(is_new, dtype=np.int32)[new]
         del is_new
         known[slots[fresh]] = distinct[fresh]
-        count += len(fresh)
+        count += len(new)
         if filled and 2 * count <= len(slot_at):
             insert(slots[fresh], cell[fresh])
             filled = count
         out[at : at + n][pos] = np.repeat(slots, np.diff(starts, append=n))
         at += n
-    return known[:count].copy()
+    return known[:count]
 
 
 class _Table:
@@ -321,17 +331,16 @@ class _Table:
 
         self.row_of = row_of
         self.n_rows = n_rows
-        self.values = np.bincount(row_of, minlength=n_rows).astype(np.float64)[row_of]
+        widths = np.bincount(row_of, minlength=n_rows).astype(np.float64)
+        self.values = np.take(widths, row_of, mode="clip")
         np.divide(1.0, self.values, out=self.values)
 
-    def m_step(self, counts, totals) -> None:
+    def m_step(self, counts) -> None:
         """Divide each slot's count by its row's total, the counts of the
-        row's slots added up in slot order, in place. `totals` is a buffer
-        of one float per row."""
+        row's slots added up in slot order, in place."""
         import numpy as np
 
-        totals.fill(0.0)
-        np.add.at(totals, self.row_of, counts)
+        totals = np.bincount(self.row_of, weights=counts, minlength=self.n_rows)
         np.take(totals, self.row_of, out=self.values, mode="clip")
         np.divide(counts, self.values, out=self.values)
 
@@ -461,9 +470,11 @@ class _Fit:
                 yield keys
 
         self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
-        rows, cols = np.divmod(_first_appearance(chunk_keys(), self.cells), nf)
-        self.t = _Table(rows.astype(np.int32), len(self.e_words))
-        self.t_cols = cols.astype(np.int32)
+        keys = _first_appearance(chunk_keys(), self.cells)
+        rows, self.t_cols = np.empty(len(keys), np.int32), np.empty(len(keys), np.int32)
+        np.divmod(keys, nf, out=(rows, self.t_cols), casting="unsafe")
+        del keys
+        self.t = _Table(rows, len(self.e_words))
 
     def _transpose_cells(self, inverse: _Fit, bounds: list[int]) -> None:
         """Take the cells from `inverse`, a fit of the same pairs with the
@@ -487,7 +498,7 @@ class _Fit:
         # The slot of each key: a key seen in an earlier chunk keeps the slot
         # it got; a new one holds `count` plus its first position in the
         # chunk until the new keys are numbered in that order.
-        slot_of = np.full(inv_slots + len(inverse.e_words), np.iinfo(np.int64).max)
+        slot_of = np.full(inv_slots + len(inverse.e_words), np.iinfo(np.int32).max, np.int32)
         count = 0
         # Row and column of each slot; there are fewer slots than keys.
         row_of = np.zeros(len(slot_of), np.int32)
@@ -512,17 +523,18 @@ class _Fit:
             cell[heads[1:]] = origin[1:] - last[:-1]
             if null:
                 cell[heads + 1] = 0
-            keys = inverse.cells[np.cumsum(cell, out=cell)].astype(np.int64)
+            keys = np.take(inverse.cells, np.cumsum(cell, out=cell), mode="clip")
             del cell
             if null:
-                keys[heads] = inv_slots + inverse.t.row_of[keys[heads]]
-            at = np.arange(count, count + len(keys))
+                keys[heads] = inv_slots + np.take(inverse.t.row_of, keys[heads], mode="clip")
+            at = np.arange(count, count + len(keys), dtype=np.int32)
             np.minimum.at(slot_of, keys, at)
-            new = keys[slot_of[keys] == at]
+            new = keys[np.take(slot_of, keys, mode="clip") == at]
+            del at
             fresh = slice(count, count + len(new))
-            slot_of[new] = np.arange(fresh.start, fresh.stop)
+            slot_of[new] = np.arange(fresh.start, fresh.stop, dtype=np.int32)
             count = fresh.stop
-            self.cells[chunk.cells] = slot_of[keys]
+            np.take(slot_of, keys, out=self.cells[chunk.cells], mode="clip")
             # A word key's row and column are the inverse's column and row;
             # a NULL key's are row 0 and its word.
             word = new < inv_slots
@@ -538,25 +550,25 @@ class _Fit:
         """EM iterations. Each chunk's E-step adds its posteriors into the
         counts before the next chunk runs, so the counts take them in corpus
         order and one posterior buffer, the size of the widest chunk, serves
-        every chunk. The posterior, count and row-total buffers are allocated
-        once and go when training ends."""
+        every chunk. The posterior and count buffers are allocated once and
+        go when training ends."""
         import numpy as np
 
         posteriors = np.empty(max(chunk.cells.stop - chunk.cells.start for chunk in self.chunks))
         tables = [(self.t, self.cells)] + ([(self.q, self.q_cells)] if self.q is not None else [])
-        buffers = [(np.empty(len(table.values)), np.empty(table.n_rows)) for table, _ in tables]
-        estep = partial(self._estep, posteriors, tables, buffers)
+        counts = [np.empty(len(table.values)) for table, _ in tables]
+        estep = partial(self._estep, posteriors, tables, counts)
         for _ in range(iterations):
-            for counts, _ in buffers:
-                counts.fill(0.0)
+            for c in counts:
+                c.fill(0.0)
             ll = 0.0
             for part in process_chunks(estep, self.chunks, chunk_size=1):
                 ll += part
             self.history.append(ll)
-            for (table, _), (counts, totals) in zip(tables, buffers):
-                table.m_step(counts, totals)
+            for (table, _), c in zip(tables, counts):
+                table.m_step(c)
 
-    def _estep(self, posteriors, tables, buffers, batch) -> float:
+    def _estep(self, posteriors, tables, counts, batch) -> float:
         """Write the cell posteriors of one chunk into the front of
         `posteriors`, add them into each table's counts and return the
         chunk's log-likelihood. A cell's posterior is its score over its
@@ -582,12 +594,13 @@ class _Fit:
             np.take(self.t.values, cells[block], out=part, mode="clip")
             if q_cells is not None:
                 part *= np.take(self.q.values, q_cells[block], mode="clip")
-            rows = np.repeat(np.arange(r1 - r0), widths[r0:r1])
+            row_widths = widths[r0:r1]
+            rows = np.repeat(np.arange(r1 - r0), row_widths)
             z[r0:r1] = np.bincount(rows, weights=part, minlength=r1 - r0)
-            part /= z[r0:r1][rows]
-        for (_, table_cells), (counts, _) in zip(tables, buffers):
-            np.add.at(counts, table_cells[chunk.cells], scores)
-        terms = np.fromiter(map(math.log, z.tolist()), np.float64, len(z))
+            part /= np.repeat(z[r0:r1], row_widths)
+        for (_, table_cells), table_counts in zip(tables, counts):
+            np.add.at(table_counts, table_cells[chunk.cells], scores)
+        terms = np.log(z)
         if self.q is None:
             # Model 1's uniform alignment prior 1/n; Model 2's is inside q.
             terms -= self.log_n[widths]
@@ -623,12 +636,16 @@ class _Fit:
         best = np.flatnonzero(scores == np.repeat(np.maximum.reduceat(scores, starts), widths))
         first_best = best[np.searchsorted(best, starts)] - starts
         # Per row: its pair, its target position and its source; rows decoded
-        # to NULL drop out.
+        # to NULL drop out. A row has one link, so the links are distinct, and
+        # in target order within each pair: one stable sort by (pair, source)
+        # puts them in Links order.
         rows_of = np.repeat(np.arange(len(pairs)), ms)
         targets = np.arange(len(widths)) - np.repeat(np.cumsum(ms) - ms, ms)
         sources = first_best - (1 if self.use_null else 0)
-        linked = sources >= 0
-        return _collect(rows_of[linked], sources[linked], targets[linked], len(pairs))
+        linked = np.flatnonzero(sources >= 0)
+        rows_of, sources, targets = rows_of[linked], sources[linked], targets[linked]
+        order = np.argsort(rows_of * int(ns.max()) + sources, kind="stable")
+        return _sorted_links(rows_of[order], sources[order], targets[order], len(pairs))
 
     def lexical_probs(self) -> dict[str, dict[str, float]]:
         probs: dict[str, dict[str, float]] = {}
@@ -791,7 +808,10 @@ def transpose(links: Links) -> Links:
     """The links with source and target swapped."""
     import numpy as np
 
-    order = np.lexsort((links.src, links.tgt, links.pair_index()))
+    # Within a pair the links ascend by source, so one stable sort by
+    # (pair, target) orders them by (target, source).
+    width = int(links.tgt.max(initial=-1)) + 1
+    order = np.argsort(links.pair_index() * width + links.tgt, kind="stable")
     return Links(links.offsets, links.tgt[order], links.src[order])
 
 
@@ -807,7 +827,8 @@ def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
     Every link becomes a cell key base[k] + i * width[k] + j, one numbering
     of the cells of all pairs that sorts as the links do, so intersection
     and union are set operations on sorted keys. Only pairs with union links
-    outside the intersection take part in the grow-diag-final scans.
+    outside the intersection take part in the grow-diag-final scans. Each
+    side's pair index is made once, as int32, next to the int64 keys.
     """
     import numpy as np
 
@@ -817,43 +838,59 @@ def symmetrize(forward: Links, backward: Links, heuristic: str) -> Links:
         raise PipelineError(
             f"forward/backward alignment length mismatch: {len(forward)} vs {len(backward)}"
         )
-    # int32 like the links: `maximum.at` is many times slower when it casts.
-    height, width = np.zeros(len(forward), np.int32), np.zeros(len(forward), np.int32)
+    n = len(forward)
+    height, width = np.zeros(n, np.int64), np.zeros(n, np.int64)
     for links in (forward, backward):
-        pair = links.pair_index()
-        np.maximum.at(height, pair, links.src + 1)
-        np.maximum.at(width, pair, links.tgt + 1)
-    height, width = height.astype(np.int64), width.astype(np.int64)
-    base = np.cumsum(height * width) - height * width
+        linked = np.flatnonzero(np.diff(links.offsets))
+        if len(linked):
+            # A pair's links ascend by source, so its last one has the
+            # greatest source; the greatest target is a reduction per pair.
+            last_src = links.src[links.offsets[linked + 1] - 1]
+            height[linked] = np.maximum(height[linked], last_src + 1)
+            last_tgt = np.maximum.reduceat(links.tgt, links.offsets[linked])
+            width[linked] = np.maximum(width[linked], last_tgt + 1)
+    cells = height * width
+    base = np.cumsum(cells) - cells
+    # A pair's source * width fits int32 unless it has 2**31 cells or more.
+    row_step = width.astype(np.int32 if cells.max(initial=0) < 1 << 31 else np.int64)
+    del cells
 
     # Each side holds a key at most once: a key seen twice is in both. The
-    # keys of both sides are made in one array and sorted in place.
+    # keys of both sides are made in one array; each side's keys ascend, so
+    # the stable sort merges two runs.
     both = np.empty(forward.total + backward.total, np.int64)
     for links, keys in ((forward, both[: forward.total]), (backward, both[forward.total :])):
-        pair = links.pair_index()
-        np.multiply(links.src, width[pair], out=keys)
-        keys += base[pair]
+        pair = links.pair_index("int32")
+        np.take(base, pair, out=keys, mode="clip")
+        step = np.take(row_step, pair, mode="clip")
+        del pair
+        step *= links.src
+        keys += step
+        del step
         keys += links.tgt
-    del pair
+    del keys  # a view that would keep `both` alive
     both.sort(kind="stable")
     twice = both[1:] == both[:-1]
-    if heuristic == "union":
-        first = np.ones(len(both), bool)
-        first[1:] = ~twice
-        chosen = both[first]
-    else:
-        chosen = both[1:][twice]
-        if heuristic == "grow-diag-final":
-            once = np.ones(len(both), bool)
-            once[1:] &= ~twice
-            once[:-1] &= ~twice
-            chosen = _grow_diag_final(chosen, both[once], base, height, width)
+    chosen = both[1:][twice]  # the intersection
+    if heuristic != "intersection":
+        # The union links outside the intersection.
+        once = np.ones(len(both), bool)
+        once[1:] &= ~twice
+        once[:-1] &= ~twice
+        candidates = both[once]
+        del once
     del both, twice
-    # The last pair whose cells start at or below a key holds it: pairs that
-    # share a base with a later pair have no cells.
-    pair = np.searchsorted(base, chosen, side="right") - 1
-    src, tgt = np.divmod(chosen - base[pair], width[pair])
-    return _sorted_links(pair, src, tgt, len(forward))
+    if heuristic == "union":
+        chosen = _merged(chosen, candidates)
+    elif heuristic == "grow-diag-final":
+        chosen = _grow_diag_final(chosen, candidates, base, height, width)
+    # Pair k holds the keys from base[k] up to base[k + 1].
+    offsets = np.append(np.searchsorted(chosen, base), len(chosen))
+    pair = _pair_index(offsets, "int32")
+    chosen -= np.take(base, pair, mode="clip")
+    src, tgt = np.empty(len(chosen), np.int32), np.empty(len(chosen), np.int32)
+    np.divmod(chosen, np.take(row_step, pair, mode="clip"), out=(src, tgt), casting="unsafe")
+    return Links(offsets, src, tgt)
 
 
 def _grow_diag_final(inter, candidates, base, height, width):
@@ -895,33 +932,43 @@ def _grow_diag_final(inter, candidates, base, height, width):
         flags[index] = True
     cell, src, tgt = place(candidates, np.repeat(np.arange(len(pairs)), counts))
 
+    # Per pair: the grid offsets of the eight neighbours of a cell.
+    around = stride[:, None] * np.array([-1, -1, -1, 0, 0, 1, 1, 1]) + [-1, 0, 1, -1, 1, -1, 0, 1]
+
     def scan(scanning, grow: bool):
         """One scan over the candidates of the pairs `scanning`; returns
         those that adopted a link."""
         order = scanning[np.argsort(-counts[scanning], kind="stable")]
         fewer = -counts[order]  # ascending, so the pairs with > k candidates lead
+        # Step k tests candidate k of the first ends[k] pairs of `order`.
+        ends = np.searchsorted(fewer, -np.arange(-fewer[0])).tolist()
+        first, neighbours = cand_at[order], around[order]
         adopted = np.zeros(len(pairs), bool)
-        for k in range(int(-fewer[0])):
-            active = order[: np.searchsorted(fewer, -k)]
-            at = cand_at[active] + k
+        for k, end in enumerate(ends):
+            at = first[:end] + k
             c = cell[at]
-            take = ~grid[c] & ~(src_aligned[src[at]] & tgt_aligned[tgt[at]])
+            take = ~(grid[c] | (src_aligned[src[at]] & tgt_aligned[tgt[at]]))
             if grow:
-                r = stride[active]
-                near = grid[c - 1] | grid[c + 1]
-                for edge in (c - r, c + r):
-                    near |= grid[edge - 1] | grid[edge] | grid[edge + 1]
-                take &= near
+                take &= grid[c[:, None] + neighbours[:end]].any(axis=1)
             at = at[take]
             grid[cell[at]] = src_aligned[src[at]] = tgt_aligned[tgt[at]] = True
-            adopted[active[take]] = True
+            adopted[order[:end][take]] = True
         return np.flatnonzero(adopted)
 
     scanning = np.arange(len(pairs))
     while len(scanning):
         scanning = scan(scanning, grow=True)
     scan(np.arange(len(pairs)), grow=False)
-    return np.sort(np.concatenate((inter, candidates[grid[cell]])), kind="stable")
+    return _merged(inter, candidates[grid[cell]])
+
+
+def _merged(a, b):
+    """The sorted keys `a` and `b` in one sorted array."""
+    import numpy as np
+
+    out = np.concatenate((a, b))
+    out.sort(kind="stable")  # merges the two runs
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import os
@@ -726,5 +727,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The `dclex` command: run `main()` on the command line and exit with
+    its code. What the run left is frozen first, so the collections that
+    end the interpreter do not walk it; `main` itself leaves the collector
+    as it was, for callers that go on running."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

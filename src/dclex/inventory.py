@@ -13,7 +13,6 @@ from importlib import resources
 from .corpus import Form, FrequencyTable, tokenize
 from .errors import PipelineError
 from .fileio import iter_data_lines, read_text_strict
-from .tagging import check_label
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +33,10 @@ def load_connective_inventory(path: str) -> list[Form]:
 
 
 def _parse_relation_inventory(text: str, origin: str) -> list[str]:
+    # Imported here: the stages that load no relation inventory, such as
+    # ingest and report, then leave the tagger unloaded.
+    from .tagging import check_label
+
     labels: list[str] = []
     for lineno, payload in iter_data_lines(text):
         check_label(payload, f"{origin}: line {lineno}: ")

@@ -1,6 +1,7 @@
 """Config validation, stage orchestration, and the command-line entry point."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -516,7 +517,7 @@ class TestPipelineRuns:
     def test_build_eval_and_report_alone_leave_numpy_unloaded(self, tmp_path):
         # Only the stages up to extract need numpy; these read text artifacts.
         # Only align and extract load the aligner, and report loads none of
-        # the modules that make or score the lexicon.
+        # the modules that tag, make or score the lexicon.
         config = planted.generate(
             tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5, iterations=3
         )
@@ -524,12 +525,12 @@ class TestPipelineRuns:
         code = (
             "import sys, dclex.cli; print(dclex.cli.main(sys.argv[1:]), "
             "sorted({'numpy', 'dclex.alignment', 'dclex.phrasetable', 'dclex.lexicon', "
-            "'dclex.evaluation'} & set(sys.modules)))"
+            "'dclex.evaluation', 'dclex.tagging'} & set(sys.modules)))"
         )
         loaded = {
-            "build": "['dclex.lexicon', 'dclex.phrasetable']",
-            "eval": "['dclex.evaluation', 'dclex.lexicon', 'dclex.phrasetable']",
-            "evidence": "['dclex.lexicon', 'dclex.phrasetable']",
+            "build": "['dclex.lexicon', 'dclex.phrasetable', 'dclex.tagging']",
+            "eval": "['dclex.evaluation', 'dclex.lexicon', 'dclex.phrasetable', 'dclex.tagging']",
+            "evidence": "['dclex.lexicon', 'dclex.phrasetable', 'dclex.tagging']",
             "report": "[]",
         }
         for stage, modules in loaded.items():
@@ -697,6 +698,25 @@ class TestEntryPoint:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
 
+    def test_entry_exits_with_the_code_of_main(self, tmp_path):
+        # The command freezes what the run left before it exits; `main`,
+        # which tests and the tracer call in-process, leaves the collector be.
+        ghost = str(tmp_path / "ghost.cfg")
+        frozen = gc.get_freeze_count()
+        assert main(["ingest", "--config", ghost]) == 2
+        assert gc.get_freeze_count() == frozen
+        code = (
+            "import gc, dclex.cli\n"
+            "try:\n    dclex.cli.entry()\n"
+            "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)"
+        )
+        assert run_python("-c", code, "ingest", "--config", ghost).stdout == "2 True\n"
+        done = subprocess.run(
+            [sys.executable, "-m", "dclex", "ingest", "--config", ghost],
+            env=run_python_env(), capture_output=True, text=True, encoding="utf-8",
+        )
+        assert done.returncode == 2 and "not found" in done.stderr
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -704,15 +724,19 @@ class TestEntryPoint:
         assert "dclex" in capsys.readouterr().out
 
 
-def run_python(*args, **env):
-    """Run a fresh interpreter with `args` (such as "-c", code, ...) that
-    imports this dclex, with `env` over the environment (None removes a
-    variable)."""
+def run_python_env(**env):
+    """The environment of a fresh interpreter that imports this dclex, with
+    `env` over it (None removes a variable)."""
     paths = [str(Path(dclex.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     merged = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env}
+    return {key: value for key, value in merged.items() if value is not None}
+
+
+def run_python(*args, **env):
+    """Run a fresh interpreter with `args` (such as "-c", code, ...) in
+    `run_python_env(**env)`; it must exit with 0."""
     return subprocess.run(
-        [sys.executable, *args],
-        env={key: value for key, value in merged.items() if value is not None},
+        [sys.executable, *args], env=run_python_env(**env),
         capture_output=True, text=True, encoding="utf-8", check=True,
     )
 
