@@ -20,20 +20,22 @@ the chunk. Every sum that feeds t, q or the log-likelihood is a running sum
 in a fixed order (`bincount` and `add.at` add their inputs one by one, from
 0.0, and `cumsum` adds left to right), never a pairwise or vectorized
 reduction, so t and q are bit-identical for any chunk size and equal, float
-for float, to adding them up in a Python loop. The log-likelihood takes
-each row's log with `np.log`, whose last bit may differ by host (numpy
-picks its vectorized log, AVX-512 or not, by CPU), and is the sum of the
-chunks' sums, so its last bits depend on the host and the chunking; t, q
-and the links depend on neither. A NULL source token (virtual index -1)
-absorbs target words with no counterpart; Viterbi links decoded to NULL are
-dropped.
+for float, to adding them up in a Python loop. The log-likelihood is one
+running sum over the rows in corpus order, carried from chunk to chunk, so
+it does not depend on the chunking either; but it takes each row's log with
+`np.log`, whose last bit may differ by host (numpy picks its vectorized log,
+AVX-512 or not, by CPU), so its last bits depend on the host, where t, q and
+the links do not. A NULL source token (virtual index -1) absorbs target
+words with no counterpart; Viterbi links decoded to NULL are dropped. With
+NULL, a corpus token spelled `<NULL>` is an error, so NULL's row is never a
+word's too.
 
 The backward direction trains on the same pairs with the sides swapped, so
 its cells are the forward's transposed. Trained with `inverse=` the forward
 table, it takes each cell's forward slot through the per-pair transpose (a
 NULL cell is keyed by its target word instead) and numbers those keys in
 order of first appearance, the numbering interning the words would give; the
-forward state is released before the backward EM starts.
+forward table releases its EM state before the backward EM starts.
 
 The links of a corpus travel as one `Links`: per-pair offsets into int32
 source and target columns. Viterbi decoding, `transpose`, `symmetrize`,
@@ -352,29 +354,44 @@ class _Chunk(NamedTuple):
     rows: slice
 
 
-class _Fit:
-    """EM state of one alignment direction over its interned training pairs.
+class TranslationTable:
+    """An IBM model of one alignment direction, EM-trained on its pairs as
+    `train_model1` and `train_model2` make it: lexical translation
+    probabilities t(f|e), sparse over co-occurring pairs, and for Model 2
+    the positional distortion q(i|j,l,m) (empty for Model 1).
 
-    The rows of t are source words (NULL first, when used); the rows of q
-    are (l, m, j) and its slots the candidates NULL, 0, ..., l - 1. Cells run
+    The table holds the EM state over its interned training pairs. The rows
+    of t are source words (NULL first, when used); the rows of q are
+    (l, m, j) and its slots the candidates NULL, 0, ..., l - 1. Cells run
     pair after pair, target-major: a pair with n candidates (source words
     plus NULL) and m target words has m rows of n cells. Per cell, `cells`
     holds its t slot and `q_cells` its q slot (Model 2); `widths` holds each
     row's number of cells. int32 keeps them small.
 
-    With `inverse`, a fit of the same pairs with the sides swapped, the cells
-    are the inverse's transposed (`_transpose_cells`) instead of interned from
-    the words; they come out the same."""
+    `log_likelihoods` (one per EM iteration) and `entries` (the number of
+    (e, f) entries of t, one per co-occurring pair) are plain attributes;
+    the string-keyed `probs` and `distortion` are built on first read.
+
+    With `inverse`, a table of the same pairs with the sides swapped, the
+    cells are the inverse's transposed (`_transpose_cells`) instead of
+    interned from the words; they come out the same. The inverse then
+    releases its EM state and keeps only the `probs` and `distortion` it
+    has built."""
 
     def __init__(
         self,
         pairs: Sequence[TokenPair],
+        iterations: int,
         use_null: bool,
         positional: bool,
-        inverse: _Fit | None = None,
+        inverse: TranslationTable | None = None,
     ) -> None:
         import numpy as np
 
+        if iterations < 1:
+            raise PipelineError(f"iterations must be >= 1, got {iterations}")
+        if not pairs:
+            raise PipelineError("empty corpus: nothing to train on")
         pairs = Bitext.of(pairs)
         ls, ms = pairs.src.lengths(), pairs.tgt.lengths()
         empty = np.flatnonzero((ls == 0) | (ms == 0))
@@ -382,6 +399,7 @@ class _Fit:
             raise PipelineError(f"empty sentence in training pair {empty[0]}")
         null = 1 if use_null else 0
         if inverse is not None:
+            inverse._check_held()
             if inverse.use_null != use_null:
                 raise PipelineError(
                     f"the inverse table was trained with use_null={inverse.use_null}, "
@@ -408,7 +426,7 @@ class _Fit:
         ]
 
         self.shapes: list[tuple[int, int]] = []
-        self.q = None
+        self.q = self.q_cells = None
         if positional:
             # One block of q slots per (l, m), in order of first appearance; a
             # pair's cells take the slots of its block in order.
@@ -425,35 +443,42 @@ class _Fit:
             for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
                 _spans(q_at[lo:hi], sizes[lo:hi], self.q_cells[chunk.cells])
 
-        if inverse is None or inverse.null_is_word:
+        if inverse is None:
             self._intern_cells(pairs, ls, ms, bounds)
         else:
             self._transpose_cells(inverse, bounds)
-        self.history: list[float] = []
+        self.entries = len(self.t_cols)
+        self._probs: dict[str, dict[str, float]] | None = None
+        self._distortion: dict[tuple[int, int, int], dict[int, float]] | None = None
+        self._train(iterations)
+
+    def _check_held(self) -> None:
+        if self.cells is None:
+            raise PipelineError("the translation table holds no EM state")
 
     def _intern_cells(self, pairs: Bitext, ls, ms, bounds: list[int]) -> None:
         """Number the co-occurring (e, f) of the cells, taking the words as
         the columns number them, NULL first when used. Chunk by chunk, so
         that no temporary grows with the corpus: the key e * nf + f of each
-        cell, then its slot."""
+        cell, then its slot. With NULL, no word may be spelled like it."""
         import numpy as np
 
         null = 1 if self.use_null else 0
         src, tgt = pairs.src, pairs.tgt
+        for side in (src, tgt) if null else ():
+            if NULL_TOKEN in side.vocab:
+                at = np.flatnonzero(side.ids == side.vocab.index(NULL_TOKEN))
+                if len(at):
+                    pair = np.searchsorted(side.offsets, at[0], side="right") - 1
+                    raise PipelineError(
+                        f"training pair {pair} holds the token {NULL_TOKEN}, the name of "
+                        "the NULL word; set use_null = false to align it as a word"
+                    )
         self.e_words = [NULL_TOKEN, *src.vocab] if null else list(src.vocab)
         self.f_words = tgt.vocab
         src_ids, tgt_ids = src.ids.astype(np.int64), tgt.ids
         if null:
             src_ids += 1
-            # A source word spelled like NULL takes NULL's row.
-            if NULL_TOKEN in src.vocab:
-                src_ids[src_ids == src.vocab.index(NULL_TOKEN) + 1] = 0
-        # A word spelled like NULL shares a row with it on one side only, so
-        # the inverse of this fit cannot take its cells from this one.
-        self.null_is_word = bool(null) and (
-            bool((src_ids == 0).any())
-            or (NULL_TOKEN in tgt.vocab and bool((tgt_ids == tgt.vocab.index(NULL_TOKEN)).any()))
-        )
         nf = len(self.f_words)
         src_at = np.append(0, np.cumsum(ls))
 
@@ -476,22 +501,21 @@ class _Fit:
         del keys
         self.t = _Table(rows, len(self.e_words))
 
-    def _transpose_cells(self, inverse: _Fit, bounds: list[int]) -> None:
-        """Take the cells from `inverse`, a fit of the same pairs with the
-        sides swapped. This direction's words are the inverse's with the sides
-        swapped, so a cell (pair, target i, source j) is the word pair of the
-        inverse's cell (pair, target j, source i), and it is keyed by that
-        cell's slot. A NULL cell is keyed by its target word: the inverse's
-        source word, after the inverse's slots. Keys are then numbered in
-        order of first appearance, chunk by chunk, which is the numbering
-        interning the words would give."""
+    def _transpose_cells(self, inverse: TranslationTable, bounds: list[int]) -> None:
+        """Take the cells from `inverse`, a table of the same pairs with the
+        sides swapped, and release its EM state. This direction's words are
+        the inverse's with the sides swapped, so a cell (pair, target i,
+        source j) is the word pair of the inverse's cell (pair, target j,
+        source i), and it is keyed by that cell's slot. A NULL cell is keyed
+        by its target word: the inverse's source word, after the inverse's
+        slots. Keys are then numbered in order of first appearance, chunk by
+        chunk, which is the numbering interning the words would give."""
         import numpy as np
 
         null = 1 if self.use_null else 0
         self.e_words = [NULL_TOKEN, *inverse.f_words] if null else list(inverse.f_words)
         self.f_words = inverse.e_words[null:]
-        self.null_is_word = False
-        # The inverse is dropped once this returns; what is not read here goes now.
+        # What is not read here goes now.
         inverse.t.values = inverse.q = inverse.q_cells = None
         inv_slots = len(inverse.t_cols)
         self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
@@ -545,8 +569,10 @@ class _Fit:
         del slot_of
         self.t = _Table(row_of[:count], len(self.e_words))
         self.t_cols = t_cols[:count]
+        inverse.cells = inverse.t = inverse.t_cols = inverse.widths = None
+        inverse.first_cell = inverse.n = inverse.m = inverse.chunks = None
 
-    def train(self, iterations: int) -> None:
+    def _train(self, iterations: int) -> None:
         """EM iterations. Each chunk's E-step adds its posteriors into the
         counts before the next chunk runs, so the counts take them in corpus
         order and one posterior buffer, the size of the widest chunk, serves
@@ -557,24 +583,27 @@ class _Fit:
         posteriors = np.empty(max(chunk.cells.stop - chunk.cells.start for chunk in self.chunks))
         tables = [(self.t, self.cells)] + ([(self.q, self.q_cells)] if self.q is not None else [])
         counts = [np.empty(len(table.values)) for table, _ in tables]
-        estep = partial(self._estep, posteriors, tables, counts)
+        log_likelihood = [0.0]  # the running sum, carried from chunk to chunk
+        estep = partial(self._estep, posteriors, tables, counts, log_likelihood)
+        history = []
         for _ in range(iterations):
             for c in counts:
                 c.fill(0.0)
-            ll = 0.0
-            for part in process_chunks(estep, self.chunks, chunk_size=1):
-                ll += part
-            self.history.append(ll)
+            log_likelihood[0] = 0.0
+            process_chunks(estep, self.chunks, chunk_size=1)
+            history.append(log_likelihood[0])
             for (table, _), c in zip(tables, counts):
                 table.m_step(c)
+        self.log_likelihoods = tuple(history)
 
-    def _estep(self, posteriors, tables, counts, batch) -> float:
+    def _estep(self, posteriors, tables, counts, log_likelihood, batch) -> None:
         """Write the cell posteriors of one chunk into the front of
-        `posteriors`, add them into each table's counts and return the
-        chunk's log-likelihood. A cell's posterior is its score over its
-        row's total z; Model 1 scores t, Model 2 scores t * q. z and the
-        log-likelihood are running sums. The rows go in blocks of about
-        _BLOCK_CELLS cells, so that no temporary grows with the chunk."""
+        `posteriors`, add them into each table's counts and add the chunk's
+        rows to the running log-likelihood in `log_likelihood[0]`. A cell's
+        posterior is its score over its row's total z; Model 1 scores t,
+        Model 2 scores t * q. z and the log-likelihood are running sums. The
+        rows go in blocks of about _BLOCK_CELLS cells, so that no temporary
+        grows with the chunk."""
         import numpy as np
 
         (chunk,) = batch
@@ -604,7 +633,8 @@ class _Fit:
         if self.q is None:
             # Model 1's uniform alignment prior 1/n; Model 2's is inside q.
             terms -= self.log_n[widths]
-        return float(np.cumsum(terms)[-1])
+        terms[0] += log_likelihood[0]
+        log_likelihood[0] = float(np.cumsum(terms)[-1])
 
     def decode(self, indices: Iterable[int]) -> Links:
         """Viterbi links of the training pairs at `indices`, in order: each
@@ -613,6 +643,7 @@ class _Fit:
         links are dropped."""
         import numpy as np
 
+        self._check_held()
         pairs = np.fromiter(indices, np.int64)
         if not len(pairs):
             return _collect(pairs, pairs, pairs, 0)
@@ -647,98 +678,33 @@ class _Fit:
         order = np.argsort(rows_of * int(ns.max()) + sources, kind="stable")
         return _sorted_links(rows_of[order], sources[order], targets[order], len(pairs))
 
-    def lexical_probs(self) -> dict[str, dict[str, float]]:
-        probs: dict[str, dict[str, float]] = {}
-        e_words, f_words = self.e_words, self.f_words
-        for e, f, p in zip(self.t.row_of.tolist(), self.t_cols.tolist(), self.t.values.tolist()):
-            probs.setdefault(e_words[e], {})[f_words[f]] = p
-        return probs
-
-    def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
-        if self.q is None:
-            return {}
-        values = iter(self.q.values.tolist())
-        first = -1 if self.use_null else 0
-        return {
-            (l, m, j): {i: next(values) for i in range(first, l)}
-            for l, m in self.shapes
-            for j in range(m)
-        }
-
-
-class TranslationTable:
-    """Lexical translation probabilities t(f|e), sparse over co-occurring
-    pairs, and for a Model 2 table the positional distortion q(i|j,l,m)
-    (empty for Model 1), as trained by `train_model1` or `train_model2`.
-
-    `use_null`, `log_likelihoods` (one per EM iteration) and `entries` (the
-    number of (e, f) entries of t, one per co-occurring pair) are set when
-    training ends. The table keeps its interned EM state and builds the
-    string-keyed `probs` and `distortion` on first read. Training the inverse
-    direction with `inverse=` this table takes that state over: the table
-    then keeps only what it has built."""
-
-    def __init__(self, fit: _Fit) -> None:
-        self.use_null = fit.use_null
-        self.log_likelihoods = tuple(fit.history)
-        self.entries = len(fit.t_cols)
-        self._fit: _Fit | None = fit
-        self._probs: dict[str, dict[str, float]] | None = None
-        self._distortion: dict[tuple[int, int, int], dict[int, float]] | None = None
-
-    def _state(self) -> _Fit:
-        if self._fit is None:
-            raise PipelineError("the translation table holds no EM state")
-        return self._fit
-
-    def _hand_over(self) -> _Fit:
-        """This table's EM state, which it no longer holds."""
-        fit = self._state()
-        self._fit = None
-        return fit
-
     @property
     def probs(self) -> dict[str, dict[str, float]]:
         if self._probs is None:
-            self._probs = self._state().lexical_probs()
+            self._check_held()
+            self._probs = {}
+            e_words, f_words, t = self.e_words, self.f_words, self.t
+            for e, f, p in zip(t.row_of.tolist(), self.t_cols.tolist(), t.values.tolist()):
+                self._probs.setdefault(e_words[e], {})[f_words[f]] = p
         return self._probs
 
     @property
     def distortion(self) -> dict[tuple[int, int, int], dict[int, float]]:
         if self._distortion is None:
-            self._distortion = self._state().distortion()
+            self._check_held()
+            values = iter(self.q.values.tolist() if self.q is not None else ())
+            first = -1 if self.use_null else 0
+            self._distortion = {
+                (l, m, j): {i: next(values) for i in range(first, l)}
+                for l, m in self.shapes
+                for j in range(m)
+            }
         return self._distortion
 
     def prob(self, e: str, f: str) -> float:
         """Stored probability, or the floor for unknown pairs."""
         p = self.probs.get(e, {}).get(f, 0.0)
         return p if p > PROB_FLOOR else PROB_FLOOR
-
-    def viterbi_training_pairs(self, indices: Iterable[int]) -> Links:
-        """Viterbi alignments of the training pairs at `indices`, decoded
-        with the model that trained this table (Model 2 includes q)."""
-        return self._state().decode(indices)
-
-
-def _validate_training_input(pairs: Sequence[TokenPair], iterations: int) -> None:
-    if iterations < 1:
-        raise PipelineError(f"iterations must be >= 1, got {iterations}")
-    if not pairs:
-        raise PipelineError("empty corpus: nothing to train on")
-
-
-def _train(
-    pairs: Sequence[TokenPair],
-    iterations: int,
-    use_null: bool,
-    positional: bool,
-    inverse: TranslationTable | None,
-) -> TranslationTable:
-    _validate_training_input(pairs, iterations)
-    # The inverse's state is released once the cells are built, before EM.
-    fit = _Fit(pairs, use_null, positional, inverse._hand_over() if inverse is not None else None)
-    fit.train(iterations)
-    return TranslationTable(fit)
 
 
 def train_model1(
@@ -751,10 +717,10 @@ def train_model1(
     per-iteration corpus log-likelihood is non-decreasing.
 
     `inverse`, a table trained on `pairs` with the sides swapped (same
-    `use_null`), hands over its EM state, and its cells seed this table's
-    without interning the corpus again. The result is the same as without
-    it; `inverse` keeps only the `probs` and `distortion` it has built."""
-    return _train(pairs, iterations, use_null, False, inverse)
+    `use_null`), seeds this table's cells without interning the corpus
+    again, and releases its EM state. The result is the same as without it;
+    `inverse` keeps only the `probs` and `distortion` it has built."""
+    return TranslationTable(pairs, iterations, use_null, False, inverse)
 
 
 def train_model2(
@@ -768,7 +734,7 @@ def train_model2(
     Same contracts as Model 1: normalized rows, non-decreasing log-likelihood.
     Source position -1 stands for NULL. `inverse` works as in `train_model1`.
     """
-    return _train(pairs, iterations, use_null, True, inverse)
+    return TranslationTable(pairs, iterations, use_null, True, inverse)
 
 
 def viterbi_align_model2(

@@ -49,8 +49,6 @@ ARTIFACTS = {
     "corpus_tgt": "corpus.tgt",
     "freqs": "freqs.tsv",
     "fused_src": "fused.src",
-    "ttable_fwd": "ttable.fwd.tsv",
-    "ttable_bwd": "ttable.bwd.tsv",
     "align_sym": "alignments.sym.txt",
     "sites": "sites.tsv",
     "dc_records": "dc_records.tsv",
@@ -89,12 +87,15 @@ class PipelineConfig:
     model: str = "model1"
     evidence_k: int = 5
     evidence_min_prob: float = 0.01
-    dump_ttables: bool = False
 
 
 # `alignment.HEURISTICS`, spelled out as `model`'s values are, so that
 # validating a config does not load the aligner; a test keeps the two equal.
 _HEURISTICS = ("intersection", "union", "grow-diag-final")
+
+# Keys that earlier versions read and no stage reads any more; configs
+# written for those versions carry them.
+_RETIRED_KEYS = ("threads", "dump_ttables")
 
 _REQUIRED_KEYS = ("src_corpus", "tgt_corpus", "src_inventory", "tgt_inventory")
 _PATH_KEYS = _REQUIRED_KEYS + (
@@ -159,7 +160,8 @@ def validate_config(path: str) -> PipelineConfig:
 
     Unknown keys are rejected with a closest-match suggestion; missing
     required keys and out-of-range values are fatal before any work runs.
-    A `threads` key, which no stage reads any more, is logged and dropped.
+    A retired key (`threads`, `dump_ttables`), which no stage reads any
+    more, is logged and dropped.
     """
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     if not Path(path).is_file():
@@ -169,9 +171,8 @@ def validate_config(path: str) -> PipelineConfig:
         if "=" not in payload:
             raise UsageError(f"{path}: expected `key = value` at line {lineno}")
         key, raw = (part.strip() for part in payload.split("=", 1))
-        if key == "threads":
-            # Stages run serially; configs written for older versions carry it.
-            logger.info("%s: config key 'threads' is ignored (line %d)", path, lineno)
+        if key in _RETIRED_KEYS:
+            logger.info("%s: config key %r is ignored (line %d)", path, key, lineno)
             continue
         if key not in fields:
             import difflib
@@ -385,18 +386,16 @@ def _stage_align(
     src, tgt = pairs.src, pairs.tgt
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
 
-    def decode(model: al.TranslationTable, ttable: str) -> al.Links:
-        if cfg.dump_ttables:
-            al.write_translation_table(model, _out(cfg, ttable))
-        return al.Links.concat(process_chunks(model.viterbi_training_pairs, range(len(src))))
+    def decode(model: al.TranslationTable) -> al.Links:
+        return al.Links.concat(process_chunks(model.decode, range(len(src))))
 
     model = train(pairs, cfg.iterations, cfg.use_null)
-    fwd = decode(model, "ttable_fwd")
+    fwd = decode(model)
     fwd_ll, fwd_entries = model.log_likelihoods, model.entries
-    # The backward model takes its cells from the decoded forward one, whose
-    # EM state it releases before training.
+    # The backward model takes its cells from the decoded forward one, which
+    # releases its EM state before the backward EM starts.
     model = train(cp.Bitext(tgt, src), cfg.iterations, cfg.use_null, inverse=model)
-    bwd = al.transpose(decode(model, "ttable_bwd"))
+    bwd = al.transpose(decode(model))
     bwd_ll, bwd_entries = model.log_likelihoods, model.entries
     del model
     symmetrized = al.symmetrize(fwd, bwd, cfg.heuristic)

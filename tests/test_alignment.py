@@ -124,24 +124,24 @@ def flat_t(table):
 
 
 class TestViterbi:
-    """Viterbi decoding of the training pairs (`_Fit.decode`)."""
+    """Viterbi decoding of the training pairs (`TranslationTable.decode`)."""
 
     def test_fixture_aligns_diagonally(self):
         table = train_model1(TWO_PAIR_FIXTURE, iterations=10, use_null=False)
-        assert link_sets(table._fit.decode([0])) == [links((0, 0), (1, 1))]
+        assert link_sets(table.decode([0])) == [links((0, 0), (1, 1))]
 
     def test_ties_break_to_lowest_source_index(self):
         # Both source tokens are one word, so their scores tie.
         for train in (train_model1, train_model2):
             table = train([(("a", "a"), ("x",))], iterations=2, use_null=False)
-            assert link_sets(table._fit.decode([0])) == [links((0, 0))]
+            assert link_sets(table.decode([0])) == [links((0, 0))]
 
     def test_null_absorbs_when_tied_or_better(self):
         # t(x|NULL) = t(x|a) = 1: NULL (index -1) wins the tie, link dropped.
         for train in (train_model1, train_model2):
             table = train([(("a",), ("x",))], iterations=2, use_null=True)
             assert flat_t(table) == {(alignment.NULL_TOKEN, "x"): 1.0, ("a", "x"): 1.0}
-            assert link_sets(table._fit.decode([0])) == [links()]
+            assert link_sets(table.decode([0])) == [links()]
 
     def test_matches_reference_decoder_on_random_tables(self):
         rng = random.Random(303)
@@ -152,7 +152,7 @@ class TestViterbi:
             table = train_model1(pairs, iterations=2, use_null=True)
             flat = flat_t(table)
             want = [frozenset(viterbi_reference(src, tgt, flat, True)) for src, tgt in pairs[:4]]
-            assert link_sets(table._fit.decode(range(4))) == want
+            assert link_sets(table.decode(range(4))) == want
 
     def test_empty_source_requires_null(self):
         # Only the per-pair reference takes pairs that training did not see.
@@ -215,7 +215,7 @@ class TestModel2:
 
 
 class TestTrainedPairDecoding:
-    """`_Fit.decode` against the oracle for Model 1 and against
+    """`TranslationTable.decode` against the oracle for Model 1 and against
     `viterbi_align_model2` for Model 2."""
 
     def test_matches_per_pair_decoders_across_chunks(self):
@@ -230,9 +230,9 @@ class TestTrainedPairDecoding:
             flat = flat_t(table)
             for picked in (indices, scattered):
                 want = [frozenset(viterbi_reference(*pairs[k], flat, use_null)) for k in picked]
-                assert link_sets(table._fit.decode(picked)) == want
+                assert link_sets(table.decode(picked)) == want
                 want = [viterbi_align_model2(pairs[k], tables) for k in picked]
-                assert link_sets(tables._fit.decode(picked)) == want
+                assert link_sets(tables.decode(picked)) == want
 
 
 class TestLinksOrder:
@@ -260,7 +260,7 @@ class TestLinksOrder:
         table = train(pairs, iterations=2, use_null=use_null)
         picked = [rng.randrange(len(pairs)) for _ in range(300)]
         picked += range(len(pairs) - 6, len(pairs))
-        decoded = table._fit.decode(picked)
+        decoded = table.decode(picked)
         if train is train_model1:
             want = [sorted(viterbi_reference(*pairs[k], flat_t(table), use_null)) for k in picked]
         else:
@@ -352,22 +352,21 @@ def test_spans_skip_empty_ones_and_fill_out():
 
 class TestChunking:
     """Chunks bound the E-step's memory and nothing else: t, q, the order of
-    their slots and the decoded links are the same for any chunk size. The
-    log-likelihood is left out: each chunk's rows are added up on their own,
-    and the chunks' sums are added in chunk order, so where the chunks are
-    cut shows in its last bits."""
+    their slots, the log-likelihoods and the decoded links are the same for
+    any chunk size. The log-likelihood is one running sum over the rows in
+    corpus order, carried from chunk to chunk."""
 
     PAIRS = random_corpus(random.Random(5), 300, [f"s{k}" for k in range(25)],
                           [f"t{k}" for k in range(20)], max_len=8)
 
     @staticmethod
     def state(table, n_pairs):
-        fit = table._fit
-        q = (fit.shapes, fit.q.values.tolist()) if fit.q is not None else None
-        decoded = [table.viterbi_training_pairs(picked) for picked in
+        q = (table.shapes, table.q.values.tolist()) if table.q is not None else None
+        decoded = [table.decode(picked) for picked in
                    (range(n_pairs), range(n_pairs - 1, -1, -3))]
-        return (fit.e_words, fit.f_words, fit.t.row_of.tolist(), fit.t_cols.tolist(),
-                fit.t.values.tolist(), q, [columns(links) for links in decoded])
+        return (table.e_words, table.f_words, table.t.row_of.tolist(), table.t_cols.tolist(),
+                table.t.values.tolist(), q, table.log_likelihoods,
+                [columns(links) for links in decoded])
 
     @pytest.mark.parametrize("train", [train_model1, train_model2])
     @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
@@ -377,7 +376,7 @@ class TestChunking:
         for size in (7, 64, CHUNK_SIZE):
             monkeypatch.setattr(alignment, "CHUNK_SIZE", size)
             forward = train(self.PAIRS, 3, use_null)
-            assert len(forward._fit.chunks) == -(-n // size)
+            assert len(forward.chunks) == -(-n // size)
             forward_state = self.state(forward, n)
             backward = train(swap(self.PAIRS), 3, use_null, inverse=forward)
             states.append((forward_state, self.state(backward, n)))
@@ -410,9 +409,10 @@ class TestInverseDirection:
     @pytest.mark.parametrize("positional", [False, True], ids=["model1", "model2"])
     @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
     def test_cells_equal_the_interned_ones(self, use_null, positional):
-        forward = alignment._Fit(self.PAIRS, use_null, positional)
-        derived = alignment._Fit(swap(self.PAIRS), use_null, positional, forward)
-        interned = alignment._Fit(swap(self.PAIRS), use_null, positional)
+        train = train_model2 if positional else train_model1
+        forward = train(self.PAIRS, 1, use_null)
+        derived = train(swap(self.PAIRS), 1, use_null, inverse=forward)
+        interned = train(swap(self.PAIRS), 1, use_null)
         assert (derived.e_words, derived.f_words) == (interned.e_words, interned.f_words)
         assert derived.cells.tolist() == interned.cells.tolist()
         assert derived.t.row_of.tolist() == interned.t.row_of.tolist()
@@ -431,37 +431,42 @@ class TestInverseDirection:
         assert derived.distortion == interned.distortion
         assert derived.log_likelihoods == interned.log_likelihoods
         everything = range(len(self.PAIRS))
-        assert columns(derived.viterbi_training_pairs(everything)) == columns(
-            interned.viterbi_training_pairs(everything)
-        )
+        assert columns(derived.decode(everything)) == columns(interned.decode(everything))
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_word_spelled_like_null(self, side):
-        # NULL shares its row with such a word on one side only.
+        # With NULL, the token that names it is reserved on either side;
+        # without, it is a word like any other.
         pairs = [list(pair) for pair in TWO_PAIR_FIXTURE]
         pairs[1][side] = (alignment.NULL_TOKEN, *pairs[1][side])
-        forward = train_model2(pairs, 2)
-        derived = train_model2(swap(pairs), 2, inverse=forward)
-        interned = train_model2(swap(pairs), 2)
-        assert derived.probs == interned.probs
-        assert derived.log_likelihoods == interned.log_likelihoods
-        # On the source side, the word is the NULL row, as in the reference.
-        table = train_model1(pairs, 3)
-        ref_probs, _ = em_model1_reference(pairs, iterations=3, use_null=True)
-        assert sum(map(len, table.probs.values())) == len(ref_probs)
-        for e, row in table.probs.items():
-            for f, prob in row.items():
-                assert prob == pytest.approx(ref_probs[(e, f)], abs=1e-12)
+        for train in (train_model1, train_model2):
+            with pytest.raises(PipelineError, match="pair 1 holds the token <NULL>"):
+                train(pairs, 2)
+            with pytest.raises(PipelineError, match="pair 1 holds the token <NULL>"):
+                train(swap(pairs), 2)
+            forward = train(pairs, 2, use_null=False)
+            e, f = (alignment.NULL_TOKEN, "la") if side == 0 else ("the", alignment.NULL_TOKEN)
+            assert f in forward.probs[e]
+            derived = train(swap(pairs), 2, use_null=False, inverse=forward)
+            interned = train(swap(pairs), 2, use_null=False)
+            assert derived.probs == interned.probs
+            assert derived.log_likelihoods == interned.log_likelihoods
 
     def test_state_is_handed_over(self):
-        forward = train_model1(self.PAIRS, 1)
+        forward = train_model2(self.PAIRS, 1)
         forward_probs = forward.probs
-        train_model1(swap(self.PAIRS), 1, inverse=forward)
+        train_model2(swap(self.PAIRS), 1, inverse=forward)
         assert forward.probs is forward_probs
-        with pytest.raises(PipelineError, match="no EM state"):
-            forward.viterbi_training_pairs(range(2))
-        with pytest.raises(PipelineError, match="no EM state"):
-            train_model1(swap(self.PAIRS), 1, inverse=forward)
+        # The forward table outlives the backward EM with nothing corpus-sized.
+        released = ("cells", "t", "t_cols", "q", "q_cells", "widths", "first_cell", "n", "m",
+                    "chunks")
+        assert [name for name in released if getattr(forward, name) is not None] == []
+        arrays = [value for value in vars(forward).values() if isinstance(value, np.ndarray)]
+        assert all(len(array) < len(self.PAIRS) for array in arrays)
+        for use in (lambda: forward.decode(range(2)), lambda: forward.distortion,
+                    lambda: train_model2(swap(self.PAIRS), 1, inverse=forward)):
+            with pytest.raises(PipelineError, match="no EM state"):
+                use()
 
     def test_pairs_that_are_not_the_swapped_ones_are_fatal(self):
         pairs = [(("a", "b", "c"), ("x",)), (("a",), ("x", "y"))]
@@ -494,7 +499,7 @@ class TestPinnedFloats:
             table = train(pairs, iterations=4)
             parts.append(sorted((e, sorted(row.items())) for e, row in table.probs.items()))
             parts.append(sorted((key, sorted(row.items())) for key, row in table.distortion.items()))
-            decoded = table.viterbi_training_pairs(range(len(pairs)))
+            decoded = table.decode(range(len(pairs)))
             parts.append([decoded.pair(k) for k in range(len(decoded))])
         digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
         assert digest == self.DIGEST

@@ -131,10 +131,7 @@ class TestValidateConfig:
         table = re.search(r"### Artifacts\n.*?(\| file .*?)\n\n", text, re.S)[1]
         named = set()
         for row in table.splitlines()[2:]:
-            for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
-                named.update(
-                    name.replace("{fwd,bwd}", side) for side in ("fwd", "bwd")
-                )
+            named.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
         assert named == set(ARTIFACTS.values())
 
     def test_readme_example_names_every_key_at_its_default(self, tmp_path):
@@ -181,23 +178,6 @@ class TestPipelineRuns:
         ):
             assert (out / ARTIFACTS[name]).is_file(), name
         assert not (out / "phrase_table.txt").exists()
-
-    def test_translation_tables_only_on_request(self, mini_run, tmp_path):
-        root, config = mini_run
-        for name in ("ttable_fwd", "ttable_bwd"):
-            assert not (root / "out" / ARTIFACTS[name]).exists()
-        dumping = tmp_path / "dump.cfg"
-        dumping.write_text(
-            config.read_text(encoding="utf-8") + "dump_ttables = true\n", encoding="utf-8"
-        )
-        out = tmp_path / "out"
-        assert main(["run", "all", "--config", str(dumping), "--output", str(out)]) == 0
-        for name in ("ttable_fwd", "ttable_bwd"):
-            rows = (out / ARTIFACTS[name]).read_text(encoding="utf-8").splitlines()
-            assert rows and all(len(row.split("\t")) == 3 for row in rows)
-        for name in ("align_sym", "lexicon", "eval_report"):
-            first = (root / "out" / ARTIFACTS[name]).read_bytes()
-            assert (out / ARTIFACTS[name]).read_bytes() == first
 
     def test_planted_signal_reaches_lexicon(self, mini_run):
         root, _ = mini_run
@@ -260,9 +240,10 @@ class TestPipelineRuns:
             assert all(b >= a for a, b in zip(lls, lls[1:])), lls
             assert lls == list(train_model1(pairs, cfg.iterations, cfg.use_null).log_likelihoods)
 
-    def test_retired_threads_key_is_ignored(self, tmp_path, caplog):
-        # Configs written for older versions carry `threads`; it is logged,
-        # dropped, and recorded nowhere.
+    @pytest.mark.parametrize("key, value", [("threads", "3"), ("dump_ttables", "true")])
+    def test_retired_key_is_ignored(self, tmp_path, caplog, key, value):
+        # Configs written for older versions carry these keys; each is
+        # logged, dropped, and recorded nowhere, and changes no output.
         config = planted.generate(
             tmp_path, pairs=300, dc_count=60, thresh_count=20, min_freq=5, iterations=3
         )
@@ -270,22 +251,25 @@ class TestPipelineRuns:
         kept = [line for line in lines if not line.startswith("threads")]
         assert len(kept) == len(lines) - 1
         manifests = []
-        for name, body in (("threads3", [*kept, "threads = 3"]), ("plain", kept)):
+        outs = []
+        for name, body in (("retired", [*kept, f"{key} = {value}"]), ("plain", kept)):
             path = tmp_path / f"{name}.cfg"
             path.write_text("\n".join(body) + "\n", encoding="utf-8")
             out = tmp_path / name
             with caplog.at_level("INFO", logger="dclex.cli"):
                 caplog.clear()
                 assert main(["run", "all", "--config", str(path), "--output", str(out)]) == 0
-            ignored = [r for r in caplog.records if "'threads' is ignored" in r.getMessage()]
-            assert len(ignored) == (name == "threads3")
+            ignored = [r for r in caplog.records if f"'{key}' is ignored" in r.getMessage()]
+            assert len(ignored) == (name == "retired")
             manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
             for stage in manifest["stages"].values():
                 del stage["seconds"]
             assert manifest["config"].pop("output_dir") == str(out)
-            assert "threads" not in manifest["config"]
+            assert key not in manifest["config"]
             manifests.append(manifest)
+            outs.append(sorted(path.name for path in out.iterdir()))
         assert manifests[0] == manifests[1]
+        assert outs[0] == outs[1] == sorted(ARTIFACTS.values())
 
     def test_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
         # Set and dict iteration order changes with PYTHONHASHSEED; none of it
@@ -685,6 +669,23 @@ class TestEntryPoint:
         code = main(["ingest", "--config", str(config)])
         assert code == 1
         assert "line count mismatch" in capsys.readouterr().err
+
+    def test_null_token_in_a_cased_corpus_is_exit_1(self, tmp_path, capsys):
+        # The aligner's NULL word is named `<NULL>`, so with use_null no
+        # corpus token may be spelled so; lowercasing spells it `<null>`.
+        config = planted.generate(
+            tmp_path, pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
+        )
+        fr = tmp_path / "corpus.fr"
+        lines = fr.read_text(encoding="utf-8").splitlines()
+        lines[4] += " <NULL>"
+        fr.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["run", "all", "--config", str(config)]) == 0
+        with config.open("a", encoding="utf-8") as f:
+            f.write("lowercase = false\n")
+        capsys.readouterr()
+        assert main(["run", "all", "--config", str(config)]) == 1
+        assert "training pair 4 holds the token <NULL>" in capsys.readouterr().err
 
     def test_negative_limit_rejected(self, tmp_path, capsys):
         config = planted.generate(
