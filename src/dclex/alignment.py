@@ -32,10 +32,13 @@ word's too.
 
 The backward direction trains on the same pairs with the sides swapped, so
 its cells are the forward's transposed. Trained with `inverse=` the forward
-table, it takes each cell's forward slot through the per-pair transpose (a
-NULL cell is keyed by its target word instead) and numbers those keys in
-order of first appearance, the numbering interning the words would give; the
-forward table releases its EM state before the backward EM starts.
+table, it keeps the forward's numbering: each cell takes its forward cell's
+slot, less the slots of the forward's NULL row, and the NULL slots follow,
+one per target word in order of first appearance. The slot ids are not the
+ones interning the words gives, but the order of each row's slots, all that
+EM reads of them, is: both directions order a row's words by the first pair
+holding both, then by the partner's first position in that pair. The
+forward table releases its EM state before the backward table is made.
 
 The links of a corpus travel as one `Links`: per-pair offsets into int32
 source and target columns. Viterbi decoding, `transpose`, `symmetrize`,
@@ -374,7 +377,7 @@ class TranslationTable:
 
     With `inverse`, a table of the same pairs with the sides swapped, the
     cells are the inverse's transposed (`_transpose_cells`) instead of
-    interned from the words; they come out the same. The inverse then
+    interned from the words; they train the same. The inverse then
     releases its EM state and keeps only the `probs` and `distortion` it
     has built."""
 
@@ -506,10 +509,12 @@ class TranslationTable:
         sides swapped, and release its EM state. This direction's words are
         the inverse's with the sides swapped, so a cell (pair, target i,
         source j) is the word pair of the inverse's cell (pair, target j,
-        source i), and it is keyed by that cell's slot. A NULL cell is keyed
-        by its target word: the inverse's source word, after the inverse's
-        slots. Keys are then numbered in order of first appearance, chunk by
-        chunk, which is the numbering interning the words would give."""
+        source i), and it takes that cell's slot: the word-pair slots are the
+        inverse's, in its order, less those of its NULL row. The NULL slots
+        follow, one per target word, in order of first appearance. EM reads
+        only the order of a row's slots, and both directions order a row's
+        words as interning them would: by the first pair that holds both
+        words, then by the partner's first position in that pair."""
         import numpy as np
 
         null = 1 if self.use_null else 0
@@ -517,60 +522,55 @@ class TranslationTable:
         self.f_words = inverse.e_words[null:]
         # What is not read here goes now.
         inverse.t.values = inverse.q = inverse.q_cells = None
-        inv_slots = len(inverse.t_cols)
+        # This direction's slot of each of the inverse's word-pair slots.
+        rank = np.cumsum(inverse.t.row_of >= null, dtype=np.int32) - 1
         self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
-        # The slot of each key: a key seen in an earlier chunk keeps the slot
-        # it got; a new one holds `count` plus its first position in the
-        # chunk until the new keys are numbered in that order.
-        slot_of = np.full(inv_slots + len(inverse.e_words), np.iinfo(np.int32).max, np.int32)
-        count = 0
-        # Row and column of each slot; there are fewer slots than keys.
-        row_of = np.zeros(len(slot_of), np.int32)
-        t_cols = np.empty(len(slot_of), np.int32)
-        for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
-            widths = self.widths[chunk.rows]
-            heads = np.cumsum(widths) - widths
-            # Per row: the inverse's cell of (target row 0, candidate i) and
-            # its stride, the inverse's row width.
-            ms = self.m[lo:hi]
-            row_pair = np.repeat(np.arange(lo, hi), ms)
-            i = np.arange(len(widths)) - np.repeat(np.cumsum(ms) - ms, ms)
-            origin = inverse.first_cell[row_pair] + i + null
-            stride = inverse.n[row_pair].astype(np.int64)
-            # Candidate c >= null of a row is the inverse's target row c - null,
-            # so its cell is origin + (c - null) * stride; the NULL candidate
-            # reads row 0 for the word of its target. The cells of a row step
-            # by its stride (by 0 from NULL), so they are a running sum.
-            cell = np.repeat(stride, widths)
-            last = origin + (widths - 1 - null) * stride
-            cell[heads[0]] = origin[0]
-            cell[heads[1:]] = origin[1:] - last[:-1]
-            if null:
-                cell[heads + 1] = 0
-            keys = np.take(inverse.cells, np.cumsum(cell, out=cell), mode="clip")
-            del cell
-            if null:
-                keys[heads] = inv_slots + np.take(inverse.t.row_of, keys[heads], mode="clip")
-            at = np.arange(count, count + len(keys), dtype=np.int32)
-            np.minimum.at(slot_of, keys, at)
-            new = keys[np.take(slot_of, keys, mode="clip") == at]
-            del at
-            fresh = slice(count, count + len(new))
-            slot_of[new] = np.arange(fresh.start, fresh.stop, dtype=np.int32)
-            count = fresh.stop
-            np.take(slot_of, keys, out=self.cells[chunk.cells], mode="clip")
-            # A word key's row and column are the inverse's column and row;
-            # a NULL key's are row 0 and its word.
-            word = new < inv_slots
-            rows, cols = row_of[fresh], t_cols[fresh]
-            rows[word] = inverse.t_cols[new[word]] + null
-            cols[:] = new - inv_slots - null
-            cols[word] = inverse.t.row_of[new[word]] - null
-        del slot_of
-        self.t = _Table(row_of[:count], len(self.e_words))
-        self.t_cols = t_cols[:count]
-        inverse.cells = inverse.t = inverse.t_cols = inverse.widths = None
+
+        def null_words():
+            """Fill the cells chunk by chunk; with NULL, yield the inverse's
+            row of each row's target word."""
+            for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
+                widths = self.widths[chunk.rows]
+                heads = np.cumsum(widths) - widths
+                # Per row: the inverse's cell of (target row 0, candidate i)
+                # and its stride, the inverse's row width.
+                ms = self.m[lo:hi]
+                row_pair = np.repeat(np.arange(lo, hi), ms)
+                i = np.arange(len(widths)) - np.repeat(np.cumsum(ms) - ms, ms)
+                origin = inverse.first_cell[row_pair] + i + null
+                stride = inverse.n[row_pair].astype(np.int64)
+                # Candidate c >= null of a row is the inverse's target row
+                # c - null, so its cell is origin + (c - null) * stride; the
+                # NULL candidate reads row 0 for the word of its target. The
+                # cells of a row step by its stride (by 0 from NULL), so they
+                # are a running sum.
+                cell = np.repeat(stride, widths)
+                last = origin + (widths - 1 - null) * stride
+                cell[heads[0]] = origin[0]
+                cell[heads[1:]] = origin[1:] - last[:-1]
+                if null:
+                    cell[heads + 1] = 0
+                keys = np.take(inverse.cells, np.cumsum(cell, out=cell), mode="clip")
+                del cell
+                np.take(rank, keys, out=self.cells[chunk.cells], mode="clip")
+                if null:
+                    yield np.take(inverse.t.row_of, keys[heads], mode="clip").astype(np.int64)
+
+        null_slots = np.empty(len(self.widths) if null else 0, np.int32)
+        words = _first_appearance(null_words(), null_slots)
+        inverse.cells = rank = None
+        # A word-pair slot's row and column are the inverse's column and row;
+        # a NULL slot's are row 0 and its word.
+        word = inverse.t.row_of >= null
+        rows = np.concatenate((inverse.t_cols[word] + null, np.zeros(len(words), np.int32)))
+        self.t_cols = np.concatenate((inverse.t.row_of[word] - null, words.astype(np.int32) - null))
+        del word
+        inverse.t = inverse.t_cols = inverse.widths = None
         inverse.first_cell = inverse.n = inverse.m = inverse.chunks = None
+        if null:
+            null_slots += len(rows) - len(words)
+            self.cells[np.cumsum(self.widths, dtype=np.int64) - self.widths] = null_slots
+        self.t = _Table(rows, len(self.e_words))
 
     def _train(self, iterations: int) -> None:
         """EM iterations. Each chunk's E-step adds its posteriors into the

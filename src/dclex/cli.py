@@ -351,6 +351,17 @@ def _stage_ingest(
     return {"pairs": len(corpus), "target_forms": len(freqs.entries)}
 
 
+def _tag_source(cfg: PipelineConfig) -> str:
+    """The config key of the file that tag takes its tags from: `annotations`,
+    or else `default_senses`, whose senses it gives the `src_inventory`
+    forms it finds."""
+    if cfg.annotations:
+        return "annotations"
+    if not cfg.default_senses:
+        raise UsageError("the tag stage needs either 'annotations' or 'default_senses' configured")
+    return "default_senses"
+
+
 def _stage_tag(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
@@ -361,13 +372,9 @@ def _stage_tag(
     else:
         pairs = _load_pairs(cfg, "corpus_src", "ingest")
     src = pairs.src
-    if cfg.annotations:
+    if _tag_source(cfg) == "annotations":
         tags = tg.load_annotations(_require_config_path(cfg, "annotations"), src)
     else:
-        if not cfg.default_senses:
-            raise UsageError(
-                "the tag stage needs either 'annotations' or 'default_senses' configured"
-            )
         src_inventory = _load_source_inventory(cfg)
         senses = tg.load_default_senses(_require_config_path(cfg, "default_senses"))
         tags = tg.heuristic_tag(src, src_inventory, senses)
@@ -705,6 +712,9 @@ def main(argv: list[str] | None = None) -> int:
             # Local to this call: a later call, after the artifacts may have
             # been edited, must read them from the output directory.
             handoff: Handoff = {}
+            # Tag's inputs are checked before ingest writes anything.
+            for key in ("src_inventory", _tag_source(cfg)):
+                _require_config_path(cfg, key)
             manifest = open_manifest(cfg)
             for stage in STAGES:
                 if stage == "eval" and not cfg.gold_lexicon:

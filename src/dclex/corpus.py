@@ -3,8 +3,11 @@ occurrence scanning.
 
 A corpus is a `Bitext`: a source and a target side of one length, pair k
 being sentence k of each. A side is held interned, as `TokenColumns`: a
-vocabulary, each word once in order of first appearance, and the int32 word
-id of every token, sentence after sentence, cut by int64 offsets. Ingest
+vocabulary, each word once, and the int32 word id of every token, sentence
+after sentence, cut by int64 offsets. Interning numbers the words in order
+of first appearance; the fused source side (`tagging.fuse_corpus`) is not in
+that order, since it keeps the words its fused spans consumed, though they
+may no longer occur, and appends the fused tokens after them. Ingest
 tokenizes and interns a side in bulk (`load_parallel_corpus`): it
 lowercases the whole text once and splits each distinct whitespace chunk
 once. A token file read back (`load_token_corpus`) is interned by the same

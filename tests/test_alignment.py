@@ -21,8 +21,9 @@ from dclex.alignment import (
     write_alignments,
     write_translation_table,
 )
-from dclex.corpus import CHUNK_SIZE
+from dclex.corpus import CHUNK_SIZE, Bitext, TokenColumns
 from dclex.errors import PipelineError
+from dclex.tagging import Tags, fuse_corpus
 
 from oracles import (
     em_model1_reference,
@@ -409,15 +410,29 @@ class TestInverseDirection:
     @pytest.mark.parametrize("positional", [False, True], ids=["model1", "model2"])
     @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
     def test_cells_equal_the_interned_ones(self, use_null, positional):
+        # The slot ids differ: the derived table keeps the forward's. What
+        # training reads is the same: the word pair of each cell, the order
+        # of the slots within each row, and so t.
         train = train_model2 if positional else train_model1
         forward = train(self.PAIRS, 1, use_null)
         derived = train(swap(self.PAIRS), 1, use_null, inverse=forward)
         interned = train(swap(self.PAIRS), 1, use_null)
         assert (derived.e_words, derived.f_words) == (interned.e_words, interned.f_words)
-        assert derived.cells.tolist() == interned.cells.tolist()
-        assert derived.t.row_of.tolist() == interned.t.row_of.tolist()
-        assert derived.t_cols.tolist() == interned.t_cols.tolist()
-        assert derived.t.values.tolist() == interned.t.values.tolist()
+
+        def read_by_training(table):
+            """The word pair of each cell, each row's word pairs in slot
+            order, and t by word pair."""
+            e = np.array(table.e_words, object)[table.t.row_of].tolist()
+            f = np.array(table.f_words, object)[table.t_cols].tolist()
+            pairs = list(zip(e, f))
+            by_row = np.argsort(table.t.row_of, kind="stable").tolist()
+            return (
+                [pairs[s] for s in table.cells.tolist()],
+                [pairs[s] for s in by_row],
+                dict(zip(pairs, table.t.values.tolist())),
+            )
+
+        assert read_by_training(derived) == read_by_training(interned)
         if positional:
             assert derived.q_cells.tolist() == interned.q_cells.tolist()
 
@@ -432,6 +447,56 @@ class TestInverseDirection:
         assert derived.log_likelihoods == interned.log_likelihoods
         everything = range(len(self.PAIRS))
         assert columns(derived.decode(everything)) == columns(interned.decode(everything))
+
+    @staticmethod
+    def fused_pairs():
+        """Pairs whose source side is shaped as `fuse_corpus` makes it: every
+        `even though` is one fused token, so `even` and `though` no longer
+        occur but stay in the vocabulary, and the fused tokens, appended
+        after them, occur from the first sentence on."""
+        rng = random.Random(21)
+        pairs = repetitive_corpus(rng, 200)
+        src, spans = [], []
+        for k, (words, _) in enumerate(pairs):
+            if k % 3 == 0:
+                at = rng.randint(0, len(words))
+                words = (*words[:at], "even", "though", *words[at:])
+                spans.append((k, at, at + 1, f"Rel{k % 2}"))
+            src.append(words)
+        fused = fuse_corpus(TokenColumns.intern(src), Tags(*zip(*spans)))
+        return fused, TokenColumns.intern(tgt for _, tgt in pairs)
+
+    @pytest.mark.parametrize("train", [train_model1, train_model2])
+    @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
+    def test_fused_source_side_trains_as_the_interned_swap(self, monkeypatch, train, use_null):
+        monkeypatch.setattr(alignment, "CHUNK_SIZE", 64)
+        fused, tgt = self.fused_pairs()
+        seen = list(dict.fromkeys(fused.vocab[w] for w in fused.ids.tolist()))
+        assert fused.vocab[-2:] == ["even_though-Rel0", "even_though-Rel1"]
+        assert [word for word in fused.vocab if word in seen] != seen
+        assert {"even", "though"} <= set(fused.vocab) - set(seen)
+        forward = train(Bitext(fused, tgt), 2, use_null)
+        derived = train(Bitext(tgt, fused), 3, use_null, inverse=forward)
+        interned = train(swap(zip(fused, tgt)), 3, use_null)
+        assert derived.probs == interned.probs
+        assert derived.distortion == interned.distortion
+        assert derived.log_likelihoods == interned.log_likelihoods
+        everything = range(len(tgt))
+        assert columns(derived.decode(everything)) == columns(interned.decode(everything))
+
+    def test_backward_table_is_made_after_the_forward_arrays_go(self, monkeypatch):
+        forward = train_model1(self.PAIRS, 1)
+        held = []
+
+        class Recorded(alignment._Table):
+            def __init__(self, row_of, n_rows):
+                held.append([name for name in ("cells", "t", "t_cols")
+                             if getattr(forward, name) is not None])
+                super().__init__(row_of, n_rows)
+
+        monkeypatch.setattr(alignment, "_Table", Recorded)
+        train_model1(swap(self.PAIRS), 1, inverse=forward)
+        assert held == [[]]
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_word_spelled_like_null(self, side):

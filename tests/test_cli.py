@@ -620,6 +620,41 @@ class TestPipelineRuns:
             assert manifest["stages"]["eval"] == {"skipped": skipped}
             assert not report.exists()
 
+    def test_run_all_checks_the_tag_inputs_before_ingest_writes(self, tmp_path, capsys):
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        text = config.read_text(encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "all", "--config", str(config)]) == 0
+        earlier = {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in out.iterdir()}
+        ghost = tmp_path / "ghost.tsv"
+        no_senses = "".join(
+            line for line in text.splitlines(True) if not line.startswith("default_senses")
+        )
+        for edited, message in (
+            (no_senses, "the tag stage needs either 'annotations' or 'default_senses' configured"),
+            (text.replace("senses.tsv", ghost.name), "config key 'default_senses': file not found"),
+            (no_senses + f"annotations = {ghost}\n", "config key 'annotations': file not found"),
+            (text.replace("inventory.en", ghost.name), "config key 'src_inventory': file not found"),
+        ):
+            config.write_text(edited, encoding="utf-8")
+            capsys.readouterr()
+            assert main(["run", "all", "--config", str(config)]) == 2
+            assert message in capsys.readouterr().err
+            # The earlier run's files are left as they were, and nothing is added.
+            assert earlier == {
+                path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in out.iterdir()
+            }
+            fresh = tmp_path / "fresh"
+            assert main(["run", "all", "--config", str(config), "--output", str(fresh)]) == 2
+            assert not fresh.exists()
+        # Tag run alone keeps its own check.
+        config.write_text(no_senses, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["tag", "--config", str(config)]) == 2
+        assert "needs either 'annotations' or 'default_senses'" in capsys.readouterr().err
+
     def test_extract_before_align_names_the_missing_stage(self, mini_run, tmp_path, capsys):
         root, config = mini_run
         out = tmp_path / "half"
