@@ -64,7 +64,8 @@ from pathlib import Path
 from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import CHUNK_SIZE, Bitext, _spans, process_chunks
+from . import corpus
+from .corpus import Bitext, _spans, process_chunks
 from .errors import PipelineError
 from .fileio import atomic_write_text
 
@@ -351,8 +352,10 @@ class _Table:
 
 
 class _Chunk(NamedTuple):
-    """Up to CHUNK_SIZE consecutive pairs: their cells and their target rows."""
+    """Up to `corpus.CHUNK_SIZE` consecutive pairs: the pairs, their cells
+    and their target rows."""
 
+    pairs: slice
     cells: slice
     rows: slice
 
@@ -422,10 +425,10 @@ class TranslationTable:
         cell_at = np.append(0, np.cumsum(sizes))
         row_at = np.append(0, np.cumsum(ms))
         self.first_cell = cell_at[:-1]
-        bounds = [*range(0, len(pairs), CHUNK_SIZE), len(pairs)]
+        starts = range(0, len(pairs), corpus.CHUNK_SIZE)
         self.chunks = [
-            _Chunk(slice(cell_at[lo], cell_at[hi]), slice(row_at[lo], row_at[hi]))
-            for lo, hi in zip(bounds, bounds[1:])
+            _Chunk(slice(lo, hi), slice(cell_at[lo], cell_at[hi]), slice(row_at[lo], row_at[hi]))
+            for lo, hi in zip(starts, [*starts[1:], len(pairs)])
         ]
 
         self.shapes: list[tuple[int, int]] = []
@@ -443,13 +446,13 @@ class TranslationTable:
             q_rows = len(q_widths)
             self.q = _Table(np.repeat(np.arange(q_rows, dtype=np.int32), q_widths), q_rows)
             self.q_cells = np.empty(cell_at[-1], np.int32)
-            for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
-                _spans(q_at[lo:hi], sizes[lo:hi], self.q_cells[chunk.cells])
+            for chunk in self.chunks:
+                _spans(q_at[chunk.pairs], sizes[chunk.pairs], self.q_cells[chunk.cells])
 
         if inverse is None:
-            self._intern_cells(pairs, ls, ms, bounds)
+            self._intern_cells(pairs, ls, ms)
         else:
-            self._transpose_cells(inverse, bounds)
+            self._transpose_cells(inverse)
         self.entries = len(self.t_cols)
         self._probs: dict[str, dict[str, float]] | None = None
         self._distortion: dict[tuple[int, int, int], dict[int, float]] | None = None
@@ -459,7 +462,7 @@ class TranslationTable:
         if self.cells is None:
             raise PipelineError("the translation table holds no EM state")
 
-    def _intern_cells(self, pairs: Bitext, ls, ms, bounds: list[int]) -> None:
+    def _intern_cells(self, pairs: Bitext, ls, ms) -> None:
         """Number the co-occurring (e, f) of the cells, taking the words as
         the columns number them, NULL first when used. Chunk by chunk, so
         that no temporary grows with the corpus: the key e * nf + f of each
@@ -486,7 +489,8 @@ class TranslationTable:
         src_at = np.append(0, np.cumsum(ls))
 
         def chunk_keys():
-            for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
+            for chunk in self.chunks:
+                lo, hi = chunk.pairs.start, chunk.pairs.stop
                 n = ls[lo:hi] + null
                 # Candidates of each pair: NULL (word 0) first when used, then its source words.
                 cand_at = np.cumsum(n) - n
@@ -504,7 +508,7 @@ class TranslationTable:
         del keys
         self.t = _Table(rows, len(self.e_words))
 
-    def _transpose_cells(self, inverse: TranslationTable, bounds: list[int]) -> None:
+    def _transpose_cells(self, inverse: TranslationTable) -> None:
         """Take the cells from `inverse`, a table of the same pairs with the
         sides swapped, and release its EM state. This direction's words are
         the inverse's with the sides swapped, so a cell (pair, target i,
@@ -529,13 +533,13 @@ class TranslationTable:
         def null_words():
             """Fill the cells chunk by chunk; with NULL, yield the inverse's
             row of each row's target word."""
-            for lo, hi, chunk in zip(bounds, bounds[1:], self.chunks):
+            for chunk in self.chunks:
                 widths = self.widths[chunk.rows]
                 heads = np.cumsum(widths) - widths
                 # Per row: the inverse's cell of (target row 0, candidate i)
                 # and its stride, the inverse's row width.
-                ms = self.m[lo:hi]
-                row_pair = np.repeat(np.arange(lo, hi), ms)
+                ms = self.m[chunk.pairs]
+                row_pair = np.repeat(np.arange(chunk.pairs.start, chunk.pairs.stop), ms)
                 i = np.arange(len(widths)) - np.repeat(np.cumsum(ms) - ms, ms)
                 origin = inverse.first_cell[row_pair] + i + null
                 stride = inverse.n[row_pair].astype(np.int64)

@@ -98,8 +98,9 @@ _HEURISTICS = ("intersection", "union", "grow-diag-final")
 _RETIRED_KEYS = ("threads", "dump_ttables")
 
 _REQUIRED_KEYS = ("src_corpus", "tgt_corpus", "src_inventory", "tgt_inventory")
-_PATH_KEYS = _REQUIRED_KEYS + (
-    "output_dir",
+# The keys naming input files: `run all` checks each one set before ingest
+# writes, and the manifest records their digests.
+_INPUT_KEYS = _REQUIRED_KEYS + (
     "annotations",
     "default_senses",
     "gold_lexicon",
@@ -204,39 +205,43 @@ def validate_config(path: str) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record: config snapshot, input digests, stage stats."""
+def _manifest_path(cfg: PipelineConfig) -> Path:
+    return Path(cfg.output_dir) / ARTIFACTS["manifest"]
 
-    version: str
-    config: dict
-    inputs: dict[str, str]
-    stages: dict[str, dict]
 
-    @classmethod
-    def load_or_create(cls, path: Path, cfg: PipelineConfig) -> "RunManifest":
-        if path.is_file():
-            data = json.loads(read_text_strict(path))
-            return cls(data["version"], data["config"], data["inputs"], data["stages"])
-        return cls(__version__, dataclasses.asdict(cfg), {}, {})
+def _recorded_stages(path: Path) -> dict[str, object]:
+    """The stages that the manifest at `path` records."""
+    text = read_text_strict(path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PipelineError(f"{path}: not a dclex manifest: {exc}") from exc
+    stages = data.get("stages") if isinstance(data, dict) else None
+    if not isinstance(stages, dict):
+        raise PipelineError(f"{path}: not a dclex manifest: it has no 'stages' object")
+    return stages
 
-    def record_inputs(self, cfg: PipelineConfig) -> None:
-        for key in _PATH_KEYS:
-            value = getattr(cfg, key)
-            if key != "output_dir" and value and Path(value).is_file():
-                self.inputs[str(value)] = sha256_file(value)
 
-    def record_stage(self, name: str, rows: dict[str, object], seconds: float) -> None:
-        self.stages[name] = {"rows": rows, "seconds": round(seconds, 3)}
+def open_manifest(cfg: PipelineConfig) -> dict:
+    """The reproducibility record of this run: its "version", "config" and
+    "inputs" (the SHA-256 of each input file, by path), and the "stages"
+    that the manifest under the output directory, if any, records (per
+    stage, its rows and seconds, or why it was skipped). The output
+    directory is made if need be."""
+    path = _manifest_path(cfg)
+    stages = _recorded_stages(path) if path.is_file() else {}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    files = [getattr(cfg, key) for key in _INPUT_KEYS]
+    return {
+        "version": __version__,
+        "config": dataclasses.asdict(cfg),
+        "inputs": {str(file): sha256_file(file) for file in files if file and Path(file).is_file()},
+        "stages": stages,
+    }
 
-    def write(self, path: Path) -> None:
-        payload = {
-            "version": self.version,
-            "config": self.config,
-            "inputs": self.inputs,
-            "stages": self.stages,
-        }
-        atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+def write_manifest(cfg: PipelineConfig, manifest: dict) -> None:
+    atomic_write_text(_manifest_path(cfg), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -594,26 +599,12 @@ _STAGE_FUNCS = {
 }
 
 
-def _manifest_path(cfg: PipelineConfig) -> Path:
-    return Path(cfg.output_dir) / ARTIFACTS["manifest"]
-
-
-def open_manifest(cfg: PipelineConfig) -> RunManifest:
-    """The manifest under the output directory, or a new one, holding this
-    config and the digests of its input files."""
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.load_or_create(_manifest_path(cfg), cfg)
-    manifest.config = dataclasses.asdict(cfg)
-    manifest.record_inputs(cfg)
-    return manifest
-
-
 def run_stage(
     stage: str,
     cfg: PipelineConfig,
     extra: argparse.Namespace | None = None,
     handoff: Handoff | None = None,
-    manifest: RunManifest | None = None,
+    manifest: dict | None = None,
 ) -> dict:
     """Run one stage, then record it in the manifest and write that under
     the output directory.
@@ -629,19 +620,19 @@ def run_stage(
     started = time.perf_counter()
     rows = _STAGE_FUNCS[stage](cfg, extra, {} if handoff is None else handoff)
     elapsed = time.perf_counter() - started
-    manifest.record_stage(stage, rows, elapsed)
-    manifest.write(_manifest_path(cfg))
+    manifest["stages"][stage] = {"rows": rows, "seconds": round(elapsed, 3)}
+    write_manifest(cfg, manifest)
     logger.info("stage %s done in %.2fs: %s", stage, elapsed, rows)
     return rows
 
 
-def skip_eval(cfg: PipelineConfig, reason: str, manifest: RunManifest) -> None:
+def skip_eval(cfg: PipelineConfig, reason: str, manifest: dict) -> None:
     """Record in the manifest of a run under way that eval was skipped, and
     why, and remove the report of an earlier run, which would read as this
     run's."""
     _out(cfg, "eval_report").unlink(missing_ok=True)
-    manifest.stages["eval"] = {"skipped": reason}
-    manifest.write(_manifest_path(cfg))
+    manifest["stages"]["eval"] = {"skipped": reason}
+    write_manifest(cfg, manifest)
     logger.info("stage eval skipped: %s", reason)
 
 
@@ -712,9 +703,11 @@ def main(argv: list[str] | None = None) -> int:
             # Local to this call: a later call, after the artifacts may have
             # been edited, must read them from the output directory.
             handoff: Handoff = {}
-            # Tag's inputs are checked before ingest writes anything.
-            for key in ("src_inventory", _tag_source(cfg)):
-                _require_config_path(cfg, key)
+            # Every input file is checked before ingest writes anything.
+            _tag_source(cfg)
+            for key in _INPUT_KEYS:
+                if getattr(cfg, key):
+                    _require_config_path(cfg, key)
             manifest = open_manifest(cfg)
             for stage in STAGES:
                 if stage == "eval" and not cfg.gold_lexicon:

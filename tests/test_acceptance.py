@@ -13,10 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from dclex import alignment
 from dclex.alignment import Links, symmetrize, train_model1
 from dclex.cli import ARTIFACTS, main
-from dclex.corpus import Bitext, Corpus, process_chunks
+from dclex.corpus import Bitext, Corpus
 from dclex.evaluation import evaluate
 from dclex.lexicon import LexiconEntry, RankedLexicon, group_sites, sample_evidence
 from dclex.phrasetable import build_phrase_table, connective_occurrences
@@ -200,15 +199,13 @@ def test_c7_chunk_size_determinism(planted_run, monkeypatch):
     root, config, _ = planted_run
 
     # Every chunked loop, the EM chunks included, in chunks of 7 pairs.
-    monkeypatch.setattr(process_chunks, "__defaults__", (7,))
-    monkeypatch.setattr(alignment, "CHUNK_SIZE", 7)
+    monkeypatch.setattr("dclex.corpus.CHUNK_SIZE", 7)
     again = root / "out-chunked"
     assert main(["run", "all", "--config", str(config), "--output", str(again)]) == 0
     names = sorted(path.name for path in (root / "out").iterdir())
     assert names == sorted(path.name for path in again.iterdir())
     for name in names:
-        # The manifest holds timings and the EM log-likelihood, a sum of
-        # per-chunk sums.
+        # The manifest holds timings.
         if name != ARTIFACTS["manifest"]:
             one, other = ((out / name).read_bytes() for out in (root / "out", again))
             assert one == other, f"{name} differs between chunk sizes"

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from dclex import alignment
+from dclex import alignment, corpus
 from dclex.alignment import (
     HEURISTICS,
     PROB_FLOOR,
@@ -375,7 +375,7 @@ class TestChunking:
         n = len(self.PAIRS)
         states = []
         for size in (7, 64, CHUNK_SIZE):
-            monkeypatch.setattr(alignment, "CHUNK_SIZE", size)
+            monkeypatch.setattr(corpus, "CHUNK_SIZE", size)
             forward = train(self.PAIRS, 3, use_null)
             assert len(forward.chunks) == -(-n // size)
             forward_state = self.state(forward, n)
@@ -469,7 +469,7 @@ class TestInverseDirection:
     @pytest.mark.parametrize("train", [train_model1, train_model2])
     @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
     def test_fused_source_side_trains_as_the_interned_swap(self, monkeypatch, train, use_null):
-        monkeypatch.setattr(alignment, "CHUNK_SIZE", 64)
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
         fused, tgt = self.fused_pairs()
         seen = list(dict.fromkeys(fused.vocab[w] for w in fused.ids.tolist()))
         assert fused.vocab[-2:] == ["even_though-Rel0", "even_though-Rel1"]

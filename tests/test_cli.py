@@ -201,6 +201,55 @@ class TestPipelineRuns:
         digests = list(manifest["inputs"].values())
         assert all(len(d) == 64 for d in digests)
 
+    def test_manifest_describes_the_current_run(self, tmp_path):
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        path = tmp_path / "out" / ARTIFACTS["manifest"]
+        earlier = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**earlier, "version": "0.0.9"}), encoding="utf-8")
+        # The same corpus under other file names, into the same output directory.
+        text = config.read_text(encoding="utf-8")
+        for old, new in (("corpus.en", "renamed.en"), ("corpus.fr", "renamed.fr")):
+            (tmp_path / old).rename(tmp_path / new)
+            text = text.replace(old, new)
+        config.write_text(text, encoding="utf-8")
+        assert main(["run", "all", "--config", str(config)]) == 0
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest["version"] == dclex.__version__
+        names = (
+            "renamed.en", "renamed.fr", "inventory.en", "inventory.fr", "senses.tsv",
+            "gold.tsv", "map.tsv", "relations_induced.txt", "relations_gold.txt",
+        )
+        assert manifest["inputs"] == {
+            str(tmp_path / name): hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in names
+        }
+        # A stage run alone records itself and keeps the other stages.
+        assert main(["report", "--config", str(config)]) == 0
+        alone = json.loads(path.read_text(encoding="utf-8"))
+        assert alone["inputs"] == manifest["inputs"]
+        assert set(alone["stages"]) == set(STAGES)
+        for stage in set(STAGES) - {"report"}:
+            assert alone["stages"][stage] == manifest["stages"][stage]
+
+    @pytest.mark.parametrize("text", ["not json\n", '{"version": "x"}\n'], ids=["text", "no-stages"])
+    def test_a_foreign_manifest_is_an_error(self, tmp_path, capsys, text):
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        path = tmp_path / "out" / ARTIFACTS["manifest"]
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+        for argv in (["run", "all"], *([stage] for stage in STAGES)):
+            capsys.readouterr()
+            assert main([*argv, "--config", str(config)]) == 1, argv
+            assert f"error: {path}: not a dclex manifest" in capsys.readouterr().err
+        # Nothing was written.
+        assert list(path.parent.iterdir()) == [path]
+        assert path.read_text(encoding="utf-8") == text
+
     def test_align_rows_count_tokens_and_links(self, mini_run):
         root, config = mini_run
         out = root / "out"
@@ -637,6 +686,9 @@ class TestPipelineRuns:
             (text.replace("senses.tsv", ghost.name), "config key 'default_senses': file not found"),
             (no_senses + f"annotations = {ghost}\n", "config key 'annotations': file not found"),
             (text.replace("inventory.en", ghost.name), "config key 'src_inventory': file not found"),
+            (text.replace("inventory.fr", ghost.name), "config key 'tgt_inventory': file not found"),
+            (text.replace("gold.tsv", ghost.name), "config key 'gold_lexicon': file not found"),
+            (text.replace("map.tsv", ghost.name), "config key 'relation_map': file not found"),
         ):
             config.write_text(edited, encoding="utf-8")
             capsys.readouterr()
