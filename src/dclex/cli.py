@@ -262,51 +262,26 @@ def _require(cfg: PipelineConfig, name: str, produced_by: str) -> Path:
     return path
 
 
+# The packaged table that each of these keys reads when it is unset.
+_PACKAGED_TABLES = {
+    key: Path(__file__).with_name("data") / name
+    for key, name in (
+        ("induced_relations", "induced_relations.txt"),
+        ("gold_relations", "gold_relations.txt"),
+        ("relation_map", "relation_map.tsv"),
+    )
+}
+
+
 def _require_config_path(cfg: PipelineConfig, key: str) -> str:
-    value = getattr(cfg, key)
+    """The file that config key `key` names, or the packaged table that
+    stands for it when it is unset."""
+    value = getattr(cfg, key) or _PACKAGED_TABLES.get(key)
     if not value:
         raise UsageError(f"config key {key!r} is required by this stage")
     if not Path(value).is_file():
         raise UsageError(f"config key {key!r}: file not found: {value}")
-    return value
-
-
-def _load_target_inventory(cfg: PipelineConfig) -> list[cp.Form]:
-    from . import inventory as inv
-
-    return inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
-
-
-def _load_source_inventory(cfg: PipelineConfig) -> list[cp.Form]:
-    from . import inventory as inv
-
-    return inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
-
-
-def _load_induced_relations(cfg: PipelineConfig) -> list[str]:
-    from . import inventory as inv
-
-    if cfg.induced_relations:
-        return inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
-    return inv.default_induced_relations()
-
-
-def _load_gold_relations(cfg: PipelineConfig) -> list[str]:
-    from . import inventory as inv
-
-    if cfg.gold_relations:
-        return inv.load_relation_inventory(_require_config_path(cfg, "gold_relations"))
-    return inv.default_gold_relations()
-
-
-def _load_relation_map(
-    cfg: PipelineConfig, induced: list[str], gold: list[str]
-) -> dict[str, str]:
-    from . import inventory as inv
-
-    if cfg.relation_map:
-        return inv.load_relation_map(_require_config_path(cfg, "relation_map"), induced, gold)
-    return inv.default_relation_map(induced, gold)
+    return str(value)
 
 
 # What a stage of one `run all` hands to the later stages that read it, by
@@ -337,6 +312,8 @@ def _work_pairs(cfg: PipelineConfig, handoff: Handoff, last: bool = False) -> cp
 def _stage_ingest(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
+    from . import inventory as inv
+
     corpus = cp.load_parallel_corpus(
         _require_config_path(cfg, "src_corpus"),
         _require_config_path(cfg, "tgt_corpus"),
@@ -348,7 +325,7 @@ def _stage_ingest(
         raise PipelineError("corpus is empty after loading")
     cp.write_token_file(corpus.src, _out(cfg, "corpus_src"))
     cp.write_token_file(corpus.tgt, _out(cfg, "corpus_tgt"))
-    tgt_inventory = _load_target_inventory(cfg)
+    tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
     freqs = cp.count_occurrences(corpus, tgt_inventory)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
     handoff["corpus"] = corpus
@@ -367,9 +344,36 @@ def _tag_source(cfg: PipelineConfig) -> str:
     return "default_senses"
 
 
+def _check_tables(cfg: PipelineConfig) -> None:
+    """Load the input tables that the stages of `run all` read, with the
+    checks they make across tables, so that a table a later stage would
+    reject stops the run before ingest writes. Each default sense of a
+    source form must be an induced label, as extract requires of the
+    token it is fused into; the gold tables are loaded only when eval runs.
+    The labels of `annotations` are left to tag, which reads them against
+    the ingested corpus."""
+    from . import inventory as inv
+    from . import tagging as tg
+
+    inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
+    src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
+    induced = inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
+    if _tag_source(cfg) == "default_senses":
+        senses = inv.load_default_senses(_require_config_path(cfg, "default_senses"))
+        for form in src_inventory:
+            surface = " ".join(form)
+            if surface in senses:
+                tg.fused_connective(tg.fuse_token(form, senses[surface]), src_inventory, induced)
+    if cfg.gold_lexicon:
+        gold_relations = inv.load_relation_inventory(_require_config_path(cfg, "gold_relations"))
+        inv.load_gold_lexicon(_require_config_path(cfg, "gold_lexicon"), gold_relations)
+        inv.load_relation_map(_require_config_path(cfg, "relation_map"), induced, gold_relations)
+
+
 def _stage_tag(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
+    from . import inventory as inv
     from . import tagging as tg
 
     if "corpus" in handoff:
@@ -380,8 +384,8 @@ def _stage_tag(
     if _tag_source(cfg) == "annotations":
         tags = tg.load_annotations(_require_config_path(cfg, "annotations"), src)
     else:
-        src_inventory = _load_source_inventory(cfg)
-        senses = tg.load_default_senses(_require_config_path(cfg, "default_senses"))
+        src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
+        senses = inv.load_default_senses(_require_config_path(cfg, "default_senses"))
         tags = tg.heuristic_tag(src, src_inventory, senses)
     fused = tg.fuse_corpus(src, tags)
     tg.write_fused_corpus(fused, _out(cfg, "fused_src"))
@@ -433,6 +437,7 @@ def _stage_extract(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
     from . import alignment as al
+    from . import inventory as inv
     from . import phrasetable as pt
 
     pairs = _work_pairs(cfg, handoff, last=True)
@@ -440,8 +445,9 @@ def _stage_extract(
         links = handoff.pop("links")
     else:
         links = al.read_alignments(str(_require(cfg, "align_sym", "align")))
-    tgt_inventory, src_inventory = _load_target_inventory(cfg), _load_source_inventory(cfg)
-    relations = _load_induced_relations(cfg)
+    tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
+    src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
+    relations = inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
     # Ingest's occurrences are those of the same target side; alone, the
     # stage scans it.
     table = pt.build_phrase_table(
@@ -488,15 +494,17 @@ def _stage_eval(
 
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
-    gold_relations = _load_gold_relations(cfg)
+    gold_relations = inv.load_relation_inventory(_require_config_path(cfg, "gold_relations"))
     gold = inv.load_gold_lexicon(_require_config_path(cfg, "gold_lexicon"), gold_relations)
     gold = inv.restrict_gold(gold, freqs, cfg.min_freq)
     if not gold:
         raise _NoGoldPair(
             f"gold lexicon is empty after applying the frequency threshold {cfg.min_freq}"
         )
-    induced = _load_induced_relations(cfg)
-    relation_map = _load_relation_map(cfg, induced, gold_relations)
+    induced = inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
+    relation_map = inv.load_relation_map(
+        _require_config_path(cfg, "relation_map"), induced, gold_relations
+    )
     report = ev.evaluate(ranked, gold, relation_map)
     ev.write_eval_report(report, _out(cfg, "eval_report"))
     return {
@@ -510,6 +518,7 @@ def _stage_evidence(
 ) -> dict[str, int]:
     from fractions import Fraction
 
+    from . import inventory as inv
     from . import lexicon as lx
     from . import phrasetable as pt
 
@@ -527,9 +536,9 @@ def _stage_evidence(
         sites = lx.group_sites(
             work,
             rows,
-            _load_target_inventory(cfg),
-            _load_source_inventory(cfg),
-            _load_induced_relations(cfg),
+            inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory")),
+            inv.load_connective_inventory(_require_config_path(cfg, "src_inventory")),
+            inv.load_relation_inventory(_require_config_path(cfg, "induced_relations")),
         )
     except PipelineError as exc:
         raise PipelineError(f"{sites_path}: {exc}") from exc
@@ -567,8 +576,10 @@ def _stage_evidence(
 def _stage_report(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
+    from . import inventory as inv
+
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
-    tgt_inventory = _load_target_inventory(cfg)
+    tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
     zero = below = above = 0
     for form in tgt_inventory:
         count = freqs.count(" ".join(form))
@@ -703,11 +714,12 @@ def main(argv: list[str] | None = None) -> int:
             # Local to this call: a later call, after the artifacts may have
             # been edited, must read them from the output directory.
             handoff: Handoff = {}
-            # Every input file is checked before ingest writes anything.
-            _tag_source(cfg)
+            # Every input file, and the labels across the tables, are
+            # checked before ingest writes anything.
             for key in _INPUT_KEYS:
                 if getattr(cfg, key):
                     _require_config_path(cfg, key)
+            _check_tables(cfg)
             manifest = open_manifest(cfg)
             for stage in STAGES:
                 if stage == "eval" and not cfg.gold_lexicon:

@@ -222,9 +222,6 @@ class _SplitLines(Sequence[tuple[str, ...]]):
     def __getitem__(self, k: int) -> tuple[str, ...]:  # type: ignore[override]
         return tuple(self.lines[k].split())
 
-    def take(self, ks: Sequence[int]) -> list[tuple[str, ...]]:
-        return [tuple(self.lines[k].split()) for k in ks]
-
 
 class Bitext(Sequence[tuple[tuple[str, ...], tuple[str, ...]]]):
     """Sentence pairs as a source and a target side of one length: pair k
@@ -255,10 +252,6 @@ class Bitext(Sequence[tuple[tuple[str, ...], tuple[str, ...]]]):
 
     def __iter__(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
         return zip(self.src, self.tgt)
-
-    def take(self, ks: Sequence[int]) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-        """Pairs `ks`, each side read in one pass."""
-        return list(zip(self.src.take(ks), self.tgt.take(ks)))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
-"""Connective inventories, relation inventories, gold lexicon, relation map.
+"""The input tables: connective inventories, relation inventories, the gold
+lexicon, the relation map and the default-sense table, one loader each.
 
 A connective inventory is a list of forms, each the lowercased tokens of one
 surface; a gold lexicon is a set of (connective text, relation) pairs; a
-relation map takes induced relation labels to gold labels.
+relation map takes induced relation labels to gold labels; a default-sense
+table takes a connective text to its relation label. The packaged default
+relation inventories and relation map are files under the package's `data/`
+directory, which the CLI reads with these same loaders when their config
+keys are unset.
 """
 
 from __future__ import annotations
 
 import logging
-from importlib import resources
+from typing import Iterator
 
 from .corpus import Form, FrequencyTable, tokenize
 from .errors import PipelineError
@@ -32,54 +37,67 @@ def load_connective_inventory(path: str) -> list[Form]:
     return list(seen)
 
 
-def _parse_relation_inventory(text: str, origin: str) -> list[str]:
+def load_relation_inventory(path: str) -> list[str]:
     # Imported here: the stages that load no relation inventory, such as
     # ingest and report, then leave the tagger unloaded.
     from .tagging import check_label
 
     labels: list[str] = []
-    for lineno, payload in iter_data_lines(text):
-        check_label(payload, f"{origin}: line {lineno}: ")
+    for lineno, payload in iter_data_lines(read_text_strict(path)):
+        check_label(payload, f"{path}: line {lineno}: ")
         if payload in labels:
-            logger.warning("%s: duplicate relation label %r at line %d", origin, payload, lineno)
+            logger.warning("%s: duplicate relation label %r at line %d", path, payload, lineno)
             continue
         labels.append(payload)
     if not labels:
-        raise PipelineError(f"{origin}: empty relation inventory")
+        raise PipelineError(f"{path}: empty relation inventory")
     return labels
 
 
-def load_relation_inventory(path: str) -> list[str]:
-    return _parse_relation_inventory(read_text_strict(path), str(path))
-
-
-def _parse_gold_lexicon(
-    text: str, origin: str, relations: list[str] | None
-) -> frozenset[tuple[str, str]]:
-    entries: set[tuple[str, str]] = set()
-    for lineno, payload in iter_data_lines(text):
+def _surface_rows(path: str) -> Iterator[tuple[int, str, str]]:
+    """(lineno, surface, relation) of each `surface<TAB>relation` row of
+    `path`. A surface is keyed by its lowercased tokens, space-joined, as
+    the connective inventory keys its forms."""
+    for lineno, payload in iter_data_lines(read_text_strict(path)):
         parts = payload.split("\t")
         if len(parts) != 2:
-            raise PipelineError(f"{origin}: expected `surface<TAB>relation` at line {lineno}")
+            raise PipelineError(f"{path}: expected `surface<TAB>relation` at line {lineno}")
         surface = " ".join(tokenize(parts[0]))
         relation = parts[1].strip()
         if not surface or not relation:
-            raise PipelineError(f"{origin}: empty field at line {lineno}")
-        if relations is not None and relation not in relations:
-            raise PipelineError(
-                f"{origin}: unknown relation label {relation!r} at line {lineno}"
-            )
-        entries.add((surface, relation))
-    if not entries:
-        raise PipelineError(f"{origin}: empty gold lexicon")
-    return frozenset(entries)
+            raise PipelineError(f"{path}: empty field at line {lineno}")
+        yield lineno, surface, relation
 
 
 def load_gold_lexicon(
     path: str, relations: list[str] | None = None
 ) -> frozenset[tuple[str, str]]:
     """Load `surface<TAB>relation` pairs, validating labels when given."""
-    return _parse_gold_lexicon(read_text_strict(path), str(path), relations)
+    entries: set[tuple[str, str]] = set()
+    for lineno, surface, relation in _surface_rows(path):
+        if relations is not None and relation not in relations:
+            raise PipelineError(f"{path}: unknown relation label {relation!r} at line {lineno}")
+        entries.add((surface, relation))
+    if not entries:
+        raise PipelineError(f"{path}: empty gold lexicon")
+    return frozenset(entries)
+
+
+def load_default_senses(path: str) -> dict[str, str]:
+    """Load the `surface<TAB>relation` defaults of the heuristic tagger,
+    keyed by surface; each relation must be a label a fused token can
+    carry."""
+    from .tagging import check_label
+
+    senses: dict[str, str] = {}
+    for lineno, surface, relation in _surface_rows(path):
+        check_label(relation, f"{path}: line {lineno}: ")
+        if surface in senses and senses[surface] != relation:
+            raise PipelineError(f"{path}: conflicting senses for {surface!r} at line {lineno}")
+        senses[surface] = relation
+    if not senses:
+        raise PipelineError(f"{path}: empty default-sense table")
+    return senses
 
 
 def restrict_gold(
@@ -91,56 +109,25 @@ def restrict_gold(
     )
 
 
-def _parse_relation_map(
-    text: str, origin: str, induced: list[str] | None, gold: list[str] | None
-) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for lineno, payload in iter_data_lines(text):
-        parts = payload.split("\t")
-        if len(parts) != 2:
-            raise PipelineError(f"{origin}: expected `induced<TAB>gold` at line {lineno}")
-        src, dst = parts[0].strip(), parts[1].strip()
-        if not src or not dst:
-            raise PipelineError(f"{origin}: empty field at line {lineno}")
-        if induced is not None and src not in induced:
-            raise PipelineError(f"{origin}: unknown induced label {src!r} at line {lineno}")
-        if gold is not None and dst not in gold:
-            raise PipelineError(f"{origin}: unknown gold label {dst!r} at line {lineno}")
-        if src in pairs and pairs[src] != dst:
-            raise PipelineError(
-                f"{origin}: induced label {src!r} mapped twice (line {lineno})"
-            )
-        pairs[src] = dst
-    if not pairs:
-        raise PipelineError(f"{origin}: empty relation map")
-    return pairs
-
-
 def load_relation_map(
     path: str, induced: list[str] | None = None, gold: list[str] | None = None
 ) -> dict[str, str]:
     """Load `induced<TAB>gold` label pairs, validating labels when given."""
-    return _parse_relation_map(read_text_strict(path), str(path), induced, gold)
-
-
-# ---------------------------------------------------------------------------
-# Packaged defaults
-# ---------------------------------------------------------------------------
-
-def _data_text(name: str) -> str:
-    return (resources.files("dclex") / "data" / name).read_text("utf-8")
-
-
-def default_induced_relations() -> list[str]:
-    return _parse_relation_inventory(_data_text("induced_relations.txt"), "<default induced relations>")
-
-
-def default_gold_relations() -> list[str]:
-    return _parse_relation_inventory(_data_text("gold_relations.txt"), "<default gold relations>")
-
-
-def default_relation_map(
-    induced: list[str] | None = None, gold: list[str] | None = None
-) -> dict[str, str]:
-    """The shipped map covers the two relations shared by both label sets."""
-    return _parse_relation_map(_data_text("relation_map.tsv"), "<default relation map>", induced, gold)
+    pairs: dict[str, str] = {}
+    for lineno, payload in iter_data_lines(read_text_strict(path)):
+        parts = payload.split("\t")
+        if len(parts) != 2:
+            raise PipelineError(f"{path}: expected `induced<TAB>gold` at line {lineno}")
+        src, dst = parts[0].strip(), parts[1].strip()
+        if not src or not dst:
+            raise PipelineError(f"{path}: empty field at line {lineno}")
+        if induced is not None and src not in induced:
+            raise PipelineError(f"{path}: unknown induced label {src!r} at line {lineno}")
+        if gold is not None and dst not in gold:
+            raise PipelineError(f"{path}: unknown gold label {dst!r} at line {lineno}")
+        if src in pairs and pairs[src] != dst:
+            raise PipelineError(f"{path}: induced label {src!r} mapped twice (line {lineno})")
+        pairs[src] = dst
+    if not pairs:
+        raise PipelineError(f"{path}: empty relation map")
+    return pairs

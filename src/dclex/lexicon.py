@@ -148,9 +148,7 @@ def group_sites(
     known_relations = set(relations)
     dcs: dict[str, tuple[str, str] | None] = {}
     grouped: dict[tuple[str, str], list[Site]] = {}
-    sites = list(sites)
     n = len(corpus)
-    pairs = iter(corpus.take([index for index, *_ in sites if 0 <= index < n]))
     last = (-1, -1)
     for row, site in enumerate(sites, start=1):
         index, i, start, end = site
@@ -159,7 +157,7 @@ def group_sites(
         last = (index, start)
         if not 0 <= index < n:
             raise PipelineError(f"site {row}: no pair {index} in a corpus of {n}")
-        src, tgt = next(pairs)
+        src, tgt = corpus[index]  # one pair at a time: the sites may name most pairs
         if not (0 <= i < len(src) and 0 <= start <= end < len(tgt)):
             raise PipelineError(
                 f"site {row}: {i} / {start}-{end} out of bounds "

@@ -28,11 +28,10 @@ from .corpus import (
     _spans,
     find_occurrences,
     process_chunks,
-    tokenize,
     write_token_file,
 )
 from .errors import PipelineError
-from .fileio import atomic_write_text, iter_data_lines, read_text_strict
+from .fileio import atomic_write_text, read_text_strict
 
 SURFACE_JOINER = "_"
 SENSE_SEPARATOR = "-"
@@ -239,28 +238,6 @@ def write_annotations(tags: Tags, sentences: Sentences, path: str) -> None:
         usage = int(relation is not None)
         lines.append(f"{k}\t{start}\t{end}\t{surface}\t{relation or ''}\t{usage}\n")
     atomic_write_text(path, "".join(lines))
-
-
-def load_default_senses(path: str) -> dict[str, str]:
-    """Load `surface<TAB>relation` defaults for the heuristic tagger. A
-    surface is keyed by its lowercased tokens, space-joined, as the
-    connective inventory keys its forms."""
-    senses: dict[str, str] = {}
-    for lineno, payload in iter_data_lines(read_text_strict(path)):
-        parts = payload.split("\t")
-        if len(parts) != 2:
-            raise PipelineError(f"{path}: expected `surface<TAB>relation` at line {lineno}")
-        surface = " ".join(tokenize(parts[0]))  # lowercased by default
-        relation = parts[1].strip()
-        if not surface or not relation:
-            raise PipelineError(f"{path}: empty field at line {lineno}")
-        check_label(relation, f"{path}: line {lineno}: ")
-        if surface in senses and senses[surface] != relation:
-            raise PipelineError(f"{path}: conflicting senses for {surface!r} at line {lineno}")
-        senses[surface] = relation
-    if not senses:
-        raise PipelineError(f"{path}: empty default-sense table")
-    return senses
 
 
 def heuristic_tag(

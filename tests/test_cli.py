@@ -678,34 +678,78 @@ class TestPipelineRuns:
         assert main(["run", "all", "--config", str(config)]) == 0
         earlier = {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in out.iterdir()}
         ghost = tmp_path / "ghost.tsv"
-        no_senses = "".join(
-            line for line in text.splitlines(True) if not line.startswith("default_senses")
-        )
-        for edited, message in (
-            (no_senses, "the tag stage needs either 'annotations' or 'default_senses' configured"),
-            (text.replace("senses.tsv", ghost.name), "config key 'default_senses': file not found"),
-            (no_senses + f"annotations = {ghost}\n", "config key 'annotations': file not found"),
-            (text.replace("inventory.en", ghost.name), "config key 'src_inventory': file not found"),
-            (text.replace("inventory.fr", ghost.name), "config key 'tgt_inventory': file not found"),
-            (text.replace("gold.tsv", ghost.name), "config key 'gold_lexicon': file not found"),
-            (text.replace("map.tsv", ghost.name), "config key 'relation_map': file not found"),
+
+        def without(*keys):
+            return "".join(line for line in text.splitlines(True) if line.split(" ")[0] not in keys)
+
+        no_senses = without("default_senses")
+        # A source form whose default sense is no induced label, though the
+        # form never occurs in the corpus.
+        (tmp_path / "plonk.en").write_text("zonk\nfrub\nplonk\n", encoding="utf-8")
+        (tmp_path / "plonk.tsv").write_text("zonk\tREL_A\nfrub\tREL_B\nplonk\tREL_C\n", encoding="utf-8")
+        plonk = text.replace("inventory.en", "plonk.en").replace("senses.tsv", "plonk.tsv")
+        for edited, code, message in (
+            (no_senses, 2, "the tag stage needs either 'annotations' or 'default_senses' configured"),
+            (text.replace("senses.tsv", ghost.name), 2, "config key 'default_senses': file not found"),
+            (no_senses + f"annotations = {ghost}\n", 2, "config key 'annotations': file not found"),
+            (text.replace("inventory.en", ghost.name), 2, "config key 'src_inventory': file not found"),
+            (text.replace("inventory.fr", ghost.name), 2, "config key 'tgt_inventory': file not found"),
+            (text.replace("gold.tsv", ghost.name), 2, "config key 'gold_lexicon': file not found"),
+            (text.replace("map.tsv", ghost.name), 2, "config key 'relation_map': file not found"),
+            # Labels that do not match across tables, each found by a stage
+            # that ran after earlier stages had written.
+            (
+                without("relation_map"),
+                1,
+                "relation_map.tsv: unknown induced label 'Contingency.Condition' at line 2",
+            ),
+            (
+                without("relation_map", "gold_relations"),
+                1,
+                "gold.tsv: unknown relation label 'GOLD_A' at line 1",
+            ),
+            (
+                without("relation_map", "induced_relations"),
+                1,
+                "malformed fused token 'zonk-REL_A': unknown relation label 'REL_A'",
+            ),
+            (plonk, 1, "malformed fused token 'plonk-REL_C': unknown relation label 'REL_C'"),
         ):
             config.write_text(edited, encoding="utf-8")
             capsys.readouterr()
-            assert main(["run", "all", "--config", str(config)]) == 2
+            assert main(["run", "all", "--config", str(config)]) == code
             assert message in capsys.readouterr().err
             # The earlier run's files are left as they were, and nothing is added.
             assert earlier == {
                 path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in out.iterdir()
             }
             fresh = tmp_path / "fresh"
-            assert main(["run", "all", "--config", str(config), "--output", str(fresh)]) == 2
+            assert main(["run", "all", "--config", str(config), "--output", str(fresh)]) == code
             assert not fresh.exists()
         # Tag run alone keeps its own check.
         config.write_text(no_senses, encoding="utf-8")
         capsys.readouterr()
         assert main(["tag", "--config", str(config)]) == 2
         assert "needs either 'annotations' or 'default_senses'" in capsys.readouterr().err
+
+    def test_run_all_reads_the_packaged_tables_for_unset_keys(self, tmp_path):
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        text = "".join(
+            line
+            for line in config.read_text(encoding="utf-8").splitlines(True)
+            if line.split(" ")[0] not in ("relation_map", "induced_relations", "gold_relations")
+        )
+        config.write_text(text, encoding="utf-8")
+        (tmp_path / "senses.tsv").write_text(
+            "zonk\tComparison.Concession\nfrub\tContingency.Condition\n", encoding="utf-8"
+        )
+        (tmp_path / "gold.tsv").write_text("blik tak\tConcession\n", encoding="utf-8")
+        assert main(["run", "all", "--config", str(config)]) == 0
+        # The packaged map takes the Concession sense to the gold pair.
+        report = (tmp_path / "out" / ARTIFACTS["eval_report"]).read_text(encoding="utf-8")
+        assert "relevant_retrieved\t1\ntotal_relevant\t1\n" in report
 
     def test_extract_before_align_names_the_missing_stage(self, mini_run, tmp_path, capsys):
         root, config = mini_run

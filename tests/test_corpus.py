@@ -141,9 +141,8 @@ class TestLoadParallelCorpus:
         src, tgt = write_corpus(tmp_path, ["a b\u2028 .", "c"], ["x", "y\tz"])
         loaded, opened = load_token_corpus(src, tgt), open_token_corpus(src, tgt)
         assert len(opened) == len(loaded) == 2
-        assert [opened[k] for k in (1, 0)] == [loaded[k] for k in (1, 0)]
+        assert [opened[k] for k in (1, 0, 1)] == [loaded[k] for k in (1, 0, 1)]
         assert list(opened) == list(loaded)
-        assert opened.take([1, 0, 1]) == loaded.take([1, 0, 1])
         with pytest.raises(IndexError):
             opened[2]
 

@@ -1,15 +1,14 @@
 """Connective inventories, relation label sets, gold lexicon, relation map."""
 
 import logging
+from pathlib import Path
 
 import pytest
 
+import dclex
 from dclex.corpus import FrequencyTable
 from dclex.errors import PipelineError
 from dclex.inventory import (
-    default_gold_relations,
-    default_induced_relations,
-    default_relation_map,
     load_connective_inventory,
     load_gold_lexicon,
     load_relation_inventory,
@@ -140,22 +139,29 @@ class TestRelationMap:
             load_relation_map(str(path), induced=("A.B",), gold=())
 
 
+# The packaged tables, which the CLI reads when their config keys are unset.
+DATA = Path(dclex.__file__).with_name("data")
+INDUCED = str(DATA / "induced_relations.txt")
+GOLD = str(DATA / "gold_relations.txt")
+MAP = str(DATA / "relation_map.tsv")
+
+
 class TestPackagedDefaults:
     def test_induced_inventory_shape(self):
-        labels = default_induced_relations()
+        labels = load_relation_inventory(INDUCED)
         assert len(labels) == 14
         assert "Comparison.Concession" in labels
         assert all(" " not in lab and "-" not in lab for lab in labels)
 
     def test_gold_inventory_shape(self):
-        labels = default_gold_relations()
+        labels = load_relation_inventory(GOLD)
         assert len(labels) == 15
         assert "Concession" in labels and "Condition" in labels
 
     def test_default_map_is_consistent_with_defaults(self):
-        rel_map = default_relation_map()
-        induced = set(default_induced_relations())
-        gold = set(default_gold_relations())
+        rel_map = load_relation_map(MAP)
+        induced = set(load_relation_inventory(INDUCED))
+        gold = set(load_relation_inventory(GOLD))
         assert rel_map  # non-empty
         for src, dst in rel_map.items():
             assert src in induced and dst in gold

@@ -314,6 +314,27 @@ class TestEvidence:
         grouped = group_sites(corpus, sites, INVENTORY, SRC_INVENTORY, RELATIONS)
         assert grouped == {("même si", "Comparison.Concession"): [(0, 0, 0, 1)]}
 
+    def test_grouping_reads_one_pair_at_a_time(self):
+        # The sites may name most of the corpus; grouping must not hold all
+        # their pairs at once, so a corpus that serves one pair at a time
+        # and refuses a batch read is enough.
+        corpus, alignments = evidence_fixture()
+        sites = build_phrase_table(corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS).sites
+
+        class PairByPair:
+            def __len__(self):
+                return len(corpus)
+
+            def __getitem__(self, k):
+                return corpus[k]
+
+            def take(self, ks):
+                raise AssertionError("grouping read a batch of pairs")
+
+        grouped = group_sites(PairByPair(), sites, INVENTORY, SRC_INVENTORY, RELATIONS)
+        assert grouped == group_sites(corpus, sites, INVENTORY, SRC_INVENTORY, RELATIONS)
+        assert grouped
+
     def test_sites_no_scan_counts_are_fatal(self):
         corpus, alignments = evidence_fixture()
         sites = build_phrase_table(corpus, alignments, INVENTORY, SRC_INVENTORY, RELATIONS).sites

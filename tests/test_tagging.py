@@ -7,14 +7,13 @@ import pytest
 
 from dclex.corpus import TokenColumns, load_parallel_corpus
 from dclex.errors import PipelineError
-from dclex.inventory import load_connective_inventory
+from dclex.inventory import load_connective_inventory, load_default_senses
 from dclex.tagging import (
     Tags,
     fuse_corpus,
     fuse_token,
     heuristic_tag,
     load_annotations,
-    load_default_senses,
     split_fused_token,
     write_annotations,
     write_fused_corpus,
