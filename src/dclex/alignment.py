@@ -16,13 +16,16 @@ them into the counts before the next chunk runs, so the counts take the
 posteriors in corpus order. The posterior and count buffers are allocated
 once per fit, the M-step divides in place, and the E-step works through
 its chunk in blocks of rows, so no EM temporary grows with the corpus or
-the chunk. Every sum that feeds t, q or the log-likelihood is a running sum
-in a fixed order (`bincount` and `add.at` add their inputs one by one, from
-0.0, and `cumsum` adds left to right), never a pairwise or vectorized
-reduction, so t and q are bit-identical for any chunk size and equal, float
-for float, to adding them up in a Python loop. The log-likelihood is one
-running sum over the rows in corpus order, carried from chunk to chunk, so
-it does not depend on the chunking either; but it takes each row's log with
+the chunk. The M-step adds up its row totals with `add.at` into a buffer
+of one float per row, which reads each slot's int32 row as it is, and
+gathers them back a block of slots at a time. Every sum that feeds t, q or
+the log-likelihood is a running sum in a fixed order (`bincount` and
+`add.at` add their inputs one by one, from 0.0, and `cumsum` adds left to
+right), never a pairwise or vectorized reduction, so t and q are
+bit-identical for any chunk size and equal, float for float, to adding them
+up in a Python loop. The log-likelihood is one running sum over the rows in
+corpus order, carried from chunk to chunk, so it does not depend on the
+chunking either; but it takes each row's log with
 `np.log`, whose last bit may differ by host (numpy picks its vectorized log,
 AVX-512 or not, by CPU), so its last bits depend on the host, where t, q and
 the links do not. A NULL source token (virtual index -1) absorbs target
@@ -43,11 +46,16 @@ forward table releases its EM state before the backward table is made.
 The links of a corpus travel as one `Links`: per-pair offsets into int32
 source and target columns. Viterbi decoding, `transpose`, `symmetrize`,
 `write_alignments` and `read_alignments` all work on the columns, so no
-Python object is made per link. grow-diag-final scans the pairs in
-lock-step, candidate k of every pair at step k, over per-pair bool grids.
-The phrasetable scan reads the columns too (`_box_sources`); only tests
-turn a pair's links into tuples (`Links.pair`). This module is the only one
-that knows the text format. `viterbi_align_model2`, a per-pair Model 2 decoder, and
+Python object is made per link. Each pair's links depend on that pair
+alone, so `decode` takes any list of pairs, the results of a subset go
+through `transpose` and `symmetrize` as a corpus of their own, and
+`Links.spread` puts them back in place among pairs with no links: the align
+stage decodes only the pairs that hold a fused source connective.
+grow-diag-final scans the pairs in lock-step, candidate k of every pair at
+step k, over per-pair bool grids. The phrasetable scan reads the columns
+too (`_box_sources`); only tests turn a pair's links into tuples
+(`Links.pair`). This module is the only one that knows the text format.
+`viterbi_align_model2`, a per-pair Model 2 decoder, and
 `tests/oracles.viterbi_reference` and `symmetrize_reference` are the
 reference definitions that the columnar path is tested against.
 
@@ -133,6 +141,17 @@ class Links:
         pair = np.repeat(np.arange(len(sets)), np.array([len(links) for links in sets], np.int64))
         cells = np.array([cell for links in sets for cell in links], np.int64).reshape(-1, 2)
         return _collect(pair, cells[:, 0], cells[:, 1], len(sets))
+
+    def spread(self, pairs, n_pairs: int) -> Links:
+        """These links in a corpus of `n_pairs` pairs: pair k's at pair
+        `pairs[k]`, and no links at the others. `pairs` ascend."""
+        import numpy as np
+
+        counts = np.zeros(n_pairs, np.int64)
+        counts[pairs] = np.diff(self.offsets)
+        offsets = np.zeros(n_pairs + 1, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return Links(offsets, self.src, self.tgt)
 
     @classmethod
     def concat(cls, parts: Iterable[Links]) -> Links:
@@ -336,9 +355,9 @@ class _Table:
         import numpy as np
 
         self.row_of = row_of
-        self.n_rows = n_rows
-        widths = np.bincount(row_of, minlength=n_rows).astype(np.float64)
-        self.values = np.take(widths, row_of, mode="clip")
+        self.totals = np.empty(n_rows)
+        self.values = np.empty(len(row_of))
+        self._gather_totals(1.0)
         np.divide(1.0, self.values, out=self.values)
 
     def m_step(self, counts) -> None:
@@ -346,9 +365,22 @@ class _Table:
         row's slots added up in slot order, in place."""
         import numpy as np
 
-        totals = np.bincount(self.row_of, weights=counts, minlength=self.n_rows)
-        np.take(totals, self.row_of, out=self.values, mode="clip")
+        self._gather_totals(counts)
         np.divide(counts, self.values, out=self.values)
+
+    def _gather_totals(self, counts) -> None:
+        """Add up each row's `counts` (one per slot, or one for all) in slot
+        order, from 0.0, and put each slot's row total in `values`. The
+        int32 `row_of` is read as it is: `add.at` takes it without a copy,
+        and the totals are gathered _BLOCK_CELLS slots at a time, since
+        `take` copies its indices to intp."""
+        import numpy as np
+
+        self.totals.fill(0.0)
+        np.add.at(self.totals, self.row_of, counts)
+        for lo in range(0, len(self.row_of), _BLOCK_CELLS):
+            hi = lo + _BLOCK_CELLS
+            np.take(self.totals, self.row_of[lo:hi], out=self.values[lo:hi], mode="clip")
 
 
 class _Chunk(NamedTuple):
@@ -652,16 +684,28 @@ class TranslationTable:
         if not len(pairs):
             return _collect(pairs, pairs, pairs, 0)
         ns, ms = self.n[pairs], self.m[pairs]
-        sizes = ns.astype(np.int64) * ms
-        if (np.diff(pairs) == 1).all():
-            start = self.first_cell[pairs[0]]
-            cells = slice(start, start + int(sizes.sum()))
+        if (np.diff(pairs) > 0).all():
+            # The cells from the first pair's to the last's, less those of
+            # the pairs between them that are not asked for.
+            lo, hi = pairs[0], pairs[-1] + 1
+            window = slice(self.first_cell[lo], self.first_cell[hi - 1] + int(ns[-1]) * int(ms[-1]))
+            wanted = np.zeros(hi - lo, bool)
+            wanted[pairs - lo] = True
+            keep = np.repeat(wanted, self.n[lo:hi].astype(np.int64) * self.m[lo:hi])
+
+            def cells_of(column):
+                return column[window][keep]
+
         else:
-            cells = _spans(self.first_cell[pairs], sizes)
-        scores = np.take(self.t.values, self.cells[cells], mode="clip")
+            at = _spans(self.first_cell[pairs], ns.astype(np.int64) * ms)
+
+            def cells_of(column):
+                return column[at]
+
+        scores = np.take(self.t.values, cells_of(self.cells), mode="clip")
         np.maximum(scores, PROB_FLOOR, out=scores)
         if self.q is not None:
-            q = np.take(self.q.values, self.q_cells[cells], mode="clip")
+            q = np.take(self.q.values, cells_of(self.q_cells), mode="clip")
             scores *= np.maximum(q, PROB_FLOOR, out=q)
             del q
         widths = np.repeat(ns, ms)

@@ -7,10 +7,14 @@ it interns the token files it reads as ingest interned the corpus. Within
 one `run all`, a stage hands what it wrote in memory to the later stages
 that read it instead: ingest's interned corpus and target connective
 occurrences, tag's fused source side, align's links and extract's sites are
-each made once. Evidence reads its pairs from the token files either way,
-and splits only the lines its sites name. A JSON manifest records the
-config snapshot, input digests, per-stage row counts and timing; one call
-reads it and hashes the inputs once.
+each made once. Align trains on every pair but decodes, symmetrizes and
+writes links only for the pairs whose fused source side holds a source
+connective (`tagging.connective_pairs`), the only pairs extract can count a
+site from; `alignments.sym.txt` keeps an empty line for each other pair.
+Evidence reads its pairs from the token files either way, and splits only
+the lines its sites name. A JSON manifest records the config snapshot,
+input digests, per-stage row counts and timing; one call reads it and
+hashes the inputs once.
 
 Each stage imports the modules it runs when it starts, so loading this
 module and validating a config load only `corpus`, `fileio` and `errors`
@@ -314,6 +318,7 @@ def _stage_ingest(
 ) -> dict[str, int]:
     from . import inventory as inv
 
+    tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
     corpus = cp.load_parallel_corpus(
         _require_config_path(cfg, "src_corpus"),
         _require_config_path(cfg, "tgt_corpus"),
@@ -325,7 +330,6 @@ def _stage_ingest(
         raise PipelineError("corpus is empty after loading")
     cp.write_token_file(corpus.src, _out(cfg, "corpus_src"))
     cp.write_token_file(corpus.tgt, _out(cfg, "corpus_tgt"))
-    tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
     freqs = cp.count_occurrences(corpus, tgt_inventory)
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
     handoff["corpus"] = corpus
@@ -347,11 +351,12 @@ def _tag_source(cfg: PipelineConfig) -> str:
 def _check_tables(cfg: PipelineConfig) -> None:
     """Load the input tables that the stages of `run all` read, with the
     checks they make across tables, so that a table a later stage would
-    reject stops the run before ingest writes. Each default sense of a
-    source form must be an induced label, as extract requires of the
+    reject stops the run before ingest writes. Each sense that tag would
+    give a source form, from `default_senses` or from the records of
+    `annotations`, must be an induced label, as extract requires of the
     token it is fused into; the gold tables are loaded only when eval runs.
-    The labels of `annotations` are left to tag, which reads them against
-    the ingested corpus."""
+    Tag still checks the spans of `annotations` against the ingested
+    corpus."""
     from . import inventory as inv
     from . import tagging as tg
 
@@ -360,10 +365,13 @@ def _check_tables(cfg: PipelineConfig) -> None:
     induced = inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
     if _tag_source(cfg) == "default_senses":
         senses = inv.load_default_senses(_require_config_path(cfg, "default_senses"))
-        for form in src_inventory:
-            surface = " ".join(form)
-            if surface in senses:
-                tg.fused_connective(tg.fuse_token(form, senses[surface]), src_inventory, induced)
+        tagged = [
+            (form, senses[" ".join(form)]) for form in src_inventory if " ".join(form) in senses
+        ]
+    else:
+        tagged = tg.annotated_senses(_require_config_path(cfg, "annotations"))
+    for surface, relation in tagged:
+        tg.fused_connective(tg.fuse_token(surface, relation), src_inventory, induced)
     if cfg.gold_lexicon:
         gold_relations = inv.load_relation_inventory(_require_config_path(cfg, "gold_relations"))
         inv.load_gold_lexicon(_require_config_path(cfg, "gold_lexicon"), gold_relations)
@@ -397,13 +405,19 @@ def _stage_align(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, object]:
     from . import alignment as al
+    from . import inventory as inv
+    from . import tagging as tg
 
     pairs = _work_pairs(cfg, handoff)
     src, tgt = pairs.src, pairs.tgt
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
+    # EM trains on every pair; only the pairs that hold a fused source
+    # connective are decoded, since only their links can give extract a site.
+    src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
+    decoded = tg.connective_pairs(src, src_inventory)
 
     def decode(model: al.TranslationTable) -> al.Links:
-        return al.Links.concat(process_chunks(model.decode, range(len(src))))
+        return al.Links.concat(process_chunks(model.decode, decoded))
 
     model = train(pairs, cfg.iterations, cfg.use_null)
     fwd = decode(model)
@@ -414,23 +428,34 @@ def _stage_align(
     bwd = al.transpose(decode(model))
     bwd_ll, bwd_entries = model.log_likelihoods, model.entries
     del model
-    symmetrized = al.symmetrize(fwd, bwd, cfg.heuristic)
+    symmetrized = al.symmetrize(fwd, bwd, cfg.heuristic).spread(decoded, len(src))
     al.write_alignments(symmetrized, _out(cfg, "align_sym"))
     handoff["links"] = symmetrized
-    # Viterbi links each target position at most once, so the forward NULL
-    # rate is 1 - fwd_links / tgt_tokens, and the backward one uses src_tokens.
+    # Viterbi links each target position at most once, so the share of the
+    # decoded target tokens left unlinked is the forward NULL rate; the
+    # backward one is taken over the decoded source tokens.
+    src_tokens = int(src.lengths()[decoded].sum())
+    tgt_tokens = int(tgt.lengths()[decoded].sum())
     return {
         "pairs": len(src),
         "src_tokens": len(src.ids),
         "tgt_tokens": len(tgt.ids),
+        "decoded_pairs": len(decoded),
         "fwd_links": fwd.total,
         "bwd_links": bwd.total,
         "sym_links": symmetrized.total,
+        "fwd_null_rate": _rate(tgt_tokens - fwd.total, tgt_tokens),
+        "bwd_null_rate": _rate(src_tokens - bwd.total, src_tokens),
         "fwd_log_likelihood": list(fwd_ll),
         "bwd_log_likelihood": list(bwd_ll),
         "fwd_t_entries": fwd_entries,
         "bwd_t_entries": bwd_entries,
     }
+
+
+def _rate(part: int, whole: int) -> float | None:
+    """part / whole to six places, or None when `whole` is 0."""
+    return round(part / whole, 6) if whole else None
 
 
 def _stage_extract(

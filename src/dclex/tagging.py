@@ -5,8 +5,9 @@ A tagged connective occurrence is collapsed into a single token
 so that the word aligner sees one relation-bearing unit. Fusion is
 reversible: split at the last '-', map underscores back to spaces. This
 module alone knows that format: `fuse_token` makes a fused token,
-`split_fused_token` and `fused_connective` read one, and `check_label` is
-the rule a relation label must follow to be carried by one.
+`split_fused_token` and `fused_connective` read one, `connective_pairs`
+finds the sentences that hold one, and `check_label` is the rule a relation
+label must follow to be carried by one.
 
 The tags of a corpus are `Tags`, spans as columns, which only
 `heuristic_tag` (a longest-match scan) and `load_annotations` (a stand-off
@@ -18,7 +19,7 @@ tagged sentences change. Sentence k of the tags is line k of `corpus.src`.
 
 from __future__ import annotations
 
-from typing import Container, Mapping, Sequence
+from typing import Container, Iterator, Mapping, Sequence
 
 # `process_chunks` is bound here only for the benchmark's tracer to wrap;
 # the scans run their chunks through `corpus.process_chunks`.
@@ -89,18 +90,50 @@ def fused_connective(
     A token that parses as `<known surface>-<label>` with an unknown label
     signals upstream corruption and is fatal.
     """
-    parsed = split_fused_token(token)
+    parsed = _inventory_token(token, src_forms)
     if parsed is None:
-        return None  # plain token, e.g. an untagged connective occurrence
-    surface = tuple(t.lower() for t in parsed[0])
-    relation = parsed[1]
-    if surface not in src_forms:
         return None
+    surface, relation = parsed
     if relation not in relations:
         raise PipelineError(
             f"malformed fused token {token!r}: unknown relation label {relation!r}"
         )
     return " ".join(surface), relation
+
+
+def _inventory_token(token: str, src_forms: Container[Form]) -> tuple[Form, str] | None:
+    """The lowercased surface and the label of a fused token whose surface
+    is in the source inventory; None for a plain token, e.g. an untagged
+    connective occurrence, and for any other surface."""
+    parsed = split_fused_token(token)
+    if parsed is None:
+        return None
+    surface = tuple(t.lower() for t in parsed[0])
+    return (surface, parsed[1]) if surface in src_forms else None
+
+
+def connective_pairs(side: TokenColumns, src_inventory: Sequence[Form]):
+    """The sentences of `side`, a fused source side, that hold a fused token
+    whose surface is in `src_inventory`, ascending, as int64. Only the links
+    of these pairs can box such a token, so only they can give extract a
+    site, or its error on a token whose label is no induced relation
+    (`fused_connective`). The tokens are judged once per word of the
+    vocabulary, so the pairs do not depend on its order."""
+    import numpy as np
+
+    forms = set(src_inventory)
+    # Only a word with a separator can parse as a fused token.
+    fused = [
+        w
+        for w, word in enumerate(side.vocab)
+        if SENSE_SEPARATOR in word and _inventory_token(word, forms)
+    ]
+    marked = np.zeros(len(side.vocab), bool)
+    marked[fused] = True
+    at = np.flatnonzero(marked[side.ids])
+    held = np.zeros(len(side), bool)
+    held[np.searchsorted(side.offsets, at, side="right") - 1] = True
+    return np.flatnonzero(held)
 
 
 def fuse_corpus(sentences: Sentences, tags: Tags) -> TokenColumns:
@@ -192,10 +225,9 @@ def _check_record(
         )
 
 
-def load_annotations(path: str, sentences: Sentences) -> Tags:
-    """Load stand-off annotations and check each against its sentence of
-    `sentences`."""
-    rows: list[tuple[int, int, int, str | None]] = []
+def _records(path: str) -> Iterator[tuple[int, int, int, int, tuple[str, ...], str | None, bool]]:
+    """(record number, sentence, start, end, surface, relation, usage) of
+    each record of the stand-off file at `path`, its fields parsed."""
     for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -206,14 +238,31 @@ def load_annotations(path: str, sentences: Sentences) -> Tags:
             sid, start, end = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise PipelineError(f"{path}: non-numeric field at record {lineno}") from exc
-        relation = parts[4] or None
         if parts[5] not in ("0", "1"):
             raise PipelineError(f"{path}: usage flag must be 0 or 1 at record {lineno}")
+        yield lineno, sid, start, end, tuple(parts[3].split()), parts[4] or None, parts[5] == "1"
+
+
+def annotated_senses(path: str) -> list[tuple[tuple[str, ...], str]]:
+    """The distinct (surface, relation) of the records of the stand-off file
+    at `path` that carry a relation, in file order, read as
+    `load_annotations` reads them but against no corpus."""
+    senses: dict[tuple[tuple[str, ...], str], None] = {}
+    for _, _, _, _, surface, relation, _ in _records(path):
+        if relation is not None:
+            senses[surface, relation] = None
+    return list(senses)
+
+
+def load_annotations(path: str, sentences: Sentences) -> Tags:
+    """Load stand-off annotations and check each against its sentence of
+    `sentences`."""
+    rows: list[tuple[int, int, int, str | None]] = []
+    for lineno, sid, start, end, surface, relation, usage in _records(path):
         if not 0 <= sid < len(sentences):
             raise PipelineError(f"{path}: unknown sentence id {sid} at record {lineno}")
-        surface = tuple(parts[3].split())
         try:
-            _check_record(sentences[sid], sid, start, end, surface, relation, parts[5] == "1")
+            _check_record(sentences[sid], sid, start, end, surface, relation, usage)
         except PipelineError as exc:
             raise PipelineError(f"{path}: record {lineno}: {exc}") from exc
         rows.append((sid, start, end, relation))

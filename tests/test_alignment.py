@@ -261,14 +261,29 @@ class TestLinksOrder:
         table = train(pairs, iterations=2, use_null=use_null)
         picked = [rng.randrange(len(pairs)) for _ in range(300)]
         picked += range(len(pairs) - 6, len(pairs))
-        decoded = table.decode(picked)
-        if train is train_model1:
-            want = [sorted(viterbi_reference(*pairs[k], flat_t(table), use_null)) for k in picked]
-        else:
-            want = [sorted(viterbi_align_model2(pairs[k], table)) for k in picked]
-        assert [decoded.pair(k) for k in range(len(decoded))] == want
-        assert not use_null or [] in want
-        assert columns(decoded) == columns(Links.of(want))
+        # Pairs in any order, repeats included, and ascending ones, which
+        # are read off the cells between the first and the last.
+        for picked in (picked, sorted(set(picked))):
+            decoded = table.decode(picked)
+            if train is train_model1:
+                t = flat_t(table)
+                want = [sorted(viterbi_reference(*pairs[k], t, use_null)) for k in picked]
+            else:
+                want = [sorted(viterbi_align_model2(pairs[k], table)) for k in picked]
+            assert [decoded.pair(k) for k in range(len(decoded))] == want
+            assert not use_null or [] in want
+            assert columns(decoded) == columns(Links.of(want))
+
+    def test_spread_places_each_pair(self):
+        sets = self.random_link_sets(random.Random(29), 50)
+        at = sorted(random.Random(31).sample(range(120), 50))
+        spread = Links.of(sets).spread(at, 120)
+        want = [[] for _ in range(120)]
+        for k, links in zip(at, sets):
+            want[k] = sorted(links)
+        assert [spread.pair(k) for k in range(len(spread))] == want
+        assert columns(spread) == columns(Links.of(want))
+        assert len(Links.of([]).spread([], 3)) == 3
 
     def test_transpose_equals_the_per_pair_reference(self):
         sets = self.random_link_sets(random.Random(19), 500)
@@ -568,6 +583,21 @@ class TestPinnedFloats:
             parts.append([decoded.pair(k) for k in range(len(decoded))])
         digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
         assert digest == self.DIGEST
+
+    def test_row_totals_are_those_of_bincount(self, monkeypatch):
+        # Each row's total is the running sum of its slots' counts in slot
+        # order, from 0.0, as bincount adds them; the totals are gathered in
+        # blocks, the last one short.
+        monkeypatch.setattr(alignment, "_BLOCK_CELLS", 7)
+        rng = np.random.default_rng(5)
+        row_of = rng.integers(0, 9, 100).astype(np.int32)
+        table = alignment._Table(row_of, 10)
+        widths = np.bincount(row_of, minlength=10).astype(np.float64)
+        assert table.values.tobytes() == (1.0 / widths[row_of]).tobytes()
+        counts = rng.random(100) * 10.0 ** rng.integers(-8, 8, 100)
+        table.m_step(counts)
+        totals = np.bincount(row_of, weights=counts, minlength=10)
+        assert table.values.tobytes() == (counts / totals[row_of]).tobytes()
 
     def test_log_likelihoods_equal_the_references(self):
         # The log of each row's total is numpy's, whose last bits may vary

@@ -24,8 +24,15 @@ from dclex.cli import (
     main,
     validate_config,
 )
-from dclex.alignment import HEURISTICS, NULL_TOKEN, train_model1
-from dclex.corpus import CHUNK_SIZE, load_token_corpus
+from dclex.alignment import (
+    HEURISTICS,
+    NULL_TOKEN,
+    format_alignments,
+    symmetrize,
+    train_model1,
+    transpose,
+)
+from dclex.corpus import CHUNK_SIZE, Bitext, load_token_corpus
 from dclex.errors import UsageError
 from dclex.fileio import iter_data_lines
 from dclex.tagging import split_fused_token
@@ -33,6 +40,12 @@ from dclex.tagging import split_fused_token
 import planted
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def holds_connective(token, surfaces=frozenset({("zonk",), ("frub",)})):
+    """Whether `token` is fused from a source form of the planted corpora."""
+    parsed = split_fused_token(token)
+    return parsed is not None and parsed[0] in surfaces
 
 
 def write_config(tmp_path, body):
@@ -259,11 +272,24 @@ class TestPipelineRuns:
         tgt_lines = (out / ARTIFACTS["corpus_tgt"]).read_text(encoding="utf-8").splitlines()
         src = [line.split() for line in src_lines]
         tgt = [line.split() for line in tgt_lines]
-        sym = (out / ARTIFACTS["align_sym"]).read_text(encoding="utf-8").split()
+        sym = (out / ARTIFACTS["align_sym"]).read_text(encoding="utf-8").split("\n")
         assert (rows["src_tokens"], rows["tgt_tokens"]) == (sum(map(len, src)), sum(map(len, tgt)))
-        assert 0 < rows["fwd_links"] <= rows["tgt_tokens"]
-        assert 0 < rows["bwd_links"] <= rows["src_tokens"]
-        assert rows["sym_links"] == len(sym)
+        # Only the pairs that hold a fused source connective are decoded;
+        # the others keep an empty line.
+        decoded = [k for k, tokens in enumerate(src) if any(map(holds_connective, tokens))]
+        assert 0 < len(decoded) < len(src)
+        assert rows["decoded_pairs"] == len(decoded)
+        assert sym[-1] == "" and len(sym) == len(src) + 1
+        assert all(sym[k] == "" for k in set(range(len(src))) - set(decoded))
+        src_tokens = sum(len(src[k]) for k in decoded)
+        tgt_tokens = sum(len(tgt[k]) for k in decoded)
+        assert 0 < rows["fwd_links"] <= tgt_tokens
+        assert 0 < rows["bwd_links"] <= src_tokens
+        assert rows["sym_links"] == sum(len(line.split()) for line in sym)
+        # Viterbi links each position at most once.
+        assert rows["fwd_null_rate"] == round(1 - rows["fwd_links"] / tgt_tokens, 6)
+        assert rows["bwd_null_rate"] == round(1 - rows["bwd_links"] / src_tokens, 6)
+        assert 0 <= rows["fwd_null_rate"] < 1 and 0 <= rows["bwd_null_rate"] < 1
         # One t entry per co-occurring (e, f), the NULL word included.
         null = [NULL_TOKEN] if validate_config(str(config)).use_null else []
         for key, sides in (("fwd_t_entries", (src, tgt)), ("bwd_t_entries", (tgt, src))):
@@ -342,9 +368,11 @@ class TestPipelineRuns:
             assert first == second, name
 
     # SHA-256 of artifacts of `run all` on a planted corpus of two chunks,
-    # unchanged since links were still Python sets from Viterbi to extract.
+    # unchanged since links were still Python sets from Viterbi to extract;
+    # `align_sym` since align decodes only the pairs that hold a fused
+    # connective, which the next test checks against decoding them all.
     PINNED = {
-        "align_sym": "b016c91c037e7524f3a3dba0804e4a6b6ab0acf16e6a954f1a96d5a569ab8bb4",
+        "align_sym": "46d45375865cb4102c71e388c8393a3e3c9d239752e58bd5e7c688e6a3ff035b",
         "dc_records": "62fef494c2330e061c2e4235e52c6e69f766acd7f91bedcfd680f60275541a9e",
         "lexicon": "96cbb3566e885d880655fb10105928de6177fadf9eb3d84753350e7e2b5e2de2",
         "evidence": "d855bc4449138166ca8789725083f18bb970c98769864a66fcf4ebc27e0d5def",
@@ -358,6 +386,62 @@ class TestPipelineRuns:
             for name in self.PINNED
         }
         assert digests == self.PINNED
+
+    def test_link_file_is_the_full_decode_of_the_connective_pairs(self, tmp_path):
+        config = planted.generate(tmp_path, pairs=CHUNK_SIZE + 300, seed=3)
+        assert main(["run", "all", "--config", str(config)]) == 0
+        cfg = validate_config(str(config))
+        out = tmp_path / "out"
+        work = load_token_corpus(
+            str(out / ARTIFACTS["fused_src"]), str(out / ARTIFACTS["corpus_tgt"])
+        )
+        # Both directions trained, every pair decoded, then symmetrized.
+        everything = range(len(work))
+        forward = train_model1(work, cfg.iterations, cfg.use_null)
+        fwd = forward.decode(everything)
+        backward = train_model1(Bitext(work.tgt, work.src), cfg.iterations, cfg.use_null)
+        bwd = transpose(backward.decode(everything))
+        full = format_alignments(symmetrize(fwd, bwd, cfg.heuristic)).split("\n")
+        lines = (out / ARTIFACTS["align_sym"]).read_text(encoding="utf-8").split("\n")
+        assert len(lines) == len(full) == len(work) + 1
+        kept = 0
+        for k, tokens in enumerate(work.src):
+            if any(map(holds_connective, tokens)):
+                assert lines[k] == full[k], k
+                kept += bool(full[k])
+            else:
+                assert lines[k] == "", k
+        assert 0 < kept < len(work)
+        assert sum(map(bool, full)) == len(work)
+
+    def test_run_all_without_a_fused_connective_writes_empty_links(self, tmp_path):
+        # Every annotation reads its span as non-discourse, so no pair holds
+        # a fused connective: no pair is decoded, and the run goes on.
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        lines = (tmp_path / "corpus.en").read_text(encoding="utf-8").splitlines()
+        tokens = [line.split() for line in lines]
+        rows = [
+            f"{k}\t{i}\t{i}\t{token}\t\t0"
+            for k, sentence in enumerate(tokens)
+            for i, token in enumerate(sentence)
+            if token in ("zonk", "frub")
+        ]
+        annotations = tmp_path / "annotations.tsv"
+        annotations.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config.write_text(
+            config.read_text(encoding="utf-8") + f"annotations = {annotations}\n", encoding="utf-8"
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        assert (out / ARTIFACTS["align_sym"]).read_text(encoding="utf-8") == "\n" * 40
+        manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+        rows = manifest["stages"]["align"]["rows"]
+        assert rows["decoded_pairs"] == rows["sym_links"] == rows["fwd_links"] == 0
+        assert rows["fwd_null_rate"] is None and rows["bwd_null_rate"] is None
+        assert (out / ARTIFACTS["sites"]).read_text(encoding="utf-8") == ""
+        assert set(manifest["stages"]) == set(STAGES)
 
     @pytest.mark.parametrize("variant", ["cased", "annotated"])
     def test_run_all_equals_each_stage_run_alone(self, tmp_path, variant):
@@ -731,6 +815,41 @@ class TestPipelineRuns:
         capsys.readouterr()
         assert main(["tag", "--config", str(config)]) == 2
         assert "needs either 'annotations' or 'default_senses'" in capsys.readouterr().err
+
+    def test_run_all_checks_the_annotation_labels_before_ingest_writes(self, tmp_path, capsys):
+        # A label missing from the induced relations used to stop extract,
+        # after ingest, tag and align had written.
+        config = planted.generate(
+            tmp_path, pairs=300, dc_count=60, thresh_count=20, min_freq=5, iterations=3
+        )
+        lines = (tmp_path / "corpus.en").read_text(encoding="utf-8").splitlines()
+        tokens = [line.split() for line in lines]
+        rows = [
+            f"{k}\t{i}\t{i}\t{token}\t" + ("REL_X\t1" if token == "zonk" else "REL_B\t1")
+            for k, sentence in enumerate(tokens)
+            for i, token in enumerate(sentence)
+            if token in ("zonk", "frub")
+        ]
+        annotations = tmp_path / "annotations.tsv"
+        annotations.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config.write_text(
+            config.read_text(encoding="utf-8") + f"annotations = {annotations}\n", encoding="utf-8"
+        )
+        assert main(["run", "all", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "malformed fused token 'zonk-REL_X': unknown relation label 'REL_X'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_alone_loads_the_target_inventory_before_it_writes(self, tmp_path, capsys):
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        (tmp_path / "inventory.fr").write_text("# no forms\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 1
+        assert "empty connective inventory" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not (out / ARTIFACTS["corpus_src"]).exists()
+        assert not (out / ARTIFACTS["corpus_tgt"]).exists()
 
     def test_run_all_reads_the_packaged_tables_for_unset_keys(self, tmp_path):
         config = planted.generate(

@@ -10,6 +10,8 @@ from dclex.errors import PipelineError
 from dclex.inventory import load_connective_inventory, load_default_senses
 from dclex.tagging import (
     Tags,
+    annotated_senses,
+    connective_pairs,
     fuse_corpus,
     fuse_token,
     heuristic_tag,
@@ -257,6 +259,47 @@ class TestAnnotationIO:
             for corpus in (sentences, TokenColumns.intern(sentences)):
                 with pytest.raises(PipelineError, match=f"^{re.escape(f'{path}: {want}')}$"):
                     load_records(tmp_path, corpus, *records)
+
+
+    def test_annotated_senses_read_the_records_without_a_corpus(self, tmp_path):
+        path = tmp_path / "anns.tsv"
+        path.write_text(
+            "0\t0\t1\tEven though\tR1\t1\n9\t0\t0\tso\t\t0\n"
+            "4\t2\t3\tEven though\tR1\t1\n5\t0\t0\tsi\tR2\t1\n",
+            encoding="utf-8",
+        )
+        assert annotated_senses(str(path)) == [(("Even", "though"), "R1"), (("si",), "R2")]
+        # The record format is checked as `load_annotations` checks it.
+        path.write_text("0\t0\t0\tsi\tX\t2\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"{path}: usage flag must be 0 or 1")):
+            annotated_senses(str(path))
+
+
+class TestConnectivePairs:
+    def test_pairs_holding_a_fused_inventory_form(self):
+        side = TokenColumns.intern(
+            make_corpus(
+                ("a", "even_though-R1"),
+                ("well-known", "b"),  # a surface outside the inventory
+                (),
+                ("c",),
+                ("Si-R2", "si"),  # case aside
+                ("si-UNKNOWN",),  # extract fails on its label, so it is kept
+                ("even-R1",),
+            )
+        )
+        forms = [("even", "though"), ("si",)]
+        assert connective_pairs(side, forms).tolist() == [0, 4, 5]
+        assert connective_pairs(side, forms).dtype == "int64"
+        assert connective_pairs(TokenColumns.intern(make_corpus(("a",), ())), forms).tolist() == []
+
+    def test_pairs_do_not_depend_on_the_vocabulary_order(self):
+        sentences = make_corpus(("x", "zonk-R"), ("zonk",), ("y", "x"), ("zonk-R",))
+        fused = fuse_corpus(make_corpus(("x", "zonk"), ("zonk",), ("y", "x"), ("zonk",)),
+                            tags_of((0, 1, 1, "R"), (3, 0, 0, "R")))
+        assert fused.vocab != TokenColumns.intern(sentences).vocab
+        for side in (fused, TokenColumns.intern(sentences)):
+            assert connective_pairs(side, [("zonk",)]).tolist() == [0, 3]
 
 
 class TestHeuristicTagging:
