@@ -47,10 +47,11 @@ The links of a corpus travel as one `Links`: per-pair offsets into int32
 source and target columns. Viterbi decoding, `transpose`, `symmetrize`,
 `write_alignments` and `read_alignments` all work on the columns, so no
 Python object is made per link. Each pair's links depend on that pair
-alone, so `decode` takes any list of pairs, the results of a subset go
-through `transpose` and `symmetrize` as a corpus of their own, and
-`Links.spread` puts them back in place among pairs with no links: the align
-stage decodes only the pairs that hold a fused source connective.
+alone, so `decode` takes any ascending list of distinct pairs, the results
+of a subset go through `transpose` and `symmetrize` as a corpus of their
+own, and `Links.spread` puts them back in place among pairs with no links:
+the align stage decodes only the pairs that hold both a fused source
+connective and a target connective occurrence.
 grow-diag-final scans the pairs in lock-step, candidate k of every pair at
 step k, over per-pair bool grids. The phrasetable scan reads the columns
 too (`_box_sources`); only tests turn a pair's links into tuples
@@ -673,34 +674,30 @@ class TranslationTable:
         log_likelihood[0] = float(np.cumsum(terms)[-1])
 
     def decode(self, indices: Iterable[int]) -> Links:
-        """Viterbi links of the training pairs at `indices`, in order: each
-        target position links to its best candidate, the first on ties, with
-        t and q floored at PROB_FLOOR. With NULL, candidate 0 is NULL and its
-        links are dropped."""
+        """Viterbi links of the training pairs at `indices`, which must be
+        ascending and distinct, in order: each target position links to its
+        best candidate, the first on ties, with t and q floored at
+        PROB_FLOOR. With NULL, candidate 0 is NULL and its links are
+        dropped."""
         import numpy as np
 
         self._check_held()
         pairs = np.fromiter(indices, np.int64)
         if not len(pairs):
             return _collect(pairs, pairs, pairs, 0)
+        if not ((np.diff(pairs) > 0).all() and 0 <= pairs[0] and pairs[-1] < len(self.n)):
+            raise PipelineError("decode takes ascending, distinct indices of training pairs")
         ns, ms = self.n[pairs], self.m[pairs]
-        if (np.diff(pairs) > 0).all():
-            # The cells from the first pair's to the last's, less those of
-            # the pairs between them that are not asked for.
-            lo, hi = pairs[0], pairs[-1] + 1
-            window = slice(self.first_cell[lo], self.first_cell[hi - 1] + int(ns[-1]) * int(ms[-1]))
-            wanted = np.zeros(hi - lo, bool)
-            wanted[pairs - lo] = True
-            keep = np.repeat(wanted, self.n[lo:hi].astype(np.int64) * self.m[lo:hi])
+        # The cells from the first pair's to the last's, less those of the
+        # pairs between them that are not asked for.
+        lo, hi = pairs[0], pairs[-1] + 1
+        window = slice(self.first_cell[lo], self.first_cell[hi - 1] + int(ns[-1]) * int(ms[-1]))
+        wanted = np.zeros(hi - lo, bool)
+        wanted[pairs - lo] = True
+        keep = np.repeat(wanted, self.n[lo:hi].astype(np.int64) * self.m[lo:hi])
 
-            def cells_of(column):
-                return column[window][keep]
-
-        else:
-            at = _spans(self.first_cell[pairs], ns.astype(np.int64) * ms)
-
-            def cells_of(column):
-                return column[at]
+        def cells_of(column):
+            return column[window][keep]
 
         scores = np.take(self.t.values, cells_of(self.cells), mode="clip")
         np.maximum(scores, PROB_FLOOR, out=scores)

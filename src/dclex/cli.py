@@ -9,8 +9,9 @@ that read it instead: ingest's interned corpus and target connective
 occurrences, tag's fused source side, align's links and extract's sites are
 each made once. Align trains on every pair but decodes, symmetrizes and
 writes links only for the pairs whose fused source side holds a source
-connective (`tagging.connective_pairs`), the only pairs extract can count a
-site from; `alignments.sym.txt` keeps an empty line for each other pair.
+connective and whose target side holds a target connective occurrence
+(`tagging.connective_pairs`), the only pairs extract can count a site
+from; `alignments.sym.txt` keeps an empty line for each other pair.
 Evidence reads its pairs from the token files either way, and splits only
 the lines its sites name. A JSON manifest records the config snapshot,
 input digests, per-stage row counts and timing; one call reads it and
@@ -228,14 +229,15 @@ def _recorded_stages(path: Path) -> dict[str, object]:
 
 def open_manifest(cfg: PipelineConfig) -> dict:
     """The reproducibility record of this run: its "version", "config" and
-    "inputs" (the SHA-256 of each input file, by path), and the "stages"
+    "inputs" (the SHA-256 of each input file that exists, by path, the
+    packaged table included for an unset relation key), and the "stages"
     that the manifest under the output directory, if any, records (per
     stage, its rows and seconds, or why it was skipped). The output
     directory is made if need be."""
     path = _manifest_path(cfg)
     stages = _recorded_stages(path) if path.is_file() else {}
     path.parent.mkdir(parents=True, exist_ok=True)
-    files = [getattr(cfg, key) for key in _INPUT_KEYS]
+    files = [_config_path(cfg, key) for key in _INPUT_KEYS]
     return {
         "version": __version__,
         "config": dataclasses.asdict(cfg),
@@ -277,10 +279,15 @@ _PACKAGED_TABLES = {
 }
 
 
-def _require_config_path(cfg: PipelineConfig, key: str) -> str:
+def _config_path(cfg: PipelineConfig, key: str) -> str | Path | None:
     """The file that config key `key` names, or the packaged table that
-    stands for it when it is unset."""
-    value = getattr(cfg, key) or _PACKAGED_TABLES.get(key)
+    stands for it when it is unset, or None."""
+    return getattr(cfg, key) or _PACKAGED_TABLES.get(key)
+
+
+def _require_config_path(cfg: PipelineConfig, key: str) -> str:
+    """`_config_path`, which must name a file."""
+    value = _config_path(cfg, key)
     if not value:
         raise UsageError(f"config key {key!r} is required by this stage")
     if not Path(value).is_file():
@@ -290,11 +297,11 @@ def _require_config_path(cfg: PipelineConfig, key: str) -> str:
 
 # What a stage of one `run all` hands to the later stages that read it, by
 # name (see `main`): "corpus", ingest's `Bitext`, read by tag;
-# "occurrences", ingest's target connective occurrences, read by extract;
-# "work", tag's `Bitext` of the fused source and the target side, read by
-# align and extract; "links", align's symmetrized links, read by extract;
-# "sites", extract's sites, read by evidence. Pair k is line k of the token
-# files.
+# "occurrences", ingest's target connective occurrences, read by align and
+# extract; "work", tag's `Bitext` of the fused source and the target side,
+# read by align and extract; "links", align's symmetrized links, read by
+# extract; "sites", extract's sites, read by evidence. Pair k is line k of
+# the token files.
 Handoff = dict[str, object]
 
 
@@ -411,10 +418,15 @@ def _stage_align(
     pairs = _work_pairs(cfg, handoff)
     src, tgt = pairs.src, pairs.tgt
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
-    # EM trains on every pair; only the pairs that hold a fused source
-    # connective are decoded, since only their links can give extract a site.
+    # EM trains on every pair; only the pairs that can give extract a site
+    # are decoded. Ingest's occurrences are those of the same target side
+    # (extract pops them); alone, the stage scans it.
     src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
-    decoded = tg.connective_pairs(src, src_inventory)
+    occurrences = handoff.get("occurrences")
+    if occurrences is None:
+        tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
+        occurrences = cp.find_occurrences(tgt, tgt_inventory)
+    decoded = tg.connective_pairs(src, src_inventory, occurrences)
 
     def decode(model: al.TranslationTable) -> al.Links:
         return al.Links.concat(process_chunks(model.decode, decoded))

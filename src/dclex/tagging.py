@@ -6,8 +6,9 @@ so that the word aligner sees one relation-bearing unit. Fusion is
 reversible: split at the last '-', map underscores back to spaces. This
 module alone knows that format: `fuse_token` makes a fused token,
 `split_fused_token` and `fused_connective` read one, `connective_pairs`
-finds the sentences that hold one, and `check_label` is the rule a relation
-label must follow to be carried by one.
+finds the pairs that hold one and a target connective occurrence, and
+`check_label` is the rule a relation label must follow to be carried by
+one.
 
 The tags of a corpus are `Tags`, spans as columns, which only
 `heuristic_tag` (a longest-match scan) and `load_annotations` (a stand-off
@@ -25,6 +26,7 @@ from typing import Container, Iterator, Mapping, Sequence
 # the scans run their chunks through `corpus.process_chunks`.
 from .corpus import (
     Form,
+    Occurrences,
     TokenColumns,
     _spans,
     find_occurrences,
@@ -112,13 +114,16 @@ def _inventory_token(token: str, src_forms: Container[Form]) -> tuple[Form, str]
     return (surface, parsed[1]) if surface in src_forms else None
 
 
-def connective_pairs(side: TokenColumns, src_inventory: Sequence[Form]):
-    """The sentences of `side`, a fused source side, that hold a fused token
-    whose surface is in `src_inventory`, ascending, as int64. Only the links
-    of these pairs can box such a token, so only they can give extract a
-    site, or its error on a token whose label is no induced relation
-    (`fused_connective`). The tokens are judged once per word of the
-    vocabulary, so the pairs do not depend on its order."""
+def connective_pairs(side: TokenColumns, src_inventory: Sequence[Form], occurrences: Occurrences):
+    """The pairs that can give extract a site: those whose sentence of
+    `side`, a fused source side, holds a fused token whose surface is in
+    `src_inventory`, and whose target side holds one of `occurrences`, the
+    target connective occurrences of the same corpus; ascending, as int64.
+    Only the links of these pairs can box such a token with an occurrence,
+    so only they can give extract a site, or its error on a token whose
+    label is no induced relation (`fused_connective`); align decodes them
+    alone. The tokens are judged once per word of the vocabulary, so the
+    pairs do not depend on its order."""
     import numpy as np
 
     forms = set(src_inventory)
@@ -133,7 +138,9 @@ def connective_pairs(side: TokenColumns, src_inventory: Sequence[Form]):
     at = np.flatnonzero(marked[side.ids])
     held = np.zeros(len(side), bool)
     held[np.searchsorted(side.offsets, at, side="right") - 1] = True
-    return np.flatnonzero(held)
+    found = np.zeros(len(side), bool)
+    found[occurrences.pair] = True
+    return np.flatnonzero(held & found)
 
 
 def fuse_corpus(sentences: Sentences, tags: Tags) -> TokenColumns:

@@ -224,7 +224,7 @@ class TestTrainedPairDecoding:
         vocab_src, vocab_tgt = ["a", "b", "c", "d"], ["u", "v", "w"]
         pairs = random_corpus(rng, CHUNK_SIZE + 200, vocab_src, vocab_tgt, max_len=4)
         indices = range(CHUNK_SIZE - 100, len(pairs))  # crosses a chunk boundary
-        scattered = [len(pairs) - 1, 5, 4, CHUNK_SIZE, 5, 0]  # not a run of pairs
+        scattered = sorted({len(pairs) - 1, 5, 4, CHUNK_SIZE, 0})  # not a run of pairs
         for use_null in (True, False):
             table = train_model1(pairs, iterations=2, use_null=use_null)
             tables = train_model2(pairs, iterations=2, use_null=use_null)
@@ -261,18 +261,25 @@ class TestLinksOrder:
         table = train(pairs, iterations=2, use_null=use_null)
         picked = [rng.randrange(len(pairs)) for _ in range(300)]
         picked += range(len(pairs) - 6, len(pairs))
-        # Pairs in any order, repeats included, and ascending ones, which
-        # are read off the cells between the first and the last.
-        for picked in (picked, sorted(set(picked))):
-            decoded = table.decode(picked)
-            if train is train_model1:
-                t = flat_t(table)
-                want = [sorted(viterbi_reference(*pairs[k], t, use_null)) for k in picked]
-            else:
-                want = [sorted(viterbi_align_model2(pairs[k], table)) for k in picked]
-            assert [decoded.pair(k) for k in range(len(decoded))] == want
-            assert not use_null or [] in want
-            assert columns(decoded) == columns(Links.of(want))
+        # Ascending pairs, read off the cells between the first and the last.
+        picked = sorted(set(picked))
+        decoded = table.decode(picked)
+        if train is train_model1:
+            t = flat_t(table)
+            want = [sorted(viterbi_reference(*pairs[k], t, use_null)) for k in picked]
+        else:
+            want = [sorted(viterbi_align_model2(pairs[k], table)) for k in picked]
+        assert [decoded.pair(k) for k in range(len(decoded))] == want
+        assert not use_null or [] in want
+        assert columns(decoded) == columns(Links.of(want))
+
+    @pytest.mark.parametrize("picked", [[3, 1], [1, 1], [-1, 2], [0, 406]],
+                             ids=["descending", "repeated", "negative", "past-the-end"])
+    def test_decode_takes_only_ascending_distinct_pairs(self, picked):
+        pairs = random_corpus(random.Random(41), 406, ["a", "b"], ["u", "v"], max_len=3)
+        table = train_model1(pairs, iterations=1)
+        with pytest.raises(PipelineError, match="ascending, distinct"):
+            table.decode(picked)
 
     def test_spread_places_each_pair(self):
         sets = self.random_link_sets(random.Random(29), 50)
@@ -379,7 +386,7 @@ class TestChunking:
     def state(table, n_pairs):
         q = (table.shapes, table.q.values.tolist()) if table.q is not None else None
         decoded = [table.decode(picked) for picked in
-                   (range(n_pairs), range(n_pairs - 1, -1, -3))]
+                   (range(n_pairs), range(n_pairs % 3, n_pairs, 3))]
         return (table.e_words, table.f_words, table.t.row_of.tolist(), table.t_cols.tolist(),
                 table.t.values.tolist(), q, table.log_likelihoods,
                 [columns(links) for links in decoded])

@@ -31,6 +31,7 @@ from dclex.alignment import (
     symmetrize,
     train_model1,
     transpose,
+    write_alignments,
 )
 from dclex.corpus import CHUNK_SIZE, Bitext, load_token_corpus
 from dclex.errors import UsageError
@@ -46,6 +47,12 @@ def holds_connective(token, surfaces=frozenset({("zonk",), ("frub",)})):
     """Whether `token` is fused from a source form of the planted corpora."""
     parsed = split_fused_token(token)
     return parsed is not None and parsed[0] in surfaces
+
+
+def holds_target(tokens, forms=(("blik", "tak"), ("gorp", "nee"))):
+    """Whether `tokens` hold a target form of the planted corpora."""
+    return any(tuple(tokens[i : i + len(form)]) == form
+               for form in forms for i in range(len(tokens)))
 
 
 def write_config(tmp_path, body):
@@ -274,10 +281,11 @@ class TestPipelineRuns:
         tgt = [line.split() for line in tgt_lines]
         sym = (out / ARTIFACTS["align_sym"]).read_text(encoding="utf-8").split("\n")
         assert (rows["src_tokens"], rows["tgt_tokens"]) == (sum(map(len, src)), sum(map(len, tgt)))
-        # Only the pairs that hold a fused source connective are decoded;
-        # the others keep an empty line.
-        decoded = [k for k, tokens in enumerate(src) if any(map(holds_connective, tokens))]
-        assert 0 < len(decoded) < len(src)
+        # Only the pairs that hold a fused source connective and a target
+        # occurrence are decoded; the others keep an empty line.
+        fused = [k for k, tokens in enumerate(src) if any(map(holds_connective, tokens))]
+        decoded = [k for k in fused if holds_target(tgt[k])]
+        assert 0 < len(decoded) < len(fused) < len(src)
         assert rows["decoded_pairs"] == len(decoded)
         assert sym[-1] == "" and len(sym) == len(src) + 1
         assert all(sym[k] == "" for k in set(range(len(src))) - set(decoded))
@@ -369,10 +377,11 @@ class TestPipelineRuns:
 
     # SHA-256 of artifacts of `run all` on a planted corpus of two chunks,
     # unchanged since links were still Python sets from Viterbi to extract;
-    # `align_sym` since align decodes only the pairs that hold a fused
-    # connective, which the next test checks against decoding them all.
+    # `align_sym` since align decodes only the pairs that hold both a fused
+    # connective and a target occurrence, which the next test checks against
+    # decoding them all.
     PINNED = {
-        "align_sym": "46d45375865cb4102c71e388c8393a3e3c9d239752e58bd5e7c688e6a3ff035b",
+        "align_sym": "6f9a745f559cc39e7690044e4916ec01bf8905a205d17c674b2627cf6fbc5b3f",
         "dc_records": "62fef494c2330e061c2e4235e52c6e69f766acd7f91bedcfd680f60275541a9e",
         "lexicon": "96cbb3566e885d880655fb10105928de6177fadf9eb3d84753350e7e2b5e2de2",
         "evidence": "d855bc4449138166ca8789725083f18bb970c98769864a66fcf4ebc27e0d5def",
@@ -404,15 +413,60 @@ class TestPipelineRuns:
         full = format_alignments(symmetrize(fwd, bwd, cfg.heuristic)).split("\n")
         lines = (out / ARTIFACTS["align_sym"]).read_text(encoding="utf-8").split("\n")
         assert len(lines) == len(full) == len(work) + 1
-        kept = 0
-        for k, tokens in enumerate(work.src):
-            if any(map(holds_connective, tokens)):
+        # Every pair links something in the full decode; a line is kept,
+        # and non-empty, exactly when its pair holds both a fused source
+        # connective and a target occurrence.
+        assert sum(map(bool, full)) == len(work)
+        kept = lone = 0
+        for k, (src, tgt) in enumerate(work):
+            fused = any(map(holds_connective, src))
+            if fused and holds_target(tgt):
                 assert lines[k] == full[k], k
-                kept += bool(full[k])
+                kept += 1
             else:
                 assert lines[k] == "", k
+                lone += fused
         assert 0 < kept < len(work)
-        assert sum(map(bool, full)) == len(work)
+        assert lone > 0
+
+    def test_a_lone_connective_pair_is_not_decoded(self, tmp_path):
+        # A planted `lone` pair holds `zonk` but no `blik tak`, so it holds
+        # no target occurrence and gives no site: its link line is empty,
+        # whether align runs in `run all` or alone. Extract on the links of
+        # every pair, the lone ones decoded, writes the same sites and records.
+        config = planted.generate(
+            tmp_path, pairs=300, dc_count=60, thresh_count=20, min_freq=5, iterations=3
+        )
+        assert main(["run", "all", "--config", str(config)]) == 0
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        work = load_token_corpus(
+            str(out / ARTIFACTS["fused_src"]), str(out / ARTIFACTS["corpus_tgt"])
+        )
+        lone = [k for k, (src, tgt) in enumerate(work) if "durn" in tgt]
+        assert len(lone) == 6
+        assert all(any(map(holds_connective, work.src[k])) for k in lone)
+        together = {
+            name: (out / ARTIFACTS[name]).read_bytes()
+            for name in ("align_sym", "sites", "dc_records")
+        }
+        lines = together["align_sym"].decode("utf-8").split("\n")
+        assert [lines[k] for k in lone] == [""] * len(lone)
+        shutil.copytree(out, alone)
+        (alone / ARTIFACTS["align_sym"]).unlink()
+        assert main(["align", "--config", str(config), "--output", str(alone)]) == 0
+        assert (alone / ARTIFACTS["align_sym"]).read_bytes() == together["align_sym"]
+        cfg = validate_config(str(config))
+        everything = range(len(work))
+        forward = train_model1(work, cfg.iterations, cfg.use_null)
+        backward = train_model1(Bitext(work.tgt, work.src), cfg.iterations, cfg.use_null)
+        full = symmetrize(
+            forward.decode(everything), transpose(backward.decode(everything)), cfg.heuristic
+        )
+        assert all(full.pair(k) for k in lone)
+        write_alignments(full, alone / ARTIFACTS["align_sym"])
+        assert main(["extract", "--config", str(config), "--output", str(alone)]) == 0
+        for name in ("sites", "dc_records"):
+            assert (alone / ARTIFACTS[name]).read_bytes() == together[name], name
 
     def test_run_all_without_a_fused_connective_writes_empty_links(self, tmp_path):
         # Every annotation reads its span as non-discourse, so no pair holds
@@ -851,7 +905,10 @@ class TestPipelineRuns:
         assert not (out / ARTIFACTS["corpus_src"]).exists()
         assert not (out / ARTIFACTS["corpus_tgt"]).exists()
 
-    def test_run_all_reads_the_packaged_tables_for_unset_keys(self, tmp_path):
+    @staticmethod
+    def packaged_config(tmp_path):
+        """A planted config that sets none of the relation keys, with senses
+        and gold labels that the packaged tables hold."""
         config = planted.generate(
             tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
         )
@@ -865,10 +922,29 @@ class TestPipelineRuns:
             "zonk\tComparison.Concession\nfrub\tContingency.Condition\n", encoding="utf-8"
         )
         (tmp_path / "gold.tsv").write_text("blik tak\tConcession\n", encoding="utf-8")
+        return config
+
+    def test_run_all_reads_the_packaged_tables_for_unset_keys(self, tmp_path):
+        config = self.packaged_config(tmp_path)
         assert main(["run", "all", "--config", str(config)]) == 0
         # The packaged map takes the Concession sense to the gold pair.
         report = (tmp_path / "out" / ARTIFACTS["eval_report"]).read_text(encoding="utf-8")
         assert "relevant_retrieved\t1\ntotal_relevant\t1\n" in report
+
+    def test_the_manifest_hashes_the_packaged_tables_read(self, tmp_path):
+        # The packaged tables stand for the unset relation keys, in `run all`
+        # and in a stage run alone, so the manifest hashes them as inputs.
+        config = self.packaged_config(tmp_path)
+        data = Path(cli.__file__).with_name("data")
+        packaged = ("relation_map.tsv", "induced_relations.txt", "gold_relations.txt")
+        path = tmp_path / "out" / ARTIFACTS["manifest"]
+        for argv in (["run", "all"], ["eval"]):
+            assert main([*argv, "--config", str(config)]) == 0
+            inputs = json.loads(path.read_text(encoding="utf-8"))["inputs"]
+            assert len(inputs) == 9
+            for name in packaged:
+                file = data / name
+                assert inputs[str(file)] == hashlib.sha256(file.read_bytes()).hexdigest()
 
     def test_extract_before_align_names_the_missing_stage(self, mini_run, tmp_path, capsys):
         root, config = mini_run

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from dclex.corpus import TokenColumns, load_parallel_corpus
+from dclex.corpus import TokenColumns, find_occurrences, load_parallel_corpus
 from dclex.errors import PipelineError
 from dclex.inventory import load_connective_inventory, load_default_senses
 from dclex.tagging import (
@@ -286,20 +286,28 @@ class TestConnectivePairs:
                 ("Si-R2", "si"),  # case aside
                 ("si-UNKNOWN",),  # extract fails on its label, so it is kept
                 ("even-R1",),
+                ("si-R2",),  # no target occurrence: no link can box it
             )
         )
         forms = [("even", "though"), ("si",)]
-        assert connective_pairs(side, forms).tolist() == [0, 4, 5]
-        assert connective_pairs(side, forms).dtype == "int64"
-        assert connective_pairs(TokenColumns.intern(make_corpus(("a",), ())), forms).tolist() == []
+        tgt = make_corpus(*[("bien", "que")] * 7, ("x",))
+        found = find_occurrences(tgt, [("bien", "que"), ("si",)])
+        assert connective_pairs(side, forms, found).tolist() == [0, 4, 5]
+        assert connective_pairs(side, forms, found).dtype == "int64"
+        none = find_occurrences(tgt, [("si",)])
+        assert connective_pairs(side, forms, none).tolist() == []
+        empty = TokenColumns.intern(make_corpus(("a",), ()))
+        both = find_occurrences(make_corpus(("si",), ("si",)), [("si",)])
+        assert connective_pairs(empty, forms, both).tolist() == []
 
     def test_pairs_do_not_depend_on_the_vocabulary_order(self):
         sentences = make_corpus(("x", "zonk-R"), ("zonk",), ("y", "x"), ("zonk-R",))
         fused = fuse_corpus(make_corpus(("x", "zonk"), ("zonk",), ("y", "x"), ("zonk",)),
                             tags_of((0, 1, 1, "R"), (3, 0, 0, "R")))
+        found = find_occurrences(make_corpus(*[("tak",)] * 4), [("tak",)])
         assert fused.vocab != TokenColumns.intern(sentences).vocab
         for side in (fused, TokenColumns.intern(sentences)):
-            assert connective_pairs(side, [("zonk",)]).tolist() == [0, 3]
+            assert connective_pairs(side, [("zonk",)], found).tolist() == [0, 3]
 
 
 class TestHeuristicTagging:
