@@ -233,10 +233,13 @@ def open_manifest(cfg: PipelineConfig) -> dict:
     packaged table included for an unset relation key), and the "stages"
     that the manifest under the output directory, if any, records (per
     stage, its rows and seconds, or why it was skipped). The output
-    directory is made if need be."""
+    directory is made if need be; a file in its way is a usage error."""
     path = _manifest_path(cfg)
     stages = _recorded_stages(path) if path.is_file() else {}
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"cannot make output directory {path.parent}: {exc.strerror}") from exc
     files = [_config_path(cfg, key) for key in _INPUT_KEYS]
     return {
         "version": __version__,
@@ -358,8 +361,10 @@ def _tag_source(cfg: PipelineConfig) -> str:
 def _check_tables(cfg: PipelineConfig) -> None:
     """Load the input tables that the stages of `run all` read, with the
     checks they make across tables, so that a table a later stage would
-    reject stops the run before ingest writes. Each sense that tag would
-    give a source form, from `default_senses` or from the records of
+    reject stops the run before ingest writes. `default_senses` must give
+    every `src_inventory` form a sense, even a form that never occurs,
+    which tag alone does not require. Each sense that tag would give a
+    source form, from `default_senses` or from the records of
     `annotations`, must be an induced label, as extract requires of the
     token it is fused into; the gold tables are loaded only when eval runs.
     Tag still checks the spans of `annotations` against the ingested
@@ -372,9 +377,10 @@ def _check_tables(cfg: PipelineConfig) -> None:
     induced = inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
     if _tag_source(cfg) == "default_senses":
         senses = inv.load_default_senses(_require_config_path(cfg, "default_senses"))
-        tagged = [
-            (form, senses[" ".join(form)]) for form in src_inventory if " ".join(form) in senses
-        ]
+        for form in src_inventory:
+            if " ".join(form) not in senses:
+                raise tg.no_default_sense(form)
+        tagged = [(form, senses[" ".join(form)]) for form in src_inventory]
     else:
         tagged = tg.annotated_senses(_require_config_path(cfg, "annotations"))
     for surface, relation in tagged:

@@ -94,27 +94,15 @@ class TokenColumns(Sequence[tuple[str, ...]]):
         return tuple([vocab[w] for w in self.ids[self.offsets[k] : self.offsets[k + 1]].tolist()])
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:
-        return iter(self.take(range(len(self))))
+        words = list(map(self.vocab.__getitem__, self.ids.tolist()))
+        bounds = self.offsets.tolist()
+        return iter([tuple(words[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
     def lengths(self):
         """The number of tokens of each sentence."""
         import numpy as np
 
         return np.diff(self.offsets)
-
-    def take(self, ks: Sequence[int]) -> list[tuple[str, ...]]:
-        """Sentences `ks`, read in one pass."""
-        import numpy as np
-
-        ks = np.asarray(ks, np.int64)
-        starts = self.offsets[ks]
-        ends = np.cumsum(self.offsets[ks + 1] - starts)
-        if not len(ks) or not ends[-1]:
-            return [()] * len(ks)
-        ids = self.ids[_spans(starts, ends - np.append(0, ends[:-1]))].tolist()
-        words = list(map(self.vocab.__getitem__, ids))
-        bounds = [0, *ends.tolist()]
-        return [tuple(words[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def to_bytes(self) -> bytes:
         """The token-file text: each sentence's words joined by one space,

@@ -4,7 +4,8 @@ lexicon, the relation map and the default-sense table, one loader each.
 A connective inventory is a list of forms, each the lowercased tokens of one
 surface; a gold lexicon is a set of (connective text, relation) pairs; a
 relation map takes induced relation labels to gold labels; a default-sense
-table takes a connective text to its relation label. The packaged default
+table takes a connective text to its relation label. A connective text is
+a form's tokens, space-joined, so that it keys the form. The packaged default
 relation inventories and relation map are files under the package's `data/`
 directory, which the CLI reads with these same loaders when their config
 keys are unset.
@@ -26,8 +27,6 @@ def load_connective_inventory(path: str) -> list[Form]:
     seen: dict[Form, None] = {}
     for lineno, payload in iter_data_lines(read_text_strict(path)):
         surface = tuple(tokenize(payload))
-        if not surface:
-            raise PipelineError(f"{path}: no tokens in surface form at line {lineno}")
         if surface in seen:
             logger.warning("%s: duplicate surface form %r at line %d", path, " ".join(surface), lineno)
             continue
@@ -54,19 +53,16 @@ def load_relation_inventory(path: str) -> list[str]:
     return labels
 
 
-def _surface_rows(path: str) -> Iterator[tuple[int, str, str]]:
-    """(lineno, surface, relation) of each `surface<TAB>relation` row of
-    `path`. A surface is keyed by its lowercased tokens, space-joined, as
-    the connective inventory keys its forms."""
+def _rows(path: str, left: str, right: str) -> Iterator[tuple[int, str, str]]:
+    """(lineno, left field, right field) of each `left<TAB>right` row of
+    `path`, each field stripped; `left` and `right` name the columns in the
+    message for a row of another width. Each line is stripped first, so
+    neither field of a two-field row is empty."""
     for lineno, payload in iter_data_lines(read_text_strict(path)):
         parts = payload.split("\t")
         if len(parts) != 2:
-            raise PipelineError(f"{path}: expected `surface<TAB>relation` at line {lineno}")
-        surface = " ".join(tokenize(parts[0]))
-        relation = parts[1].strip()
-        if not surface or not relation:
-            raise PipelineError(f"{path}: empty field at line {lineno}")
-        yield lineno, surface, relation
+            raise PipelineError(f"{path}: expected `{left}<TAB>{right}` at line {lineno}")
+        yield lineno, parts[0].strip(), parts[1].strip()
 
 
 def load_gold_lexicon(
@@ -74,10 +70,10 @@ def load_gold_lexicon(
 ) -> frozenset[tuple[str, str]]:
     """Load `surface<TAB>relation` pairs, validating labels when given."""
     entries: set[tuple[str, str]] = set()
-    for lineno, surface, relation in _surface_rows(path):
+    for lineno, text, relation in _rows(path, "surface", "relation"):
         if relations is not None and relation not in relations:
             raise PipelineError(f"{path}: unknown relation label {relation!r} at line {lineno}")
-        entries.add((surface, relation))
+        entries.add((" ".join(tokenize(text)), relation))
     if not entries:
         raise PipelineError(f"{path}: empty gold lexicon")
     return frozenset(entries)
@@ -90,8 +86,9 @@ def load_default_senses(path: str) -> dict[str, str]:
     from .tagging import check_label
 
     senses: dict[str, str] = {}
-    for lineno, surface, relation in _surface_rows(path):
+    for lineno, text, relation in _rows(path, "surface", "relation"):
         check_label(relation, f"{path}: line {lineno}: ")
+        surface = " ".join(tokenize(text))
         if surface in senses and senses[surface] != relation:
             raise PipelineError(f"{path}: conflicting senses for {surface!r} at line {lineno}")
         senses[surface] = relation
@@ -114,13 +111,7 @@ def load_relation_map(
 ) -> dict[str, str]:
     """Load `induced<TAB>gold` label pairs, validating labels when given."""
     pairs: dict[str, str] = {}
-    for lineno, payload in iter_data_lines(read_text_strict(path)):
-        parts = payload.split("\t")
-        if len(parts) != 2:
-            raise PipelineError(f"{path}: expected `induced<TAB>gold` at line {lineno}")
-        src, dst = parts[0].strip(), parts[1].strip()
-        if not src or not dst:
-            raise PipelineError(f"{path}: empty field at line {lineno}")
+    for lineno, src, dst in _rows(path, "induced", "gold"):
         if induced is not None and src not in induced:
             raise PipelineError(f"{path}: unknown induced label {src!r} at line {lineno}")
         if gold is not None and dst not in gold:

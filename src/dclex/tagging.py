@@ -310,9 +310,13 @@ def heuristic_tag(
     senses = [default_sense.get(" ".join(form)) for form in found.forms]
     relation = [senses[f] for f in found.form.tolist()]
     if None in relation:
-        form = found.forms[found.form[relation.index(None)]]
-        raise PipelineError(f"no default sense for connective {' '.join(form)!r}")
+        raise no_default_sense(found.forms[found.form[relation.index(None)]])
     return Tags(found.pair, found.start, found.start + found.lengths() - 1, relation)
+
+
+def no_default_sense(form: Form) -> PipelineError:
+    """The error for source connective `form`, which has no default sense."""
+    return PipelineError(f"no default sense for connective {' '.join(form)!r}")
 
 
 def write_fused_corpus(sentences: Sentences, path: str) -> None:

@@ -308,6 +308,10 @@ class TestLinksOrder:
             assert [got.pair(k) for k in range(len(got))] == want, heuristic
             assert columns(got) == columns(Links.of(want)), heuristic
 
+    def test_symmetrize_needs_links_of_one_length(self):
+        with pytest.raises(PipelineError, match="length mismatch: 2 vs 1$"):
+            symmetrize(Links.of([[(0, 0)], []]), Links.of([[(0, 0)]]), "union")
+
 
 def swap(pairs):
     return [(tgt, src) for src, tgt in pairs]
@@ -776,6 +780,10 @@ class TestAlignmentIO:
         path = tmp_path / "aln.txt"
         path.write_text("0-0\n1_2\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="line 2"):
+            read_alignments(str(path))
+        # An index of ten digits is past int32.
+        path.write_text("0-0\n1-1234567890\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match="alignment link out of bounds at line 2$"):
             read_alignments(str(path))
 
     @pytest.mark.parametrize("token", ["3", "1-2-3", "-1-2", "1--2", "4-", "-", "1-x", "1-٢"])

@@ -118,11 +118,16 @@ class TestValidateConfig:
         path = write_config(tmp_path, MINIMAL + "use_null = maybe\n")
         with pytest.raises(UsageError, match="'use_null'.*boolean"):
             validate_config(path)
+        path = write_config(tmp_path, MINIMAL + "evidence_min_prob = abc\n")
+        with pytest.raises(UsageError, match="'evidence_min_prob'.*number"):
+            validate_config(path)
 
     def test_range_checks(self, tmp_path):
         for line, message in [
             ("iterations = 0", "iterations"),
+            ("max_phrase_len = 0", "max_phrase_len"),
             ("min_freq = -1", "min_freq"),
+            ("evidence_k = 0", "evidence_k"),
             ("heuristic = magic", "heuristic"),
             ("model = model9", "model"),
             ("evidence_min_prob = 1.5", "evidence_min_prob"),
@@ -635,7 +640,7 @@ class TestPipelineRuns:
         assert records == "bien que\talthough\tComparison.Concession\t1\n"
         assert (out / ARTIFACTS["sites"]).read_text(encoding="utf-8") == "0\t0\t0\t1\n"
 
-    def test_table1_distribution(self, mini_run, capsys):
+    def test_table1_distribution(self, mini_run, tmp_path, capsys):
         root, config = mini_run
         code = main(["report", "--config", str(config)])
         assert code == 0
@@ -643,6 +648,14 @@ class TestPipelineRuns:
         # Both target connectives clear the min_freq=5 bar in this corpus.
         assert "=0\t<5\t>=5\ttotal" in out
         assert "0\t0\t2\t2" in out
+        # A target form that never occurs counts in the `=0` column.
+        inventory = tmp_path / "inventory.fr"
+        inventory.write_text("blik tak\ngorp nee\nnix da\n", encoding="utf-8")
+        text = config.read_text(encoding="utf-8")
+        edited = write_config(tmp_path, text.replace(str(root / "inventory.fr"), str(inventory)))
+        shutil.copytree(root / "out", tmp_path / "out")
+        assert main(["report", "--config", edited, "--output", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == "=0\t<5\t>=5\ttotal\n1\t0\t2\t3\n"
 
     def test_evidence_filter_by_connective(self, mini_run):
         root, config = mini_run
@@ -750,7 +763,7 @@ class TestPipelineRuns:
         err = capsys.readouterr().err
         assert "run the `build` stage first" in err
 
-    def test_run_all_without_gold_lexicon_skips_eval(self, tmp_path):
+    def test_run_all_without_gold_lexicon_skips_eval(self, tmp_path, capsys):
         config = planted.generate(
             tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
         )
@@ -767,6 +780,10 @@ class TestPipelineRuns:
         assert not (out / ARTIFACTS["eval_report"]).exists()
         assert (out / ARTIFACTS["evidence"]).is_file()
         assert (out / ARTIFACTS["table1"]).is_file()
+        # Eval run alone has no lexicon to score against and fails.
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 2
+        assert "config key 'gold_lexicon' is required by this stage" in capsys.readouterr().err
 
     def test_run_all_without_a_gold_pair_at_min_freq_skips_eval(self, tmp_path, capsys):
         config = planted.generate(
@@ -826,6 +843,9 @@ class TestPipelineRuns:
         (tmp_path / "plonk.en").write_text("zonk\nfrub\nplonk\n", encoding="utf-8")
         (tmp_path / "plonk.tsv").write_text("zonk\tREL_A\nfrub\tREL_B\nplonk\tREL_C\n", encoding="utf-8")
         plonk = text.replace("inventory.en", "plonk.en").replace("senses.tsv", "plonk.tsv")
+        # Senses for some source forms only: tag would fail on frub, which
+        # occurs; plonk, which never occurs, needs a sense too.
+        (tmp_path / "zonk.tsv").write_text("zonk\tREL_A\n", encoding="utf-8")
         for edited, code, message in (
             (no_senses, 2, "the tag stage needs either 'annotations' or 'default_senses' configured"),
             (text.replace("senses.tsv", ghost.name), 2, "config key 'default_senses': file not found"),
@@ -852,6 +872,8 @@ class TestPipelineRuns:
                 "malformed fused token 'zonk-REL_A': unknown relation label 'REL_A'",
             ),
             (plonk, 1, "malformed fused token 'plonk-REL_C': unknown relation label 'REL_C'"),
+            (text.replace("senses.tsv", "zonk.tsv"), 1, "no default sense for connective 'frub'"),
+            (text.replace("inventory.en", "plonk.en"), 1, "no default sense for connective 'plonk'"),
         ):
             config.write_text(edited, encoding="utf-8")
             capsys.readouterr()
@@ -984,6 +1006,22 @@ class TestEntryPoint:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_an_output_path_through_a_file_is_exit_2(self, tmp_path, capsys):
+        config = planted.generate(
+            tmp_path / "inputs", pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
+        )
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        listing = sorted(tmp_path.rglob("*"))
+        for output in (blocker, blocker / "out"):
+            for argv in (["run", "all"], ["ingest"]):
+                capsys.readouterr()
+                assert main([*argv, "--config", str(config), "--output", str(output)]) == 2
+                err = capsys.readouterr().err
+                assert f"error: cannot make output directory {output}: " in err
+                assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+                assert sorted(tmp_path.rglob("*")) == listing
+
     def test_corrupt_input_is_exit_1(self, tmp_path, capsys):
         config = planted.generate(
             tmp_path, pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
@@ -995,6 +1033,11 @@ class TestEntryPoint:
         code = main(["ingest", "--config", str(config)])
         assert code == 1
         assert "line count mismatch" in capsys.readouterr().err
+        # Every line pair empty: skip_empty leaves no pair.
+        for side in ("corpus.en", "corpus.fr"):
+            (tmp_path / side).write_text("\n \n\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 1
+        assert "error: corpus is empty after loading" in capsys.readouterr().err
 
     def test_null_token_in_a_cased_corpus_is_exit_1(self, tmp_path, capsys):
         # The aligner's NULL word is named `<NULL>`, so with use_null no

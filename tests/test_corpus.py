@@ -329,6 +329,10 @@ class TestTokenColumns:
         with pytest.raises(IndexError):
             columns[4]
 
+    def test_iteration_gives_every_sentence_empty_ones_too(self):
+        for sentences in (self.SENTENCES, [(), ()], [()], []):
+            assert list(TokenColumns.intern(sentences)) == sentences
+
     def test_token_file_bytes(self, tmp_path):
         for sentences in (self.SENTENCES, [(), ()], [("é", "x")], [], [(), ("ß",), ()]):
             path = tmp_path / "tokens"
@@ -409,4 +413,8 @@ class TestFrequencyTableIO:
         path = tmp_path / "freqs.tsv"
         path.write_text("oops\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="line 1"):
+            read_frequency_table(str(path))
+        # Blank lines are skipped.
+        path.write_text("\nsi\t3\n \noops\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match="bad frequency row at line 4$"):
             read_frequency_table(str(path))

@@ -1,6 +1,7 @@
 """Connective inventories, relation label sets, gold lexicon, relation map."""
 
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from dclex.corpus import FrequencyTable
 from dclex.errors import PipelineError
 from dclex.inventory import (
     load_connective_inventory,
+    load_default_senses,
     load_gold_lexicon,
     load_relation_inventory,
     load_relation_map,
@@ -137,6 +139,51 @@ class TestRelationMap:
             load_relation_map(str(path), induced=(), gold=("X",))
         with pytest.raises(PipelineError):
             load_relation_map(str(path), induced=("A.B",), gold=())
+
+
+class TestTableErrors:
+    """The errors each loader names its file and line in. The gold lexicon,
+    the default senses and the relation map read their rows alike."""
+
+    @pytest.mark.parametrize(
+        "load, what",
+        [
+            (load_relation_inventory, "relation inventory"),
+            (load_gold_lexicon, "gold lexicon"),
+            (load_default_senses, "default-sense table"),
+            (load_relation_map, "relation map"),
+        ],
+    )
+    def test_a_table_without_rows_is_empty(self, tmp_path, load, what):
+        path = tmp_path / "table"
+        path.write_text("# a comment\n\n  \n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: empty {what}$"):
+            load(str(path))
+
+    @pytest.mark.parametrize(
+        "load, columns",
+        [
+            (load_gold_lexicon, "surface<TAB>relation"),
+            (load_default_senses, "surface<TAB>relation"),
+            (load_relation_map, "induced<TAB>gold"),
+        ],
+    )
+    def test_a_row_of_other_than_two_fields_is_named(self, tmp_path, load, columns):
+        # Each line is stripped before it is split, so a blank field at
+        # either end leaves a row of one field.
+        path = tmp_path / "table"
+        for row in ("A", "A\tB\tC", "\tB", "A\t ", "A\t\tB"):
+            path.write_text(f"A \t B\n{row}\n", encoding="utf-8")
+            want = f"{path}: expected `{columns}` at line 2"
+            with pytest.raises(PipelineError, match=f"^{re.escape(want)}$"):
+                load(str(path))
+
+    def test_fields_are_stripped(self, tmp_path):
+        path = tmp_path / "table"
+        path.write_text("Même  si \t A \n", encoding="utf-8")
+        assert load_gold_lexicon(str(path)) == frozenset({("même si", "A")})
+        assert load_default_senses(str(path)) == {"même si": "A"}
+        assert load_relation_map(str(path)) == {"Même  si": "A"}
 
 
 # The packaged tables, which the CLI reads when their config keys are unset.

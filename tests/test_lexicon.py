@@ -150,6 +150,10 @@ class TestLexiconIO:
         path.write_text("si\tREL\t0.5\t1\t0\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="line 1"):
             read_ranked_lexicon(str(path))
+        # A blank line is skipped, and a row has five fields.
+        path.write_text("\nsi\tREL\t0.5\t1\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match="expected 5 fields at line 2$"):
+            read_ranked_lexicon(str(path))
 
 
 def evidence_fixture():

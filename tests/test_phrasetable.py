@@ -455,3 +455,7 @@ class TestFormats:
         path.write_text("a\tb\tc\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="line 1"):
             read_dc_records(str(path))
+        # A blank line is skipped, and the count must be an integer.
+        path.write_text("\nsi\tif\tR\tthree\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match="bad count at line 2$"):
+            read_dc_records(str(path))

@@ -255,6 +255,8 @@ class TestAnnotationIO:
                 "record 1: sentence 1: tokens ('even', 'though') at [0, 1] do not match "
                 "annotated surface ('even', 'so')",
             ),
+            # A blank line is skipped; a position must be a number.
+            (["", "1\tone\t1\teven though\tR\t1"], "non-numeric field at record 2"),
         ):
             for corpus in (sentences, TokenColumns.intern(sentences)):
                 with pytest.raises(PipelineError, match=f"^{re.escape(f'{path}: {want}')}$"):
