@@ -21,27 +21,32 @@ Each stage imports the modules it runs when it starts, so loading this
 module and validating a config load only `corpus`, `fileio` and `errors`
 of the package, and a stage's timing includes loading its modules. Calls
 go through the module (`al.symmetrize`), so a wrapper set on a module
-attribute sees them.
+attribute sees them. The records of the package are `NamedTuple`s, so
+neither loading nor validating loads `dataclasses` (nor `inspect`, which
+it imports); `argparse` loads when the parser is built, and `json` when a
+manifest is read or written. The `dclex` command (`entry`) runs with the
+cyclic garbage collector off: its passes would mostly walk the objects of
+the imported modules, and the few cycles a run leaves die with the process.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import gc
-import json
 import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from . import corpus as cp
 from .corpus import process_chunks
 from .errors import PipelineError, UsageError
 from .fileio import atomic_write_text, iter_data_lines, read_text_strict, sha256_file
+
+if TYPE_CHECKING:  # annotations only: the parser loads argparse when it is built
+    import argparse
 
 logger = logging.getLogger(__name__)
 
@@ -65,9 +70,9 @@ ARTIFACTS = {
 }
 
 
-@dataclass
-class PipelineConfig:
-    """Validated pipeline settings; field names double as config-file keys."""
+class PipelineConfig(NamedTuple):
+    """Validated pipeline settings; field names double as config-file keys,
+    and a key's value parses as its default's type (text when it has none)."""
 
     src_corpus: str
     tgt_corpus: str
@@ -137,6 +142,11 @@ def _parse_float(key: str, raw: str) -> float:
         raise UsageError(f"config key {key!r}: expected a number, got {raw!r}") from exc
 
 
+# The parser of a key, by the type of its default; a key with no default,
+# or a None one, is text.
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float}
+
+
 def _check_ranges(cfg: PipelineConfig) -> None:
     if cfg.iterations < 1:
         raise UsageError(f"config key 'iterations' must be >= 1, got {cfg.iterations}")
@@ -169,7 +179,8 @@ def validate_config(path: str) -> PipelineConfig:
     A retired key (`threads`, `dump_ttables`), which no stage reads any
     more, is logged and dropped.
     """
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+    fields = PipelineConfig._fields
+    defaults = PipelineConfig._field_defaults
     if not Path(path).is_file():
         raise UsageError(f"config file not found: {path}")
     values: dict[str, object] = {}
@@ -188,15 +199,8 @@ def validate_config(path: str) -> PipelineConfig:
             raise UsageError(f"{path}: unknown config key {key!r} at line {lineno}{hint}")
         if key in values:
             raise UsageError(f"{path}: duplicate config key {key!r} at line {lineno}")
-        ftype = fields[key].type
-        if ftype == "int":
-            values[key] = _parse_int(key, raw)
-        elif ftype == "bool":
-            values[key] = _parse_bool(key, raw)
-        elif ftype == "float":
-            values[key] = _parse_float(key, raw)
-        else:
-            values[key] = raw
+        parse = _PARSERS.get(type(defaults.get(key)))
+        values[key] = parse(key, raw) if parse else raw
     missing = [key for key in _REQUIRED_KEYS if key not in values]
     if missing:
         raise UsageError(f"{path}: missing required config key(s): {', '.join(missing)}")
@@ -216,6 +220,8 @@ def _manifest_path(cfg: PipelineConfig) -> Path:
 
 def _recorded_stages(path: Path) -> dict[str, object]:
     """The stages that the manifest at `path` records."""
+    import json
+
     text = read_text_strict(path)
     try:
         data = json.loads(text)
@@ -243,13 +249,15 @@ def open_manifest(cfg: PipelineConfig) -> dict:
     files = [_config_path(cfg, key) for key in _INPUT_KEYS]
     return {
         "version": __version__,
-        "config": dataclasses.asdict(cfg),
+        "config": cfg._asdict(),
         "inputs": {str(file): sha256_file(file) for file in files if file and Path(file).is_file()},
         "stages": stages,
     }
 
 
 def write_manifest(cfg: PipelineConfig, manifest: dict) -> None:
+    import json
+
     atomic_write_text(_manifest_path(cfg), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -696,6 +704,8 @@ def skip_eval(cfg: PipelineConfig, reason: str, manifest: dict) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dclex",
         description="Induce a connective-to-relation lexicon from a parallel corpus.",
@@ -737,7 +747,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             overrides[key] = getattr(args, key)
     if args.output:
         overrides["output_dir"] = args.output
-    cfg = dataclasses.replace(validate_config(path), **overrides)
+    cfg = validate_config(path)._replace(**overrides)
     _check_ranges(cfg)
     return cfg
 
@@ -785,10 +795,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """The `dclex` command: run `main()` on the command line and exit with
-    its code. What the run left is frozen first, so the collections that
-    end the interpreter do not walk it; `main` itself leaves the collector
-    as it was, for callers that go on running."""
+    """The `dclex` command: run `main()` on the command line, with the cyclic
+    collector off, and exit with its code. What the run left is frozen
+    first, so the collections that end the interpreter do not walk it;
+    `main` itself leaves the collector as it was, for callers that go on
+    running."""
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

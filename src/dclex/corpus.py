@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import unicodedata
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, repeat
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import PipelineError
-from .fileio import atomic_write_bytes, atomic_write_text, read_text_strict
+from .fileio import atomic_write_bytes, atomic_write_text, read_rows, read_text_strict
 
 CHUNK_SIZE = 1024
 
@@ -242,8 +241,7 @@ class Bitext(Sequence[tuple[tuple[str, ...], tuple[str, ...]]]):
         return zip(self.src, self.tgt)
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """The pairs that `lexicon.sample_evidence` quotes. The benchmark's
     tracer counts them through `corpus.pairs`; every other function takes
     the `Bitext` itself."""
@@ -553,13 +551,12 @@ def find_occurrences(side: Sequence[Sequence[str]], forms: Sequence[Form]) -> Oc
     return Occurrences(scan.forms, pair, start, form)
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     """Occurrence counts per connective surface form (space-joined text).
     Counted from a corpus, it also holds the occurrences it counts."""
 
     entries: dict[str, int]
-    occurrences: Occurrences | None = field(default=None, compare=False, repr=False)
+    occurrences: Occurrences | None = None
 
     def count(self, form: str) -> int:
         return self.entries.get(form, 0)
@@ -589,11 +586,8 @@ def write_frequency_table(table: FrequencyTable, path: str) -> None:
 
 def read_frequency_table(path: str) -> FrequencyTable:
     entries: dict[str, int] = {}
-    for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, (form, count) in read_rows(path, 2, "bad frequency row at line {lineno}"):
         try:
-            form, count = line.split("\t")
             entries[form] = int(count)
         except ValueError as exc:
             raise PipelineError(f"{path}: bad frequency row at line {lineno}") from exc

@@ -8,9 +8,8 @@ in exact rational arithmetic; decimals appear only in rendered reports.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import PipelineError
 from .fileio import atomic_write_text
@@ -19,8 +18,7 @@ from .lexicon import RankedLexicon
 RECALL_LEVELS = tuple(Fraction(i, 10) for i in range(11))
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """The 11-point curve, AveP and pair recall, and the counts behind them:
     gold pairs retrieved and in all, and gold connectives with a pair
     retrieved and in all."""

@@ -1,5 +1,5 @@
-"""File helpers: strict UTF-8 reads, comment-aware line reading, atomic
-writes, digests."""
+"""File helpers: strict UTF-8 reads, comment-aware line reading, the rows
+of the tab-separated artifacts, atomic writes, digests."""
 
 from __future__ import annotations
 
@@ -29,6 +29,21 @@ def iter_data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, payload
 
 
+def read_rows(
+    path: str, width: int, error: str = "expected {width} fields at line {lineno}"
+) -> Iterator[tuple[int, list[str]]]:
+    """(lineno, fields) of each non-blank line of the tab-separated artifact
+    at `path`, its fields as written. A line of other than `width` fields
+    is fatal: `error`, formatted with `width` and `lineno`, after the path."""
+    for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise PipelineError(f"{path}: " + error.format(width=width, lineno=lineno))
+        yield lineno, fields
+
+
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     """`atomic_write_bytes` of `text` in UTF-8."""
     atomic_write_bytes(path, text.encode("utf-8"))
@@ -38,7 +53,9 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
     """Write `data` to `path` via a temp file + rename in the same directory.
 
     Readers never observe a partially written file. The file gets the mode
-    `open()` would give it: 0666 less the umask.
+    `open()` would give it: 0666 less the umask. A write or rename that
+    fails, as onto a directory in the way, is a `PipelineError` naming
+    `path`, and the temp file is removed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -53,11 +70,13 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise PipelineError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -9,19 +9,17 @@ the relation transfers to whatever target phrase it aligned to.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Bitext, Corpus, Form, FrequencyTable
 from .errors import PipelineError
-from .fileio import atomic_write_text, read_text_strict
+from .fileio import atomic_write_text, read_rows
 from .phrasetable import DCAlignmentRecord, Site
 from .tagging import fused_connective
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     fr_dc: str
     relation: str
     prob: Fraction
@@ -29,8 +27,7 @@ class LexiconEntry:
     corpus_freq: int
 
 
-@dataclass(frozen=True)
-class RankedLexicon:
+class RankedLexicon(NamedTuple):
     """Entries sorted by descending prob, then descending aligned_count,
     then (fr_dc, relation)."""
 
@@ -90,12 +87,7 @@ def read_ranked_lexicon(path: str) -> RankedLexicon:
     """Reload an exported lexicon; probabilities are rebuilt exactly from the
     integer columns rather than the rendered decimals."""
     entries = []
-    for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise PipelineError(f"{path}: expected 5 fields at line {lineno}")
+    for lineno, parts in read_rows(path, 5):
         try:
             aligned, freq = int(parts[3]), int(parts[4])
         except ValueError as exc:
@@ -111,8 +103,7 @@ def read_ranked_lexicon(path: str) -> RankedLexicon:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvidenceExcerpt:
+class EvidenceExcerpt(NamedTuple):
     """Pair `pair_id` (line `pair_id` of the token files, 0-based) with both
     connectives highlighted as __span__."""
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 # `process_chunks` is bound here only for the benchmark's tracer to wrap;
 # the scans run their chunks through `corpus.process_chunks`.
 from .corpus import Bitext, Form, Occurrences, find_occurrences, process_chunks
 from .errors import PipelineError
-from .fileio import atomic_write_text, read_text_strict
+from .fileio import atomic_write_text, read_rows, read_text_strict
 from .tagging import fused_connective
 
 if TYPE_CHECKING:  # annotations only: building a lexicon need not load the aligner
@@ -29,13 +29,14 @@ if TYPE_CHECKING:  # annotations only: building a lexicon need not load the alig
 Site = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class PhraseTableEntry:
+class PhraseTableEntry(NamedTuple):
     src_phrase: Form
     tgt_phrase: Form
     count: int
 
 
+# A dataclass, unlike the package's other records: a NamedTuple would
+# iterate its fields, not its rows.
 @dataclass(frozen=True)
 class PhraseTable:
     """Connective rows sorted by (src_phrase, tgt_phrase), the number of
@@ -50,8 +51,7 @@ class PhraseTable:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class DCAlignmentRecord:
+class DCAlignmentRecord(NamedTuple):
     """A (target connective, source connective, relation) co-occurrence count."""
 
     fr_dc: str
@@ -253,12 +253,7 @@ def write_dc_records(records: Sequence[DCAlignmentRecord], path: str) -> None:
 
 def read_dc_records(path: str) -> list[DCAlignmentRecord]:
     records = []
-    for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise PipelineError(f"{path}: expected 4 fields at line {lineno}")
+    for lineno, parts in read_rows(path, 4):
         try:
             records.append(DCAlignmentRecord(parts[0], parts[1], parts[2], int(parts[3])))
         except ValueError as exc:

@@ -34,7 +34,7 @@ from .corpus import (
     write_token_file,
 )
 from .errors import PipelineError
-from .fileio import atomic_write_text, read_text_strict
+from .fileio import atomic_write_text, read_rows
 
 SURFACE_JOINER = "_"
 SENSE_SEPARATOR = "-"
@@ -235,12 +235,7 @@ def _check_record(
 def _records(path: str) -> Iterator[tuple[int, int, int, int, tuple[str, ...], str | None, bool]]:
     """(record number, sentence, start, end, surface, relation, usage) of
     each record of the stand-off file at `path`, its fields parsed."""
-    for lineno, line in enumerate(read_text_strict(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise PipelineError(f"{path}: expected 6 fields at record {lineno}")
+    for lineno, parts in read_rows(path, 6, "expected {width} fields at record {lineno}"):
         try:
             sid, start, end = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError as exc:

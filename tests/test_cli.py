@@ -1,6 +1,5 @@
 """Config validation, stage orchestration, and the command-line entry point."""
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -165,10 +164,27 @@ class TestValidateConfig:
         block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)[1]
         cfg = validate_config(write_config(tmp_path, block))
         named = {payload.split("=", 1)[0].strip() for _, payload in iter_data_lines(block)}
-        fields = dataclasses.fields(PipelineConfig)
-        assert named == {f.name for f in fields}
-        knobs = [f for f in fields if f.default not in (None, dataclasses.MISSING)]
-        assert {f.name: getattr(cfg, f.name) for f in knobs} == {f.name: f.default for f in knobs}
+        assert named == set(PipelineConfig._fields)
+        defaults = PipelineConfig._field_defaults
+        knobs = [key for key, default in defaults.items() if default is not None]
+        assert {key: getattr(cfg, key) for key in knobs} == {key: defaults[key] for key in knobs}
+
+    def test_each_key_parses_as_its_defaults_type(self, tmp_path):
+        # "1" is a boolean, an integer or a number by the type of the key's
+        # default, and text for a key whose default is text or None, or that
+        # has none; `heuristic` and `model` take one of their names.
+        kinds = dict.fromkeys(("use_null", "lowercase", "skip_empty"), bool)
+        kinds.update(dict.fromkeys(
+            ("iterations", "max_phrase_len", "min_freq", "seed", "limit", "evidence_k"), int
+        ))
+        kinds["evidence_min_prob"] = float
+        required = dict(payload.split(" = ") for _, payload in iter_data_lines(MINIMAL))
+        for key in PipelineConfig._fields:
+            raw = {"heuristic": "union", "model": "model2"}.get(key, "1")
+            body = "".join(f"{k} = {v}\n" for k, v in {**required, key: raw}.items())
+            value = getattr(validate_config(write_config(tmp_path, body)), key)
+            kind = kinds.get(key, str)
+            assert type(value) is kind and value == kind(raw), key
 
 
 @pytest.fixture(scope="module")
@@ -1022,6 +1038,27 @@ class TestEntryPoint:
                 assert blocker.read_text(encoding="utf-8") == "not a directory\n"
                 assert sorted(tmp_path.rglob("*")) == listing
 
+    def test_an_artifact_path_that_is_a_directory_is_exit_1(self, tmp_path, capsys):
+        # A directory in the way of an artifact, or of the manifest, is a
+        # named error, and the temp file written for it is removed.
+        config = planted.generate(
+            tmp_path, pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
+        )
+        assert main(["ingest", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        for name in ("table1.tsv", "manifest.json"):
+            blocked = out / name
+            blocked.unlink(missing_ok=True)
+            blocked.mkdir()
+            capsys.readouterr()
+            assert main(["report", "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert f"error: cannot write {blocked}: Is a directory" in err
+            assert "Traceback" not in err
+            assert blocked.is_dir() and not list(blocked.iterdir())
+            assert not list(out.glob("*.tmp"))
+            blocked.rmdir()
+
     def test_corrupt_input_is_exit_1(self, tmp_path, capsys):
         config = planted.generate(
             tmp_path, pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
@@ -1069,18 +1106,28 @@ class TestEntryPoint:
         assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
 
     def test_entry_exits_with_the_code_of_main(self, tmp_path):
-        # The command freezes what the run left before it exits; `main`,
-        # which tests and the tracer call in-process, leaves the collector be.
+        # The command runs `main` with the cyclic collector off and freezes
+        # what the run left before it exits; `main`, which tests and the
+        # tracer call in-process, leaves the collector be.
         ghost = str(tmp_path / "ghost.cfg")
         frozen = gc.get_freeze_count()
-        assert main(["ingest", "--config", ghost]) == 2
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                assert main(["ingest", "--config", ghost]) == 2
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
         assert gc.get_freeze_count() == frozen
         code = (
             "import gc, dclex.cli\n"
+            "main, seen = dclex.cli.main, []\n"
+            "dclex.cli.main = lambda: seen.append(gc.isenabled()) or main()\n"
             "try:\n    dclex.cli.entry()\n"
-            "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)"
+            "except SystemExit as exc:\n    print(exc.code, seen, gc.get_freeze_count() > 0)"
         )
-        assert run_python("-c", code, "ingest", "--config", ghost).stdout == "2 True\n"
+        done = run_python("-c", code, "ingest", "--config", ghost)
+        assert done.stdout == "2 [False] True\n"
         done = subprocess.run(
             [sys.executable, "-m", "dclex", "ingest", "--config", ghost],
             env=run_python_env(), capture_output=True, text=True, encoding="utf-8",
@@ -1116,6 +1163,9 @@ def test_loading_the_cli_does_not_import_numpy(tmp_path):
     # No stage runs a worker pool, so nothing loads concurrent.futures. A
     # stage's modules load when it runs, and the rare paths' imports
     # (difflib for an unknown key, hashlib for input digests) when they run.
+    # The records are NamedTuples, so dataclasses (and the inspect it
+    # imports) stays unloaded; argparse loads with the parser and json with
+    # a manifest.
     unloaded = [
         "numpy",
         "concurrent.futures",
@@ -1127,6 +1177,10 @@ def test_loading_the_cli_does_not_import_numpy(tmp_path):
         "dclex.inventory",
         "difflib",
         "hashlib",
+        "dataclasses",
+        "inspect",
+        "argparse",
+        "json",
     ]
     code = (
         "import sys, dclex.cli; dclex.cli.validate_config(sys.argv[1]); "
