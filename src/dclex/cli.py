@@ -1,43 +1,48 @@
 """Command-line pipeline: ingest | tag | align | extract | build | eval |
 evidence | report, plus `run all`.
 
-Every stage writes its artifacts to the configured output directory. A stage
-run alone reads its inputs from there, so stages can be rerun individually;
-it interns the token files it reads as ingest interned the corpus. Within
-one `run all`, a stage hands what it wrote in memory to the later stages
-that read it instead: ingest's interned corpus and target connective
-occurrences, tag's fused source side, align's links and extract's sites are
-each made once. Align trains on every pair but decodes, symmetrizes and
-writes links only for the pairs whose fused source side holds a source
-connective and whose target side holds a target connective occurrence
-(`tagging.connective_pairs`), the only pairs extract can count a site
-from; `alignments.sym.txt` keeps an empty line for each other pair.
-Evidence reads its pairs from the token files either way, and splits only
-the lines its sites name. A JSON manifest records the config snapshot,
-input digests, per-stage row counts and timing; one call reads it and
-hashes the inputs once.
+Every stage writes its artifacts to the configured output directory. A
+command first loads the input tables of the stages it runs, once each and
+with the checks across tables (`_tables`), so `run all` stops on a bad
+table before ingest writes; the stages read them from the handoff. A stage
+run alone reads its other inputs from the output directory, so stages can
+be rerun individually; it interns the token files it reads as ingest
+interned the corpus. Within one `run all`, a stage hands what it wrote in
+memory to the later stages that read it instead: ingest's interned corpus
+and target connective occurrences, tag's fused source side, align's links
+and extract's sites are each made once. Align trains on every pair but
+decodes, symmetrizes and writes links only for the pairs whose fused source
+side holds a source connective and whose target side holds a target
+connective occurrence (`tagging.connective_pairs`), the only pairs extract
+can count a site from; `alignments.sym.txt` keeps an empty line for each
+other pair. Evidence reads its pairs from the token files either way, and
+splits only the lines its sites name. A JSON manifest records the config
+snapshot, input digests, per-stage row counts and timing; one call reads it
+and hashes the inputs once.
 
 Each stage imports the modules it runs when it starts, so loading this
-module and validating a config load only `corpus`, `fileio` and `errors`
-of the package, and a stage's timing includes loading its modules. Calls
-go through the module (`al.symmetrize`), so a wrapper set on a module
-attribute sees them. The records of the package are `NamedTuple`s, so
-neither loading nor validating loads `dataclasses` (nor `inspect`, which
-it imports); `argparse` loads when the parser is built, and `json` when a
-manifest is read or written. The `dclex` command (`entry`) runs with the
-cyclic garbage collector off: its passes would mostly walk the objects of
-the imported modules, and the few cycles a run leaves die with the process.
+module and validating a config load only `corpus`, `fileio` and `errors` of
+the package, and a stage's timing includes loading its modules, though not
+its tables. Calls go through the module (`al.symmetrize`), so a wrapper set
+on a module attribute sees them. The records of the package are
+`NamedTuple`s, so neither loading nor validating loads `dataclasses` (nor
+`inspect`, which it imports); `argparse` loads when the parser is built,
+and `json` when a manifest is read or written. The `dclex` command
+(`entry`) runs with the cyclic garbage collector off: its passes would
+mostly walk the objects of the imported modules, and the few cycles a run
+leaves die with the process.
 """
 
 from __future__ import annotations
 
+import errno
 import gc
 import logging
 import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from . import __version__
 from . import corpus as cp
@@ -108,8 +113,8 @@ _HEURISTICS = ("intersection", "union", "grow-diag-final")
 _RETIRED_KEYS = ("threads", "dump_ttables")
 
 _REQUIRED_KEYS = ("src_corpus", "tgt_corpus", "src_inventory", "tgt_inventory")
-# The keys naming input files: `run all` checks each one set before ingest
-# writes, and the manifest records their digests.
+# The keys naming input files, in the order `_tables` checks them; the
+# manifest records their digests.
 _INPUT_KEYS = _REQUIRED_KEYS + (
     "annotations",
     "default_senses",
@@ -175,7 +180,8 @@ def validate_config(path: str) -> PipelineConfig:
     """Parse a line-oriented `key = value` config file, strictly.
 
     Unknown keys are rejected with a closest-match suggestion; missing
-    required keys and out-of-range values are fatal before any work runs.
+    required keys, keys with no value and out-of-range values are fatal
+    before any work runs.
     A retired key (`threads`, `dump_ttables`), which no stage reads any
     more, is logged and dropped.
     """
@@ -199,6 +205,8 @@ def validate_config(path: str) -> PipelineConfig:
             raise UsageError(f"{path}: unknown config key {key!r} at line {lineno}{hint}")
         if key in values:
             raise UsageError(f"{path}: duplicate config key {key!r} at line {lineno}")
+        if not raw:
+            raise UsageError(f"{path}: config key {key!r} has no value at line {lineno}")
         parse = _PARSERS.get(type(defaults.get(key)))
         values[key] = parse(key, raw) if parse else raw
     missing = [key for key in _REQUIRED_KEYS if key not in values]
@@ -239,8 +247,12 @@ def open_manifest(cfg: PipelineConfig) -> dict:
     packaged table included for an unset relation key), and the "stages"
     that the manifest under the output directory, if any, records (per
     stage, its rows and seconds, or why it was skipped). The output
-    directory is made if need be; a file in its way is a usage error."""
+    directory is made if need be; a file in its way is a usage error. A
+    directory in the way of the manifest is the error that writing it would
+    give, before any stage runs."""
     path = _manifest_path(cfg)
+    if path.is_dir():
+        raise PipelineError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     stages = _recorded_stages(path) if path.is_file() else {}
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -296,18 +308,78 @@ def _config_path(cfg: PipelineConfig, key: str) -> str | Path | None:
     return getattr(cfg, key) or _PACKAGED_TABLES.get(key)
 
 
-def _require_config_path(cfg: PipelineConfig, key: str) -> str:
-    """`_config_path`, which must name a file."""
-    value = _config_path(cfg, key)
-    if not value:
-        raise UsageError(f"config key {key!r} is required by this stage")
-    if not Path(value).is_file():
-        raise UsageError(f"config key {key!r}: file not found: {value}")
-    return str(value)
+# The input files each stage reads, by config key. Build reads none, and
+# tag `annotations` if set, or else `src_inventory` and `default_senses`.
+_STAGE_INPUTS = {
+    "ingest": ("src_corpus", "tgt_corpus", "tgt_inventory"),
+    "align": ("src_inventory", "tgt_inventory"),
+    "extract": ("tgt_inventory", "src_inventory", "induced_relations"),
+    "eval": ("gold_relations", "gold_lexicon", "induced_relations", "relation_map"),
+    "evidence": ("tgt_inventory", "src_inventory", "induced_relations"),
+    "report": ("tgt_inventory",),
+}
 
 
-# What a stage of one `run all` hands to the later stages that read it, by
-# name (see `main`): "corpus", ingest's `Bitext`, read by tag;
+def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
+    """The input files that `stages` read, by config key, each read once:
+    every file is checked to be set and to exist, then each table is loaded
+    with the checks the stages make across tables. The corpus files and
+    `annotations` are given by path; ingest and tag read them. When tag and
+    extract run in one command, every sense that tag would give a source
+    form, from `default_senses` or from the records of `annotations`, must
+    be an induced label, as extract requires of the token it is fused into,
+    and `default_senses` must give one to every `src_inventory` form, even
+    one that never occurs, which tag alone does not require."""
+    from . import inventory as inv
+
+    keys = {key for stage in stages for key in _STAGE_INPUTS.get(stage, ())}
+    if "tag" in stages:
+        if not (cfg.annotations or cfg.default_senses):
+            raise UsageError("the tag stage needs either 'annotations' or 'default_senses' configured")
+        keys.update(["annotations"] if cfg.annotations else ["src_inventory", "default_senses"])
+    tables: dict[str, Any] = {}
+    for key in sorted(keys, key=_INPUT_KEYS.index):
+        value = _config_path(cfg, key)
+        if not value:
+            raise UsageError(f"config key {key!r} is required by this stage")
+        if not Path(value).is_file():
+            raise UsageError(f"config key {key!r}: file not found: {value}")
+        tables[key] = str(value)
+    for key, load in (
+        ("tgt_inventory", inv.load_connective_inventory),
+        ("src_inventory", inv.load_connective_inventory),
+        ("induced_relations", inv.load_relation_inventory),
+        ("default_senses", inv.load_default_senses),
+    ):
+        if key in keys:
+            tables[key] = load(tables[key])
+    if "tag" in stages and "extract" in stages:
+        from . import tagging as tg
+
+        src_inventory, senses = tables["src_inventory"], tables.get("default_senses")
+        if senses is None:
+            tagged = tg.annotated_senses(tables["annotations"])
+        else:
+            tagged = [(form, senses.get(" ".join(form))) for form in src_inventory]
+        for surface, relation in tagged:
+            if relation is None:
+                raise tg.no_default_sense(surface)
+            tg.fused_connective(
+                tg.fuse_token(surface, relation), src_inventory, tables["induced_relations"]
+            )
+    if "gold_lexicon" in keys:
+        gold = tables["gold_relations"] = inv.load_relation_inventory(tables["gold_relations"])
+        tables["gold_lexicon"] = inv.load_gold_lexicon(tables["gold_lexicon"], gold)
+        tables["relation_map"] = inv.load_relation_map(
+            tables["relation_map"], tables["induced_relations"], gold
+        )
+    return tables
+
+
+# What a command hands its stages, by name. "tables", the input files of
+# the stages it runs (`_tables`), is read by every stage. Within one
+# `run all`, a stage also hands what it wrote to the later stages that read
+# it (see `main`): "corpus", ingest's `Bitext`, read by tag;
 # "occurrences", ingest's target connective occurrences, read by align and
 # extract; "work", tag's `Bitext` of the fused source and the target side,
 # read by align and extract; "links", align's symmetrized links, read by
@@ -334,12 +406,9 @@ def _work_pairs(cfg: PipelineConfig, handoff: Handoff, last: bool = False) -> cp
 def _stage_ingest(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
-    from . import inventory as inv
-
-    tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
+    tables = handoff["tables"]
     corpus = cp.load_parallel_corpus(
-        _require_config_path(cfg, "src_corpus"),
-        _require_config_path(cfg, "tgt_corpus"),
+        tables["src_corpus"], tables["tgt_corpus"],
         lowercase=cfg.lowercase,
         skip_empty=cfg.skip_empty,
         limit=cfg.limit or None,
@@ -348,61 +417,16 @@ def _stage_ingest(
         raise PipelineError("corpus is empty after loading")
     cp.write_token_file(corpus.src, _out(cfg, "corpus_src"))
     cp.write_token_file(corpus.tgt, _out(cfg, "corpus_tgt"))
-    freqs = cp.count_occurrences(corpus, tgt_inventory)
+    freqs = cp.count_occurrences(corpus, tables["tgt_inventory"])
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
     handoff["corpus"] = corpus
     handoff["occurrences"] = freqs.occurrences
     return {"pairs": len(corpus), "target_forms": len(freqs.entries)}
 
 
-def _tag_source(cfg: PipelineConfig) -> str:
-    """The config key of the file that tag takes its tags from: `annotations`,
-    or else `default_senses`, whose senses it gives the `src_inventory`
-    forms it finds."""
-    if cfg.annotations:
-        return "annotations"
-    if not cfg.default_senses:
-        raise UsageError("the tag stage needs either 'annotations' or 'default_senses' configured")
-    return "default_senses"
-
-
-def _check_tables(cfg: PipelineConfig) -> None:
-    """Load the input tables that the stages of `run all` read, with the
-    checks they make across tables, so that a table a later stage would
-    reject stops the run before ingest writes. `default_senses` must give
-    every `src_inventory` form a sense, even a form that never occurs,
-    which tag alone does not require. Each sense that tag would give a
-    source form, from `default_senses` or from the records of
-    `annotations`, must be an induced label, as extract requires of the
-    token it is fused into; the gold tables are loaded only when eval runs.
-    Tag still checks the spans of `annotations` against the ingested
-    corpus."""
-    from . import inventory as inv
-    from . import tagging as tg
-
-    inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
-    src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
-    induced = inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
-    if _tag_source(cfg) == "default_senses":
-        senses = inv.load_default_senses(_require_config_path(cfg, "default_senses"))
-        for form in src_inventory:
-            if " ".join(form) not in senses:
-                raise tg.no_default_sense(form)
-        tagged = [(form, senses[" ".join(form)]) for form in src_inventory]
-    else:
-        tagged = tg.annotated_senses(_require_config_path(cfg, "annotations"))
-    for surface, relation in tagged:
-        tg.fused_connective(tg.fuse_token(surface, relation), src_inventory, induced)
-    if cfg.gold_lexicon:
-        gold_relations = inv.load_relation_inventory(_require_config_path(cfg, "gold_relations"))
-        inv.load_gold_lexicon(_require_config_path(cfg, "gold_lexicon"), gold_relations)
-        inv.load_relation_map(_require_config_path(cfg, "relation_map"), induced, gold_relations)
-
-
 def _stage_tag(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
-    from . import inventory as inv
     from . import tagging as tg
 
     if "corpus" in handoff:
@@ -410,12 +434,11 @@ def _stage_tag(
     else:
         pairs = _load_pairs(cfg, "corpus_src", "ingest")
     src = pairs.src
-    if _tag_source(cfg) == "annotations":
-        tags = tg.load_annotations(_require_config_path(cfg, "annotations"), src)
+    tables = handoff["tables"]
+    if "annotations" in tables:
+        tags = tg.load_annotations(tables["annotations"], src)
     else:
-        src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
-        senses = inv.load_default_senses(_require_config_path(cfg, "default_senses"))
-        tags = tg.heuristic_tag(src, src_inventory, senses)
+        tags = tg.heuristic_tag(src, tables["src_inventory"], tables["default_senses"])
     fused = tg.fuse_corpus(src, tags)
     tg.write_fused_corpus(fused, _out(cfg, "fused_src"))
     handoff["work"] = cp.Bitext(fused, pairs.tgt)
@@ -426,7 +449,6 @@ def _stage_align(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, object]:
     from . import alignment as al
-    from . import inventory as inv
     from . import tagging as tg
 
     pairs = _work_pairs(cfg, handoff)
@@ -435,12 +457,11 @@ def _stage_align(
     # EM trains on every pair; only the pairs that can give extract a site
     # are decoded. Ingest's occurrences are those of the same target side
     # (extract pops them); alone, the stage scans it.
-    src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
+    tables = handoff["tables"]
     occurrences = handoff.get("occurrences")
     if occurrences is None:
-        tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
-        occurrences = cp.find_occurrences(tgt, tgt_inventory)
-    decoded = tg.connective_pairs(src, src_inventory, occurrences)
+        occurrences = cp.find_occurrences(tgt, tables["tgt_inventory"])
+    decoded = tg.connective_pairs(src, tables["src_inventory"], occurrences)
 
     def decode(model: al.TranslationTable) -> al.Links:
         return al.Links.concat(process_chunks(model.decode, decoded))
@@ -488,7 +509,6 @@ def _stage_extract(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
     from . import alignment as al
-    from . import inventory as inv
     from . import phrasetable as pt
 
     pairs = _work_pairs(cfg, handoff, last=True)
@@ -496,15 +516,14 @@ def _stage_extract(
         links = handoff.pop("links")
     else:
         links = al.read_alignments(str(_require(cfg, "align_sym", "align")))
-    tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
-    src_inventory = inv.load_connective_inventory(_require_config_path(cfg, "src_inventory"))
-    relations = inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
+    tables = handoff["tables"]
+    src_inventory, relations = tables["src_inventory"], tables["induced_relations"]
     # Ingest's occurrences are those of the same target side; alone, the
     # stage scans it.
     table = pt.build_phrase_table(
         pairs,
         links,
-        tgt_inventory,
+        tables["tgt_inventory"],
         src_inventory,
         relations,
         cfg.max_phrase_len,
@@ -545,18 +564,13 @@ def _stage_eval(
 
     ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
-    gold_relations = inv.load_relation_inventory(_require_config_path(cfg, "gold_relations"))
-    gold = inv.load_gold_lexicon(_require_config_path(cfg, "gold_lexicon"), gold_relations)
-    gold = inv.restrict_gold(gold, freqs, cfg.min_freq)
+    tables = handoff["tables"]
+    gold = inv.restrict_gold(tables["gold_lexicon"], freqs, cfg.min_freq)
     if not gold:
         raise _NoGoldPair(
             f"gold lexicon is empty after applying the frequency threshold {cfg.min_freq}"
         )
-    induced = inv.load_relation_inventory(_require_config_path(cfg, "induced_relations"))
-    relation_map = inv.load_relation_map(
-        _require_config_path(cfg, "relation_map"), induced, gold_relations
-    )
-    report = ev.evaluate(ranked, gold, relation_map)
+    report = ev.evaluate(ranked, gold, tables["relation_map"])
     ev.write_eval_report(report, _out(cfg, "eval_report"))
     return {
         "relevant_retrieved": report.relevant_retrieved,
@@ -569,7 +583,6 @@ def _stage_evidence(
 ) -> dict[str, int]:
     from fractions import Fraction
 
-    from . import inventory as inv
     from . import lexicon as lx
     from . import phrasetable as pt
 
@@ -583,13 +596,14 @@ def _stage_evidence(
     fused_path = _require(cfg, "fused_src", "tag")
     tgt_path = _require(cfg, "corpus_tgt", "ingest")
     work = cp.open_token_corpus(str(fused_path), str(tgt_path))
+    tables = handoff["tables"]
     try:
         sites = lx.group_sites(
             work,
             rows,
-            inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory")),
-            inv.load_connective_inventory(_require_config_path(cfg, "src_inventory")),
-            inv.load_relation_inventory(_require_config_path(cfg, "induced_relations")),
+            tables["tgt_inventory"],
+            tables["src_inventory"],
+            tables["induced_relations"],
         )
     except PipelineError as exc:
         raise PipelineError(f"{sites_path}: {exc}") from exc
@@ -627,10 +641,8 @@ def _stage_evidence(
 def _stage_report(
     cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
 ) -> dict[str, int]:
-    from . import inventory as inv
-
     freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
-    tgt_inventory = inv.load_connective_inventory(_require_config_path(cfg, "tgt_inventory"))
+    tgt_inventory = handoff["tables"]["tgt_inventory"]
     zero = below = above = 0
     for form in tgt_inventory:
         count = freqs.count(" ".join(form))
@@ -671,16 +683,19 @@ def run_stage(
     """Run one stage, then record it in the manifest and write that under
     the output directory.
 
-    `handoff` carries what earlier stages of the same run wrote, and takes
-    what this stage writes for later ones; without it, the stage reads all
-    its inputs from the output directory. `manifest` is the one of the run
-    under way; without it, the stage opens one (`open_manifest`)."""
+    `handoff` carries the input tables of the run (`_tables`) and what
+    earlier stages of the same run wrote, and takes what this stage writes
+    for later ones; without it, the stage loads its tables first and reads
+    its other inputs from the output directory. `manifest` is the one of
+    the run under way; without it, the stage opens one (`open_manifest`)."""
     if stage not in _STAGE_FUNCS:
         raise UsageError(f"unknown stage {stage!r}")
+    if handoff is None:
+        handoff = {"tables": _tables(cfg, (stage,))}
     if manifest is None:
         manifest = open_manifest(cfg)
     started = time.perf_counter()
-    rows = _STAGE_FUNCS[stage](cfg, extra, {} if handoff is None else handoff)
+    rows = _STAGE_FUNCS[stage](cfg, extra, handoff)
     elapsed = time.perf_counter() - started
     manifest["stages"][stage] = {"rows": rows, "seconds": round(elapsed, 3)}
     write_manifest(cfg, manifest)
@@ -745,7 +760,9 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     for key in ("limit", "seed"):
         if getattr(args, key) is not None:
             overrides[key] = getattr(args, key)
-    if args.output:
+    if args.output is not None:
+        if not args.output:
+            raise UsageError("--output must name a directory, got ''")
         overrides["output_dir"] = args.output
     cfg = validate_config(path)._replace(**overrides)
     _check_ranges(cfg)
@@ -765,17 +782,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve_config(args)
         if args.command == "run":
             # Local to this call: a later call, after the artifacts may have
-            # been edited, must read them from the output directory.
-            handoff: Handoff = {}
-            # Every input file, and the labels across the tables, are
-            # checked before ingest writes anything.
-            for key in _INPUT_KEYS:
-                if getattr(cfg, key):
-                    _require_config_path(cfg, key)
-            _check_tables(cfg)
+            # been edited, must read them from the output directory. The
+            # tables of every stage are loaded and checked before ingest
+            # writes anything.
+            stages = [stage for stage in STAGES if stage != "eval" or cfg.gold_lexicon]
+            handoff: Handoff = {"tables": _tables(cfg, stages)}
             manifest = open_manifest(cfg)
             for stage in STAGES:
-                if stage == "eval" and not cfg.gold_lexicon:
+                if stage not in stages:
                     skip_eval(cfg, "no gold_lexicon", manifest)
                     continue
                 try:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import dclex
-from dclex import cli
+from dclex import cli, inventory
 from dclex.cli import (
     ARTIFACTS,
     CONFIG_ENV_VAR,
@@ -149,6 +149,13 @@ class TestValidateConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
             validate_config(str(tmp_path / "nope.cfg"))
+
+    def test_a_key_with_no_value_is_rejected(self, tmp_path):
+        for line in ("output_dir =", "annotations =  # none yet", "iterations ="):
+            path = write_config(tmp_path, MINIMAL + line + "\n")
+            key = line.split()[0]
+            with pytest.raises(UsageError, match=f"config key '{key}' has no value at line 5"):
+                validate_config(path)
 
     def test_readme_artifact_table_names_every_artifact(self):
         text = README.read_text(encoding="utf-8")
@@ -601,6 +608,67 @@ class TestPipelineRuns:
             manifests.append(manifest)
         assert manifests[0] == manifests[1]
         assert manifests[0]["stages"]["eval"]["rows"]["total_relevant"] == 1
+
+    def test_each_table_is_loaded_once_per_command(self, tmp_path, monkeypatch):
+        # `run all` loads every table its stages read once, before ingest
+        # writes, and hands it to them; a stage run alone loads its own.
+        config = planted.generate(tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5)
+        calls: Counter = Counter()
+        for name in ("load_connective_inventory", "load_relation_inventory",
+                     "load_default_senses", "load_gold_lexicon", "load_relation_map"):
+            def counted(path, *args, load=getattr(inventory, name)):
+                calls[Path(path).name] += 1
+                return load(path, *args)
+
+            monkeypatch.setattr(inventory, name, counted)
+        tables = {
+            "ingest": ["inventory.fr"],
+            "tag": ["inventory.en", "senses.tsv"],
+            "align": ["inventory.en", "inventory.fr"],
+            "extract": ["inventory.en", "inventory.fr", "relations_induced.txt"],
+            "build": [],
+            "eval": ["gold.tsv", "map.tsv", "relations_gold.txt", "relations_induced.txt"],
+            "evidence": ["inventory.en", "inventory.fr", "relations_induced.txt"],
+            "report": ["inventory.fr"],
+        }
+        assert main(["run", "all", "--config", str(config)]) == 0
+        assert calls == dict.fromkeys(set().union(*tables.values()), 1)
+        assert sum(calls.values()) == 7
+        for stage, names in tables.items():
+            calls.clear()
+            assert main([stage, "--config", str(config)]) == 0, stage
+            assert calls == dict.fromkeys(names, 1), stage
+        # Tag reads its tags from `annotations`, when set, and no table.
+        lines = (tmp_path / "corpus.en").read_text(encoding="utf-8").splitlines()
+        annotations = tmp_path / "annotations.tsv"
+        annotations.write_text("".join(
+            f"{k}\t{i}\t{i}\t{token}\tREL_A\t1\n"
+            for k, line in enumerate(lines) for i, token in enumerate(line.split())
+            if token == "zonk"
+        ), encoding="utf-8")
+        with config.open("a", encoding="utf-8") as f:
+            f.write(f"annotations = {annotations}\n")
+        calls.clear()
+        assert main(["tag", "--config", str(config)]) == 0
+        assert calls == {}
+        assert main(["run", "all", "--config", str(config)]) == 0
+        assert sum(calls.values()) == 6 and "senses.tsv" not in calls
+
+    def test_tag_alone_needs_a_default_sense_only_for_the_forms_it_finds(self, tmp_path, capsys):
+        # `run all` needs a sense for every source form, as
+        # `test_run_all_checks_the_tag_inputs_before_ingest_writes` shows;
+        # tag alone only for the forms the corpus holds.
+        config = planted.generate(
+            tmp_path, pairs=40, dc_count=10, thresh_count=3, min_freq=2, iterations=2
+        )
+        (tmp_path / "inventory.en").write_text("zonk\nfrub\nplonk\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["tag", "--config", str(config)]) == 0
+        fused = (tmp_path / "out" / ARTIFACTS["fused_src"]).read_text(encoding="utf-8")
+        assert "zonk-REL_A" in fused and "frub-REL_B" in fused
+        (tmp_path / "senses.tsv").write_text("zonk\tREL_A\n", encoding="utf-8")
+        assert main(["tag", "--config", str(config)]) == 1
+        assert "error: no default sense for connective 'frub'" in capsys.readouterr().err
 
     def test_extract_counts_the_occurrences_behind_freqs(self, mini_run):
         root, _ = mini_run
@@ -1058,6 +1126,53 @@ class TestEntryPoint:
             assert blocked.is_dir() and not list(blocked.iterdir())
             assert not list(out.glob("*.tmp"))
             blocked.rmdir()
+
+    def test_an_empty_value_or_output_is_exit_2_and_makes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # An empty `src_corpus` used to pass validation and stop ingest after
+        # the output directory was made; an empty `output_dir` wrote into the
+        # current directory, and `--output ''` was ignored.
+        config = planted.generate(
+            tmp_path / "inputs", pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
+        )
+        text = config.read_text(encoding="utf-8")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for key in ("src_corpus", "output_dir"):
+            lines = text.splitlines(True)
+            lineno = next(k for k, line in enumerate(lines, 1) if line.startswith(f"{key} ="))
+            lines[lineno - 1] = f"{key} =\n"
+            edited = tmp_path / f"no-{key}.cfg"
+            edited.write_text("".join(lines), encoding="utf-8")
+            for argv in (["run", "all"], ["ingest"]):
+                capsys.readouterr()
+                assert main([*argv, "--config", str(edited)]) == 2
+                err = capsys.readouterr().err
+                assert f"error: {edited}: config key '{key}' has no value at line {lineno}" in err
+        for argv in (["run", "all"], ["ingest"]):
+            assert main([*argv, "--config", str(config), "--output", ""]) == 2
+            assert "error: --output must name a directory, got ''" in capsys.readouterr().err
+        assert not (tmp_path / "inputs" / "out").exists()
+        assert not list(cwd.iterdir())
+
+    def test_a_directory_in_the_way_of_the_manifest_stops_before_any_stage(
+        self, tmp_path, capsys
+    ):
+        config = planted.generate(
+            tmp_path, pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
+        )
+        blocked = tmp_path / "out" / ARTIFACTS["manifest"]
+        blocked.mkdir(parents=True)
+        for argv in (["run", "all"], ["ingest"]):
+            capsys.readouterr()
+            assert main([*argv, "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert f"error: cannot write {blocked}: Is a directory" in err
+            assert "Traceback" not in err
+            assert list((tmp_path / "out").iterdir()) == [blocked]
+            assert not list(blocked.iterdir())
 
     def test_corrupt_input_is_exit_1(self, tmp_path, capsys):
         config = planted.generate(
