@@ -44,18 +44,22 @@ holding both, then by the partner's first position in that pair. The
 forward table releases its EM state before the backward table is made.
 
 The links of a corpus travel as one `Links`: per-pair offsets into int32
-source and target columns. Viterbi decoding, `transpose`, `symmetrize`,
-`write_alignments` and `read_alignments` all work on the columns, so no
-Python object is made per link. Each pair's links depend on that pair
-alone, so `decode` takes any ascending list of distinct pairs, the results
-of a subset go through `transpose` and `symmetrize` as a corpus of their
-own, and `Links.spread` puts them back in place among pairs with no links:
-the align stage decodes only the pairs that hold both a fused source
-connective and a target connective occurrence.
+source and target columns. Viterbi decoding, `transpose` and `symmetrize`
+work on the columns, so no Python object is made per link. The link file
+is a token file whose words are the distinct links: `write_alignments` and
+`read_alignments` go through the corpus's token-file code
+(`TokenColumns.to_bytes`, `corpus.parse_token_file`), which makes one
+Python string per distinct link, not per link. Each pair's links depend on
+that pair alone, so `decode` takes any ascending list of distinct pairs,
+the results of a subset go through `transpose` and `symmetrize` as a
+corpus of their own, and `Links.spread` puts them back in place among
+pairs with no links: the align stage decodes only the pairs that hold both
+a fused source connective and a target connective occurrence.
 grow-diag-final scans the pairs in lock-step, candidate k of every pair at
 step k, over per-pair bool grids. The phrasetable scan reads the columns
 too (`_box_sources`); only tests turn a pair's links into tuples
-(`Links.pair`). This module is the only one that knows the text format.
+(`Links.pair`). This module is the only one that knows the `i-j` shape
+of a link token.
 `viterbi_align_model2`, a per-pair Model 2 decoder, and
 `tests/oracles.viterbi_reference` and `symmetrize_reference` are the
 reference definitions that the columnar path is tested against.
@@ -69,14 +73,13 @@ from __future__ import annotations
 
 import math
 import re
-from pathlib import Path
 from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 from . import corpus
-from .corpus import Bitext, _spans, process_chunks
+from .corpus import Bitext, TokenColumns, _spans, process_chunks
 from .errors import PipelineError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text_strict
 
 NULL_TOKEN = "<NULL>"
 PROB_FLOOR = 1e-12
@@ -986,42 +989,21 @@ def _merged(a, b):
 # File formats
 # ---------------------------------------------------------------------------
 
-_DIGIT, _DASH, _SPACE, _NEWLINE = ord("0"), ord("-"), ord(" "), ord("\n")
-# Bytes that separate links on a line: bytes.split()'s whitespace but "\n".
-_BLANKS = tuple(b" \t\r\x0b\x0c")
-_MAX_DIGITS = 9  # any longer index is beyond int32, so out of bounds
-_BLOCK = 1 << 20
+# A link as the link file spells it. An index of more than nine digits is
+# beyond int32, so out of bounds.
+_LINK = re.compile(r"([0-9]{1,9})-([0-9]{1,9})")
 
 
 def format_alignments(links: Links) -> str:
-    """One line per pair: its links as space-separated `i-j`, ascending."""
+    """One line per pair: its links as space-separated `i-j`, ascending. The
+    text is that of a token file whose words are the distinct links."""
     import numpy as np
 
-    counts = np.diff(links.offsets)
-    values = np.empty(2 * links.total, np.int32)
-    values[0::2], values[1::2] = links.src, links.tgt
-    digits = np.ones(len(values), np.int8)
-    power = 10
-    while power <= values.max(initial=0):
-        digits += values >= power
-        power *= 10
-    # Each number is followed by one byte: "-" after a source index, " "
-    # after a target index but the last of its pair, else "\n". A pair with
-    # no links is a bare "\n", a byte the numbers of later pairs skip.
-    empty = counts == 0
-    ends = np.cumsum(digits + 1, dtype=np.int64)
-    ends += np.repeat(np.repeat(np.cumsum(empty) - empty, counts), 2)
-    size = len(values) + int(digits.sum(dtype=np.int64)) + int(empty.sum())
-    out = np.full(size, _NEWLINE, np.uint8)
-    out[ends[0::2] - 1] = _DASH
-    spaced = np.ones(links.total, bool)
-    spaced[links.offsets[1:][~empty] - 1] = False
-    out[ends[1::2][spaced] - 1] = _SPACE
-    for place in range(int(digits.max(initial=0))):
-        has = digits > place
-        out[ends[has] - 2 - place] = _DIGIT + values[has] % 10
-        values //= 10
-    return out.tobytes().decode("ascii")
+    width = int(links.tgt.max(initial=-1)) + 1
+    keys, ids = np.unique(links.src.astype(np.int64) * width + links.tgt, return_inverse=True)
+    src, tgt = np.divmod(keys, width)
+    vocab = list(map("{}-{}".format, src.tolist(), tgt.tolist()))
+    return TokenColumns(vocab, ids.astype(np.int32), links.offsets).to_bytes().decode("ascii")
 
 
 def write_alignments(links: Links, path: str) -> None:
@@ -1031,76 +1013,36 @@ def write_alignments(links: Links, path: str) -> None:
 
 def read_alignments(path: str) -> Links:
     """Read one pair per line, lines split on "\n" only. A line holds its
-    links as `i-j` tokens of ASCII digits, separated by blanks, in any order;
-    a repeated link counts once. A malformed token is fatal and names its
-    line. The file is parsed as bytes, vectorized, in blocks of whole lines
-    of about _BLOCK bytes, so that no temporary grows with the file."""
+    links as `i-j` tokens of ASCII digits, separated by blanks (space, tab,
+    CR, VT, FF), in any order; a repeated link counts once. The file is read
+    as a token file (`corpus.parse_token_file`) whose words are the
+    distinct links, and each word is parsed once. The first malformed
+    token, or index of more than nine digits, is fatal and names its line."""
     import numpy as np
 
-    data = Path(path).read_bytes()
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    text = np.frombuffer(data, np.uint8)
-    newlines = np.flatnonzero(text == _NEWLINE)
-    columns = [(np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.int32))]
-    lo = 0
-    while lo < len(text):
-        hi = int(newlines[np.searchsorted(newlines, min(lo + _BLOCK, len(text) - 1))]) + 1
-        columns.append(_parse_block(path, data, lo, hi, newlines))
-        lo = hi
-    line, src, tgt = (np.concatenate(column) for column in zip(*columns))
-    return _collect(line, src, tgt, len(newlines))
+    text = read_text_strict(path)
+    words = corpus.parse_token_file(text)
+    parsed = list(map(_LINK.fullmatch, words.vocab))
+    # The words split at any whitespace, and a well-formed word is ASCII
+    # digits and a dash: any other character of the text, such as \x1c or
+    # U+2028, lies between words, where only the blanks may.
+    if not all(parsed) or not text.isascii() or any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+        _fail_at_token(path, text)
+    src = np.fromiter((int(link[1]) for link in parsed), np.int32, len(parsed))
+    tgt = np.fromiter((int(link[2]) for link in parsed), np.int32, len(parsed))
+    return _collect(_pair_index(words.offsets), src[words.ids], tgt[words.ids], len(words))
 
 
-def _parse_block(path: str, data: bytes, lo: int, hi: int, newlines):
-    """(line, src, tgt) of each link in data[lo:hi], whole lines."""
-    import numpy as np
-
-    text = np.frombuffer(data, np.uint8, hi - lo, lo)
-    digit = (text >= _DIGIT) & (text <= _DIGIT + 9)
-    dash = text == _DASH
-    blank = np.isin(text, _BLANKS) | (text == _NEWLINE)
-    # Digit runs [start, stop); the block ends in "\n", so a run always has
-    # a byte after it. The tokens are all `i-j` exactly when every byte is a
-    # digit, a dash or a blank, each dash has a digit on both sides, and
-    # each digit run touches exactly one dash.
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, stops = edges[0::2], edges[1::2]
-    dash_before = np.zeros(len(starts), bool)
-    dash_before[starts > 0] = dash[starts[starts > 0] - 1]
-    wrong = [
-        where[0]
-        for where in (
-            np.flatnonzero(~(digit | dash | blank)),
-            np.flatnonzero(dash & ~(np.roll(digit, 1) & np.roll(digit, -1))),
-            starts[dash_before == dash[stops]],
-        )
-        if len(where)
-    ]
-    if wrong:
-        _fail_at_token(path, data, newlines, lo + min(wrong))
-    lengths = stops - starts
-    if lengths.max(initial=0) > _MAX_DIGITS:
-        at = int(np.searchsorted(newlines, lo + starts[lengths > _MAX_DIGITS][0]))
-        raise PipelineError(f"{path}: alignment link out of bounds at line {at + 1}")
-    values = np.zeros(len(starts), np.int32)
-    for place in range(int(lengths.max(initial=0))):
-        has = lengths > place
-        values[has] = values[has] * 10 + (text[starts[has] + place] - _DIGIT)
-    return np.searchsorted(newlines, lo + starts[0::2]), values[0::2], values[1::2]
-
-
-def _fail_at_token(path: str, data: bytes, newlines, at: int) -> None:
-    """Raise for the first malformed token of the line holding byte `at`."""
-    import numpy as np
-
-    line = int(np.searchsorted(newlines, at))
-    start = int(newlines[line - 1]) + 1 if line else 0
-    for token in data[start : int(newlines[line])].split():
-        if not re.fullmatch(rb"[0-9]+-[0-9]+", token):
-            shown = token.decode("utf-8", "replace")
-            raise PipelineError(f"{path}: bad link {shown!r} at line {line + 1}")
-    raise AssertionError("no malformed token on the line")
+def _fail_at_token(path: str, text: str) -> None:
+    """Raise for the first bad token of the link file `text`, its lines'
+    tokens split at the blanks alone."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        for token in map(bytes.decode, line.encode().split()):
+            if not re.fullmatch(r"[0-9]+-[0-9]+", token):
+                raise PipelineError(f"{path}: bad link {token!r} at line {lineno}")
+            if not _LINK.fullmatch(token):
+                raise PipelineError(f"{path}: alignment link out of bounds at line {lineno}")
+    raise AssertionError("no bad token in the link file")
 
 
 def write_translation_table(table: TranslationTable, path: str) -> None:

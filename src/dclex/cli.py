@@ -323,8 +323,10 @@ _STAGE_INPUTS = {
 def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
     """The input files that `stages` read, by config key, each read once:
     every file is checked to be set and to exist, then each table is loaded
-    with the checks the stages make across tables. The corpus files and
-    `annotations` are given by path; ingest and tag read them. When tag and
+    with the checks the stages make across tables. The corpus files are
+    given by path, for ingest to read. `annotations` is read once, as
+    `tagging.Annotations`, with every check that needs no corpus; tag
+    checks its spans against the corpus. When tag and
     extract run in one command, every sense that tag would give a source
     form, from `default_senses` or from the records of `annotations`, must
     be an induced label, as extract requires of the token it is fused into,
@@ -334,6 +336,8 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
 
     keys = {key for stage in stages for key in _STAGE_INPUTS.get(stage, ())}
     if "tag" in stages:
+        from . import tagging as tg
+
         if not (cfg.annotations or cfg.default_senses):
             raise UsageError("the tag stage needs either 'annotations' or 'default_senses' configured")
         keys.update(["annotations"] if cfg.annotations else ["src_inventory", "default_senses"])
@@ -353,9 +357,9 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
     ):
         if key in keys:
             tables[key] = load(tables[key])
+    if "annotations" in keys:
+        tables["annotations"] = tg.Annotations.of(tables["annotations"])
     if "tag" in stages and "extract" in stages:
-        from . import tagging as tg
-
         src_inventory, senses = tables["src_inventory"], tables.get("default_senses")
         if senses is None:
             tagged = tg.annotated_senses(tables["annotations"])
@@ -751,6 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    if args.config == "":
+        raise UsageError("--config must name a file, got ''")
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         raise UsageError(

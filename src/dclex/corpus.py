@@ -10,8 +10,11 @@ that order, since it keeps the words its fused spans consumed, though they
 may no longer occur, and appends the fused tokens after them. Ingest
 tokenizes and interns a side in bulk (`load_parallel_corpus`): it
 lowercases the whole text once and splits each distinct whitespace chunk
-once. A token file read back (`load_token_corpus`) is interned by the same
-function, its chunks taken as they are; one opened without interning
+once. A token file, one sentence a line, is written by
+`TokenColumns.to_bytes` and read back by `parse_token_file`, which interns
+it by the same function, its chunks taken as they are: the corpus sides
+(`load_token_corpus`) and the link file (`alignment.read_alignments`, whose
+words are `i-j` links) alike. A corpus opened without interning
 (`open_token_corpus`) splits a line only when its pair is read. Token
 sequences from elsewhere are interned by `Bitext.of` and `TokenColumns.of`.
 
@@ -285,29 +288,30 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     return tokens
 
 
-def _read_lines(path: str, lowercase: bool = False) -> list[str]:
-    """The lines of a text file, split on "\n" only: `str.splitlines` would
-    also split on characters such as U+2028 or form feed, and shift every
-    later line out of step with the other side. Lowercasing the whole text
-    lowercases each line as it would alone: no line break is case-ignorable,
-    so a final sigma is decided within its line."""
-    text = read_text_strict(path)
+def _lines(text: str, lowercase: bool = False) -> list[str]:
+    """The lines of `text`, split on "\n" only: `str.splitlines` would also
+    split on characters such as U+2028 or form feed, and shift every later
+    line out of step with the other side. Lowercasing the whole text
+    lowercases each line as it would alone: no line break is
+    case-ignorable, so a final sigma is decided within its line."""
     lines = (text.lower() if lowercase else text).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
 
 
+def _line_count_mismatch(n_src: int, n_tgt: int, src_path: str, tgt_path: str) -> PipelineError:
+    return PipelineError(f"line count mismatch {n_src} vs {n_tgt} ({src_path} / {tgt_path})")
+
+
 def _read_line_pairs(
     src_path: str, tgt_path: str, lowercase: bool = False
 ) -> tuple[list[str], list[str]]:
-    src_lines = _read_lines(src_path, lowercase)
-    tgt_lines = _read_lines(tgt_path, lowercase)
+    src_lines, tgt_lines = (
+        _lines(read_text_strict(path), lowercase) for path in (src_path, tgt_path)
+    )
     if len(src_lines) != len(tgt_lines):
-        raise PipelineError(
-            f"line count mismatch {len(src_lines)} vs {len(tgt_lines)} "
-            f"({src_path} / {tgt_path})"
-        )
+        raise _line_count_mismatch(len(src_lines), len(tgt_lines), src_path, tgt_path)
     return src_lines, tgt_lines
 
 
@@ -364,18 +368,26 @@ def _empty_token_line(lineno: int) -> PipelineError:
     return PipelineError(f"empty sentence at line {lineno} in tokenized corpus")
 
 
+def parse_token_file(text: str) -> TokenColumns:
+    """The sentences of a token file's `text`, one a line: its `_lines`,
+    each line's whitespace-separated tokens taken as they are, interned in
+    order of first appearance. The corpus sides (`load_token_corpus`) and
+    the link file (`alignment.read_alignments`) are read back through it."""
+    lines = _lines(text)
+    return _intern_lines(lines, _chunk_counts(lines), split=False)
+
+
 def load_token_corpus(src_path: str, tgt_path: str) -> Bitext:
     """Reload corpus files that are already tokenized (space-separated),
     each side interned as `load_parallel_corpus` interns it."""
     import numpy as np
 
-    src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path)
-    src_chunks, tgt_chunks = _chunk_counts(src_lines), _chunk_counts(tgt_lines)
-    empty = (src_chunks == 0) | (tgt_chunks == 0)
+    src, tgt = (parse_token_file(read_text_strict(path)) for path in (src_path, tgt_path))
+    if len(src) != len(tgt):
+        raise _line_count_mismatch(len(src), len(tgt), src_path, tgt_path)
+    empty = (src.lengths() == 0) | (tgt.lengths() == 0)
     if empty.any():
         raise _empty_token_line(int(np.argmax(empty)))
-    src = _intern_lines(src_lines, src_chunks, split=False)
-    tgt = _intern_lines(tgt_lines, tgt_chunks, split=False)
     return Bitext(src, tgt)
 
 

@@ -12,15 +12,18 @@ one.
 
 The tags of a corpus are `Tags`, spans as columns, which only
 `heuristic_tag` (a longest-match scan) and `load_annotations` (a stand-off
-file) make; each checks its spans as it makes them. The source side is
-fused on its ids (`fuse_corpus`): it goes in and comes out as
-`TokenColumns`, the source side of the corpus's `Bitext`, and only the
-tagged sentences change. Sentence k of the tags is line k of `corpus.src`.
+file) make; each checks its spans as it makes them. A stand-off file is
+parsed once, as `Annotations`, with every check that needs no corpus;
+`load_annotations` takes it, or its path, and checks the spans against the
+corpus. The source side is fused on its ids (`fuse_corpus`): it goes in
+and comes out as `TokenColumns`, the source side of the corpus's `Bitext`,
+and only the tagged sentences change. Sentence k of the tags is line k of
+`corpus.src`.
 """
 
 from __future__ import annotations
 
-from typing import Container, Iterator, Mapping, Sequence
+from typing import Container, Mapping, NamedTuple, Sequence
 
 # `process_chunks` is bound here only for the benchmark's tracer to wrap;
 # the scans run their chunks through `corpus.process_chunks`.
@@ -195,18 +198,33 @@ def fuse_corpus(sentences: Sentences, tags: Tags) -> TokenColumns:
 # space-joined and refers to the tokenized corpus the annotator consumed.
 
 
+Record = tuple[int, int, int, int, tuple[str, ...], str | None]
+
+
+class Annotations(NamedTuple):
+    """The records of the stand-off file at `path`, in file order, each
+    checked as far as it can be without a corpus (`_records`): (record
+    number, sentence, start, end, surface, relation), the relation None for
+    a non-discourse reading."""
+
+    path: str
+    records: list[Record]
+
+    @classmethod
+    def of(cls, annotations: str | Annotations) -> Annotations:
+        """`annotations` itself if it is Annotations, else the file it names,
+        read."""
+        if isinstance(annotations, Annotations):
+            return annotations
+        return cls(annotations, _records(annotations))
+
+
 def _check_record(
-    tokens: Sequence[str],
-    sid: int,
-    start: int,
-    end: int,
-    surface: tuple[str, ...],
-    relation: str | None,
-    usage: bool,
+    start: int, end: int, surface: tuple[str, ...], relation: str | None, usage: bool
 ) -> None:
-    """Check one record against `tokens`, sentence `sid`: its span lies in
-    the sentence and spells `surface`, case aside, and it carries a
-    relation, a well-formed one, exactly when `usage` is set."""
+    """Check what one record says of itself: its span is well formed and as
+    long as `surface`, and it carries a relation, a well-formed one,
+    exactly when `usage` is set."""
     if start < 0 or end < start:
         raise PipelineError(f"bad annotation span [{start}, {end}]")
     if len(surface) != end - start + 1:
@@ -219,22 +237,13 @@ def _check_record(
         )
     if relation is not None:
         check_label(relation)
-    if end >= len(tokens):
-        raise PipelineError(
-            f"sentence {sid}: span [{start}, {end}] out of bounds (length {len(tokens)})"
-        )
-    actual = tuple(t.lower() for t in tokens[start : end + 1])
-    expected = tuple(t.lower() for t in surface)
-    if actual != expected:
-        raise PipelineError(
-            f"sentence {sid}: tokens {actual!r} at [{start}, {end}] "
-            f"do not match annotated surface {expected!r}"
-        )
 
 
-def _records(path: str) -> Iterator[tuple[int, int, int, int, tuple[str, ...], str | None, bool]]:
-    """(record number, sentence, start, end, surface, relation, usage) of
-    each record of the stand-off file at `path`, its fields parsed."""
+def _records(path: str) -> list[Record]:
+    """The `Annotations.records` of the stand-off file at `path`: its
+    fields parsed, each record checked by `_check_record`, and no two spans
+    of a sentence overlapping."""
+    records: list[Record] = []
     for lineno, parts in read_rows(path, 6, "expected {width} fields at record {lineno}"):
         try:
             sid, start, end = int(parts[0]), int(parts[1]), int(parts[2])
@@ -242,39 +251,57 @@ def _records(path: str) -> Iterator[tuple[int, int, int, int, tuple[str, ...], s
             raise PipelineError(f"{path}: non-numeric field at record {lineno}") from exc
         if parts[5] not in ("0", "1"):
             raise PipelineError(f"{path}: usage flag must be 0 or 1 at record {lineno}")
-        yield lineno, sid, start, end, tuple(parts[3].split()), parts[4] or None, parts[5] == "1"
+        surface, relation = tuple(parts[3].split()), parts[4] or None
+        try:
+            _check_record(start, end, surface, relation, parts[5] == "1")
+        except PipelineError as exc:
+            raise PipelineError(f"{path}: record {lineno}: {exc}") from exc
+        records.append((lineno, sid, start, end, surface, relation))
+    spans = sorted((record[1:4] for record in records), key=lambda span: span[:2])
+    for prev, span in zip(spans, spans[1:]):
+        if span[0] == prev[0] and span[1] <= prev[2]:
+            raise PipelineError(
+                f"{path}: overlapping spans in sentence {span[0]} "
+                f"([{prev[1]}, {prev[2]}] and [{span[1]}, {span[2]}])"
+            )
+    return records
 
 
-def annotated_senses(path: str) -> list[tuple[tuple[str, ...], str]]:
-    """The distinct (surface, relation) of the records of the stand-off file
-    at `path` that carry a relation, in file order, read as
-    `load_annotations` reads them but against no corpus."""
+def annotated_senses(annotations: str | Annotations) -> list[tuple[tuple[str, ...], str]]:
+    """The distinct (surface, relation) of the `annotations` records that
+    carry a relation, in file order; `annotations` is a path or the
+    `Annotations` read from one."""
     senses: dict[tuple[tuple[str, ...], str], None] = {}
-    for _, _, _, _, surface, relation, _ in _records(path):
+    for *_, surface, relation in Annotations.of(annotations).records:
         if relation is not None:
             senses[surface, relation] = None
     return list(senses)
 
 
-def load_annotations(path: str, sentences: Sentences) -> Tags:
-    """Load stand-off annotations and check each against its sentence of
-    `sentences`."""
+def load_annotations(annotations: str | Annotations, sentences: Sentences) -> Tags:
+    """The `Tags` of stand-off annotations, `annotations` a path or the
+    `Annotations` read from one, each record's span checked against its
+    sentence of `sentences`."""
+    annotations = Annotations.of(annotations)
+    path = annotations.path
     rows: list[tuple[int, int, int, str | None]] = []
-    for lineno, sid, start, end, surface, relation, usage in _records(path):
+    for lineno, sid, start, end, surface, relation in annotations.records:
         if not 0 <= sid < len(sentences):
             raise PipelineError(f"{path}: unknown sentence id {sid} at record {lineno}")
-        try:
-            _check_record(sentences[sid], sid, start, end, surface, relation, usage)
-        except PipelineError as exc:
-            raise PipelineError(f"{path}: record {lineno}: {exc}") from exc
+        tokens, where = sentences[sid], f"{path}: record {lineno}: sentence {sid}:"
+        if end >= len(tokens):
+            raise PipelineError(
+                f"{where} span [{start}, {end}] out of bounds (length {len(tokens)})"
+            )
+        actual = tuple(t.lower() for t in tokens[start : end + 1])
+        expected = tuple(t.lower() for t in surface)
+        if actual != expected:
+            raise PipelineError(
+                f"{where} tokens {actual!r} at [{start}, {end}] do not match annotated surface "
+                f"{expected!r}"
+            )
         rows.append((sid, start, end, relation))
     rows.sort(key=lambda row: row[:2])
-    for prev, row in zip(rows, rows[1:]):
-        if row[0] == prev[0] and row[1] <= prev[2]:
-            raise PipelineError(
-                f"{path}: overlapping spans in sentence {row[0]} "
-                f"([{prev[1]}, {prev[2]}] and [{row[1]}, {row[2]}])"
-            )
     return Tags(*zip(*rows)) if rows else Tags([], [], [], [])
 
 

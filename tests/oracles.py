@@ -239,6 +239,12 @@ def first_appearance_reference(chunks):
     return slots, list(slot_of)
 
 
+def format_alignments_reference(link_sets):
+    """The link file text of `link_sets`: one line per pair, its links
+    formatted one by one as `i-j`, ascending, joined by spaces."""
+    return "".join(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n" for links in link_sets)
+
+
 def symmetrize_reference(fwd, bwd, heuristic):
     """Combine one pair's forward and backward link sets, set by set.
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     em_model1_reference,
     em_model2_reference,
     first_appearance_reference,
+    format_alignments_reference,
     symmetrize_reference,
     viterbi_reference,
 )
@@ -761,19 +763,43 @@ class TestAlignmentIO:
         path.write_bytes(b"0-0\x0c1-1\n2-2\n")
         assert link_sets(read_alignments(str(path))) == [links((0, 0), (1, 1)), links((2, 2))]
 
-    def test_blocks_of_lines_read_as_one(self, tmp_path, monkeypatch):
-        rng = random.Random(5)
-        sets = [
-            frozenset((rng.randrange(12), rng.randrange(1200)) for _ in range(rng.randrange(5)))
-            for _ in range(300)
-        ]
+    def test_random_links_round_trip(self, tmp_path):
+        rng = random.Random(29)
         path = tmp_path / "aln.txt"
-        write_alignments(Links.of(sets), str(path))
-        monkeypatch.setattr(alignment, "_BLOCK", 7)
-        assert link_sets(read_alignments(str(path))) == sets
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write("1-1\n2-2 3-x\n")
-        with pytest.raises(PipelineError, match="bad link '3-x' at line 302"):
+        for top in (3, 1000, 10**6):
+            sets = [
+                frozenset((rng.randrange(top), rng.randrange(top)) for _ in range(rng.randrange(6)))
+                for _ in range(rng.randrange(1, 200))
+            ]
+            assert format_alignments(Links.of(sets)) == format_alignments_reference(sets)
+            write_alignments(Links.of(sets), str(path))
+            assert link_sets(read_alignments(str(path))) == sets
+
+    @pytest.mark.parametrize("text, pairs", [("", 0), ("\n", 1), ("\n\n\n", 3)])
+    def test_empty_lines_are_pairs_without_links(self, tmp_path, text, pairs):
+        path = tmp_path / "aln.txt"
+        path.write_text(text, encoding="utf-8")
+        assert link_sets(read_alignments(str(path))) == [frozenset()] * pairs
+        assert format_alignments(Links.of([()] * pairs)) == text
+
+    @pytest.mark.parametrize("blank", [" ", "\t", "\r", "\x0b", "\x0c"])
+    def test_blanks_separate_links(self, tmp_path, blank):
+        path = tmp_path / "aln.txt"
+        path.write_text(f"0-0\n{blank}1-1{blank}2-2{blank}\n", encoding="utf-8")
+        assert link_sets(read_alignments(str(path))) == [links((0, 0)), links((1, 1), (2, 2))]
+
+    @pytest.mark.parametrize("space", ["\u2028", "\x85", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_other_whitespace_is_part_of_a_bad_link(self, tmp_path, space):
+        path = tmp_path / "aln.txt"
+        token = f"1-1{space}2-2"
+        path.write_text(f"0-0\n3-3 {token}\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"bad link {token!r} at line 2")):
+            read_alignments(str(path))
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "aln.txt"
+        path.write_bytes(b"0-0\n1-1 \xff\n")
+        with pytest.raises(PipelineError, match="invalid UTF-8 at line 2"):
             read_alignments(str(path))
 
     def test_bad_link_reports_line(self, tmp_path):
@@ -781,9 +807,28 @@ class TestAlignmentIO:
         path.write_text("0-0\n1_2\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="line 2"):
             read_alignments(str(path))
-        # An index of ten digits is past int32.
-        path.write_text("0-0\n1-1234567890\n", encoding="utf-8")
+        # An index of ten digits is past int32, leading zeros or not.
+        for index in ("1234567890", "0000000001"):
+            path.write_text(f"0-0\n1-{index}\n", encoding="utf-8")
+            with pytest.raises(PipelineError, match="alignment link out of bounds at line 2$"):
+                read_alignments(str(path))
+        # The first bad token in file order decides.
+        path.write_text("0-0\n1-1234567890\n1-x\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="alignment link out of bounds at line 2$"):
+            read_alignments(str(path))
+        path.write_text("0-0 1-x\n1-1234567890\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match="bad link '1-x' at line 1$"):
+            read_alignments(str(path))
+        # Far down a long file, the line is still counted right.
+        rng = random.Random(5)
+        sets = [
+            frozenset((rng.randrange(12), rng.randrange(1200)) for _ in range(rng.randrange(5)))
+            for _ in range(300)
+        ]
+        write_alignments(Links.of(sets), str(path))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("1-1\n2-2 3-x\n")
+        with pytest.raises(PipelineError, match="bad link '3-x' at line 302"):
             read_alignments(str(path))
 
     @pytest.mark.parametrize("token", ["3", "1-2-3", "-1-2", "1--2", "4-", "-", "1-x", "1-٢"])

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import dclex
-from dclex import cli, inventory
+from dclex import cli, inventory, tagging
 from dclex.cli import (
     ARTIFACTS,
     CONFIG_ENV_VAR,
@@ -654,6 +654,31 @@ class TestPipelineRuns:
         assert main(["run", "all", "--config", str(config)]) == 0
         assert sum(calls.values()) == 6 and "senses.tsv" not in calls
 
+    def test_the_annotations_are_parsed_once_per_command(self, tmp_path, monkeypatch):
+        # `run all` checks the annotations before ingest writes, and tag
+        # checks the same records against the corpus without parsing again.
+        config = planted.generate(tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5)
+        lines = (tmp_path / "corpus.en").read_text(encoding="utf-8").splitlines()
+        annotations = tmp_path / "annotations.tsv"
+        annotations.write_text("".join(
+            f"{k}\t{i}\t{i}\t{token}\tREL_A\t1\n"
+            for k, line in enumerate(lines) for i, token in enumerate(line.split())
+            if token == "zonk"
+        ), encoding="utf-8")
+        with config.open("a", encoding="utf-8") as f:
+            f.write(f"annotations = {annotations}\n")
+        parses = []
+
+        def counted(path, parse=tagging._records):
+            parses.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(tagging, "_records", counted)
+        for argv in (["run", "all"], ["tag"]):
+            parses.clear()
+            assert main([*argv, "--config", str(config)]) == 0
+            assert parses == [str(annotations)], argv
+
     def test_tag_alone_needs_a_default_sense_only_for_the_forms_it_finds(self, tmp_path, capsys):
         # `run all` needs a sense for every source form, as
         # `test_run_all_checks_the_tag_inputs_before_ingest_writes` shows;
@@ -1156,6 +1181,20 @@ class TestEntryPoint:
             assert "error: --output must name a directory, got ''" in capsys.readouterr().err
         assert not (tmp_path / "inputs" / "out").exists()
         assert not list(cwd.iterdir())
+
+    def test_an_empty_config_flag_is_exit_2_whatever_the_environment(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # `--config ''` used to fall back to $CONLEDISCO_CONFIG and run on it.
+        config = planted.generate(
+            tmp_path, pairs=30, dc_count=8, thresh_count=3, min_freq=2, iterations=2
+        )
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+        for argv in (["run", "all"], ["report"]):
+            capsys.readouterr()
+            assert main([*argv, "--config", "", "--output", str(tmp_path / "out")]) == 2
+            assert "error: --config must name a file, got ''" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_a_directory_in_the_way_of_the_manifest_stops_before_any_stage(
         self, tmp_path, capsys
