@@ -12,13 +12,14 @@ memory to the later stages that read it instead: ingest's interned corpus
 and target connective occurrences, tag's fused source side, align's links
 and extract's sites are each made once. Align trains on every pair but
 decodes, symmetrizes and writes links only for the pairs whose fused source
-side holds a source connective and whose target side holds a target
-connective occurrence (`tagging.connective_pairs`), the only pairs extract
-can count a site from; `alignments.sym.txt` keeps an empty line for each
-other pair. Evidence reads its pairs from the token files either way, and
-splits only the lines its sites name. A JSON manifest records the config
-snapshot, input digests, per-stage row counts and timing; one call reads it
-and hashes the inputs once.
+side holds a fused connective, a source form with an induced label, and
+whose target side holds a target connective occurrence
+(`tagging.connective_pairs`), the only pairs extract can count a site from;
+`alignments.sym.txt` keeps an empty line for each other pair. Evidence
+reads its pairs from the token files either way, and splits only the lines
+its sites name. A JSON manifest records the config snapshot, input
+digests, per-stage row counts and timing; one call reads it and hashes the
+inputs once.
 
 Each stage imports the modules it runs when it starts, so loading this
 module and validating a config load only `corpus`, `fileio` and `errors` of
@@ -312,7 +313,7 @@ def _config_path(cfg: PipelineConfig, key: str) -> str | Path | None:
 # tag `annotations` if set, or else `src_inventory` and `default_senses`.
 _STAGE_INPUTS = {
     "ingest": ("src_corpus", "tgt_corpus", "tgt_inventory"),
-    "align": ("src_inventory", "tgt_inventory"),
+    "align": ("src_inventory", "tgt_inventory", "induced_relations"),
     "extract": ("tgt_inventory", "src_inventory", "induced_relations"),
     "eval": ("gold_relations", "gold_lexicon", "induced_relations", "relation_map"),
     "evidence": ("tgt_inventory", "src_inventory", "induced_relations"),
@@ -329,9 +330,9 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
     checks its spans against the corpus. When tag and
     extract run in one command, every sense that tag would give a source
     form, from `default_senses` or from the records of `annotations`, must
-    be an induced label, as extract requires of the token it is fused into,
-    and `default_senses` must give one to every `src_inventory` form, even
-    one that never occurs, which tag alone does not require."""
+    read back from its fused token (`tagging.check_senses`), and
+    `default_senses` must give one to every `src_inventory` form, even one
+    that never occurs, which tag alone does not require."""
     from . import inventory as inv
 
     keys = {key for stage in stages for key in _STAGE_INPUTS.get(stage, ())}
@@ -365,12 +366,7 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
             tagged = tg.annotated_senses(tables["annotations"])
         else:
             tagged = [(form, senses.get(" ".join(form))) for form in src_inventory]
-        for surface, relation in tagged:
-            if relation is None:
-                raise tg.no_default_sense(surface)
-            tg.fused_connective(
-                tg.fuse_token(surface, relation), src_inventory, tables["induced_relations"]
-            )
+        tg.check_senses(tagged, src_inventory, tables["induced_relations"])
     if "gold_lexicon" in keys:
         gold = tables["gold_relations"] = inv.load_relation_inventory(tables["gold_relations"])
         tables["gold_lexicon"] = inv.load_gold_lexicon(tables["gold_lexicon"], gold)
@@ -465,7 +461,9 @@ def _stage_align(
     occurrences = handoff.get("occurrences")
     if occurrences is None:
         occurrences = cp.find_occurrences(tgt, tables["tgt_inventory"])
-    decoded = tg.connective_pairs(src, tables["src_inventory"], occurrences)
+    decoded = tg.connective_pairs(
+        src, tables["src_inventory"], tables["induced_relations"], occurrences
+    )
 
     def decode(model: al.TranslationTable) -> al.Links:
         return al.Links.concat(process_chunks(model.decode, decoded))

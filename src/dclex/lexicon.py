@@ -135,8 +135,6 @@ def group_sites(
     name the site by its 1-based row.
     """
     forms = set(tgt_inventory)
-    src_forms = set(src_inventory)
-    known_relations = set(relations)
     dcs: dict[str, tuple[str, str] | None] = {}
     grouped: dict[tuple[str, str], list[Site]] = {}
     n = len(corpus)
@@ -158,7 +156,7 @@ def group_sites(
         if form not in forms:
             raise PipelineError(f"site {row}: {' '.join(form)!r} is no target inventory form")
         if src[i] not in dcs:
-            dcs[src[i]] = fused_connective(src[i], src_forms, known_relations)
+            dcs[src[i]] = fused_connective(src[i], src_inventory, relations)
         dc = dcs[src[i]]
         if dc is None:
             raise PipelineError(f"site {row}: {src[i]!r} is no fused source connective")

@@ -93,15 +93,13 @@ def connective_occurrences(
     boxed = sources >= 0
     words = sources.copy()
     words[boxed] = src.ids[src.offsets[found.pair[boxed]] + sources[boxed]]
-    src_forms = set(src_inventory)
-    known_relations = set(relations)
     dcs: dict[int, tuple[str, str] | None] = {}
     for (k, start, form), source, word in zip(found, sources.tolist(), words.tolist()):
         if source < 0:
             yield k, start, form, None, None
             continue
         if word not in dcs:
-            dcs[word] = fused_connective(src.vocab[word], src_forms, known_relations)
+            dcs[word] = fused_connective(src.vocab[word], src_inventory, relations)
         yield k, start, form, source, dcs[word]
 
 
@@ -196,11 +194,9 @@ def filter_dc_entries(
 ) -> list[DCAlignmentRecord]:
     """Turn connective rows into records, keeping the fused source tokens
     that `fused_connective` accepts."""
-    src_forms = set(src_inventory)
-    known_relations = set(relations)
     counts: dict[tuple[str, str, str], int] = {}
     for entry in table:
-        dc = fused_connective(entry.src_phrase[0], src_forms, known_relations)
+        dc = fused_connective(entry.src_phrase[0], src_inventory, relations)
         if dc is None:
             continue
         key = (" ".join(entry.tgt_phrase).lower(), *dc)

@@ -2,13 +2,13 @@
 
 A tagged connective occurrence is collapsed into a single token
 ``surface_with_underscores-RelationLabel`` (e.g. ``even_though-Comparison.Concession``)
-so that the word aligner sees one relation-bearing unit. Fusion is
-reversible: split at the last '-', map underscores back to spaces. This
-module alone knows that format: `fuse_token` makes a fused token,
-`split_fused_token` and `fused_connective` read one, `connective_pairs`
-finds the pairs that hold one and a target connective occurrence, and
-`check_label` is the rule a relation label must follow to be carried by
-one.
+so that the word aligner sees one relation-bearing unit. A fused token
+reads back by a split at the last '-' and underscores mapped back to
+spaces. This module alone knows that format: `fuse_token` makes a fused
+token, `split_fused_token` reads one, `fused_connective` is the one rule
+for a fused connective, `check_senses` checks that tag's senses make one,
+`connective_pairs` finds the pairs that hold one and a target occurrence,
+and `check_label` is the rule for the relation label of one.
 
 The tags of a corpus are `Tags`, spans as columns, which only
 `heuristic_tag` (a longest-match scan) and `load_annotations` (a stand-off
@@ -23,7 +23,7 @@ and only the tagged sentences change. Sentence k of the tags is line k of
 
 from __future__ import annotations
 
-from typing import Container, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 # `process_chunks` is bound here only for the benchmark's tracer to wrap;
 # the scans run their chunks through `corpus.process_chunks`.
@@ -89,52 +89,59 @@ def split_fused_token(token: str) -> tuple[tuple[str, ...], str] | None:
 def fused_connective(
     token: str, src_forms: Container[Form], relations: Container[str]
 ) -> tuple[str, str] | None:
-    """The (en_dc, relation) a fused source token stands for, or None for a
-    plain token or one whose surface is not in the source inventory.
-
-    A token that parses as `<known surface>-<label>` with an unknown label
-    signals upstream corruption and is fatal.
-    """
-    parsed = _inventory_token(token, src_forms)
-    if parsed is None:
-        return None
-    surface, relation = parsed
-    if relation not in relations:
-        raise PipelineError(
-            f"malformed fused token {token!r}: unknown relation label {relation!r}"
-        )
-    return " ".join(surface), relation
-
-
-def _inventory_token(token: str, src_forms: Container[Form]) -> tuple[Form, str] | None:
-    """The lowercased surface and the label of a fused token whose surface
-    is in the source inventory; None for a plain token, e.g. an untagged
-    connective occurrence, and for any other surface."""
+    """The (en_dc, relation) of `token` if it is a fused connective: it
+    splits at its last '-' into a surface whose lowercased tokens are a form
+    of `src_forms` and a label of `relations`. Every other token, such as an
+    untagged connective or "so-called", is a plain word and gives None."""
     parsed = split_fused_token(token)
-    if parsed is None:
+    if parsed is None or parsed[1] not in relations:
         return None
     surface = tuple(t.lower() for t in parsed[0])
-    return (surface, parsed[1]) if surface in src_forms else None
+    return (" ".join(surface), parsed[1]) if surface in src_forms else None
 
 
-def connective_pairs(side: TokenColumns, src_inventory: Sequence[Form], occurrences: Occurrences):
-    """The pairs that can give extract a site: those whose sentence of
-    `side`, a fused source side, holds a fused token whose surface is in
-    `src_inventory`, and whose target side holds one of `occurrences`, the
-    target connective occurrences of the same corpus; ascending, as int64.
-    Only the links of these pairs can box such a token with an occurrence,
-    so only they can give extract a site, or its error on a token whose
-    label is no induced relation (`fused_connective`); align decodes them
-    alone. The tokens are judged once per word of the vocabulary, so the
-    pairs do not depend on its order."""
+def check_senses(
+    senses: Iterable[tuple[Form, str | None]], src_forms: Container[Form], relations: Container[str]
+) -> None:
+    """Check the (surface, relation) that tag would give each source form:
+    the relation is set, and the token they fuse into reads back as itself
+    (`fused_connective`): as that connective if the surface is a form of
+    `src_forms`, else as a plain word."""
+    for surface, relation in senses:
+        if relation is None:
+            raise no_default_sense(surface)
+        form, token = tuple(t.lower() for t in surface), fuse_token(surface, relation)
+        known = form in src_forms
+        read = fused_connective(token, src_forms, relations)
+        if read == ((" ".join(form), relation) if known else None):
+            continue
+        if known and relation not in relations:
+            raise PipelineError(
+                f"malformed fused token {token!r}: unknown relation label {relation!r}"
+            )
+        raise PipelineError(f"fused token {token!r} does not read back as {' '.join(surface)!r}")
+
+
+def connective_pairs(
+    side: TokenColumns,
+    src_inventory: Sequence[Form],
+    relations: Sequence[str],
+    occurrences: Occurrences,
+):
+    """The pairs that can give extract a site, ascending, as int64: those
+    whose sentence of `side`, a fused source side, holds a fused connective
+    of `src_inventory` and `relations` (`fused_connective`), and whose
+    target side holds one of `occurrences`, the target connective
+    occurrences of the same corpus. Only their links can box such a token
+    with an occurrence, so align decodes them alone. Each word of the
+    vocabulary is judged once, so the pairs do not depend on its order."""
     import numpy as np
 
-    forms = set(src_inventory)
     # Only a word with a separator can parse as a fused token.
     fused = [
         w
         for w, word in enumerate(side.vocab)
-        if SENSE_SEPARATOR in word and _inventory_token(word, forms)
+        if SENSE_SEPARATOR in word and fused_connective(word, src_inventory, relations)
     ]
     marked = np.zeros(len(side.vocab), bool)
     marked[fused] = True

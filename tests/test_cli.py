@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -58,6 +59,37 @@ def write_config(tmp_path, body):
     path = tmp_path / "pipeline.cfg"
     path.write_text(body, encoding="utf-8")
     return str(path)
+
+
+def so_config(root, even, odd="so", form="so"):
+    """A config in `root` over 200 pairs: odd pairs are `e{a} <odd> e{b}` /
+    `f{a} donc f{b}`, even pairs `e{a} <even> e{b}` / `f{a} mais f{b}`, a
+    and b drawn by a seeded generator. The one source form, `form`, has the
+    default sense Rel, the one induced relation."""
+    rng = random.Random(1)
+    src, tgt = [], []
+    for k in range(200):
+        a, b = rng.randrange(50), rng.randrange(50)
+        word, fr = (odd, "donc") if k % 2 else (even, "mais")
+        src.append(f"e{a} {word} e{b}\n")
+        tgt.append(f"f{a} {fr} f{b}\n")
+    for name, text in (
+        ("corpus.en", "".join(src)),
+        ("corpus.fr", "".join(tgt)),
+        ("inv.en", f"{form}\n"),
+        ("inv.fr", "donc\nmais\n"),
+        ("senses.tsv", f"{form}\tRel\n"),
+        ("induced.txt", "Rel\n"),
+    ):
+        (root / name).write_text(text, encoding="utf-8")
+    body = (
+        f"src_corpus = {root / 'corpus.en'}\ntgt_corpus = {root / 'corpus.fr'}\n"
+        f"src_inventory = {root / 'inv.en'}\ntgt_inventory = {root / 'inv.fr'}\n"
+        f"default_senses = {root / 'senses.tsv'}\n"
+        f"induced_relations = {root / 'induced.txt'}\n"
+        f"output_dir = {root / 'out'}\nmin_freq = 1\niterations = 5\n"
+    )
+    return write_config(root, body)
 
 
 MINIMAL = """\
@@ -624,7 +656,7 @@ class TestPipelineRuns:
         tables = {
             "ingest": ["inventory.fr"],
             "tag": ["inventory.en", "senses.tsv"],
-            "align": ["inventory.en", "inventory.fr"],
+            "align": ["inventory.en", "inventory.fr", "relations_induced.txt"],
             "extract": ["inventory.en", "inventory.fr", "relations_induced.txt"],
             "build": [],
             "eval": ["gold.tsv", "map.tsv", "relations_gold.txt", "relations_induced.txt"],
@@ -1023,6 +1055,34 @@ class TestPipelineRuns:
         assert main(["run", "all", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert "malformed fused token 'zonk-REL_X': unknown relation label 'REL_X'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_hyphenated_word_headed_by_a_source_form_is_a_plain_word(self, tmp_path):
+        # "so-called" splits at its '-' into the source form "so" and
+        # "called", which is no induced label: it is a plain word, as
+        # "socalled" is, and used to stop extract as a malformed fused token.
+        names = ("align_sym", "sites", "dc_records", "lexicon")
+        artifacts = []
+        for word in ("so-called", "socalled"):
+            root = tmp_path / word
+            root.mkdir()
+            assert main(["run", "all", "--config", so_config(root, word)]) == 0, word
+            out = root / "out"
+            manifest = json.loads((out / ARTIFACTS["manifest"]).read_text(encoding="utf-8"))
+            assert manifest["stages"]["align"]["rows"]["decoded_pairs"] == 100
+            artifacts.append({name: (out / ARTIFACTS[name]).read_bytes() for name in names})
+        assert artifacts[0] == artifacts[1]
+        lexicon = artifacts[0]["lexicon"].decode("utf-8").splitlines()
+        assert "donc\tRel\t1.000000\t100\t100" in lexicon
+
+    def test_run_all_rejects_a_sense_whose_fused_token_does_not_read_back(self, tmp_path, capsys):
+        # Tag would fuse each "so_that" with Rel into "so_that-Rel", which
+        # reads back as "so that": align would decode no pair, and extract
+        # count no site.
+        config = so_config(tmp_path, "so_that", "so_that", "so_that")
+        assert main(["run", "all", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "fused token 'so_that-Rel' does not read back as 'so_that'" in err
         assert not (tmp_path / "out").exists()
 
     def test_ingest_alone_loads_the_target_inventory_before_it_writes(self, tmp_path, capsys):

@@ -301,12 +301,20 @@ class TestEvidence:
         with pytest.raises(PipelineError, match="0-5 out of bounds for 2x2 pair 3"):
             grouped_sites(corpus, Links.of(links))
 
-    def test_unknown_label_is_fatal(self):
+    def test_unknown_label_is_a_plain_word(self):
+        # "although-Nonsense" carries no induced label, so it is a plain
+        # word: the occurrence it is linked to is counted, and gives no row,
+        # record or site.
         pairs = [(("although-Nonsense",), ("bien", "que"))]
         alignments = Links.of([{(0, 0), (0, 1)}])
         tgt_inventory = [("bien", "que")]
-        with pytest.raises(PipelineError, match="unknown relation label"):
-            grouped_sites(corpus_of(pairs), alignments, tgt_inventory)
+        table = build_phrase_table(
+            corpus_of(pairs), alignments, tgt_inventory, SRC_INVENTORY, RELATIONS
+        )
+        assert table.occurrences == 1
+        assert list(table) == [] and table.sites == ()
+        assert filter_dc_entries(table, SRC_INVENTORY, RELATIONS) == []
+        assert grouped_sites(corpus_of(pairs), alignments, tgt_inventory) == {}
 
     def test_grouping_takes_the_first_site_of_a_key_in_a_pair(self):
         # Pair 0 holds "même si" twice for the same fused token's relation.
@@ -355,6 +363,10 @@ class TestEvidence:
         ]:
             with pytest.raises(PipelineError, match=message):
                 group_sites(corpus, bad, INVENTORY, SRC_INVENTORY, RELATIONS)
+        # A source form with a label that is no induced relation.
+        nonsense = corpus_of([(("although-Nonsense",), ("même", "si"))])
+        with pytest.raises(PipelineError, match="'although-Nonsense' is no fused source connective"):
+            group_sites(nonsense, [(0, 0, 0, 1)], INVENTORY, SRC_INVENTORY, RELATIONS)
 
     def test_format_blocks(self):
         corpus, alignments = evidence_fixture()

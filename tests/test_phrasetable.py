@@ -217,10 +217,15 @@ class TestBuildPhraseTable:
         assert list(table) == [PhraseTableEntry((self.FUSED,), ("même", "si"), 1)]
         assert table.occurrences == 2
 
-    def test_unknown_relation_label_is_fatal(self):
+    def test_unknown_relation_label_is_a_plain_word(self):
+        # "a-Bogus" splits into a source form and a label that is no induced
+        # relation: it is a plain word, so its occurrence is scanned and
+        # counted, and gives no row, site or record.
         pairs = [(("a-Bogus",), ("même",))]
-        with pytest.raises(PipelineError, match="unknown relation label 'Bogus'"):
-            build_phrase_table(pairs, Links.of([aln((0, 0))]), self.TGT_INV, SRC_INV, RELATIONS)
+        table = build_phrase_table(pairs, Links.of([aln((0, 0))]), self.TGT_INV, SRC_INV, RELATIONS)
+        assert list(table) == [] and table.sites == ()
+        assert table.occurrences == 1
+        assert filter_dc_entries(table, SRC_INV, RELATIONS) == []
 
     def test_length_mismatch_is_fatal(self):
         with pytest.raises(PipelineError, match="1 vs 2"):
@@ -422,10 +427,15 @@ class TestFilterDCEntries:
         ]
         assert filter_dc_entries(table, self.SRC_INV, self.RELATIONS) == []
 
-    def test_unknown_relation_label_is_fatal(self):
-        table = [self.entry(["if-Bogus.Label"], ["si"])]
-        with pytest.raises(PipelineError, match="malformed fused token"):
-            filter_dc_entries(table, self.SRC_INV, self.RELATIONS)
+    def test_unknown_relation_label_is_a_plain_word(self):
+        # An inventory surface with a label that is no induced relation is a
+        # plain word: its row gives no record.
+        table = [
+            self.entry(["if-Bogus.Label"], ["si"]),
+            self.entry(["if-Contingency.Condition"], ["si"]),
+        ]
+        records = filter_dc_entries(table, self.SRC_INV, self.RELATIONS)
+        assert records == [DCAlignmentRecord("si", "if", "Contingency.Condition", 1)]
 
     def test_records_sorted(self):
         table = [

@@ -11,6 +11,7 @@ from dclex.inventory import load_connective_inventory, load_default_senses
 from dclex.tagging import (
     Tags,
     annotated_senses,
+    check_senses,
     connective_pairs,
     fuse_corpus,
     fuse_token,
@@ -286,21 +287,23 @@ class TestConnectivePairs:
                 (),
                 ("c",),
                 ("Si-R2", "si"),  # case aside
-                ("si-UNKNOWN",),  # extract fails on its label, so it is kept
+                ("si-UNKNOWN",),  # no induced label: a plain word
                 ("even-R1",),
                 ("si-R2",),  # no target occurrence: no link can box it
+                ("si-bémol",),  # a hyphenated plain word headed by an inventory form
             )
         )
         forms = [("even", "though"), ("si",)]
-        tgt = make_corpus(*[("bien", "que")] * 7, ("x",))
+        relations = ["R1", "R2"]
+        tgt = make_corpus(*[("bien", "que")] * 7, ("x",), ("bien", "que"))
         found = find_occurrences(tgt, [("bien", "que"), ("si",)])
-        assert connective_pairs(side, forms, found).tolist() == [0, 4, 5]
-        assert connective_pairs(side, forms, found).dtype == "int64"
+        assert connective_pairs(side, forms, relations, found).tolist() == [0, 4]
+        assert connective_pairs(side, forms, relations, found).dtype == "int64"
         none = find_occurrences(tgt, [("si",)])
-        assert connective_pairs(side, forms, none).tolist() == []
+        assert connective_pairs(side, forms, relations, none).tolist() == []
         empty = TokenColumns.intern(make_corpus(("a",), ()))
         both = find_occurrences(make_corpus(("si",), ("si",)), [("si",)])
-        assert connective_pairs(empty, forms, both).tolist() == []
+        assert connective_pairs(empty, forms, relations, both).tolist() == []
 
     def test_pairs_do_not_depend_on_the_vocabulary_order(self):
         sentences = make_corpus(("x", "zonk-R"), ("zonk",), ("y", "x"), ("zonk-R",))
@@ -309,7 +312,24 @@ class TestConnectivePairs:
         found = find_occurrences(make_corpus(*[("tak",)] * 4), [("tak",)])
         assert fused.vocab != TokenColumns.intern(sentences).vocab
         for side in (fused, TokenColumns.intern(sentences)):
-            assert connective_pairs(side, [("zonk",)], found).tolist() == [0, 3]
+            assert connective_pairs(side, [("zonk",)], ["R"], found).tolist() == [0, 3]
+
+
+class TestCheckSenses:
+    def test_each_sense_reads_back_from_its_fused_token(self):
+        forms, relations = [("so",), ("so", "that"), ("so_that",)], ["R"]
+        # A form with an induced label, cased or not; a surface outside the
+        # inventory fuses into a plain word, whatever its label.
+        check_senses([(("so",), "R"), (("So",), "R"), (("well",), "X")], forms, relations)
+        for senses, message in [
+            ([(("so",), None)], "no default sense for connective 'so'"),
+            ([(("so",), "X")], "malformed fused token 'so-X': unknown relation label 'X'"),
+            # "so_that-R" reads back as "so that", and "a_b-R" as "a b".
+            ([(("so_that",), "R")], "fused token 'so_that-R' does not read back as 'so_that'"),
+            ([(("a_b",), "R")], "fused token 'a_b-R' does not read back as 'a_b'"),
+        ]:
+            with pytest.raises(PipelineError, match=re.escape(message)):
+                check_senses(senses, [*forms, ("a", "b")], relations)
 
 
 class TestHeuristicTagging:
