@@ -1030,7 +1030,14 @@ def read_alignments(path: str) -> Links:
         _fail_at_token(path, text)
     src = np.fromiter((int(link[1]) for link in parsed), np.int32, len(parsed))
     tgt = np.fromiter((int(link[2]) for link in parsed), np.int32, len(parsed))
-    return _collect(_pair_index(words.offsets), src[words.ids], tgt[words.ids], len(words))
+    pair, src, tgt = _pair_index(words.offsets), src[words.ids], tgt[words.ids]
+    # A file that `write_alignments` wrote is in Links order already: each
+    # line's links ascend, with no repeat, and need no sort.
+    same = pair[1:] == pair[:-1]
+    ascend = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (tgt[1:] > tgt[:-1]))
+    if (ascend | ~same).all():
+        return _sorted_links(pair, src, tgt, len(words))
+    return _collect(pair, src, tgt, len(words))
 
 
 def _fail_at_token(path: str, text: str) -> None:

@@ -4,22 +4,22 @@ evidence | report, plus `run all`.
 Every stage writes its artifacts to the configured output directory. A
 command first loads the input tables of the stages it runs, once each and
 with the checks across tables (`_tables`), so `run all` stops on a bad
-table before ingest writes; the stages read them from the handoff. A stage
-run alone reads its other inputs from the output directory, so stages can
-be rerun individually; it interns the token files it reads as ingest
-interned the corpus. Within one `run all`, a stage hands what it wrote in
-memory to the later stages that read it instead: ingest's interned corpus
-and target connective occurrences, tag's fused source side, align's links
-and extract's sites are each made once. Align trains on every pair but
-decodes, symmetrizes and writes links only for the pairs whose fused source
-side holds a fused connective, a source form with an induced label, and
-whose target side holds a target connective occurrence
-(`tagging.connective_pairs`), the only pairs extract can count a site from;
-`alignments.sym.txt` keeps an empty line for each other pair. Evidence
-reads its pairs from the token files either way, and splits only the lines
-its sites name. A JSON manifest records the config snapshot, input
-digests, per-stage row counts and timing; one call reads it and hashes the
-inputs once.
+table before ingest writes. What a stage reads that another stage makes is
+listed once, in `_STAGE_ARTIFACTS`, and got by one rule (`Handoff.read`):
+the object an earlier stage of the same command handed on in memory, or
+else the files in the output directory, read by the stage's reader there.
+So a fresh `run all` reads back none of the artifacts it writes, any stage
+can be rerun alone, and each object is dropped after the last stage of the
+command that reads it. A stage run alone interns the token files it reads
+as ingest did the corpus, and finds the target connective occurrences
+again; evidence alone splits only the lines its sites name. Align trains on
+every pair but decodes, symmetrizes and writes links only for the pairs
+whose fused source side holds a fused connective and whose target side
+holds a target connective occurrence (`tagging.connective_pairs`), the only
+pairs extract can count a site from; `alignments.sym.txt` keeps an empty
+line for each other pair. A JSON manifest records the config snapshot,
+input digests, per-stage row counts and timing; one call reads it and
+hashes the inputs once.
 
 Each stage imports the modules it runs when it starts, so loading this
 module and validating a config load only `corpus`, `fileio` and `errors` of
@@ -42,8 +42,9 @@ import logging
 import os
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from . import corpus as cp
@@ -283,12 +284,10 @@ def _out(cfg: PipelineConfig, name: str) -> Path:
     return Path(cfg.output_dir) / ARTIFACTS[name]
 
 
-def _require(cfg: PipelineConfig, name: str, produced_by: str) -> Path:
+def _require(cfg: PipelineConfig, name: str) -> Path:
     path = _out(cfg, name)
     if not path.is_file():
-        raise UsageError(
-            f"missing artifact {path}: run the `{produced_by}` stage first"
-        )
+        raise UsageError(f"missing artifact {path}: run the `{_WRITTEN_BY[name]}` stage first")
     return path
 
 
@@ -310,9 +309,10 @@ def _config_path(cfg: PipelineConfig, key: str) -> str | Path | None:
 
 
 # The input files each stage reads, by config key. Build reads none, and
-# tag `annotations` if set, or else `src_inventory` and `default_senses`.
+# tag `annotations` if set, or else `default_senses`, as well.
 _STAGE_INPUTS = {
     "ingest": ("src_corpus", "tgt_corpus", "tgt_inventory"),
+    "tag": ("src_inventory",),
     "align": ("src_inventory", "tgt_inventory", "induced_relations"),
     "extract": ("tgt_inventory", "src_inventory", "induced_relations"),
     "eval": ("gold_relations", "gold_lexicon", "induced_relations", "relation_map"),
@@ -321,18 +321,70 @@ _STAGE_INPUTS = {
 }
 
 
+# How a stage reads an artifact that its command did not make: the
+# artifact files it reads, and `read(handoff, *paths)` of their paths.
+_Reader = tuple[tuple[str, ...], Callable[..., Any]]
+
+
+def _by(function: str, *files: str) -> _Reader:
+    """The reader of `files` by `function`, `module.name` of the package,
+    looked up as it reads, so that cli loads no stage's module early."""
+    module, name = function.split(".")
+    return files, lambda handoff, *paths: getattr(import_module(f"dclex.{module}"), name)(*paths)
+
+
+_WORK = _by("corpus.load_token_corpus", "fused_src", "corpus_tgt")
+# The occurrences that ingest counted, found again on the work pairs.
+_OCCURRENCES: _Reader = (
+    (), lambda h: cp.find_occurrences(h.read("work").tgt, h.tables["tgt_inventory"])
+)
+_FREQS = _by("corpus.read_frequency_table", "freqs")
+_LEXICON = _by("lexicon.read_ranked_lexicon", "lexicon")
+
+# What each stage reads that an earlier stage makes, by the name it is
+# handed on under (`Handoff`), with the reader the stage uses when its
+# command did not make it. Ingest makes "corpus", its interned `Bitext`,
+# "freqs", the frequency table, and "occurrences", the target connective
+# occurrences it counts; tag "work", the `Bitext` of the fused source side
+# and the target side; align "links"; extract "sites" and "records"; build
+# "lexicon". Pair k is line k of the token files.
+_STAGE_ARTIFACTS: dict[str, dict[str, _Reader]] = {
+    "tag": {"corpus": _by("corpus.load_token_corpus", "corpus_src", "corpus_tgt")},
+    "align": {"work": _WORK, "occurrences": _OCCURRENCES},
+    "extract": {
+        "work": _WORK,
+        "links": _by("alignment.read_alignments", "align_sym"),
+        "occurrences": _OCCURRENCES,
+    },
+    "build": {"records": _by("phrasetable.read_dc_records", "dc_records"), "freqs": _FREQS},
+    "eval": {"lexicon": _LEXICON, "freqs": _FREQS},
+    # Only the pairs the sites name are split into tokens; numpy is not loaded.
+    "evidence": {
+        "lexicon": _LEXICON,
+        "sites": _by("phrasetable.read_sites", "sites"),
+        "work": _by("corpus.open_token_corpus", "fused_src", "corpus_tgt"),
+    },
+    "report": {"freqs": _FREQS},
+}
+
+# The stage that writes each artifact file that a reader reads.
+_WRITTEN_BY = dict(
+    corpus_src="ingest", corpus_tgt="ingest", freqs="ingest", fused_src="tag",
+    align_sym="align", sites="extract", dc_records="extract", lexicon="build",
+)
+
+
 def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
     """The input files that `stages` read, by config key, each read once:
     every file is checked to be set and to exist, then each table is loaded
     with the checks the stages make across tables. The corpus files are
     given by path, for ingest to read. `annotations` is read once, as
     `tagging.Annotations`, with every check that needs no corpus; tag
-    checks its spans against the corpus. When tag and
-    extract run in one command, every sense that tag would give a source
-    form, from `default_senses` or from the records of `annotations`, must
-    read back from its fused token (`tagging.check_senses`), and
-    `default_senses` must give one to every `src_inventory` form, even one
-    that never occurs, which tag alone does not require."""
+    checks its spans against the corpus. The fused token of each sense that
+    tag would give a source form must split back into them
+    (`tagging.check_read_back`); with extract in the command, it must read
+    back as that connective, and every `src_inventory` form, even one that
+    never occurs, needs a sense (`tagging.check_senses`)."""
     from . import inventory as inv
 
     keys = {key for stage in stages for key in _STAGE_INPUTS.get(stage, ())}
@@ -341,7 +393,7 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
 
         if not (cfg.annotations or cfg.default_senses):
             raise UsageError("the tag stage needs either 'annotations' or 'default_senses' configured")
-        keys.update(["annotations"] if cfg.annotations else ["src_inventory", "default_senses"])
+        keys.add("annotations" if cfg.annotations else "default_senses")
     tables: dict[str, Any] = {}
     for key in sorted(keys, key=_INPUT_KEYS.index):
         value = _config_path(cfg, key)
@@ -360,13 +412,16 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
             tables[key] = load(tables[key])
     if "annotations" in keys:
         tables["annotations"] = tg.Annotations.of(tables["annotations"])
-    if "tag" in stages and "extract" in stages:
+    if "tag" in stages:
         src_inventory, senses = tables["src_inventory"], tables.get("default_senses")
         if senses is None:
             tagged = tg.annotated_senses(tables["annotations"])
         else:
             tagged = [(form, senses.get(" ".join(form))) for form in src_inventory]
-        tg.check_senses(tagged, src_inventory, tables["induced_relations"])
+        if "extract" in stages:
+            tg.check_senses(tagged, src_inventory, tables["induced_relations"])
+        else:
+            tg.check_read_back([sense for sense in tagged if sense[1]], src_inventory)
     if "gold_lexicon" in keys:
         gold = tables["gold_relations"] = inv.load_relation_inventory(tables["gold_relations"])
         tables["gold_lexicon"] = inv.load_gold_lexicon(tables["gold_lexicon"], gold)
@@ -376,37 +431,37 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
     return tables
 
 
-# What a command hands its stages, by name. "tables", the input files of
-# the stages it runs (`_tables`), is read by every stage. Within one
-# `run all`, a stage also hands what it wrote to the later stages that read
-# it (see `main`): "corpus", ingest's `Bitext`, read by tag;
-# "occurrences", ingest's target connective occurrences, read by align and
-# extract; "work", tag's `Bitext` of the fused source and the target side,
-# read by align and extract; "links", align's symmetrized links, read by
-# extract; "sites", extract's sites, read by evidence. Pair k is line k of
-# the token files.
-Handoff = dict[str, object]
+class Handoff:
+    """What a command hands its stages: its `args`, the input `tables` of
+    the stages it runs (`_tables`), and `made`, what its stages made that a
+    later one reads (`_STAGE_ARTIFACTS`), while `stage` runs."""
+
+    def __init__(
+        self, cfg: PipelineConfig, stages: Sequence[str], args: argparse.Namespace | None = None
+    ) -> None:
+        self.cfg, self.stages, self.args = cfg, tuple(stages), args
+        self.tables = _tables(cfg, self.stages)
+        self.made: dict[str, Any] = {}
+        self.stage = self.stages[0]
+
+    def read(self, name: str) -> Any:
+        """Artifact `name` as an earlier stage of the command made it, or
+        else as the running stage's reader reads it."""
+        if name not in self.made:
+            files, read = _STAGE_ARTIFACTS[self.stage][name]
+            self.made[name] = read(self, *(str(_require(self.cfg, file)) for file in files))
+        return self.made[name]
+
+    def done(self) -> None:
+        """Drop what no stage after the running one in the command reads."""
+        later = self.stages[self.stages.index(self.stage) + 1 :]
+        read = {name for stage in later for name in _STAGE_ARTIFACTS.get(stage, ())}
+        for name in self.made.keys() - read:
+            del self.made[name]
 
 
-def _load_pairs(cfg: PipelineConfig, src: str, produced_by: str) -> cp.Bitext:
-    """The token file `src` and the target token file, interned."""
-    src_path = _require(cfg, src, produced_by)
-    tgt_path = _require(cfg, "corpus_tgt", "ingest")
-    return cp.load_token_corpus(str(src_path), str(tgt_path))
-
-
-def _work_pairs(cfg: PipelineConfig, handoff: Handoff, last: bool = False) -> cp.Bitext:
-    """The fused source side and the target side, as the aligner saw them;
-    `last` when no later stage reads them from the handoff."""
-    if "work" in handoff:
-        return handoff.pop("work") if last else handoff["work"]
-    return _load_pairs(cfg, "fused_src", "tag")
-
-
-def _stage_ingest(
-    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
-) -> dict[str, int]:
-    tables = handoff["tables"]
+def _stage_ingest(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
+    tables = handoff.tables
     corpus = cp.load_parallel_corpus(
         tables["src_corpus"], tables["tgt_corpus"],
         lowercase=cfg.lowercase,
@@ -419,50 +474,41 @@ def _stage_ingest(
     cp.write_token_file(corpus.tgt, _out(cfg, "corpus_tgt"))
     freqs = cp.count_occurrences(corpus, tables["tgt_inventory"])
     cp.write_frequency_table(freqs, _out(cfg, "freqs"))
-    handoff["corpus"] = corpus
-    handoff["occurrences"] = freqs.occurrences
+    # The table is handed on without its occurrences, which extract reads last.
+    handoff.made.update(
+        corpus=corpus, freqs=cp.FrequencyTable(freqs.entries), occurrences=freqs.occurrences
+    )
     return {"pairs": len(corpus), "target_forms": len(freqs.entries)}
 
 
-def _stage_tag(
-    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
-) -> dict[str, int]:
+def _stage_tag(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from . import tagging as tg
 
-    if "corpus" in handoff:
-        pairs = handoff.pop("corpus")
-    else:
-        pairs = _load_pairs(cfg, "corpus_src", "ingest")
+    pairs = handoff.read("corpus")
     src = pairs.src
-    tables = handoff["tables"]
+    tables = handoff.tables
     if "annotations" in tables:
         tags = tg.load_annotations(tables["annotations"], src)
     else:
         tags = tg.heuristic_tag(src, tables["src_inventory"], tables["default_senses"])
     fused = tg.fuse_corpus(src, tags)
     tg.write_fused_corpus(fused, _out(cfg, "fused_src"))
-    handoff["work"] = cp.Bitext(fused, pairs.tgt)
+    handoff.made["work"] = cp.Bitext(fused, pairs.tgt)
     return {"annotations": len(tags), "sentences": len(fused)}
 
 
-def _stage_align(
-    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
-) -> dict[str, object]:
+def _stage_align(cfg: PipelineConfig, handoff: Handoff) -> dict[str, object]:
     from . import alignment as al
     from . import tagging as tg
 
-    pairs = _work_pairs(cfg, handoff)
+    pairs = handoff.read("work")
     src, tgt = pairs.src, pairs.tgt
     train = al.train_model2 if cfg.model == "model2" else al.train_model1
     # EM trains on every pair; only the pairs that can give extract a site
-    # are decoded. Ingest's occurrences are those of the same target side
-    # (extract pops them); alone, the stage scans it.
-    tables = handoff["tables"]
-    occurrences = handoff.get("occurrences")
-    if occurrences is None:
-        occurrences = cp.find_occurrences(tgt, tables["tgt_inventory"])
+    # are decoded.
+    tables = handoff.tables
     decoded = tg.connective_pairs(
-        src, tables["src_inventory"], tables["induced_relations"], occurrences
+        src, tables["src_inventory"], tables["induced_relations"], handoff.read("occurrences")
     )
 
     def decode(model: al.TranslationTable) -> al.Links:
@@ -479,7 +525,7 @@ def _stage_align(
     del model
     symmetrized = al.symmetrize(fwd, bwd, cfg.heuristic).spread(decoded, len(src))
     al.write_alignments(symmetrized, _out(cfg, "align_sym"))
-    handoff["links"] = symmetrized
+    handoff.made["links"] = symmetrized
     # Viterbi links each target position at most once, so the share of the
     # decoded target tokens left unlinked is the forward NULL rate; the
     # backward one is taken over the decoded source tokens.
@@ -507,48 +553,29 @@ def _rate(part: int, whole: int) -> float | None:
     return round(part / whole, 6) if whole else None
 
 
-def _stage_extract(
-    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
-) -> dict[str, int]:
-    from . import alignment as al
+def _stage_extract(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from . import phrasetable as pt
 
-    pairs = _work_pairs(cfg, handoff, last=True)
-    if "links" in handoff:
-        links = handoff.pop("links")
-    else:
-        links = al.read_alignments(str(_require(cfg, "align_sym", "align")))
-    tables = handoff["tables"]
+    tables = handoff.tables
     src_inventory, relations = tables["src_inventory"], tables["induced_relations"]
-    # Ingest's occurrences are those of the same target side; alone, the
-    # stage scans it.
     table = pt.build_phrase_table(
-        pairs,
-        links,
-        tables["tgt_inventory"],
-        src_inventory,
-        relations,
-        cfg.max_phrase_len,
-        handoff.pop("occurrences", None),
+        handoff.read("work"), handoff.read("links"), tables["tgt_inventory"], src_inventory,
+        relations, cfg.max_phrase_len, handoff.read("occurrences"),
     )
     pt.write_sites(table.sites, _out(cfg, "sites"))
     records = pt.filter_dc_entries(table, src_inventory, relations)
     pt.write_dc_records(records, _out(cfg, "dc_records"))
-    handoff["sites"] = table.sites
+    handoff.made.update(sites=table.sites, records=records)
     aligned = sum(e.count for e in table)
     return {"occurrences": table.occurrences, "aligned": aligned, "dc_records": len(records)}
 
 
-def _stage_build(
-    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
-) -> dict[str, int]:
+def _stage_build(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from . import lexicon as lx
-    from . import phrasetable as pt
 
-    records = pt.read_dc_records(str(_require(cfg, "dc_records", "extract")))
-    freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
-    ranked = lx.build_lexicon(records, freqs, cfg.min_freq)
+    ranked = lx.build_lexicon(handoff.read("records"), handoff.read("freqs"), cfg.min_freq)
     lx.write_ranked_lexicon(ranked, _out(cfg, "lexicon"))
+    handoff.made["lexicon"] = ranked
     return {"entries": len(ranked.entries)}
 
 
@@ -557,16 +584,12 @@ class _NoGoldPair(PipelineError):
     and eval run alone fails."""
 
 
-def _stage_eval(
-    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
-) -> dict[str, int]:
+def _stage_eval(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from . import evaluation as ev
     from . import inventory as inv
-    from . import lexicon as lx
 
-    ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
-    freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
-    tables = handoff["tables"]
+    ranked, freqs = handoff.read("lexicon"), handoff.read("freqs")
+    tables = handoff.tables
     gold = inv.restrict_gold(tables["gold_lexicon"], freqs, cfg.min_freq)
     if not gold:
         raise _NoGoldPair(
@@ -580,38 +603,23 @@ def _stage_eval(
     }
 
 
-def _stage_evidence(
-    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
-) -> dict[str, int]:
+def _stage_evidence(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from fractions import Fraction
 
     from . import lexicon as lx
-    from . import phrasetable as pt
 
-    ranked = lx.read_ranked_lexicon(str(_require(cfg, "lexicon", "build")))
-    sites_path = str(_require(cfg, "sites", "extract"))
-    if "sites" in handoff:
-        rows = handoff.pop("sites")
-    else:
-        rows = pt.read_sites(sites_path)
-    # Only the pairs the sites name are split into tokens; numpy is not loaded.
-    fused_path = _require(cfg, "fused_src", "tag")
-    tgt_path = _require(cfg, "corpus_tgt", "ingest")
-    work = cp.open_token_corpus(str(fused_path), str(tgt_path))
-    tables = handoff["tables"]
+    ranked, rows, work = (handoff.read(name) for name in ("lexicon", "sites", "work"))
+    tables = handoff.tables
     try:
         sites = lx.group_sites(
-            work,
-            rows,
-            tables["tgt_inventory"],
-            tables["src_inventory"],
-            tables["induced_relations"],
+            work, rows,
+            tables["tgt_inventory"], tables["src_inventory"], tables["induced_relations"],
         )
     except PipelineError as exc:
-        raise PipelineError(f"{sites_path}: {exc}") from exc
+        raise PipelineError(f"{_out(cfg, 'sites')}: {exc}") from exc
 
-    only_dc = getattr(extra, "dc", None) if extra else None
-    only_relation = getattr(extra, "relation", None) if extra else None
+    only_dc = getattr(handoff.args, "dc", None)
+    only_relation = getattr(handoff.args, "relation", None)
     min_prob = Fraction(str(cfg.evidence_min_prob))
     targets = [
         (rank, entry)
@@ -640,11 +648,9 @@ def _stage_evidence(
     return {"entries": len(targets), "excerpts": sampled}
 
 
-def _stage_report(
-    cfg: PipelineConfig, extra: argparse.Namespace | None, handoff: Handoff
-) -> dict[str, int]:
-    freqs = cp.read_frequency_table(str(_require(cfg, "freqs", "ingest")))
-    tgt_inventory = handoff["tables"]["tgt_inventory"]
+def _stage_report(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
+    freqs = handoff.read("freqs")
+    tgt_inventory = handoff.tables["tgt_inventory"]
     zero = below = above = 0
     for form in tgt_inventory:
         count = freqs.count(" ".join(form))
@@ -676,29 +682,23 @@ _STAGE_FUNCS = {
 
 
 def run_stage(
-    stage: str,
-    cfg: PipelineConfig,
-    extra: argparse.Namespace | None = None,
-    handoff: Handoff | None = None,
-    manifest: dict | None = None,
+    stage: str, cfg: PipelineConfig, handoff: Handoff | None = None, manifest: dict | None = None
 ) -> dict:
     """Run one stage, then record it in the manifest and write that under
-    the output directory.
-
-    `handoff` carries the input tables of the run (`_tables`) and what
-    earlier stages of the same run wrote, and takes what this stage writes
-    for later ones; without it, the stage loads its tables first and reads
-    its other inputs from the output directory. `manifest` is the one of
-    the run under way; without it, the stage opens one (`open_manifest`)."""
+    the output directory. `handoff` and `manifest` are those of the command
+    under way; without them, the stage makes its own (`Handoff`, which
+    loads its tables, and `open_manifest`)."""
     if stage not in _STAGE_FUNCS:
         raise UsageError(f"unknown stage {stage!r}")
     if handoff is None:
-        handoff = {"tables": _tables(cfg, (stage,))}
+        handoff = Handoff(cfg, (stage,))
     if manifest is None:
         manifest = open_manifest(cfg)
+    handoff.stage = stage
     started = time.perf_counter()
-    rows = _STAGE_FUNCS[stage](cfg, extra, handoff)
+    rows = _STAGE_FUNCS[stage](cfg, handoff)
     elapsed = time.perf_counter() - started
+    handoff.done()
     manifest["stages"][stage] = {"rows": rows, "seconds": round(elapsed, 3)}
     write_manifest(cfg, manifest)
     logger.info("stage %s done in %.2fs: %s", stage, elapsed, rows)
@@ -790,19 +790,19 @@ def main(argv: list[str] | None = None) -> int:
             # tables of every stage are loaded and checked before ingest
             # writes anything.
             stages = [stage for stage in STAGES if stage != "eval" or cfg.gold_lexicon]
-            handoff: Handoff = {"tables": _tables(cfg, stages)}
+            handoff = Handoff(cfg, stages, args)
             manifest = open_manifest(cfg)
             for stage in STAGES:
                 if stage not in stages:
                     skip_eval(cfg, "no gold_lexicon", manifest)
                     continue
                 try:
-                    run_stage(stage, cfg, args, handoff, manifest)
+                    run_stage(stage, cfg, handoff, manifest)
                 except _NoGoldPair:
                     # Evaluation has nothing to score; later stages do not read it.
                     skip_eval(cfg, f"no gold pair at min_freq {cfg.min_freq}", manifest)
         else:
-            run_stage(args.command, cfg, args)
+            run_stage(args.command, cfg, Handoff(cfg, (args.command,), args))
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

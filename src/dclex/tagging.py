@@ -6,7 +6,8 @@ so that the word aligner sees one relation-bearing unit. A fused token
 reads back by a split at the last '-' and underscores mapped back to
 spaces. This module alone knows that format: `fuse_token` makes a fused
 token, `split_fused_token` reads one, `fused_connective` is the one rule
-for a fused connective, `check_senses` checks that tag's senses make one,
+for a fused connective, `check_senses` checks that tag's senses make one
+(`check_read_back` the half of it that needs no induced label),
 `connective_pairs` finds the pairs that hold one and a target occurrence,
 and `check_label` is the rule for the relation label of one.
 
@@ -119,7 +120,22 @@ def check_senses(
             raise PipelineError(
                 f"malformed fused token {token!r}: unknown relation label {relation!r}"
             )
-        raise PipelineError(f"fused token {token!r} does not read back as {' '.join(surface)!r}")
+        raise _not_read_back(token, surface)
+
+
+def check_read_back(senses: Iterable[tuple[Form, str]], src_forms: Container[Form]) -> None:
+    """The half of `check_senses` that needs no induced label: the token
+    that each (surface, relation) of `senses` whose surface is a form of
+    `src_forms` fuses into splits back into that surface and relation."""
+    for surface, relation in senses:
+        token = fuse_token(surface, relation)
+        known = tuple(t.lower() for t in surface) in src_forms
+        if known and split_fused_token(token) != (surface, relation):
+            raise _not_read_back(token, surface)
+
+
+def _not_read_back(token: str, surface: Form) -> PipelineError:
+    return PipelineError(f"fused token {token!r} does not read back as {' '.join(surface)!r}")
 
 
 def connective_pairs(

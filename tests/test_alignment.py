@@ -758,6 +758,36 @@ class TestAlignmentIO:
             [(0, 0), (2, 1)], [], [(1, 12), (3, 0)]
         ]
 
+    def test_shuffled_links_read_as_their_sorted_form(self, tmp_path, monkeypatch):
+        # A file in Links order skips the sort; any other goes through it,
+        # and both read to the same arrays.
+        rng = random.Random(31)
+        sets = [
+            sorted({(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(7))})
+            for _ in range(300)
+        ]
+        written, shuffled = tmp_path / "written.txt", tmp_path / "shuffled.txt"
+        write_alignments(Links.of(sets), str(written))
+        lines = []
+        for pair in sets:
+            tokens = [f"{i}-{j}" for i, j in pair] + [f"{i}-{j}" for i, j in pair[:2]]
+            rng.shuffle(tokens)
+            lines.append(" ".join(tokens))
+        shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        collect = alignment._collect
+        calls = []
+        monkeypatch.setattr(
+            alignment, "_collect", lambda *args: calls.append(1) or collect(*args)
+        )
+        fast = read_alignments(str(written))
+        assert calls == []
+        slow = read_alignments(str(shuffled))
+        assert calls == [1]
+        for name in ("offsets", "src", "tgt"):
+            assert getattr(fast, name).dtype == getattr(slow, name).dtype
+            assert getattr(fast, name).tolist() == getattr(slow, name).tolist()
+        assert link_sets(fast) == [frozenset(pair) for pair in sets]
+
     def test_lines_split_on_newline_only(self, tmp_path):
         path = tmp_path / "aln.txt"
         path.write_bytes(b"0-0\x0c1-1\n2-2\n")

@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import random
 import re
 import shutil
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import dclex
-from dclex import cli, inventory, tagging
+from dclex import cli, fileio, inventory, tagging
 from dclex.cli import (
     ARTIFACTS,
     CONFIG_ENV_VAR,
@@ -559,10 +561,11 @@ class TestPipelineRuns:
 
     @pytest.mark.parametrize("variant", ["cased", "annotated"])
     def test_run_all_equals_each_stage_run_alone(self, tmp_path, variant):
-        # `run all` hands the corpus, the links and the sites from stage to
-        # stage in memory; each stage alone reads them from the output
-        # directory. An empty line pair leaves a gap in the input line
-        # numbers, which the token files and the annotations do not have.
+        # One rule (`cli._STAGE_ARTIFACTS`): `run all` hands every artifact
+        # a later stage reads on in memory, and each stage alone reads it
+        # from the output directory through the one reader its table names.
+        # An empty line pair leaves a gap in the input line numbers, which
+        # the token files and the annotations do not have.
         config = planted.generate(
             tmp_path, pairs=300, dc_count=60, thresh_count=20, min_freq=5, iterations=3
         )
@@ -670,7 +673,8 @@ class TestPipelineRuns:
             calls.clear()
             assert main([stage, "--config", str(config)]) == 0, stage
             assert calls == dict.fromkeys(names, 1), stage
-        # Tag reads its tags from `annotations`, when set, and no table.
+        # Tag reads its tags from `annotations`, when set, and of the tables
+        # only the source inventory, to check that their senses read back.
         lines = (tmp_path / "corpus.en").read_text(encoding="utf-8").splitlines()
         annotations = tmp_path / "annotations.tsv"
         annotations.write_text("".join(
@@ -682,9 +686,79 @@ class TestPipelineRuns:
             f.write(f"annotations = {annotations}\n")
         calls.clear()
         assert main(["tag", "--config", str(config)]) == 0
-        assert calls == {}
+        assert calls == {"inventory.en": 1}
+        calls.clear()
         assert main(["run", "all", "--config", str(config)]) == 0
         assert sum(calls.values()) == 6 and "senses.tsv" not in calls
+
+    def test_each_stage_reads_the_artifacts_its_table_lists(self, tmp_path, monkeypatch):
+        # `cli._STAGE_ARTIFACTS` lists what each stage reads that another
+        # makes: a fresh `run all` hands all of it on in memory and reads
+        # back none of its artifacts, a stage run alone reads exactly the
+        # files of its readers, and after each stage the hand-over holds
+        # only what a later stage of the same command reads.
+        config = planted.generate(tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5)
+        out = tmp_path / "out"
+        reads: Counter = Counter()
+        strict = fileio.read_text_strict
+
+        def counted(path):
+            if Path(path).parent == out and Path(path).name != ARTIFACTS["manifest"]:
+                reads[Path(path).name] += 1
+            return strict(path)
+
+        # Every module of the package that binds the reader; `__main__` would run the CLI.
+        for info in pkgutil.iter_modules(dclex.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"dclex.{info.name}")
+            if getattr(module, "read_text_strict", None) is strict:
+                monkeypatch.setattr(module, "read_text_strict", counted)
+        held = {}
+        run_stage = cli.run_stage
+
+        def recorded(stage, cfg, handoff=None, manifest=None):
+            rows = run_stage(stage, cfg, handoff, manifest)
+            held[stage] = set(handoff.made)
+            return rows
+
+        monkeypatch.setattr(cli, "run_stage", recorded)
+        files = {
+            "ingest": [],
+            "tag": ["corpus_src", "corpus_tgt"],
+            "align": ["fused_src", "corpus_tgt"],
+            "extract": ["fused_src", "corpus_tgt", "align_sym"],
+            "build": ["dc_records", "freqs"],
+            "eval": ["lexicon", "freqs"],
+            "evidence": ["lexicon", "sites", "fused_src", "corpus_tgt"],
+            "report": ["freqs"],
+        }
+        # Ingest's corpus goes after tag, the links and occurrences after
+        # extract, tag's work pairs after evidence.
+        kept = {
+            "ingest": {"corpus", "freqs", "occurrences"},
+            "tag": {"work", "freqs", "occurrences"},
+            "align": {"work", "freqs", "occurrences", "links"},
+            "extract": {"work", "freqs", "sites", "records"},
+            "build": {"work", "freqs", "sites", "lexicon"},
+            "eval": {"work", "freqs", "sites", "lexicon"},
+            "evidence": {"freqs"},
+            "report": set(),
+        }
+        assert main(["run", "all", "--config", str(config)]) == 0
+        assert reads == {}
+        assert held == kept
+        for k, stage in enumerate(STAGES):
+            readers = cli._STAGE_ARTIFACTS.get(stage, {})
+            assert {file for names, _ in readers.values() for file in names} == set(files[stage])
+            later = {
+                name for after in STAGES[k + 1 :] for name in cli._STAGE_ARTIFACTS.get(after, {})
+            }
+            assert kept[stage] <= later
+            reads.clear()
+            assert main([stage, "--config", str(config)]) == 0, stage
+            assert reads == {ARTIFACTS[name]: 1 for name in files[stage]}, stage
+            assert held[stage] == set(), stage
 
     def test_the_annotations_are_parsed_once_per_command(self, tmp_path, monkeypatch):
         # `run all` checks the annotations before ingest writes, and tag
@@ -1084,6 +1158,28 @@ class TestPipelineRuns:
         err = capsys.readouterr().err
         assert "fused token 'so_that-Rel' does not read back as 'so_that'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant", ["senses", "annotated"])
+    def test_tag_alone_rejects_a_sense_whose_fused_token_does_not_read_back(
+        self, tmp_path, capsys, variant
+    ):
+        # Tag alone checks what needs no induced label: the fused token of a
+        # source form's sense splits back into that form and sense.
+        config = Path(so_config(tmp_path, "so_that", "so_that", "so_that"))
+        if variant == "annotated":
+            lines = (tmp_path / "corpus.en").read_text(encoding="utf-8").splitlines()
+            (tmp_path / "annotations.tsv").write_text(
+                "".join(f"{k}\t1\t1\tso_that\tRel\t1\n" for k in range(len(lines))),
+                encoding="utf-8",
+            )
+            text = config.read_text(encoding="utf-8").replace("default_senses", "annotations")
+            config.write_text(text.replace("senses.tsv", "annotations.tsv"), encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["tag", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "error: fused token 'so_that-Rel' does not read back as 'so_that'" in err
+        assert not (tmp_path / "out" / ARTIFACTS["fused_src"]).exists()
 
     def test_ingest_alone_loads_the_target_inventory_before_it_writes(self, tmp_path, capsys):
         config = planted.generate(

@@ -11,6 +11,7 @@ from dclex.inventory import load_connective_inventory, load_default_senses
 from dclex.tagging import (
     Tags,
     annotated_senses,
+    check_read_back,
     check_senses,
     connective_pairs,
     fuse_corpus,
@@ -330,6 +331,16 @@ class TestCheckSenses:
         ]:
             with pytest.raises(PipelineError, match=re.escape(message)):
                 check_senses(senses, [*forms, ("a", "b")], relations)
+
+    def test_read_back_needs_no_induced_label(self):
+        # The half of the check that tag alone runs: an inventory form's
+        # token splits back into it, whatever its label; a surface outside
+        # the inventory is not checked, as it needs the induced labels.
+        forms = [("so",), ("so_that",)]
+        check_read_back([(("so",), "X"), (("So",), "R"), (("a_b",), "R")], forms)
+        message = "fused token 'so_that-R' does not read back as 'so_that'"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            check_read_back([(("so",), "R"), (("so_that",), "R")], forms)
 
 
 class TestHeuristicTagging:
