@@ -13,25 +13,25 @@ earlier chunks, so its cost grows with the cells, not with chunks x slots.
 The E-step runs over fixed-size chunks, one after another: each writes its
 cell posteriors into one buffer, the size of the widest chunk, and adds
 them into the counts before the next chunk runs, so the counts take the
-posteriors in corpus order. The posterior and count buffers are allocated
-once per fit, the M-step divides in place, and the E-step works through
-its chunk in blocks of rows, so no EM temporary grows with the corpus or
-the chunk. The M-step adds up its row totals with `add.at` into a buffer
-of one float per row, which reads each slot's int32 row as it is, and
-gathers them back a block of slots at a time. Every sum that feeds t, q or
-the log-likelihood is a running sum in a fixed order (`bincount` and
-`add.at` add their inputs one by one, from 0.0, and `cumsum` adds left to
-right), never a pairwise or vectorized reduction, so t and q are
-bit-identical for any chunk size and equal, float for float, to adding them
-up in a Python loop. The log-likelihood is one running sum over the rows in
-corpus order, carried from chunk to chunk, so it does not depend on the
-chunking either; but it takes each row's log with
-`np.log`, whose last bit may differ by host (numpy picks its vectorized log,
-AVX-512 or not, by CPU), so its last bits depend on the host, where t, q and
-the links do not. A NULL source token (virtual index -1) absorbs target
-words with no counterpart; Viterbi links decoded to NULL are dropped. With
-NULL, a corpus token spelled `<NULL>` is an error, so NULL's row is never a
-word's too.
+posteriors in corpus order. The posterior, count and Model 2 cell place
+buffers are allocated once per fit, the M-step divides in place, and the
+E-step works through its chunk in blocks of rows, so no EM temporary grows
+with the corpus, and only Model 2's q slots grow with the chunk. The M-step
+adds up its row totals with `add.at` into a buffer of one float per row,
+which reads each slot's int32 row as it is, and gathers them back a block
+of slots at a time. Every sum that feeds t, q or the log-likelihood is a
+running sum in a fixed order (`bincount` and `add.at` add their inputs one
+by one, from 0.0, and `cumsum` adds left to right), never a pairwise or
+vectorized reduction, so t and q are bit-identical for any chunk size and
+equal, float for float, to adding them up in a Python loop. The
+log-likelihood is one running sum over the rows in corpus order, carried
+from chunk to chunk, so it does not depend on the chunking either; but it
+takes each row's log with `np.log`, whose last bit may differ by host
+(numpy picks its vectorized log, AVX-512 or not, by CPU), so its last bits
+depend on the host, where t, q and the links do not. A NULL source token
+(virtual index -1) absorbs target words with no counterpart; Viterbi links
+decoded to NULL are dropped. With NULL, a corpus token spelled `<NULL>` is
+an error, so NULL's row is never a word's too.
 
 The backward direction trains on the same pairs with the sides swapped, so
 its cells are the forward's transposed. Trained with `inverse=` the forward
@@ -406,9 +406,9 @@ class TranslationTable:
     of t are source words (NULL first, when used); the rows of q are
     (l, m, j) and its slots the candidates NULL, 0, ..., l - 1. Cells run
     pair after pair, target-major: a pair with n candidates (source words
-    plus NULL) and m target words has m rows of n cells. Per cell, `cells`
-    holds its t slot and `q_cells` its q slot (Model 2); `widths` holds each
-    row's number of cells. int32 keeps them small.
+    plus NULL) and m target words has m rows of n cells. `widths` holds each
+    row's number of cells and `cells` each cell's int32 t slot, the only
+    per-cell array: a cell's Model 2 q slot derives from its pair (`_q_slots`).
 
     `log_likelihoods` (one per EM iteration) and `entries` (the number of
     (e, f) entries of t, one per co-occurring pair) are plain attributes;
@@ -468,22 +468,19 @@ class TranslationTable:
         ]
 
         self.shapes: list[tuple[int, int]] = []
-        self.q = self.q_cells = None
+        self.q = self.q_at = None
         if positional:
             # One block of q slots per (l, m), in order of first appearance; a
-            # pair's cells take the slots of its block in order.
+            # pair's cells take the slots of its block in order (`_q_slots`).
             span = int(ms.max()) + 1
             block_of = np.empty(len(pairs), np.int32)
             block_l, block_m = np.divmod(_first_appearance([ls * span + ms], block_of), span)
             self.shapes = list(zip(block_l.tolist(), block_m.tolist()))
             block_sizes = (block_l + null) * block_m
-            q_at = (np.cumsum(block_sizes) - block_sizes)[block_of]
+            self.q_at = (np.cumsum(block_sizes) - block_sizes)[block_of]
             q_widths = np.repeat(block_l + null, block_m)
             q_rows = len(q_widths)
             self.q = _Table(np.repeat(np.arange(q_rows, dtype=np.int32), q_widths), q_rows)
-            self.q_cells = np.empty(cell_at[-1], np.int32)
-            for chunk in self.chunks:
-                _spans(q_at[chunk.pairs], sizes[chunk.pairs], self.q_cells[chunk.cells])
 
         if inverse is None:
             self._intern_cells(pairs, ls, ms)
@@ -561,7 +558,7 @@ class TranslationTable:
         self.e_words = [NULL_TOKEN, *inverse.f_words] if null else list(inverse.f_words)
         self.f_words = inverse.e_words[null:]
         # What is not read here goes now.
-        inverse.t.values = inverse.q = inverse.q_cells = None
+        inverse.t.values = inverse.q = inverse.q_at = None
         # This direction's slot of each of the inverse's word-pair slots.
         rank = np.cumsum(inverse.t.row_of >= null, dtype=np.int32) - 1
         self.cells = np.empty(self.chunks[-1].cells.stop, np.int32)
@@ -616,15 +613,16 @@ class TranslationTable:
         """EM iterations. Each chunk's E-step adds its posteriors into the
         counts before the next chunk runs, so the counts take them in corpus
         order and one posterior buffer, the size of the widest chunk, serves
-        every chunk. The posterior and count buffers are allocated once and
-        go when training ends."""
+        every chunk, as one array of cell places does Model 2's q slots. The
+        buffers are allocated once and go when training ends."""
         import numpy as np
 
         posteriors = np.empty(max(chunk.cells.stop - chunk.cells.start for chunk in self.chunks))
-        tables = [(self.t, self.cells)] + ([(self.q, self.q_cells)] if self.q is not None else [])
-        counts = [np.empty(len(table.values)) for table, _ in tables]
+        places = np.arange(len(posteriors)) if self.q is not None else None
+        tables = [self.t] + ([self.q] if self.q is not None else [])
+        counts = [np.empty(len(table.values)) for table in tables]
         log_likelihood = [0.0]  # the running sum, carried from chunk to chunk
-        estep = partial(self._estep, posteriors, tables, counts, log_likelihood)
+        estep = partial(self._estep, posteriors, places, counts, log_likelihood)
         history = []
         for _ in range(iterations):
             for c in counts:
@@ -632,11 +630,11 @@ class TranslationTable:
             log_likelihood[0] = 0.0
             process_chunks(estep, self.chunks, chunk_size=1)
             history.append(log_likelihood[0])
-            for (table, _), c in zip(tables, counts):
+            for table, c in zip(tables, counts):
                 table.m_step(c)
         self.log_likelihoods = tuple(history)
 
-    def _estep(self, posteriors, tables, counts, log_likelihood, batch) -> None:
+    def _estep(self, posteriors, places, counts, log_likelihood, batch) -> None:
         """Write the cell posteriors of one chunk into the front of
         `posteriors`, add them into each table's counts and add the chunk's
         rows to the running log-likelihood in `log_likelihood[0]`. A cell's
@@ -654,21 +652,21 @@ class TranslationTable:
         cuts = [*cuts.tolist(), len(widths)]
         z = np.empty(len(widths))
         cells = self.cells[chunk.cells]
-        q_cells = self.q_cells[chunk.cells] if self.q is not None else None
+        q_slots = None if places is None else self._q_slots(chunk.pairs, places)
         for r0, r1 in zip(cuts, cuts[1:]):
             if r0 == r1:
                 continue
             block = slice(heads[r0], heads[r1 - 1] + widths[r1 - 1])
             part = scores[block]
             np.take(self.t.values, cells[block], out=part, mode="clip")
-            if q_cells is not None:
-                part *= np.take(self.q.values, q_cells[block], mode="clip")
+            if q_slots is not None:
+                part *= np.take(self.q.values, q_slots[block], mode="clip")
             row_widths = widths[r0:r1]
             rows = np.repeat(np.arange(r1 - r0), row_widths)
             z[r0:r1] = np.bincount(rows, weights=part, minlength=r1 - r0)
             part /= np.repeat(z[r0:r1], row_widths)
-        for (_, table_cells), table_counts in zip(tables, counts):
-            np.add.at(table_counts, table_cells[chunk.cells], scores)
+        for table_counts, slots in zip(counts, (cells, q_slots)):
+            np.add.at(table_counts, slots, scores)
         terms = np.log(z)
         if self.q is None:
             # Model 1's uniform alignment prior 1/n; Model 2's is inside q.
@@ -699,13 +697,10 @@ class TranslationTable:
         wanted[pairs - lo] = True
         keep = np.repeat(wanted, self.n[lo:hi].astype(np.int64) * self.m[lo:hi])
 
-        def cells_of(column):
-            return column[window][keep]
-
-        scores = np.take(self.t.values, cells_of(self.cells), mode="clip")
+        scores = np.take(self.t.values, self.cells[window][keep], mode="clip")
         np.maximum(scores, PROB_FLOOR, out=scores)
         if self.q is not None:
-            q = np.take(self.q.values, cells_of(self.q_cells), mode="clip")
+            q = np.take(self.q.values, self._q_slots(pairs, np.arange(len(scores))), mode="clip")
             scores *= np.maximum(q, PROB_FLOOR, out=q)
             del q
         widths = np.repeat(ns, ms)
@@ -725,6 +720,16 @@ class TranslationTable:
         rows_of, sources, targets = rows_of[linked], sources[linked], targets[linked]
         order = np.argsort(rows_of * int(ns.max()) + sources, kind="stable")
         return _sorted_links(rows_of[order], sources[order], targets[order], len(pairs))
+
+    def _q_slots(self, pairs, places):
+        """The q slot of each cell of `pairs`, a slice or ascending indices:
+        its pair's q block start plus its place in the pair, counted by
+        `places`, which holds 0, 1, ... for at least that many cells."""
+        import numpy as np
+
+        sizes = self.n[pairs].astype(np.int64) * self.m[pairs]
+        slots = np.repeat(self.q_at[pairs] - (np.cumsum(sizes) - sizes), sizes)
+        return np.add(slots, places[: len(slots)], out=slots)
 
     @property
     def probs(self) -> dict[str, dict[str, float]]:

@@ -1,25 +1,26 @@
 """Command-line pipeline: ingest | tag | align | extract | build | eval |
 evidence | report, plus `run all`.
 
-Every stage writes its artifacts to the configured output directory. A
-command first loads the input tables of the stages it runs, once each and
-with the checks across tables (`_tables`), so `run all` stops on a bad
-table before ingest writes. What a stage reads that another stage makes is
-listed once, in `_STAGE_ARTIFACTS`, and got by one rule (`Handoff.read`):
-the object an earlier stage of the same command handed on in memory, or
-else the files in the output directory, read by the stage's reader there.
-So a fresh `run all` reads back none of the artifacts it writes, any stage
-can be rerun alone, and each object is dropped after the last stage of the
-command that reads it. A stage run alone interns the token files it reads
-as ingest did the corpus, and finds the target connective occurrences
-again; evidence alone splits only the lines its sites name. Align trains on
-every pair but decodes, symmetrizes and writes links only for the pairs
-whose fused source side holds a fused connective and whose target side
-holds a target connective occurrence (`tagging.connective_pairs`), the only
-pairs extract can count a site from; `alignments.sym.txt` keeps an empty
-line for each other pair. A JSON manifest records the config snapshot,
-input digests, per-stage row counts and timing; one call reads it and
-hashes the inputs once.
+Every stage writes its artifacts to the configured output directory. Each
+stage is declared once, where its function is defined (`_stage`): the input
+tables it reads, what it reads that another stage makes, and the artifact
+files it writes. A command first loads the input tables of the stages it
+runs, once each and with the checks across tables (`_tables`), so `run all`
+stops on a bad table before ingest writes. What another stage makes is got
+by one rule (`Handoff.read`): the object an earlier stage of the same
+command handed on in memory, or else the files in the output directory,
+read by the stage's reader there. So a fresh `run all` reads back none of
+the artifacts it writes, any stage can be rerun alone, and each object is
+dropped after the last stage of the command that reads it. A stage run
+alone interns the token files it reads as ingest did the corpus, and finds
+the target connective occurrences again; evidence alone splits only the
+lines its sites name. Align trains on every pair but decodes, symmetrizes
+and writes links only for the pairs whose fused source side holds a fused
+connective and whose target side holds a target connective occurrence
+(`tagging.connective_pairs`), the only pairs extract can count a site from;
+`alignments.sym.txt` keeps an empty line for each other pair. A JSON
+manifest records the config snapshot, input digests, per-stage row counts
+and timing; one call reads it and hashes the inputs once.
 
 Each stage imports the modules it runs when it starts, so loading this
 module and validating a config load only `corpus`, `fileio` and `errors` of
@@ -58,8 +59,6 @@ if TYPE_CHECKING:  # annotations only: the parser loads argparse when it is buil
 logger = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "CONLEDISCO_CONFIG"
-
-STAGES = ("ingest", "tag", "align", "extract", "build", "eval", "evidence", "report")
 
 ARTIFACTS = {
     "corpus_src": "corpus.src",
@@ -308,19 +307,6 @@ def _config_path(cfg: PipelineConfig, key: str) -> str | Path | None:
     return getattr(cfg, key) or _PACKAGED_TABLES.get(key)
 
 
-# The input files each stage reads, by config key. Build reads none, and
-# tag `annotations` if set, or else `default_senses`, as well.
-_STAGE_INPUTS = {
-    "ingest": ("src_corpus", "tgt_corpus", "tgt_inventory"),
-    "tag": ("src_inventory",),
-    "align": ("src_inventory", "tgt_inventory", "induced_relations"),
-    "extract": ("tgt_inventory", "src_inventory", "induced_relations"),
-    "eval": ("gold_relations", "gold_lexicon", "induced_relations", "relation_map"),
-    "evidence": ("tgt_inventory", "src_inventory", "induced_relations"),
-    "report": ("tgt_inventory",),
-}
-
-
 # How a stage reads an artifact that its command did not make: the
 # artifact files it reads, and `read(handoff, *paths)` of their paths.
 _Reader = tuple[tuple[str, ...], Callable[..., Any]]
@@ -341,37 +327,32 @@ _OCCURRENCES: _Reader = (
 _FREQS = _by("corpus.read_frequency_table", "freqs")
 _LEXICON = _by("lexicon.read_ranked_lexicon", "lexicon")
 
-# What each stage reads that an earlier stage makes, by the name it is
-# handed on under (`Handoff`), with the reader the stage uses when its
-# command did not make it. Ingest makes "corpus", its interned `Bitext`,
-# "freqs", the frequency table, and "occurrences", the target connective
-# occurrences it counts; tag "work", the `Bitext` of the fused source side
-# and the target side; align "links"; extract "sites" and "records"; build
-# "lexicon". Pair k is line k of the token files.
-_STAGE_ARTIFACTS: dict[str, dict[str, _Reader]] = {
-    "tag": {"corpus": _by("corpus.load_token_corpus", "corpus_src", "corpus_tgt")},
-    "align": {"work": _WORK, "occurrences": _OCCURRENCES},
-    "extract": {
-        "work": _WORK,
-        "links": _by("alignment.read_alignments", "align_sym"),
-        "occurrences": _OCCURRENCES,
-    },
-    "build": {"records": _by("phrasetable.read_dc_records", "dc_records"), "freqs": _FREQS},
-    "eval": {"lexicon": _LEXICON, "freqs": _FREQS},
-    # Only the pairs the sites name are split into tokens; numpy is not loaded.
-    "evidence": {
-        "lexicon": _LEXICON,
-        "sites": _by("phrasetable.read_sites", "sites"),
-        "work": _by("corpus.open_token_corpus", "fused_src", "corpus_tgt"),
-    },
-    "report": {"freqs": _FREQS},
-}
 
-# The stage that writes each artifact file that a reader reads.
-_WRITTEN_BY = dict(
-    corpus_src="ingest", corpus_tgt="ingest", freqs="ingest", fused_src="tag",
-    align_sym="align", sites="extract", dc_records="extract", lexicon="build",
-)
+class _Stage(NamedTuple):
+    """A stage as `_stage` declares it: its function; the input files it
+    reads, by config key (tag reads `annotations` if set, or else
+    `default_senses`, as well); what it reads that an earlier stage makes,
+    by the name it is handed on under (`Handoff`), with the reader it uses
+    when its command did not make it; and the artifact files it writes."""
+
+    run: Callable[..., dict]
+    inputs: tuple[str, ...]
+    reads: dict[str, _Reader]
+    writes: tuple[str, ...]
+
+
+_REGISTRY: dict[str, _Stage] = {}  # every stage by name, in the order `run all` runs them
+# The tables that align, extract and evidence read to tell a connective.
+_CONNECTIVES = ("src_inventory", "tgt_inventory", "induced_relations")
+
+
+def _stage(inputs: tuple[str, ...] = (), reads: dict[str, _Reader] | None = None,
+           writes: tuple[str, ...] = ()) -> Callable:
+    """Register the decorated `_stage_NAME` as stage NAME, after those before it."""
+    def register(run: Callable[..., dict]) -> Callable[..., dict]:
+        _REGISTRY[run.__name__.removeprefix("_stage_")] = _Stage(run, inputs, reads or {}, writes)
+        return run
+    return register
 
 
 def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
@@ -387,7 +368,7 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
     never occurs, needs a sense (`tagging.check_senses`)."""
     from . import inventory as inv
 
-    keys = {key for stage in stages for key in _STAGE_INPUTS.get(stage, ())}
+    keys = {key for stage in stages for key in _REGISTRY[stage].inputs}
     if "tag" in stages:
         from . import tagging as tg
 
@@ -434,7 +415,7 @@ def _tables(cfg: PipelineConfig, stages: Sequence[str]) -> dict[str, Any]:
 class Handoff:
     """What a command hands its stages: its `args`, the input `tables` of
     the stages it runs (`_tables`), and `made`, what its stages made that a
-    later one reads (`_STAGE_ARTIFACTS`), while `stage` runs."""
+    later one reads (`_Stage.reads`), while `stage` runs."""
 
     def __init__(
         self, cfg: PipelineConfig, stages: Sequence[str], args: argparse.Namespace | None = None
@@ -448,18 +429,20 @@ class Handoff:
         """Artifact `name` as an earlier stage of the command made it, or
         else as the running stage's reader reads it."""
         if name not in self.made:
-            files, read = _STAGE_ARTIFACTS[self.stage][name]
+            files, read = _REGISTRY[self.stage].reads[name]
             self.made[name] = read(self, *(str(_require(self.cfg, file)) for file in files))
         return self.made[name]
 
     def done(self) -> None:
         """Drop what no stage after the running one in the command reads."""
         later = self.stages[self.stages.index(self.stage) + 1 :]
-        read = {name for stage in later for name in _STAGE_ARTIFACTS.get(stage, ())}
+        read = {name for stage in later for name in _REGISTRY[stage].reads}
         for name in self.made.keys() - read:
             del self.made[name]
 
 
+@_stage(inputs=("src_corpus", "tgt_corpus", "tgt_inventory"),
+        writes=("corpus_src", "corpus_tgt", "freqs"))
 def _stage_ingest(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     tables = handoff.tables
     corpus = cp.load_parallel_corpus(
@@ -481,6 +464,9 @@ def _stage_ingest(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     return {"pairs": len(corpus), "target_forms": len(freqs.entries)}
 
 
+@_stage(inputs=("src_inventory",),
+        reads={"corpus": _by("corpus.load_token_corpus", "corpus_src", "corpus_tgt")},
+        writes=("fused_src",))
 def _stage_tag(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from . import tagging as tg
 
@@ -497,6 +483,8 @@ def _stage_tag(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     return {"annotations": len(tags), "sentences": len(fused)}
 
 
+@_stage(inputs=_CONNECTIVES, reads={"work": _WORK, "occurrences": _OCCURRENCES},
+        writes=("align_sym",))
 def _stage_align(cfg: PipelineConfig, handoff: Handoff) -> dict[str, object]:
     from . import alignment as al
     from . import tagging as tg
@@ -553,6 +541,10 @@ def _rate(part: int, whole: int) -> float | None:
     return round(part / whole, 6) if whole else None
 
 
+@_stage(inputs=_CONNECTIVES,
+        reads={"work": _WORK, "links": _by("alignment.read_alignments", "align_sym"),
+               "occurrences": _OCCURRENCES},
+        writes=("sites", "dc_records"))
 def _stage_extract(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from . import phrasetable as pt
 
@@ -570,6 +562,8 @@ def _stage_extract(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     return {"occurrences": table.occurrences, "aligned": aligned, "dc_records": len(records)}
 
 
+@_stage(reads={"records": _by("phrasetable.read_dc_records", "dc_records"), "freqs": _FREQS},
+        writes=("lexicon",))
 def _stage_build(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from . import lexicon as lx
 
@@ -584,6 +578,8 @@ class _NoGoldPair(PipelineError):
     and eval run alone fails."""
 
 
+@_stage(inputs=("gold_relations", "gold_lexicon", "induced_relations", "relation_map"),
+        reads={"lexicon": _LEXICON, "freqs": _FREQS}, writes=("eval_report",))
 def _stage_eval(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from . import evaluation as ev
     from . import inventory as inv
@@ -603,6 +599,11 @@ def _stage_eval(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     }
 
 
+# Only the pairs the sites name are split into tokens; numpy is not loaded.
+@_stage(inputs=_CONNECTIVES,
+        reads={"lexicon": _LEXICON, "sites": _by("phrasetable.read_sites", "sites"),
+               "work": _by("corpus.open_token_corpus", "fused_src", "corpus_tgt")},
+        writes=("evidence",))
 def _stage_evidence(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     from fractions import Fraction
 
@@ -648,6 +649,7 @@ def _stage_evidence(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     return {"entries": len(targets), "excerpts": sampled}
 
 
+@_stage(inputs=("tgt_inventory",), reads={"freqs": _FREQS}, writes=("table1",))
 def _stage_report(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     freqs = handoff.read("freqs")
     tgt_inventory = handoff.tables["tgt_inventory"]
@@ -669,16 +671,9 @@ def _stage_report(cfg: PipelineConfig, handoff: Handoff) -> dict[str, int]:
     return {"inventory_forms": total}
 
 
-_STAGE_FUNCS = {
-    "ingest": _stage_ingest,
-    "tag": _stage_tag,
-    "align": _stage_align,
-    "extract": _stage_extract,
-    "build": _stage_build,
-    "eval": _stage_eval,
-    "evidence": _stage_evidence,
-    "report": _stage_report,
-}
+STAGES = tuple(_REGISTRY)
+# The stage that writes each artifact file; `_require` names it.
+_WRITTEN_BY = {file: name for name, stage in _REGISTRY.items() for file in stage.writes}
 
 
 def run_stage(
@@ -688,7 +683,7 @@ def run_stage(
     the output directory. `handoff` and `manifest` are those of the command
     under way; without them, the stage makes its own (`Handoff`, which
     loads its tables, and `open_manifest`)."""
-    if stage not in _STAGE_FUNCS:
+    if stage not in _REGISTRY:
         raise UsageError(f"unknown stage {stage!r}")
     if handoff is None:
         handoff = Handoff(cfg, (stage,))
@@ -696,7 +691,7 @@ def run_stage(
         manifest = open_manifest(cfg)
     handoff.stage = stage
     started = time.perf_counter()
-    rows = _STAGE_FUNCS[stage](cfg, handoff)
+    rows = _REGISTRY[stage].run(cfg, handoff)
     elapsed = time.perf_counter() - started
     handoff.done()
     manifest["stages"][stage] = {"rows": rows, "seconds": round(elapsed, 3)}

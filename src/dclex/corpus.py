@@ -96,7 +96,9 @@ class TokenColumns(Sequence[tuple[str, ...]]):
         return tuple([vocab[w] for w in self.ids[self.offsets[k] : self.offsets[k + 1]].tolist()])
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:
-        words = list(map(self.vocab.__getitem__, self.ids.tolist()))
+        import numpy as np
+
+        words = np.array(self.vocab, object)[self.ids].tolist()  # no Python int per token
         bounds = self.offsets.tolist()
         return iter([tuple(words[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
@@ -117,7 +119,7 @@ class TokenColumns(Sequence[tuple[str, ...]]):
         # Each token is followed by one separator byte: a space, or a newline
         # at the end of its sentence.
         ends = np.cumsum(widths[self.ids] + 1)
-        text = " ".join(map(self.vocab.__getitem__, self.ids.tolist())).encode() + b"\n"
+        text = " ".join(np.array(self.vocab, object)[self.ids].tolist()).encode() + b"\n"
         data = np.frombuffer(bytearray(text), np.uint8)
         lengths = self.lengths()
         full = lengths > 0
@@ -337,7 +339,7 @@ def load_parallel_corpus(
     src_lines, tgt_lines = _read_line_pairs(src_path, tgt_path, lowercase)
     src_chunks, tgt_chunks = _chunk_counts(src_lines), _chunk_counts(tgt_lines)
     kept = (src_chunks > 0) & (tgt_chunks > 0)
-    # Lines past the pair that reaches the limit are not read.
+    # Lines past the limit's last pair are read and chunk-counted, not checked or interned.
     n = len(src_lines)
     if limit is not None and limit > 0:
         full = np.flatnonzero(kept)

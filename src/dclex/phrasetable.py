@@ -12,7 +12,6 @@ table and the connective records are their aggregates.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 # `process_chunks` is bound here only for the benchmark's tracer to wrap;
@@ -35,17 +34,16 @@ class PhraseTableEntry(NamedTuple):
     count: int
 
 
-# A dataclass, unlike the package's other records: a NamedTuple would
-# iterate its fields, not its rows.
-@dataclass(frozen=True)
 class PhraseTable:
     """Connective rows sorted by (src_phrase, tgt_phrase), the number of
     target connective occurrences scanned to find them, and the sites the
-    rows count, in corpus order."""
+    rows count, in corpus order. Iterated, it gives its rows."""
 
-    entries: tuple[PhraseTableEntry, ...]
-    occurrences: int
-    sites: tuple[Site, ...]
+    __slots__ = ("entries", "occurrences", "sites")
+
+    def __init__(self, entries: tuple[PhraseTableEntry, ...], occurrences: int,
+                 sites: tuple[Site, ...]) -> None:
+        self.entries, self.occurrences, self.sites = entries, occurrences, sites
 
     def __iter__(self) -> Iterator[PhraseTableEntry]:
         return iter(self.entries)

@@ -216,6 +216,18 @@ class TestModel2:
                 for got, want in zip(tables.log_likelihoods, ref_lls):
                     assert got == pytest.approx(want, abs=1e-9)
 
+    def test_cells_is_the_only_per_cell_array(self):
+        # A cell's q slot is its pair's q block start plus its place in the
+        # pair, so Model 2 keeps no per-cell array but the t slots, as Model 1.
+        pairs = random_corpus(random.Random(5), 200, ["a", "b", "c"], ["x", "y"])
+        table = train_model2(pairs, 1)
+        n_cells = sum((len(src) + 1) * len(tgt) for src, tgt in pairs)
+        held = {**vars(table), **{f"{name}.{key}": value for name in ("t", "q")
+                                  for key, value in vars(getattr(table, name)).items()}}
+        per_cell = [name for name, value in held.items()
+                    if isinstance(value, np.ndarray) and len(value) == n_cells]
+        assert per_cell == ["cells"]
+
 
 class TestTrainedPairDecoding:
     """`TranslationTable.decode` against the oracle for Model 1 and against
@@ -462,7 +474,7 @@ class TestInverseDirection:
 
         assert read_by_training(derived) == read_by_training(interned)
         if positional:
-            assert derived.q_cells.tolist() == interned.q_cells.tolist()
+            assert derived.q_at.tolist() == interned.q_at.tolist()
 
     @pytest.mark.parametrize("train", [train_model1, train_model2])
     @pytest.mark.parametrize("use_null", [True, False], ids=["null", "no-null"])
@@ -551,7 +563,7 @@ class TestInverseDirection:
         train_model2(swap(self.PAIRS), 1, inverse=forward)
         assert forward.probs is forward_probs
         # The forward table outlives the backward EM with nothing corpus-sized.
-        released = ("cells", "t", "t_cols", "q", "q_cells", "widths", "first_cell", "n", "m",
+        released = ("cells", "t", "t_cols", "q", "q_at", "widths", "first_cell", "n", "m",
                     "chunks")
         assert [name for name in released if getattr(forward, name) is not None] == []
         arrays = [value for value in vars(forward).values() if isinstance(value, np.ndarray)]

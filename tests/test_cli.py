@@ -559,9 +559,9 @@ class TestPipelineRuns:
         assert (out / ARTIFACTS["sites"]).read_text(encoding="utf-8") == ""
         assert set(manifest["stages"]) == set(STAGES)
 
-    @pytest.mark.parametrize("variant", ["cased", "annotated"])
+    @pytest.mark.parametrize("variant", ["cased", "annotated", "model2"])
     def test_run_all_equals_each_stage_run_alone(self, tmp_path, variant):
-        # One rule (`cli._STAGE_ARTIFACTS`): `run all` hands every artifact
+        # One rule (`cli._REGISTRY`): `run all` hands every artifact
         # a later stage reads on in memory, and each stage alone reads it
         # from the output directory through the one reader its table names.
         # An empty line pair leaves a gap in the input line numbers, which
@@ -580,6 +580,9 @@ class TestPipelineRuns:
             for lines in corpus.values():
                 lines[::3] = [line.title() for line in lines[::3]]
             extra = "lowercase = false\n"
+        elif variant == "model2":
+            # Model 2 derives the q slots of the pairs it trains and decodes.
+            extra = "model = model2\n"
         else:
             # Sentence k of the annotations is line k of the token files.
             tokens = [line.split() for line in corpus["corpus.en"] if line]
@@ -692,7 +695,7 @@ class TestPipelineRuns:
         assert sum(calls.values()) == 6 and "senses.tsv" not in calls
 
     def test_each_stage_reads_the_artifacts_its_table_lists(self, tmp_path, monkeypatch):
-        # `cli._STAGE_ARTIFACTS` lists what each stage reads that another
+        # `cli._REGISTRY` lists what each stage reads that another
         # makes: a fresh `run all` hands all of it on in memory and reads
         # back none of its artifacts, a stage run alone reads exactly the
         # files of its readers, and after each stage the hand-over holds
@@ -749,16 +752,40 @@ class TestPipelineRuns:
         assert reads == {}
         assert held == kept
         for k, stage in enumerate(STAGES):
-            readers = cli._STAGE_ARTIFACTS.get(stage, {})
+            readers = cli._REGISTRY[stage].reads
             assert {file for names, _ in readers.values() for file in names} == set(files[stage])
             later = {
-                name for after in STAGES[k + 1 :] for name in cli._STAGE_ARTIFACTS.get(after, {})
+                name for after in STAGES[k + 1 :] for name in cli._REGISTRY[after].reads
             }
             assert kept[stage] <= later
             reads.clear()
             assert main([stage, "--config", str(config)]) == 0, stage
             assert reads == {ARTIFACTS[name]: 1 for name in files[stage]}, stage
             assert held[stage] == set(), stage
+
+    def test_each_stage_writes_exactly_the_files_it_declares(self, tmp_path):
+        # `cli._REGISTRY` declares the artifact files each stage writes:
+        # `run all` leaves those of all stages and the manifest, and each
+        # stage run alone after it rewrites its own and the manifest only.
+        config = planted.generate(tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5)
+        out = tmp_path / "out"
+        assert main(["run", "all", "--config", str(config)]) == 0
+
+        def written(*stages):
+            return {ARTIFACTS[name] for stage in stages for name in cli._REGISTRY[stage].writes}
+
+        def stamps():
+            # A write renames a new file into place, so it gives a new inode.
+            return {path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+                    for path in out.iterdir()}
+
+        assert set(stamps()) == written(*STAGES) | {ARTIFACTS["manifest"]}
+        for stage in STAGES:
+            before = stamps()
+            assert main([stage, "--config", str(config)]) == 0, stage
+            after = stamps()
+            changed = {name for name, stamp in after.items() if before.get(name) != stamp}
+            assert changed == written(stage) | {ARTIFACTS["manifest"]}, stage
 
     def test_the_annotations_are_parsed_once_per_command(self, tmp_path, monkeypatch):
         # `run all` checks the annotations before ingest writes, and tag
@@ -916,7 +943,8 @@ class TestPipelineRuns:
     def test_build_eval_and_report_alone_leave_numpy_unloaded(self, tmp_path):
         # Only the stages up to extract need numpy; these read text artifacts.
         # Only align and extract load the aligner, and report loads none of
-        # the modules that tag, make or score the lexicon.
+        # the modules that tag, make or score the lexicon. No record is a
+        # dataclass, so none of them loads `dataclasses` or its `inspect`.
         config = planted.generate(
             tmp_path, pairs=80, dc_count=20, thresh_count=6, min_freq=5, iterations=3
         )
@@ -924,7 +952,7 @@ class TestPipelineRuns:
         code = (
             "import sys, dclex.cli; print(dclex.cli.main(sys.argv[1:]), "
             "sorted({'numpy', 'dclex.alignment', 'dclex.phrasetable', 'dclex.lexicon', "
-            "'dclex.evaluation', 'dclex.tagging'} & set(sys.modules)))"
+            "'dclex.evaluation', 'dclex.tagging', 'dataclasses', 'inspect'} & set(sys.modules)))"
         )
         loaded = {
             "build": "['dclex.lexicon', 'dclex.phrasetable', 'dclex.tagging']",
